@@ -47,9 +47,10 @@ func (e *ProtocolError) Error() string {
 
 // Client is one protocol connection. Methods are safe for concurrent
 // use; each Do is one atomic request/response round trip. A Client that
-// entered streaming mode (Watch on the server side of a `watch`,
-// `journal since`, ...) belongs to the stream: use ReadLine and do not
-// interleave Do calls.
+// entered streaming mode (the server side of a `watch`) belongs to the
+// stream: use ReadLine and do not interleave Do calls. (`journal since`
+// is not a line stream — its records are length-prefixed binary frames
+// — and is spoken by replicas, not through this client.)
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn

@@ -6,11 +6,17 @@
 // ...", "busy depth=...", "err frame ..."), so the server's guarded
 // single-writer funnel is unchanged.
 //
+// The same frames are the update journal's record payloads and the
+// replication stream's record bodies (internal/server): a mutation is
+// decoded from its wire form once and stays a frame from then on, so
+// the primary's journal append, crash replay and every replica share
+// this one encoder and this one decoder.
+//
 // Frame layout (all multi-byte integers little-endian or unsigned
 // varint as noted):
 //
-//	u32 length   — payload byte count, ≤ MaxFrame
-//	u8  kind     — KindOps or KindSync
+//	u32 length   — payload byte count, ≤ MaxFrame on a client stream
+//	u8  kind     — KindOps, KindSync, KindNode or KindLink
 //	payload body
 //
 // KindOps body: uvarint op count, then count packed ops. Each op opens
@@ -26,6 +32,13 @@
 // has been applied to the data plane, which is how a feeder bounds its
 // outstanding window and how tests and benchmarks get a quiesce point.
 //
+// KindNode body: the node name, raw bytes to the end of the frame
+// (non-empty, no ASCII whitespace — a line-protocol token). KindLink
+// body: uvarint srcNode, uvarint dstNode. These two are journal-record
+// kinds ("node <name>", "link <src> <dst>"): topology changes are rare
+// and ordered against rule updates, so they travel the line protocol
+// live and a client stream carrying them is refused.
+//
 // The varint packing is what makes the format fast, not clever: a
 // typical insert is ~15 bytes against ~40 for its text line, and
 // decoding is a handful of branch-predictable byte loads with no
@@ -35,6 +48,7 @@
 package binproto
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -48,15 +62,18 @@ import (
 // "dnbin 1" verb names it.
 const Version = 1
 
-// MaxFrame bounds one frame's payload so a bad length prefix cannot
-// make the server buffer unbounded input (mirrors the line protocol's
-// maxLine).
+// MaxFrame bounds one frame's payload on a client stream so a bad
+// length prefix cannot make the server buffer unbounded input (mirrors
+// the line protocol's maxLine). Decode, which is handed a frame already
+// in memory, is bounded by its argument instead.
 const MaxFrame = 1 << 20
 
 // Frame kinds.
 const (
 	KindOps  = 1 // packed rule operations
 	KindSync = 2 // barrier: reply when everything before it is applied
+	KindNode = 3 // journal record: add a node by name
+	KindLink = 4 // journal record: add a link between two node ids
 )
 
 // Op tags inside a KindOps frame.
@@ -65,11 +82,9 @@ const (
 	TagRemove = 1
 )
 
-// maxOpsPerFrame bounds the op count a frame may declare: a minimal
-// remove is 2 bytes, so MaxFrame/2 is the most ops a well-formed
-// payload can hold, and a count above it is rejected before any
-// allocation sized by it.
-const maxOpsPerFrame = MaxFrame / 2
+// minOpBytes is the smallest packed op (a remove: tag + one-byte id),
+// which bounds the op count a body of a given size can honestly declare.
+const minOpBytes = 2
 
 // Bounds for the wire's narrowing casts: rule ids are int64, node/link
 // ids and priorities int32 (links shifted by one for the -1 drop link).
@@ -102,6 +117,23 @@ func AppendSync(dst []byte, token uint64) []byte {
 	return dst
 }
 
+// AppendNode appends one KindNode frame recording "node <name>".
+func AppendNode(dst []byte, name string) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+len(name)))
+	dst = append(dst, KindNode)
+	return append(dst, name...)
+}
+
+// AppendLink appends one KindLink frame recording "link <src> <dst>".
+func AppendLink(dst []byte, src, to netgraph.NodeID) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, KindLink)
+	dst = binary.AppendUvarint(dst, uint64(src))
+	dst = binary.AppendUvarint(dst, uint64(to))
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
+}
+
 func appendOp(dst []byte, op *core.BatchOp) []byte {
 	if !op.Insert {
 		dst = append(dst, TagRemove)
@@ -116,12 +148,15 @@ func appendOp(dst []byte, op *core.BatchOp) []byte {
 	return binary.AppendUvarint(dst, uint64(op.Rule.Priority))
 }
 
-// Frame is one decoded client→server frame: either Ops (KindOps) or a
-// sync barrier (KindSync, Token set).
+// Frame is one decoded frame: Ops (KindOps), a sync barrier (KindSync,
+// Token set), a node record (KindNode, Name set) or a link record
+// (KindLink, Src and Dst set).
 type Frame struct {
-	Kind  uint8
-	Token uint64
-	Ops   []core.BatchOp
+	Kind     uint8
+	Token    uint64
+	Ops      []core.BatchOp
+	Name     string
+	Src, Dst netgraph.NodeID
 }
 
 // Reader decodes frames from a byte stream. It reuses its payload and
@@ -164,10 +199,28 @@ func (fr *Reader) Read() (Frame, error) {
 		}
 		return Frame{}, err
 	}
-	return fr.decodePayload(fr.buf)
+	f, err := decodePayload(fr.buf, fr.ops[:0])
+	if f.Kind == KindOps {
+		fr.ops = f.Ops // keep the grown op buffer for the next frame
+	}
+	return f, err
 }
 
-func (fr *Reader) decodePayload(p []byte) (Frame, error) {
+// Decode decodes one complete frame held in p, length prefix included —
+// a journal record payload or a replication stream body. Decoded ops
+// are appended to ops[:0], so a caller that passes the previous call's
+// Frame.Ops back decodes a steady stream without allocating. The frame
+// must fill p exactly.
+func Decode(p []byte, ops []core.BatchOp) (Frame, error) {
+	if len(p) < 5 || uint64(binary.LittleEndian.Uint32(p)) != uint64(len(p)-4) {
+		return Frame{}, fmt.Errorf("frame length prefix does not match its %d bytes", len(p))
+	}
+	return decodePayload(p[4:], ops[:0])
+}
+
+// decodePayload decodes a frame's kind byte and body (p is non-empty),
+// appending any ops to ops.
+func decodePayload(p []byte, ops []core.BatchOp) (Frame, error) {
 	kind, p := p[0], p[1:]
 	switch kind {
 	case KindSync:
@@ -177,24 +230,39 @@ func (fr *Reader) decodePayload(p []byte) (Frame, error) {
 		}
 		return Frame{Kind: KindSync, Token: token}, nil
 	case KindOps:
+		// A count the body cannot hold is rejected before any decoding.
 		count, sz := binary.Uvarint(p)
-		if sz <= 0 || count > maxOpsPerFrame {
+		if sz <= 0 || count > uint64(len(p)-sz)/minOpBytes {
 			return Frame{}, fmt.Errorf("bad op count in frame")
 		}
 		p = p[sz:]
-		fr.ops = fr.ops[:0]
 		for i := uint64(0); i < count; i++ {
 			op, rest, err := decodeOp(p)
 			if err != nil {
 				return Frame{}, fmt.Errorf("op %d: %v", i, err)
 			}
-			fr.ops = append(fr.ops, op)
+			ops = append(ops, op)
 			p = rest
 		}
 		if len(p) != 0 {
 			return Frame{}, fmt.Errorf("%d trailing bytes after %d ops", len(p), count)
 		}
-		return Frame{Kind: KindOps, Ops: fr.ops}, nil
+		return Frame{Kind: KindOps, Ops: ops}, nil
+	case KindNode:
+		if len(p) == 0 || bytes.ContainsAny(p, " \t\n\v\f\r") {
+			return Frame{}, fmt.Errorf("node frame name is not one token")
+		}
+		return Frame{Kind: KindNode, Name: string(p)}, nil
+	case KindLink:
+		src, n1 := binary.Uvarint(p)
+		if n1 <= 0 {
+			return Frame{}, fmt.Errorf("malformed link frame")
+		}
+		to, n2 := binary.Uvarint(p[n1:])
+		if n2 <= 0 || n1+n2 != len(p) || src > maxInt31 || to > maxInt31 {
+			return Frame{}, fmt.Errorf("malformed link frame")
+		}
+		return Frame{Kind: KindLink, Src: netgraph.NodeID(src), Dst: netgraph.NodeID(to)}, nil
 	default:
 		return Frame{}, fmt.Errorf("unknown frame kind %d", kind)
 	}

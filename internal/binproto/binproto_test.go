@@ -72,6 +72,48 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordKinds round-trips the two topology record kinds and the
+// in-memory Decode the journal and the replica stream use: the frame
+// must fill its slice exactly, the op buffer is reused, and names that
+// are not one line-protocol token are refused.
+func TestRecordKinds(t *testing.T) {
+	f, err := Decode(AppendNode(nil, "core-1"), nil)
+	if err != nil || f.Kind != KindNode || f.Name != "core-1" {
+		t.Fatalf("node frame: %+v, %v", f, err)
+	}
+	f, err = Decode(AppendLink(nil, 7, 1<<30), nil)
+	if err != nil || f.Kind != KindLink || f.Src != 7 || f.Dst != 1<<30 {
+		t.Fatalf("link frame: %+v, %v", f, err)
+	}
+
+	ops := randomOps(rand.New(rand.NewSource(4)), 40)
+	raw := AppendOps(nil, ops)
+	f, err = Decode(raw, nil)
+	if err != nil || !reflect.DeepEqual(f.Ops, ops) {
+		t.Fatalf("ops frame: %d ops, %v", len(f.Ops), err)
+	}
+	again, err := Decode(AppendOps(nil, ops[:10]), f.Ops)
+	if err != nil || len(again.Ops) != 10 || &again.Ops[0] != &f.Ops[0] {
+		t.Fatalf("Decode did not reuse the op buffer: %d ops, %v", len(again.Ops), err)
+	}
+
+	for name, p := range map[string][]byte{
+		"short":          raw[:3],
+		"cut":            raw[:len(raw)-1],
+		"trailing":       append(append([]byte(nil), raw...), 0),
+		"empty name":     AppendNode(nil, ""),
+		"spaced name":    AppendNode(nil, "a b"),
+		"newline name":   AppendNode(nil, "a\nrule 1 0 0 0 1 1"),
+		"link one field": {2, 0, 0, 0, KindLink, 1},
+		"link trailing":  {4, 0, 0, 0, KindLink, 1, 2, 3},
+		"link too big":   AppendLink(nil, 1, netgraph.NodeID(-1)),
+	} {
+		if _, err := Decode(p, nil); err == nil {
+			t.Errorf("%s: Decode accepted %v", name, p)
+		}
+	}
+}
+
 // TestTruncated checks that a frame cut at any byte boundary surfaces
 // as an error (or a clean EOF only at the very start), never a panic or
 // a silently short decode.

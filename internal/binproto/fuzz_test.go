@@ -21,12 +21,15 @@ func FuzzBinaryFrame(f *testing.F) {
 	f.Add(AppendOps(nil, randomOps(rng, 300)))
 	f.Add(AppendSync(nil, 12345))
 	f.Add(AppendSync(AppendOps(nil, randomOps(rng, 5)), 1))
+	f.Add(AppendLink(AppendNode(nil, "edge-7"), 3, 1<<20))
 	// Malformed seeds: truncations, bad kinds and tags, huge counts.
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{1, 0, 0, 0, 99})
 	f.Add([]byte{3, 0, 0, 0, KindOps, 1, 7})
 	f.Add([]byte{255, 255, 255, 255})
 	f.Add(AppendOps(nil, randomOps(rng, 2))[:9])
+	f.Add([]byte{4, 0, 0, 0, KindNode, 'a', ' ', 'b'})
+	f.Add([]byte{2, 0, 0, 0, KindLink, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewReader(bytes.NewReader(data))
@@ -41,18 +44,24 @@ func FuzzBinaryFrame(f *testing.F) {
 			// Round-trip what was accepted: encode the decoded frame and
 			// decode it again; the two frames must agree.
 			var re []byte
-			if frame.Kind == KindSync {
+			switch frame.Kind {
+			case KindSync:
 				re = AppendSync(nil, frame.Token)
-			} else {
+			case KindNode:
+				re = AppendNode(nil, frame.Name)
+			case KindLink:
+				re = AppendLink(nil, frame.Src, frame.Dst)
+			default:
 				re = AppendOps(nil, frame.Ops)
 			}
-			ops := append([]byte(nil), re...)
-			again, err := NewReader(bytes.NewReader(ops)).Read()
+			// The in-memory decoder (journal records, replica frames) and
+			// the stream decoder must accept the same language.
+			again, err := Decode(re, nil)
 			if err != nil {
 				t.Fatalf("re-decode of accepted frame failed: %v", err)
 			}
-			if again.Kind != frame.Kind || again.Token != frame.Token ||
-				len(again.Ops) != len(frame.Ops) {
+			if again.Kind != frame.Kind || again.Token != frame.Token || again.Name != frame.Name ||
+				again.Src != frame.Src || again.Dst != frame.Dst || len(again.Ops) != len(frame.Ops) {
 				t.Fatalf("round trip diverged: %+v vs %+v", frame, again)
 			}
 			for i := range frame.Ops {

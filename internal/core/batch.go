@@ -66,8 +66,10 @@ type batchItem struct {
 
 // ApplyBatch applies ops in order as one atomic update, writing the net
 // delta-graph of the whole batch into d. Validation runs before any engine
-// state changes: on error the engine is untouched (except that drop links
-// may have been lazily created for insertions naming NoLink) and d is
+// state changes: on error the engine and its graph are untouched (a drop
+// link an insertion naming NoLink needs is created only once the whole
+// batch has validated — a refused batch that grew the graph would leave
+// a journaling server's link numbering ahead of its replicas') and d is
 // reset but empty.
 //
 // The per-atom ownership work is deduplicated across the batch — k
@@ -99,8 +101,11 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 	// read-only while phase 4's workers run. Removals of rules inserted
 	// earlier in this batch pick up the slot their insert item received.
 	for i := range items {
-		if items[i].insert {
-			items[i].slot = n.store.alloc(items[i].rule)
+		if it := &items[i]; it.insert {
+			if it.rule.Link == netgraph.NoLink {
+				it.rule.Link = n.graph.DropLink(it.rule.Source)
+			}
+			it.slot = n.store.alloc(it.rule)
 		}
 	}
 	for i := range items {
@@ -267,9 +272,9 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 }
 
 // validateBatch checks every operation against the engine state plus the
-// batch's own earlier operations, resolving removals to their live rules
-// and drop links for insertions. It mutates nothing but the graph's lazy
-// drop links.
+// batch's own earlier operations, resolving removals to their live
+// rules. It mutates nothing: insertions naming NoLink keep it until
+// ApplyBatch, past the point of refusal, resolves their drop links.
 func (n *Network) validateBatch(ops []BatchOp) ([]batchItem, error) {
 	items := n.batchItems[:0]
 	defer func() { n.batchItems = items[:0] }() // retain grown capacity
@@ -298,9 +303,7 @@ func (n *Network) validateBatch(ops []BatchOp) ([]batchItem, error) {
 			if !n.space.Contains(r.Match) {
 				return nil, fmt.Errorf("%w: %v (op %d)", ErrOutOfSpace, r.Match, i)
 			}
-			if r.Link == netgraph.NoLink {
-				r.Link = n.graph.DropLink(r.Source)
-			} else if n.graph.Link(r.Link).Src != r.Source {
+			if r.Link != netgraph.NoLink && n.graph.Link(r.Link).Src != r.Source {
 				return nil, fmt.Errorf("%w: rule %d source %d link %d (op %d)",
 					ErrBadLink, r.ID, r.Source, r.Link, i)
 			}

@@ -341,6 +341,12 @@ func TestBatchAtomicFailure(t *testing.T) {
 		"bad link": {
 			InsertOp(Rule{ID: 6, Source: b, Link: l, Match: iv(60, 70), Priority: 1}),
 		},
+		// A drop rule needs a sink node and a drop link the graph does not
+		// have yet; a refused batch must not leave them behind.
+		"drop rule before a duplicate": {
+			InsertOp(Rule{ID: 7, Source: a, Link: netgraph.NoLink, Match: iv(60, 70), Priority: 1}),
+			InsertOp(Rule{ID: 1, Source: a, Link: l, Match: iv(80, 90), Priority: 1}),
+		},
 	}
 	for name, ops := range cases {
 		if err := n.ApplyBatch(ops, &d, 0); err == nil {
@@ -348,6 +354,9 @@ func TestBatchAtomicFailure(t *testing.T) {
 		}
 		if n.NumRules() != 1 || n.NumAtoms() != atomsBefore {
 			t.Fatalf("%s: engine mutated: rules=%d atoms=%d", name, n.NumRules(), n.NumAtoms())
+		}
+		if g.NumNodes() != 2 || g.NumLinks() != 1 {
+			t.Fatalf("%s: graph mutated: nodes=%d links=%d", name, g.NumNodes(), g.NumLinks())
 		}
 		if msg := n.CheckInvariants(); msg != "" {
 			t.Fatalf("%s: %s", name, msg)

@@ -9,9 +9,11 @@
 //
 // A journal file starts with a one-line header
 //
-//	dnjournal 1 <base>\n
+//	dnjournal 2 <base>\n
 //
 // where base is the logical offset of the first record in this file.
+// (Version 1 carried text payloads; Open refuses such a file by name
+// rather than guess at its records — see readHeader.)
 // Logical offsets are monotonic across rotation: Rotate discards a
 // prefix of records but the surviving records keep their offsets, so a
 // replica's resume cursor stays meaningful for as long as the records
@@ -24,8 +26,9 @@
 //	u64  seq      (the engine update sequence after the mutation applied)
 //	i64  stamp    (unix nanoseconds when the record's batch landed on
 //	              disk; replica lag source — coarse by design)
-//	...  payload  (the mutation, in the wire line grammar; batches are
-//	              one record with embedded newlines, so replay is atomic)
+//	...  payload  (the mutation, opaque to this package: the server
+//	              writes one dnbin frame, internal/binproto, per record —
+//	              a whole batch is one frame, so replay is atomic)
 //	u32  crc      (IEEE CRC-32 of seq + stamp + payload)
 //
 // A record's logical size is 4 + length + 4 bytes, and a record is
@@ -44,6 +47,7 @@
 package journal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -87,11 +91,18 @@ func ParseSyncPolicy(v string) (SyncPolicy, error) {
 }
 
 // maxRecord bounds one record's length field; anything larger is
-// treated as a torn/corrupt tail. The server's batch body cap is 4MB,
-// so 8MB leaves generous framing headroom.
+// treated as a torn/corrupt tail. The server's largest batch (65536
+// ops) packs into about 4MB at worst, so 8MB leaves generous headroom.
 const maxRecord = 8 << 20
 
-const headerVersion = "dnjournal 1"
+// MaxPayload is the largest payload Append accepts — the bound a
+// consumer of streamed records may hold a peer's length claim to.
+const MaxPayload = maxRecord - 16
+
+const (
+	headerVersion   = "dnjournal 2"
+	headerVersionV1 = "dnjournal 1"
+)
 
 // recordOverhead is the non-payload bytes of a record on disk.
 const recordOverhead = 4 + 8 + 8 + 4
@@ -110,8 +121,9 @@ type Record struct {
 	// End is the record's end offset: the consumer's cursor after
 	// applying it.
 	End uint64
-	// Payload is the mutation in the wire line grammar; a batch record
-	// holds its whole body, newline-separated.
+	// Payload is the mutation as the appender encoded it (the server
+	// writes one dnbin frame per record). A Reader reuses the backing
+	// array: the slice is valid until its next call to Next.
 	Payload []byte
 }
 
@@ -326,6 +338,14 @@ func readHeader(f *os.File) (base uint64, hdrLen int, err error) {
 		return 0, 0, err
 	}
 	line, _, ok := strings.Cut(string(buf[:n]), "\n")
+	if ok && strings.HasPrefix(line, headerVersionV1+" ") {
+		// Version-1 payloads are text; reading them as frames would fail
+		// record by record at best. Its records are covered by any state
+		// file written after them, so the remedy loses nothing.
+		return 0, 0, fmt.Errorf("journal: %s is a %q file and this build reads %q (dnbin record payloads): "+
+			"checkpoint or stop the old build cleanly so its state file is current, then remove the journal — a fresh one is created",
+			f.Name(), headerVersionV1, headerVersion)
+	}
 	if !ok || !strings.HasPrefix(line, headerVersion+" ") {
 		return 0, 0, fmt.Errorf("journal: not a %q file", headerVersion)
 	}
@@ -363,8 +383,8 @@ func (j *Journal) End() uint64 {
 // record is physically on disk, sharing the batch's one fsync with every
 // other append that landed in it.
 func (j *Journal) Append(seq uint64, payload string) (end uint64, err error) {
-	if len(payload) > maxRecord-16 {
-		return 0, fmt.Errorf("journal: record payload %d bytes exceeds %d", len(payload), maxRecord-16)
+	if len(payload) > MaxPayload {
+		return 0, fmt.Errorf("journal: record payload %d bytes exceeds %d", len(payload), MaxPayload)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -486,9 +506,10 @@ func (j *Journal) Close() error {
 // End to know when to stop).
 type Reader struct {
 	f      *os.File
-	pos    int64  // file position of the next record
-	cursor uint64 // logical offset of the next record
-	limit  uint64 // logical end at snapshot time
+	br     *bufio.Reader // sequential read-ahead over the snapshot's bytes
+	body   []byte        // record buffer, reused across Next calls
+	cursor uint64        // logical offset of the next record
+	limit  uint64        // logical end at snapshot time
 }
 
 // ReadFrom returns a Reader over the records after the `from` offset.
@@ -529,7 +550,8 @@ func (j *Journal) ReadFrom(from uint64) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("%w: offset %d, base %d", ErrTruncated, from, fbase)
 	}
-	return &Reader{f: f, pos: int64(hdrLen) + int64(from-fbase), cursor: from, limit: end}, nil
+	span := io.NewSectionReader(f, int64(hdrLen)+int64(from-fbase), int64(end-from))
+	return &Reader{f: f, br: bufio.NewReaderSize(span, 64<<10), cursor: from, limit: end}, nil
 }
 
 // Next returns the next record, or io.EOF at the snapshot's end.
@@ -538,23 +560,24 @@ func (r *Reader) Next() (Record, error) {
 		return Record{}, io.EOF
 	}
 	var lenb [4]byte
-	if _, err := r.f.ReadAt(lenb[:], r.pos); err != nil {
+	if _, err := io.ReadFull(r.br, lenb[:]); err != nil {
 		return Record{}, fmt.Errorf("journal: reading record length at %d: %w", r.cursor, err)
 	}
 	n := binary.BigEndian.Uint32(lenb[:])
 	if n < 16 || n > maxRecord {
 		return Record{}, fmt.Errorf("journal: implausible record length %d at offset %d", n, r.cursor)
 	}
-	body := make([]byte, n+4)
-	if _, err := io.ReadFull(io.NewSectionReader(r.f, r.pos+4, int64(n)+4), body); err != nil {
+	if cap(r.body) < int(n)+4 {
+		r.body = make([]byte, n+4)
+	}
+	body := r.body[:n+4]
+	if _, err := io.ReadFull(r.br, body); err != nil {
 		return Record{}, fmt.Errorf("journal: reading record at %d: %w", r.cursor, err)
 	}
 	if crc32.ChecksumIEEE(body[:n]) != binary.BigEndian.Uint32(body[n:]) {
 		return Record{}, fmt.Errorf("journal: checksum mismatch at offset %d", r.cursor)
 	}
-	size := uint64(recordOverhead) + uint64(n) - 16
-	r.pos += int64(size)
-	r.cursor += size
+	r.cursor += uint64(recordOverhead) + uint64(n) - 16
 	return Record{
 		Seq:     binary.BigEndian.Uint64(body[0:8]),
 		Stamp:   int64(binary.BigEndian.Uint64(body[8:16])),

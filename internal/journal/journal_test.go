@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -36,6 +37,7 @@ func drain(t *testing.T, j *Journal, from uint64) []Record {
 			if err != nil {
 				t.Fatal(err)
 			}
+			rec.Payload = append([]byte(nil), rec.Payload...) // Next reuses its buffer
 			out = append(out, rec)
 		}
 		cursor = r.Cursor()
@@ -273,5 +275,29 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 	}
 	if seen != total {
 		t.Fatalf("reader saw %d records, want %d", seen, total)
+	}
+}
+
+// TestVersion1Refused: a file written by the text-payload format is
+// refused by name with the remedy, and left exactly as it was — no
+// header rewrite, no torn-tail truncation of records this build cannot
+// judge.
+func TestVersion1Refused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	old := "dnjournal 1 0\n" + "\x00\x00\x00\x16not a v2 record, left alone"
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(path, SyncNone)
+	if err == nil {
+		t.Fatal("Open accepted a dnjournal 1 file")
+	}
+	for _, want := range []string{`"dnjournal 1"`, `"dnjournal 2"`, "remove the journal"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	if got, _ := os.ReadFile(path); string(got) != old {
+		t.Errorf("refused file was modified: %q", got)
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,11 +145,20 @@ func (s *Server) serveBinary(fields []string, lr *lineReader, cw *connWriter) st
 			return ""
 		}
 		st.frames.Add(1)
-		if frame.Kind == binproto.KindSync {
+		switch frame.Kind {
+		case binproto.KindOps:
+		case binproto.KindSync:
 			// The global push ticket covers everything this connection
 			// framed before the sync (its own pushes are all ≤ it).
 			ticket := ring.Pushed()
 			if err := cw.writeLine(fmt.Sprintf("ok sync %d applied=%d", frame.Token, s.waitApplied(ticket))); err != nil {
+				return ""
+			}
+			continue
+		default:
+			// Topology kinds are journal records; live topology changes
+			// take the line protocol, which orders them against updates.
+			if err := cw.writeLine(fmt.Sprintf("err frame kind %d not accepted on a client stream", frame.Kind)); err != nil {
 				return ""
 			}
 			continue
@@ -194,6 +202,12 @@ func (s *Server) serveBinary(fields []string, lr *lineReader, cw *connWriter) st
 func (s *Server) validateOps(ops []core.BatchOp) string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.checkOps(ops)
+}
+
+// checkOps is validateOps for callers already holding the engine lock
+// (journal replay and the replica apply loop hold it for the apply).
+func (s *Server) checkOps(ops []core.BatchOp) string {
 	for i := range ops {
 		op := &ops[i]
 		if !op.Insert {
@@ -372,15 +386,7 @@ func (s *Server) applyCoalesced(ops []core.BatchOp) {
 			lockNs: lockNs, applyNs: time.Since(t0).Nanoseconds()}
 		s.mon.ApplyWithLoops(&s.delta, loops, true)
 		s.finishUpdateLocked()
-		if s.jrnl != nil { // skip rendering entirely on the journal-less hot path
-			var b strings.Builder
-			fmt.Fprintf(&b, "B %d", len(ops))
-			for i := range ops {
-				b.WriteByte('\n')
-				appendOpLine(&b, &ops[i])
-			}
-			s.journalAppendLocked(b.String())
-		}
+		s.journalOpsLocked(ops...)
 		return
 	}
 	for i := range ops {
@@ -405,21 +411,6 @@ func (s *Server) applyCoalesced(ops []core.BatchOp) {
 		}
 		s.mon.ApplyWithLoops(&s.delta, loops, loopsKnown)
 		s.finishUpdateLocked()
-		if s.jrnl != nil {
-			var b strings.Builder
-			appendOpLine(&b, op)
-			s.journalAppendLocked(b.String())
-		}
-	}
-}
-
-// appendOpLine renders op as the line-protocol text the journal (and
-// its replicas) replay through parseUpdateLine.
-func appendOpLine(b *strings.Builder, op *core.BatchOp) {
-	if op.Insert {
-		fmt.Fprintf(b, "I %d %d %d %d %d %d", op.Rule.ID, op.Rule.Source,
-			op.Rule.Link, op.Rule.Match.Lo, op.Rule.Match.Hi, op.Rule.Priority)
-	} else {
-		fmt.Fprintf(b, "R %d", op.Rule.ID)
+		s.journalOpsLocked(ops[i : i+1]...)
 	}
 }

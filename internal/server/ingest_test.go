@@ -27,9 +27,11 @@ func insOp(id int64, src, link int32, lo, hi uint64, prio int32) core.BatchOp {
 
 // opText renders an op as its line-protocol text (the oracle's input).
 func opText(op core.BatchOp) string {
-	var b strings.Builder
-	appendOpLine(&b, &op)
-	return b.String()
+	if !op.Insert {
+		return fmt.Sprintf("R %d", op.Rule.ID)
+	}
+	return fmt.Sprintf("I %d %d %d %d %d %d", op.Rule.ID, op.Rule.Source,
+		op.Rule.Link, op.Rule.Match.Lo, op.Rule.Match.Hi, op.Rule.Priority)
 }
 
 // buildTriangle installs a 3-node cycle topology: link 0 a->b, link 1

@@ -6,17 +6,21 @@ package server
 // ("journal since <offset>"), and replaying a local journal suffix
 // after a restart.
 //
-// Journal records reuse the wire line grammar — "node <name>",
-// "link <src> <dst>", "I ...", "R ...", and a whole batch as one
-// "B <n>\n<n lines>" record — so replay goes through exactly the parse
-// and apply paths a live client exercises. Each record is stamped with
-// the monitor's post-apply update sequence number; topology records
-// reuse the current number (they consume no delta).
+// A journal record's payload is one dnbin frame (internal/binproto):
+// KindOps for an I, an R, a B batch or a coalesced ring run — one frame
+// per atomic apply — and KindNode / KindLink for the two topology
+// commands. A mutation is decoded from its wire form once, on arrival;
+// from then on the frame is its only representation, encoded into one
+// reusable buffer under the write lock (binproto.AppendOps) and decoded
+// by applyJournalLocked on crash replay and on every replica. Each
+// record is stamped with the monitor's post-apply update sequence
+// number; topology records reuse the current number (they consume no
+// delta).
 //
 // The streaming protocol after "ok journal offset=<o> end=<e>":
 //
-//	r end=<recEnd> pend=<primaryEnd> seq=<s> t=<unixnano> n=<k>
-//	<k payload lines>
+//	r end=<recEnd> pend=<primaryEnd> seq=<s> t=<unixnano> bytes=<n>
+//	<n raw bytes: the record's frame>
 //
 // recEnd is the record's end offset — the replica's next cursor — and
 // pend the primary journal's end at send time, so the replica can
@@ -26,28 +30,39 @@ package server
 // checkpoint.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 
+	"deltanet/internal/binproto"
 	"deltanet/internal/check"
 	"deltanet/internal/core"
 	"deltanet/internal/journal"
-	"deltanet/internal/netgraph"
 )
 
-// journalAppendLocked appends one applied mutation to the journal and
-// fans it out to live journal streams. Caller holds the write lock, so
-// records land in apply order and the recorded update seq is the one
-// the mutation produced. An append failure is counted, not propagated:
-// the mutation is already applied and will be acknowledged; what
-// degrades is durability/replication, which the jrnlErrs counter and
-// lag metrics surface.
-func (s *Server) journalAppendLocked(payload string) {
-	if s.jrnl == nil {
-		return
+// journalOpsLocked journals ops as the one record of an atomic apply.
+// Caller holds the write lock.
+func (s *Server) journalOpsLocked(ops ...core.BatchOp) {
+	if s.jrnl != nil { // skip encoding entirely on the journal-less hot path
+		s.journalAppendLocked(binproto.AppendOps(s.jbuf[:0], ops))
 	}
+}
+
+// journalAppendLocked appends one applied mutation, encoded as a frame
+// into (a re-slice of) s.jbuf, to the journal and fans it out to live
+// journal streams. Caller holds the write lock, so records land in
+// apply order and the recorded update seq is the one the mutation
+// produced. The payload string is the path's one allocation: the
+// journal keeps it until its group-commit writer lands the record. An
+// append failure is counted, not propagated: the mutation is already
+// applied and will be acknowledged; what degrades is
+// durability/replication, which the jrnlErrs counter and lag metrics
+// surface.
+func (s *Server) journalAppendLocked(frame []byte) {
+	s.jbuf = frame
+	payload := string(frame)
 	seq := s.mon.UpdateSeq()
 	end, err := s.jrnl.Append(seq, payload)
 	if err != nil {
@@ -195,18 +210,13 @@ func (s *Server) streamJournalFile(cw *connWriter, from uint64) (cursor uint64, 
 	return cursor, true
 }
 
-// writeJournalFrame writes one record as a frame header plus its
-// payload lines, reporting whether the client is still writable.
+// writeJournalFrame writes one record as a header line plus its
+// length-prefixed payload bytes, reporting whether the client is still
+// writable.
 func (s *Server) writeJournalFrame(cw *connWriter, rec journal.Record) bool {
-	lines := strings.Split(string(rec.Payload), "\n")
-	var b strings.Builder
-	fmt.Fprintf(&b, "r end=%d pend=%d seq=%d t=%d n=%d",
-		rec.End, s.jrnl.End(), rec.Seq, rec.Stamp, len(lines))
-	for _, l := range lines {
-		b.WriteByte('\n')
-		b.WriteString(l)
-	}
-	return cw.writeLine(b.String()) == nil
+	head := fmt.Sprintf("r end=%d pend=%d seq=%d t=%d bytes=%d",
+		rec.End, s.jrnl.End(), rec.Seq, rec.Stamp, len(rec.Payload))
+	return cw.writeFrame(head, rec.Payload) == nil
 }
 
 // ReplayJournal applies the records of j after the offset the loaded
@@ -240,76 +250,49 @@ func (s *Server) ReplayJournal(j *journal.Journal) (int, error) {
 		if err != nil {
 			return applied, err
 		}
-		if msg := s.applyJournalLocked(string(rec.Payload), rec.Seq); msg != "" {
-			return applied, fmt.Errorf("server: journal replay at offset %d: %s", rec.End, msg)
+		if err := s.applyJournalLocked(rec.Payload, rec.Seq); err != nil {
+			return applied, fmt.Errorf("server: journal replay at offset %d: %v", rec.End, err)
 		}
 		applied++
 	}
 }
 
-// applyJournalLocked replays one journal record payload through the
-// same parse/apply paths as live protocol input, stamping the monitor
-// with the record's update seq. It returns "" on success or an error
-// message. Caller holds the write lock.
-func (s *Server) applyJournalLocked(payload string, seq uint64) string {
-	lines := strings.Split(payload, "\n")
-	fields := strings.Fields(lines[0])
-	if len(fields) == 0 {
-		return "empty record"
+// applyJournalLocked applies one journal record — decode the frame into
+// the reused op buffer, validate its topology references, apply — and
+// stamps the monitor with the record's update seq. It is the whole
+// record decoder: ReplayJournal and the replica apply loop both call
+// it. On error the rules and the monitor are untouched. Caller holds
+// the write lock.
+func (s *Server) applyJournalLocked(payload []byte, seq uint64) error {
+	f, err := binproto.Decode(payload, s.jops)
+	if err != nil {
+		return err
 	}
-	switch fields[0] {
-	case "node":
-		if len(fields) != 2 {
-			return "bad node record"
+	switch f.Kind {
+	case binproto.KindNode:
+		s.graph.AddNode(f.Name)
+	case binproto.KindLink:
+		if !s.validNode(int(f.Src)) || !s.validNode(int(f.Dst)) {
+			return errors.New("link record names an unknown node")
 		}
-		s.graph.AddNode(fields[1])
-		s.mon.ResumeUpdates(seq)
-		return ""
-	case "link":
-		src, dst, err := twoInts(fields)
-		if err != nil || !s.validNode(src) || !s.validNode(dst) {
-			return "bad link record"
+		s.graph.AddLink(f.Src, f.Dst)
+	case binproto.KindOps:
+		s.jops = f.Ops[:0]
+		if len(f.Ops) == 0 {
+			return errors.New("empty ops record")
 		}
-		s.graph.AddLink(netgraph.NodeID(src), netgraph.NodeID(dst))
-		s.mon.ResumeUpdates(seq)
-		return ""
-	case "I":
-		op, errmsg := s.parseUpdateLine(lines[0])
-		if errmsg != "" {
-			return errmsg
+		if msg := s.checkOps(f.Ops); msg != "" {
+			return errors.New(msg)
 		}
-		if err := s.net.InsertRuleInto(op.Rule, &s.delta); err != nil {
-			return err.Error()
-		}
-		loops := check.FindLoopsDelta(s.net, &s.delta)
-		s.mon.ApplyReplay(&s.delta, loops, true, seq)
-		return ""
-	case "R":
-		op, errmsg := s.parseUpdateLine(lines[0])
-		if errmsg != "" {
-			return errmsg
-		}
-		if err := s.net.RemoveRuleInto(op.Rule.ID, &s.delta); err != nil {
-			return err.Error()
-		}
-		s.mon.ApplyReplay(&s.delta, nil, false, seq)
-		return ""
-	case "B":
-		ops := make([]core.BatchOp, 0, len(lines)-1)
-		for _, l := range lines[1:] {
-			op, errmsg := s.parseUpdateLine(l)
-			if errmsg != "" {
-				return errmsg
-			}
-			ops = append(ops, op)
-		}
-		if err := s.net.ApplyBatch(ops, &s.delta, 0); err != nil {
-			return err.Error()
+		if err := s.net.ApplyBatch(f.Ops, &s.delta, 0); err != nil {
+			return err
 		}
 		loops := check.FindLoopsDeltaAuto(s.net, &s.delta, 0)
 		s.mon.ApplyReplay(&s.delta, loops, true, seq)
-		return ""
+		return nil
 	default:
-		return "unknown record verb " + fields[0]
+		return fmt.Errorf("frame kind %d is not a journal record", f.Kind)
 	}
+	s.mon.ResumeUpdates(seq)
+	return nil
 }

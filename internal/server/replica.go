@@ -18,8 +18,8 @@ package server
 // rebuilt data plane, resumed counters.
 
 import (
-	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strconv"
@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"deltanet/internal/core"
+	"deltanet/internal/journal"
 	"deltanet/internal/netgraph"
 )
 
@@ -113,8 +114,7 @@ func (s *Server) replicaSession() error {
 		conn.Close()
 		s.untrack(conn)
 	}()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 4096), maxLine)
+	sc := newLineReader(conn)
 
 	s.mu.RLock()
 	anchored := s.graph.NumNodes() > 0 || s.net.NumRules() > 0 || s.replCursor.Load() > 0
@@ -145,7 +145,7 @@ var errJournalTruncated = fmt.Errorf("journal truncated at primary")
 // local data plane from it: fresh graph, network, and monitor state,
 // with event/update counters resumed from the dump so numbering stays
 // continuous with the primary.
-func (s *Server) replicaAnchor(conn net.Conn, sc *bufio.Scanner) error {
+func (s *Server) replicaAnchor(conn net.Conn, sc *lineReader) error {
 	//deltanet:nolint guardedwriter outbound client conn to the primary, owned by this goroutine alone; the guard is for served conns shared with watch fan-out
 	if _, err := fmt.Fprintln(conn, "checkpoint"); err != nil {
 		return err
@@ -200,7 +200,7 @@ func (s *Server) resetReplicaLocked() {
 // replicaStream requests the journal tail after the current cursor and
 // applies frames until the connection dies (error returned) or the
 // primary reports the cursor truncated (errJournalTruncated).
-func (s *Server) replicaStream(conn net.Conn, sc *bufio.Scanner) error {
+func (s *Server) replicaStream(conn net.Conn, sc *lineReader) error {
 	cursor := s.replCursor.Load()
 	//deltanet:nolint guardedwriter outbound client conn to the primary, owned by this goroutine alone; the guard is for served conns shared with watch fan-out
 	if _, err := fmt.Fprintf(conn, "journal since %d\n", cursor); err != nil {
@@ -216,11 +216,9 @@ func (s *Server) replicaStream(conn net.Conn, sc *bufio.Scanner) error {
 	if !strings.HasPrefix(resp, "ok journal ") {
 		return fmt.Errorf("bad journal response %q", resp)
 	}
+	var payload []byte // record body, reused across frames
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
 		if strings.HasPrefix(line, "err journal truncated") {
 			// A rotation raced the file catch-up mid-stream.
 			return errJournalTruncated
@@ -229,21 +227,20 @@ func (s *Server) replicaStream(conn net.Conn, sc *bufio.Scanner) error {
 		if err != nil {
 			return err
 		}
-		var payload strings.Builder
-		for i := 0; i < n; i++ {
-			if !sc.Scan() {
-				return scanFail(sc, "journal frame payload")
-			}
-			if i > 0 {
-				payload.WriteByte('\n')
-			}
-			payload.WriteString(strings.TrimSpace(sc.Text()))
+		// The body is the record's frame, length-prefixed by the header:
+		// raw bytes straight off the line reader's buffer.
+		if cap(payload) < n {
+			payload = make([]byte, n)
+		}
+		payload = payload[:n]
+		if _, err := io.ReadFull(sc.br, payload); err != nil {
+			return fmt.Errorf("reading journal frame payload: %w", err)
 		}
 		s.mu.Lock()
-		msg := s.applyJournalLocked(payload.String(), seq)
+		err = s.applyJournalLocked(payload, seq)
 		s.mu.Unlock()
-		if msg != "" {
-			return fmt.Errorf("applying journal record at offset %d: %s", end, msg)
+		if err != nil {
+			return fmt.Errorf("applying journal record at offset %d: %v", end, err)
 		}
 		s.replCursor.Store(end)
 		s.replEnd.Store(pend)
@@ -252,45 +249,32 @@ func (s *Server) replicaStream(conn net.Conn, sc *bufio.Scanner) error {
 	return scanFail(sc, "journal stream")
 }
 
-// parseJournalFrame parses one "r end=.. pend=.. seq=.. t=.. n=.."
-// frame header.
+// parseJournalFrame parses one "r end=.. pend=.. seq=.. t=.. bytes=.."
+// frame header; n is the byte length of the body that follows.
 func parseJournalFrame(line string) (end, pend, seq uint64, stamp int64, n int, err error) {
-	fields := strings.Fields(line)
-	if len(fields) != 6 || fields[0] != "r" {
+	bad := func() (_, _, _ uint64, _ int64, _ int, err error) {
 		return 0, 0, 0, 0, 0, fmt.Errorf("bad journal frame %q", line)
 	}
-	bad := func() error { return fmt.Errorf("bad journal frame %q", line) }
-	if end, err = parseKeyUint(fields[1], "end="); err != nil {
-		return 0, 0, 0, 0, 0, bad()
+	fields := strings.Fields(line)
+	if len(fields) != 6 || fields[0] != "r" {
+		return bad()
 	}
-	if pend, err = parseKeyUint(fields[2], "pend="); err != nil {
-		return 0, 0, 0, 0, 0, bad()
+	var v [5]uint64
+	for i, key := range [...]string{"end=", "pend=", "seq=", "t=", "bytes="} {
+		num, ok := strings.CutPrefix(fields[i+1], key)
+		if v[i], err = strconv.ParseUint(num, 10, 64); !ok || err != nil {
+			return bad()
+		}
 	}
-	if seq, err = parseKeyUint(fields[3], "seq="); err != nil {
-		return 0, 0, 0, 0, 0, bad()
+	if v[4] < 1 || v[4] > journal.MaxPayload {
+		return bad()
 	}
-	st, err := parseKeyUint(fields[4], "t=")
-	if err != nil {
-		return 0, 0, 0, 0, 0, bad()
-	}
-	cnt, err := parseKeyUint(fields[5], "n=")
-	if err != nil || cnt < 1 || cnt > maxBatch+1 {
-		return 0, 0, 0, 0, 0, bad()
-	}
-	return end, pend, seq, int64(st), int(cnt), nil
-}
-
-func parseKeyUint(field, prefix string) (uint64, error) {
-	v, ok := strings.CutPrefix(field, prefix)
-	if !ok {
-		return 0, fmt.Errorf("missing %s", prefix)
-	}
-	return strconv.ParseUint(v, 10, 64)
+	return v[0], v[1], v[2], int64(v[3]), int(v[4]), nil
 }
 
 // scanFail turns a scanner stop into an error: the scanner's own error
 // when it has one, a disconnect otherwise.
-func scanFail(sc *bufio.Scanner, during string) error {
+func scanFail(sc *lineReader, during string) error {
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("reading %s: %w", during, err)
 	}

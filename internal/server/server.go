@@ -140,6 +140,7 @@ package server
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -147,6 +148,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"deltanet/internal/binproto"
 	"deltanet/internal/check"
 	"deltanet/internal/core"
 	"deltanet/internal/ipnet"
@@ -205,6 +207,12 @@ type Server struct {
 	// correctness, is what degrades).
 	jrnl     *journal.Journal
 	jrnlErrs atomic.Uint64
+
+	// jbuf is the journal record encode buffer (filled at every append
+	// site) and jops the record decode buffer (replay and the replica
+	// apply loop), reused across records; both guarded by mu (write).
+	jbuf []byte
+	jops []core.BatchOp
 
 	// loadedJournal is the journal offset a LoadState-restored dump was
 	// current through (state.go); LoadedJournalOffset exposes it so the
@@ -476,14 +484,22 @@ func newConnWriter(conn net.Conn, sent *atomic.Uint64) *connWriter {
 
 // writeLine writes one protocol line and flushes it. A non-nil error
 // means the client is unreachable and the connection should close.
-func (cw *connWriter) writeLine(line string) error {
+func (cw *connWriter) writeLine(line string) error { return cw.writeFrame(line, nil) }
+
+// writeFrame is writeLine followed, under the same lock and flush, by
+// exactly len(body) raw bytes (no terminator: the line names the
+// length) — the journal stream's record framing.
+func (cw *connWriter) writeFrame(head string, body []byte) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	if _, err := fmt.Fprintln(cw.w, line); err != nil {
+	if _, err := fmt.Fprintln(cw.w, head); err != nil {
+		return err
+	}
+	if _, err := cw.w.Write(body); err != nil {
 		return err
 	}
 	if cw.sent != nil {
-		cw.sent.Add(uint64(len(line)) + 1)
+		cw.sent.Add(uint64(len(head) + 1 + len(body)))
 	}
 	return cw.w.Flush()
 }
@@ -795,15 +811,8 @@ func (s *Server) readAndApplyBatch(fields []string, sc *lineReader) (resp string
 	s.finishUpdateLocked()
 	// One journal record for the whole batch: replay re-applies it
 	// atomically through the same ApplyBatch path.
-	s.journalAppendLocked("B " + strconv.Itoa(count) + "\n" + strings.Join(lines, "\n"))
-	var b strings.Builder
-	fmt.Fprintf(&b, "ok batch n=%d atoms=%d loops=%d", count, s.net.NumAtoms(), len(loops))
-	for _, l := range loops {
-		if iv, ok := s.net.AtomInterval(l.Atom); ok {
-			fmt.Fprintf(&b, " loop %d:%d", iv.Lo, iv.Hi)
-		}
-	}
-	return b.String(), false
+	s.journalOpsLocked(ops...)
+	return s.updateResponse("ok batch n="+strconv.Itoa(count), loops), false
 }
 
 // nextField returns the next whitespace-delimited token of line
@@ -825,49 +834,67 @@ func nextField(line string, i *int) (string, bool) {
 	return line[start:*i], true
 }
 
-// parseUpdateLine parses an I or R line into a batch operation,
-// validating ids against the topology. The fields are scanned in place
-// (no per-line allocation). Callers must hold at least the read lock.
+// scanRule scans a rule's six numbers — id, source node, link (-1 for
+// the drop link), lo, hi, priority — in place from line at *i, which
+// must end there. It serves the I line and the state file's rule line
+// (usage is the caller's arity message). Topology references are held
+// to the graph; id and priority to what a dnbin frame carries (ids in
+// 0..2⁶³-1, priorities in 0..2³¹-1), since an update the journal cannot
+// represent must not be applied. Callers hold at least the read lock.
+func (s *Server) scanRule(line string, i *int, usage string) (core.Rule, string) {
+	var nums [6]int64
+	for k := range nums {
+		f, ok := nextField(line, i)
+		if !ok {
+			return core.Rule{}, usage
+		}
+		v, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			return core.Rule{}, "bad number: " + f
+		}
+		nums[k] = v
+	}
+	if _, extra := nextField(line, i); extra {
+		return core.Rule{}, usage
+	}
+	if nums[0] < 0 || nums[5] < 0 || nums[5] > math.MaxInt32 {
+		return core.Rule{}, "rule id or priority out of range"
+	}
+	if !s.validNode(int(nums[1])) {
+		return core.Rule{}, "unknown node id"
+	}
+	if nums[2] != -1 && (nums[2] < 0 || int(nums[2]) >= s.graph.NumLinks()) {
+		return core.Rule{}, "unknown link id"
+	}
+	return core.Rule{
+		ID:       core.RuleID(nums[0]),
+		Source:   netgraph.NodeID(nums[1]),
+		Link:     netgraph.LinkID(nums[2]),
+		Match:    ipnet.Interval{Lo: uint64(nums[3]), Hi: uint64(nums[4])},
+		Priority: core.Priority(nums[5]),
+	}, ""
+}
+
+// parseUpdateLine parses an I or R line of live line-protocol input
+// into a batch operation (journal replay and replicas decode frames
+// instead). Callers must hold at least the read lock.
 func (s *Server) parseUpdateLine(line string) (core.BatchOp, string) {
 	i := 0
 	verb, _ := nextField(line, &i)
 	switch verb {
 	case "I":
-		var nums [6]int64
-		for k := range nums {
-			f, ok := nextField(line, &i)
-			if !ok {
-				return core.BatchOp{}, "usage: I <ruleID> <srcID> <linkID|-1> <lo> <hi> <prio>"
-			}
-			v, err := strconv.ParseInt(f, 10, 64)
-			if err != nil {
-				return core.BatchOp{}, "bad number: " + f
-			}
-			nums[k] = v
+		r, errmsg := s.scanRule(line, &i, "usage: I <ruleID> <srcID> <linkID|-1> <lo> <hi> <prio>")
+		if errmsg != "" {
+			return core.BatchOp{}, errmsg
 		}
-		if _, extra := nextField(line, &i); extra {
-			return core.BatchOp{}, "usage: I <ruleID> <srcID> <linkID|-1> <lo> <hi> <prio>"
-		}
-		if !s.validNode(int(nums[1])) {
-			return core.BatchOp{}, "unknown node id"
-		}
-		if nums[2] != -1 && (nums[2] < 0 || int(nums[2]) >= s.graph.NumLinks()) {
-			return core.BatchOp{}, "unknown link id"
-		}
-		return core.InsertOp(core.Rule{
-			ID:       core.RuleID(nums[0]),
-			Source:   netgraph.NodeID(nums[1]),
-			Link:     netgraph.LinkID(nums[2]),
-			Match:    ipnet.Interval{Lo: uint64(nums[3]), Hi: uint64(nums[4])},
-			Priority: core.Priority(nums[5]),
-		}), ""
+		return core.InsertOp(r), ""
 	case "R":
 		f, ok := nextField(line, &i)
 		if !ok {
 			return core.BatchOp{}, "usage: R <ruleID>"
 		}
 		id, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
+		if err != nil || id < 0 {
 			return core.BatchOp{}, "bad rule id"
 		}
 		if _, extra := nextField(line, &i); extra {
@@ -936,7 +963,9 @@ func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 			return "err usage: node <name>"
 		}
 		id := s.graph.AddNode(fields[1])
-		s.journalAppendLocked(line)
+		if s.jrnl != nil {
+			s.journalAppendLocked(binproto.AppendNode(s.jbuf[:0], fields[1]))
+		}
 		return fmt.Sprintf("ok node %d", id)
 	case "link":
 		src, dst, err := twoInts(fields)
@@ -947,7 +976,9 @@ func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 			return "err unknown node id"
 		}
 		id := s.graph.AddLink(netgraph.NodeID(src), netgraph.NodeID(dst))
-		s.journalAppendLocked(line)
+		if s.jrnl != nil {
+			s.journalAppendLocked(binproto.AppendLink(s.jbuf[:0], netgraph.NodeID(src), netgraph.NodeID(dst)))
+		}
 		return fmt.Sprintf("ok link %d", id)
 	case "I":
 		t0 := time.Now()
@@ -965,8 +996,8 @@ func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 			lockNs: lockNs, applyNs: time.Since(t0).Nanoseconds()}
 		s.mon.ApplyWithLoops(&s.delta, loops, true)
 		s.finishUpdateLocked()
-		s.journalAppendLocked(line)
-		return s.updateResponse(loops)
+		s.journalOpsLocked(op)
+		return s.updateResponse("ok", loops)
 	case "R":
 		t0 := time.Now()
 		op, errmsg := s.parseUpdateLine(line)
@@ -982,8 +1013,8 @@ func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 			lockNs: lockNs, applyNs: time.Since(t0).Nanoseconds()}
 		s.mon.Apply(&s.delta)
 		s.finishUpdateLocked()
-		s.journalAppendLocked(line)
-		return s.updateResponse(nil)
+		s.journalOpsLocked(op)
+		return s.updateResponse("ok", nil)
 	case "reach":
 		if len(fields) != 3 {
 			return "err usage: reach <src> <dst> (id or name)"
@@ -1154,15 +1185,20 @@ func (s *Server) resolveNode(f string) (netgraph.NodeID, bool) {
 	return s.lookupName(f)
 }
 
-func (s *Server) updateResponse(loops []check.Loop) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ok atoms=%d loops=%d", s.net.NumAtoms(), len(loops))
+// updateResponse renders a rule update's reply — head, then the atom
+// count and the loops the update closed. It runs under the write lock,
+// so it is strconv appends into one buffer, not fmt.
+func (s *Server) updateResponse(head string, loops []check.Loop) string {
+	b := append(make([]byte, 0, 64), head...)
+	b = strconv.AppendInt(append(b, " atoms="...), int64(s.net.NumAtoms()), 10)
+	b = strconv.AppendInt(append(b, " loops="...), int64(len(loops)), 10)
 	for _, l := range loops {
 		if iv, ok := s.net.AtomInterval(l.Atom); ok {
-			fmt.Fprintf(&b, " loop %d:%d", iv.Lo, iv.Hi)
+			b = strconv.AppendUint(append(b, " loop "...), iv.Lo, 10)
+			b = strconv.AppendUint(append(b, ':'), iv.Hi, 10)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 func (s *Server) validNode(id int) bool { return id >= 0 && id < s.graph.NumNodes() }

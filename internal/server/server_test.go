@@ -144,6 +144,26 @@ func TestProtocolErrors(t *testing.T) {
 			t.Fatalf("%q -> %q, want err", req, got)
 		}
 	}
+	// Values a journal record (a dnbin frame) cannot carry are refused at
+	// the door rather than applied and then lost to replay.
+	for _, req := range []string{"node a", "node b", "link 0 1"} {
+		c.roundTrip(t, req)
+	}
+	for _, req := range []string{
+		"I -1 0 0 0 10 1",         // negative rule id
+		"I 1 0 0 0 10 -1",         // negative priority
+		"I 1 0 0 0 10 2147483648", // priority past int32
+		"I 1 0 -2 0 10 1",         // link below the -1 drop sentinel
+		"R -1",                    // negative rule id
+		"B 1\nI -1 0 0 0 10 1\n",  // and inside a batch
+	} {
+		if got := c.roundTrip(t, strings.TrimSuffix(req, "\n")); !strings.HasPrefix(got, "err") {
+			t.Fatalf("%q -> %q, want err", req, got)
+		}
+	}
+	if got := c.roundTrip(t, "I 1 0 0 0 10 2147483647"); !strings.HasPrefix(got, "ok") {
+		t.Fatalf("largest priority: %q", got)
+	}
 	// The connection survives all errors.
 	if got := c.roundTrip(t, "stats"); !strings.HasPrefix(got, "ok stats") {
 		t.Fatalf("stats after errors: %q", got)

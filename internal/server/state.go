@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"deltanet/internal/core"
-	"deltanet/internal/ipnet"
 	"deltanet/internal/monitor"
 	"deltanet/internal/netgraph"
 )
@@ -58,8 +57,9 @@ const (
 
 // SaveState writes the server's durable state — topology, rules, the
 // event-stream cursor, and the currently registered invariant specs —
-// to w in the version-2 format. It takes the read lock, so it may run concurrently with
-// serving (mutations block for the duration of the dump).
+// to w in the version-3 format (stateHeader). It takes the read lock, so
+// it may run concurrently with serving (mutations block for the
+// duration of the dump).
 //
 // On the shutdown path, capture the spec list with
 // Monitor().SnapshotSpecs() BEFORE Close and pass it to
@@ -93,44 +93,60 @@ func (s *Server) CheckpointTo(w io.Writer, specs []string) (journalOffset uint64
 // (mutations are excluded for the duration, so the journal offset, the
 // monitor counters, and the engine contents are one consistent cut).
 func (s *Server) saveStateLocked(w io.Writer, specs []string) (journalOffset uint64, err error) {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, stateHeader)
+	bw := bufio.NewWriter(w) // write errors stick; the final Flush reports them
+	text := func(key, val string) {
+		bw.WriteString(key)
+		bw.WriteString(val)
+		bw.WriteByte('\n')
+	}
+	bw.WriteString(stateHeader + "\n")
 	for v := 0; v < s.graph.NumNodes(); v++ {
-		fmt.Fprintf(bw, "node %s\n", s.graph.NodeName(netgraph.NodeID(v)))
+		text("node ", s.graph.NodeName(netgraph.NodeID(v)))
 	}
 	for _, l := range s.graph.Links() {
-		fmt.Fprintf(bw, "link %d %d\n", l.Src, l.Dst)
+		dumpLine(bw, "link", int64(l.Src), int64(l.Dst))
 	}
 	if d := s.graph.DropNode(); d != netgraph.NoNode {
-		fmt.Fprintf(bw, "drop %d\n", d)
+		dumpLine(bw, "drop", int64(d))
 	}
 	for _, r := range s.net.Snapshot() {
-		fmt.Fprintf(bw, "rule %d %d %d %d %d %d\n",
-			r.ID, r.Source, r.Link, r.Match.Lo, r.Match.Hi, r.Priority)
+		dumpLine(bw, "rule", int64(r.ID), int64(r.Source), int64(r.Link),
+			int64(r.Match.Lo), int64(r.Match.Hi), int64(r.Priority))
 	}
 	if seq := s.mon.LastSeq(); seq > 0 {
-		fmt.Fprintf(bw, "seq %d\n", seq)
+		dumpLine(bw, "seq", int64(seq))
 	}
 	if upd := s.mon.UpdateSeq(); upd > 0 {
-		fmt.Fprintf(bw, "upd %d\n", upd)
+		dumpLine(bw, "upd", int64(upd))
 	}
 	if s.jrnl != nil {
 		journalOffset = s.jrnl.End()
-		fmt.Fprintf(bw, "journal %d\n", journalOffset)
+		dumpLine(bw, "journal", int64(journalOffset))
 	} else if s.replicaOf != "" {
 		// A replica's dump carries its applied-through cursor, so a
 		// replica restarted from its own state file resumes the stream
 		// where it stopped.
 		journalOffset = s.replCursor.Load()
-		fmt.Fprintf(bw, "journal %d\n", journalOffset)
+		dumpLine(bw, "journal", int64(journalOffset))
 	}
 	for _, spec := range specs {
-		fmt.Fprintf(bw, "spec %s\n", spec)
+		text("spec ", spec)
 	}
 	return journalOffset, bw.Flush()
 }
 
-// LoadState restores a state dump (version 1 or 2) into an empty server:
+// dumpLine writes "key v0 v1 ...\n" to bw, rendered with strconv
+// straight into the writer's free space: no fmt, and no allocation
+// unless the line straddles the end of the buffer.
+func dumpLine(bw *bufio.Writer, key string, vals ...int64) {
+	b := append(bw.AvailableBuffer(), key...)
+	for _, v := range vals {
+		b = strconv.AppendInt(append(b, ' '), v, 10)
+	}
+	bw.Write(append(b, '\n'))
+}
+
+// LoadState restores a state dump (version 1, 2 or 3) into an empty server:
 // topology first (ids assigned in file order, reproducing the saved
 // ids), then rules (replayed through the engine, so atom state is
 // rebuilt exactly as a fresh insertion history would), then invariant
@@ -158,10 +174,21 @@ func (s *Server) LoadState(r io.Reader) error {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Fields(line)
 		bad := func(msg string) error {
 			return fmt.Errorf("server: state line %d: %s: %q", lineNo, msg, line)
 		}
+		// Rule lines are nearly the whole file: they are scanned in place,
+		// and only the other records pay for a field slice.
+		i := 0
+		if key, _ := nextField(line, &i); key == "rule" {
+			rule, errmsg := s.scanRule(line, &i, "usage: rule <id> <srcID> <linkID> <lo> <hi> <prio>")
+			if errmsg != "" {
+				return bad(errmsg)
+			}
+			rules = append(rules, rule)
+			continue
+		}
+		fields := strings.Fields(line)
 		switch fields[0] {
 		case "node":
 			if len(fields) != 2 {
@@ -187,31 +214,6 @@ func (s *Server) LoadState(r io.Reader) error {
 				return bad("bad drop node id")
 			}
 			s.graph.SetDropNode(netgraph.NodeID(id))
-		case "rule":
-			if len(fields) != 7 {
-				return bad("usage: rule <id> <srcID> <linkID> <lo> <hi> <prio>")
-			}
-			var nums [6]int64
-			for i := range nums {
-				v, err := strconv.ParseInt(fields[i+1], 10, 64)
-				if err != nil {
-					return bad("bad number")
-				}
-				nums[i] = v
-			}
-			if !s.validNode(int(nums[1])) {
-				return bad("unknown node id")
-			}
-			if nums[2] != -1 && (nums[2] < 0 || int(nums[2]) >= s.graph.NumLinks()) {
-				return bad("unknown link id")
-			}
-			rules = append(rules, core.Rule{
-				ID:       core.RuleID(nums[0]),
-				Source:   netgraph.NodeID(nums[1]),
-				Link:     netgraph.LinkID(nums[2]),
-				Match:    ipnet.Interval{Lo: uint64(nums[3]), Hi: uint64(nums[4])},
-				Priority: core.Priority(nums[5]),
-			})
 		case "seq":
 			if len(fields) != 2 {
 				return bad("usage: seq <lastEventSeq>")
