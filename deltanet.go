@@ -209,8 +209,9 @@ func (c *Checker) Switch(name string) SwitchID { return c.graph.NodeByName(name)
 type Report struct {
 	// Delta is the update's delta-graph (label changes by atom).
 	Delta *Delta
-	// Loops lists forwarding loops introduced by the update (empty
-	// unless the update was an insertion that closed a cycle).
+	// Loops lists forwarding loops the update closed: an insertion can
+	// complete a cycle, and so can a removal, when the removed rule
+	// shadowed a lower-priority one that forwards into a cycle.
 	Loops []Loop
 	// Events lists the standing-invariant verdict transitions the update
 	// caused (always empty until Monitor() has registrations).

@@ -157,6 +157,13 @@ func TestBadInputs(t *testing.T) {
 	if _, err := c.RemoveRule(42); err == nil {
 		t.Fatal("unknown rule removal accepted")
 	}
+	// A link or switch the topology does not have is an error, not a panic.
+	if _, err := c.InsertRule(Rule{ID: 1, Source: a, Link: 7, Match: Interval{Lo: 0, Hi: 10}, Priority: 1}); err == nil {
+		t.Fatal("unknown link accepted")
+	}
+	if _, err := c.InsertRule(Rule{ID: 1, Source: 9, Link: NoLink, Match: Interval{Lo: 0, Hi: 10}, Priority: 1}); err == nil {
+		t.Fatal("drop rule on an unknown switch accepted")
+	}
 	if _, err := c.InsertPrefixRule(1, a, ab, "10.0.0.0/8", 1); err != nil {
 		t.Fatal(err)
 	}

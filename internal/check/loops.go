@@ -63,27 +63,14 @@ func FindLoopsDeltaScratch(n *core.Network, d *core.Delta, sc *Scratch) []Loop {
 // traceLoop follows atom's forwarding function from node start. Because
 // each (node, atom) has at most one out-edge, the walk either terminates
 // (delivery, drop, or rule miss) or revisits a node, which is a loop.
-// Walk state lives in sc's epoch-stamped position arrays; only a found
-// loop's node list is allocated.
+// Walk state lives in sc's epoch-stamped arrays; only a found loop's
+// node list is allocated. It is loopFrom with nothing remembered from
+// earlier walks.
 func traceLoop(n *core.Network, start netgraph.NodeID, atom intervalmap.AtomID, sc *Scratch) (Loop, bool) {
-	g := n.Graph()
-	sc.growNodes(g.NumNodes())
+	sc.growNodes(n.Graph().NumNodes())
+	sc.beginVerdicts()
 	sc.beginWalk()
-	v := start
-	for {
-		if sc.posGen[v] == sc.walkGen {
-			at := sc.pos[v]
-			return Loop{Atom: atom, Nodes: append(append([]netgraph.NodeID(nil), sc.path[at:]...), v)}, true
-		}
-		sc.posGen[v] = sc.walkGen
-		sc.pos[v] = int32(len(sc.path))
-		sc.path = append(sc.path, v)
-		next := n.ForwardLink(v, atom)
-		if next == netgraph.NoLink || g.IsDropLink(next) {
-			return Loop{}, false
-		}
-		v = g.Link(next).Dst
-	}
+	return loopFrom(n, atom, start, sc)
 }
 
 // FindLoopsAll scans the entire data plane for forwarding loops across all
@@ -158,45 +145,53 @@ func findLoops(n *core.Network, include func(int) bool, sc *Scratch) []Loop {
 			continue
 		}
 		sc.beginVerdicts()
-		// One walk epoch serves the whole atom: every node stamped with a
-		// position also receives a verdict when its walk ends, and the
-		// verdict check precedes the position check, so stale positions
-		// from an earlier start's walk are never consulted.
 		sc.beginWalk()
 		for _, start := range sc.starts {
-			if sc.verdictAt(start) != loopUnknown {
-				continue
-			}
-			sc.path = sc.path[:0]
-			v := start
-			result := loopSafe
-			for {
-				if verdict := sc.verdictAt(v); verdict != loopUnknown {
-					result = verdict
-					break
-				}
-				if sc.posGen[v] == sc.walkGen {
-					// Cycle: path[p:] revisits v.
-					p := sc.pos[v]
-					cycle := append(append([]netgraph.NodeID(nil), sc.path[p:]...), v)
-					loops = append(loops, Loop{Atom: a, Nodes: cycle})
-					result = loopLooping
-					break
-				}
-				sc.posGen[v] = sc.walkGen
-				sc.pos[v] = int32(len(sc.path))
-				sc.path = append(sc.path, v)
-				next := n.ForwardLink(v, a)
-				if next == netgraph.NoLink || g.IsDropLink(next) {
-					result = loopSafe
-					break
-				}
-				v = g.Link(next).Dst
-			}
-			for _, u := range sc.path {
-				sc.setVerdict(u, result)
+			if loop, ok := loopFrom(n, a, start, sc); ok {
+				loops = append(loops, loop)
 			}
 		}
 	}
 	return loops
+}
+
+// loopFrom walks atom a's forwarding function from start and reports the
+// cycle the walk closed, if any. It is memoized across the starts of one
+// atom: the caller opens one verdict epoch and one walk epoch per atom,
+// every node a walk passes is classified when the walk ends, and a later
+// walk stops at the first classified node, so an atom's starts cost
+// O(nodes) together — and a walk that closes a cycle is untouched by the
+// memo, since no node on it leads anywhere classified. The verdict check
+// precedes the position check, so stale positions from an earlier
+// start's walk are never consulted.
+func loopFrom(n *core.Network, a intervalmap.AtomID, start netgraph.NodeID, sc *Scratch) (loop Loop, found bool) {
+	g := n.Graph()
+	sc.path = sc.path[:0]
+	v := start
+	result := loopSafe
+	for {
+		if verdict := sc.verdictAt(v); verdict != loopUnknown {
+			result = verdict
+			break
+		}
+		if sc.posGen[v] == sc.walkGen {
+			// Cycle: path[p:] revisits v.
+			p := sc.pos[v]
+			loop = Loop{Atom: a, Nodes: append(append([]netgraph.NodeID(nil), sc.path[p:]...), v)}
+			found, result = true, loopLooping
+			break
+		}
+		sc.posGen[v] = sc.walkGen
+		sc.pos[v] = int32(len(sc.path))
+		sc.path = append(sc.path, v)
+		next := n.ForwardLink(v, a)
+		if next == netgraph.NoLink || g.IsDropLink(next) {
+			break
+		}
+		v = g.Link(next).Dst
+	}
+	for _, u := range sc.path {
+		sc.setVerdict(u, result)
+	}
+	return loop, found
 }

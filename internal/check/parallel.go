@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"deltanet/internal/core"
-	"deltanet/internal/intervalmap"
 )
 
 // parallelDeltaThreshold is the number of Added entries above which the
@@ -117,43 +116,56 @@ func FindLoopsDeltaAutoScratch(n *core.Network, d *core.Delta, workers int, sc *
 	return FindLoopsDeltaParallel(n, d, workers)
 }
 
-// FindLoopsDeltaParallel is FindLoopsDelta with the per-atom walks fanned
-// out over goroutines — the paper's §6 observation that "the main loops
-// over atoms in Algorithm 1 and 2 are highly parallelizable" applies to
-// the delta check too, since each atom's walk only reads engine state.
-// It pays off when a delta touches many atoms (bulk updates, link
-// failures); for the common 1–2 atom delta the serial version is faster.
-// workers ≤ 0 selects GOMAXPROCS.
+// FindLoopsDeltaParallel is FindLoopsDelta fanned out over goroutines —
+// the paper's §6 observation that "the main loops over atoms in
+// Algorithm 1 and 2 are highly parallelizable" applies to the delta
+// check too, since a walk only reads engine state. It pays off when a
+// delta touches many atoms (bulk updates, link failures); for the common
+// 1–2 atom delta the serial version is faster. workers ≤ 0 selects
+// GOMAXPROCS.
+//
+// A job is one run of consecutive added labels of the same atom (a batch
+// delta lists its labels atom by atom): it walks from each label's
+// source in order (loopFrom) and keeps the first loop, as the serial
+// check does for that atom. Jobs write their own slots, compacted in
+// order, so the result is FindLoopsDelta's element for element and never
+// depends on goroutine scheduling.
 func FindLoopsDeltaParallel(n *core.Network, d *core.Delta, workers int) []Loop {
 	if d == nil || len(d.Added) == 0 {
 		return nil
 	}
-	// Deduplicate atoms first; one walk per affected atom.
-	seen := map[intervalmap.AtomID]core.LinkAtom{}
-	for _, la := range d.Added {
-		if _, ok := seen[la.Atom]; !ok {
-			seen[la.Atom] = la
+	var runs []int // start of each run, then len(d.Added)
+	for i, la := range d.Added {
+		if i == 0 || la.Atom != d.Added[i-1].Atom {
+			runs = append(runs, i)
 		}
 	}
-	jobs := make([]core.LinkAtom, 0, len(seen))
-	for _, la := range seen {
-		jobs = append(jobs, la)
-	}
-	var (
-		mu    sync.Mutex
-		loops []Loop
-	)
+	runs = append(runs, len(d.Added))
 	g := n.Graph()
-	RunParallel(workers, len(jobs), func(i int) {
-		la := jobs[i]
-		l := g.Link(la.Link)
+	found := make([]Loop, len(runs)-1)
+	RunParallel(workers, len(found), func(j int) {
 		sc := GetScratch()
 		defer PutScratch(sc)
-		if loop, ok := traceLoop(n, l.Src, la.Atom, sc); ok {
-			mu.Lock()
-			loops = append(loops, loop)
-			mu.Unlock()
+		sc.growNodes(g.NumNodes())
+		sc.beginVerdicts()
+		sc.beginWalk()
+		for _, la := range d.Added[runs[j]:runs[j+1]] {
+			if loop, ok := loopFrom(n, la.Atom, g.Link(la.Link).Src, sc); ok {
+				found[j] = loop
+				return
+			}
 		}
 	})
+	// An atom split over several runs (a merged burst delta) keeps the
+	// loop of its first looping run, as the serial check does.
+	sc := GetScratch()
+	defer PutScratch(sc)
+	sc.beginAtoms(n.MaxAtomID())
+	var loops []Loop
+	for _, loop := range found {
+		if loop.Nodes != nil && !sc.markAtom(loop.Atom) {
+			loops = append(loops, loop)
+		}
+	}
 	return loops
 }

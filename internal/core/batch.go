@@ -303,9 +303,8 @@ func (n *Network) validateBatch(ops []BatchOp) ([]batchItem, error) {
 			if !n.space.Contains(r.Match) {
 				return nil, fmt.Errorf("%w: %v (op %d)", ErrOutOfSpace, r.Match, i)
 			}
-			if r.Link != netgraph.NoLink && n.graph.Link(r.Link).Src != r.Source {
-				return nil, fmt.Errorf("%w: rule %d source %d link %d (op %d)",
-					ErrBadLink, r.ID, r.Source, r.Link, i)
+			if err := n.checkTopology(&r); err != nil {
+				return nil, fmt.Errorf("%w (op %d)", err, i)
 			}
 			pending[r.ID] = int32(len(items))
 			items = append(items, batchItem{insert: true, ref: -1, rule: r})

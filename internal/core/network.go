@@ -223,7 +223,23 @@ var (
 	ErrEmptyMatch    = errors.New("core: rule match interval is empty")
 	ErrOutOfSpace    = errors.New("core: rule match interval outside address space")
 	ErrBadLink       = errors.New("core: rule link does not originate at rule source")
+	ErrBadNode       = errors.New("core: rule source is not a node of the graph")
 )
+
+// checkTopology holds a rule's topology references to the graph: the link
+// must exist and leave the rule's source (which a link's endpoints already
+// are, so a real link needs no node check); a drop rule names no link, so
+// its source is checked directly, before any drop link is hung off it.
+func (n *Network) checkTopology(r *Rule) error {
+	if r.Link == netgraph.NoLink {
+		if uint(r.Source) >= uint(n.graph.NumNodes()) {
+			return fmt.Errorf("%w: rule %d source %d", ErrBadNode, r.ID, r.Source)
+		}
+	} else if uint(r.Link) >= uint(n.graph.NumLinks()) || n.graph.Link(r.Link).Src != r.Source {
+		return fmt.Errorf("%w: rule %d source %d link %d", ErrBadLink, r.ID, r.Source, r.Link)
+	}
+	return nil
+}
 
 // InsertRule applies Algorithm 1: it creates any needed atoms (splitting at
 // most two existing ones), copies owner state for split atoms, then
@@ -257,10 +273,11 @@ func (n *Network) insertRule(r Rule, d *Delta) error {
 	if !n.space.Contains(r.Match) {
 		return fmt.Errorf("%w: %v", ErrOutOfSpace, r.Match)
 	}
+	if err := n.checkTopology(&r); err != nil {
+		return err
+	}
 	if r.Link == netgraph.NoLink {
 		r.Link = n.graph.DropLink(r.Source)
-	} else if n.graph.Link(r.Link).Src != r.Source {
-		return fmt.Errorf("%w: rule %d source %d link %d", ErrBadLink, r.ID, r.Source, r.Link)
 	}
 	slot := n.store.alloc(r)
 	k := r.key()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -191,6 +192,30 @@ func TestInsertErrors(t *testing.T) {
 	}
 	if _, err := n.InsertRule(Rule{ID: 1, Source: s1, Link: l21, Match: iv(0, 10), Priority: 1}); err == nil {
 		t.Fatal("foreign link accepted")
+	}
+	// Topology references outside the graph are errors on both update
+	// paths, not index panics, and leave graph and engine untouched (a
+	// drop rule on a bad source must not hang a drop link off it).
+	for _, tc := range []struct {
+		r    Rule
+		want error
+	}{
+		{Rule{ID: 1, Source: s1, Link: 7, Match: iv(0, 10), Priority: 1}, ErrBadLink},
+		{Rule{ID: 1, Source: s1, Link: -2, Match: iv(0, 10), Priority: 1}, ErrBadLink},
+		{Rule{ID: 1, Source: 9, Link: l12, Match: iv(0, 10), Priority: 1}, ErrBadLink},
+		{Rule{ID: 1, Source: 9, Link: netgraph.NoLink, Match: iv(0, 10), Priority: 1}, ErrBadNode},
+		{Rule{ID: 1, Source: -1, Link: netgraph.NoLink, Match: iv(0, 10), Priority: 1}, ErrBadNode},
+	} {
+		if _, err := n.InsertRule(tc.r); !errors.Is(err, tc.want) {
+			t.Fatalf("InsertRule(%v) = %v, want %v", tc.r, err, tc.want)
+		}
+		var d Delta
+		if err := n.ApplyBatch([]BatchOp{InsertOp(tc.r)}, &d, 1); !errors.Is(err, tc.want) {
+			t.Fatalf("ApplyBatch(%v) = %v, want %v", tc.r, err, tc.want)
+		}
+	}
+	if g.NumNodes() != 2 || g.NumLinks() != 2 || n.NumRules() != 0 {
+		t.Fatalf("refused rules changed the graph or engine: %d nodes, %d links, %d rules", g.NumNodes(), g.NumLinks(), n.NumRules())
 	}
 	if _, err := n.InsertRule(Rule{ID: 1, Source: s1, Link: l12, Match: iv(0, 10), Priority: 1}); err != nil {
 		t.Fatal(err)

@@ -1,55 +1,19 @@
 package monitor
 
-// This file is the monitor's replication/replay surface: a read replica
-// re-applies the primary's journaled updates through ApplyReplay so its
-// verdicts, update counters, and event numbering track the primary's,
-// and re-anchors on a fresh checkpoint with Reset when the journal
-// suffix it needs has been rotated away.
+// This file is the monitor's replication/replay surface. A read replica
+// (or a primary recovering from its journal) re-applies journaled updates
+// through the same ApplyWithLoops a live update takes: every non-empty
+// delta consumes exactly one update number on either side, so verdicts,
+// update counters, and event numbering track the primary's by
+// construction. ResumeUpdates carries the counter across a checkpoint
+// (and snaps it forward to a record's stamp, should a journal ever run
+// ahead of the local count); Reset re-anchors on a fresh checkpoint when
+// the journal suffix a replica needs has been rotated away.
 
-import (
-	"deltanet/internal/check"
-	"deltanet/internal/core"
-)
+import "deltanet/internal/core"
 
-// ApplyReplay is ApplyWithLoops for journal replay: the update sequence
-// number is dictated by the journal record (the primary's numbering)
-// instead of locally incremented, so a replica's Stats().Updates and
-// event update-ranges agree with the primary's. The counter only moves
-// forward — replaying an already-applied record is a no-op advance.
-//
-// Replay ignores burst configuration and evaluates every record
-// directly: burst coalescing on a replica would make its event stream
-// diverge from a primary flushing on different boundaries. Any pending
-// burst state (from a configuration change) is folded in first so no
-// buffered delta is lost.
-func (m *Monitor) ApplyReplay(d *core.Delta, loops []check.Loop, loopsKnown bool, seq uint64) []Event {
-	m.applyMu.Lock()
-	defer m.applyMu.Unlock()
-	if seq > m.updSeq {
-		m.updSeq = seq
-	}
-	if d == nil || d.Empty() {
-		return nil
-	}
-	if m.pendingCount > 0 {
-		m.coalesceLocked(d)
-		return m.flushLocked()
-	}
-	if m.regd.Load() == 0 {
-		return nil
-	}
-	m.scratchChanged.Clear()
-	changed := changedLinks(d, m.scratchChanged)
-	tr := m.beginTraceLocked(m.updSeq, m.updSeq, 1, d, changed)
-	cands, rangeSkipped := m.collectDirty(changed, d)
-	m.traceDirtyLocked(tr, len(cands), rangeSkipped)
-	events := m.evaluatePass(cands, &applyCtx{d: d, loops: loops, loopsKnown: loopsKnown, rescans: &m.loopRescans}, m.updSeq, m.updSeq, tr)
-	m.finishTraceLocked(tr)
-	return events
-}
-
-// ResumeUpdates advances the update sequence counter to n, so replayed
-// journal records numbered after n apply with the primary's numbering.
+// ResumeUpdates advances the update sequence counter to n, so journal
+// records replayed after it apply with the primary's numbering.
 // Like ResumeSeq it never rewinds: restoring a checkpoint older than
 // what this monitor already applied is a no-op.
 func (m *Monitor) ResumeUpdates(n uint64) {

@@ -7,9 +7,11 @@ import (
 	"deltanet/internal/ipnet"
 )
 
-// TestApplyReplayTracksPrimaryNumbering drives a primary monitor
-// normally and a replica via ApplyReplay with the primary's update seqs,
-// and checks verdicts, update counters, and event update-ranges agree.
+// TestApplyReplayTracksPrimaryNumbering drives a primary monitor and a
+// replica one through the same Apply, the replica stamped with the
+// primary's update seq after each delta the way a journal record stamps
+// it, and checks verdicts, update counters, and event update-ranges
+// agree.
 func TestApplyReplayTracksPrimaryNumbering(t *testing.T) {
 	g, nodes, links := line4()
 	prim := core.NewNetwork(g, core.Options{})
@@ -41,7 +43,8 @@ func TestApplyReplayTracksPrimaryNumbering(t *testing.T) {
 		if err := repl.InsertRuleInto(r2, &d2); err != nil {
 			t.Fatal(err)
 		}
-		rev := rm.ApplyReplay(&d2, nil, false, seq)
+		rev := rm.Apply(&d2)
+		rm.ResumeUpdates(seq)
 		if len(rev) != len(pev) {
 			t.Fatalf("update %d: replica events %v, primary %v", i+1, rev, pev)
 		}
@@ -61,8 +64,10 @@ func TestApplyReplayTracksPrimaryNumbering(t *testing.T) {
 		t.Fatalf("verdicts diverge: primary %v, replica %v", ps, rs)
 	}
 
-	// Replaying an already-applied seq must not rewind the counter.
-	rm.ApplyReplay(nil, nil, false, 1)
+	// Replaying an already-applied record's stamp must not rewind the
+	// counter, and its empty delta must not advance it.
+	rm.Apply(&core.Delta{})
+	rm.ResumeUpdates(1)
 	if rm.UpdateSeq() != pm.UpdateSeq() {
 		t.Fatalf("stale replay rewound counter to %d", rm.UpdateSeq())
 	}

@@ -1,0 +1,92 @@
+package server
+
+import (
+	"errors"
+	"strconv"
+	"time"
+
+	"deltanet/internal/binproto"
+	"deltanet/internal/check"
+	"deltanet/internal/core"
+)
+
+// commitLocked is the write path's one sequential core: every rule update
+// — a line I or R, a B batch, a coalesced ring run and each op of its
+// refused-run fallback, a record replayed after a crash or streamed to a
+// replica — is applied here and nowhere else; the entrances around it
+// only obtain ops, take the write lock (which the caller holds) and
+// shape a reply. It is the paper's contract: apply the insertions and
+// removals as one atomic update (Algorithms 1 and 2), check the
+// resulting delta-graph for loops, and return the loops the update
+// closed. On error nothing was applied.
+//
+// st carries the stage times the entrance measured (parse, lock wait);
+// the verb and the apply time are filled in here. A one-op commit runs
+// ApplyBatch on the caller's goroutine: a single rule has no per-atom
+// fan-out to win, only its wake-ups to pay. fromJournal marks a record
+// that came from a journal, which is not appended to one again.
+//
+// A failed journal append does not fail the commit: the update is
+// applied and the client answered ok, the failure is counted (jrnlErrs,
+// dn_journal_append_errors_total), and journal subscribers are not sent
+// the record — durability and replication degrade, verification does not.
+func (s *Server) commitLocked(ops []core.BatchOp, st stageInfo, fromJournal bool) ([]check.Loop, error) {
+	t0 := time.Now()
+	if msg := s.checkOps(ops); msg != "" {
+		return nil, errors.New(msg)
+	}
+	workers := 0
+	st.verb = verbBatch
+	if len(ops) == 1 {
+		workers, st.verb = 1, verbRemove
+		if ops[0].Insert {
+			st.verb = verbInsert
+		}
+	}
+	if err := s.net.ApplyBatch(ops, &s.delta, workers); err != nil {
+		return nil, err
+	}
+	loops := check.FindLoopsDeltaAuto(s.net, &s.delta, 0)
+	st.valid, st.applyNs = true, time.Since(t0).Nanoseconds()
+	s.staged = st
+	s.mon.ApplyWithLoops(&s.delta, loops, true)
+	s.finishUpdateLocked()
+	if !fromJournal && s.jrnl != nil { // no encoding at all on the journal-less hot path
+		s.journalAppendLocked(binproto.AppendOps(s.jbuf[:0], ops))
+	}
+	return loops, nil
+}
+
+// checkOps is the one validator every entrance shares: "" admits ops, else
+// the message names the first bad op. Callers hold the engine lock in
+// some mode.
+func (s *Server) checkOps(ops []core.BatchOp) string {
+	nodes, links := s.graph.NumNodes(), s.graph.NumLinks() // once per call: NumNodes takes the name-table lock
+	for i := range ops {
+		if msg := checkOp(&ops[i], nodes, links); msg != "" {
+			return "frame op " + strconv.Itoa(i) + ": " + msg
+		}
+	}
+	return ""
+}
+
+// checkOp holds one op to what the engine and the journal can take, in a
+// graph of the given size: an insert's topology references must exist,
+// and ids and priorities must be ones a dnbin record carries
+// (non-negative) — an update the journal cannot represent must not be
+// applied. A removal names only a rule; whether that rule exists is the
+// engine's to say.
+func checkOp(op *core.BatchOp, nodes, links int) string {
+	r := &op.Rule
+	switch {
+	case r.ID < 0 || r.Priority < 0:
+		return "rule id or priority out of range"
+	case !op.Insert:
+		return ""
+	case r.Source < 0 || int(r.Source) >= nodes:
+		return "unknown node id"
+	case r.Link < -1 || int(r.Link) >= links:
+		return "unknown link id"
+	}
+	return ""
+}

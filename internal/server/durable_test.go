@@ -235,6 +235,15 @@ func TestWatchSinceReconnect(t *testing.T) {
 	ctl.roundTrip(t, "link 3 4")
 	ctl.roundTrip(t, "W reach 3 4")
 
+	// Session 1: watch from the start, bail out after a few events. The
+	// subscription is live before the churn starts: the toggles take a few
+	// milliseconds in all, and a watcher that connected after them would
+	// wait for its five events forever.
+	w := dial(t, addr)
+	if got := w.roundTrip(t, "watch"); got != "ok watching" {
+		t.Fatalf("watch: %q", got)
+	}
+
 	const toggles = 40
 	churnDone := make(chan error, 1)
 	go func() {
@@ -267,11 +276,6 @@ func TestWatchSinceReconnect(t *testing.T) {
 		churnDone <- nil
 	}()
 
-	// Session 1: watch from the start, bail out after a few events.
-	w := dial(t, addr)
-	if got := w.roundTrip(t, "watch"); got != "ok watching" {
-		t.Fatalf("watch: %q", got)
-	}
 	var lastSeq uint64
 	seen := map[uint64]string{}
 	firstSession := 0

@@ -41,6 +41,7 @@ func FuzzDispatch(f *testing.F) {
 		"node\nlink\nI\nR\nreach\nwhatif\nstats extra\nW\nunwatch\n",
 		"quit\nI 1 0 0 0 100 1\n",
 		"I -1 0 0 0 100 1\nR -1\nI 1 0 0 0 100 -1\nI 1 0 0 0 100 2147483648\nI 1 0 -1 0 100 1\n",
+		"I 1 0 -2 0 100 1\nI 1 9 -1 0 100 1\nI 1 4294967296 0 0 100 1\nB 1\nI 1 0 7 0 100 1\n",
 	} {
 		f.Add([]byte(seed))
 	}

@@ -12,12 +12,13 @@ package server
 // decodes and topology-validates them OUTSIDE the engine lock and
 // pushes finished core.BatchOps into the ring, so many connections
 // decode in parallel while the engine applies. The coalescer pops runs
-// of ops and applies them as one ApplyBatch — one loop check, one
-// journal record, one monitor pass per run instead of per op — sizing
-// runs adaptively: when the next op's dirty-invariant footprint
-// (monitor.LinkDepsInto) is disjoint from the batch's accumulated
-// footprint, the batch flushes early so each evaluation fan-out stays
-// tight instead of dirtying the union of two unrelated regions.
+// of ops and commits each as one update (commitLocked: one ApplyBatch,
+// one loop check, one monitor pass, one journal record per run instead
+// of per op), sizing runs adaptively: when the next op's
+// dirty-invariant footprint (monitor.LinkDepsInto) is disjoint from the
+// batch's accumulated footprint, the batch flushes early so each
+// evaluation fan-out stays tight instead of dirtying the union of two
+// unrelated regions.
 //
 // Backpressure is explicit and memory stays bounded: the ring has fixed
 // capacity, a connection that finds it full tells its client once per
@@ -35,7 +36,6 @@ import (
 
 	"deltanet/internal/binproto"
 	"deltanet/internal/bitset"
-	"deltanet/internal/check"
 	"deltanet/internal/core"
 	"deltanet/internal/ingest"
 	"deltanet/internal/netgraph"
@@ -195,32 +195,15 @@ func (s *Server) serveBinary(fields []string, lr *lineReader, cw *connWriter) st
 	}
 }
 
-// validateOps checks every op's topology references under one read lock
-// — the only engine-lock touch a frame costs before apply. "" admits
-// the frame. Removals pass here (they name rules, not topology); a bad
-// rule id surfaces at apply and is dropped by the per-op fallback.
+// validateOps runs the shared validator (checkOps, commit.go) under one
+// read lock — the only engine-lock touch a frame costs before apply —
+// so a bad frame is refused whole, to its sender, before any of it is
+// queued. "" admits the frame. A removal of a rule that does not exist
+// passes here; it surfaces at apply and is dropped by the per-op fallback.
 func (s *Server) validateOps(ops []core.BatchOp) string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.checkOps(ops)
-}
-
-// checkOps is validateOps for callers already holding the engine lock
-// (journal replay and the replica apply loop hold it for the apply).
-func (s *Server) checkOps(ops []core.BatchOp) string {
-	for i := range ops {
-		op := &ops[i]
-		if !op.Insert {
-			continue
-		}
-		if !s.validNode(int(op.Rule.Source)) {
-			return fmt.Sprintf("frame op %d: unknown node id", i)
-		}
-		if op.Rule.Link != -1 && int(op.Rule.Link) >= s.graph.NumLinks() {
-			return fmt.Sprintf("frame op %d: unknown link id", i)
-		}
-	}
-	return ""
 }
 
 // waitApplied blocks until the coalescer has consumed at least ticket
@@ -366,51 +349,23 @@ func (s *Server) splitBatchBefore(op *core.BatchOp, batchDeps, opDeps *bitset.Se
 	return false
 }
 
-// applyCoalesced applies one coalesced batch under the write lock,
-// mirroring readAndApplyBatch's pipeline: one ApplyBatch, one loop
-// check, one monitor pass, one journal record. ApplyBatch is
-// all-or-nothing, but a coalesced batch interleaves independent
-// producers — one client's duplicate id must not void its neighbors'
-// work — so a refused batch falls back to per-op application, dropping
-// only the offending ops.
+// applyCoalesced commits one coalesced run under the write lock: one
+// ApplyBatch, one loop check, one monitor pass, one journal record
+// (commitLocked). A commit is all-or-nothing, but a run interleaves
+// independent producers — one client's duplicate id must not void its
+// neighbors' work — so a refused run is committed again op by op,
+// dropping (and counting) only the offending ops.
 func (s *Server) applyCoalesced(ops []core.BatchOp) {
 	s.ing.batches.Add(1)
 	t0 := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	lockNs := time.Since(t0).Nanoseconds()
-	t0 = time.Now()
-	if err := s.net.ApplyBatch(ops, &s.delta, 0); err == nil {
-		loops := check.FindLoopsDeltaAuto(s.net, &s.delta, 0)
-		s.staged = stageInfo{valid: true, verb: verbBatch,
-			lockNs: lockNs, applyNs: time.Since(t0).Nanoseconds()}
-		s.mon.ApplyWithLoops(&s.delta, loops, true)
-		s.finishUpdateLocked()
-		s.journalOpsLocked(ops...)
+	if _, err := s.commitLocked(ops, stageInfo{lockNs: time.Since(t0).Nanoseconds()}, false); err == nil {
 		return
 	}
 	for i := range ops {
-		op := &ops[i]
-		t0 = time.Now()
-		var loops []check.Loop
-		loopsKnown := false
-		if op.Insert {
-			if err := s.net.InsertRuleInto(op.Rule, &s.delta); err != nil {
-				s.ing.rejected.Add(1)
-				continue
-			}
-			loops = check.FindLoopsDelta(s.net, &s.delta)
-			loopsKnown = true
-			s.staged = stageInfo{valid: true, verb: verbInsert, applyNs: time.Since(t0).Nanoseconds()}
-		} else {
-			if err := s.net.RemoveRuleInto(op.Rule.ID, &s.delta); err != nil {
-				s.ing.rejected.Add(1)
-				continue
-			}
-			s.staged = stageInfo{valid: true, verb: verbRemove, applyNs: time.Since(t0).Nanoseconds()}
+		if _, err := s.commitLocked(ops[i:i+1], stageInfo{}, false); err != nil {
+			s.ing.rejected.Add(1)
 		}
-		s.mon.ApplyWithLoops(&s.delta, loops, loopsKnown)
-		s.finishUpdateLocked()
-		s.journalOpsLocked(ops[i : i+1]...)
 	}
 }

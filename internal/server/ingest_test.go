@@ -328,8 +328,19 @@ func TestIngestOpsBarrier(t *testing.T) {
 	if n := s.IngestBarrier(); n != uint64(len(ops)) {
 		t.Fatalf("barrier applied=%d, want %d", n, len(ops))
 	}
-	if s.IngestOps([]core.BatchOp{insOp(99, 42, 0, 0, 1, 1)}) {
-		t.Fatal("IngestOps accepted an op naming an unknown node")
+	// Refused by the shared validator, before the ring: a link of -2 used
+	// to pass it and panic the coalescer goroutine, and with it the process.
+	for what, op := range map[string]core.BatchOp{
+		"an unknown node":     insOp(99, 42, 0, 0, 1, 1),
+		"an unknown link":     insOp(99, 0, 7, 0, 1, 1),
+		"a link below -1":     insOp(99, 0, -2, 0, 1, 1),
+		"a negative rule id":  insOp(-99, 0, 0, 0, 1, 1),
+		"a negative priority": insOp(99, 0, 0, 0, 1, -1),
+		"a negative removal":  core.RemoveOp(-99),
+	} {
+		if s.IngestOps([]core.BatchOp{op}) {
+			t.Fatalf("IngestOps accepted an op naming %s", what)
+		}
 	}
 	if got := c.roundTrip(t, "reach 0 1"); got != "ok reach 16" {
 		t.Fatalf("reach after feed: %q", got)

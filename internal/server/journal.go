@@ -11,11 +11,12 @@ package server
 // per atomic apply — and KindNode / KindLink for the two topology
 // commands. A mutation is decoded from its wire form once, on arrival;
 // from then on the frame is its only representation, encoded into one
-// reusable buffer under the write lock (binproto.AppendOps) and decoded
-// by applyJournalLocked on crash replay and on every replica. Each
-// record is stamped with the monitor's post-apply update sequence
-// number; topology records reuse the current number (they consume no
-// delta).
+// reusable buffer under the write lock (commitLocked's last step, and
+// the node and link commands) and decoded by applyJournalLocked on crash
+// replay and on every replica, which commits the ops through the same
+// commitLocked. Each record is stamped with the monitor's post-apply
+// update sequence number; topology records reuse the current number
+// (they consume no delta).
 //
 // The streaming protocol after "ok journal offset=<o> end=<e>":
 //
@@ -37,18 +38,8 @@ import (
 	"strings"
 
 	"deltanet/internal/binproto"
-	"deltanet/internal/check"
-	"deltanet/internal/core"
 	"deltanet/internal/journal"
 )
-
-// journalOpsLocked journals ops as the one record of an atomic apply.
-// Caller holds the write lock.
-func (s *Server) journalOpsLocked(ops ...core.BatchOp) {
-	if s.jrnl != nil { // skip encoding entirely on the journal-less hot path
-		s.journalAppendLocked(binproto.AppendOps(s.jbuf[:0], ops))
-	}
-}
 
 // journalAppendLocked appends one applied mutation, encoded as a frame
 // into (a re-slice of) s.jbuf, to the journal and fans it out to live
@@ -56,10 +47,8 @@ func (s *Server) journalOpsLocked(ops ...core.BatchOp) {
 // apply order and the recorded update seq is the one the mutation
 // produced. The payload string is the path's one allocation: the
 // journal keeps it until its group-commit writer lands the record. An
-// append failure is counted, not propagated: the mutation is already
-// applied and will be acknowledged; what degrades is
-// durability/replication, which the jrnlErrs counter and lag metrics
-// surface.
+// append failure is counted, not propagated, and the record is not
+// fanned out (commitLocked states the guarantee).
 func (s *Server) journalAppendLocked(frame []byte) {
 	s.jbuf = frame
 	payload := string(frame)
@@ -257,12 +246,14 @@ func (s *Server) ReplayJournal(j *journal.Journal) (int, error) {
 	}
 }
 
-// applyJournalLocked applies one journal record — decode the frame into
-// the reused op buffer, validate its topology references, apply — and
-// stamps the monitor with the record's update seq. It is the whole
-// record decoder: ReplayJournal and the replica apply loop both call
-// it. On error the rules and the monitor are untouched. Caller holds
-// the write lock.
+// applyJournalLocked applies one journal record: decode the frame into
+// the reused op buffer, then AddNode, AddLink, or — for an ops record —
+// the same commitLocked a live update takes. It is the whole record
+// decoder: ReplayJournal and the replica apply loop both call it. A
+// record's stamp is the primary's update seq after it; every entrance
+// counts alike, so the local counter already agrees, and ResumeUpdates
+// only snaps it forward should a journal ever run ahead of it. On error
+// the rules and the monitor are untouched. Caller holds the write lock.
 func (s *Server) applyJournalLocked(payload []byte, seq uint64) error {
 	f, err := binproto.Decode(payload, s.jops)
 	if err != nil {
@@ -281,15 +272,9 @@ func (s *Server) applyJournalLocked(payload []byte, seq uint64) error {
 		if len(f.Ops) == 0 {
 			return errors.New("empty ops record")
 		}
-		if msg := s.checkOps(f.Ops); msg != "" {
-			return errors.New(msg)
-		}
-		if err := s.net.ApplyBatch(f.Ops, &s.delta, 0); err != nil {
+		if _, err := s.commitLocked(f.Ops, stageInfo{}, true); err != nil {
 			return err
 		}
-		loops := check.FindLoopsDeltaAuto(s.net, &s.delta, 0)
-		s.mon.ApplyReplay(&s.delta, loops, true, seq)
-		return nil
 	default:
 		return fmt.Errorf("frame kind %d is not a journal record", f.Kind)
 	}

@@ -14,12 +14,12 @@ import (
 // This file is the server half of per-update pipeline tracing. The
 // monitor times its own stages (dirty-marking, eval fan-out, event
 // publish; see monitor.ApplyTrace) and hands them to the sink installed
-// in New; the server stages (parse, lock wait, engine apply/delta) are
-// timed in dispatch/readAndApplyBatch and parked in s.staged for the
-// sink to merge. The merged records land in a bounded ring behind the
-// `trace on|off|last <n>` protocol commands, feed the per-stage
-// histograms when metrics are enabled, and trip the slow-update log
-// when a threshold is set.
+// in New; the server stages are timed by the entrance (parse, lock wait)
+// and by commitLocked (engine apply + delta loop check), which parks
+// them in s.staged for the sink to merge. The merged records land in a
+// bounded ring behind the `trace on|off|last <n>` protocol commands,
+// feed the per-stage histograms when metrics are enabled, and trip the
+// slow-update log when a threshold is set.
 
 // Update verbs, numeric so updateRecord stays pointer-free.
 const (
@@ -241,11 +241,11 @@ func (s *Server) onApplyTrace(at monitor.ApplyTrace) {
 	s.observeStages(rec)
 }
 
-// finishUpdateLocked closes out a mutation's tracing after its monitor
-// Apply returned: when the staged stage times were not consumed by the
+// finishUpdateLocked closes out a commit's tracing after its monitor
+// pass returned: when the staged stage times were not consumed by the
 // sink (the delta was buffered into a pending burst, or no invariants
 // are registered), the engine-side stages still get a record of their
-// own. Caller holds the write lock with s.staged set.
+// own. Called by commitLocked, under the write lock with s.staged set.
 func (s *Server) finishUpdateLocked() {
 	if !s.staged.valid {
 		return

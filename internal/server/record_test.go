@@ -163,14 +163,7 @@ func TestEveryEntranceEveryRecordBoundary(t *testing.T) {
 				jops = f.Ops[:0]
 				ref.applyCoalesced(f.Ops)
 			}
-			// The record's stamp is the update seq at its boundary. (The
-			// reference's own counter may lag it: a one-op ApplyBatch
-			// reports no delta when the new owner forwards where the old
-			// one did, the single-op path the primary took reports the
-			// ownership change, and only a non-empty delta counts.)
-			st := stateOf(ref)
-			st.upd = rec.Seq
-			expected[rec.End] = st
+			expected[rec.End] = stateOf(ref)
 			boundaries = append(boundaries, rec.End)
 			cursor = rec.End
 		}
@@ -284,6 +277,36 @@ func TestEveryEntranceEveryRecordBoundary(t *testing.T) {
 		}
 		must(pc, opText(remove()))
 		settle("line R")
+
+		// A line R that closes a loop: b->c and c->a carry the range, and
+		// at a the rule towards d shadows the one towards b. Removing the
+		// shadow exposes a->b->c->a — in the reply, and in every server
+		// downstream of the record. A batch then clears it.
+		shadow, loop := nextID, []int64{nextID + 1, nextID + 2, nextID + 3}
+		nextID += 4
+		for _, op := range []core.BatchOp{
+			insOp(loop[0], b, outLinks[b][0], 5000, 5100, 5),
+			insOp(loop[1], c, outLinks[c][0], 5000, 5100, 5),
+			insOp(shadow, a, outLinks[a][1], 5000, 5100, 9),
+			insOp(loop[2], a, outLinks[a][0], 5000, 5100, 5),
+		} {
+			if got := must(pc, opText(op)); !strings.Contains(got, " loops=0") {
+				t.Fatalf("%s: %q", opText(op), got)
+			}
+			settle("loop set-up")
+		}
+		if got := must(pc, fmt.Sprintf("R %d", shadow)); !strings.HasSuffix(got, " loops=1 loop 5000:5100") {
+			t.Fatalf("line R exposing a loop: %q", got)
+		}
+		settle("loop-exposing line R")
+		var clear []core.BatchOp
+		for _, id := range loop {
+			clear = append(clear, core.RemoveOp(core.RuleID(id)))
+		}
+		if got := pc.sendOpsBatch(t, clear); !strings.HasPrefix(got, "ok batch") {
+			t.Fatalf("clearing the loop: %q", got)
+		}
+		settle("loop cleared")
 		if got := pc.sendOpsBatch(t, mixed(5+rng.Intn(12))); !strings.HasPrefix(got, "ok batch") {
 			t.Fatalf("B batch: %q", got)
 		}

@@ -5,7 +5,8 @@ package server
 // checkpoint when needed, streams the journal tail, and applies every
 // record into this server's own data plane and monitor — which then
 // serves reach/whatif/stats/W/watch locally, with verdicts and event
-// numbering that track the primary's (monitor.ApplyReplay).
+// numbering that track the primary's (a record commits through the same
+// commitLocked the primary's update took, so both sides count alike).
 //
 // Consistency model: the replica is an eventually consistent snapshot
 // of the primary. Applied journal records are whole updates, so every

@@ -12,7 +12,7 @@
 //	link <srcID> <dstID>                 -> ok link <id>
 //	I <ruleID> <srcID> <linkID|-1> <lo> <hi> <prio>
 //	                                     -> ok atoms=<n> loops=<k> [loop <lo>:<hi> ...]
-//	R <ruleID>                           -> ok atoms=<n> loops=0
+//	R <ruleID>                           -> ok atoms=<n> loops=<k> [loop <lo>:<hi> ...]
 //	B <n>                                -> (multi-line, see below)
 //	reach <src> <dst>                    -> ok reach <count>
 //	whatif <linkID>                      -> ok whatif atoms=<n> edges=<m>
@@ -140,7 +140,6 @@ package server
 import (
 	"bufio"
 	"fmt"
-	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -202,15 +201,15 @@ type Server struct {
 
 	// jrnl, when non-nil, receives every applied mutation (options.go:
 	// WithJournal). Set before Serve, then read-only; appends happen
-	// under the write lock. jrnlErrs counts failed appends (the update
-	// itself is already applied and acknowledged; durability, not
-	// correctness, is what degrades).
+	// under the write lock. jrnlErrs counts failed appends (commitLocked
+	// states what one means).
 	jrnl     *journal.Journal
 	jrnlErrs atomic.Uint64
 
-	// jbuf is the journal record encode buffer (filled at every append
-	// site) and jops the record decode buffer (replay and the replica
-	// apply loop), reused across records; both guarded by mu (write).
+	// jbuf is the journal record encode buffer (filled by commitLocked
+	// and the node and link commands) and jops the record decode buffer
+	// (replay and the replica apply loop), reused across records; both
+	// guarded by mu (write).
 	jbuf []byte
 	jops []core.BatchOp
 
@@ -737,9 +736,9 @@ const (
 )
 
 // readAndApplyBatch consumes the n lines of a "B <n>" request from the
-// connection, then applies them as one atomic batch under the write lock.
-// The lines are collected before the lock is taken so a slow client cannot
-// stall other connections mid-batch.
+// connection, parses them under the write lock and commits them as one
+// atomic update (commitLocked). The lines are collected before the lock
+// is taken so a slow client cannot stall other connections mid-batch.
 //
 // A bad batch header (missing, unparseable, or out-of-range size) is fatal
 // to the connection: the client has already committed to sending a body the
@@ -799,19 +798,10 @@ func (s *Server) readAndApplyBatch(fields []string, sc *lineReader) (resp string
 		}
 		ops = append(ops, op)
 	}
-	parseNs := time.Since(t0).Nanoseconds()
-	t0 = time.Now()
-	if err := s.net.ApplyBatch(ops, &s.delta, 0); err != nil {
+	loops, err := s.commitLocked(ops, stageInfo{parseNs: time.Since(t0).Nanoseconds(), lockNs: lockNs}, false)
+	if err != nil {
 		return "err " + err.Error(), false
 	}
-	loops := check.FindLoopsDeltaAuto(s.net, &s.delta, 0)
-	s.staged = stageInfo{valid: true, verb: verbBatch, parseNs: parseNs,
-		lockNs: lockNs, applyNs: time.Since(t0).Nanoseconds()}
-	s.mon.ApplyWithLoops(&s.delta, loops, true)
-	s.finishUpdateLocked()
-	// One journal record for the whole batch: replay re-applies it
-	// atomically through the same ApplyBatch path.
-	s.journalOpsLocked(ops...)
 	return s.updateResponse("ok batch n="+strconv.Itoa(count), loops), false
 }
 
@@ -837,11 +827,10 @@ func nextField(line string, i *int) (string, bool) {
 // scanRule scans a rule's six numbers — id, source node, link (-1 for
 // the drop link), lo, hi, priority — in place from line at *i, which
 // must end there. It serves the I line and the state file's rule line
-// (usage is the caller's arity message). Topology references are held
-// to the graph; id and priority to what a dnbin frame carries (ids in
-// 0..2⁶³-1, priorities in 0..2³¹-1), since an update the journal cannot
-// represent must not be applied. Callers hold at least the read lock.
-func (s *Server) scanRule(line string, i *int, usage string) (core.Rule, string) {
+// (usage is the caller's arity message). It only parses: a number is
+// refused when the rule's field cannot hold it, and what the numbers
+// refer to is checkOp's to judge.
+func scanRule(line string, i *int, usage string) (core.Rule, string) {
 	var nums [6]int64
 	for k := range nums {
 		f, ok := nextField(line, i)
@@ -857,53 +846,52 @@ func (s *Server) scanRule(line string, i *int, usage string) (core.Rule, string)
 	if _, extra := nextField(line, i); extra {
 		return core.Rule{}, usage
 	}
-	if nums[0] < 0 || nums[5] < 0 || nums[5] > math.MaxInt32 {
-		return core.Rule{}, "rule id or priority out of range"
-	}
-	if !s.validNode(int(nums[1])) {
-		return core.Rule{}, "unknown node id"
-	}
-	if nums[2] != -1 && (nums[2] < 0 || int(nums[2]) >= s.graph.NumLinks()) {
-		return core.Rule{}, "unknown link id"
-	}
-	return core.Rule{
+	r := core.Rule{
 		ID:       core.RuleID(nums[0]),
 		Source:   netgraph.NodeID(nums[1]),
 		Link:     netgraph.LinkID(nums[2]),
 		Match:    ipnet.Interval{Lo: uint64(nums[3]), Hi: uint64(nums[4])},
 		Priority: core.Priority(nums[5]),
-	}, ""
+	}
+	if int64(r.Source) != nums[1] || int64(r.Link) != nums[2] || int64(r.Priority) != nums[5] {
+		return core.Rule{}, "node id, link id or priority out of range"
+	}
+	return r, ""
 }
 
 // parseUpdateLine parses an I or R line of live line-protocol input
 // into a batch operation (journal replay and replicas decode frames
-// instead). Callers must hold at least the read lock.
+// instead). The op is validated here (checkOp), so a B batch's error
+// names the offending line; commitLocked holds whatever reaches it to
+// the same validator again. Callers must hold at least the read lock.
 func (s *Server) parseUpdateLine(line string) (core.BatchOp, string) {
 	i := 0
 	verb, _ := nextField(line, &i)
+	var op core.BatchOp
 	switch verb {
 	case "I":
-		r, errmsg := s.scanRule(line, &i, "usage: I <ruleID> <srcID> <linkID|-1> <lo> <hi> <prio>")
+		r, errmsg := scanRule(line, &i, "usage: I <ruleID> <srcID> <linkID|-1> <lo> <hi> <prio>")
 		if errmsg != "" {
 			return core.BatchOp{}, errmsg
 		}
-		return core.InsertOp(r), ""
+		op = core.InsertOp(r)
 	case "R":
 		f, ok := nextField(line, &i)
 		if !ok {
 			return core.BatchOp{}, "usage: R <ruleID>"
 		}
 		id, err := strconv.ParseInt(f, 10, 64)
-		if err != nil || id < 0 {
+		if err != nil {
 			return core.BatchOp{}, "bad rule id"
 		}
 		if _, extra := nextField(line, &i); extra {
 			return core.BatchOp{}, "usage: R <ruleID>"
 		}
-		return core.RemoveOp(core.RuleID(id)), ""
+		op = core.RemoveOp(core.RuleID(id))
 	default:
 		return core.BatchOp{}, "batch lines must be I or R, got " + verb
 	}
+	return op, checkOp(&op, s.graph.NumNodes(), s.graph.NumLinks())
 }
 
 // protocolCommands is the authoritative list of wire commands, sorted.
@@ -980,41 +968,17 @@ func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 			s.journalAppendLocked(binproto.AppendLink(s.jbuf[:0], netgraph.NodeID(src), netgraph.NodeID(dst)))
 		}
 		return fmt.Sprintf("ok link %d", id)
-	case "I":
+	case "I", "R":
 		t0 := time.Now()
 		op, errmsg := s.parseUpdateLine(line)
-		parseNs := time.Since(t0).Nanoseconds()
 		if errmsg != "" {
 			return "err " + errmsg
 		}
-		t0 = time.Now()
-		if err := s.net.InsertRuleInto(op.Rule, &s.delta); err != nil {
+		loops, err := s.commitLocked([]core.BatchOp{op}, stageInfo{parseNs: time.Since(t0).Nanoseconds(), lockNs: lockNs}, false)
+		if err != nil {
 			return "err " + err.Error()
 		}
-		loops := check.FindLoopsDelta(s.net, &s.delta)
-		s.staged = stageInfo{valid: true, verb: verbInsert, parseNs: parseNs,
-			lockNs: lockNs, applyNs: time.Since(t0).Nanoseconds()}
-		s.mon.ApplyWithLoops(&s.delta, loops, true)
-		s.finishUpdateLocked()
-		s.journalOpsLocked(op)
 		return s.updateResponse("ok", loops)
-	case "R":
-		t0 := time.Now()
-		op, errmsg := s.parseUpdateLine(line)
-		parseNs := time.Since(t0).Nanoseconds()
-		if errmsg != "" {
-			return "err " + errmsg
-		}
-		t0 = time.Now()
-		if err := s.net.RemoveRuleInto(op.Rule.ID, &s.delta); err != nil {
-			return "err " + err.Error()
-		}
-		s.staged = stageInfo{valid: true, verb: verbRemove, parseNs: parseNs,
-			lockNs: lockNs, applyNs: time.Since(t0).Nanoseconds()}
-		s.mon.Apply(&s.delta)
-		s.finishUpdateLocked()
-		s.journalOpsLocked(op)
-		return s.updateResponse("ok", nil)
 	case "reach":
 		if len(fields) != 3 {
 			return "err usage: reach <src> <dst> (id or name)"

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"deltanet/internal/binproto"
 	"deltanet/internal/bitset"
 	"deltanet/internal/check"
 	"deltanet/internal/core"
@@ -103,7 +104,88 @@ func TestProtocolSession(t *testing.T) {
 	}
 }
 
+// TestLoopReportedOverWire holds every entrance to the same answer for
+// the same update. An insertion that closes a cycle reports it; so does
+// the less obvious case, a removal: rule 3 (a->c) shadows rule 2 (a->b),
+// rule 1 sends b back to a, and removing rule 3 exposes the a->b->a
+// loop. Whichever way that removal arrives — line R, a one-line B, a
+// binary frame — the reply (where the entrance has one) names the loop,
+// a W loopfree watcher on the primary is sent the violation, and a
+// replica's own loopfree invariant turns violated.
 func TestLoopReportedOverWire(t *testing.T) {
+	entrances := []struct {
+		name  string
+		reply string // "" for the binary entrance, which acknowledges syncs, not ops
+		send  func(t *testing.T, c *client) string
+	}{
+		{"line R", "ok atoms=2 loops=1 loop 0:100",
+			func(t *testing.T, c *client) string { return c.roundTrip(t, "R 3") }},
+		{"B 1", "ok batch n=1 atoms=2 loops=1 loop 0:100",
+			func(t *testing.T, c *client) string { return c.sendBatch(t, []string{"R 3"}) }},
+		{"binary frame", "", func(t *testing.T, c *client) string {
+			if got := c.roundTrip(t, "dnbin 1"); got != "ok dnbin 1" {
+				t.Fatalf("handshake: %q", got)
+			}
+			frame := binproto.AppendSync(binproto.AppendOps(nil, []core.BatchOp{core.RemoveOp(3)}), 1)
+			if _, err := c.conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			if !c.r.Scan() || c.r.Text() != "ok sync 1 applied=1" {
+				t.Fatalf("sync: %q %v", c.r.Text(), c.r.Err())
+			}
+			return ""
+		}},
+	}
+	for _, e := range entrances {
+		t.Run(e.name, func(t *testing.T) {
+			primary, j, addr, stopPrimary := startJournaledPrimary(t, t.TempDir())
+			defer stopPrimary()
+			replica, replicaAddr, stopReplica := startReplica(t, addr)
+			defer stopReplica()
+			c, w, rc := dial(t, addr), dial(t, addr), dial(t, replicaAddr)
+			defer c.close()
+			defer w.close()
+			defer rc.close()
+			for _, req := range []string{"W loopfree", "watch"} {
+				if got := w.roundTrip(t, req); !strings.HasPrefix(got, "ok watch") {
+					t.Fatalf("%s: %q", req, got)
+				}
+			}
+			if !w.r.Scan() || !strings.HasPrefix(w.r.Text(), "status 0 holds loopfree") {
+				t.Fatalf("watch snapshot: %q", w.r.Text())
+			}
+			caughtUp := func() bool { return replica.replCursor.Load() == j.End() }
+			for _, req := range []string{"node a", "node b", "node c", "link 0 1", "link 1 0", "link 0 2",
+				"I 1 1 1 0 100 5", "I 3 0 2 0 100 9", "I 2 0 0 0 100 5"} {
+				if got := c.roundTrip(t, req); !strings.HasPrefix(got, "ok ") || strings.Contains(got, "loops=1") {
+					t.Fatalf("%s: %q", req, got)
+				}
+			}
+			// Registered once the replica streams (its first checkpoint
+			// anchor would sweep an earlier registration), and before the
+			// removal, so its verdict comes from the record's delta.
+			waitFor(t, caughtUp)
+			if got := rc.roundTrip(t, "W loopfree"); !strings.HasSuffix(got, " holds") {
+				t.Fatalf("replica W loopfree: %q", got)
+			}
+			if got := e.send(t, c); got != e.reply {
+				t.Fatalf("reply %q, want %q", got, e.reply)
+			}
+			if !w.r.Scan() || !strings.HasPrefix(w.r.Text(), "event 0 violation loopfree ") ||
+				!strings.HasSuffix(w.r.Text(), "-- 1 looping atom(s), e.g. [0:100) through 2 node(s)") {
+				t.Fatalf("primary watcher: %q %v", w.r.Text(), w.r.Err())
+			}
+			waitFor(t, caughtUp)
+			if got, want := stateOf(replica), stateOf(primary); got != want {
+				t.Fatalf("replica diverged:\n  replica %+v\n  primary %+v", got, want)
+			}
+			if got := rc.roundTrip(t, "W loopfree"); !strings.HasSuffix(got, " violated") {
+				t.Fatalf("replica verdict: %q", got)
+			}
+		})
+	}
+
+	// An insertion that closes a cycle is the plain case.
 	_, addr, cleanup := startServer(t)
 	defer cleanup()
 	c := dial(t, addr)

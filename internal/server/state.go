@@ -181,7 +181,11 @@ func (s *Server) LoadState(r io.Reader) error {
 		// and only the other records pay for a field slice.
 		i := 0
 		if key, _ := nextField(line, &i); key == "rule" {
-			rule, errmsg := s.scanRule(line, &i, "usage: rule <id> <srcID> <linkID> <lo> <hi> <prio>")
+			rule, errmsg := scanRule(line, &i, "usage: rule <id> <srcID> <linkID> <lo> <hi> <prio>")
+			if errmsg == "" {
+				op := core.InsertOp(rule)
+				errmsg = checkOp(&op, s.graph.NumNodes(), s.graph.NumLinks())
+			}
 			if errmsg != "" {
 				return bad(errmsg)
 			}
