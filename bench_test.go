@@ -532,18 +532,17 @@ func monitorChurnNodes(numInv int) int {
 
 // BenchmarkMonitorChurn is the incremental-monitor headline: per-update
 // cost of keeping 10²..10⁵ standing reachability invariants current under
-// churn. Six arms:
+// churn. Five arms (the pre-sharding flat-scan arm was retired with its
+// final rows recorded in CHANGES.md, PR 18):
 //
 //   - sharded: the dependency index at its default atom granularity —
-//     dirty marking intersects each changed link's per-invariant
+//     dirty marking intersects each changed link's per-subgoal
 //     atom-range sketches with the delta's touched atoms;
 //   - sharded-instrumented: sharded with a trace sink installed, pricing
 //     the per-update pipeline tracing (stage timestamps are only taken
 //     when a sink is set);
 //   - link-granular: the same index ignoring the sketches (SetLinkGranular)
 //     — any delta on a dep link re-evaluates, the pre-atom baseline;
-//   - flat-scan: the pre-sharding baseline, an O(registered) scan calling
-//     every invariant's dirty test per update;
 //   - burst-16: the sharded index plus coalescing burst mode flushing
 //     every 16 deltas — the throughput shape for heavy churn;
 //   - recheck-all: re-running every registered query from scratch per
@@ -553,8 +552,9 @@ func monitorChurnNodes(numInv int) int {
 // so sharded and link-granular should be nearly identical here (the
 // refinement must not cost anything when it cannot help); the
 // range-disjoint case where it wins is BenchmarkMonitorChurnLocality.
-// evals/update shows how many invariants each update actually
-// re-evaluated; updates/sec is the headline.
+// evals/update shows how many fixpoints (one per dirty source, however
+// many invariants read it) each update actually re-ran; updates/sec is
+// the headline.
 func BenchmarkMonitorChurn(b *testing.B) {
 	for _, numInv := range []int{100, 1000, 10_000, 100_000} {
 		numInv := numInv
@@ -586,7 +586,6 @@ func BenchmarkMonitorChurn(b *testing.B) {
 			m.SetTraceSink(func(monitor.ApplyTrace) {})
 		})
 		run("link-granular", func(m *monitor.Monitor) { m.SetLinkGranular(true) })
-		run("flat-scan", func(m *monitor.Monitor) { m.SetFlatScan(true) })
 		run("burst-16", func(m *monitor.Monitor) { m.SetBurst(monitor.BurstConfig{MaxDeltas: 16}) })
 		if numInv <= 1000 {
 			b.Run(fmt.Sprintf("invariants-%d/recheck-all", numInv), func(b *testing.B) {

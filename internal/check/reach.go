@@ -223,47 +223,6 @@ func ReachSummary(n *core.Network, from, avoid netgraph.NodeID, deps *bitset.Set
 	return reach, out
 }
 
-// MergeDepRanges combines two per-source dependency summaries into one,
-// as multi-source queries (isolation) need: a link relevant to several
-// sources keeps the union of the atoms relevant to each. Because an
-// omitted sketch on a dep link means "every atom relevant", omission is
-// contagious: a link either side depends on without a sketch has no
-// sketch in the merge. aDeps and bDeps are the link-level dependency
-// sets the summaries were built from (a nil a means "no prior summary":
-// b is returned as-is).
-func MergeDepRanges(a DepRanges, aDeps *bitset.Set, b DepRanges, bDeps *bitset.Set) DepRanges {
-	if a == nil {
-		return b
-	}
-	out := make(DepRanges, 0, len(a)+len(b))
-	var au, bu intervalmap.RangeSet
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i].Link < b[j].Link):
-			if !bDeps.Contains(int(a[i].Link)) {
-				out = append(out, a[i]) // b does not dep it; a's sketch stands
-			}
-			i++
-		case i >= len(a) || b[j].Link < a[i].Link:
-			if !aDeps.Contains(int(b[j].Link)) {
-				out = append(out, b[j])
-			}
-			j++
-		default: // both sketched: union
-			a[i].Sketch.ToRangeSet(&au)
-			b[j].Sketch.ToRangeSet(&bu)
-			au.UnionWith(&bu)
-			ls := LinkSketch{Link: a[i].Link}
-			ls.Sketch.SetFrom(&au)
-			out = append(out, ls)
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // AffectedByLinkFailure answers the paper's exemplar "what if" query
 // (§4.3.2): what is the fate of packets that are using a link that fails?
 // For Delta-net the affected packets are available in constant time as
@@ -335,23 +294,28 @@ type BlackHole struct {
 
 // BlackHoleAtoms returns the atoms some in-link delivers to v that v
 // neither forwards nor drops — v's black-hole traffic. The result is never
-// nil; an empty set means v handles everything it receives. Incremental
-// monitors re-evaluate this per candidate node instead of scanning every
-// node.
+// nil; an empty set means v handles everything it receives.
 func BlackHoleAtoms(n *core.Network, v netgraph.NodeID) *bitset.Set {
+	return BlackHoleAtomsInto(n, v, bitset.New(0))
+}
+
+// BlackHoleAtomsInto is BlackHoleAtoms computed into dst (overwritten and
+// returned), so incremental monitors re-checking a handful of candidate
+// nodes per delta reuse one set instead of allocating one per node.
+func BlackHoleAtomsInto(n *core.Network, v netgraph.NodeID, dst *bitset.Set) *bitset.Set {
 	g := n.Graph()
-	incoming := bitset.New(0)
+	dst.Clear()
 	for _, lid := range g.In(v) {
-		incoming.UnionWith(n.Label(lid))
+		dst.UnionWith(n.Label(lid))
 	}
-	if incoming.Empty() {
-		return incoming
+	if dst.Empty() {
+		return dst
 	}
 	// Subtract everything v forwards or drops.
 	for _, lid := range g.Out(v) {
-		incoming.DifferenceWith(n.Label(lid))
+		dst.DifferenceWith(n.Label(lid))
 	}
-	return incoming
+	return dst
 }
 
 // FindBlackHoles reports, for every node, the atoms that some in-link

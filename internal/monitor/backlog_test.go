@@ -42,7 +42,7 @@ func toggleFirstHop(t *testing.T, m *Monitor, n int) []Event {
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, m.Apply(&d)...)
+		all = append(all, apply(m, &d)...)
 	}
 	return all
 }

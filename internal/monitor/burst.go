@@ -8,7 +8,7 @@ import (
 
 // BurstConfig configures coalescing burst mode: under churn the monitor
 // merges consecutive deltas (core.Delta.Merge) and re-evaluates each
-// dirty invariant once per burst instead of once per update, trading
+// dirty subgoal once per burst instead of once per update, trading
 // event latency for throughput.
 //
 // A burst is flushed — its coalesced delta evaluated and the resulting
@@ -16,8 +16,8 @@ import (
 //
 //   - MaxDeltas ≥ 2: the burst has coalesced that many deltas, checked as
 //     each one arrives;
-//   - MaxAge > 0: an Apply (or an explicit Flush, e.g. from a periodic
-//     ticker) finds the oldest pending delta at least that old.
+//   - MaxAge > 0: an ApplyWithLoops (or an explicit Flush, e.g. from a
+//     periodic ticker) finds the oldest pending delta at least that old.
 //
 // The age trigger is evaluated inside monitor calls only — the monitor
 // never reads the network from a background goroutine, preserving the
@@ -25,7 +25,7 @@ import (
 // bound should call Flush on a timer of their own (the server's burst
 // knob does exactly this).
 //
-// The zero value disables bursting: every Apply evaluates immediately.
+// The zero value disables bursting: every update evaluates immediately.
 type BurstConfig struct {
 	MaxDeltas int
 	MaxAge    time.Duration
@@ -36,8 +36,9 @@ func (c BurstConfig) enabled() bool { return c.MaxDeltas >= 2 || c.MaxAge > 0 }
 // SetBurst installs a burst configuration (the zero value disables
 // bursting). Disabling or tightening the configuration does not evaluate
 // an already pending burst immediately: call Flush for that, or let the
-// next Apply absorb it (after a disable, Apply merges any leftover
-// buffered deltas into its own evaluation rather than ignore them).
+// next update absorb it (after a disable, ApplyWithLoops merges any
+// leftover buffered deltas into its own evaluation rather than ignore
+// them).
 func (m *Monitor) SetBurst(cfg BurstConfig) {
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
@@ -61,8 +62,8 @@ func (m *Monitor) Pending() int {
 
 // Flush evaluates the pending burst immediately, returning (and
 // publishing) the verdict transitions it causes. It is a no-op returning
-// nil when nothing is pending. Like Apply, Flush reads the network: the
-// caller must guarantee the network is not mutated during the call.
+// nil when nothing is pending. Like ApplyWithLoops, Flush reads the
+// network: the caller must guarantee it is not mutated during the call.
 func (m *Monitor) Flush() []Event {
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
@@ -108,11 +109,7 @@ func (m *Monitor) flushLocked() []Event {
 		// window; a LoopFree invariant re-derives loops from the coalesced
 		// delta (loopsKnown=false), which is complete by the §4.3.1
 		// argument applied to the merged delta, as in the batch pipeline.
-		tr := m.beginTraceLocked(first, last, m.pendingCount, &m.pending, m.pendingChanged)
-		cands, rangeSkipped := m.collectDirty(m.pendingChanged, &m.pending)
-		m.traceDirtyLocked(tr, len(cands), rangeSkipped)
-		events = m.evaluatePass(cands, &applyCtx{d: &m.pending, rescans: &m.loopRescans}, first, last, tr)
-		m.finishTraceLocked(tr)
+		events = m.deltaPassLocked(m.pendingChanged, &applyCtx{d: &m.pending, rescans: &m.loopRescans}, first, last, m.pendingCount)
 	}
 	m.resetPendingLocked()
 	return events

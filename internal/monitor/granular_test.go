@@ -73,7 +73,7 @@ func (f *trunkFixture) detour(t *testing.T, j int, on bool, monitors ...*Monitor
 		t.Fatal(err)
 	}
 	for _, m := range monitors {
-		m.Apply(&d)
+		apply(m, &d)
 	}
 }
 
@@ -214,7 +214,7 @@ func TestRangeSketchSplitStability(t *testing.T) {
 	if len(d.NewAtoms) == 0 {
 		t.Fatal("expected the insertion to split atoms")
 	}
-	m.Apply(&d)
+	apply(m, &d)
 
 	if got, _, _ := m.Status(id); got != Violated {
 		t.Fatalf("split-minted atom bypassed the waypoint but invariant reports %v "+
@@ -255,7 +255,7 @@ func TestRangeSketchGCRecycleStability(t *testing.T) {
 	if f.net.Merges() == 0 {
 		t.Fatal("expected GC to merge atoms")
 	}
-	m.Apply(&d)
+	apply(m, &d)
 
 	// ...so the bypass rule's split reuses a recycled id for [1000,2000).
 	maxBefore := f.net.MaxAtomID()
@@ -267,7 +267,7 @@ func TestRangeSketchGCRecycleStability(t *testing.T) {
 	if f.net.MaxAtomID() != maxBefore {
 		t.Fatal("expected the split to recycle freed atom ids, not mint new ones")
 	}
-	m.Apply(&d)
+	apply(m, &d)
 
 	if got, _, _ := m.Status(id); got != Violated {
 		t.Fatalf("recycled atom bypassed the waypoint but invariant reports %v "+

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -18,26 +19,27 @@ import (
 const indexShards = 16
 
 // depIndex is the monitor's sharded dependency index: for every link, the
-// set of invariant slots whose last evaluation depended on it, refined —
+// set of subgoal slots whose last evaluation depended on it, refined —
 // where the evaluation recorded one — by a per-slot atom-range sketch of
 // which atoms on that link actually mattered. Dirty marking on an update
 // is then one bitmap union per changed link (link granularity), or a
 // per-slot sketch intersection against the delta's touched atom ranges
-// (atom granularity): an invariant whose recorded ranges are disjoint
+// (atom granularity): a subgoal whose recorded ranges are disjoint
 // from the delta's atoms on every shared link is skipped entirely, which
 // is the paper's work-proportional-to-affected-atoms property carried
 // through to standing invariants. The sharded, partitioned-state layout
-// (NFork's lesson applied to the monitor) is what makes 10⁵ standing
-// invariants affordable; the sketches stay shard-local, so the
+// (NFork's lesson applied to the monitor) keeps dirty marking cheap at
+// 10⁵ slots (the invariants themselves share far fewer — one per
+// source); the sketches stay shard-local, so the
 // refinement adds no new cross-shard contention.
 //
-// Links born after an invariant's last evaluation must conservatively
+// Links born after a subgoal's last evaluation must conservatively
 // dirty it (a new out-link can extend reachability the old evaluation
 // never saw). The index realizes that rule structurally: when it grows to
 // cover new links, each new link's bitmap is seeded with every currently
-// dep-tracked slot ("born dirty") and no sketch, and an invariant's next
+// dep-tracked slot ("born dirty") and no sketch, and a subgoal's next
 // evaluation clears the seeds its fresh dependency set does not confirm.
-// Symmetrically, atoms born after an invariant's evaluation (split-minted
+// Symmetrically, atoms born after a subgoal's evaluation (split-minted
 // or GC-recycled ids) are conservative hits: every sketch carries the
 // atom allocation stamp of its evaluation, and a delta whose newest
 // touched atom is younger bypasses the sketch intersection.
@@ -109,9 +111,8 @@ func (ix *depIndex) growTo(numLinks int, seed *bitset.Set) {
 
 // collect unions into dirty the slot bitmaps of every changed link,
 // ignoring the atom-range sketches — the link-granular path (the
-// SetLinkGranular ablation, and the fallback when no delta ranges are
-// available). Links ≥ upTo are ignored; callers growTo first, so none
-// exist by the time a delta naming them is applied.
+// SetLinkGranular ablation). Links ≥ upTo are ignored; callers growTo
+// first, so none exist by the time a delta naming them is applied.
 func (ix *depIndex) collect(changed, dirty *bitset.Set) {
 	changed.ForEach(func(l int) bool {
 		sh := &ix.shards[l%indexShards]
@@ -203,7 +204,7 @@ func (ix *depIndex) clear(link, slot int) {
 	sh.mu.Unlock()
 }
 
-// insert indexes a slot's freshly recorded dependency set (deps non-nil):
+// insert indexes a slot's freshly recorded dependency set:
 // one bit per dep link, refined by the evaluation's atom-range sketches
 // where it recorded one (ranges may be nil or partial; missing links get
 // bits without sketches, i.e. every atom relevant). Both deps iteration
@@ -229,8 +230,7 @@ func (ix *depIndex) insert(slot int, deps *bitset.Set, ranges check.DepRanges, a
 // oldRanges/oldAtomSeq are the dependency set, link count, sketches, and
 // atom stamp of the previous evaluation (the slot's bits live in oldDeps
 // plus the born-dirty range [oldUpTo, upTo)); newDeps/newRanges/atomSeq
-// describe the fresh one. A nil set means "not dep-tracked" on that
-// side.
+// describe the fresh one.
 //
 // The steady-state fast path: when the link set, the sketches, and the
 // atom allocation counter are all unchanged since the previous
@@ -243,43 +243,23 @@ func (ix *depIndex) insert(slot int, deps *bitset.Set, ranges check.DepRanges, a
 func (ix *depIndex) update(slot int, oldDeps *bitset.Set, oldUpTo int, oldRanges check.DepRanges, oldAtomSeq int64,
 	newDeps *bitset.Set, newRanges check.DepRanges, atomSeq int64) {
 	upTo := int(ix.upTo.Load())
-	if oldDeps != nil && newDeps != nil && oldUpTo >= upTo &&
-		oldAtomSeq == atomSeq && oldDeps.Equal(newDeps) && depRangesEqual(oldRanges, newRanges) {
+	if oldUpTo >= upTo && oldAtomSeq == atomSeq && oldDeps.Equal(newDeps) && slices.Equal(oldRanges, newRanges) {
 		return
 	}
-	in := func(s *bitset.Set, l int) bool { return s != nil && s.Contains(l) }
 	// Clear stale bits: previous deps and born-dirty seeds the new
 	// evaluation did not confirm.
-	if oldDeps != nil {
-		oldDeps.ForEach(func(l int) bool {
-			if !in(newDeps, l) {
-				ix.clear(l, slot)
-			}
-			return true
-		})
-		for l := oldUpTo; l < upTo; l++ {
-			if !in(newDeps, l) {
-				ix.clear(l, slot)
-			}
+	oldDeps.ForEach(func(l int) bool {
+		if !newDeps.Contains(l) {
+			ix.clear(l, slot)
+		}
+		return true
+	})
+	for l := oldUpTo; l < upTo; l++ {
+		if !newDeps.Contains(l) {
+			ix.clear(l, slot)
 		}
 	}
-	if newDeps != nil {
-		ix.insert(slot, newDeps, newRanges, atomSeq)
-	}
-}
-
-// depRangesEqual reports whether two summaries are identical (entries
-// are pointer-free comparable values).
-func depRangesEqual(a, b check.DepRanges) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	ix.insert(slot, newDeps, newRanges, atomSeq)
 }
 
 // shardPops returns each shard's total bit population (the sum over the
@@ -319,7 +299,7 @@ func (ix *depIndex) removeSlot(slot int, deps *bitset.Set, depsUpTo int) {
 }
 
 // linkDeps unions into dst the slot bitmap of one link (no sketch
-// refinement — the caller wants "could any invariant care about this
+// refinement — the caller wants "could any subgoal care about this
 // link", the coarse signal the ingest coalescer's adaptive flush
 // trigger keys on). Links the index does not cover yet contribute
 // nothing.

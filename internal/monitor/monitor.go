@@ -3,29 +3,35 @@
 // loop freedom, black-hole freedom) and the monitor keeps each one's
 // verdict current as rule updates stream through the engine.
 //
-// The whole point of Delta-net (paper §3.3) is that every rule update
-// yields a delta-graph, so invariants should be re-checked from that
-// delta rather than recomputed from scratch. The monitor realizes this
-// for arbitrary standing queries with a sharded dependency index: each
-// evaluation records the set of links it examined — refined by per-link
-// atom-range sketches of which atoms on each link actually mattered —
-// the index maps every link to the bitmap of invariants depending on it
-// (with the sketches hanging off the same slots), and an update dirties
-// exactly the invariants whose sketches intersect the delta's touched
-// atoms on some changed link — work proportional to the atoms the change
-// actually affects, not to how many invariants ever traversed the link
-// (plus the structurally-global checks, which re-evaluate incrementally
-// from the delta itself). Atoms born after an invariant's evaluation
-// (split-minted or GC-recycled ids) conservatively dirty it, so the
-// sketches stay sound under atom split/merge churn; SetLinkGranular
-// restores pure link-level dirtiness as the ablation baseline.
-// Re-evaluations fan out over per-worker queues (check.RunSharded), and
-// verdict transitions are emitted as Violation/Cleared events to
-// subscribers.
+// The whole point of Delta-net (paper §3.3) is that forwarding behaviour
+// is shared and every rule update yields a delta-graph, so invariants
+// should share what they compute and be re-checked from that delta
+// rather than recomputed from scratch. The monitor realizes both. The
+// unit of evaluation is not the invariant but the subgoal — one
+// single-source fixpoint per (source, avoided node) pair, refcounted by
+// the reach/waypoint/isolated invariants that read their verdicts off
+// its retained answer (subgoal.go) — so a 16 × 16 `reach` battery is 16
+// fixpoints, not 256. Each subgoal evaluation records the set of links
+// it examined, refined by per-link atom-range sketches of which atoms
+// on each link actually mattered; the sharded dependency index maps
+// every link to the bitmap of subgoals depending on it (with the
+// sketches hanging off the same slots), and an update dirties exactly
+// the subgoals whose sketches intersect the delta's touched atoms on
+// some changed link — work proportional to the atoms the change
+// actually affects (plus the structurally-global checks, LoopFree and
+// BlackHoleFree, which re-evaluate incrementally from the delta
+// itself). Atoms born after a subgoal's evaluation (split-minted or
+// GC-recycled ids) conservatively dirty it, so the sketches stay sound
+// under atom split/merge churn; SetLinkGranular restores pure
+// link-level dirtiness as the ablation baseline. Re-evaluations fan out
+// over per-worker queues (check.RunSharded); afterwards every consumer
+// of a re-evaluated subgoal re-reads its verdict, and transitions are
+// emitted as Violation/Cleared events to subscribers in invariant-id
+// order.
 //
 // Under heavy churn the monitor can additionally coalesce updates: with a
 // burst configuration set (SetBurst), consecutive deltas are merged
-// (core.Delta.Merge) and each dirty invariant is re-evaluated once per
+// (core.Delta.Merge) and each dirty subgoal is re-evaluated once per
 // burst rather than once per update, trading event latency for
 // throughput. See BurstConfig.
 //
@@ -33,14 +39,15 @@
 // goroutines, but the monitor only reads the network — the caller must
 // guarantee the network is not mutated during a call (the Checker's
 // single-writer discipline and the server's RWMutex both do).
-// Registration and unregistration take striped and per-invariant locks
-// only, so they do not stall a concurrent Apply's evaluation pass.
+// Registration and unregistration take striped, per-invariant and
+// per-subgoal locks only, so they do not stall a concurrent evaluation
+// pass.
 package monitor
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,43 +114,85 @@ func (e Event) String() string {
 	return fmt.Sprintf("event %d %s %s", e.ID, e.Kind, e.Spec)
 }
 
-// invariant pairs a registered spec with its cached monitor state.
+// invariant pairs a registered spec with its cached verdict.
 type invariant struct {
 	id   ID
-	slot int // dense bitmap index; reused after final unregistration
 	spec Spec
 	key  string // canonical dedup key (specKey)
+
+	// Exactly one of the two is in use: a derived invariant reads subs
+	// (the live subgoals for spec.subgoals(), in that order; immutable
+	// after Register), a global one evaluates itself into gst.
+	derived derivedSpec
+	subs    []*subgoal
+	global  globalSpec
 
 	// refs counts live registrations of this spec (guarded by m.regMu):
 	// re-registering an identical spec returns the same invariant with
 	// refs incremented, and only the final Unregister removes it.
 	refs int
 
-	// mu guards st and dead. Held during every evaluation of this
-	// invariant, so Status and the dedup path in Register observe fully
-	// evaluated state.
+	// mu guards everything below. Held from before the invariant is
+	// published until its first verdict is settled, and during every
+	// global evaluation, so Status and the dedup path in Register observe
+	// fully evaluated state.
 	//
 	//deltanet:lockrank 20
-	mu   sync.Mutex
-	dead bool
-	st   state
+	mu     sync.Mutex
+	dead   bool
+	status Status
+	detail string // never empty once settled
+	answer answer // derived: what detail was rendered from
+	gst    globalState
 }
 
-// Stats summarizes a monitor's work so far.
+// settle brings the published verdict up to date with what the
+// invariant's subgoals (or its own last global evaluation) now say, and
+// reports whether the status moved. Caller holds inv.mu.
+func (inv *invariant) settle() bool {
+	was := inv.status
+	violated := inv.gst.verdict.violated
+	if inv.global != nil {
+		inv.detail = inv.gst.verdict.detail
+	} else {
+		a := inv.derived.derive(inv.subs)
+		if a != inv.answer || inv.detail == "" {
+			inv.answer, inv.detail = a, inv.derived.describe(a)
+		}
+		violated = a.violated
+	}
+	inv.status = Holds
+	if violated {
+		inv.status = Violated
+	}
+	return inv.status != was
+}
+
+// Stats summarizes a monitor's work so far. Registered counts
+// invariants; the work counters count fixpoints — one per subgoal or
+// global invariant (LoopFree, BlackHoleFree) — because that is what the
+// monitor evaluates, skips and indexes.
 type Stats struct {
 	// Registered is the current number of standing invariants (distinct;
 	// refcounted re-registrations do not add).
 	Registered int
-	// Updates counts deltas consumed by Apply.
+	// Subgoals is the current number of live subgoals: the denominator
+	// (with the registered global invariants) of Evaluations and Skips
+	// per update, and the number of slots IndexShardBits is spread over.
+	Subgoals int
+	// Updates counts deltas consumed by ApplyWithLoops.
 	Updates uint64
-	// Evaluations counts invariant re-evaluations triggered by deltas
-	// (registration-time and RecheckAll evaluations excluded).
+	// Evaluations counts subgoal and global re-evaluations triggered by
+	// deltas (registration-time and RecheckAll evaluations excluded).
 	Evaluations uint64
-	// Skips counts invariants left untouched by a delta because their
-	// dependency set did not intersect the changed labels — the
+	// Fixpoints counts every subgoal fixpoint ever run, registration-time
+	// and RecheckAll ones included; a Register on a live subgoal adds none.
+	Fixpoints uint64
+	// Skips counts subgoals and globals left untouched by a delta because
+	// their dependency set did not intersect the changed labels — the
 	// incremental win.
 	Skips uint64
-	// RangeSkips counts the subset of skipped invariants that WOULD have
+	// RangeSkips counts the subset of skipped subgoals that WOULD have
 	// been dirtied at link granularity: their dependency set intersected
 	// the changed links, but on every shared link the recorded atom-range
 	// sketch was disjoint from the delta's touched atoms — the
@@ -165,7 +214,7 @@ type Stats struct {
 	LoopRescanAtoms uint64
 	// IndexShardBits is the dependency index's per-shard bit population:
 	// for each of the index's link shards, the total number of
-	// (link, invariant-slot) dependency bits it holds. A shard whose
+	// (link, subgoal-slot) dependency bits it holds. A shard whose
 	// population dwarfs the others means one hot link's bitmap dominates
 	// dirty-marking cost — the signal that the link is a candidate for
 	// splitting by atom range.
@@ -183,18 +232,25 @@ type regStripe struct {
 	invs map[ID]*invariant
 }
 
+// unit is one fixpoint an evaluation pass may run: a subgoal or a global
+// invariant (exactly one is set).
+type unit struct {
+	sg  *subgoal
+	inv *invariant
+}
+
 // Monitor maintains standing invariants over one network.
 //
-// Lock ordering (outer first): applyMu → inv.mu → regMu → index locks →
-// eventMu. Stripe mutexes are acquired under inv.mu or on their own,
-// never the reverse; inv.mu is never acquired while holding regMu, a
-// stripe mutex, or eventMu.
+// Lock ordering (outer first): applyMu → inv.mu → subgoal.mu → regMu →
+// stripe mutexes → index locks → eventMu. inv.mu and subgoal.mu are
+// never acquired while holding regMu, a stripe mutex, or eventMu, and no
+// two of either kind are held at once.
 type Monitor struct {
 	net     *core.Network
 	workers int
 
-	// applyMu serializes evaluation passes (Apply, Flush, RecheckAll) and
-	// guards the burst state below it.
+	// applyMu serializes evaluation passes (ApplyWithLoops, Flush,
+	// RecheckAll) and guards the burst state below it.
 	//
 	//deltanet:lockrank 10
 	applyMu        sync.Mutex
@@ -207,13 +263,14 @@ type Monitor struct {
 	pendingSince   time.Time
 
 	// Per-pass scratch, reused across evaluation passes under applyMu so
-	// steady-state churn allocates nothing for dirty marking (at 10⁵
-	// slots a fresh dirty bitmap alone is ~12KB per update).
+	// steady-state churn allocates nothing for dirty marking, the unit
+	// list, or settling.
 	scratchChanged *bitset.Set
 	scratchDirty   *bitset.Set
 	scratchCand    *bitset.Set
 	scratchRanges  core.DeltaRanges
-	scratchOuts    []evalOutcome
+	scratchUnits   []unit
+	scratchInvs    []*invariant
 
 	// evalScratch holds one check.Scratch per evaluation worker, reused
 	// across passes under applyMu: RunSharded gives each worker a stable
@@ -223,28 +280,26 @@ type Monitor struct {
 	// applyMu and draw from the check package's pool instead.)
 	evalScratch []*check.Scratch
 
-	// regMu guards the structural registration state: the dedup map, the
-	// slot table, and the slot classification bitmaps. It is never held
-	// during an evaluation.
+	// regMu guards the structural registration state: the dedup maps, the
+	// subgoal slot table and its classification bitmaps, every subgoal's
+	// consumer list, and the global list. It is never held during an
+	// evaluation.
 	//
 	//deltanet:lockrank 30
-	regMu       sync.RWMutex
-	byKey       map[string]*invariant
-	slots       []*invariant // slot -> invariant; nil = free
-	freeSlots   *bitset.Set
-	depSlots    *bitset.Set // slots whose last evaluation recorded a deps set
-	globalSlots *bitset.Set // slots with structural (delta-driven) dirtiness
+	regMu     sync.RWMutex
+	byKey     map[string]*invariant
+	bySub     map[subKey]*subgoal
+	slots     []*subgoal // slot -> subgoal; nil = free or retiring
+	freeSlots *bitset.Set
+	depSlots  *bitset.Set  // slots of evaluated, live subgoals
+	globals   []*invariant // LoopFree/BlackHoleFree invariants, by id
 
 	stripes [regStripes]regStripe
 	nextID  atomic.Int64
 	regd    atomic.Int64 // current number of registered invariants
+	units   atomic.Int64 // current number of live subgoals + globals
 
 	index depIndex
-
-	// flatScan, when set, bypasses the dependency index and marks dirty
-	// invariants with the pre-sharding O(registered) scan — the ablation
-	// baseline the benchmarks compare the index against.
-	flatScan atomic.Bool
 
 	// linkGranular, when set, ignores the per-link atom-range sketches
 	// and dirties at link granularity (any delta on a dep link
@@ -264,7 +319,7 @@ type Monitor struct {
 	backlogHead int
 	backlogLen  int
 
-	evals, skips, rangeSkips, events, bursts, coalesced atomic.Uint64
+	evals, fixpoints, skips, rangeSkips, events, bursts, coalesced atomic.Uint64
 
 	// loopRescans counts atoms re-walked by LoopFree's violated-state
 	// candidate re-scan (spec.go) — the work the batch-aware clearing
@@ -283,9 +338,9 @@ func New(net *core.Network, workers int) *Monitor {
 		net:            net,
 		workers:        workers,
 		byKey:          map[string]*invariant{},
+		bySub:          map[subKey]*subgoal{},
 		freeSlots:      bitset.New(0),
 		depSlots:       bitset.New(0),
-		globalSlots:    bitset.New(0),
 		pendingChanged: bitset.New(0),
 		scratchChanged: bitset.New(0),
 		scratchDirty:   bitset.New(0),
@@ -301,29 +356,27 @@ func New(net *core.Network, workers int) *Monitor {
 
 func (m *Monitor) stripe(id ID) *regStripe { return &m.stripes[uint64(id)%regStripes] }
 
-// SetFlatScan toggles the pre-sharding dirty-marking path (a full scan
-// calling every invariant's dirty test) in place of the dependency
-// index. It exists as the ablation baseline for benchmarks and
-// equivalence tests; production callers should leave it off.
-func (m *Monitor) SetFlatScan(on bool) { m.flatScan.Store(on) }
-
 // SetLinkGranular toggles link-granular dirtiness: the dependency index
 // is still used, but the per-link atom-range sketches are ignored, so
-// any delta on a dep link re-evaluates the invariant even when it only
-// moves atoms the verdict never looked at — the pre-atom-granularity
+// any delta on a dep link re-evaluates the subgoal even when it only
+// moves atoms the answer never looked at — the pre-atom-granularity
 // behavior. It exists as the ablation baseline for benchmarks and
 // equivalence tests; production callers should leave it off.
 func (m *Monitor) SetLinkGranular(on bool) { m.linkGranular.Store(on) }
 
-// Register adds a standing invariant, evaluates it immediately, and
-// returns its id and initial status. Registration emits no event: events
-// are transitions, and a fresh invariant has nothing to transition from.
+// Register adds a standing invariant, settles its verdict, and returns
+// its id and initial status. Registration emits no event: events are
+// transitions, and a fresh invariant has nothing to transition from.
 //
 // Registrations are refcounted by spec: registering a spec identical to a
 // live one returns the existing id (and its current status) and adds a
 // reference, so flapping clients re-registering the same watch cannot
 // grow the monitor without bound. Each Register must be balanced by one
 // Unregister.
+//
+// A derived spec runs a fixpoint only for those of its subgoals no live
+// invariant already reads: the 256th `reach` of a 16 × 16 battery
+// attaches to its source's subgoal and reads the retained answer.
 func (m *Monitor) Register(s Spec) (ID, Status) {
 	k := specKey(s)
 	m.regMu.Lock()
@@ -332,24 +385,27 @@ func (m *Monitor) Register(s Spec) (ID, Status) {
 		m.regMu.Unlock()
 		// Wait out a concurrent initial evaluation, then read the verdict.
 		inv.mu.Lock()
-		st := inv.st.status
+		st := inv.status
 		inv.mu.Unlock()
 		return inv.id, st
 	}
-	inv := &invariant{
-		id:   ID(m.nextID.Add(1) - 1),
-		slot: m.allocSlotLocked(),
-		spec: s,
-		key:  k,
-		refs: 1,
-	}
+	inv := &invariant{id: ID(m.nextID.Add(1) - 1), spec: s, key: k, refs: 1}
 	// Taking inv.mu under regMu inverts the documented order, but inv is
 	// not yet published: no other goroutine can hold or wait on its mutex,
 	// so the acquisition cannot contend, let alone deadlock.
 	//deltanet:nolint lockorder inv is unpublished; the lock is uncontended by construction
 	inv.mu.Lock()
 	m.byKey[k] = inv
-	m.slots[inv.slot] = inv
+	if g, ok := s.(globalSpec); ok {
+		inv.global = g
+		m.globals = append(m.globals, inv) // ids ascend under regMu: stays sorted
+		m.units.Add(1)
+	} else {
+		inv.derived = s.(derivedSpec)
+		for _, key := range s.subgoals() {
+			inv.subs = append(inv.subs, m.acquireLocked(key, inv))
+		}
+	}
 	m.regMu.Unlock()
 	m.regd.Add(1)
 
@@ -358,34 +414,30 @@ func (m *Monitor) Register(s Spec) (ID, Status) {
 	str.invs[inv.id] = inv
 	str.mu.Unlock()
 
-	// The expensive part — the initial evaluation — runs under inv.mu
-	// only, so it stalls neither Apply's evaluation pass nor other
-	// registrations.
+	// The expensive part — a fixpoint per subgoal nobody evaluated yet, or
+	// the global scan — runs under inv.mu and the subgoal's own mutex
+	// only, so it stalls neither an evaluation pass nor registrations on
+	// other subgoals. A subgoal another registrant is evaluating right now
+	// is waited for, not recomputed.
 	sc := check.GetScratch()
-	v := inv.spec.eval(m.net, nil, &inv.st, sc)
+	if inv.global != nil {
+		inv.gst.verdict = inv.global.eval(m.net, nil, &inv.gst, sc)
+	}
+	for _, sg := range inv.subs {
+		sg.mu.Lock()
+		if sg.deps == nil {
+			m.evalSubgoalLocked(sg, sc)
+		}
+		sg.mu.Unlock()
+	}
 	check.PutScratch(sc)
-	inv.st.status = statusOf(v)
-	inv.st.detail = v.detail
-	numLinks := m.net.Graph().NumLinks()
-	inv.st.linksAtEval = numLinks
-
-	m.regMu.Lock()
-	m.index.growTo(numLinks, m.depSlots)
-	if inv.st.deps != nil {
-		m.depSlots.Add(inv.slot)
-	} else {
-		m.globalSlots.Add(inv.slot)
-	}
-	m.regMu.Unlock()
-	if inv.st.deps != nil {
-		m.index.insert(inv.slot, inv.st.deps, inv.st.ranges, inv.st.atomSeq)
-	}
-	st := inv.st.status
+	inv.settle()
+	st := inv.status
 	inv.mu.Unlock()
 	return inv.id, st
 }
 
-// allocSlotLocked returns a free slot number. Caller holds regMu.
+// allocSlotLocked returns a free subgoal slot number. Caller holds regMu.
 func (m *Monitor) allocSlotLocked() int {
 	if s := m.freeSlots.NextSet(0); s >= 0 {
 		m.freeSlots.Remove(s)
@@ -396,8 +448,9 @@ func (m *Monitor) allocSlotLocked() int {
 }
 
 // Unregister releases one reference to an invariant; the registration is
-// removed when the last reference goes. It reports whether the id was
-// registered.
+// removed when the last reference goes — and with it every subgoal it
+// was the last consumer of, index bits included. It reports whether the
+// id was registered.
 func (m *Monitor) Unregister(id ID) bool {
 	str := m.stripe(id)
 	str.mu.RLock()
@@ -421,17 +474,21 @@ func (m *Monitor) Unregister(id ID) bool {
 	}
 	inv.dead = true
 	delete(m.byKey, inv.key)
-	m.slots[inv.slot] = nil
-	m.depSlots.Remove(inv.slot)
-	m.globalSlots.Remove(inv.slot)
-	// Erase the slot's index bits BEFORE freeSlots republishes the slot
-	// number: a concurrent Register reusing it must not have its fresh
-	// bits wiped by this removal. Safe against a concurrent evaluation
-	// pass: evaluations hold inv.mu, so none is in flight on this
-	// invariant, and later ones see dead and skip.
-	m.index.removeSlot(inv.slot, inv.st.deps, inv.st.linksAtEval)
-	m.freeSlots.Add(inv.slot)
+	var orphans []*subgoal
+	if inv.global != nil {
+		i := slices.Index(m.globals, inv)
+		m.globals = slices.Delete(m.globals, i, i+1)
+		m.units.Add(-1)
+	}
+	for _, sg := range inv.subs {
+		if m.releaseLocked(sg, inv) {
+			orphans = append(orphans, sg)
+		}
+	}
 	m.regMu.Unlock()
+	for _, sg := range orphans {
+		m.retire(sg)
+	}
 	m.regd.Add(-1)
 	str.mu.Lock()
 	delete(str.invs, id)
@@ -454,7 +511,7 @@ func (m *Monitor) Status(id ID) (Status, string, bool) {
 	if inv.dead {
 		return 0, "", false
 	}
-	return inv.st.status, inv.st.detail, true
+	return inv.status, inv.detail, true
 }
 
 // InvariantInfo describes one registered invariant and its cached
@@ -475,7 +532,7 @@ func (m *Monitor) Invariants() []InvariantInfo {
 	for _, inv := range invs {
 		inv.mu.Lock()
 		if !inv.dead {
-			out = append(out, InvariantInfo{ID: inv.id, Spec: inv.spec, Status: inv.st.status, Detail: inv.st.detail})
+			out = append(out, InvariantInfo{ID: inv.id, Spec: inv.spec, Status: inv.status, Detail: inv.detail})
 		}
 		inv.mu.Unlock()
 	}
@@ -485,12 +542,14 @@ func (m *Monitor) Invariants() []InvariantInfo {
 // NumRegistered returns the current number of standing invariants.
 func (m *Monitor) NumRegistered() int { return int(m.regd.Load()) }
 
-// LinkDepsInto unions into dst the slots of invariants whose last
-// evaluation depended on link. It is the coarse "would this op dirty an
-// invariant someone else already dirtied" signal the ingest coalescer's
+// LinkDepsInto unions into dst the slots of subgoals whose last
+// evaluation depended on link. It is the coarse "would this op dirty a
+// fixpoint someone else already dirtied" signal the ingest coalescer's
 // adaptive flush trigger keys on; links the index does not cover yet
 // contribute nothing.
 func (m *Monitor) LinkDepsInto(link int, dst *bitset.Set) { m.index.linkDeps(link, dst) }
+
+func byID(a, b *invariant) int { return int(a.id - b.id) }
 
 // sortedByID gathers every registered invariant from the stripes, sorted
 // by id — which is registration order, since ids are assigned
@@ -505,7 +564,7 @@ func (m *Monitor) sortedByID() []*invariant {
 		}
 		str.mu.RUnlock()
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
+	slices.SortFunc(all, byID)
 	return all
 }
 
@@ -514,10 +573,15 @@ func (m *Monitor) Stats() Stats {
 	m.applyMu.Lock()
 	upd, pending := m.updSeq, m.pendingCount
 	m.applyMu.Unlock()
+	m.regMu.RLock()
+	subgoals := len(m.bySub)
+	m.regMu.RUnlock()
 	return Stats{
 		Registered:      m.NumRegistered(),
+		Subgoals:        subgoals,
 		Updates:         upd,
 		Evaluations:     m.evals.Load(),
+		Fixpoints:       m.fixpoints.Load(),
 		Skips:           m.skips.Load(),
 		RangeSkips:      m.rangeSkips.Load(),
 		Events:          m.events.Load(),
@@ -529,25 +593,24 @@ func (m *Monitor) Stats() Stats {
 	}
 }
 
-// Apply consumes one update's delta-graph: invariants whose dependency
-// sets intersect the changed labels are re-evaluated (fanned out over the
-// per-worker queues) and verdict transitions are returned in registration
-// order and published to subscribers. Call it after every InsertRule,
-// RemoveRule, or ApplyBatch, before the delta is reused.
+// ApplyWithLoops consumes one update's delta-graph: subgoals whose
+// dependency records intersect the changed labels (and global invariants
+// the delta can affect) are re-evaluated, fanned out over the per-worker
+// queues; every invariant reading one of them re-derives its verdict;
+// and the transitions are returned in registration order and published
+// to subscribers. Call it after every InsertRule, RemoveRule, or
+// ApplyBatch, before the delta is reused.
+//
+// When loopsKnown is true, loops is taken as the per-update delta loop
+// check's authoritative result for d (it may be empty) and a registered
+// LoopFree invariant reuses it instead of re-walking the delta.
 //
 // In burst mode (SetBurst) the delta is usually only merged into the
-// pending burst and Apply returns nil; when the merge trips the flush
+// pending burst and nil returned; when the merge trips the flush
 // trigger, the coalesced delta is evaluated and those events returned.
-func (m *Monitor) Apply(d *core.Delta) []Event {
-	return m.ApplyWithLoops(d, nil, false)
-}
-
-// ApplyWithLoops is Apply for callers that already ran the per-update
-// delta loop check: when loopsKnown is true, loops is taken as that
-// check's authoritative result for d (it may be empty) and a registered
-// LoopFree invariant reuses it instead of re-walking the delta. In burst
-// mode the hint is dropped — a per-update result is stale for a merged
-// burst — and the flush re-derives loops from the coalesced delta.
+// The loop hint is dropped there — a per-update result is stale for a
+// merged burst — and the flush re-derives loops from the coalesced
+// delta.
 func (m *Monitor) ApplyWithLoops(d *core.Delta, loops []check.Loop, loopsKnown bool) []Event {
 	if d == nil || d.Empty() {
 		return nil
@@ -573,80 +636,52 @@ func (m *Monitor) ApplyWithLoops(d *core.Delta, loops []check.Loop, loopsKnown b
 		return nil
 	}
 	m.scratchChanged.Clear()
-	changed := changedLinks(d, m.scratchChanged)
-	tr := m.beginTraceLocked(m.updSeq, m.updSeq, 1, d, changed)
-	cands, rangeSkipped := m.collectDirty(changed, d)
-	m.traceDirtyLocked(tr, len(cands), rangeSkipped)
-	events := m.evaluatePass(cands, &applyCtx{d: d, loops: loops, loopsKnown: loopsKnown, rescans: &m.loopRescans}, m.updSeq, m.updSeq, tr)
-	m.finishTraceLocked(tr)
+	changedLinks(d, m.scratchChanged)
+	return m.deltaPassLocked(m.scratchChanged, &applyCtx{d: d, loops: loops, loopsKnown: loopsKnown, rescans: &m.loopRescans}, m.updSeq, m.updSeq, 1)
+}
+
+// deltaPassLocked is the one delta-driven evaluation pass (a live update
+// or a burst flush). With a trace sink installed it stamps the stage
+// boundaries (each stage's start is stashed in its Ns field until the
+// stage closes); without one it takes no timestamps. Caller holds applyMu.
+func (m *Monitor) deltaPassLocked(changed *bitset.Set, ctx *applyCtx, first, last uint64, coalesced int) []Event {
+	var tr *ApplyTrace
+	if m.traceSink != nil {
+		tr = &ApplyTrace{FirstUpdate: first, LastUpdate: last, Coalesced: coalesced,
+			Links: changed.Len(), Added: len(ctx.d.Added), Removed: len(ctx.d.Removed),
+			DirtyNs: time.Now().UnixNano()}
+	}
+	units, rangeSkipped := m.collectDirty(changed, ctx.d)
+	if tr != nil {
+		now := time.Now().UnixNano()
+		tr.DirtyNs = now - tr.DirtyNs
+		tr.Dirtied, tr.RangeSkipped = len(units), rangeSkipped
+		tr.EvalNs = now
+	}
+	events := m.evaluatePass(units, ctx, first, last, tr)
+	if tr != nil {
+		m.traceSink(*tr)
+	}
 	return events
 }
 
-// beginTraceLocked starts an ApplyTrace for a delta-driven pass, or
-// returns nil when no sink is installed (the pass then takes no
-// timestamps at all). Caller holds applyMu.
-func (m *Monitor) beginTraceLocked(first, last uint64, coalesced int, d *core.Delta, changed *bitset.Set) *ApplyTrace {
-	if m.traceSink == nil {
-		return nil
-	}
-	tr := &ApplyTrace{
-		FirstUpdate: first,
-		LastUpdate:  last,
-		Coalesced:   coalesced,
-		Links:       changed.Len(),
-		Added:       len(d.Added),
-		Removed:     len(d.Removed),
-	}
-	tr.DirtyNs = time.Now().UnixNano()
-	return tr
-}
-
-// traceDirtyLocked closes the dirty-marking stage: the stashed start
-// timestamp in DirtyNs becomes the stage duration, and the eval stage
-// clock starts. Caller holds applyMu.
-func (m *Monitor) traceDirtyLocked(tr *ApplyTrace, dirtied, rangeSkipped int) {
-	if tr == nil {
-		return
-	}
-	now := time.Now().UnixNano()
-	tr.DirtyNs = now - tr.DirtyNs
-	tr.Dirtied = dirtied
-	tr.RangeSkipped = rangeSkipped
-	tr.EvalNs = now
-}
-
-// finishTraceLocked hands the completed trace to the sink. Caller holds
-// applyMu.
-func (m *Monitor) finishTraceLocked(tr *ApplyTrace) {
-	if tr == nil {
-		return
-	}
-	m.traceSink(*tr)
-}
-
-// changedLinks accumulates into dst (allocating if nil) the set of links
-// with label changes in d.
-func changedLinks(d *core.Delta, dst *bitset.Set) *bitset.Set {
-	if dst == nil {
-		dst = bitset.New(0)
-	}
+// changedLinks accumulates into dst the set of links with label changes
+// in d.
+func changedLinks(d *core.Delta, dst *bitset.Set) {
 	for _, la := range d.Added {
 		dst.Add(int(la.Link))
 	}
 	for _, la := range d.Removed {
 		dst.Add(int(la.Link))
 	}
-	return dst
 }
 
-// collectDirty returns the invariants an update with the given changed
-// links must re-evaluate, sorted by id (= registration order), plus the
-// number of invariants the atom-range refinement spared on this pass.
-// Caller holds applyMu.
-func (m *Monitor) collectDirty(changed *bitset.Set, d *core.Delta) ([]*invariant, int) {
-	if m.flatScan.Load() {
-		return m.collectDirtyFlat(changed, d), 0
-	}
+// collectDirty returns the fixpoints an update with the given changed
+// links must re-run — the subgoals the dependency index marks plus the
+// global invariants whose structural test fires — and the number of
+// subgoals the atom-range refinement spared on this pass. The list is
+// pass scratch. Caller holds applyMu.
+func (m *Monitor) collectDirty(changed *bitset.Set, d *core.Delta) ([]unit, int) {
 	numLinks := m.net.Graph().NumLinks()
 	if int(m.index.upTo.Load()) < numLinks {
 		m.regMu.RLock()
@@ -655,19 +690,19 @@ func (m *Monitor) collectDirty(changed *bitset.Set, d *core.Delta) ([]*invariant
 		m.index.growTo(numLinks, seed)
 	}
 
-	// Reused across passes (caller holds applyMu); the index bitmaps are
-	// already slot-capacity words, so the first union sizes it.
+	// The index bitmaps are already slot-capacity words, so the first
+	// union sizes the reused dirty set.
 	m.scratchDirty.Clear()
 	dirty := m.scratchDirty
 	rangeSkipped := 0
-	if m.linkGranular.Load() || d == nil {
+	if m.linkGranular.Load() {
 		m.index.collect(changed, dirty)
 	} else {
-		// Atom granularity: a dep-tracked invariant is dirtied only when
-		// the delta's touched atoms intersect its recorded sketch on some
-		// shared link (index.collectGranular documents the conservative
-		// escapes). The candidate set is what link granularity would have
-		// dirtied; the difference is the refinement's skip count.
+		// Atom granularity: a subgoal is dirtied only when the delta's
+		// touched atoms intersect its recorded sketch on some shared link
+		// (index.collectGranular documents the conservative escapes). The
+		// candidate set is what link granularity would have dirtied; the
+		// difference is the refinement's skip count.
 		m.scratchRanges.Build(m.net, d)
 		m.scratchCand.Clear()
 		m.index.collectGranular(changed, &m.scratchRanges, dirty, m.scratchCand)
@@ -677,55 +712,38 @@ func (m *Monitor) collectDirty(changed *bitset.Set, d *core.Delta) ([]*invariant
 		}
 	}
 
+	units := m.scratchUnits[:0]
 	m.regMu.RLock()
-	cands := make([]*invariant, 0, dirty.Len()+m.globalSlots.Len())
-	dirty.ForEach(func(s int) bool {
-		if inv := m.slots[s]; inv != nil {
-			cands = append(cands, inv)
+	for s := dirty.NextSet(0); s >= 0; s = dirty.NextSet(s + 1) {
+		if sg := m.slots[s]; sg != nil {
+			units = append(units, unit{sg: sg})
 		}
-		return true
-	})
-	var globals []*invariant
-	m.globalSlots.ForEach(func(s int) bool {
-		if inv := m.slots[s]; inv != nil {
-			globals = append(globals, inv)
-		}
-		return true
-	})
+	}
+	nsub := len(units)
+	for _, inv := range m.globals {
+		units = append(units, unit{inv: inv})
+	}
 	m.regMu.RUnlock()
 
 	// Global invariants decide dirtiness structurally from the delta.
-	for _, inv := range globals {
-		inv.mu.Lock()
-		if !inv.dead && inv.spec.dirty(&inv.st, d, changed) {
-			cands = append(cands, inv)
+	keep := units[:nsub]
+	for _, u := range units[nsub:] {
+		u.inv.mu.Lock()
+		if !u.inv.dead && u.inv.global.dirty(&u.inv.gst, d) {
+			keep = append(keep, u)
 		}
-		inv.mu.Unlock()
+		u.inv.mu.Unlock()
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].id < cands[j].id })
-	return cands, rangeSkipped
+	m.scratchUnits = units[:0]
+	return keep, rangeSkipped
 }
 
-// collectDirtyFlat is the pre-sharding baseline: every registered
-// invariant's dirty test runs against the changed set. Filtering the
-// already-sorted gather preserves registration order.
-func (m *Monitor) collectDirtyFlat(changed *bitset.Set, d *core.Delta) []*invariant {
-	var cands []*invariant
-	for _, inv := range m.sortedByID() {
-		inv.mu.Lock()
-		if !inv.dead && inv.spec.dirty(&inv.st, d, changed) {
-			cands = append(cands, inv)
-		}
-		inv.mu.Unlock()
-	}
-	return cands
-}
-
-// RecheckAll re-evaluates every registered invariant from scratch,
-// ignoring dependency sets — the audit path, and the naive baseline the
-// benchmarks compare Apply against. Transitions are returned and
-// published exactly as for Apply. A pending burst is absorbed: the full
-// re-evaluation covers everything the buffered deltas could have dirtied.
+// RecheckAll re-runs every subgoal and global invariant from scratch,
+// ignoring dependency records — the audit path, and the naive baseline
+// the benchmarks compare ApplyWithLoops against. Transitions are
+// returned and published exactly as for an update. A pending burst is
+// absorbed: the full re-evaluation covers everything the buffered
+// deltas could have dirtied.
 func (m *Monitor) RecheckAll() []Event {
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
@@ -735,43 +753,38 @@ func (m *Monitor) RecheckAll() []Event {
 		m.bursts.Add(1)
 		m.resetPendingLocked()
 	}
-	return m.evaluatePass(m.sortedByID(), nil, first, m.updSeq, nil)
-}
-
-// evalOutcome is one invariant's result within an evaluation pass; the
-// backing slice is pass-scratch reused under applyMu.
-type evalOutcome struct {
-	evaluated bool
-	was, now  Status
-	detail    string
-}
-
-// evaluatePass re-evaluates cands (sorted by id) over per-worker queues,
-// re-indexes their dependency sets, and emits verdict transitions stamped
-// with the update range [updFirst, updLast]. tr, when non-nil, receives
-// the pass's skip/eval/event counts and the eval/publish stage times.
-// Caller holds applyMu.
-func (m *Monitor) evaluatePass(cands []*invariant, ctx *applyCtx, updFirst, updLast uint64, tr *ApplyTrace) []Event {
-	live := int(m.regd.Load())
-	if len(cands) < live {
-		m.skips.Add(uint64(live - len(cands)))
-		if tr != nil {
-			tr.Skipped = live - len(cands)
+	var units []unit
+	m.regMu.RLock()
+	for _, sg := range m.slots {
+		if sg != nil {
+			units = append(units, unit{sg: sg})
 		}
 	}
-	if len(cands) == 0 {
+	for _, inv := range m.globals {
+		units = append(units, unit{inv: inv})
+	}
+	m.regMu.RUnlock()
+	return m.evaluatePass(units, nil, first, m.updSeq, nil)
+}
+
+// evaluatePass runs the given fixpoints over per-worker queues, lets
+// every invariant that reads one of them settle its verdict, and emits
+// the transitions — in invariant-id order, stamped with the update
+// range [updFirst, updLast]. ctx is nil for a full (non-delta) pass. tr,
+// when non-nil, receives the pass's skip/eval/event counts and the
+// eval/publish stage times. Caller holds applyMu.
+func (m *Monitor) evaluatePass(units []unit, ctx *applyCtx, updFirst, updLast uint64, tr *ApplyTrace) []Event {
+	if live := int(m.units.Load()); len(units) < live {
+		m.skips.Add(uint64(live - len(units)))
+		if tr != nil {
+			tr.Skipped = live - len(units)
+		}
+	}
+	if len(units) == 0 {
 		if tr != nil {
 			tr.EvalNs = 0
 		}
 		return nil
-	}
-	numLinks := m.net.Graph().NumLinks()
-	if cap(m.scratchOuts) < len(cands) {
-		m.scratchOuts = make([]evalOutcome, len(cands))
-	}
-	outs := m.scratchOuts[:len(cands)]
-	for i := range outs {
-		outs[i] = evalOutcome{}
 	}
 	// Resolve the worker count the same way RunSharded will, so every
 	// worker index maps to a dedicated, warmed scratch.
@@ -779,37 +792,67 @@ func (m *Monitor) evaluatePass(cands []*invariant, ctx *applyCtx, updFirst, updL
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
-	if nw > len(cands) {
-		nw = len(cands)
-	}
+	nw = min(nw, len(units))
 	for len(m.evalScratch) < nw {
 		m.evalScratch = append(m.evalScratch, check.NewScratch())
 	}
-	var evaluated atomic.Uint64
-	check.RunSharded(nw, len(cands), func(w, i int) {
-		inv := cands[i]
-		inv.mu.Lock()
-		defer inv.mu.Unlock()
-		if inv.dead {
+	var evaluated atomic.Int64
+	check.RunSharded(nw, len(units), func(w, i int) {
+		if sg := units[i].sg; sg != nil {
+			sg.mu.Lock()
+			if !sg.dead {
+				m.evalSubgoalLocked(sg, m.evalScratch[w])
+				evaluated.Add(1)
+			}
+			sg.mu.Unlock()
 			return
 		}
-		oldDeps, oldUpTo := inv.st.deps, inv.st.linksAtEval
-		oldRanges, oldAtomSeq := inv.st.ranges, inv.st.atomSeq
-		was := inv.st.status
-		v := inv.spec.eval(m.net, ctx, &inv.st, m.evalScratch[w])
-		inv.st.status = statusOf(v)
-		inv.st.detail = v.detail
-		inv.st.linksAtEval = numLinks
-		// Re-index under inv.mu so a racing Unregister cannot interleave
-		// its bit erasure with ours.
-		m.index.update(inv.slot, oldDeps, oldUpTo, oldRanges, oldAtomSeq,
-			inv.st.deps, inv.st.ranges, inv.st.atomSeq)
-		outs[i] = evalOutcome{evaluated: true, was: was, now: inv.st.status, detail: v.detail}
-		evaluated.Add(1)
+		inv := units[i].inv
+		inv.mu.Lock()
+		if !inv.dead {
+			inv.gst.verdict = inv.global.eval(m.net, ctx, &inv.gst, m.evalScratch[w])
+			evaluated.Add(1)
+		}
+		inv.mu.Unlock()
 	})
 	if ctx != nil {
-		m.evals.Add(evaluated.Load())
+		m.evals.Add(uint64(evaluated.Load()))
 	}
+
+	// Whoever reads a fixpoint that just ran may have a new verdict. The
+	// consumer lists are read only now, after the evaluations: an
+	// invariant attaching to a subgoal concurrently is either listed here
+	// (and settled below) or reads the fresh answer itself. A subgoal
+	// retired meanwhile has no consumers left.
+	invs := m.scratchInvs[:0]
+	m.regMu.RLock()
+	for _, u := range units {
+		if u.sg != nil {
+			invs = append(invs, u.sg.consumers...)
+		} else {
+			invs = append(invs, u.inv)
+		}
+	}
+	m.regMu.RUnlock()
+	slices.SortFunc(invs, byID)
+	invs = slices.Compact(invs) // multi-source specs read several subgoals
+	var events []Event
+	for _, inv := range invs {
+		inv.mu.Lock()
+		if !inv.dead && inv.settle() {
+			kind := Cleared
+			if inv.status == Violated {
+				kind = Violation
+			}
+			events = append(events, Event{ID: inv.id, Spec: inv.spec, Kind: kind, Detail: inv.detail,
+				FirstUpdate: updFirst, LastUpdate: updLast})
+		}
+		inv.mu.Unlock()
+	}
+	// Drop the pass's pointers so what was retired since is collectable.
+	clear(units)
+	clear(invs)
+	m.scratchInvs = invs[:0]
 	if tr != nil {
 		now := time.Now().UnixNano()
 		tr.EvalNs = now - tr.EvalNs
@@ -817,42 +860,20 @@ func (m *Monitor) evaluatePass(cands []*invariant, ctx *applyCtx, updFirst, updL
 		tr.PublishNs = now
 	}
 
-	var events []Event
-	m.eventMu.Lock()
-	for i, inv := range cands {
-		o := outs[i]
-		if !o.evaluated || o.now == o.was {
-			continue
+	if len(events) > 0 {
+		m.eventMu.Lock()
+		for i := range events {
+			m.seq++
+			events[i].Seq = m.seq
 		}
-		kind := Cleared
-		if o.now == Violated {
-			kind = Violation
-		}
-		m.seq++
-		events = append(events, Event{
-			Seq:         m.seq,
-			ID:          inv.id,
-			Spec:        inv.spec,
-			Kind:        kind,
-			Detail:      o.detail,
-			FirstUpdate: updFirst,
-			LastUpdate:  updLast,
-		})
+		m.publishLocked(events)
+		m.eventMu.Unlock()
 	}
-	m.publishLocked(events)
-	m.eventMu.Unlock()
 	if tr != nil {
 		tr.PublishNs = time.Now().UnixNano() - tr.PublishNs
 		tr.Events = len(events)
 	}
 	return events
-}
-
-func statusOf(v verdict) Status {
-	if v.violated {
-		return Violated
-	}
-	return Holds
 }
 
 // Subscription delivers a monitor's events to one consumer. Receive from

@@ -27,13 +27,17 @@ func line4() (*netgraph.Graph, []netgraph.NodeID, []netgraph.LinkID) {
 	return g, nodes, links
 }
 
+// apply feeds one delta to the monitor the way a caller that ran no
+// loop check of its own does.
+func apply(m *Monitor, d *core.Delta) []Event { return m.ApplyWithLoops(d, nil, false) }
+
 func mustInsert(t *testing.T, n *core.Network, m *Monitor, r core.Rule) []Event {
 	t.Helper()
 	var d core.Delta
 	if err := n.InsertRuleInto(r, &d); err != nil {
 		t.Fatal(err)
 	}
-	return m.Apply(&d)
+	return apply(m, &d)
 }
 
 func mustRemove(t *testing.T, n *core.Network, m *Monitor, id core.RuleID) []Event {
@@ -42,7 +46,7 @@ func mustRemove(t *testing.T, n *core.Network, m *Monitor, id core.RuleID) []Eve
 	if err := n.RemoveRuleInto(id, &d); err != nil {
 		t.Fatal(err)
 	}
-	return m.Apply(&d)
+	return apply(m, &d)
 }
 
 // TestTransitions walks one invariant through violation and clearing and
@@ -344,7 +348,7 @@ func testEquivalenceUnderChurn(t *testing.T, gc bool) {
 				}
 			}
 			live = kept
-			m.Apply(&d)
+			apply(m, &d)
 			verify(step, "batch")
 		case len(live) > 0 && rng.Intn(5) < 2: // removal
 			i := rng.Intn(len(live))
@@ -353,7 +357,7 @@ func testEquivalenceUnderChurn(t *testing.T, gc bool) {
 			if err := n.RemoveRuleInto(id, &d); err != nil {
 				t.Fatal(err)
 			}
-			m.Apply(&d)
+			apply(m, &d)
 			verify(step, "remove")
 		default: // insertion, via the caller-ran-the-loop-check path the
 			// Checker and server use
@@ -578,14 +582,14 @@ func TestConcurrentRegistrationChurn(t *testing.T) {
 			lk.Unlock()
 			break
 		}
-		m.Apply(&d)
+		apply(m, &d)
 		if i%2 == 1 {
 			if err := n.RemoveRuleInto(core.RuleID(i+10), &d); err != nil {
 				t.Error(err)
 				lk.Unlock()
 				break
 			}
-			m.Apply(&d)
+			apply(m, &d)
 		}
 		lk.Unlock()
 	}
@@ -596,16 +600,15 @@ func TestConcurrentRegistrationChurn(t *testing.T) {
 }
 
 // TestShardedEquivalence10K is the scale ground-truth test for the
-// sharded index, the atom-granular refinement, and burst mode: four
+// sharded index, the atom-granular refinement, and burst mode: three
 // monitors over one data plane — the default atom-granular index, the
-// link-granular index (SetLinkGranular), the pre-sharding flat scan, and
-// a bursting monitor — consume an identical randomized churn stream at
-// 10⁴ standing reachability invariants, and every cached verdict must
-// equal a from-scratch fixpoint oracle. The link-granular and flat
-// monitors must also agree exactly on what they evaluated (the index is
-// a data structure swap, not a semantics change), while the atom-granular
-// monitor may only evaluate a subset of that, with the difference
-// accounted for by its range-skip counter.
+// link-granular index (SetLinkGranular), and a bursting monitor —
+// consume an identical randomized churn stream at 10⁴ standing
+// reachability invariants (128 subgoals, one per source), and every
+// cached verdict must equal a from-scratch fixpoint oracle. The
+// atom-granular monitor may only evaluate a subset of what the
+// link-granular one does, with the difference accounted for by its
+// range-skip counter.
 func TestShardedEquivalence10K(t *testing.T) {
 	const numNodes, numInv = 128, 10_000
 	rng := rand.New(rand.NewSource(7))
@@ -627,25 +630,22 @@ func TestShardedEquivalence10K(t *testing.T) {
 	sharded := New(n, 0)
 	linkgran := New(n, 0)
 	linkgran.SetLinkGranular(true)
-	flat := New(n, 0)
-	flat.SetFlatScan(true)
 	burst := New(n, 0)
 	burst.SetBurst(BurstConfig{MaxDeltas: 7})
 
-	// Register the same 10⁴ pairs, diagonal by diagonal, on all four.
+	// Register the same 10⁴ pairs, diagonal by diagonal, on all three.
 	type pair struct{ from, to netgraph.NodeID }
 	var pairs []pair
-	ids := make([][4]ID, 0, numInv)
+	ids := make([][3]ID, 0, numInv)
 	for d := 1; len(pairs) < numInv; d++ {
 		for i := 0; i < numNodes && len(pairs) < numInv; i++ {
 			p := pair{nodes[i], nodes[(i+d)%numNodes]}
 			pairs = append(pairs, p)
 			s := Reachable{From: p.from, To: p.to}
 			i1, _ := sharded.Register(s)
-			i1b, _ := linkgran.Register(s)
-			i2, _ := flat.Register(s)
+			i2, _ := linkgran.Register(s)
 			i3, _ := burst.Register(s)
-			ids = append(ids, [4]ID{i1, i1b, i2, i3})
+			ids = append(ids, [3]ID{i1, i2, i3})
 		}
 	}
 
@@ -669,10 +669,8 @@ func TestShardedEquivalence10K(t *testing.T) {
 				switch which {
 				case "linkgran":
 					idx = 1
-				case "flat":
-					idx = 2
 				case "burst":
-					idx = 3
+					idx = 2
 				}
 				got, _, ok := m.Status(ids[i][idx])
 				if !ok {
@@ -689,11 +687,10 @@ func TestShardedEquivalence10K(t *testing.T) {
 	var live []core.RuleID
 	nextID := core.RuleID(1)
 	var d core.Delta
-	apply := func() {
-		sharded.Apply(&d)
-		linkgran.Apply(&d)
-		flat.Apply(&d)
-		burst.Apply(&d)
+	applyAll := func() {
+		apply(sharded, &d)
+		apply(linkgran, &d)
+		apply(burst, &d)
 	}
 	const steps = 160
 	for step := 0; step < steps; step++ {
@@ -718,25 +715,22 @@ func TestShardedEquivalence10K(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		apply()
+		applyAll()
 		if step%40 == 39 {
 			// Mid-run spot check for the eagerly evaluated monitors (the
 			// bursting one is only comparable at a flush boundary).
-			verify(step, map[string]*Monitor{"sharded": sharded, "linkgran": linkgran, "flat": flat})
+			verify(step, map[string]*Monitor{"sharded": sharded, "linkgran": linkgran})
 		}
 	}
 	burst.Flush()
-	verify(steps, map[string]*Monitor{"sharded": sharded, "linkgran": linkgran, "flat": flat, "burst": burst})
+	verify(steps, map[string]*Monitor{"sharded": sharded, "linkgran": linkgran, "burst": burst})
 
-	// The link-granular index must reproduce the flat scan's dirty sets
-	// exactly: no topology growth happened mid-churn, so the conservative
-	// rules coincide and the evaluation counts must match. The
-	// atom-granular default may only evaluate a subset of that, and its
-	// range-skip counter must account for every invariant it left alone
-	// that link granularity would have re-evaluated.
-	ss, ls, fs, bs := sharded.Stats(), linkgran.Stats(), flat.Stats(), burst.Stats()
-	if ls.Evaluations != fs.Evaluations {
-		t.Fatalf("link-granular evaluated %d, flat %d — dirty sets diverged", ls.Evaluations, fs.Evaluations)
+	// The atom-granular default may only evaluate a subset of what link
+	// granularity does, and its range-skip counter must account for every
+	// subgoal it left alone that link granularity would have re-run.
+	ss, ls, bs := sharded.Stats(), linkgran.Stats(), burst.Stats()
+	if ss.Subgoals != numNodes || ss.Registered != numInv {
+		t.Fatalf("stats %+v: want %d subgoals under %d invariants", ss, numNodes, numInv)
 	}
 	if ss.Evaluations > ls.Evaluations {
 		t.Fatalf("atom-granular evaluated %d, more than link-granular's %d", ss.Evaluations, ls.Evaluations)

@@ -24,7 +24,8 @@ func (m *Monitor) ResumeUpdates(n uint64) {
 	}
 }
 
-// Reset unregisters every invariant, drops buffered burst state and the
+// Reset unregisters every invariant (retiring every subgoal with the
+// last of its consumers), drops buffered burst state and the
 // event backlog, and rebinds the monitor to net — the re-anchor step
 // when a replica's journal cursor falls behind a rotation and it must
 // rebuild from a fresh checkpoint. Sequence counters are NOT rewound
@@ -33,7 +34,7 @@ func (m *Monitor) ResumeUpdates(n uint64) {
 // watcher resuming across the reset sees an explicit gap and re-anchors
 // on a fresh snapshot instead of folding events from two incarnations.
 //
-// The caller must guarantee no concurrent Apply/Register/query is in
+// The caller must guarantee no concurrent ApplyWithLoops/Register/query is in
 // flight (the server holds its writer lock across the whole re-anchor).
 func (m *Monitor) Reset(net *core.Network) {
 	m.applyMu.Lock()

@@ -33,7 +33,7 @@ func TestApplyReplayTracksPrimaryNumbering(t *testing.T) {
 		if err := prim.InsertRuleInto(r, &d); err != nil {
 			t.Fatal(err)
 		}
-		pev := pm.Apply(&d)
+		pev := apply(pm, &d)
 		seq := pm.UpdateSeq()
 
 		r2 := r
@@ -43,7 +43,7 @@ func TestApplyReplayTracksPrimaryNumbering(t *testing.T) {
 		if err := repl.InsertRuleInto(r2, &d2); err != nil {
 			t.Fatal(err)
 		}
-		rev := rm.Apply(&d2)
+		rev := apply(rm, &d2)
 		rm.ResumeUpdates(seq)
 		if len(rev) != len(pev) {
 			t.Fatalf("update %d: replica events %v, primary %v", i+1, rev, pev)
@@ -66,7 +66,7 @@ func TestApplyReplayTracksPrimaryNumbering(t *testing.T) {
 
 	// Replaying an already-applied record's stamp must not rewind the
 	// counter, and its empty delta must not advance it.
-	rm.Apply(&core.Delta{})
+	apply(rm, &core.Delta{})
 	rm.ResumeUpdates(1)
 	if rm.UpdateSeq() != pm.UpdateSeq() {
 		t.Fatalf("stale replay rewound counter to %d", rm.UpdateSeq())

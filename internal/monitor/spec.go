@@ -21,24 +21,45 @@ import (
 // The String form doubles as the server wire syntax for the W command
 // ("reach 0 2", "waypoint 0 3 1", "isolated 0,1 4,5", "loopfree",
 // "blackholefree").
+//
+// Every Spec is one of two kinds. A derived spec (Reachable, Waypoint,
+// Isolated) names the single-source fixpoints — subgoals — it reads and
+// derives its verdict from their retained answers; it never runs a
+// fixpoint of its own, so any number of specs over one (source, avoided
+// node) pair cost one evaluation. A global spec (LoopFree,
+// BlackHoleFree) depends on the whole data plane and re-evaluates
+// incrementally from the delta itself.
 type Spec interface {
 	fmt.Stringer
 
-	// dirty reports whether the delta could change the invariant's
-	// verdict, given the bookkeeping from its last evaluation. changed is
-	// the set of links with label changes in d (never empty).
-	dirty(st *state, d *core.Delta, changed *bitset.Set) bool
+	// subgoals lists the fixpoints the spec reads, in the order derive
+	// consumes them; nil for a global spec.
+	subgoals() []subKey
+}
+
+// derivedSpec is the verdict half of a spec that reads subgoal answers.
+type derivedSpec interface {
+	// derive reads the verdict off subs, the live subgoals for the keys
+	// subgoals() named, in that order.
+	derive(subs []*subgoal) answer
+	// describe renders an answer as the human-readable detail string.
+	describe(a answer) string
+}
+
+// globalSpec is the evaluation half of a structurally-dirtied spec.
+type globalSpec interface {
+	// dirty reports whether the delta could change the verdict, given
+	// the bookkeeping from the last evaluation.
+	dirty(st *globalState, d *core.Delta) bool
 
 	// eval (re-)evaluates the invariant against the live network and
-	// refreshes st's dependency bookkeeping. ctx carries the triggering
-	// delta plus any results the caller already computed from it; nil
-	// means a full evaluation (registration, RecheckAll). eval runs
-	// concurrently with evals of OTHER invariants, so it must only read
-	// the network and write its own st. sc is the caller's query
-	// scratch — one per evaluation worker, so its epoch-stamped state is
-	// single-goroutine within a call — and anything read off it must be
-	// consumed before eval returns.
-	eval(n *core.Network, ctx *applyCtx, st *state, sc *check.Scratch) verdict
+	// refreshes st. ctx carries the triggering delta plus any results
+	// the caller already computed from it; nil means a full evaluation
+	// (registration, RecheckAll). eval runs concurrently with other
+	// evaluations, so it must only read the network and write its own
+	// st. sc is the caller's query scratch — one per evaluation worker —
+	// and anything read off it must be consumed before eval returns.
+	eval(n *core.Network, ctx *applyCtx, st *globalState, sc *check.Scratch) verdict
 }
 
 // specKey is the canonical identity registrations are refcounted by:
@@ -48,7 +69,7 @@ type Spec interface {
 // different sinks must not be conflated.
 func specKey(s Spec) string { return FormatSpec(s) }
 
-// applyCtx is one Apply call's context: the delta and, optionally, the
+// applyCtx is one delta pass's context: the delta and, optionally, the
 // per-update loop check's result so a LoopFree invariant need not repeat
 // it (the Checker and server both run that check anyway).
 type applyCtx struct {
@@ -62,47 +83,32 @@ type applyCtx struct {
 	rescans *atomic.Uint64
 }
 
-// verdict is one evaluation's outcome.
+// verdict is one global evaluation's outcome.
 type verdict struct {
 	violated bool
 	detail   string
 }
 
-// state is the monitor's cached bookkeeping for one registered invariant:
-// the verdict of the last evaluation plus whatever that evaluation needs
-// to decide, next delta, whether it must run again.
-type state struct {
-	status Status
-	detail string
+// answer is a derived spec's verdict in comparable form: the detail
+// string is a function of it (describe), so an invariant re-renders its
+// detail only when the answer moved — a pass that re-reads 256
+// unchanged verdicts formats nothing.
+type answer struct {
+	violated bool
+	n        int32           // the atom count the detail quotes
+	a, b     netgraph.NodeID // Isolated's witness pair
+}
 
-	// deps holds the links the last evaluation examined; nil means the
-	// invariant depends on everything (LoopFree, BlackHoleFree). A delta
-	// touching no dep link cannot flip the verdict (see check.fixpoint's
-	// deps documentation for the argument).
-	deps *bitset.Set
-
-	// ranges refines deps to atom granularity: per dep link, the coarse
-	// sketch of atom ids whose label changes there could alter the
-	// verdict (check.ReachSummary). A dep link without a sketch is
-	// tracked at link granularity (every atom relevant). Sketches are
-	// only trustworthy for atoms that existed at evaluation time —
-	// atomSeq anchors that.
-	ranges check.DepRanges
-
-	// atomSeq is the engine's atom allocation counter when ranges was
-	// recorded. A delta touching an atom born after it (split-minted or
-	// GC-recycled id) bypasses the sketch intersection and dirties the
-	// invariant conservatively.
-	atomSeq int64
-
-	// linksAtEval is the topology's link count when deps was recorded.
-	// Links added later are out-links of some node, so a change on one is
-	// conservatively treated as a dependency hit.
-	linksAtEval int
+// globalState is the monitor's bookkeeping for one global invariant:
+// the last evaluation's verdict plus whatever the next one needs to
+// stay incremental.
+type globalState struct {
+	verdict verdict
 
 	// bhNodes caches BlackHoleFree's currently violating nodes so a delta
-	// only re-examines nodes incident to changed links plus these.
-	bhNodes *bitset.Set
+	// only re-examines nodes incident to changed links plus these; bhCand
+	// and bhAtoms are its per-evaluation scratch.
+	bhNodes, bhCand, bhAtoms *bitset.Set
 
 	// loopAtoms caches LoopFree's looping atoms while violated, and
 	// loopAtomSeq the atom allocation stamp when they were recorded. A
@@ -114,17 +120,6 @@ type state struct {
 	loopAtomSeq int64
 }
 
-// depsHit is the shared dirtiness test for dependency-tracked invariants.
-func depsHit(st *state, changed *bitset.Set) bool {
-	if st.deps == nil {
-		return true
-	}
-	if changed.Max() >= st.linksAtEval {
-		return true // link born after the last evaluation
-	}
-	return st.deps.Intersects(changed)
-}
-
 // Reachable asserts that at least one packet can flow from From to To.
 type Reachable struct {
 	From, To netgraph.NodeID
@@ -132,46 +127,41 @@ type Reachable struct {
 
 func (r Reachable) String() string { return fmt.Sprintf("reach %d %d", r.From, r.To) }
 
-func (r Reachable) dirty(st *state, _ *core.Delta, changed *bitset.Set) bool {
-	return depsHit(st, changed)
+func (r Reachable) subgoals() []subKey { return []subKey{{r.From, netgraph.NoNode}} }
+
+func (r Reachable) derive(subs []*subgoal) answer {
+	n := subs[0].count(r.To)
+	return answer{violated: n == 0, n: n}
 }
 
-func (r Reachable) eval(n *core.Network, _ *applyCtx, st *state, sc *check.Scratch) verdict {
-	deps := bitset.New(n.Graph().NumLinks())
-	reach, ranges := check.ReachSummary(n, r.From, netgraph.NoNode, deps, sc)
-	st.deps = deps
-	st.ranges = ranges
-	st.atomSeq = n.AtomAllocSeq()
-	atoms := reach[r.To]
-	if atoms == nil || atoms.Empty() {
-		return verdict{violated: true, detail: "no packets can flow"}
+func (Reachable) describe(a answer) string {
+	if a.violated {
+		return "no packets can flow"
 	}
-	return verdict{detail: fmt.Sprintf("%d atom(s) can flow", atoms.Len())}
+	return fmt.Sprintf("%d atom(s) can flow", a.n)
 }
 
 // Waypoint asserts that every packet flowing from From to To traverses
-// Via.
+// Via: on the fixpoint that does not continue past Via, nothing arrives
+// at To.
 type Waypoint struct {
 	From, To, Via netgraph.NodeID
 }
 
 func (w Waypoint) String() string { return fmt.Sprintf("waypoint %d %d %d", w.From, w.To, w.Via) }
 
-func (w Waypoint) dirty(st *state, _ *core.Delta, changed *bitset.Set) bool {
-	return depsHit(st, changed)
+func (w Waypoint) subgoals() []subKey { return []subKey{{w.From, w.Via}} }
+
+func (w Waypoint) derive(subs []*subgoal) answer {
+	n := subs[0].count(w.To)
+	return answer{violated: n > 0, n: n}
 }
 
-func (w Waypoint) eval(n *core.Network, _ *applyCtx, st *state, sc *check.Scratch) verdict {
-	deps := bitset.New(n.Graph().NumLinks())
-	reach, ranges := check.ReachSummary(n, w.From, w.Via, deps, sc)
-	st.deps = deps
-	st.ranges = ranges
-	st.atomSeq = n.AtomAllocSeq()
-	bypass := reach[w.To]
-	if bypass != nil && !bypass.Empty() {
-		return verdict{violated: true, detail: fmt.Sprintf("%d atom(s) bypass the waypoint", bypass.Len())}
+func (Waypoint) describe(a answer) string {
+	if a.violated {
+		return fmt.Sprintf("%d atom(s) bypass the waypoint", a.n)
 	}
-	return verdict{detail: "all flows traverse the waypoint"}
+	return "all flows traverse the waypoint"
 }
 
 // Isolated asserts that no packet can flow from any node in GroupA to any
@@ -192,38 +182,33 @@ func joinNodes(nodes []netgraph.NodeID) string {
 	return strings.Join(parts, ",")
 }
 
-func (i Isolated) dirty(st *state, _ *core.Delta, changed *bitset.Set) bool {
-	return depsHit(st, changed)
+// subgoals: one plain single-source fixpoint per GroupA node, shared
+// with every reach invariant from that node.
+func (i Isolated) subgoals() []subKey {
+	keys := make([]subKey, len(i.GroupA))
+	for k, a := range i.GroupA {
+		keys[k] = subKey{a, netgraph.NoNode}
+	}
+	return keys
 }
 
-// eval runs one single-source fixpoint per GroupA node and stops at the
-// first leaking pair. On violation deps holds (at least) every link of the
-// witness pair's fixpoint, which suffices: the verdict can only flip back
-// to isolated if that pair's reachability changes, and any such change
-// touches a recorded link. On success deps covers every pair. The atom
-// sketches merge across sources (a shared link keeps the union of the
-// atoms relevant to each source's fixpoint).
-func (i Isolated) eval(n *core.Network, _ *applyCtx, st *state, sc *check.Scratch) verdict {
-	total := bitset.New(n.Graph().NumLinks())
-	st.deps = total
-	st.ranges = nil
-	st.atomSeq = n.AtomAllocSeq()
-	srcDeps := bitset.New(n.Graph().NumLinks()) // per-source deps, reused
-	for _, a := range i.GroupA {
-		srcDeps.Clear()
-		reach, ranges := check.ReachSummary(n, a, netgraph.NoNode, srcDeps, sc)
-		st.ranges = check.MergeDepRanges(st.ranges, total, ranges, srcDeps)
-		total.UnionWith(srcDeps)
+// derive reports the first leaking pair in GroupA × GroupB order.
+func (i Isolated) derive(subs []*subgoal) answer {
+	for k, a := range i.GroupA {
 		for _, b := range i.GroupB {
-			if int(b) < len(reach) && reach[b] != nil && !reach[b].Empty() {
-				return verdict{
-					violated: true,
-					detail:   fmt.Sprintf("%d atom(s) leak %d -> %d", reach[b].Len(), a, b),
-				}
+			if n := subs[k].count(b); n > 0 {
+				return answer{violated: true, n: n, a: a, b: b}
 			}
 		}
 	}
-	return verdict{detail: "groups are isolated"}
+	return answer{}
+}
+
+func (Isolated) describe(a answer) string {
+	if a.violated {
+		return fmt.Sprintf("%d atom(s) leak %d -> %d", a.n, a.a, a.b)
+	}
+	return "groups are isolated"
 }
 
 // LoopFree asserts that the data plane contains no forwarding loops.
@@ -231,14 +216,13 @@ type LoopFree struct{}
 
 func (LoopFree) String() string { return "loopfree" }
 
+func (LoopFree) subgoals() []subKey { return nil }
+
 // dirty: while loop-free, only label additions can close a cycle
 // (removals only break paths), so removal-only deltas are skipped. While
 // violated, any change may clear or keep the loop.
-func (LoopFree) dirty(st *state, d *core.Delta, _ *bitset.Set) bool {
-	if st.status == Violated {
-		return true
-	}
-	return len(d.Added) > 0
+func (LoopFree) dirty(st *globalState, d *core.Delta) bool {
+	return st.verdict.violated || len(d.Added) > 0
 }
 
 // eval: from a loop-free state any new loop must involve a net-added
@@ -247,26 +231,24 @@ func (LoopFree) dirty(st *state, d *core.Delta, _ *bitset.Set) bool {
 // when the caller already ran it, its result is reused rather than
 // recomputed).
 //
-// From a violated state the full scan used to run on every update; now
-// the candidate-set trick mirrors BlackHoleFree: a loop after the delta
-// either survived from the previous evaluation (its atom is in the
-// recorded loopAtoms), was newly closed by an added label (its atom is
-// touched by d.Added), or lives on an atom id that did not exist when
-// loopAtoms was recorded (split-minted or GC-recycled — caught by the
-// allocation stamp, the same anchor the dependency sketches use). Only
-// that candidate set is re-walked. Evaluations with no delta context
-// (registration, RecheckAll, restored state) still run the full scan,
-// which also (re)establishes the base case of the induction.
-func (LoopFree) eval(n *core.Network, ctx *applyCtx, st *state, sc *check.Scratch) verdict {
-	st.deps = nil // dirtiness is decided structurally, not by link set
-	st.ranges = nil
+// From a violated state the candidate-set trick mirrors BlackHoleFree:
+// a loop after the delta either survived from the previous evaluation
+// (its atom is in the recorded loopAtoms), was newly closed by an added
+// label (its atom is touched by d.Added), or lives on an atom id that
+// did not exist when loopAtoms was recorded (split-minted or
+// GC-recycled — caught by the allocation stamp, the same anchor the
+// dependency sketches use). Only that candidate set is re-walked.
+// Evaluations with no delta context (registration, RecheckAll, restored
+// state) run the full scan, which also (re)establishes the base case of
+// the induction.
+func (LoopFree) eval(n *core.Network, ctx *applyCtx, st *globalState, sc *check.Scratch) verdict {
 	var loops []check.Loop
 	switch {
-	case ctx != nil && st.status == Holds && ctx.loopsKnown:
+	case ctx != nil && !st.verdict.violated && ctx.loopsKnown:
 		loops = ctx.loops
-	case ctx != nil && st.status == Holds:
+	case ctx != nil && !st.verdict.violated:
 		loops = check.FindLoopsDeltaAutoScratch(n, ctx.d, 0, sc)
-	case ctx != nil && ctx.d != nil && st.status == Violated && st.loopAtoms != nil:
+	case ctx != nil && ctx.d != nil && st.loopAtoms != nil:
 		cand := loopFreeCandidates(n, ctx.d, st)
 		if ctx.rescans != nil {
 			ctx.rescans.Add(uint64(cand.Len()))
@@ -298,7 +280,7 @@ func (LoopFree) eval(n *core.Network, ctx *applyCtx, st *state, sc *check.Scratc
 // loopFreeCandidates builds the violated-state re-scan set: previously
 // looping atoms, atoms with added labels in the delta, and atoms born
 // after the recorded allocation stamp.
-func loopFreeCandidates(n *core.Network, d *core.Delta, st *state) *bitset.Set {
+func loopFreeCandidates(n *core.Network, d *core.Delta, st *globalState) *bitset.Set {
 	cand := st.loopAtoms.Clone()
 	for _, la := range d.Added {
 		cand.Add(int(la.Atom))
@@ -322,18 +304,19 @@ type BlackHoleFree struct {
 
 func (BlackHoleFree) String() string { return "blackholefree" }
 
+func (BlackHoleFree) subgoals() []subKey { return nil }
+
 // dirty: any label change can create or clear a hole at the changed
 // link's endpoints, so every delta re-evaluates — but eval only touches
 // those endpoints plus previously violating nodes.
-func (BlackHoleFree) dirty(*state, *core.Delta, *bitset.Set) bool { return true }
+func (BlackHoleFree) dirty(*globalState, *core.Delta) bool { return true }
 
-func (b BlackHoleFree) eval(n *core.Network, ctx *applyCtx, st *state, _ *check.Scratch) verdict {
+func (b BlackHoleFree) eval(n *core.Network, ctx *applyCtx, st *globalState, _ *check.Scratch) verdict {
 	g := n.Graph()
-	st.deps = nil
-	st.ranges = nil
 	if ctx == nil || st.bhNodes == nil {
 		// Full scan; cache the violating node set for incremental mode.
 		st.bhNodes = bitset.New(g.NumNodes())
+		st.bhCand, st.bhAtoms = bitset.New(g.NumNodes()), bitset.New(0)
 		for _, h := range check.FindBlackHoles(n, b.Sinks) {
 			st.bhNodes.Add(int(h.Node))
 		}
@@ -342,23 +325,20 @@ func (b BlackHoleFree) eval(n *core.Network, ctx *applyCtx, st *state, _ *check.
 	// A node's black-hole set reads only its in- and out-link labels, so
 	// only nodes incident to a changed link can change status; previously
 	// violating nodes are rechecked so clears are seen.
-	candidates := st.bhNodes.Clone()
-	for _, la := range ctx.d.Added {
-		l := g.Link(la.Link)
-		candidates.Add(int(l.Src))
-		candidates.Add(int(l.Dst))
+	st.bhCand.Copy(st.bhNodes)
+	for _, las := range [2][]core.LinkAtom{ctx.d.Added, ctx.d.Removed} {
+		for _, la := range las {
+			l := g.Link(la.Link)
+			st.bhCand.Add(int(l.Src))
+			st.bhCand.Add(int(l.Dst))
+		}
 	}
-	for _, la := range ctx.d.Removed {
-		l := g.Link(la.Link)
-		candidates.Add(int(l.Src))
-		candidates.Add(int(l.Dst))
-	}
-	candidates.ForEach(func(v int) bool {
+	st.bhCand.ForEach(func(v int) bool {
 		node := netgraph.NodeID(v)
 		if b.Sinks[node] || (g.DropNode() != netgraph.NoNode && node == g.DropNode()) {
 			return true
 		}
-		if check.BlackHoleAtoms(n, node).Empty() {
+		if check.BlackHoleAtomsInto(n, node, st.bhAtoms).Empty() {
 			st.bhNodes.Remove(v)
 		} else {
 			st.bhNodes.Add(v)
@@ -368,7 +348,7 @@ func (b BlackHoleFree) eval(n *core.Network, ctx *applyCtx, st *state, _ *check.
 	return b.verdictFrom(st)
 }
 
-func (BlackHoleFree) verdictFrom(st *state) verdict {
+func (BlackHoleFree) verdictFrom(st *globalState) verdict {
 	if n := st.bhNodes.Len(); n > 0 {
 		return verdict{violated: true, detail: fmt.Sprintf("%d node(s) black-hole traffic, first node %d", n, st.bhNodes.Min())}
 	}

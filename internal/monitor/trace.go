@@ -25,10 +25,12 @@ type ApplyTrace struct {
 	Links   int
 	Added   int
 	Removed int
-	// Dirtied is how many invariants the pass re-evaluated as
-	// candidates; Evaluated how many actually ran (dead ones drop out);
-	// Skipped and RangeSkipped count invariants the dependency index and
-	// the atom-range refinement spared, respectively.
+	// These four count fixpoints — subgoals (one per (source, avoided
+	// node) pair, however many invariants read it) and global invariants —
+	// not invariants: Dirtied is how many the pass picked to re-run;
+	// Evaluated how many actually ran (retired ones drop out); Skipped and
+	// RangeSkipped how many the dependency index and the atom-range
+	// refinement spared, respectively.
 	Dirtied      int
 	Evaluated    int
 	Skipped      int
@@ -37,14 +39,15 @@ type ApplyTrace struct {
 	Events int
 	// Per-stage wall time in nanoseconds: dirty-marking (index walk +
 	// structural dirty tests), evaluation fan-out (RunSharded +
-	// re-indexing), and event build + publish under eventMu.
+	// re-indexing + every consumer re-reading its verdict), and event
+	// build + publish under eventMu.
 	DirtyNs   int64
 	EvalNs    int64
 	PublishNs int64
 }
 
 // SetTraceSink installs fn to receive an ApplyTrace after every
-// delta-driven evaluation pass (Apply/ApplyWithLoops outside burst mode,
+// delta-driven evaluation pass (ApplyWithLoops outside burst mode,
 // and burst flushes; RecheckAll is an audit, not an update, and is not
 // traced). fn runs synchronously under the apply lock, so it must be
 // fast and must not call back into the monitor; nil uninstalls. With no

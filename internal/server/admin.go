@@ -63,8 +63,8 @@ func (s *Server) writeStatusz(w http.ResponseWriter) {
 
 	fmt.Fprintf(w, "deltanet dnserve\nuptime: %s\n\n", time.Since(s.started).Round(time.Second))
 	fmt.Fprintf(w, "engine: rules=%d atoms=%d links=%d nodes=%d\n", rules, atoms, links, nodes)
-	fmt.Fprintf(w, "monitor: registered=%d updates=%d evaluations=%d skips=%d range_skips=%d events=%d loop_rescan_atoms=%d\n",
-		st.Registered, st.Updates, st.Evaluations, st.Skips, st.RangeSkips, st.Events, st.LoopRescanAtoms)
+	fmt.Fprintf(w, "monitor: registered=%d subgoals=%d updates=%d evaluations=%d skips=%d range_skips=%d events=%d loop_rescan_atoms=%d\n",
+		st.Registered, st.Subgoals, st.Updates, st.Evaluations, st.Skips, st.RangeSkips, st.Events, st.LoopRescanAtoms)
 	fmt.Fprintf(w, "burst: max_deltas=%d max_age=%s pending=%d bursts=%d coalesced=%d\n",
 		burst.MaxDeltas, burst.MaxAge, st.Pending, st.Bursts, st.Coalesced)
 	fmt.Fprintf(w, "events: backlog=%d/%d subscribers=%d\n",

@@ -553,7 +553,7 @@ func TestStateRoundTrip(t *testing.T) {
 	if err := s2.Network().RemoveRuleInto(2, &d2); err != nil {
 		t.Fatal(err)
 	}
-	if evs := s2.Monitor().Apply(&d2); len(evs) == 0 {
+	if evs := monApply(s2, &d2); len(evs) == 0 {
 		t.Fatalf("restored monitor inert after mutation")
 	}
 

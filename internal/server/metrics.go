@@ -68,16 +68,19 @@ func (s *Server) enableMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("dn_monitor_registered", "Standing invariants currently registered.", func() float64 {
 		return float64(s.mon.NumRegistered())
 	})
+	reg.GaugeFunc("dn_monitor_subgoals", "Live subgoals: one shared fixpoint per (source, avoided node) pair the registered invariants read.", func() float64 {
+		return float64(s.mon.Stats().Subgoals)
+	})
 	reg.CounterFunc("dn_monitor_updates_total", "Deltas consumed by the monitor.", func() float64 {
 		return float64(s.mon.Stats().Updates)
 	})
-	reg.CounterFunc("dn_monitor_evaluations_total", "Invariant re-evaluations triggered by deltas.", func() float64 {
+	reg.CounterFunc("dn_monitor_evaluations_total", "Fixpoint (subgoal or global invariant) re-evaluations triggered by deltas.", func() float64 {
 		return float64(s.mon.Stats().Evaluations)
 	})
-	reg.CounterFunc("dn_monitor_skips_total", "Invariants spared by the dependency index.", func() float64 {
+	reg.CounterFunc("dn_monitor_skips_total", "Fixpoints (subgoals or global invariants) spared by the dependency index.", func() float64 {
 		return float64(s.mon.Stats().Skips)
 	})
-	reg.CounterFunc("dn_monitor_range_skips_total", "Skipped invariants that link granularity would have evaluated (atom-range sketch win).", func() float64 {
+	reg.CounterFunc("dn_monitor_range_skips_total", "Skipped subgoals that link granularity would have evaluated (atom-range sketch win).", func() float64 {
 		return float64(s.mon.Stats().RangeSkips)
 	})
 	reg.CounterFunc("dn_monitor_events_total", "Verdict transitions emitted.", func() float64 {

@@ -101,14 +101,14 @@ func TestStateSeqContinuity(t *testing.T) {
 		if err := s.Network().InsertRuleInto(r, &d); err != nil {
 			t.Fatal(err)
 		}
-		s.Monitor().Apply(&d)
+		monApply(s, &d)
 	}
 	remove := func(s *Server, id core.RuleID) {
 		t.Helper()
 		if err := s.Network().RemoveRuleInto(id, &d); err != nil {
 			t.Fatal(err)
 		}
-		s.Monitor().Apply(&d)
+		monApply(s, &d)
 	}
 	insert(s1, core.Rule{ID: 2, Source: b, Link: l1, Match: ipnet.Interval{Lo: 0, Hi: 100}, Priority: 1})
 	s1.Monitor().Register(monitor.Reachable{From: a, To: cNode})

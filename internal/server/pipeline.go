@@ -107,7 +107,7 @@ func (r updateRecord) format() string {
 type tracer struct {
 	// mu guards everything below. It ranks between flushMu and
 	// connWriter.mu: records are taken while the engine lock is held
-	// (the sink runs inside Apply), responses are formatted under the
+	// (the sink runs inside ApplyWithLoops), responses are formatted under the
 	// read lock, and nothing below ever writes to a connection.
 	//
 	//deltanet:lockrank 35

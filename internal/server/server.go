@@ -24,7 +24,7 @@
 //	events since <seq>                   -> ok events n=<k> (k replay lines follow; see below)
 //	burst <maxDeltas> <maxAgeMs>         -> ok burst deltas=<n> age=<ms>
 //	flush                                -> ok flush events=<k> pending=0
-//	stats                                -> ok stats rules=<r> atoms=<a> links=<l> nodes=<v> watch=<w> pending=<p> rskip=<n> ix=<s0,...,s15>
+//	stats                                -> ok stats rules=<r> atoms=<a> links=<l> nodes=<v> watch=<w> pending=<p> upd=<u> rskip=<n> ix=<s0,...,s15> sub=<g>
 //	quit                                 -> connection closed
 //
 // Wherever reach, whatif, or a W spec takes a node, it accepts either
@@ -1092,10 +1092,10 @@ func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 			shards[i] = strconv.Itoa(p)
 		}
 		var b strings.Builder
-		fmt.Fprintf(&b, "ok stats rules=%d atoms=%d links=%d nodes=%d watch=%d pending=%d upd=%d rskip=%d ix=%s",
+		fmt.Fprintf(&b, "ok stats rules=%d atoms=%d links=%d nodes=%d watch=%d pending=%d upd=%d rskip=%d ix=%s sub=%d",
 			s.net.NumRules(), s.net.NumAtoms(), s.graph.NumLinks(),
 			s.graph.NumNodes(), st.Registered, st.Pending, st.Updates,
-			st.RangeSkips, strings.Join(shards, ","))
+			st.RangeSkips, strings.Join(shards, ","), st.Subgoals)
 		if s.jrnl != nil {
 			fmt.Fprintf(&b, " jrnl=%d", s.jrnl.End())
 		}

@@ -17,8 +17,15 @@ import (
 	"deltanet/internal/check"
 	"deltanet/internal/core"
 	"deltanet/internal/ipnet"
+	"deltanet/internal/monitor"
 	"deltanet/internal/netgraph"
 )
+
+// monApply hands the server's monitor a delta the test produced on the
+// network directly, the way a caller that ran no loop check does.
+func monApply(s *Server, d *core.Delta) []monitor.Event {
+	return s.Monitor().ApplyWithLoops(d, nil, false)
+}
 
 // startServer returns a running server, its address, and a cleanup func.
 func startServer(t *testing.T, opts ...Option) (*Server, string, func()) {
