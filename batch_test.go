@@ -157,6 +157,37 @@ func TestApplyBatchReportsLoop(t *testing.T) {
 	}
 }
 
+// TestApplyBatchCancellingOps: an insert and its removal in one batch
+// merge to an empty delta before the monitor sees anything — no update
+// number is consumed, no pass runs and no event is emitted. Merging
+// updates is ApplyBatch's job; the monitor has no second place to do it.
+func TestApplyBatchCancellingOps(t *testing.T) {
+	c := New()
+	a, b := c.AddSwitch("a"), c.AddSwitch("b")
+	ab := c.AddLink(a, b)
+	m := c.Monitor()
+	id, st := m.Register(WatchReachable(a, b))
+	if st != InvariantViolated {
+		t.Fatalf("initial status: %v", st)
+	}
+	rep, err := c.ApplyBatch([]BatchOp{
+		InsertOp(Rule{ID: 1, Source: a, Link: ab, Match: Interval{Lo: 0, Hi: 100}, Priority: 1}),
+		RemoveOp(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Delta.Empty() || len(rep.Events) != 0 {
+		t.Fatalf("cancelling batch: delta %+v, events %v", rep.Delta, rep.Events)
+	}
+	if st := m.Stats(); st.Updates != 0 || st.Evaluations != 0 || st.Events != 0 {
+		t.Fatalf("cancelling batch reached the monitor: %+v", st)
+	}
+	if got, _, _ := m.Status(id); got != InvariantViolated || c.NumRules() != 0 {
+		t.Fatalf("after cancelling batch: status %v, %d rules", got, c.NumRules())
+	}
+}
+
 // TestApplyBatchBlackHoles: with WithBlackHoleChecking, a batch delivering
 // atoms to a ruleless node reports the hole; sinks are exempt.
 func TestApplyBatchBlackHoles(t *testing.T) {

@@ -532,26 +532,21 @@ func monitorChurnNodes(numInv int) int {
 
 // BenchmarkMonitorChurn is the incremental-monitor headline: per-update
 // cost of keeping 10²..10⁵ standing reachability invariants current under
-// churn. Five arms (the pre-sharding flat-scan arm was retired with its
-// final rows recorded in CHANGES.md, PR 18):
+// churn. Three arms (retired arms' final rows are recorded in CHANGES.md,
+// PRs 18 and 23):
 //
-//   - sharded: the dependency index at its default atom granularity —
-//     dirty marking intersects each changed link's per-subgoal
-//     atom-range sketches with the delta's touched atoms;
+//   - sharded: the dependency index — dirty marking intersects each
+//     changed link's per-subgoal atom-range sketches with the delta's
+//     touched atoms;
 //   - sharded-instrumented: sharded with a trace sink installed, pricing
 //     the per-update pipeline tracing (stage timestamps are only taken
 //     when a sink is set);
-//   - link-granular: the same index ignoring the sketches (SetLinkGranular)
-//     — any delta on a dep link re-evaluates, the pre-atom baseline;
-//   - burst-16: the sharded index plus coalescing burst mode flushing
-//     every 16 deltas — the throughput shape for heavy churn;
 //   - recheck-all: re-running every registered query from scratch per
 //     update (capped at 10³, where it is already ~3 orders off).
 //
-// This churn moves atoms every dirty invariant's verdict actually uses,
-// so sharded and link-granular should be nearly identical here (the
-// refinement must not cost anything when it cannot help); the
-// range-disjoint case where it wins is BenchmarkMonitorChurnLocality.
+// This churn moves atoms every dirty invariant's verdict actually uses;
+// the range-disjoint case where the sketches win is
+// BenchmarkMonitorChurnLocality.
 // evals/update shows how many fixpoints (one per dirty source, however
 // many invariants read it) each update actually re-ran; updates/sec is
 // the headline.
@@ -571,7 +566,6 @@ func BenchmarkMonitorChurn(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					monitorChurn(b, c, sw[0], alt, i)
 				}
-				m.Flush() // drain a trailing partial burst
 				b.StopTimer()
 				st := m.Stats()
 				b.ReportMetric(float64(st.Evaluations)/float64(b.N), "evals/update")
@@ -585,8 +579,6 @@ func BenchmarkMonitorChurn(b *testing.B) {
 		run("sharded-instrumented", func(m *monitor.Monitor) {
 			m.SetTraceSink(func(monitor.ApplyTrace) {})
 		})
-		run("link-granular", func(m *monitor.Monitor) { m.SetLinkGranular(true) })
-		run("burst-16", func(m *monitor.Monitor) { m.SetBurst(monitor.BurstConfig{MaxDeltas: 16}) })
 		if numInv <= 1000 {
 			b.Run(fmt.Sprintf("invariants-%d/recheck-all", numInv), func(b *testing.B) {
 				c, sw, alt := monitorBenchChecker(nodes)
@@ -691,42 +683,27 @@ func (lb *localityBench) churn(b *testing.B, i int) {
 // BenchmarkMonitorChurnLocality measures the tentpole of atom-granular
 // dependency tracking: churn whose deltas all hit a link every invariant
 // depends on, but each delta moving only one invariant's atoms — the
-// case the paper's atoms insight says should be nearly free. At link
-// granularity every update re-evaluates all numInv invariants; at atom
-// granularity it re-evaluates ~1, with the rest skipped by range-sketch
-// intersection (rskips/update).
-//
-// The link-granular arm runs at 10⁴ only: at 10⁵ it needs two million
-// fixpoint evaluations for twenty updates (under 0.6 updates/sec at 10⁴
-// already, an order slower again at 10⁵) and blows the default test
-// timeout — being unrunnable there is precisely the measurement. The
-// recorded gap: 10⁴ atom ≈950 updates/sec vs link ≈0.57; 10⁵ atom ≈49
-// updates/sec at 1 eval/update with 99999 invariants range-skipped.
+// case the paper's atoms insight says should be nearly free. Every
+// invariant depends on the changed link, yet an update re-evaluates ~1,
+// with the rest skipped by range-sketch intersection (rskips/update).
 func BenchmarkMonitorChurnLocality(b *testing.B) {
 	for _, numInv := range []int{10_000, 100_000} {
 		numInv := numInv
-		run := func(name string, cfg func(m *monitor.Monitor)) {
-			b.Run(fmt.Sprintf("invariants-%d/%s", numInv, name), func(b *testing.B) {
-				lb := buildLocalityBench(numInv)
-				m := lb.c.Monitor()
-				cfg(m)
-				for i := range lb.src {
-					m.Register(WatchReachable(lb.src[i], lb.dst[i]))
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					lb.churn(b, i)
-				}
-				b.StopTimer()
-				st := m.Stats()
-				b.ReportMetric(float64(st.Evaluations)/float64(b.N), "evals/update")
-				b.ReportMetric(float64(st.RangeSkips)/float64(b.N), "rskips/update")
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/sec")
-			})
-		}
-		run("atom-granular", func(m *monitor.Monitor) {})
-		if numInv <= 10_000 {
-			run("link-granular", func(m *monitor.Monitor) { m.SetLinkGranular(true) })
-		}
+		b.Run(fmt.Sprintf("invariants-%d/atom-granular", numInv), func(b *testing.B) {
+			lb := buildLocalityBench(numInv)
+			m := lb.c.Monitor()
+			for i := range lb.src {
+				m.Register(WatchReachable(lb.src[i], lb.dst[i]))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lb.churn(b, i)
+			}
+			b.StopTimer()
+			st := m.Stats()
+			b.ReportMetric(float64(st.Evaluations)/float64(b.N), "evals/update")
+			b.ReportMetric(float64(st.RangeSkips)/float64(b.N), "rskips/update")
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/sec")
+		})
 	}
 }

@@ -5,19 +5,15 @@
 // Usage:
 //
 //	dnserve [-addr host:port] [-gc] [-trace file] [-batch n]
-//	        [-burst-deltas n] [-burst-age d] [-state file]
-//	        [-checkpoint <interval|Nu>] [-admin host:port]
+//	        [-state file] [-checkpoint <interval|Nu>] [-admin host:port]
 //	        [-slow-update d] [-journal file] [-journal-sync none|always]
 //	        [-replica-of host:port] [-feed spec]
 //
 // With -trace, the topology and insertions of the trace are preloaded
 // before serving; -batch n applies the preload as atomic batches of n
 // rules through the parallel batch pipeline instead of one rule at a
-// time. -burst-deltas/-burst-age preconfigure the monitor's coalescing
-// burst mode (equivalent to the protocol's burst command; -burst-age also
-// starts the background flusher). See internal/server for the protocol
-// (including the B, W, watch since, events since, burst, and flush
-// commands).
+// time. See internal/server for the protocol (including the B, W, watch
+// since, and events since commands).
 //
 // -state makes the service durable across restarts: if the file exists
 // it is loaded before serving (topology, rules, standing invariants —
@@ -67,9 +63,8 @@
 // own engine and monitor, and serves reach/whatif/stats/W/watch
 // locally (mutations are refused). A replica that falls behind a
 // journal rotation re-anchors on a fresh checkpoint automatically.
-// Incompatible with -trace, -state, -checkpoint, -journal, and the
-// -burst flags (the primary's burst policy does not replicate). See
-// the README's Replication section.
+// Incompatible with -trace, -state, -checkpoint, and -journal. See the
+// README's Replication section.
 package main
 
 import (
@@ -88,7 +83,6 @@ import (
 	"deltanet/internal/core"
 	"deltanet/internal/journal"
 	"deltanet/internal/metrics"
-	"deltanet/internal/monitor"
 	"deltanet/internal/netgraph"
 	"deltanet/internal/server"
 	"deltanet/internal/trace"
@@ -99,8 +93,6 @@ func main() {
 	gc := flag.Bool("gc", false, "enable atom garbage collection")
 	traceFile := flag.String("trace", "", "preload this trace's topology and insertions")
 	batch := flag.Int("batch", 1, "preload batch size (>1 uses the parallel batch pipeline)")
-	burstDeltas := flag.Int("burst-deltas", 0, "coalesce this many deltas per monitor burst (>=2 enables)")
-	burstAge := flag.Duration("burst-age", 0, "flush a pending monitor burst at this age (>0 enables)")
 	stateFile := flag.String("state", "", "durable state file: loaded before serving if it exists, saved on shutdown")
 	checkpoint := flag.String("checkpoint", "", "background state saves while serving: a duration (e.g. 30s) or an update count (e.g. 1000u); requires -state")
 	adminAddr := flag.String("admin", "", "serve /metrics, /healthz, /statusz, and /debug/pprof on this address")
@@ -113,9 +105,6 @@ func main() {
 	if *batch < 1 {
 		fatal(fmt.Errorf("-batch must be >= 1, got %d", *batch))
 	}
-	if *burstDeltas < 0 || *burstAge < 0 {
-		fatal(fmt.Errorf("-burst-deltas and -burst-age must be non-negative"))
-	}
 	ckptEvery, ckptUpdates, err := parseCheckpoint(*checkpoint)
 	if err != nil {
 		fatal(err)
@@ -127,11 +116,10 @@ func main() {
 		for flagName, set := range map[string]bool{
 			"-trace": *traceFile != "", "-state": *stateFile != "",
 			"-checkpoint": *checkpoint != "", "-journal": *journalFile != "",
-			"-burst-deltas": *burstDeltas != 0, "-burst-age": *burstAge != 0,
 			"-feed": *feedSpec != "",
 		} {
 			if set {
-				fatal(fmt.Errorf("-replica-of is incompatible with %s: the replica's state, journal cursor, and burst policy come from the primary", flagName))
+				fatal(fmt.Errorf("-replica-of is incompatible with %s: the replica's state and journal cursor come from the primary", flagName))
 			}
 		}
 	}
@@ -147,9 +135,6 @@ func main() {
 	}
 
 	opts := []server.Option{server.WithEngine(core.Options{GC: *gc})}
-	if *burstDeltas >= 2 || *burstAge > 0 {
-		opts = append(opts, server.WithBurst(monitor.BurstConfig{MaxDeltas: *burstDeltas, MaxAge: *burstAge}))
-	}
 	if *slowUpdate > 0 {
 		opts = append(opts, server.WithSlowUpdate(*slowUpdate, os.Stderr))
 	}

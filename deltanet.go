@@ -54,7 +54,6 @@ package deltanet
 
 import (
 	"fmt"
-	"time"
 
 	"deltanet/internal/bitset"
 	"deltanet/internal/check"
@@ -127,10 +126,6 @@ type Checker struct {
 	// out over; ≤ 0 selects GOMAXPROCS.
 	BatchWorkers int
 
-	// burst is the monitor burst configuration installed at Monitor()
-	// creation (see WithBurst); the zero value disables coalescing.
-	burst BurstConfig
-
 	// monitor is the standing-invariant monitor, created lazily by
 	// Monitor() (see monitor.go); nil until first use.
 	monitor *Monitor
@@ -145,7 +140,6 @@ type options struct {
 	gc         bool
 	checkLoops bool
 	blackHoles bool
-	burst      BurstConfig
 }
 
 // WithAtomGC enables atom garbage collection: under insert/remove churn,
@@ -163,19 +157,6 @@ func WithoutLoopChecking() Option { return func(o *options) { o.checkLoops = fal
 // delivered to nodes that neither forward nor drop them.
 func WithBlackHoleChecking() Option { return func(o *options) { o.blackHoles = true } }
 
-// WithBurst enables the monitor's coalescing burst mode: under churn,
-// consecutive update deltas are merged and each dirty standing invariant
-// is re-evaluated once per burst rather than once per update. A burst
-// flushes after maxDeltas coalesced updates (≥ 2 to enable the count
-// trigger) or when an update finds the burst maxAge old (> 0 to enable;
-// checked inside monitor calls — see Monitor.Flush for an explicit
-// flush). While a burst is pending, Report.Events stays empty and cached
-// verdicts lag the data plane by at most the burst window; the flush's
-// events carry the coalesced update range.
-func WithBurst(maxDeltas int, maxAge time.Duration) Option {
-	return func(o *options) { o.burst = BurstConfig{MaxDeltas: maxDeltas, MaxAge: maxAge} }
-}
-
 // New returns an empty Checker with per-update loop checking enabled.
 func New(opts ...Option) *Checker {
 	o := options{checkLoops: true}
@@ -188,7 +169,6 @@ func New(opts ...Option) *Checker {
 		net:             core.NewNetwork(g, core.Options{GC: o.gc}),
 		CheckLoops:      o.checkLoops,
 		CheckBlackHoles: o.blackHoles,
-		burst:           o.burst,
 	}
 }
 

@@ -156,7 +156,7 @@ func FindLoopsDeltaParallel(n *core.Network, d *core.Delta, workers int) []Loop 
 			}
 		}
 	})
-	// An atom split over several runs (a merged burst delta) keeps the
+	// An atom split over several runs (a batch's merged delta) keeps the
 	// loop of its first looping run, as the serial check does.
 	sc := GetScratch()
 	defer PutScratch(sc)

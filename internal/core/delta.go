@@ -44,8 +44,8 @@ type LinkAtom struct {
 //
 // Property checkers consume Deltas to verify invariants incrementally: a
 // new forwarding loop can only appear through an Added entry, and a new
-// black hole only through a Removed entry. Multiple rule updates may be
-// aggregated into one delta-graph via Merge.
+// black hole only through a Removed entry. Multiple rule updates are
+// aggregated into one delta-graph by ApplyBatch.
 type Delta struct {
 	Rule RuleID
 	Op   Op
@@ -82,15 +82,6 @@ func (d *Delta) AffectedAtoms() []intervalmap.AtomID {
 		}
 	}
 	return out
-}
-
-// Merge appends o's changes into d, producing an aggregated delta-graph
-// (§3.3: "multiple rule updates may be aggregated into a delta-graph").
-// The per-entry order is preserved; Rule/Op keep d's original values.
-func (d *Delta) Merge(o *Delta) {
-	d.NewAtoms = append(d.NewAtoms, o.NewAtoms...)
-	d.Added = append(d.Added, o.Added...)
-	d.Removed = append(d.Removed, o.Removed...)
 }
 
 // reset clears the delta for reuse, retaining capacity.

@@ -340,16 +340,12 @@ func TestGCMergesAtoms(t *testing.T) {
 }
 
 func TestDeltaMergeAndAffectedAtoms(t *testing.T) {
+	// The delta of two updates merged into one (what ApplyBatch yields):
+	// atom 3 moves from link 0 to link 1 and is listed on both sides.
 	d1 := &Delta{Rule: 1, Op: OpInsert,
-		Added:   []LinkAtom{{Link: 1, Atom: 3}, {Link: 1, Atom: 4}},
-		Removed: []LinkAtom{{Link: 0, Atom: 3}}}
-	d2 := &Delta{Rule: 2, Op: OpInsert,
-		Added:    []LinkAtom{{Link: 2, Atom: 5}},
+		Added:    []LinkAtom{{Link: 1, Atom: 3}, {Link: 1, Atom: 4}, {Link: 2, Atom: 5}},
+		Removed:  []LinkAtom{{Link: 0, Atom: 3}},
 		NewAtoms: []intervalmap.SplitPair{{Old: 1, New: 5}}}
-	d1.Merge(d2)
-	if len(d1.Added) != 3 || len(d1.Removed) != 1 || len(d1.NewAtoms) != 1 {
-		t.Fatalf("merge result: %+v", d1)
-	}
 	atoms := d1.AffectedAtoms()
 	if len(atoms) != 3 { // 3, 4, 5
 		t.Fatalf("affected atoms %v", atoms)

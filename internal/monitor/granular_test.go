@@ -98,56 +98,42 @@ func (f *trunkFixture) verifyOracle(t *testing.T, m *Monitor, ids []ID) {
 }
 
 // TestAtomGranularSkipsRangeDisjointChurn is the tentpole's acceptance
-// shape: every invariant's dependency set contains the trunk link, so
-// link-granular dirtiness re-evaluates all of them on every trunk delta,
-// while atom-granular dirtiness re-evaluates only the one whose slice
-// the delta actually moves — with verdicts identical to the oracle and
-// the difference visible in the range-skip counter.
+// shape: every invariant's dependency set contains the trunk link, yet a
+// trunk delta re-evaluates only the one whose slice it actually moves —
+// with verdicts identical to the oracle and every other invariant
+// accounted for in the range-skip counter.
 func TestAtomGranularSkipsRangeDisjointChurn(t *testing.T) {
 	const leaves = 8
 	f := buildTrunk(t, leaves, core.Options{})
 
 	atom := New(f.net, 0)
-	link := New(f.net, 0)
-	link.SetLinkGranular(true)
-	var atomIDs, linkIDs []ID
+	var atomIDs []ID
 	for i := 0; i < leaves; i++ {
-		s := Reachable{From: f.src[i], To: f.dst[i]}
-		ai, st := atom.Register(s)
+		ai, st := atom.Register(Reachable{From: f.src[i], To: f.dst[i]})
 		if st != Holds {
 			t.Fatalf("leaf %d not reachable at registration", i)
 		}
-		li, _ := link.Register(s)
-		atomIDs, linkIDs = append(atomIDs, ai), append(linkIDs, li)
+		atomIDs = append(atomIDs, ai)
 	}
 
 	const rounds = 3
 	for r := 0; r < rounds; r++ {
 		for j := 0; j < leaves; j++ {
-			f.detour(t, j, true, atom, link)
+			f.detour(t, j, true, atom)
 			f.verifyOracle(t, atom, atomIDs)
-			f.verifyOracle(t, link, linkIDs)
-			f.detour(t, j, false, atom, link)
+			f.detour(t, j, false, atom)
 			f.verifyOracle(t, atom, atomIDs)
-			f.verifyOracle(t, link, linkIDs)
 		}
 	}
 
-	as, ls := atom.Stats(), link.Stats()
+	as := atom.Stats()
 	updates := uint64(rounds * leaves * 2)
-	if ls.Evaluations != updates*leaves {
-		t.Fatalf("link-granular evaluated %d, want %d (all invariants per trunk delta)",
-			ls.Evaluations, updates*leaves)
-	}
 	if as.Evaluations != updates {
 		t.Fatalf("atom-granular evaluated %d, want %d (one invariant per trunk delta)",
 			as.Evaluations, updates)
 	}
 	if as.RangeSkips != updates*(leaves-1) {
 		t.Fatalf("range-skips %d, want %d", as.RangeSkips, updates*(leaves-1))
-	}
-	if as.Skips <= ls.Skips {
-		t.Fatalf("atom-granular skips %d not above link-granular %d", as.Skips, ls.Skips)
 	}
 }
 

@@ -22,10 +22,9 @@ const indexShards = 16
 // set of subgoal slots whose last evaluation depended on it, refined —
 // where the evaluation recorded one — by a per-slot atom-range sketch of
 // which atoms on that link actually mattered. Dirty marking on an update
-// is then one bitmap union per changed link (link granularity), or a
-// per-slot sketch intersection against the delta's touched atom ranges
-// (atom granularity): a subgoal whose recorded ranges are disjoint
-// from the delta's atoms on every shared link is skipped entirely, which
+// is then a per-slot sketch intersection against the delta's touched
+// atom ranges on each changed link: a subgoal whose recorded ranges are
+// disjoint from the delta's atoms on every shared link is skipped, which
 // is the paper's work-proportional-to-affected-atoms property carried
 // through to standing invariants. The sharded, partitioned-state layout
 // (NFork's lesson applied to the monitor) keeps dirty marking cheap at
@@ -109,30 +108,16 @@ func (ix *depIndex) growTo(numLinks int, seed *bitset.Set) {
 	ix.upTo.Store(int64(numLinks))
 }
 
-// collect unions into dirty the slot bitmaps of every changed link,
-// ignoring the atom-range sketches — the link-granular path (the
-// SetLinkGranular ablation). Links ≥ upTo are ignored; callers growTo
-// first, so none exist by the time a delta naming them is applied.
-func (ix *depIndex) collect(changed, dirty *bitset.Set) {
-	changed.ForEach(func(l int) bool {
-		sh := &ix.shards[l%indexShards]
-		sh.mu.RLock()
-		if i := l / indexShards; i < len(sh.byLink) && sh.byLink[i] != nil {
-			dirty.UnionWith(sh.byLink[i])
-		}
-		sh.mu.RUnlock()
-		return true
-	})
-}
-
-// collectGranular is collect at atom granularity: a slot in a changed
-// link's bitmap is dirtied only when its sketch intersects the delta's
-// touched atoms on that link (dr), when it has no sketch there, or when
-// the delta touches an atom born after the sketch was recorded
+// collect marks the slots an update dirties: a slot in a changed link's
+// bitmap is dirtied only when its sketch intersects the delta's touched
+// atoms on that link (dr), when it has no sketch there, or when the
+// delta touches an atom born after the sketch was recorded
 // (dr.NewestBorn vs the sketch's stamp). Every slot considered — dirtied
 // or not — is also accumulated into cand, so the caller can count
-// range-based skips as cand minus dirty.
-func (ix *depIndex) collectGranular(changed *bitset.Set, dr *core.DeltaRanges, dirty, cand *bitset.Set) {
+// range-based skips as cand minus dirty. Links ≥ upTo are ignored;
+// callers growTo first, so none exist by the time a delta naming them is
+// applied.
+func (ix *depIndex) collect(changed *bitset.Set, dr *core.DeltaRanges, dirty, cand *bitset.Set) {
 	changed.ForEach(func(l int) bool {
 		sh := &ix.shards[l%indexShards]
 		sh.mu.RLock()
@@ -150,7 +135,7 @@ func (ix *depIndex) collectGranular(changed *bitset.Set, dr *core.DeltaRanges, d
 		touched := dr.Ranges(netgraph.LinkID(l))
 		if len(sums) == 0 || touched == nil {
 			// No sketches on this link (or no range data for it): every
-			// depending slot is dirty, as at link granularity.
+			// depending slot is dirty.
 			dirty.UnionWith(bm)
 			sh.mu.RUnlock()
 			return true
@@ -264,8 +249,8 @@ func (ix *depIndex) update(slot int, oldDeps *bitset.Set, oldUpTo int, oldRanges
 
 // shardPops returns each shard's total bit population (the sum over the
 // shard's link bitmaps of their set-bit counts) — the operator-facing
-// load signal Stats exposes: a shard far above the rest points at a hot
-// link whose bitmap dominates dirty-marking cost.
+// load signal Monitor.IndexShardBits exposes: a shard far above the rest
+// points at a hot link whose bitmap dominates dirty-marking cost.
 func (ix *depIndex) shardPops() []int {
 	pops := make([]int, indexShards)
 	for i := range ix.shards {

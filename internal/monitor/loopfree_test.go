@@ -162,7 +162,7 @@ func TestApplyTraceSink(t *testing.T) {
 		t.Fatalf("sink saw %d records, want 1", len(got))
 	}
 	tr := got[0]
-	if tr.Coalesced != 1 || tr.FirstUpdate != tr.LastUpdate || tr.FirstUpdate != m.UpdateSeq() {
+	if tr.Update != m.UpdateSeq() {
 		t.Fatalf("record identity wrong: %+v (seq=%d)", tr, m.UpdateSeq())
 	}
 	if tr.Added == 0 || tr.Links == 0 {
@@ -182,33 +182,5 @@ func TestApplyTraceSink(t *testing.T) {
 	mustRemove(t, n, m, 1)
 	if len(got) != 1 {
 		t.Fatalf("uninstalled sink still fired: %d records", len(got))
-	}
-}
-
-// TestApplyTraceBurst checks that a coalesced burst flush produces one
-// record spanning the buffered update range.
-func TestApplyTraceBurst(t *testing.T) {
-	g, nodes, links := line4()
-	n := core.NewNetwork(g, core.Options{})
-	m := New(n, 0)
-	m.Register(Reachable{From: nodes[0], To: nodes[3]})
-	m.SetBurst(BurstConfig{MaxDeltas: 3})
-
-	var got []ApplyTrace
-	m.SetTraceSink(func(tr ApplyTrace) { got = append(got, tr) })
-
-	for i, link := range links {
-		mustInsert(t, n, m, core.Rule{ID: core.RuleID(i + 1), Source: nodes[i], Link: link,
-			Match: ipnet.Interval{Lo: 0, Hi: 100}, Priority: 1})
-	}
-	if len(got) != 1 {
-		t.Fatalf("burst of 3 produced %d records, want 1 flush record", len(got))
-	}
-	tr := got[0]
-	if tr.Coalesced != 3 {
-		t.Fatalf("coalesced=%d, want 3", tr.Coalesced)
-	}
-	if tr.LastUpdate-tr.FirstUpdate != 2 {
-		t.Fatalf("update range %d:%d, want a span of 3", tr.FirstUpdate, tr.LastUpdate)
 	}
 }

@@ -22,18 +22,16 @@
 // BlackHoleFree, which re-evaluate incrementally from the delta
 // itself). Atoms born after a subgoal's evaluation (split-minted or
 // GC-recycled ids) conservatively dirty it, so the sketches stay sound
-// under atom split/merge churn; SetLinkGranular restores pure
-// link-level dirtiness as the ablation baseline. Re-evaluations fan out
+// under atom split/merge churn. Re-evaluations fan out
 // over per-worker queues (check.RunSharded); afterwards every consumer
 // of a re-evaluated subgoal re-reads its verdict, and transitions are
 // emitted as Violation/Cleared events to subscribers in invariant-id
 // order.
 //
-// Under heavy churn the monitor can additionally coalesce updates: with a
-// burst configuration set (SetBurst), consecutive deltas are merged
-// (core.Delta.Merge) and each dirty subgoal is re-evaluated once per
-// burst rather than once per update, trading event latency for
-// throughput. See BurstConfig.
+// The monitor does not merge updates: one ApplyWithLoops call is one
+// update number and one evaluation pass. Callers that want several rule
+// changes evaluated once merge them before the engine (core.ApplyBatch)
+// and hand the monitor the batch's net delta.
 //
 // Concurrency: all exported methods are safe to call from multiple
 // goroutines, but the monitor only reads the network — the caller must
@@ -98,8 +96,8 @@ func (k EventKind) String() string {
 // Event records one verdict transition. Seq increases monotonically
 // across all events of a monitor, so subscribers can order and detect
 // gaps. FirstUpdate and LastUpdate delimit the (inclusive) range of
-// update sequence numbers whose coalesced delta produced the event: they
-// are equal outside burst mode, and span the merged burst inside it.
+// update sequence numbers whose delta produced the event; a pass consumes
+// one update, so they are equal.
 type Event struct {
 	Seq         uint64
 	ID          ID
@@ -178,7 +176,7 @@ type Stats struct {
 	Registered int
 	// Subgoals is the current number of live subgoals: the denominator
 	// (with the registered global invariants) of Evaluations and Skips
-	// per update, and the number of slots IndexShardBits is spread over.
+	// per update, and the number of slots IndexShardBits() is spread over.
 	Subgoals int
 	// Updates counts deltas consumed by ApplyWithLoops.
 	Updates uint64
@@ -200,25 +198,12 @@ type Stats struct {
 	RangeSkips uint64
 	// Events counts verdict transitions emitted.
 	Events uint64
-	// Bursts counts evaluation passes that coalesced at least one delta,
-	// and Coalesced the total deltas merged into them. Pending is the
-	// number of deltas currently buffered awaiting a flush.
-	Bursts    uint64
-	Coalesced uint64
-	Pending   int
 	// LoopRescanAtoms counts atoms re-walked by LoopFree's batch-aware
 	// clearing path: while violated, only previously looping atoms (plus
 	// the delta's added-label atoms and any atoms born since) are
 	// re-scanned instead of every atom in the network. Comparing this
 	// against Updates × NumAtoms shows the saved work.
 	LoopRescanAtoms uint64
-	// IndexShardBits is the dependency index's per-shard bit population:
-	// for each of the index's link shards, the total number of
-	// (link, subgoal-slot) dependency bits it holds. A shard whose
-	// population dwarfs the others means one hot link's bitmap dominates
-	// dirty-marking cost — the signal that the link is a candidate for
-	// splitting by atom range.
-	IndexShardBits []int
 }
 
 // regStripes is the number of registration stripes. ID lookups (Status,
@@ -249,18 +234,12 @@ type Monitor struct {
 	net     *core.Network
 	workers int
 
-	// applyMu serializes evaluation passes (ApplyWithLoops, Flush,
-	// RecheckAll) and guards the burst state below it.
+	// applyMu serializes evaluation passes (ApplyWithLoops, RecheckAll)
+	// and guards the update counter and the pass scratch below it.
 	//
 	//deltanet:lockrank 10
-	applyMu        sync.Mutex
-	burst          BurstConfig
-	updSeq         uint64
-	pending        core.Delta
-	pendingChanged *bitset.Set
-	pendingCount   int
-	pendingFirst   uint64 // update seq of the first coalesced delta
-	pendingSince   time.Time
+	applyMu sync.Mutex
+	updSeq  uint64
 
 	// Per-pass scratch, reused across evaluation passes under applyMu so
 	// steady-state churn allocates nothing for dirty marking, the unit
@@ -301,12 +280,6 @@ type Monitor struct {
 
 	index depIndex
 
-	// linkGranular, when set, ignores the per-link atom-range sketches
-	// and dirties at link granularity (any delta on a dep link
-	// re-evaluates) — the pre-atom-granularity behavior, kept as the
-	// ablation baseline.
-	linkGranular atomic.Bool
-
 	// eventMu guards the sequence counter, the subscriber set, and the
 	// event backlog ring (backlog.go).
 	//
@@ -319,7 +292,7 @@ type Monitor struct {
 	backlogHead int
 	backlogLen  int
 
-	evals, fixpoints, skips, rangeSkips, events, bursts, coalesced atomic.Uint64
+	evals, fixpoints, skips, rangeSkips, events atomic.Uint64
 
 	// loopRescans counts atoms re-walked by LoopFree's violated-state
 	// candidate re-scan (spec.go) — the work the batch-aware clearing
@@ -341,7 +314,6 @@ func New(net *core.Network, workers int) *Monitor {
 		bySub:          map[subKey]*subgoal{},
 		freeSlots:      bitset.New(0),
 		depSlots:       bitset.New(0),
-		pendingChanged: bitset.New(0),
 		scratchChanged: bitset.New(0),
 		scratchDirty:   bitset.New(0),
 		scratchCand:    bitset.New(0),
@@ -355,14 +327,6 @@ func New(net *core.Network, workers int) *Monitor {
 }
 
 func (m *Monitor) stripe(id ID) *regStripe { return &m.stripes[uint64(id)%regStripes] }
-
-// SetLinkGranular toggles link-granular dirtiness: the dependency index
-// is still used, but the per-link atom-range sketches are ignored, so
-// any delta on a dep link re-evaluates the subgoal even when it only
-// moves atoms the answer never looked at — the pre-atom-granularity
-// behavior. It exists as the ablation baseline for benchmarks and
-// equivalence tests; production callers should leave it off.
-func (m *Monitor) SetLinkGranular(on bool) { m.linkGranular.Store(on) }
 
 // Register adds a standing invariant, settles its verdict, and returns
 // its id and initial status. Registration emits no event: events are
@@ -497,7 +461,7 @@ func (m *Monitor) Unregister(id ID) bool {
 }
 
 // Status returns an invariant's cached verdict and its human-readable
-// detail. In burst mode the verdict is as of the last flush.
+// detail, as of the last update applied.
 func (m *Monitor) Status(id ID) (Status, string, bool) {
 	str := m.stripe(id)
 	str.mu.RLock()
@@ -568,10 +532,12 @@ func (m *Monitor) sortedByID() []*invariant {
 	return all
 }
 
-// Stats returns the monitor's work counters.
+// Stats returns the monitor's work counters. It reads atomics and takes
+// two short locks; the dependency index's population, which costs a walk
+// of every link bitmap, is IndexShardBits.
 func (m *Monitor) Stats() Stats {
 	m.applyMu.Lock()
-	upd, pending := m.updSeq, m.pendingCount
+	upd := m.updSeq
 	m.applyMu.Unlock()
 	m.regMu.RLock()
 	subgoals := len(m.bySub)
@@ -585,13 +551,18 @@ func (m *Monitor) Stats() Stats {
 		Skips:           m.skips.Load(),
 		RangeSkips:      m.rangeSkips.Load(),
 		Events:          m.events.Load(),
-		Bursts:          m.bursts.Load(),
-		Coalesced:       m.coalesced.Load(),
-		Pending:         pending,
 		LoopRescanAtoms: m.loopRescans.Load(),
-		IndexShardBits:  m.index.shardPops(),
 	}
 }
+
+// IndexShardBits returns the dependency index's per-shard bit
+// population: for each of the index's link shards, the total number of
+// (link, subgoal-slot) dependency bits it holds. A shard whose population
+// dwarfs the others means one hot link's bitmap dominates dirty-marking
+// cost — the signal that the link is a candidate for splitting by atom
+// range. It walks every link bitmap under the shard locks, so callers
+// rendering several figures take it once.
+func (m *Monitor) IndexShardBits() []int { return m.index.shardPops() }
 
 // ApplyWithLoops consumes one update's delta-graph: subgoals whose
 // dependency records intersect the changed labels (and global invariants
@@ -605,12 +576,9 @@ func (m *Monitor) Stats() Stats {
 // check's authoritative result for d (it may be empty) and a registered
 // LoopFree invariant reuses it instead of re-walking the delta.
 //
-// In burst mode (SetBurst) the delta is usually only merged into the
-// pending burst and nil returned; when the merge trips the flush
-// trigger, the coalesced delta is evaluated and those events returned.
-// The loop hint is dropped there — a per-update result is stale for a
-// merged burst — and the flush re-derives loops from the coalesced
-// delta.
+// With a trace sink installed the pass stamps its stage boundaries (each
+// stage's start is stashed in its Ns field until the stage closes);
+// without one it takes no timestamps.
 func (m *Monitor) ApplyWithLoops(d *core.Delta, loops []check.Loop, loopsKnown bool) []Event {
 	if d == nil || d.Empty() {
 		return nil
@@ -618,62 +586,36 @@ func (m *Monitor) ApplyWithLoops(d *core.Delta, loops []check.Loop, loopsKnown b
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
 	m.updSeq++
-	if m.burst.enabled() {
-		m.coalesceLocked(d)
-		if !m.shouldFlushLocked() {
-			return nil
-		}
-		return m.flushLocked()
-	}
-	if m.pendingCount > 0 {
-		// Bursting was disabled with deltas still buffered and no Flush in
-		// between: absorb them, or the incremental evaluations below would
-		// run against a delta that excludes the buffered changes.
-		m.coalesceLocked(d)
-		return m.flushLocked()
-	}
 	if m.regd.Load() == 0 {
 		return nil
 	}
-	m.scratchChanged.Clear()
-	changedLinks(d, m.scratchChanged)
-	return m.deltaPassLocked(m.scratchChanged, &applyCtx{d: d, loops: loops, loopsKnown: loopsKnown, rescans: &m.loopRescans}, m.updSeq, m.updSeq, 1)
-}
-
-// deltaPassLocked is the one delta-driven evaluation pass (a live update
-// or a burst flush). With a trace sink installed it stamps the stage
-// boundaries (each stage's start is stashed in its Ns field until the
-// stage closes); without one it takes no timestamps. Caller holds applyMu.
-func (m *Monitor) deltaPassLocked(changed *bitset.Set, ctx *applyCtx, first, last uint64, coalesced int) []Event {
+	changed := m.scratchChanged
+	changed.Clear()
+	for _, la := range d.Added {
+		changed.Add(int(la.Link))
+	}
+	for _, la := range d.Removed {
+		changed.Add(int(la.Link))
+	}
 	var tr *ApplyTrace
 	if m.traceSink != nil {
-		tr = &ApplyTrace{FirstUpdate: first, LastUpdate: last, Coalesced: coalesced,
-			Links: changed.Len(), Added: len(ctx.d.Added), Removed: len(ctx.d.Removed),
+		tr = &ApplyTrace{Update: m.updSeq,
+			Links: changed.Len(), Added: len(d.Added), Removed: len(d.Removed),
 			DirtyNs: time.Now().UnixNano()}
 	}
-	units, rangeSkipped := m.collectDirty(changed, ctx.d)
+	units, rangeSkipped := m.collectDirty(changed, d)
 	if tr != nil {
 		now := time.Now().UnixNano()
 		tr.DirtyNs = now - tr.DirtyNs
 		tr.Dirtied, tr.RangeSkipped = len(units), rangeSkipped
 		tr.EvalNs = now
 	}
-	events := m.evaluatePass(units, ctx, first, last, tr)
+	ctx := &applyCtx{d: d, loops: loops, loopsKnown: loopsKnown, rescans: &m.loopRescans}
+	events := m.evaluatePass(units, ctx, tr)
 	if tr != nil {
 		m.traceSink(*tr)
 	}
 	return events
-}
-
-// changedLinks accumulates into dst the set of links with label changes
-// in d.
-func changedLinks(d *core.Delta, dst *bitset.Set) {
-	for _, la := range d.Added {
-		dst.Add(int(la.Link))
-	}
-	for _, la := range d.Removed {
-		dst.Add(int(la.Link))
-	}
 }
 
 // collectDirty returns the fixpoints an update with the given changed
@@ -690,27 +632,19 @@ func (m *Monitor) collectDirty(changed *bitset.Set, d *core.Delta) ([]unit, int)
 		m.index.growTo(numLinks, seed)
 	}
 
+	// A subgoal is dirtied only when the delta's touched atoms intersect
+	// its recorded sketch on some shared link (index.collect documents the
+	// conservative escapes). The candidate set is every subgoal depending
+	// on a changed link; the difference is the refinement's skip count.
 	// The index bitmaps are already slot-capacity words, so the first
-	// union sizes the reused dirty set.
+	// union sizes the reused sets.
 	m.scratchDirty.Clear()
 	dirty := m.scratchDirty
-	rangeSkipped := 0
-	if m.linkGranular.Load() {
-		m.index.collect(changed, dirty)
-	} else {
-		// Atom granularity: a subgoal is dirtied only when the delta's
-		// touched atoms intersect its recorded sketch on some shared link
-		// (index.collectGranular documents the conservative escapes). The
-		// candidate set is what link granularity would have dirtied; the
-		// difference is the refinement's skip count.
-		m.scratchRanges.Build(m.net, d)
-		m.scratchCand.Clear()
-		m.index.collectGranular(changed, &m.scratchRanges, dirty, m.scratchCand)
-		if skipped := m.scratchCand.Len() - dirty.Len(); skipped > 0 {
-			m.rangeSkips.Add(uint64(skipped))
-			rangeSkipped = skipped
-		}
-	}
+	m.scratchRanges.Build(m.net, d)
+	m.scratchCand.Clear()
+	m.index.collect(changed, &m.scratchRanges, dirty, m.scratchCand)
+	rangeSkipped := m.scratchCand.Len() - dirty.Len()
+	m.rangeSkips.Add(uint64(rangeSkipped))
 
 	units := m.scratchUnits[:0]
 	m.regMu.RLock()
@@ -741,18 +675,10 @@ func (m *Monitor) collectDirty(changed *bitset.Set, d *core.Delta) ([]unit, int)
 // RecheckAll re-runs every subgoal and global invariant from scratch,
 // ignoring dependency records — the audit path, and the naive baseline
 // the benchmarks compare ApplyWithLoops against. Transitions are
-// returned and published exactly as for an update. A pending burst is
-// absorbed: the full re-evaluation covers everything the buffered
-// deltas could have dirtied.
+// returned and published exactly as for an update.
 func (m *Monitor) RecheckAll() []Event {
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
-	first := m.updSeq
-	if m.pendingCount > 0 {
-		first = m.pendingFirst
-		m.bursts.Add(1)
-		m.resetPendingLocked()
-	}
 	var units []unit
 	m.regMu.RLock()
 	for _, sg := range m.slots {
@@ -764,16 +690,16 @@ func (m *Monitor) RecheckAll() []Event {
 		units = append(units, unit{inv: inv})
 	}
 	m.regMu.RUnlock()
-	return m.evaluatePass(units, nil, first, m.updSeq, nil)
+	return m.evaluatePass(units, nil, nil)
 }
 
 // evaluatePass runs the given fixpoints over per-worker queues, lets
 // every invariant that reads one of them settle its verdict, and emits
-// the transitions — in invariant-id order, stamped with the update
-// range [updFirst, updLast]. ctx is nil for a full (non-delta) pass. tr,
-// when non-nil, receives the pass's skip/eval/event counts and the
+// the transitions — in invariant-id order, stamped with the current
+// update number. ctx is nil for a full (non-delta) pass. tr, when
+// non-nil, receives the pass's skip/eval/event counts and the
 // eval/publish stage times. Caller holds applyMu.
-func (m *Monitor) evaluatePass(units []unit, ctx *applyCtx, updFirst, updLast uint64, tr *ApplyTrace) []Event {
+func (m *Monitor) evaluatePass(units []unit, ctx *applyCtx, tr *ApplyTrace) []Event {
 	if live := int(m.units.Load()); len(units) < live {
 		m.skips.Add(uint64(live - len(units)))
 		if tr != nil {
@@ -845,7 +771,7 @@ func (m *Monitor) evaluatePass(units []unit, ctx *applyCtx, updFirst, updLast ui
 				kind = Violation
 			}
 			events = append(events, Event{ID: inv.id, Spec: inv.spec, Kind: kind, Detail: inv.detail,
-				FirstUpdate: updFirst, LastUpdate: updLast})
+				FirstUpdate: m.updSeq, LastUpdate: m.updSeq})
 		}
 		inv.mu.Unlock()
 	}

@@ -600,15 +600,10 @@ func TestConcurrentRegistrationChurn(t *testing.T) {
 }
 
 // TestShardedEquivalence10K is the scale ground-truth test for the
-// sharded index, the atom-granular refinement, and burst mode: three
-// monitors over one data plane — the default atom-granular index, the
-// link-granular index (SetLinkGranular), and a bursting monitor —
-// consume an identical randomized churn stream at 10⁴ standing
-// reachability invariants (128 subgoals, one per source), and every
-// cached verdict must equal a from-scratch fixpoint oracle. The
-// atom-granular monitor may only evaluate a subset of what the
-// link-granular one does, with the difference accounted for by its
-// range-skip counter.
+// sharded index and its atom-granular refinement: a monitor consumes a
+// randomized churn stream at 10⁴ standing reachability invariants (128
+// subgoals, one per source), and every cached verdict must equal a
+// from-scratch fixpoint oracle.
 func TestShardedEquivalence10K(t *testing.T) {
 	const numNodes, numInv = 128, 10_000
 	rng := rand.New(rand.NewSource(7))
@@ -628,30 +623,23 @@ func TestShardedEquivalence10K(t *testing.T) {
 	n := core.NewNetwork(g, core.Options{})
 
 	sharded := New(n, 0)
-	linkgran := New(n, 0)
-	linkgran.SetLinkGranular(true)
-	burst := New(n, 0)
-	burst.SetBurst(BurstConfig{MaxDeltas: 7})
 
-	// Register the same 10⁴ pairs, diagonal by diagonal, on all three.
+	// Register 10⁴ pairs, diagonal by diagonal.
 	type pair struct{ from, to netgraph.NodeID }
 	var pairs []pair
-	ids := make([][3]ID, 0, numInv)
+	ids := make([]ID, 0, numInv)
 	for d := 1; len(pairs) < numInv; d++ {
 		for i := 0; i < numNodes && len(pairs) < numInv; i++ {
 			p := pair{nodes[i], nodes[(i+d)%numNodes]}
 			pairs = append(pairs, p)
-			s := Reachable{From: p.from, To: p.to}
-			i1, _ := sharded.Register(s)
-			i2, _ := linkgran.Register(s)
-			i3, _ := burst.Register(s)
-			ids = append(ids, [3]ID{i1, i2, i3})
+			id, _ := sharded.Register(Reachable{From: p.from, To: p.to})
+			ids = append(ids, id)
 		}
 	}
 
 	// Oracle: one single-source fixpoint per distinct source answers all
 	// its pairs.
-	verify := func(step int, monitors map[string]*Monitor) {
+	verify := func(step int) {
 		t.Helper()
 		reach := map[netgraph.NodeID][]*bitset.Set{}
 		for i, p := range pairs {
@@ -664,22 +652,13 @@ func TestShardedEquivalence10K(t *testing.T) {
 			if int(p.to) >= len(r) || r[p.to] == nil || r[p.to].Empty() {
 				want = Violated
 			}
-			for which, m := range monitors {
-				idx := 0
-				switch which {
-				case "linkgran":
-					idx = 1
-				case "burst":
-					idx = 2
-				}
-				got, _, ok := m.Status(ids[i][idx])
-				if !ok {
-					t.Fatalf("step %d: %s lost invariant %d", step, which, ids[i][idx])
-				}
-				if got != want {
-					t.Fatalf("step %d: %s disagrees with oracle on %v->%v: got %v want %v",
-						step, which, p.from, p.to, got, want)
-				}
+			got, _, ok := sharded.Status(ids[i])
+			if !ok {
+				t.Fatalf("step %d: lost invariant %d", step, ids[i])
+			}
+			if got != want {
+				t.Fatalf("step %d: monitor disagrees with oracle on %v->%v: got %v want %v",
+					step, p.from, p.to, got, want)
 			}
 		}
 	}
@@ -687,11 +666,6 @@ func TestShardedEquivalence10K(t *testing.T) {
 	var live []core.RuleID
 	nextID := core.RuleID(1)
 	var d core.Delta
-	applyAll := func() {
-		apply(sharded, &d)
-		apply(linkgran, &d)
-		apply(burst, &d)
-	}
 	const steps = 160
 	for step := 0; step < steps; step++ {
 		if len(live) > 4 && rng.Intn(3) == 0 {
@@ -715,45 +689,22 @@ func TestShardedEquivalence10K(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		applyAll()
+		apply(sharded, &d)
 		if step%40 == 39 {
-			// Mid-run spot check for the eagerly evaluated monitors (the
-			// bursting one is only comparable at a flush boundary).
-			verify(step, map[string]*Monitor{"sharded": sharded, "linkgran": linkgran})
+			verify(step) // mid-run spot check
 		}
 	}
-	burst.Flush()
-	verify(steps, map[string]*Monitor{"sharded": sharded, "linkgran": linkgran, "burst": burst})
+	verify(steps)
 
-	// The atom-granular default may only evaluate a subset of what link
-	// granularity does, and its range-skip counter must account for every
-	// subgoal it left alone that link granularity would have re-run.
-	ss, ls, bs := sharded.Stats(), linkgran.Stats(), burst.Stats()
+	ss := sharded.Stats()
 	if ss.Subgoals != numNodes || ss.Registered != numInv {
 		t.Fatalf("stats %+v: want %d subgoals under %d invariants", ss, numNodes, numInv)
-	}
-	if ss.Evaluations > ls.Evaluations {
-		t.Fatalf("atom-granular evaluated %d, more than link-granular's %d", ss.Evaluations, ls.Evaluations)
-	}
-	if ss.Evaluations+ss.RangeSkips != ls.Evaluations {
-		t.Fatalf("atom-granular evals %d + range-skips %d != link-granular evals %d",
-			ss.Evaluations, ss.RangeSkips, ls.Evaluations)
 	}
 	if ss.Skips == 0 || ss.Evaluations == 0 {
 		t.Fatalf("stats %+v: churn exercised nothing", ss)
 	}
-	// Bursting must have coalesced (fewer passes) yet not missed updates.
-	if bs.Coalesced != ss.Updates {
-		t.Fatalf("burst coalesced %d of %d updates", bs.Coalesced, ss.Updates)
-	}
-	if bs.Evaluations >= ss.Evaluations {
-		t.Fatalf("bursting did not reduce evaluations: %d vs %d", bs.Evaluations, ss.Evaluations)
-	}
 	// And the incrementally maintained verdicts survive an audit.
 	if ev := sharded.RecheckAll(); len(ev) != 0 {
 		t.Fatalf("RecheckAll found stale sharded verdicts: %v", ev)
-	}
-	if ev := burst.RecheckAll(); len(ev) != 0 {
-		t.Fatalf("RecheckAll found stale burst verdicts: %v", ev)
 	}
 }

@@ -25,10 +25,10 @@ func (m *Monitor) ResumeUpdates(n uint64) {
 }
 
 // Reset unregisters every invariant (retiring every subgoal with the
-// last of its consumers), drops buffered burst state and the
-// event backlog, and rebinds the monitor to net — the re-anchor step
-// when a replica's journal cursor falls behind a rotation and it must
-// rebuild from a fresh checkpoint. Sequence counters are NOT rewound
+// last of its consumers), drops the event backlog, and rebinds the
+// monitor to net — the re-anchor step when a replica's journal cursor
+// falls behind a rotation and it must rebuild from a fresh checkpoint.
+// Sequence counters are NOT rewound
 // (the caller advances them with ResumeSeq/ResumeUpdates from the new
 // checkpoint), and the backlog is cleared rather than carried over so a
 // watcher resuming across the reset sees an explicit gap and re-anchors
@@ -43,7 +43,6 @@ func (m *Monitor) Reset(net *core.Network) {
 		for m.Unregister(inv.id) {
 		}
 	}
-	m.resetPendingLocked()
 	m.net = net
 	m.eventMu.Lock()
 	m.backlog = nil

@@ -73,8 +73,8 @@ func TestApplyReplayTracksPrimaryNumbering(t *testing.T) {
 	}
 }
 
-// TestResetReanchors verifies Reset drops all registrations, burst
-// state, and the backlog, rebinds the network, and keeps counters
+// TestResetReanchors verifies Reset drops all registrations and the
+// backlog, rebinds the network, and keeps counters
 // monotonic for ResumeSeq/ResumeUpdates.
 func TestResetReanchors(t *testing.T) {
 	g, nodes, links := line4()

@@ -381,19 +381,19 @@ func TestSubgoalLifecycleAndCounts(t *testing.T) {
 	var ids []ID
 	for i, s := range b.src {
 		for j, e := range b.dst {
-			before := m.Stats()
+			before, bitsBefore := m.Stats(), m.IndexShardBits()
 			id, st := m.Register(Reachable{From: s, To: e})
 			if st != Holds {
 				t.Fatalf("reach s%d t%d: %v at registration", i, j, st)
 			}
 			ids = append(ids, id)
-			after := m.Stats()
+			after, bitsAfter := m.Stats(), m.IndexShardBits()
 			wantFix := before.Fixpoints
 			if j == 0 {
 				wantFix++ // the source's first invariant runs its fixpoint
-			} else if sum(after.IndexShardBits) != sum(before.IndexShardBits) {
+			} else if sum(bitsAfter) != sum(bitsBefore) {
 				t.Fatalf("reach s%d t%d on a live subgoal moved the index: %v -> %v",
-					i, j, before.IndexShardBits, after.IndexShardBits)
+					i, j, bitsBefore, bitsAfter)
 			}
 			if after.Fixpoints != wantFix || after.Subgoals != i+1 {
 				t.Fatalf("reach s%d t%d: fixpoints %d -> %d, subgoals %d (want %d, %d)",
@@ -432,25 +432,26 @@ func TestSubgoalLifecycleAndCounts(t *testing.T) {
 
 	// A waypoint opens a new subgoal (s0, avoid c0); a second one over the
 	// same pair shares it; the last Unregister gives everything back.
-	base := m.Stats()
+	bits := func() int { return sum(m.IndexShardBits()) }
+	base, baseBits := m.Stats(), bits()
 	w1, _ := m.Register(Waypoint{From: b.src[0], To: b.dst[0], Via: b.core[0]})
-	one := m.Stats()
-	if one.Subgoals != 17 || one.Fixpoints != base.Fixpoints+1 || sum(one.IndexShardBits) <= sum(base.IndexShardBits) {
-		t.Fatalf("first waypoint: %+v -> %+v", base, one)
+	one, oneBits := m.Stats(), bits()
+	if one.Subgoals != 17 || one.Fixpoints != base.Fixpoints+1 || oneBits <= baseBits {
+		t.Fatalf("first waypoint: %+v (%d bits) -> %+v (%d bits)", base, baseBits, one, oneBits)
 	}
 	slot := m.bySub[subKey{b.src[0], b.core[0]}].slot
 	w2, _ := m.Register(Waypoint{From: b.src[0], To: b.dst[1], Via: b.core[0]})
 	two := m.Stats()
-	if two.Subgoals != 17 || two.Fixpoints != one.Fixpoints || sum(two.IndexShardBits) != sum(one.IndexShardBits) {
-		t.Fatalf("second waypoint on the shared subgoal: %+v -> %+v", one, two)
+	if two.Subgoals != 17 || two.Fixpoints != one.Fixpoints || bits() != oneBits {
+		t.Fatalf("second waypoint on the shared subgoal: %+v -> %+v (%d -> %d bits)", one, two, oneBits, bits())
 	}
 	m.Unregister(w1)
-	if st := m.Stats(); st.Subgoals != 17 || sum(st.IndexShardBits) != sum(one.IndexShardBits) {
-		t.Fatalf("subgoal released while a consumer remains: %+v", st)
+	if st := m.Stats(); st.Subgoals != 17 || bits() != oneBits {
+		t.Fatalf("subgoal released while a consumer remains: %+v (%d bits)", st, bits())
 	}
 	m.Unregister(w2)
-	if st := m.Stats(); st.Subgoals != 16 || sum(st.IndexShardBits) != sum(base.IndexShardBits) {
-		t.Fatalf("last consumer gone: %+v, want the index back at %d bits", st, sum(base.IndexShardBits))
+	if st := m.Stats(); st.Subgoals != 16 || bits() != baseBits {
+		t.Fatalf("last consumer gone: %+v (%d bits), want the index back at %d bits", st, bits(), baseBits)
 	}
 	if _, _, ok := m.Status(w2); ok {
 		t.Fatal("unregistered waypoint still has a status")
@@ -461,8 +462,8 @@ func TestSubgoalLifecycleAndCounts(t *testing.T) {
 	}
 
 	m.Reset(b.net)
-	if st := m.Stats(); st.Registered != 0 || st.Subgoals != 0 || sum(st.IndexShardBits) != 0 {
-		t.Fatalf("after Reset: %+v", st)
+	if st := m.Stats(); st.Registered != 0 || st.Subgoals != 0 || bits() != 0 {
+		t.Fatalf("after Reset: %+v (%d bits)", st, bits())
 	}
 	if _, _, ok := m.Status(ids[0]); ok {
 		t.Fatal("invariant survived Reset")
@@ -501,6 +502,29 @@ func TestBatteryPassAllocs(t *testing.T) {
 	// per-invariant cost would be 64 evaluations' worth, in the hundreds.
 	if got := testing.AllocsPerRun(20, pass); got > 24 {
 		t.Fatalf("one battery pass allocates %.1f objects, want ≤ 24", got)
+	}
+}
+
+// TestStatsWalksNoIndex pins Stats as counters only: the per-shard index
+// population is a walk of every link bitmap into a fresh slice, and a
+// /metrics scrape calls Stats once per series, so a Stats that allocates
+// at all has started walking the index again. IndexShardBits is the one
+// walker.
+func TestStatsWalksNoIndex(t *testing.T) {
+	b := buildBattery(t)
+	m := New(b.net, 1)
+	for _, s := range b.src {
+		m.Register(Reachable{From: s, To: b.dst[0]})
+	}
+	if sum(m.IndexShardBits()) == 0 {
+		t.Fatal("fixture indexed nothing")
+	}
+	var st Stats
+	if got := testing.AllocsPerRun(20, func() { st = m.Stats() }); got != 0 {
+		t.Fatalf("Stats allocates %.1f objects, want 0 (no index walk)", got)
+	}
+	if st.Subgoals != len(b.src) {
+		t.Fatalf("stats %+v: want %d subgoals", st, len(b.src))
 	}
 }
 
@@ -601,7 +625,7 @@ func TestConcurrentSharedRegistration(t *testing.T) {
 			m.Unregister(id)
 		}
 	}
-	if st := m.Stats(); st.Registered != 0 || st.Subgoals != 0 || sum(st.IndexShardBits) != 0 {
-		t.Fatalf("after final release: %+v", st)
+	if st := m.Stats(); st.Registered != 0 || st.Subgoals != 0 || sum(m.IndexShardBits()) != 0 {
+		t.Fatalf("after final release: %+v, index %v", st, m.IndexShardBits())
 	}
 }

@@ -1,9 +1,9 @@
 package monitor
 
 // ApplyTrace is the monitor-side record of one delta-driven evaluation
-// pass: which update range it covered, how big the coalesced delta was,
-// and where its nanoseconds went (dirty-marking, evaluation fan-out,
-// event publish). The server merges it with its own stage timings
+// pass: which update it covered, how big the delta was, and where its
+// nanoseconds went (dirty-marking, evaluation fan-out, event publish).
+// The server merges it with its own stage timings
 // (parse, lock wait, engine apply) into the per-update trace ring behind
 // the `trace` protocol command and the pipeline-stage histograms.
 //
@@ -12,14 +12,8 @@ package monitor
 //
 //deltanet:pointerfree
 type ApplyTrace struct {
-	// FirstUpdate and LastUpdate delimit the inclusive update-seq range
-	// whose (possibly coalesced) delta drove this pass; equal outside
-	// burst mode.
-	FirstUpdate uint64
-	LastUpdate  uint64
-	// Coalesced is the number of deltas merged into the pass (1 outside
-	// burst mode).
-	Coalesced int
+	// Update is the update sequence number whose delta drove this pass.
+	Update uint64
 	// Links is the number of links with label changes; Added and Removed
 	// are the delta's label-change counts.
 	Links   int
@@ -47,12 +41,11 @@ type ApplyTrace struct {
 }
 
 // SetTraceSink installs fn to receive an ApplyTrace after every
-// delta-driven evaluation pass (ApplyWithLoops outside burst mode,
-// and burst flushes; RecheckAll is an audit, not an update, and is not
-// traced). fn runs synchronously under the apply lock, so it must be
-// fast and must not call back into the monitor; nil uninstalls. With no
-// sink installed the monitor takes no timestamps — tracing costs nothing
-// when off.
+// delta-driven evaluation pass (ApplyWithLoops; RecheckAll is an audit,
+// not an update, and is not traced). fn runs synchronously under the
+// apply lock, so it must be fast and must not call back into the
+// monitor; nil uninstalls. With no sink installed the monitor takes no
+// timestamps — tracing costs nothing when off.
 func (m *Monitor) SetTraceSink(fn func(ApplyTrace)) {
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()

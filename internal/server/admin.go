@@ -17,7 +17,7 @@ import (
 //
 //	/metrics        reg rendered as Prometheus text exposition format
 //	/healthz        "ok" while serving, 503 once Close has begun
-//	/statusz        engine, monitor, burst, trace, and connection summary
+//	/statusz        engine, monitor, trace, and connection summary
 //	/debug/pprof/…  net/http/pprof (profile, heap, trace, …)
 func (s *Server) AdminHandler(reg *metrics.Registry) http.Handler {
 	mux := http.NewServeMux()
@@ -56,7 +56,6 @@ func (s *Server) writeStatusz(w http.ResponseWriter) {
 	links, nodes := s.graph.NumLinks(), s.graph.NumNodes()
 	s.mu.RUnlock()
 	st := s.mon.Stats()
-	burst := s.mon.Burst()
 	s.connMu.Lock()
 	conns := len(s.conns)
 	s.connMu.Unlock()
@@ -65,8 +64,6 @@ func (s *Server) writeStatusz(w http.ResponseWriter) {
 	fmt.Fprintf(w, "engine: rules=%d atoms=%d links=%d nodes=%d\n", rules, atoms, links, nodes)
 	fmt.Fprintf(w, "monitor: registered=%d subgoals=%d updates=%d evaluations=%d skips=%d range_skips=%d events=%d loop_rescan_atoms=%d\n",
 		st.Registered, st.Subgoals, st.Updates, st.Evaluations, st.Skips, st.RangeSkips, st.Events, st.LoopRescanAtoms)
-	fmt.Fprintf(w, "burst: max_deltas=%d max_age=%s pending=%d bursts=%d coalesced=%d\n",
-		burst.MaxDeltas, burst.MaxAge, st.Pending, st.Bursts, st.Coalesced)
 	fmt.Fprintf(w, "events: backlog=%d/%d subscribers=%d\n",
 		s.mon.BacklogLen(), s.mon.Backlog(), s.mon.NumSubscribers())
 	fmt.Fprintf(w, "conns: active=%d total=%d bytes_in=%d bytes_out=%d scanner_errors=%d\n",

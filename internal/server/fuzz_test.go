@@ -22,9 +22,9 @@ func FuzzDispatch(f *testing.F) {
 		"W reach 0 1\nW waypoint 0 1 2\nW loopfree\nwatch\nI 1 0 0 0 50 1\n",
 		"W isolated 0,1 2\nunwatch 0\nunwatch 0\n",
 		"watch\nwatch\nquit\n",
-		"burst 2 0\nW reach 0 1\nI 1 0 0 0 100 1\nstats\nflush\nburst 0 0\n",
-		"burst 3 1\nI 1 0 0 0 100 1\nflush\n",
-		"burst\nburst 1\nburst x 0\nburst 0 x\nburst -1 -1\nflush extra\n",
+		"burst 16 50\nW reach 0 1\nI 1 0 0 0 100 1\nstats\nflush\n", // retired commands: unknown
+		"flush\nburst\nburst 0 0\nflush extra\n",
+		"W reach 0 1\nwatch\nB 2\nI 9 0 0 0 100 1\nR 9\nstats\n", // a batch whose ops cancel out
 		"W reach 0 2\nI 1 0 0 0 100 1\nevents since 0\nevents since 1\nwatch since 0\nR 1\n",
 		"events\nevents since\nevents since x\nevents since -1\nevents since 18446744073709551615\n",
 		"watch since\nwatch since x\nwatch since 5 extra\nwatch since 2\nwatch\n",
@@ -76,8 +76,6 @@ func FuzzDispatch(f *testing.F) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("server session hung")
 		}
-		// A fuzzed burst command with an age can start the background
-		// flusher; Close reaps it so iterations don't leak goroutines.
 		s.Close()
 	})
 }

@@ -86,15 +86,6 @@ func (s *Server) enableMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("dn_monitor_events_total", "Verdict transitions emitted.", func() float64 {
 		return float64(s.mon.Stats().Events)
 	})
-	reg.CounterFunc("dn_monitor_bursts_total", "Evaluation passes that coalesced at least one delta.", func() float64 {
-		return float64(s.mon.Stats().Bursts)
-	})
-	reg.CounterFunc("dn_monitor_coalesced_total", "Deltas merged into bursts.", func() float64 {
-		return float64(s.mon.Stats().Coalesced)
-	})
-	reg.GaugeFunc("dn_monitor_pending", "Deltas buffered awaiting a burst flush.", func() float64 {
-		return float64(s.mon.Pending())
-	})
 	reg.CounterFunc("dn_monitor_loopfree_rescan_atoms_total", "Atoms re-walked by LoopFree's batch-aware violated-state clearing (vs a full scan per update).", func() float64 {
 		return float64(s.mon.Stats().LoopRescanAtoms)
 	})
@@ -102,7 +93,7 @@ func (s *Server) enableMetrics(reg *metrics.Registry) {
 		return float64(s.mon.BacklogLen())
 	})
 	reg.GaugeFuncVec("dn_monitor_index_shard_bits", "Dependency-index population per link shard (hot-shard skew signal).", "shard", func() []metrics.VecSample {
-		pops := s.mon.Stats().IndexShardBits
+		pops := s.mon.IndexShardBits() // the scrape's one index walk
 		out := make([]metrics.VecSample, len(pops))
 		for i, p := range pops {
 			out[i] = metrics.VecSample{Label: strconv.Itoa(i), Value: float64(p)}
@@ -213,19 +204,16 @@ func (s *Server) countVerb(verb string) {
 }
 
 // observeStages feeds one trace record into the stage histograms (no-op
-// until EnableMetrics). Engine-side stages are skipped on flush records
-// (a flush has no parse or apply of its own) and monitor-side stages on
-// records without an evaluation pass.
+// until EnableMetrics). Monitor-side stages are skipped on records
+// without an evaluation pass.
 func (s *Server) observeStages(rec updateRecord) {
 	m := s.met
 	if m == nil {
 		return
 	}
-	if rec.Verb != verbFlush {
-		m.stages.With(stageParse).ObserveNs(rec.ParseNs)
-		m.stages.With(stageLock).ObserveNs(rec.LockNs)
-		m.stages.With(stageApply).ObserveNs(rec.ApplyNs)
-	}
+	m.stages.With(stageParse).ObserveNs(rec.ParseNs)
+	m.stages.With(stageLock).ObserveNs(rec.LockNs)
+	m.stages.With(stageApply).ObserveNs(rec.ApplyNs)
 	if rec.HasEval {
 		m.stages.With(stageDirty).ObserveNs(rec.DirtyNs)
 		m.stages.With(stageEval).ObserveNs(rec.EvalNs)

@@ -128,6 +128,22 @@ func TestAdminEndpointMidChurn(t *testing.T) {
 	if metricValue(t, body, "dn_monitor_updates_total") == 0 {
 		t.Error("no updates counted after churn")
 	}
+	// The index population is its own read (Monitor.IndexShardBits), no
+	// longer a Stats field: the vector must still carry it.
+	var scraped, indexed float64
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "dn_monitor_index_shard_bits{") {
+			f := strings.Fields(line)
+			v, _ := strconv.ParseFloat(f[len(f)-1], 64)
+			scraped += v
+		}
+	}
+	for _, p := range s.Monitor().IndexShardBits() {
+		indexed += float64(p)
+	}
+	if scraped == 0 || scraped != indexed {
+		t.Errorf("dn_monitor_index_shard_bits sums to %g, the index holds %g bits", scraped, indexed)
+	}
 	if v := metricValue(t, body, "dnserve_connections_total"); v < 2 {
 		t.Errorf("connections_total=%g, want >= 2", v)
 	}
@@ -262,7 +278,7 @@ func TestTraceCommand(t *testing.T) {
 		t.Fatalf("trace lines wrong order or verb:\n%s\n%s", lines[0], lines[1])
 	}
 	for _, l := range lines {
-		for _, key := range []string{"upd=", "coalesced=1", "eval=true", "dirtied=",
+		for _, key := range []string{"upd=", "eval=true", "dirtied=",
 			"parse_ns=", "lock_ns=", "apply_ns=", "dirty_ns=", "eval_ns=", "publish_ns=", "total_ns="} {
 			if !strings.Contains(l, key) {
 				t.Errorf("trace line missing %q: %s", key, l)

@@ -2,13 +2,13 @@ package server
 
 // This file is the server's construction API: New takes functional
 // options, mirroring the top-level deltanet.Option idiom, in place of
-// the post-construction setters (SetBurst / SetSlowUpdate /
-// EnableMetrics and the monitor's SetBacklog) that used to be sprinkled
-// between New and Serve. Options are collected first and wired in a
-// fixed order — engine, backlog, slow-update log, journal, replica,
-// burst, metrics last — so option order never matters and the metric
-// surface sees the final configuration (the replica lag gauges only
-// exist when WithReplicaOf ran).
+// the post-construction setters (SetSlowUpdate / EnableMetrics and the
+// monitor's SetBacklog) that used to be sprinkled between New and
+// Serve. Options are collected first and wired in a fixed order —
+// engine, backlog, slow-update log, journal, replica, metrics last — so
+// option order never matters and the metric surface sees the final
+// configuration (the replica lag gauges only exist when WithReplicaOf
+// ran).
 
 import (
 	"io"
@@ -17,7 +17,6 @@ import (
 	"deltanet/internal/core"
 	"deltanet/internal/journal"
 	"deltanet/internal/metrics"
-	"deltanet/internal/monitor"
 )
 
 // Option configures a Server at construction.
@@ -25,7 +24,6 @@ type Option func(*options)
 
 type options struct {
 	engine    core.Options
-	burst     monitor.BurstConfig
 	backlog   int
 	slow      time.Duration
 	slowLog   io.Writer
@@ -38,14 +36,6 @@ type options struct {
 // WithEngine sets the data-plane engine options (atom GC, match space).
 func WithEngine(opts core.Options) Option {
 	return func(o *options) { o.engine = opts }
-}
-
-// WithBurst preconfigures coalescing burst mode on the monitor
-// (equivalent to the protocol's burst command before any client speaks;
-// a MaxAge > 0 also starts the background flusher). The protocol's
-// burst command can still reconfigure it at runtime.
-func WithBurst(cfg monitor.BurstConfig) Option {
-	return func(o *options) { o.burst = cfg }
 }
 
 // WithBacklog sets the monitor's event-replay backlog capacity (the
@@ -77,7 +67,7 @@ func WithJournal(j *journal.Journal) Option {
 // addr: Serve additionally starts a loop that fetches the primary's
 // checkpoint, streams its journal tail, and applies the updates into
 // this server's own data plane and monitor. Mutating protocol commands
-// (node, link, I, R, B, burst) are refused; reach/whatif/stats/W/watch
+// (node, link, I, R, B) are refused; reach/whatif/stats/W/watch
 // serve locally from the replicated state. See replica.go.
 func WithReplicaOf(addr string) Option {
 	return func(o *options) { o.replicaOf = addr }

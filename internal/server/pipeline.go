@@ -23,8 +23,7 @@ import (
 
 // Update verbs, numeric so updateRecord stays pointer-free.
 const (
-	verbFlush uint8 = iota // burst flush (no single originating command)
-	verbInsert
+	verbInsert uint8 = iota
 	verbRemove
 	verbBatch
 )
@@ -35,39 +34,32 @@ func verbName(v uint8) string {
 		return "I"
 	case verbRemove:
 		return "R"
-	case verbBatch:
-		return "B"
 	default:
-		return "flush"
+		return "B"
 	}
 }
 
-// traceRingCap bounds the trace ring: enough to cover a burst window of
-// recent updates without letting diagnostics grow the heap.
+// traceRingCap bounds the trace ring: enough to cover a window of recent
+// updates without letting diagnostics grow the heap.
 const traceRingCap = 256
 
-// updateRecord is one update's (or burst flush's) pipeline trace: which
-// update-seq range it covered, the delta and fan-out sizes, and where
-// the nanoseconds went, stage by stage. Records are retained by value
-// in a fixed ring and must stay free of pointers at any depth so the
-// ring adds no GC scan work.
+// updateRecord is one update's pipeline trace: which update it was, the
+// delta and fan-out sizes, and where the nanoseconds went, stage by
+// stage. Records are retained by value in a fixed ring and must stay
+// free of pointers at any depth so the ring adds no GC scan work.
 //
 //deltanet:pointerfree
 type updateRecord struct {
-	// Seq is the engine update sequence of the last update covered;
-	// First the first (equal outside burst mode).
-	Seq   uint64
-	First uint64
+	// Seq is the engine update sequence number of the update.
+	Seq uint64
 	// Verb is the originating command (verb* constants).
 	Verb uint8
 	// HasEval reports whether the record includes an evaluation pass:
-	// false for updates merely buffered into a pending burst (their
-	// evaluation cost appears later on the flush record).
+	// false when the update ran none (no invariants registered, or an
+	// empty delta).
 	HasEval bool
-	// Coalesced counts deltas merged into the pass (1 outside burst
-	// mode). Links/Added/Removed describe the delta; Dirtied/Evaluated/
+	// Links/Added/Removed describe the delta; Dirtied/Evaluated/
 	// Skipped/RangeSkipped/Events the evaluation fan-out.
-	Coalesced    int
 	Links        int
 	Added        int
 	Removed      int
@@ -76,8 +68,8 @@ type updateRecord struct {
 	Skipped      int
 	RangeSkipped int
 	Events       int
-	// Per-stage wall nanoseconds. Parse/Lock/Apply are zero on flush
-	// records; Dirty/Eval/Publish are zero when !HasEval.
+	// Per-stage wall nanoseconds. Dirty/Eval/Publish are zero when
+	// !HasEval.
 	ParseNs   int64
 	LockNs    int64
 	ApplyNs   int64
@@ -88,11 +80,12 @@ type updateRecord struct {
 	TotalNs int64
 }
 
-// format renders the record as one `trace ...` response line.
+// format renders the record as one `trace ...` response line. upd= keeps
+// the <first>:<last> shape event lines use; a record is one update.
 func (r updateRecord) format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace upd=%d:%d verb=%s coalesced=%d eval=%t links=%d add=%d del=%d dirtied=%d evaluated=%d skipped=%d rskip=%d events=%d",
-		r.First, r.Seq, verbName(r.Verb), r.Coalesced, r.HasEval,
+	fmt.Fprintf(&b, "trace upd=%d:%d verb=%s eval=%t links=%d add=%d del=%d dirtied=%d evaluated=%d skipped=%d rskip=%d events=%d",
+		r.Seq, r.Seq, verbName(r.Verb), r.HasEval,
 		r.Links, r.Added, r.Removed, r.Dirtied, r.Evaluated, r.Skipped,
 		r.RangeSkipped, r.Events)
 	fmt.Fprintf(&b, " parse_ns=%d lock_ns=%d apply_ns=%d dirty_ns=%d eval_ns=%d publish_ns=%d total_ns=%d",
@@ -105,7 +98,7 @@ func (r updateRecord) format() string {
 // `trace off` command stops retention without disturbing slow-update
 // logging.
 type tracer struct {
-	// mu guards everything below. It ranks between flushMu and
+	// mu guards everything below. It ranks between connMu and
 	// connWriter.mu: records are taken while the engine lock is held
 	// (the sink runs inside ApplyWithLoops), responses are formatted under the
 	// read lock, and nothing below ever writes to a connection.
@@ -195,8 +188,7 @@ func (s *Server) setSlowUpdate(threshold time.Duration, w io.Writer) {
 // stageInfo parks the server-side stage timings of the mutation
 // currently holding the write lock, for the monitor sink to merge into
 // its ApplyTrace. Guarded by s.mu: it is written only under the write
-// lock and always cleared before that lock is released, so the
-// read-locked flush paths only ever observe it invalid.
+// lock and always cleared before that lock is released.
 type stageInfo struct {
 	valid   bool
 	verb    uint8
@@ -207,16 +199,17 @@ type stageInfo struct {
 
 // onApplyTrace is the monitor trace sink (installed in New): it merges
 // the monitor's stage times with the staged server-side times of the
-// originating mutation, retains the record, and feeds the stage
-// histograms. It runs under the monitor's apply lock with s.mu held in
-// some mode by the caller (write for mutations, read for flushes).
+// commit that drove the pass, retains the record, and feeds the stage
+// histograms. It runs under the monitor's apply lock, inside
+// commitLocked's ApplyWithLoops call — the only one the server makes —
+// so s.mu is write-held and s.staged is set.
 func (s *Server) onApplyTrace(at monitor.ApplyTrace) {
+	st := s.staged
+	s.staged = stageInfo{}
 	rec := updateRecord{
-		Seq:          at.LastUpdate,
-		First:        at.FirstUpdate,
-		Verb:         verbFlush,
+		Seq:          at.Update,
+		Verb:         st.verb,
 		HasEval:      true,
-		Coalesced:    at.Coalesced,
 		Links:        at.Links,
 		Added:        at.Added,
 		Removed:      at.Removed,
@@ -225,16 +218,12 @@ func (s *Server) onApplyTrace(at monitor.ApplyTrace) {
 		Skipped:      at.Skipped,
 		RangeSkipped: at.RangeSkipped,
 		Events:       at.Events,
+		ParseNs:      st.parseNs,
+		LockNs:       st.lockNs,
+		ApplyNs:      st.applyNs,
 		DirtyNs:      at.DirtyNs,
 		EvalNs:       at.EvalNs,
 		PublishNs:    at.PublishNs,
-	}
-	if s.staged.valid {
-		rec.Verb = s.staged.verb
-		rec.ParseNs = s.staged.parseNs
-		rec.LockNs = s.staged.lockNs
-		rec.ApplyNs = s.staged.applyNs
-		s.staged = stageInfo{}
 	}
 	rec.TotalNs = rec.ParseNs + rec.LockNs + rec.ApplyNs + rec.DirtyNs + rec.EvalNs + rec.PublishNs
 	s.tr.record(rec)
@@ -243,19 +232,17 @@ func (s *Server) onApplyTrace(at monitor.ApplyTrace) {
 
 // finishUpdateLocked closes out a commit's tracing after its monitor
 // pass returned: when the staged stage times were not consumed by the
-// sink (the delta was buffered into a pending burst, or no invariants
-// are registered), the engine-side stages still get a record of their
-// own. Called by commitLocked, under the write lock with s.staged set.
+// sink (no invariants are registered, or the delta was empty), the
+// engine-side stages still get a record of their own. Called by
+// commitLocked, under the write lock with s.staged set.
 func (s *Server) finishUpdateLocked() {
 	if !s.staged.valid {
 		return
 	}
 	st := s.staged
 	s.staged = stageInfo{}
-	seq := s.mon.UpdateSeq()
 	rec := updateRecord{
-		Seq:     seq,
-		First:   seq,
+		Seq:     s.mon.UpdateSeq(),
 		Verb:    st.verb,
 		ParseNs: st.parseNs,
 		LockNs:  st.lockNs,

@@ -225,10 +225,18 @@ func TestReplicaRejectsMutations(t *testing.T) {
 	c := dial(t, raddr)
 	defer c.close()
 	for _, req := range []string{
-		"node x", "link 0 1", "I 1 0 0 0 100 1", "R 1", "burst 2 0",
+		"node x", "link 0 1", "I 1 0 0 0 100 1", "R 1",
 	} {
 		if got := c.roundTrip(t, req); !strings.HasPrefix(got, "err read-only replica") {
 			t.Errorf("%s on replica: %q, want read-only refusal", req, got)
+		}
+	}
+	// Retired commands are unknown here as on a primary, not read-only
+	// refusals; the requests below show the connection is still in sync.
+	for _, req := range []string{"burst 16 50", "flush"} {
+		want := "err unknown command " + strings.Fields(req)[0]
+		if got := c.roundTrip(t, req); got != want {
+			t.Errorf("%s on replica: %q, want %q", req, got, want)
 		}
 	}
 	// The batch body must be consumed as the batch's payload: the I line

@@ -22,9 +22,7 @@
 //	watch                                -> ok watching (streaming; see below)
 //	watch since <seq>                    -> ok watching (replay + streaming; see below)
 //	events since <seq>                   -> ok events n=<k> (k replay lines follow; see below)
-//	burst <maxDeltas> <maxAgeMs>         -> ok burst deltas=<n> age=<ms>
-//	flush                                -> ok flush events=<k> pending=0
-//	stats                                -> ok stats rules=<r> atoms=<a> links=<l> nodes=<v> watch=<w> pending=<p> upd=<u> rskip=<n> ix=<s0,...,s15> sub=<g>
+//	stats                                -> ok stats rules=<r> atoms=<a> links=<l> nodes=<v> watch=<w> upd=<u> rskip=<n> ix=<s0,...,s15> sub=<g>
 //	quit                                 -> connection closed
 //
 // Wherever reach, whatif, or a W spec takes a node, it accepts either
@@ -73,18 +71,6 @@
 // Invariants registered programmatically (Server.Monitor, e.g. dnserve
 // preloads) hold their own reference and survive all disconnects.
 //
-// burst configures coalescing burst mode on the shared monitor (see
-// monitor.BurstConfig): with maxDeltas ≥ 2 or maxAgeMs > 0, mutations
-// only merge their delta-graphs into a pending burst, and dirty
-// invariants are re-evaluated once per burst — when maxDeltas deltas have
-// coalesced, when a mutation finds the burst maxAgeMs old, or on an
-// explicit flush. While bursting, a mutation's response reports the
-// engine result (atoms, loops) as usual; invariant events simply arrive
-// at the next flush, stamped with the coalesced update range. When
-// maxAgeMs > 0 the server also flushes on a background ticker, bounding
-// event latency even when updates stop mid-burst. "burst 0 0" disables
-// coalescing (followed by an automatic flush of any pending burst).
-//
 // watch switches the connection into streaming mode: the "ok watching"
 // response is followed by one snapshot line per registered invariant,
 //
@@ -97,9 +83,10 @@
 //
 //	event <id> <violation|cleared> <spec> upd=<first>:<last> seq=<n> -- <detail>
 //
-// where upd delimits the update sequence range whose (possibly coalesced,
-// see burst) delta produced the transition and seq is the event's own
-// monotonic sequence number (the client's resume cursor),
+// where upd delimits the update sequence range whose delta produced the
+// transition (one update — an I, an R, a B batch or a ring run — is one
+// number, so first equals last) and seq is the event's own monotonic
+// sequence number (the client's resume cursor),
 //
 // interleaved between (never inside) regular response lines; the
 // connection keeps accepting requests. A slow streaming consumer never
@@ -132,9 +119,9 @@
 // The engine is a single shared data plane; mutations (node, link, I, R,
 // B) are serialized under a write lock, preserving the order guarantees a
 // data plane checker needs, while read-only requests (reach, whatif,
-// stats, W, unwatch, flush, burst, events) run concurrently under a read
-// lock (the monitor has its own internal locks for registration
-// bookkeeping, events, and burst state).
+// stats, W, unwatch, events) run concurrently under a read lock (the
+// monitor has its own internal locks for registration bookkeeping and
+// events).
 package server
 
 import (
@@ -159,7 +146,7 @@ import (
 // Server is a verification service over one shared data plane.
 //
 // Lock order (enforced by the lockorder analyzer via the ranks below):
-// mu → connMu → flushMu → connWriter.mu.
+// mu → connMu → connWriter.mu.
 type Server struct {
 	// mu is write-held for mutations, read-held for queries.
 	//
@@ -191,13 +178,6 @@ type Server struct {
 	//deltanet:lockrank 15
 	jsubMu sync.Mutex
 	jsubs  map[chan journal.Record]struct{}
-
-	// flushMu guards the background burst flusher's lifecycle; flushStop
-	// is non-nil while a flusher goroutine runs.
-	//
-	//deltanet:lockrank 30
-	flushMu   sync.Mutex
-	flushStop chan struct{}
 
 	// jrnl, when non-nil, receives every applied mutation (options.go:
 	// WithJournal). Set before Serve, then read-only; appends happen
@@ -287,12 +267,6 @@ func New(opts ...Option) *Server {
 	s.jrnl = o.jrnl
 	s.replicaOf = o.replicaOf
 	s.ing.capacity = o.ingCap
-	if s.replicaOf == "" && (o.burst.MaxDeltas >= 2 || o.burst.MaxAge > 0) {
-		// Replicas force burst off: coalescing on a replica would flush on
-		// different boundaries than the primary and the event streams
-		// would diverge.
-		s.setBurst(o.burst)
-	}
 	if o.reg != nil {
 		s.enableMetrics(o.reg)
 	}
@@ -302,64 +276,6 @@ func New(opts ...Option) *Server {
 // Monitor exposes the shared standing-invariant monitor (for preloading
 // invariants before serving).
 func (s *Server) Monitor() *monitor.Monitor { return s.mon }
-
-// setBurst configures coalescing burst mode on the shared monitor (the
-// zero config disables it and flushes any pending burst), and manages the
-// background flusher that bounds event latency when cfg.MaxAge > 0. It is
-// what the protocol's burst command calls; WithBurst applies it at
-// construction. The caller must guarantee the data plane is stable for
-// the disable path's flush: hold at least the read lock (the protocol
-// path does), or call before serving starts.
-func (s *Server) setBurst(cfg monitor.BurstConfig) {
-	s.mon.SetBurst(cfg)
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	if s.flushStop != nil {
-		close(s.flushStop)
-		s.flushStop = nil
-	}
-	if cfg.MaxAge <= 0 {
-		if cfg.MaxDeltas < 2 {
-			// Bursting is off: evaluate whatever was buffered under the
-			// old config so no events are stranded.
-			s.mon.Flush()
-		}
-		return
-	}
-	select {
-	case <-s.closed:
-		return // raced Close; don't start a flusher that nothing stops
-	default:
-	}
-	stop := make(chan struct{})
-	s.flushStop = stop
-	interval := cfg.MaxAge / 2
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-s.closed:
-				return
-			case <-t.C:
-				// The read lock keeps the data plane stable while the
-				// flush evaluates.
-				s.mu.RLock()
-				if s.mon.Pending() > 0 {
-					s.mon.Flush()
-				}
-				s.mu.RUnlock()
-			}
-		}
-	}()
-}
 
 // Network exposes the underlying engine (for preloading a snapshot before
 // serving).
@@ -706,10 +622,10 @@ func (s *Server) startWatch(fields []string, cw *connWriter,
 const eventBuffer = 256
 
 // formatEvent renders one transition, including the (inclusive) range of
-// update sequence numbers whose coalesced delta produced it — upd=N:N for
-// a single update, upd=N:M for a flushed burst — and the event's own
-// sequence number, which a watcher records as its resume cursor for
-// "watch since <seq>" / "events since <seq>" after a disconnect.
+// update sequence numbers whose delta produced it — upd=N:N, one update
+// per evaluation pass — and the event's own sequence number, which a
+// watcher records as its resume cursor for "watch since <seq>" /
+// "events since <seq>" after a disconnect.
 func (s *Server) formatEvent(ev monitor.Event) string {
 	return fmt.Sprintf("event %d %s %s upd=%d:%d seq=%d -- %s",
 		ev.ID, ev.Kind, s.formatSpec(ev.Spec), ev.FirstUpdate, ev.LastUpdate, ev.Seq, ev.Detail)
@@ -902,20 +818,18 @@ func (s *Server) parseUpdateLine(line string) (core.BatchOp, string) {
 //deltanet:dispatch
 var protocolCommands = []string{
 	"B", "I", "R", "W",
-	"burst", "busy", "checkpoint", "dnbin", "events", "flush", "journal",
-	"link", "node", "quit", "reach", "stats", "trace", "unwatch", "watch",
-	"whatif",
+	"busy", "checkpoint", "dnbin", "events", "journal", "link", "node",
+	"quit", "reach", "stats", "trace", "unwatch", "watch", "whatif",
 }
 
 // errReadOnly is the refusal every mutating command gets on a replica
-// (node, link, I, R, B, and burst — coalescing would desync the event
-// stream from the primary's).
+// (node, link, I, R, B).
 const errReadOnly = "err read-only replica: mutations go to the primary"
 
 // dispatch executes one request under the engine lock: read-only requests
-// (including monitor registration and burst flushing, which only read the
-// data plane) share the read lock, mutations take the write lock. owned
-// is the calling connection's registration refcounts (see handle).
+// (including monitor registration, which only reads the data plane)
+// share the read lock, mutations take the write lock. owned is the
+// calling connection's registration refcounts (see handle).
 //
 //deltanet:dispatch
 func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
@@ -928,15 +842,15 @@ func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 	// pipeline trace (pipeline.go); reads are not traced.
 	var lockNs int64
 	switch fields[0] {
-	case "node", "link", "I", "R", "burst":
+	case "node", "link", "I", "R":
 		if s.replicaOf != "" {
 			// Refused before any lock: a replica's write lock belongs to
-			// the apply loop, and burst would desync it from the primary.
+			// the apply loop.
 			return errReadOnly
 		}
 	}
 	switch fields[0] {
-	case "reach", "whatif", "stats", "W", "unwatch", "flush", "burst", "events", "trace", "checkpoint":
+	case "reach", "whatif", "stats", "W", "unwatch", "events", "trace", "checkpoint":
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 	default:
@@ -1045,23 +959,6 @@ func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 		s.mon.Unregister(id)
 		owned[id]--
 		return "ok unwatch " + fields[1]
-	case "burst":
-		if len(fields) != 3 {
-			return "err usage: burst <maxDeltas> <maxAgeMs>"
-		}
-		deltas, err1 := strconv.Atoi(fields[1])
-		ageMs, err2 := strconv.Atoi(fields[2])
-		if err1 != nil || err2 != nil || deltas < 0 || ageMs < 0 {
-			return "err burst arguments must be non-negative integers"
-		}
-		s.setBurst(monitor.BurstConfig{MaxDeltas: deltas, MaxAge: time.Duration(ageMs) * time.Millisecond})
-		return fmt.Sprintf("ok burst deltas=%d age=%d", deltas, ageMs)
-	case "flush":
-		if len(fields) != 1 {
-			return "err usage: flush"
-		}
-		events := s.mon.Flush()
-		return fmt.Sprintf("ok flush events=%d pending=0", len(events))
 	case "events":
 		if len(fields) != 3 || fields[1] != "since" {
 			return "err usage: events since <seq>"
@@ -1087,14 +984,15 @@ func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 		return b.String()
 	case "stats":
 		st := s.mon.Stats()
-		shards := make([]string, len(st.IndexShardBits))
-		for i, p := range st.IndexShardBits {
+		bits := s.mon.IndexShardBits()
+		shards := make([]string, len(bits))
+		for i, p := range bits {
 			shards[i] = strconv.Itoa(p)
 		}
 		var b strings.Builder
-		fmt.Fprintf(&b, "ok stats rules=%d atoms=%d links=%d nodes=%d watch=%d pending=%d upd=%d rskip=%d ix=%s sub=%d",
+		fmt.Fprintf(&b, "ok stats rules=%d atoms=%d links=%d nodes=%d watch=%d upd=%d rskip=%d ix=%s sub=%d",
 			s.net.NumRules(), s.net.NumAtoms(), s.graph.NumLinks(),
-			s.graph.NumNodes(), st.Registered, st.Pending, st.Updates,
+			s.graph.NumNodes(), st.Registered, st.Updates,
 			st.RangeSkips, strings.Join(shards, ","), st.Subgoals)
 		if s.jrnl != nil {
 			fmt.Fprintf(&b, " jrnl=%d", s.jrnl.End())

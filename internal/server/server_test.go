@@ -94,7 +94,7 @@ func TestProtocolSession(t *testing.T) {
 	if got := c.roundTrip(t, "I 1 0 0 0 1000 10"); !strings.HasPrefix(got, "ok atoms=") {
 		t.Fatalf("insert: %q", got)
 	}
-	if got := c.roundTrip(t, "stats"); !strings.HasPrefix(got, "ok stats rules=1 atoms=2 links=1 nodes=2 watch=0 pending=0 upd=1 rskip=0 ix=") {
+	if got := c.roundTrip(t, "stats"); !strings.HasPrefix(got, "ok stats rules=1 atoms=2 links=1 nodes=2 watch=0 upd=1 rskip=0 ix=") {
 		t.Fatalf("stats: %q", got)
 	}
 	if got := c.roundTrip(t, "reach 0 1"); got != "ok reach 1" {
@@ -106,7 +106,7 @@ func TestProtocolSession(t *testing.T) {
 	if got := c.roundTrip(t, "R 1"); !strings.HasPrefix(got, "ok atoms=") {
 		t.Fatalf("remove: %q", got)
 	}
-	if got := c.roundTrip(t, "stats"); !strings.HasPrefix(got, "ok stats rules=0 atoms=2 links=1 nodes=2 watch=0 pending=0 upd=2 rskip=0 ix=") {
+	if got := c.roundTrip(t, "stats"); !strings.HasPrefix(got, "ok stats rules=0 atoms=2 links=1 nodes=2 watch=0 upd=2 rskip=0 ix=") {
 		t.Fatalf("stats after remove: %q", got)
 	}
 }
@@ -231,6 +231,13 @@ func TestProtocolErrors(t *testing.T) {
 	for _, req := range cases {
 		if got := c.roundTrip(t, req); !strings.HasPrefix(got, "err") {
 			t.Fatalf("%q -> %q, want err", req, got)
+		}
+	}
+	// Retired commands fail closed, like any word the server never knew.
+	for _, req := range []string{"burst 16 50", "flush"} {
+		want := "err unknown command " + strings.Fields(req)[0]
+		if got := c.roundTrip(t, req); got != want {
+			t.Fatalf("%q -> %q, want %q", req, got, want)
 		}
 	}
 	// Values a journal record (a dnbin frame) cannot carry are refused at
@@ -662,9 +669,10 @@ func TestWatchStreaming(t *testing.T) {
 }
 
 // TestWatchStreamingBatch: one atomic batch produces the transition events
-// of its merged delta.
+// of its merged delta — and none, nor an update number, when its ops
+// cancel out.
 func TestWatchStreamingBatch(t *testing.T) {
-	_, addr, cleanup := startServer(t)
+	s, addr, cleanup := startServer(t)
 	defer cleanup()
 
 	watcher := dial(t, addr)
@@ -687,6 +695,17 @@ func TestWatchStreamingBatch(t *testing.T) {
 
 	mutator := dial(t, addr)
 	defer mutator.close()
+	// An insert and its removal in one batch merge to an empty delta
+	// before the engine's result reaches the monitor: no pass, no event.
+	if got := mutator.sendBatch(t, []string{
+		"I 9 0 0 0 100 1",
+		"R 9",
+	}); !strings.HasPrefix(got, "ok batch n=2") || !strings.Contains(got, "loops=0") {
+		t.Fatalf("cancelling batch: %q", got)
+	}
+	if st := s.Monitor().Stats(); st.Updates != 0 || st.Events != 0 {
+		t.Fatalf("cancelling batch reached the monitor: %+v", st)
+	}
 	if got := mutator.sendBatch(t, []string{
 		"I 1 0 0 0 100 1",
 		"I 2 1 1 0 100 1",
@@ -696,7 +715,8 @@ func TestWatchStreamingBatch(t *testing.T) {
 	if !watcher.r.Scan() {
 		t.Fatalf("no event: %v", watcher.r.Err())
 	}
-	if got := watcher.r.Text(); !strings.HasPrefix(got, "event 0 cleared reach a c") {
+	// The first line the watcher sees is this batch's, as update 1.
+	if got := watcher.r.Text(); !strings.HasPrefix(got, "event 0 cleared reach a c upd=1:1 seq=1 ") {
 		t.Fatalf("batch event: %q", got)
 	}
 }
@@ -739,83 +759,6 @@ func TestCloseUnblocksIdleWatcher(t *testing.T) {
 	// Both clients observe the disconnect.
 	if w.r.Scan() {
 		t.Fatalf("watcher got line after close: %q", w.r.Text())
-	}
-}
-
-// TestBurstCommand: burst configures coalescing, mutations stop emitting
-// per-update events, flush evaluates the pending burst, and stats exposes
-// the pending count.
-func TestBurstCommand(t *testing.T) {
-	_, addr, cleanup := startServer(t)
-	defer cleanup()
-	c := dial(t, addr)
-	defer c.close()
-	c.roundTrip(t, "node a")
-	c.roundTrip(t, "node b")
-	c.roundTrip(t, "link 0 1")
-	if got := c.roundTrip(t, "W reach 0 1"); got != "ok watch 0 violated" {
-		t.Fatalf("W: %q", got)
-	}
-	if got := c.roundTrip(t, "burst 100 0"); got != "ok burst deltas=100 age=0" {
-		t.Fatalf("burst: %q", got)
-	}
-	c.roundTrip(t, "I 1 0 0 0 100 1")
-	if got := c.roundTrip(t, "stats"); !strings.Contains(got, "pending=1") {
-		t.Fatalf("stats mid-burst: %q", got)
-	}
-	if got := c.roundTrip(t, "flush"); got != "ok flush events=1 pending=0" {
-		t.Fatalf("flush: %q", got)
-	}
-	if got := c.roundTrip(t, "stats"); !strings.Contains(got, "pending=0") {
-		t.Fatalf("stats after flush: %q", got)
-	}
-	// Disabling coalescing flushes implicitly: buffer one more delta,
-	// then turn bursting off and confirm nothing stays pending.
-	c.roundTrip(t, "R 1")
-	if got := c.roundTrip(t, "stats"); !strings.Contains(got, "pending=1") {
-		t.Fatalf("stats before disable: %q", got)
-	}
-	if got := c.roundTrip(t, "burst 0 0"); got != "ok burst deltas=0 age=0" {
-		t.Fatalf("burst off: %q", got)
-	}
-	if got := c.roundTrip(t, "stats"); !strings.Contains(got, "pending=0") {
-		t.Fatalf("stats after disable: %q", got)
-	}
-	for _, req := range []string{"burst", "burst 1", "burst x 0", "burst 0 x", "burst -1 0", "flush now"} {
-		if got := c.roundTrip(t, req); !strings.HasPrefix(got, "err") {
-			t.Fatalf("%q -> %q, want err", req, got)
-		}
-	}
-}
-
-// TestBurstAgeFlusher: with a MaxAge configured, the background flusher
-// evaluates a pending burst without any further protocol activity, and a
-// watching connection sees the event stamped with the coalesced range.
-func TestBurstAgeFlusher(t *testing.T) {
-	_, addr, cleanup := startServer(t)
-	defer cleanup()
-	c := dial(t, addr)
-	defer c.close()
-	c.roundTrip(t, "node a")
-	c.roundTrip(t, "node b")
-	c.roundTrip(t, "link 0 1")
-	c.roundTrip(t, "W reach 0 1")
-	if got := c.roundTrip(t, "burst 1000 20"); got != "ok burst deltas=1000 age=20" {
-		t.Fatalf("burst: %q", got)
-	}
-	if got := c.roundTrip(t, "watch"); got != "ok watching" {
-		t.Fatalf("watch: %q", got)
-	}
-	if !c.r.Scan() || !strings.HasPrefix(c.r.Text(), "status 0 violated") {
-		t.Fatalf("snapshot: %q", c.r.Text())
-	}
-	c.roundTrip(t, "I 1 0 0 0 100 1") // coalesced, not flushed
-	// No further requests: only the background flusher can deliver this.
-	if !c.r.Scan() {
-		t.Fatalf("no flusher event: %v", c.r.Err())
-	}
-	if got := c.r.Text(); !strings.HasPrefix(got, "event 0 cleared reach a b upd=1:1") {
-		t.Fatalf("flusher event: %q", got)
 	}
 }
 
@@ -880,9 +823,8 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 // TestWatchEquivalence10K is the wire-level ground truth for the sharded
-// index and burst mode at scale: 10⁴ standing invariants registered over
-// the protocol, randomized concurrent churn applied in bursts, and the
-// verdict a live watch connection reconstructs from its status snapshot
+// index at scale: 10⁴ standing invariants registered over the protocol,
+// randomized concurrent churn, and the verdict a live watch connection reconstructs from its status snapshot
 // plus the event stream must match a from-scratch oracle for every
 // invariant.
 func TestWatchEquivalence10K(t *testing.T) {
@@ -985,9 +927,6 @@ func TestWatchEquivalence10K(t *testing.T) {
 
 	ctl := dial(t, addr)
 	defer ctl.close()
-	if got := ctl.roundTrip(t, "burst 8 0"); got != "ok burst deltas=8 age=0" {
-		t.Fatalf("burst: %q", got)
-	}
 
 	// Two mutators churn concurrently (disjoint rule-id spaces).
 	var wg sync.WaitGroup
@@ -1027,14 +966,8 @@ func TestWatchEquivalence10K(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := ctl.roundTrip(t, "flush"); !strings.HasPrefix(got, "ok flush") {
-		t.Fatalf("flush: %q", got)
-	}
-	if got := ctl.roundTrip(t, "burst 0 0"); !strings.HasPrefix(got, "ok burst") {
-		t.Fatalf("burst off: %q", got)
-	}
-	// Trip the sentinel (bursting is off, so its event is immediate and,
-	// the stream being FIFO, everything before it has been delivered).
+	// Trip the sentinel (its event is immediate and, the stream being
+	// FIFO, everything before it has been delivered).
 	if got := ctl.roundTrip(t, fmt.Sprintf("I 999999 %d %d 0 10 1", sa, sl)); !strings.HasPrefix(got, "ok") {
 		t.Fatalf("sentinel insert: %q", got)
 	}
@@ -1060,10 +993,8 @@ func TestWatchEquivalence10K(t *testing.T) {
 	if verdict[numInv] {
 		t.Fatal("sentinel still violated after its clearing event")
 	}
-	// The stream must have actually carried transitions, and the monitor
-	// must have coalesced the churn into bursts.
-	st := s.Monitor().Stats()
-	if st.Events == 0 || st.Bursts == 0 || st.Coalesced < 200 {
-		t.Fatalf("stats %+v: churn did not exercise bursting", st)
+	// The stream must have actually carried transitions.
+	if st := s.Monitor().Stats(); st.Events == 0 {
+		t.Fatalf("stats %+v: churn produced no transitions", st)
 	}
 }

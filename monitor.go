@@ -28,10 +28,6 @@ type (
 	// MonitorSubscription delivers events to one consumer; see
 	// Monitor.Subscribe.
 	MonitorSubscription = monitor.Subscription
-	// BurstConfig configures the monitor's coalescing burst mode; install
-	// it with WithBurst (or Monitor.SetBurst at runtime) and flush
-	// explicitly with Monitor.Flush.
-	BurstConfig = monitor.BurstConfig
 )
 
 // Re-exported verdict and transition constants.
@@ -108,14 +104,11 @@ func (c *Checker) RestoreInvariants(specs []string) error {
 
 // Monitor returns the checker's standing-invariant monitor, creating it
 // on first use (with the checker's BatchWorkers as its evaluation
-// fan-out, and any WithBurst configuration installed). Once any invariant
-// is registered, every update's Report (and BatchReport) carries the
-// verdict transitions it caused in Events — except while a burst is
-// pending, when transitions surface at the flush instead.
+// fan-out). Once any invariant is registered, every update's Report (and
+// BatchReport) carries the verdict transitions it caused in Events.
 func (c *Checker) Monitor() *Monitor {
 	if c.monitor == nil {
 		c.monitor = monitor.New(c.net, c.BatchWorkers)
-		c.monitor.SetBurst(c.burst)
 	}
 	return c.monitor
 }

@@ -95,59 +95,6 @@ func MustParseInterval(t *testing.T, cidr string) Interval {
 	return p.Interval()
 }
 
-// TestMonitorBurstThroughChecker: WithBurst coalesces updates behind the
-// public API — Report.Events stays empty mid-burst, and the flush (here
-// count-triggered) emits events carrying the coalesced update range.
-func TestMonitorBurstThroughChecker(t *testing.T) {
-	c := New(WithBurst(2, 0))
-	a := c.AddSwitch("a")
-	b := c.AddSwitch("b")
-	l := c.AddLink(a, b)
-	m := c.Monitor()
-	id, st := m.Register(WatchReachable(a, b))
-	if st != InvariantViolated {
-		t.Fatalf("initial status: %v", st)
-	}
-
-	rep, err := c.InsertPrefixRule(1, a, l, "10.0.0.0/8", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Events) != 0 {
-		t.Fatalf("mid-burst report carried events: %v", rep.Events)
-	}
-	if m.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", m.Pending())
-	}
-	rep, err = c.InsertPrefixRule(2, a, l, "11.0.0.0/8", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Events) != 1 || rep.Events[0].ID != id || rep.Events[0].Kind != MonitorCleared {
-		t.Fatalf("flush events: %v", rep.Events)
-	}
-	if rep.Events[0].FirstUpdate != 1 || rep.Events[0].LastUpdate != 2 {
-		t.Fatalf("update range %d:%d, want 1:2",
-			rep.Events[0].FirstUpdate, rep.Events[0].LastUpdate)
-	}
-
-	// An explicit flush drains a partial burst. Removing both rules takes
-	// two updates; the second completes a burst and auto-flushes, so do
-	// one removal (pending), flush it explicitly, then the other.
-	if _, err := c.RemoveRule(1); err != nil {
-		t.Fatal(err)
-	}
-	if ev := m.Flush(); len(ev) != 0 {
-		t.Fatalf("flush after losing one of two parallel rules: %v", ev)
-	}
-	if _, err := c.RemoveRule(2); err != nil {
-		t.Fatal(err)
-	}
-	if ev := m.Flush(); len(ev) != 1 || ev[0].Kind != MonitorViolation {
-		t.Fatalf("explicit flush: %v", ev)
-	}
-}
-
 // TestCheckerSnapshotRestoreInvariants: the public kill/restart path —
 // Snapshot/SnapshotInvariants on a live checker, Restore/
 // RestoreInvariants into a fresh one over the same topology — brings
