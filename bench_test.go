@@ -460,7 +460,7 @@ func BenchmarkAblation_OwnerCopy(b *testing.B) {
 // one full-coverage rule. Disjoint segments keep every re-evaluation's
 // fixpoint segment-local — the production shape (a large fabric where any
 // one query touches a small region) where dirty MARKING, not evaluation,
-// dominates, which is exactly the cost the sharded index attacks.
+// dominates, which is exactly the cost the dependency index attacks.
 const monitorBenchChainLen = 16
 
 // monitorBenchChecker builds n switches as disjoint chains of
@@ -533,7 +533,8 @@ func monitorChurnNodes(numInv int) int {
 // BenchmarkMonitorChurn is the incremental-monitor headline: per-update
 // cost of keeping 10²..10⁵ standing reachability invariants current under
 // churn. Three arms (retired arms' final rows are recorded in CHANGES.md,
-// PRs 18 and 23):
+// PRs 18 and 23; "sharded" is the index arm's historical name, kept so
+// benchstat lines up across PRs — the index has been flat since PR 24):
 //
 //   - sharded: the dependency index — dirty marking intersects each
 //     changed link's per-subgoal atom-range sketches with the delta's

@@ -3,13 +3,11 @@
 // acquired in strictly increasing rank order, never held across a
 // return without a deferred unlock, and never copied by value.
 //
-// Rationale: the monitor's evaluation pipeline nests up to five locks
-// (applyMu → invariant.mu → regMu → stripe/index locks → eventMu), the
-// server three more, and an out-of-order acquisition anywhere in that
+// Rationale: the server orders six locks, the metrics registry three,
+// the monitor two, and an out-of-order acquisition anywhere in such a
 // lattice is a deadlock that only bites under concurrent load — exactly
-// the bug class the race detector cannot see. The annotation turns the
-// doc comment ordering (monitor.go's "lock order" paragraph) into a
-// machine-checked contract.
+// the bug class the race detector cannot see. The annotation turns a
+// doc comment's ordering into a machine-checked contract.
 //
 // The analysis is flow-sensitive within a function and summary-based
 // across same-package calls:
@@ -50,7 +48,7 @@ var Analyzer = &dnlint.Analyzer{
 
 type rankInfo struct {
 	rank    int
-	display string // e.g. "Monitor.applyMu"
+	display string // e.g. "Monitor.mu"
 }
 
 type analysis struct {

@@ -200,22 +200,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	}})
 }
 
-// VecSample is one labelled value of a *FuncVec metric.
-type VecSample struct {
-	Label string
-	Value float64
-}
-
-// GaugeFuncVec registers a gauge family whose labelled samples are read
-// from fn at scrape time (e.g. per-shard index population).
-func (r *Registry) GaugeFuncVec(name, help, label string, fn func() []VecSample) {
-	r.add(&family{name: name, help: help, typ: "gauge", render: func(w *bufio.Writer) {
-		for _, s := range fn() {
-			fmt.Fprintf(w, "%s{%s=%q} %s\n", name, label, escapeLabel(s.Label), formatFloat(s.Value))
-		}
-	}})
-}
-
 // CounterVec is a family of counters distinguished by one label (e.g.
 // commands by verb). With creates or returns the counter for a value;
 // the returned *Counter is cacheable and lock-free to update.

@@ -50,9 +50,7 @@ func TestFuncMetricsReadAtScrapeTime(t *testing.T) {
 	r := NewRegistry()
 	v := 1.0
 	r.CounterFunc("test_fn_total", "Fn.", func() float64 { return v })
-	r.GaugeFuncVec("test_shard", "Shards.", "shard", func() []VecSample {
-		return []VecSample{{Label: "0", Value: v}, {Label: "1", Value: v + 1}}
-	})
+	r.GaugeFunc("test_bits", "Bits.", func() float64 { return v + 1 })
 	if !strings.Contains(render(t, r), "test_fn_total 1\n") {
 		t.Fatal("first scrape should read 1")
 	}
@@ -61,8 +59,8 @@ func TestFuncMetricsReadAtScrapeTime(t *testing.T) {
 	if !strings.Contains(out, "test_fn_total 9\n") {
 		t.Fatal("second scrape should read the updated value")
 	}
-	if !strings.Contains(out, "test_shard{shard=\"1\"} 10\n") {
-		t.Fatalf("vec sample missing:\n%s", out)
+	if !strings.Contains(out, "test_bits 10\n") {
+		t.Fatalf("gauge sample missing:\n%s", out)
 	}
 }
 

@@ -151,14 +151,12 @@ func (m *Monitor) ResumeSeq(seq uint64) {
 // ParseSpec + Register) on a monitor over an equivalent network
 // reproduces the same standing queries with freshly evaluated verdicts.
 func (m *Monitor) SnapshotSpecs() []string {
-	invs := m.sortedByID()
-	out := make([]string, 0, len(invs))
-	for _, inv := range invs {
-		inv.mu.Lock()
-		if !inv.dead {
-			out = append(out, inv.key) // specKey == FormatSpec
-		}
-		inv.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	invs := m.sortedByIDLocked()
+	out := make([]string, len(invs))
+	for i, inv := range invs {
+		out[i] = inv.key // specKey == FormatSpec
 	}
 	return out
 }

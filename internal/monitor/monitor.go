@@ -13,9 +13,9 @@
 // its retained answer (subgoal.go) — so a 16 × 16 `reach` battery is 16
 // fixpoints, not 256. Each subgoal evaluation records the set of links
 // it examined, refined by per-link atom-range sketches of which atoms
-// on each link actually mattered; the sharded dependency index maps
-// every link to the bitmap of subgoals depending on it (with the
-// sketches hanging off the same slots), and an update dirties exactly
+// on each link actually mattered; the dependency index maps every link
+// to the bitmap of subgoals depending on it (with the sketches hanging
+// off the same slots), and an update dirties exactly
 // the subgoals whose sketches intersect the delta's touched atoms on
 // some changed link — work proportional to the atoms the change
 // actually affects (plus the structurally-global checks, LoopFree and
@@ -36,10 +36,12 @@
 // Concurrency: all exported methods are safe to call from multiple
 // goroutines, but the monitor only reads the network — the caller must
 // guarantee the network is not mutated during a call (the Checker's
-// single-writer discipline and the server's RWMutex both do).
-// Registration and unregistration take striped, per-invariant and
-// per-subgoal locks only, so they do not stall a concurrent evaluation
-// pass.
+// single-writer discipline and the server's RWMutex both do). The
+// monitor has one writer at a time: Register, Unregister and every
+// evaluation pass hold Monitor.mu exclusively (a pass fans its
+// fixpoints out over workers inside that hold), queries share it, and
+// the event stream's own lock lets watchers subscribe and replay
+// without waiting out a pass.
 package monitor
 
 import (
@@ -125,19 +127,13 @@ type invariant struct {
 	subs    []*subgoal
 	global  globalSpec
 
-	// refs counts live registrations of this spec (guarded by m.regMu):
-	// re-registering an identical spec returns the same invariant with
-	// refs incremented, and only the final Unregister removes it.
+	// refs counts live registrations of this spec: re-registering an
+	// identical spec returns the same invariant with refs incremented, and
+	// only the final Unregister removes it.
 	refs int
 
-	// mu guards everything below. Held from before the invariant is
-	// published until its first verdict is settled, and during every
-	// global evaluation, so Status and the dedup path in Register observe
-	// fully evaluated state.
-	//
-	//deltanet:lockrank 20
-	mu     sync.Mutex
-	dead   bool
+	// The cached verdict: settled before Register returns and after every
+	// pass that re-ran a fixpoint the invariant reads.
 	status Status
 	detail string // never empty once settled
 	answer answer // derived: what detail was rendered from
@@ -146,7 +142,7 @@ type invariant struct {
 
 // settle brings the published verdict up to date with what the
 // invariant's subgoals (or its own last global evaluation) now say, and
-// reports whether the status moved. Caller holds inv.mu.
+// reports whether the status moved.
 func (inv *invariant) settle() bool {
 	was := inv.status
 	violated := inv.gst.verdict.violated
@@ -176,7 +172,7 @@ type Stats struct {
 	Registered int
 	// Subgoals is the current number of live subgoals: the denominator
 	// (with the registered global invariants) of Evaluations and Skips
-	// per update, and the number of slots IndexShardBits() is spread over.
+	// per update, and the number of slots IndexBits() is spread over.
 	Subgoals int
 	// Updates counts deltas consumed by ApplyWithLoops.
 	Updates uint64
@@ -206,17 +202,6 @@ type Stats struct {
 	LoopRescanAtoms uint64
 }
 
-// regStripes is the number of registration stripes. ID lookups (Status,
-// Unregister, Invariants) lock only their stripe, so queries from many
-// connections do not serialize on one registration mutex.
-const regStripes = 16
-
-type regStripe struct {
-	//deltanet:lockrank 40
-	mu   sync.RWMutex
-	invs map[ID]*invariant
-}
-
 // unit is one fixpoint an evaluation pass may run: a subgoal or a global
 // invariant (exactly one is set).
 type unit struct {
@@ -226,24 +211,29 @@ type unit struct {
 
 // Monitor maintains standing invariants over one network.
 //
-// Lock ordering (outer first): applyMu → inv.mu → subgoal.mu → regMu →
-// stripe mutexes → index locks → eventMu. inv.mu and subgoal.mu are
-// never acquired while holding regMu, a stripe mutex, or eventMu, and no
-// two of either kind are held at once.
+// Lock ordering: mu, then eventMu. Nothing else in the package locks.
 type Monitor struct {
 	net     *core.Network
 	workers int
 
-	// applyMu serializes evaluation passes (ApplyWithLoops, RecheckAll)
-	// and guards the update counter and the pass scratch below it.
+	// mu is the monitor's one state lock. Register, Unregister, the
+	// evaluation passes (ApplyWithLoops, RecheckAll), Reset, ResumeUpdates
+	// and SetTraceSink hold it exclusively, so everything below down to
+	// eventMu has a single writer; the queries (Status, Invariants,
+	// SnapshotSpecs, Stats, LinkDepsInto, IndexBits) share it and so see
+	// the state between two writes, never the middle of one.
 	//
 	//deltanet:lockrank 10
-	applyMu sync.Mutex
-	updSeq  uint64
+	mu sync.RWMutex
 
-	// Per-pass scratch, reused across evaluation passes under applyMu so
-	// steady-state churn allocates nothing for dirty marking, the unit
-	// list, or settling.
+	// updSeq and regd change only under mu; they are atomics so that
+	// UpdateSeq and NumRegistered take no lock.
+	updSeq atomic.Uint64
+	regd   atomic.Int64 // current number of registered invariants
+
+	// Per-pass scratch, reused across evaluation passes so steady-state
+	// churn allocates nothing for dirty marking, the unit list, or
+	// settling.
 	scratchChanged *bitset.Set
 	scratchDirty   *bitset.Set
 	scratchCand    *bitset.Set
@@ -252,38 +242,30 @@ type Monitor struct {
 	scratchInvs    []*invariant
 
 	// evalScratch holds one check.Scratch per evaluation worker, reused
-	// across passes under applyMu: RunSharded gives each worker a stable
-	// identity, so worker w always evaluates with evalScratch[w] and the
-	// epoch-stamped arrays stay warm — and race-clean — across the
-	// monitor's lifetime. (Registration-time evaluations run outside
-	// applyMu and draw from the check package's pool instead.)
+	// across passes: RunSharded gives each worker a stable identity, so
+	// worker w always evaluates with evalScratch[w] and the epoch-stamped
+	// arrays stay warm across the monitor's lifetime.
 	evalScratch []*check.Scratch
 
-	// regMu guards the structural registration state: the dedup maps, the
-	// subgoal slot table and its classification bitmaps, every subgoal's
-	// consumer list, and the global list. It is never held during an
-	// evaluation.
-	//
-	//deltanet:lockrank 30
-	regMu     sync.RWMutex
+	// The registration state: invariants by id and by canonical spec,
+	// subgoals by key and by index slot, and the global list.
+	invs      map[ID]*invariant
 	byKey     map[string]*invariant
 	bySub     map[subKey]*subgoal
-	slots     []*subgoal // slot -> subgoal; nil = free or retiring
+	slots     []*subgoal // slot -> subgoal; nil = free
 	freeSlots *bitset.Set
 	depSlots  *bitset.Set  // slots of evaluated, live subgoals
 	globals   []*invariant // LoopFree/BlackHoleFree invariants, by id
-
-	stripes [regStripes]regStripe
-	nextID  atomic.Int64
-	regd    atomic.Int64 // current number of registered invariants
-	units   atomic.Int64 // current number of live subgoals + globals
+	nextID    ID
 
 	index depIndex
 
 	// eventMu guards the sequence counter, the subscriber set, and the
-	// event backlog ring (backlog.go).
+	// event backlog ring (backlog.go). It is a lock of its own so that
+	// Subscribe, Cancel, EventsSince and LastSeq on watcher connections
+	// never wait out a pass.
 	//
-	//deltanet:lockrank 70
+	//deltanet:lockrank 20
 	eventMu     sync.Mutex
 	seq         uint64
 	subs        map[*Subscription]struct{}
@@ -300,16 +282,17 @@ type Monitor struct {
 	loopRescans atomic.Uint64
 
 	// traceSink, when non-nil, receives an ApplyTrace after each
-	// delta-driven evaluation pass (trace.go). Guarded by applyMu.
+	// delta-driven evaluation pass (trace.go).
 	traceSink func(ApplyTrace)
 }
 
 // New returns a monitor over the network. workers bounds the evaluation
 // fan-out; ≤ 0 selects GOMAXPROCS.
 func New(net *core.Network, workers int) *Monitor {
-	m := &Monitor{
+	return &Monitor{
 		net:            net,
 		workers:        workers,
+		invs:           map[ID]*invariant{},
 		byKey:          map[string]*invariant{},
 		bySub:          map[subKey]*subgoal{},
 		freeSlots:      bitset.New(0),
@@ -320,13 +303,7 @@ func New(net *core.Network, workers int) *Monitor {
 		subs:           map[*Subscription]struct{}{},
 		backlogCap:     DefaultBacklog,
 	}
-	for i := range m.stripes {
-		m.stripes[i].invs = map[ID]*invariant{}
-	}
-	return m
 }
-
-func (m *Monitor) stripe(id ID) *regStripe { return &m.stripes[uint64(id)%regStripes] }
 
 // Register adds a standing invariant, settles its verdict, and returns
 // its id and initial status. Registration emits no event: events are
@@ -343,72 +320,31 @@ func (m *Monitor) stripe(id ID) *regStripe { return &m.stripes[uint64(id)%regStr
 // attaches to its source's subgoal and reads the retained answer.
 func (m *Monitor) Register(s Spec) (ID, Status) {
 	k := specKey(s)
-	m.regMu.Lock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if inv := m.byKey[k]; inv != nil {
 		inv.refs++
-		m.regMu.Unlock()
-		// Wait out a concurrent initial evaluation, then read the verdict.
-		inv.mu.Lock()
-		st := inv.status
-		inv.mu.Unlock()
-		return inv.id, st
+		return inv.id, inv.status
 	}
-	inv := &invariant{id: ID(m.nextID.Add(1) - 1), spec: s, key: k, refs: 1}
-	// Taking inv.mu under regMu inverts the documented order, but inv is
-	// not yet published: no other goroutine can hold or wait on its mutex,
-	// so the acquisition cannot contend, let alone deadlock.
-	//deltanet:nolint lockorder inv is unpublished; the lock is uncontended by construction
-	inv.mu.Lock()
+	inv := &invariant{id: m.nextID, spec: s, key: k, refs: 1}
+	m.nextID++
+	m.invs[inv.id] = inv
 	m.byKey[k] = inv
+	m.regd.Add(1)
+	sc := check.GetScratch()
 	if g, ok := s.(globalSpec); ok {
 		inv.global = g
-		m.globals = append(m.globals, inv) // ids ascend under regMu: stays sorted
-		m.units.Add(1)
+		m.globals = append(m.globals, inv) // ids ascend: stays sorted
+		inv.gst.verdict = g.eval(m.net, nil, &inv.gst, sc)
 	} else {
 		inv.derived = s.(derivedSpec)
 		for _, key := range s.subgoals() {
-			inv.subs = append(inv.subs, m.acquireLocked(key, inv))
+			inv.subs = append(inv.subs, m.acquireLocked(key, inv, sc))
 		}
-	}
-	m.regMu.Unlock()
-	m.regd.Add(1)
-
-	str := m.stripe(inv.id)
-	str.mu.Lock()
-	str.invs[inv.id] = inv
-	str.mu.Unlock()
-
-	// The expensive part — a fixpoint per subgoal nobody evaluated yet, or
-	// the global scan — runs under inv.mu and the subgoal's own mutex
-	// only, so it stalls neither an evaluation pass nor registrations on
-	// other subgoals. A subgoal another registrant is evaluating right now
-	// is waited for, not recomputed.
-	sc := check.GetScratch()
-	if inv.global != nil {
-		inv.gst.verdict = inv.global.eval(m.net, nil, &inv.gst, sc)
-	}
-	for _, sg := range inv.subs {
-		sg.mu.Lock()
-		if sg.deps == nil {
-			m.evalSubgoalLocked(sg, sc)
-		}
-		sg.mu.Unlock()
 	}
 	check.PutScratch(sc)
 	inv.settle()
-	st := inv.status
-	inv.mu.Unlock()
-	return inv.id, st
-}
-
-// allocSlotLocked returns a free subgoal slot number. Caller holds regMu.
-func (m *Monitor) allocSlotLocked() int {
-	if s := m.freeSlots.NextSet(0); s >= 0 {
-		m.freeSlots.Remove(s)
-		return s
-	}
-	m.slots = append(m.slots, nil)
-	return len(m.slots) - 1
+	return inv.id, inv.status
 }
 
 // Unregister releases one reference to an invariant; the registration is
@@ -416,63 +352,40 @@ func (m *Monitor) allocSlotLocked() int {
 // was the last consumer of, index bits included. It reports whether the
 // id was registered.
 func (m *Monitor) Unregister(id ID) bool {
-	str := m.stripe(id)
-	str.mu.RLock()
-	inv := str.invs[id]
-	str.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	inv := m.invs[id]
 	if inv == nil {
 		return false
 	}
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	m.regMu.Lock()
-	if inv.dead {
-		// Lost a race against the final Unregister of the same id.
-		m.regMu.Unlock()
-		return false
+	if inv.refs--; inv.refs == 0 {
+		m.removeLocked(inv)
 	}
-	inv.refs--
-	if inv.refs > 0 {
-		m.regMu.Unlock()
-		return true
-	}
-	inv.dead = true
+	return true
+}
+
+// removeLocked drops inv's registration whatever its refcount, releasing
+// the subgoals it read. Caller holds mu.
+func (m *Monitor) removeLocked(inv *invariant) {
+	delete(m.invs, inv.id)
 	delete(m.byKey, inv.key)
-	var orphans []*subgoal
+	m.regd.Add(-1)
 	if inv.global != nil {
 		i := slices.Index(m.globals, inv)
 		m.globals = slices.Delete(m.globals, i, i+1)
-		m.units.Add(-1)
 	}
 	for _, sg := range inv.subs {
-		if m.releaseLocked(sg, inv) {
-			orphans = append(orphans, sg)
-		}
+		m.releaseLocked(sg, inv)
 	}
-	m.regMu.Unlock()
-	for _, sg := range orphans {
-		m.retire(sg)
-	}
-	m.regd.Add(-1)
-	str.mu.Lock()
-	delete(str.invs, id)
-	str.mu.Unlock()
-	return true
 }
 
 // Status returns an invariant's cached verdict and its human-readable
 // detail, as of the last update applied.
 func (m *Monitor) Status(id ID) (Status, string, bool) {
-	str := m.stripe(id)
-	str.mu.RLock()
-	inv := str.invs[id]
-	str.mu.RUnlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	inv := m.invs[id]
 	if inv == nil {
-		return 0, "", false
-	}
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	if inv.dead {
 		return 0, "", false
 	}
 	return inv.status, inv.detail, true
@@ -489,16 +402,15 @@ type InvariantInfo struct {
 
 // Invariants lists the registered invariants in registration order with
 // their cached verdicts — the snapshot a fresh subscriber pairs with the
-// event stream.
+// event stream. The snapshot is of one moment: it never mixes the
+// verdicts of two passes.
 func (m *Monitor) Invariants() []InvariantInfo {
-	invs := m.sortedByID()
-	out := make([]InvariantInfo, 0, len(invs))
-	for _, inv := range invs {
-		inv.mu.Lock()
-		if !inv.dead {
-			out = append(out, InvariantInfo{ID: inv.id, Spec: inv.spec, Status: inv.status, Detail: inv.detail})
-		}
-		inv.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	invs := m.sortedByIDLocked()
+	out := make([]InvariantInfo, len(invs))
+	for i, inv := range invs {
+		out[i] = InvariantInfo{ID: inv.id, Spec: inv.spec, Status: inv.status, Detail: inv.detail}
 	}
 	return out
 }
@@ -511,41 +423,37 @@ func (m *Monitor) NumRegistered() int { return int(m.regd.Load()) }
 // fixpoint someone else already dirtied" signal the ingest coalescer's
 // adaptive flush trigger keys on; links the index does not cover yet
 // contribute nothing.
-func (m *Monitor) LinkDepsInto(link int, dst *bitset.Set) { m.index.linkDeps(link, dst) }
+func (m *Monitor) LinkDepsInto(link int, dst *bitset.Set) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	m.index.linkDeps(link, dst)
+}
 
 func byID(a, b *invariant) int { return int(a.id - b.id) }
 
-// sortedByID gathers every registered invariant from the stripes, sorted
-// by id — which is registration order, since ids are assigned
-// monotonically and never reused.
-func (m *Monitor) sortedByID() []*invariant {
-	var all []*invariant
-	for i := range m.stripes {
-		str := &m.stripes[i]
-		str.mu.RLock()
-		for _, inv := range str.invs {
-			all = append(all, inv)
-		}
-		str.mu.RUnlock()
+// sortedByIDLocked returns every registered invariant sorted by id —
+// which is registration order, since ids are assigned monotonically and
+// never reused. Caller holds mu.
+func (m *Monitor) sortedByIDLocked() []*invariant {
+	all := make([]*invariant, 0, len(m.invs))
+	for _, inv := range m.invs {
+		all = append(all, inv)
 	}
 	slices.SortFunc(all, byID)
 	return all
 }
 
-// Stats returns the monitor's work counters. It reads atomics and takes
-// two short locks; the dependency index's population, which costs a walk
-// of every link bitmap, is IndexShardBits.
+// Stats returns the monitor's work counters. It reads atomics and one
+// map length; the dependency index's population, which costs a walk of
+// every link bitmap, is IndexBits.
 func (m *Monitor) Stats() Stats {
-	m.applyMu.Lock()
-	upd := m.updSeq
-	m.applyMu.Unlock()
-	m.regMu.RLock()
+	m.mu.RLock()
 	subgoals := len(m.bySub)
-	m.regMu.RUnlock()
+	m.mu.RUnlock()
 	return Stats{
 		Registered:      m.NumRegistered(),
 		Subgoals:        subgoals,
-		Updates:         upd,
+		Updates:         m.updSeq.Load(),
 		Evaluations:     m.evals.Load(),
 		Fixpoints:       m.fixpoints.Load(),
 		Skips:           m.skips.Load(),
@@ -555,14 +463,16 @@ func (m *Monitor) Stats() Stats {
 	}
 }
 
-// IndexShardBits returns the dependency index's per-shard bit
-// population: for each of the index's link shards, the total number of
-// (link, subgoal-slot) dependency bits it holds. A shard whose population
-// dwarfs the others means one hot link's bitmap dominates dirty-marking
-// cost — the signal that the link is a candidate for splitting by atom
-// range. It walks every link bitmap under the shard locks, so callers
-// rendering several figures take it once.
-func (m *Monitor) IndexShardBits() []int { return m.index.shardPops() }
+// IndexBits returns the dependency index's population: the total number
+// of (link, subgoal-slot) dependency bits it holds — what dirty marking
+// walks when every link changes, and the figure a subgoal's release must
+// hand back. It walks every link bitmap, so callers rendering several
+// figures take it once.
+func (m *Monitor) IndexBits() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.index.population()
+}
 
 // ApplyWithLoops consumes one update's delta-graph: subgoals whose
 // dependency records intersect the changed labels (and global invariants
@@ -583,10 +493,10 @@ func (m *Monitor) ApplyWithLoops(d *core.Delta, loops []check.Loop, loopsKnown b
 	if d == nil || d.Empty() {
 		return nil
 	}
-	m.applyMu.Lock()
-	defer m.applyMu.Unlock()
-	m.updSeq++
-	if m.regd.Load() == 0 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	upd := m.updSeq.Add(1)
+	if len(m.invs) == 0 {
 		return nil
 	}
 	changed := m.scratchChanged
@@ -599,7 +509,7 @@ func (m *Monitor) ApplyWithLoops(d *core.Delta, loops []check.Loop, loopsKnown b
 	}
 	var tr *ApplyTrace
 	if m.traceSink != nil {
-		tr = &ApplyTrace{Update: m.updSeq,
+		tr = &ApplyTrace{Update: upd,
 			Links: changed.Len(), Added: len(d.Added), Removed: len(d.Removed),
 			DirtyNs: time.Now().UnixNano()}
 	}
@@ -622,15 +532,9 @@ func (m *Monitor) ApplyWithLoops(d *core.Delta, loops []check.Loop, loopsKnown b
 // links must re-run — the subgoals the dependency index marks plus the
 // global invariants whose structural test fires — and the number of
 // subgoals the atom-range refinement spared on this pass. The list is
-// pass scratch. Caller holds applyMu.
+// pass scratch. Caller holds mu.
 func (m *Monitor) collectDirty(changed *bitset.Set, d *core.Delta) ([]unit, int) {
-	numLinks := m.net.Graph().NumLinks()
-	if int(m.index.upTo.Load()) < numLinks {
-		m.regMu.RLock()
-		seed := m.depSlots.Clone()
-		m.regMu.RUnlock()
-		m.index.growTo(numLinks, seed)
-	}
+	m.index.growTo(m.net.Graph().NumLinks(), m.depSlots)
 
 	// A subgoal is dirtied only when the delta's touched atoms intersect
 	// its recorded sketch on some shared link (index.collect documents the
@@ -646,30 +550,20 @@ func (m *Monitor) collectDirty(changed *bitset.Set, d *core.Delta) ([]unit, int)
 	rangeSkipped := m.scratchCand.Len() - dirty.Len()
 	m.rangeSkips.Add(uint64(rangeSkipped))
 
+	// The index holds bits for live slots only (releaseLocked erases a
+	// subgoal's with it), so every dirty slot names a subgoal.
 	units := m.scratchUnits[:0]
-	m.regMu.RLock()
 	for s := dirty.NextSet(0); s >= 0; s = dirty.NextSet(s + 1) {
-		if sg := m.slots[s]; sg != nil {
-			units = append(units, unit{sg: sg})
-		}
+		units = append(units, unit{sg: m.slots[s]})
 	}
-	nsub := len(units)
-	for _, inv := range m.globals {
-		units = append(units, unit{inv: inv})
-	}
-	m.regMu.RUnlock()
-
 	// Global invariants decide dirtiness structurally from the delta.
-	keep := units[:nsub]
-	for _, u := range units[nsub:] {
-		u.inv.mu.Lock()
-		if !u.inv.dead && u.inv.global.dirty(&u.inv.gst, d) {
-			keep = append(keep, u)
+	for _, inv := range m.globals {
+		if inv.global.dirty(&inv.gst, d) {
+			units = append(units, unit{inv: inv})
 		}
-		u.inv.mu.Unlock()
 	}
 	m.scratchUnits = units[:0]
-	return keep, rangeSkipped
+	return units, rangeSkipped
 }
 
 // RecheckAll re-runs every subgoal and global invariant from scratch,
@@ -677,10 +571,9 @@ func (m *Monitor) collectDirty(changed *bitset.Set, d *core.Delta) ([]unit, int)
 // the benchmarks compare ApplyWithLoops against. Transitions are
 // returned and published exactly as for an update.
 func (m *Monitor) RecheckAll() []Event {
-	m.applyMu.Lock()
-	defer m.applyMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var units []unit
-	m.regMu.RLock()
 	for _, sg := range m.slots {
 		if sg != nil {
 			units = append(units, unit{sg: sg})
@@ -689,7 +582,6 @@ func (m *Monitor) RecheckAll() []Event {
 	for _, inv := range m.globals {
 		units = append(units, unit{inv: inv})
 	}
-	m.regMu.RUnlock()
 	return m.evaluatePass(units, nil, nil)
 }
 
@@ -698,9 +590,9 @@ func (m *Monitor) RecheckAll() []Event {
 // the transitions — in invariant-id order, stamped with the current
 // update number. ctx is nil for a full (non-delta) pass. tr, when
 // non-nil, receives the pass's skip/eval/event counts and the
-// eval/publish stage times. Caller holds applyMu.
+// eval/publish stage times. Caller holds mu.
 func (m *Monitor) evaluatePass(units []unit, ctx *applyCtx, tr *ApplyTrace) []Event {
-	if live := int(m.units.Load()); len(units) < live {
+	if live := len(m.bySub) + len(m.globals); len(units) < live {
 		m.skips.Add(uint64(live - len(units)))
 		if tr != nil {
 			tr.Skipped = live - len(units)
@@ -722,67 +614,54 @@ func (m *Monitor) evaluatePass(units []unit, ctx *applyCtx, tr *ApplyTrace) []Ev
 	for len(m.evalScratch) < nw {
 		m.evalScratch = append(m.evalScratch, check.NewScratch())
 	}
-	var evaluated atomic.Int64
+	// The fan-out takes no lock: a worker writes only its own unit's
+	// fields (a subgoal's dependency record and answer, a global's state)
+	// and the atomic counters, and reads nothing another worker writes.
 	check.RunSharded(nw, len(units), func(w, i int) {
 		if sg := units[i].sg; sg != nil {
-			sg.mu.Lock()
-			if !sg.dead {
-				m.evalSubgoalLocked(sg, m.evalScratch[w])
-				evaluated.Add(1)
-			}
-			sg.mu.Unlock()
+			m.evalSubgoal(sg, m.evalScratch[w])
 			return
 		}
 		inv := units[i].inv
-		inv.mu.Lock()
-		if !inv.dead {
-			inv.gst.verdict = inv.global.eval(m.net, ctx, &inv.gst, m.evalScratch[w])
-			evaluated.Add(1)
-		}
-		inv.mu.Unlock()
+		inv.gst.verdict = inv.global.eval(m.net, ctx, &inv.gst, m.evalScratch[w])
 	})
 	if ctx != nil {
-		m.evals.Add(uint64(evaluated.Load()))
+		m.evals.Add(uint64(len(units)))
 	}
 
-	// Whoever reads a fixpoint that just ran may have a new verdict. The
-	// consumer lists are read only now, after the evaluations: an
-	// invariant attaching to a subgoal concurrently is either listed here
-	// (and settled below) or reads the fresh answer itself. A subgoal
-	// retired meanwhile has no consumers left.
+	// The index is shared between the units, so re-indexing follows the
+	// join; whoever reads a fixpoint that just ran may have a new verdict.
 	invs := m.scratchInvs[:0]
-	m.regMu.RLock()
 	for _, u := range units {
 		if u.sg != nil {
+			m.reindexLocked(u.sg)
 			invs = append(invs, u.sg.consumers...)
 		} else {
 			invs = append(invs, u.inv)
 		}
 	}
-	m.regMu.RUnlock()
 	slices.SortFunc(invs, byID)
 	invs = slices.Compact(invs) // multi-source specs read several subgoals
+	upd := m.updSeq.Load()
 	var events []Event
 	for _, inv := range invs {
-		inv.mu.Lock()
-		if !inv.dead && inv.settle() {
+		if inv.settle() {
 			kind := Cleared
 			if inv.status == Violated {
 				kind = Violation
 			}
 			events = append(events, Event{ID: inv.id, Spec: inv.spec, Kind: kind, Detail: inv.detail,
-				FirstUpdate: m.updSeq, LastUpdate: m.updSeq})
+				FirstUpdate: upd, LastUpdate: upd})
 		}
-		inv.mu.Unlock()
 	}
-	// Drop the pass's pointers so what was retired since is collectable.
+	// Drop the pass's pointers so what is unregistered later is collectable.
 	clear(units)
 	clear(invs)
 	m.scratchInvs = invs[:0]
 	if tr != nil {
 		now := time.Now().UnixNano()
 		tr.EvalNs = now - tr.EvalNs
-		tr.Evaluated = int(evaluated.Load())
+		tr.Evaluated = len(units)
 		tr.PublishNs = now
 	}
 

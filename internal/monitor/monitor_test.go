@@ -536,6 +536,21 @@ func TestIndexBornDirtyLinks(t *testing.T) {
 	if after.Evaluations != mid.Evaluations || after.Skips != mid.Skips+1 {
 		t.Fatalf("unrelated new link not skipped after re-evaluation: %+v -> %+v", mid, after)
 	}
+
+	// An audit between a link's birth and the first update past it
+	// re-records dependencies over a topology the index has not grown to
+	// yet; the index must come out as exact as from an update, so the
+	// invariant's release leaves no bit behind.
+	g.AddLink(d, a)
+	if ev := m.RecheckAll(); len(ev) != 0 {
+		t.Fatalf("audit found stale verdicts: %v", ev)
+	}
+	mustInsert(t, n, m, core.Rule{ID: 5, Source: d, Link: ld,
+		Match: ipnet.Interval{Lo: 40, Hi: 50}, Priority: 1})
+	m.Unregister(id)
+	if bits := m.IndexBits(); bits != 0 {
+		t.Fatalf("%d index bits outlived the last invariant", bits)
+	}
 }
 
 // TestConcurrentRegistrationChurn emulates the server's lock discipline
@@ -600,7 +615,7 @@ func TestConcurrentRegistrationChurn(t *testing.T) {
 }
 
 // TestShardedEquivalence10K is the scale ground-truth test for the
-// sharded index and its atom-granular refinement: a monitor consumes a
+// dependency index and its atom-granular refinement: a monitor consumes a
 // randomized churn stream at 10⁴ standing reachability invariants (128
 // subgoals, one per source), and every cached verdict must equal a
 // from-scratch fixpoint oracle.

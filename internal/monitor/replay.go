@@ -17,14 +17,14 @@ import "deltanet/internal/core"
 // Like ResumeSeq it never rewinds: restoring a checkpoint older than
 // what this monitor already applied is a no-op.
 func (m *Monitor) ResumeUpdates(n uint64) {
-	m.applyMu.Lock()
-	defer m.applyMu.Unlock()
-	if n > m.updSeq {
-		m.updSeq = n
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if n > m.updSeq.Load() {
+		m.updSeq.Store(n)
 	}
 }
 
-// Reset unregisters every invariant (retiring every subgoal with the
+// Reset unregisters every invariant (releasing every subgoal with the
 // last of its consumers), drops the event backlog, and rebinds the
 // monitor to net — the re-anchor step when a replica's journal cursor
 // falls behind a rotation and it must rebuild from a fresh checkpoint.
@@ -33,15 +33,13 @@ func (m *Monitor) ResumeUpdates(n uint64) {
 // checkpoint), and the backlog is cleared rather than carried over so a
 // watcher resuming across the reset sees an explicit gap and re-anchors
 // on a fresh snapshot instead of folding events from two incarnations.
-//
-// The caller must guarantee no concurrent ApplyWithLoops/Register/query is in
-// flight (the server holds its writer lock across the whole re-anchor).
+// The whole reset is one write: a concurrent query sees the monitor
+// before it or empty, and an Unregister racing it reports false.
 func (m *Monitor) Reset(net *core.Network) {
-	m.applyMu.Lock()
-	defer m.applyMu.Unlock()
-	for _, inv := range m.sortedByID() {
-		for m.Unregister(inv.id) {
-		}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, inv := range m.invs {
+		m.removeLocked(inv)
 	}
 	m.net = net
 	m.eventMu.Lock()

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"sync"
 	"testing"
 
 	"deltanet/internal/core"
@@ -81,8 +82,8 @@ func TestResetReanchors(t *testing.T) {
 	n := core.NewNetwork(g, core.Options{})
 	m := New(n, 0)
 
-	m.Register(Reachable{From: nodes[0], To: nodes[2]})
-	m.Register(Reachable{From: nodes[1], To: nodes[3]})
+	id0, _ := m.Register(Reachable{From: nodes[0], To: nodes[2]})
+	id1, _ := m.Register(Reachable{From: nodes[1], To: nodes[3]})
 	mustInsert(t, n, m, core.Rule{ID: 1, Source: nodes[0], Link: links[0],
 		Match: ipnet.Interval{Lo: 0, Hi: 100}, Priority: 1})
 	mustInsert(t, n, m, core.Rule{ID: 2, Source: nodes[1], Link: links[1],
@@ -92,12 +93,41 @@ func TestResetReanchors(t *testing.T) {
 	}
 	preSeq, preUpd := m.LastSeq(), m.UpdateSeq()
 
+	// The server's connection teardown and watch snapshot run outside its
+	// writer lock, so Reset must hold its own: these race it (under -race)
+	// from before it starts until after it returns.
+	stop, racing := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for first := true; ; first = false {
+			m.Unregister(id0)
+			if st, detail, ok := m.Status(id1); ok && (st != Violated || detail == "") {
+				t.Errorf("status mid-reset: %v %q", st, detail)
+			}
+			if infos := m.Invariants(); len(infos) > 1 {
+				t.Errorf("snapshot mid-reset: %v", infos)
+			}
+			if first {
+				close(racing)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-racing
 	g2, nodes2, _ := line4()
 	n2 := core.NewNetwork(g2, core.Options{})
 	m.Reset(n2)
+	close(stop)
+	wg.Wait()
 
-	if m.NumRegistered() != 0 {
-		t.Fatalf("registrations survived reset: %d", m.NumRegistered())
+	if m.NumRegistered() != 0 || m.IndexBits() != 0 {
+		t.Fatalf("survived reset: %d registrations, %d index bits", m.NumRegistered(), m.IndexBits())
 	}
 	if rep := m.EventsSince(0); len(rep.Events) != 0 {
 		t.Fatalf("backlog survived reset: %v", rep.Events)

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"slices"
-	"sync"
 
 	"deltanet/internal/bitset"
 	"deltanet/internal/check"
@@ -15,37 +14,12 @@ import (
 // `waypoint a * v` shares (a, v).
 type subKey struct{ from, avoid netgraph.NodeID }
 
-// subgoal is the monitor's unit of evaluation, dirtiness and dependency
-// storage. Forwarding behaviour is shared, so the query that reads it is
-// computed once: however many invariants ask about one (source, avoided
-// node) pair, there is one fixpoint per dirty pass, one dependency
-// record (link set + per-link atom sketches + atom stamp) in one
-// depIndex slot, and one retained answer relation every consumer reads
-// its verdict from (Query-Subquery Nets: queries sharing a subgoal share
-// its answer). A subgoal lives while at least one registered invariant
-// consumes it.
-type subgoal struct {
-	key  subKey
-	slot int // dense depIndex bitmap position; reused after retirement
-
-	// consumers are the registered invariants reading this subgoal, in
-	// registration (= id) order; an invariant naming the subgoal twice
-	// appears twice. Guarded by Monitor.regMu.
-	consumers []*invariant
-
-	// mu guards everything below and is held across every evaluation, so
-	// a consumer registering on a live subgoal reads a complete answer.
-	//
-	//deltanet:lockrank 25
-	mu   sync.Mutex
-	dead bool
-
-	// deps holds the links the last evaluation examined (nil before the
+// depRecord is what one evaluation leaves for the dependency index.
+type depRecord struct {
+	// deps holds the links the evaluation examined (nil before the
 	// first): a delta touching no dep link cannot change the answer (see
-	// check.fixpoint's deps documentation). spare is the previous
-	// evaluation's set, kept so re-evaluation double-buffers instead of
-	// allocating and the index update can diff old against new.
-	deps, spare *bitset.Set
+	// check.fixpoint's deps documentation).
+	deps *bitset.Set
 
 	// ranges refines deps to atom granularity (check.ReachSummary); the
 	// sketches are trustworthy only for atoms that existed at evaluation
@@ -54,9 +28,38 @@ type subgoal struct {
 	ranges  check.DepRanges
 	atomSeq int64
 
-	// linksAtEval is the topology's link count when deps was recorded.
-	// Links added later are conservatively treated as dependency hits.
-	linksAtEval int
+	// links is the topology's link count when deps was recorded. Links
+	// added later are conservatively treated as dependency hits.
+	links int
+}
+
+// subgoal is the monitor's unit of evaluation, dirtiness and dependency
+// storage. Forwarding behaviour is shared, so the query that reads it is
+// computed once: however many invariants ask about one (source, avoided
+// node) pair, there is one fixpoint per dirty pass, one dependency
+// record (link set + per-link atom sketches + atom stamp) in one
+// depIndex slot, and one retained answer relation every consumer reads
+// its verdict from (Query-Subquery Nets: queries sharing a subgoal share
+// its answer). A subgoal lives while at least one registered invariant
+// consumes it, and is evaluated before the Register that created it
+// returns. All of it is guarded by Monitor.mu; inside a pass, the worker
+// evaluating the subgoal is the only goroutine touching cur, prev and
+// counts.
+type subgoal struct {
+	key  subKey
+	slot int // dense depIndex bitmap position; reused after release
+
+	// consumers are the registered invariants reading this subgoal, in
+	// registration (= id) order; an invariant naming the subgoal twice
+	// appears twice.
+	consumers []*invariant
+
+	// cur is the last evaluation's dependency record. prev is the one
+	// before: its deps set is the buffer the next evaluation records
+	// into, so re-evaluation double-buffers instead of allocating, and
+	// between an evaluation and its reindexLocked it is what the index
+	// still holds for the slot.
+	cur, prev depRecord
 
 	// counts is the retained answer relation: counts[v] is the number of
 	// atoms arriving at node v (the reach vector itself aliases the
@@ -70,21 +73,19 @@ type subgoal struct {
 // count returns the number of atoms arriving at v as of the last
 // evaluation.
 func (sg *subgoal) count(v netgraph.NodeID) int32 {
-	sg.mu.Lock()
-	defer sg.mu.Unlock()
 	if int(v) < len(sg.counts) {
 		return sg.counts[v]
 	}
 	return 0
 }
 
-// evalSubgoalLocked (re-)runs sg's fixpoint against the live network,
-// replaces its answer and dependency record, and re-indexes it. Caller
-// holds sg.mu and has checked sg is not dead.
-func (m *Monitor) evalSubgoalLocked(sg *subgoal, sc *check.Scratch) {
+// evalSubgoal (re-)runs sg's fixpoint against the live network and
+// replaces its answer and dependency record. It writes nothing but sg
+// and the fixpoint counter, so a pass's workers run it side by side; the
+// index catches up in reindexLocked.
+func (m *Monitor) evalSubgoal(sg *subgoal, sc *check.Scratch) {
 	numLinks := m.net.Graph().NumLinks()
-	old, oldRanges, oldAtomSeq := sg.deps, sg.ranges, sg.atomSeq
-	deps := sg.spare
+	deps := sg.prev.deps
 	if deps == nil {
 		deps = bitset.New(numLinks)
 	} else {
@@ -98,67 +99,59 @@ func (m *Monitor) evalSubgoalLocked(sg *subgoal, sc *check.Scratch) {
 			sg.counts[v] = int32(r.Len())
 		}
 	}
-	sg.deps, sg.spare = deps, old
-	sg.ranges, sg.atomSeq = ranges, m.net.AtomAllocSeq()
-	if old == nil {
-		// First evaluation: from here on the subgoal is dep-tracked, so
-		// links born later must seed its slot (depIndex.growTo).
-		m.regMu.Lock()
-		m.index.growTo(numLinks, m.depSlots)
-		m.depSlots.Add(sg.slot)
-		m.regMu.Unlock()
-		m.index.insert(sg.slot, deps, ranges, sg.atomSeq)
-	} else {
-		m.index.update(sg.slot, old, sg.linksAtEval, oldRanges, oldAtomSeq, deps, ranges, sg.atomSeq)
-	}
-	sg.linksAtEval = numLinks
+	sg.prev = sg.cur
+	sg.cur = depRecord{deps: deps, ranges: ranges, atomSeq: m.net.AtomAllocSeq(), links: numLinks}
 }
 
-// acquireLocked attaches inv to the subgoal for key, creating it
-// (unevaluated) on first use. Caller holds regMu.
-func (m *Monitor) acquireLocked(key subKey, inv *invariant) *subgoal {
+// reindexLocked brings the dependency index up to date with sg's last
+// evaluation. Caller holds mu.
+func (m *Monitor) reindexLocked(sg *subgoal) {
+	m.index.growTo(sg.cur.links, m.depSlots)
+	if sg.prev.deps == nil {
+		// First evaluation: from here on the subgoal is dep-tracked, so
+		// links born later must seed its slot (depIndex.growTo).
+		m.depSlots.Add(sg.slot)
+		m.index.insert(sg.slot, sg.cur)
+	} else {
+		m.index.update(sg.slot, sg.prev, sg.cur)
+	}
+	sg.prev.ranges = nil // only the deps buffer is kept for reuse
+}
+
+// acquireLocked attaches inv to the subgoal for key, creating and
+// evaluating it on first use. Caller holds mu.
+func (m *Monitor) acquireLocked(key subKey, inv *invariant, sc *check.Scratch) *subgoal {
 	sg := m.bySub[key]
 	if sg == nil {
-		sg = &subgoal{key: key, slot: m.allocSlotLocked()}
+		sg = &subgoal{key: key}
+		if sg.slot = m.freeSlots.NextSet(0); sg.slot >= 0 {
+			m.freeSlots.Remove(sg.slot)
+			m.slots[sg.slot] = sg
+		} else {
+			sg.slot = len(m.slots)
+			m.slots = append(m.slots, sg)
+		}
 		m.bySub[key] = sg
-		m.slots[sg.slot] = sg
-		m.units.Add(1)
+		m.evalSubgoal(sg, sc)
+		m.reindexLocked(sg)
 	}
 	sg.consumers = append(sg.consumers, inv)
 	return sg
 }
 
-// releaseLocked detaches one consumer entry of inv from sg and reports
-// whether that was the last: the subgoal is then unpublished — no
-// Register can find it, no pass can pick it up — and the caller must
-// retire it once regMu is released. Caller holds regMu.
-func (m *Monitor) releaseLocked(sg *subgoal, inv *invariant) bool {
+// releaseLocked detaches one consumer entry of inv from sg. The last one
+// takes the subgoal with it — map entry, index bits and slot number in
+// one step. Caller holds mu.
+func (m *Monitor) releaseLocked(sg *subgoal, inv *invariant) {
 	if i := slices.Index(sg.consumers, inv); i >= 0 {
 		sg.consumers = slices.Delete(sg.consumers, i, i+1)
 	}
 	if len(sg.consumers) > 0 {
-		return false
+		return
 	}
 	delete(m.bySub, sg.key)
 	m.slots[sg.slot] = nil
-	m.units.Add(-1)
-	return true
-}
-
-// retire frees an unpublished subgoal: its index bits are erased BEFORE
-// freeSlots republishes the slot number, so a concurrent Register
-// reusing it cannot have fresh bits wiped by this removal. Evaluations
-// hold sg.mu, so none is in flight here, and a pass that picked sg up
-// earlier sees dead and skips.
-func (m *Monitor) retire(sg *subgoal) {
-	sg.mu.Lock()
-	sg.dead = true
-	m.regMu.Lock()
 	m.depSlots.Remove(sg.slot)
-	m.regMu.Unlock()
-	m.index.removeSlot(sg.slot, sg.deps, sg.linksAtEval)
-	sg.mu.Unlock()
-	m.regMu.Lock()
+	m.index.removeSlot(sg.slot, sg.cur)
 	m.freeSlots.Add(sg.slot)
-	m.regMu.Unlock()
 }

@@ -361,14 +361,6 @@ func (b *battery) sinks() map[netgraph.NodeID]bool {
 	return sinks
 }
 
-func sum(xs []int) int {
-	n := 0
-	for _, x := range xs {
-		n += x
-	}
-	return n
-}
-
 // TestSubgoalLifecycleAndCounts pins the shared layer's accounting on the
 // 16 × 16 battery: registrations past a subgoal's first run no fixpoint
 // and add no index bits, an update evaluates at most one fixpoint per
@@ -381,17 +373,17 @@ func TestSubgoalLifecycleAndCounts(t *testing.T) {
 	var ids []ID
 	for i, s := range b.src {
 		for j, e := range b.dst {
-			before, bitsBefore := m.Stats(), m.IndexShardBits()
+			before, bitsBefore := m.Stats(), m.IndexBits()
 			id, st := m.Register(Reachable{From: s, To: e})
 			if st != Holds {
 				t.Fatalf("reach s%d t%d: %v at registration", i, j, st)
 			}
 			ids = append(ids, id)
-			after, bitsAfter := m.Stats(), m.IndexShardBits()
+			after, bitsAfter := m.Stats(), m.IndexBits()
 			wantFix := before.Fixpoints
 			if j == 0 {
 				wantFix++ // the source's first invariant runs its fixpoint
-			} else if sum(bitsAfter) != sum(bitsBefore) {
+			} else if bitsAfter != bitsBefore {
 				t.Fatalf("reach s%d t%d on a live subgoal moved the index: %v -> %v",
 					i, j, bitsBefore, bitsAfter)
 			}
@@ -432,7 +424,7 @@ func TestSubgoalLifecycleAndCounts(t *testing.T) {
 
 	// A waypoint opens a new subgoal (s0, avoid c0); a second one over the
 	// same pair shares it; the last Unregister gives everything back.
-	bits := func() int { return sum(m.IndexShardBits()) }
+	bits := m.IndexBits
 	base, baseBits := m.Stats(), bits()
 	w1, _ := m.Register(Waypoint{From: b.src[0], To: b.dst[0], Via: b.core[0]})
 	one, oneBits := m.Stats(), bits()
@@ -505,18 +497,17 @@ func TestBatteryPassAllocs(t *testing.T) {
 	}
 }
 
-// TestStatsWalksNoIndex pins Stats as counters only: the per-shard index
-// population is a walk of every link bitmap into a fresh slice, and a
-// /metrics scrape calls Stats once per series, so a Stats that allocates
-// at all has started walking the index again. IndexShardBits is the one
-// walker.
+// TestStatsWalksNoIndex pins Stats as counters only: the index
+// population is a walk of every link bitmap, and a /metrics scrape calls
+// Stats once per series. IndexBits is the one walker; a Stats that
+// allocates has grown past reading counters.
 func TestStatsWalksNoIndex(t *testing.T) {
 	b := buildBattery(t)
 	m := New(b.net, 1)
 	for _, s := range b.src {
 		m.Register(Reachable{From: s, To: b.dst[0]})
 	}
-	if sum(m.IndexShardBits()) == 0 {
+	if m.IndexBits() == 0 {
 		t.Fatal("fixture indexed nothing")
 	}
 	var st Stats
@@ -625,7 +616,116 @@ func TestConcurrentSharedRegistration(t *testing.T) {
 			m.Unregister(id)
 		}
 	}
-	if st := m.Stats(); st.Registered != 0 || st.Subgoals != 0 || sum(m.IndexShardBits()) != 0 {
-		t.Fatalf("after final release: %+v, index %v", st, m.IndexShardBits())
+	if st := m.Stats(); st.Registered != 0 || st.Subgoals != 0 || m.IndexBits() != 0 {
+		t.Fatalf("after final release: %+v, index %v", st, m.IndexBits())
+	}
+}
+
+// TestSnapshotAtomicUnderChurn pins what the single writer guarantees
+// and per-invariant locks could not: a query never observes the middle
+// of a pass. While the writer toggles slice 0 — flipping `reach s* t0`
+// for the four sources behind core0 together — a reader sees all four
+// flipped or none, both in one Invariants() snapshot and over four
+// Status calls no pass started between; and a third goroutine
+// registering and releasing specs on those same subgoals, with no lock
+// outside the monitor's (the server's connection teardown), leaves no
+// stale verdict, no subgoal and no index bit behind. Run with -race.
+func TestSnapshotAtomicUnderChurn(t *testing.T) {
+	b := buildBattery(t)
+	m := New(b.net, 0)
+	var flip []ID // reach s0/s4/s8/s12 t0
+	for i, s := range b.src {
+		for j, e := range b.dst {
+			id, _ := m.Register(Reachable{From: s, To: e})
+			if i%4 == 0 && j == 0 {
+				flip = append(flip, id)
+			}
+		}
+	}
+	b.toggle(t, m, 0, true) // settle the index on the shape churn returns to
+	b.toggle(t, m, 0, false)
+	base, baseBits := m.Stats().Subgoals, m.IndexBits()
+
+	mixed := func(violated int, how string) bool {
+		if violated != 0 && violated != len(flip) {
+			t.Errorf("%s saw %d of %d verdicts flipped: a snapshot from the middle of a pass", how, violated, len(flip))
+			return true
+		}
+		return false
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // the reader
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			violated := 0
+			for _, info := range m.Invariants() {
+				if info.Status == Violated { // only the four can be
+					violated++
+				}
+			}
+			if mixed(violated, "Invariants()") {
+				return
+			}
+			upd := m.UpdateSeq()
+			violated = 0
+			for _, id := range flip {
+				st, detail, ok := m.Status(id)
+				if !ok || (st == Violated) != (detail == "no packets can flow") {
+					t.Errorf("Status(%d) = %v %q %v", id, st, detail, ok)
+					return
+				}
+				if st == Violated {
+					violated++
+				}
+			}
+			// A pass takes its update number as it starts, so an unchanged
+			// number means the four reads fell between the same two passes.
+			if m.UpdateSeq() == upd && mixed(violated, "four Status calls within one update") {
+				return
+			}
+		}
+	}()
+	go func() { // registration churn on the subgoals the passes re-run
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, spec := range []Spec{
+				Reachable{From: b.src[0], To: b.core[0]},               // attaches to (s0, -)
+				Waypoint{From: b.src[4], To: b.dst[0], Via: b.core[0]}, // opens and closes (s4, c0)
+			} {
+				id, st := m.Register(spec)
+				if st != Holds {
+					t.Errorf("%v registered %v mid-churn", spec, st)
+				}
+				if !m.Unregister(id) {
+					t.Errorf("unregister %v failed", spec)
+				}
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if ev := b.toggle(t, m, 0, i%2 == 0); len(ev) != len(flip) {
+			t.Errorf("toggle %d: events %v, want the %d reach transitions", i, ev, len(flip))
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if ev := m.RecheckAll(); len(ev) != 0 {
+		t.Fatalf("audit found stale verdicts: %v", ev)
+	}
+	if st := m.Stats(); st.Subgoals != base || m.IndexBits() != baseBits {
+		t.Fatalf("after churn: %d subgoals, %d index bits; want %d, %d", st.Subgoals, m.IndexBits(), base, baseBits)
 	}
 }

@@ -22,9 +22,9 @@ type ApplyTrace struct {
 	// These four count fixpoints — subgoals (one per (source, avoided
 	// node) pair, however many invariants read it) and global invariants —
 	// not invariants: Dirtied is how many the pass picked to re-run;
-	// Evaluated how many actually ran (retired ones drop out); Skipped and
-	// RangeSkipped how many the dependency index and the atom-range
-	// refinement spared, respectively.
+	// Evaluated how many ran (every one picked); Skipped and RangeSkipped
+	// how many the dependency index and the atom-range refinement spared,
+	// respectively.
 	Dirtied      int
 	Evaluated    int
 	Skipped      int
@@ -43,22 +43,18 @@ type ApplyTrace struct {
 // SetTraceSink installs fn to receive an ApplyTrace after every
 // delta-driven evaluation pass (ApplyWithLoops; RecheckAll is an audit,
 // not an update, and is not traced). fn runs synchronously under the
-// apply lock, so it must be fast and must not call back into the
-// monitor; nil uninstalls. With no sink installed the monitor takes no
-// timestamps — tracing costs nothing when off.
+// write side of the monitor's lock, so it must be fast and must not
+// call back into the monitor; nil uninstalls. With no sink installed
+// the monitor takes no timestamps — tracing costs nothing when off.
 func (m *Monitor) SetTraceSink(fn func(ApplyTrace)) {
-	m.applyMu.Lock()
-	defer m.applyMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.traceSink = fn
 }
 
 // UpdateSeq returns the engine update sequence number of the most
 // recently consumed delta (0 before any).
-func (m *Monitor) UpdateSeq() uint64 {
-	m.applyMu.Lock()
-	defer m.applyMu.Unlock()
-	return m.updSeq
-}
+func (m *Monitor) UpdateSeq() uint64 { return m.updSeq.Load() }
 
 // NumSubscribers returns the current number of event subscriptions.
 func (m *Monitor) NumSubscribers() int {

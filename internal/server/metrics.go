@@ -2,7 +2,6 @@ package server
 
 import (
 	"sort"
-	"strconv"
 
 	"deltanet/internal/metrics"
 )
@@ -92,13 +91,8 @@ func (s *Server) enableMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("dn_monitor_backlog_events", "Events currently retained in the replay backlog.", func() float64 {
 		return float64(s.mon.BacklogLen())
 	})
-	reg.GaugeFuncVec("dn_monitor_index_shard_bits", "Dependency-index population per link shard (hot-shard skew signal).", "shard", func() []metrics.VecSample {
-		pops := s.mon.IndexShardBits() // the scrape's one index walk
-		out := make([]metrics.VecSample, len(pops))
-		for i, p := range pops {
-			out[i] = metrics.VecSample{Label: strconv.Itoa(i), Value: float64(p)}
-		}
-		return out
+	reg.GaugeFunc("dn_monitor_index_bits", "Dependency-index population: (link, subgoal) dependency bits held.", func() float64 {
+		return float64(s.mon.IndexBits()) // the scrape's one index walk
 	})
 
 	// Connections and transport.

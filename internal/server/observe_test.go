@@ -128,21 +128,11 @@ func TestAdminEndpointMidChurn(t *testing.T) {
 	if metricValue(t, body, "dn_monitor_updates_total") == 0 {
 		t.Error("no updates counted after churn")
 	}
-	// The index population is its own read (Monitor.IndexShardBits), no
-	// longer a Stats field: the vector must still carry it.
-	var scraped, indexed float64
-	for _, line := range strings.Split(body, "\n") {
-		if strings.HasPrefix(line, "dn_monitor_index_shard_bits{") {
-			f := strings.Fields(line)
-			v, _ := strconv.ParseFloat(f[len(f)-1], 64)
-			scraped += v
-		}
-	}
-	for _, p := range s.Monitor().IndexShardBits() {
-		indexed += float64(p)
-	}
+	// The index population is its own read (Monitor.IndexBits), not a
+	// Stats field: the gauge must carry it.
+	scraped, indexed := metricValue(t, body, "dn_monitor_index_bits"), float64(s.Monitor().IndexBits())
 	if scraped == 0 || scraped != indexed {
-		t.Errorf("dn_monitor_index_shard_bits sums to %g, the index holds %g bits", scraped, indexed)
+		t.Errorf("dn_monitor_index_bits reads %g, the index holds %g bits", scraped, indexed)
 	}
 	if v := metricValue(t, body, "dnserve_connections_total"); v < 2 {
 		t.Errorf("connections_total=%g, want >= 2", v)

@@ -200,7 +200,7 @@ type stageInfo struct {
 // onApplyTrace is the monitor trace sink (installed in New): it merges
 // the monitor's stage times with the staged server-side times of the
 // commit that drove the pass, retains the record, and feeds the stage
-// histograms. It runs under the monitor's apply lock, inside
+// histograms. It runs under the monitor's writer lock, inside
 // commitLocked's ApplyWithLoops call — the only one the server makes —
 // so s.mu is write-held and s.staged is set.
 func (s *Server) onApplyTrace(at monitor.ApplyTrace) {

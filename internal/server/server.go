@@ -22,7 +22,7 @@
 //	watch                                -> ok watching (streaming; see below)
 //	watch since <seq>                    -> ok watching (replay + streaming; see below)
 //	events since <seq>                   -> ok events n=<k> (k replay lines follow; see below)
-//	stats                                -> ok stats rules=<r> atoms=<a> links=<l> nodes=<v> watch=<w> upd=<u> rskip=<n> ix=<s0,...,s15> sub=<g>
+//	stats                                -> ok stats rules=<r> atoms=<a> links=<l> nodes=<v> watch=<w> upd=<u> rskip=<n> ix=<bits> sub=<g>
 //	quit                                 -> connection closed
 //
 // Wherever reach, whatif, or a W spec takes a node, it accepts either
@@ -33,7 +33,7 @@
 // invariant. The stats line's rskip counts invariants skipped by
 // atom-granular dependency tracking: updates that touched a dep link
 // but only atoms the invariant's verdict never examined (ix is the
-// dependency index's per-shard bit population).
+// dependency index's bit population).
 //
 // B introduces an atomic batch: the client sends "B <n>" followed by
 // exactly n lines, each an I or R line as above, and receives one response
@@ -984,16 +984,11 @@ func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 		return b.String()
 	case "stats":
 		st := s.mon.Stats()
-		bits := s.mon.IndexShardBits()
-		shards := make([]string, len(bits))
-		for i, p := range bits {
-			shards[i] = strconv.Itoa(p)
-		}
 		var b strings.Builder
-		fmt.Fprintf(&b, "ok stats rules=%d atoms=%d links=%d nodes=%d watch=%d upd=%d rskip=%d ix=%s sub=%d",
+		fmt.Fprintf(&b, "ok stats rules=%d atoms=%d links=%d nodes=%d watch=%d upd=%d rskip=%d ix=%d sub=%d",
 			s.net.NumRules(), s.net.NumAtoms(), s.graph.NumLinks(),
 			s.graph.NumNodes(), st.Registered, st.Updates,
-			st.RangeSkips, strings.Join(shards, ","), st.Subgoals)
+			st.RangeSkips, s.mon.IndexBits(), st.Subgoals)
 		if s.jrnl != nil {
 			fmt.Fprintf(&b, " jrnl=%d", s.jrnl.End())
 		}

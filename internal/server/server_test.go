@@ -822,7 +822,7 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestWatchEquivalence10K is the wire-level ground truth for the sharded
+// TestWatchEquivalence10K is the wire-level ground truth for the dependency
 // index at scale: 10⁴ standing invariants registered over the protocol,
 // randomized concurrent churn, and the verdict a live watch connection reconstructs from its status snapshot
 // plus the event stream must match a from-scratch oracle for every
