@@ -105,7 +105,7 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 			if it.rule.Link == netgraph.NoLink {
 				it.rule.Link = n.graph.DropLink(it.rule.Source)
 			}
-			it.slot = n.store.alloc(it.rule)
+			it.slot = n.store.alloc(&it.rule)
 		}
 	}
 	for i := range items {
@@ -117,22 +117,8 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 	// Phase 2: create every atom the batch needs (serial; splits mutate M)
 	// and clone owner state for split atoms exactly as Algorithm 1 does.
 	for _, it := range items {
-		if !it.insert {
-			continue
-		}
-		n.splitBuf = n.m.CreateAtomsInto(it.rule.Match, n.splitBuf[:0])
-		split := n.splitBuf
-		d.NewAtoms = append(d.NewAtoms, split...)
-		n.splits += int64(len(split))
-		for _, sp := range split {
-			newOwner := n.ownerAt(sp.New) // may grow the directory: take first
-			oldOwner := &n.owner[sp.Old]
-			newOwner.cloneFrom(oldOwner)
-			for i := range oldOwner.cells {
-				c := oldOwner.cells[i]
-				top := oldOwner.slab[c.off+c.n-1]
-				n.labelOf(n.store.recs[top].Link).Add(int(sp.New))
-			}
+		if it.insert {
+			n.createAtoms(it.rule.Match, d)
 		}
 	}
 
@@ -249,7 +235,7 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 				n.bounds[it.rule.Match.Hi]++
 			}
 		} else {
-			n.store.releaseSlot(it.rule.ID, it.slot)
+			n.store.releaseSlot(it.slot)
 			if n.gc {
 				for _, b := range [2]uint64{it.rule.Match.Lo, it.rule.Match.Hi} {
 					n.bounds[b]--
@@ -322,7 +308,7 @@ func (n *Network) validateBatch(ops []BatchOp) ([]batchItem, error) {
 				if !ok {
 					return nil, fmt.Errorf("%w: %d (op %d)", ErrUnknownRule, id, i)
 				}
-				it = batchItem{ref: -1, slot: slot, rule: n.store.recs[slot]}
+				it = batchItem{ref: -1, slot: slot, rule: n.ruleAt(slot)}
 			}
 			pending[id] = -1
 			items = append(items, it)
@@ -392,11 +378,11 @@ func (n *Network) replayAtom(alpha intervalmap.AtomID, items []batchItem, run []
 		switch {
 		case p == noSlot && after == noSlot:
 		case p == noSlot:
-			res.added = append(res.added, LinkAtom{Link: n.store.recs[after].Link, Atom: alpha})
+			res.added = append(res.added, LinkAtom{Link: n.store.recs[after].link, Atom: alpha})
 		case after == noSlot:
-			res.removed = append(res.removed, LinkAtom{Link: n.store.recs[p].Link, Atom: alpha})
+			res.removed = append(res.removed, LinkAtom{Link: n.store.recs[p].link, Atom: alpha})
 		default:
-			pl, al := n.store.recs[p].Link, n.store.recs[after].Link
+			pl, al := n.store.recs[p].link, n.store.recs[after].link
 			if pl != al {
 				res.removed = append(res.removed, LinkAtom{Link: pl, Atom: alpha})
 				res.added = append(res.added, LinkAtom{Link: al, Atom: alpha})

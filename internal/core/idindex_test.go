@@ -1,0 +1,266 @@
+package core
+
+// Differential tests for the rule store's open-addressed id → slot table:
+// streams of inserts, removals and batches driven against a map oracle,
+// checking every id of the pool — live and dead — after every operation.
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"deltanet/internal/ipnet"
+	"deltanet/internal/netgraph"
+)
+
+// idDriver drives a Network through the id table's operation alphabet and
+// holds a map[RuleID]Rule oracle of what must be live.
+type idDriver struct {
+	t      testing.TB
+	n      *Network
+	links  []netgraph.LinkID
+	ids    []RuleID
+	oracle map[RuleID]Rule
+	d      Delta
+}
+
+func newIDDriver(t testing.TB, ids []RuleID) *idDriver {
+	g := netgraph.New()
+	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
+	links := []netgraph.LinkID{g.AddLink(a, b), g.AddLink(b, c), g.AddLink(c, a), g.AddLink(a, c)}
+	return &idDriver{t: t, n: NewNetwork(g, Options{GC: true}), links: links, ids: ids, oracle: map[RuleID]Rule{}}
+}
+
+// rule returns a rule for id whose shape (link, interval, priority) x picks.
+func (dr *idDriver) rule(id RuleID, x byte) Rule {
+	l := dr.links[int(x)%len(dr.links)]
+	lo := uint64(x) * 64
+	return Rule{ID: id, Source: dr.n.graph.Link(l).Src, Link: l,
+		Match: ipnet.Interval{Lo: lo, Hi: lo + 64 + uint64(x%7)*32}, Priority: Priority(x % 5)}
+}
+
+// storeImage is a deep copy of the rule store, for byte-identity checks.
+type storeImage struct {
+	table, free []int32
+	recs        []ruleRec
+	shift       uint8
+	live        int
+}
+
+func imageOf(s *ruleStore) storeImage {
+	return storeImage{table: slices.Clone(s.table), free: slices.Clone(s.free), recs: slices.Clone(s.recs),
+		shift: s.shift, live: s.live}
+}
+
+func (a storeImage) equal(b storeImage) bool {
+	return slices.Equal(a.table, b.table) && slices.Equal(a.free, b.free) && slices.Equal(a.recs, b.recs) &&
+		a.shift == b.shift && a.live == b.live
+}
+
+// batch applies ops and, on success, folds them into the oracle.
+func (dr *idDriver) batch(ops ...BatchOp) {
+	if err := dr.n.ApplyBatch(ops, &dr.d, 1); err != nil {
+		dr.t.Fatalf("batch %v: %v", ops, err)
+	}
+	for _, op := range ops {
+		if op.Insert {
+			dr.oracle[op.Rule.ID] = op.Rule
+		} else {
+			delete(dr.oracle, op.Rule.ID)
+		}
+	}
+}
+
+// step applies one operation: code picks the kind, k the id, x the shape.
+func (dr *idDriver) step(code, k, x byte) {
+	id := dr.ids[int(k)%len(dr.ids)]
+	_, live := dr.oracle[id]
+	r := dr.rule(id, x)
+	switch code % 5 {
+	case 0:
+		err := dr.n.InsertRuleInto(r, &dr.d)
+		if live != errors.Is(err, ErrDuplicateRule) || (!live && err != nil) {
+			dr.t.Fatalf("insert %d (live %v): %v", id, live, err)
+		}
+		if !live {
+			dr.oracle[id] = r
+		}
+	case 1:
+		err := dr.n.RemoveRuleInto(id, &dr.d)
+		if live != (err == nil) {
+			dr.t.Fatalf("remove %d (live %v): %v", id, live, err)
+		}
+		delete(dr.oracle, id)
+	case 2:
+		// A live id is removed and re-inserted in one batch: the new slot is
+		// allocated before the old one is released, so the entry must be
+		// repointed, not duplicated or dropped. A dead id is inserted and
+		// removed again, netting to nothing.
+		if live {
+			dr.batch(RemoveOp(id), InsertOp(r))
+		} else {
+			dr.batch(InsertOp(r), RemoveOp(id))
+		}
+	case 3:
+		if live {
+			dr.batch(RemoveOp(id))
+		} else {
+			dr.batch(InsertOp(r))
+		}
+	case 4:
+		// A refused batch leaves the store byte-identical.
+		ops := []BatchOp{InsertOp(r), InsertOp(r)}
+		if live {
+			ops = []BatchOp{RemoveOp(id), RemoveOp(id)}
+		}
+		before := imageOf(&dr.n.store)
+		if err := dr.n.ApplyBatch(ops, &dr.d, 1); err == nil {
+			dr.t.Fatalf("batch %v on id %d (live %v) was not refused", ops, id, live)
+		}
+		if !imageOf(&dr.n.store).equal(before) {
+			dr.t.Fatalf("refused batch %v changed the rule store", ops)
+		}
+	}
+	dr.check()
+}
+
+// check compares the table against the oracle for every id of the pool.
+func (dr *idDriver) check() {
+	for _, id := range dr.ids {
+		slot, ok := dr.n.store.slotOf(id)
+		want, live := dr.oracle[id]
+		if ok != live {
+			dr.t.Fatalf("slotOf(%d) found=%v, oracle live=%v", id, ok, live)
+		}
+		if ok && dr.n.ruleAt(slot) != want {
+			dr.t.Fatalf("slotOf(%d) = %d holding %v, want %v", id, slot, dr.n.ruleAt(slot), want)
+		}
+	}
+	if got := dr.n.NumRules(); got != len(dr.oracle) {
+		dr.t.Fatalf("NumRules %d, oracle %d", got, len(dr.oracle))
+	}
+}
+
+func (dr *idDriver) finish() {
+	if msg := dr.n.CheckInvariants(); msg != "" {
+		dr.t.Fatal(msg)
+	}
+}
+
+// phiInverse is 0x9E3779B97F4A7C15's inverse mod 2⁶⁴ (Newton's iteration;
+// each step doubles the correct low bits).
+func phiInverse() uint64 {
+	const phi = 0x9E3779B97F4A7C15
+	x := uint64(phi)
+	for i := 0; i < 6; i++ {
+		x *= 2 - phi*x
+	}
+	return x
+}
+
+// adversarialIDs is the id pool: the extremes, a sequential run, multiples
+// of 2³² (equal modulo every table size a modular hash would use) and ids
+// whose hash products differ only in their low 40 bits, so they share a
+// home position at every table size up to 2²⁴ and pile into one probe run.
+func adversarialIDs() []RuleID {
+	ids := []RuleID{0, -1, 1, math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1}
+	for i := RuleID(2); i < 40; i++ {
+		ids = append(ids, i)
+	}
+	for k := int64(1); k <= 16; k++ {
+		ids = append(ids, RuleID(k<<32), RuleID(-k<<32))
+	}
+	inv := phiInverse()
+	for j := uint64(0); j < 32; j++ {
+		ids = append(ids, RuleID((0xABCD<<40+j*977)*inv))
+	}
+	return ids
+}
+
+// TestIDIndexDifferential drives seeded random operation streams over the
+// adversarial id pool.
+func TestIDIndexDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dr := newIDDriver(t, adversarialIDs())
+		for i := 0; i < 3000; i++ {
+			dr.step(byte(rng.Intn(5)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+		}
+		dr.finish()
+	}
+}
+
+// TestIDIndexGrowthBoundaries inserts ids one by one across every growth
+// boundary up to 1024 entries — sequential ids and ids sharing one home
+// position — checking the table size after each insert, then removes them
+// in random order: the table never shrinks and never rehashes.
+func TestIDIndexGrowthBoundaries(t *testing.T) {
+	inv := phiInverse()
+	for _, pool := range []struct {
+		name string
+		id   func(i int) RuleID
+	}{
+		{"sequential", func(i int) RuleID { return RuleID(i) }},
+		{"colliding", func(i int) RuleID { return RuleID((0x1234<<40 + uint64(i)) * inv) }},
+	} {
+		t.Run(pool.name, func(t *testing.T) {
+			const count = 1000
+			ids := make([]RuleID, count)
+			for i := range ids {
+				ids[i] = pool.id(i)
+			}
+			if pool.name == "colliding" {
+				for _, id := range ids {
+					if s := newRuleStore(); s.home(id) != s.home(ids[0]) {
+						t.Fatalf("id %d does not share id %d's home position", id, ids[0])
+					}
+				}
+			}
+			dr := newIDDriver(t, ids)
+			for i := range ids {
+				r := dr.rule(ids[i], byte(i))
+				if err := dr.n.InsertRuleInto(r, &dr.d); err != nil {
+					t.Fatal(err)
+				}
+				dr.oracle[ids[i]] = r
+				dr.check()
+				want := 16
+				for len(dr.oracle)*8 > want*7 {
+					want *= 2
+				}
+				if got := len(dr.n.store.table); got != want {
+					t.Fatalf("%d entries: table %d slots, want %d", len(dr.oracle), got, want)
+				}
+			}
+			size := len(dr.n.store.table)
+			for _, i := range rand.New(rand.NewSource(7)).Perm(count) {
+				if err := dr.n.RemoveRuleInto(ids[i], &dr.d); err != nil {
+					t.Fatal(err)
+				}
+				delete(dr.oracle, ids[i])
+				dr.check()
+				if len(dr.n.store.table) != size {
+					t.Fatalf("table resized on removal: %d → %d", size, len(dr.n.store.table))
+				}
+			}
+			dr.finish()
+		})
+	}
+}
+
+// FuzzRuleStore runs the differential driver over fuzzer-chosen operation
+// streams: each three bytes are one (kind, id, shape) step.
+func FuzzRuleStore(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1, 1, 2, 0, 2, 4, 0, 3, 1, 1, 0})
+	f.Add([]byte{0, 80, 1, 0, 81, 2, 0, 82, 3, 1, 80, 0, 2, 81, 9, 4, 82, 0})
+	f.Add([]byte{3, 3, 3, 2, 3, 4, 4, 3, 5, 1, 3, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dr := newIDDriver(t, adversarialIDs())
+		for i := 0; i+2 < len(data) && i < 3*512; i += 3 {
+			dr.step(data[i], data[i+1], data[i+2])
+		}
+		dr.finish()
+	})
+}

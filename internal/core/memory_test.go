@@ -23,7 +23,10 @@ func liveHeap() uint64 {
 // MemoryBytes must land within ±15% of the live-heap growth the plane
 // caused. The estimate used to charge 48 B per 40 B Rule and a flat
 // 24 B per id-index entry, which on the 1.89M-rule replay plane
-// reported 203 MB against 219.7 MB of heap.
+// reported 203 MB against 219.7 MB of heap. It also holds the plane's
+// bytes per rule under a ceiling: 305.5 B when the 32-byte rule record,
+// the open-addressed id table and the 8-byte owner cell landed (359.5 B
+// before), plus 10 %.
 func TestMemoryBytesTracksHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 100k-rule plane")
@@ -62,8 +65,13 @@ func TestMemoryBytesTracksHeap(t *testing.T) {
 	est := float64(n.MemoryBytes())
 	t.Logf("%d rules, %d atoms: heap grew %.1f MB, MemoryBytes %.1f MB (%+.1f%%)",
 		n.NumRules(), n.NumAtoms(), grown/1e6, est/1e6, 100*(est/grown-1))
+	t.Logf("rows: %+v", n.memRows())
 	if est < 0.85*grown || est > 1.15*grown {
 		t.Fatalf("MemoryBytes %.0f is outside ±15%% of the measured heap growth %.0f", est, grown)
+	}
+	const ceiling = 336 // B per rule
+	if perRule := est / float64(n.NumRules()); perRule > ceiling {
+		t.Fatalf("MemoryBytes is %.1f B per rule, want ≤ %d", perRule, ceiling)
 	}
 	runtime.KeepAlive(n)
 	runtime.KeepAlive(input)

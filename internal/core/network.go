@@ -112,26 +112,32 @@ func (n *Network) AtomBornSeq(id intervalmap.AtomID) int64 { return n.m.BornSeq(
 // Merges returns the cumulative number of atom merges performed by GC.
 func (n *Network) Merges() int64 { return n.merges }
 
-// Rule returns the live rule with the given id. The pointer aims into
-// the engine's dense rule arena: it is valid for reading until the next
-// mutation and must not be retained across one.
-func (n *Network) Rule(id RuleID) (*Rule, bool) {
+// Rule returns the live rule with the given id.
+func (n *Network) Rule(id RuleID) (Rule, bool) {
 	slot, ok := n.store.slotOf(id)
 	if !ok {
-		return nil, false
+		return Rule{}, false
 	}
-	return &n.store.recs[slot], true
+	return n.ruleAt(slot), true
 }
 
 // Rules calls fn for every live rule until fn returns false. Iteration
-// order is unspecified. The pointer passed to fn is only valid for the
-// duration of the call (see Rule).
-func (n *Network) Rules(fn func(r *Rule) bool) {
-	for _, slot := range n.store.byID {
-		if !fn(&n.store.recs[slot]) {
+// order is unspecified. It walks the arena, not the id table: a released
+// slot is zeroed and a live rule's match is never empty (insert refuses
+// one), so the bounds tell them apart without a probe per rule.
+func (n *Network) Rules(fn func(r Rule) bool) {
+	for slot := range n.store.recs {
+		if rec := &n.store.recs[slot]; rec.lo < rec.hi && !fn(n.ruleAt(int32(slot))) {
 			return
 		}
 	}
+}
+
+// ruleAt expands the arena record in slot back into a Rule.
+func (n *Network) ruleAt(slot int32) Rule {
+	rec := &n.store.recs[slot]
+	return Rule{ID: rec.id, Source: n.graph.Link(rec.link).Src, Link: rec.link,
+		Match: ipnet.Interval{Lo: rec.lo, Hi: rec.hi}, Priority: rec.prio}
 }
 
 // Label returns the atom set of a link: the packets (as atoms) that the
@@ -200,20 +206,19 @@ func (n *Network) ForwardLink(v netgraph.NodeID, atom intervalmap.AtomID) netgra
 	if slot == noSlot {
 		return netgraph.NoLink
 	}
-	return n.store.recs[slot].Link
+	return n.store.recs[slot].link
 }
 
-// OwnerRule returns the rule owning atom α at node v, if any. The
-// pointer is only valid until the next mutation (see Rule).
-func (n *Network) OwnerRule(v netgraph.NodeID, atom intervalmap.AtomID) (*Rule, bool) {
+// OwnerRule returns the rule owning atom α at node v, if any.
+func (n *Network) OwnerRule(v netgraph.NodeID, atom intervalmap.AtomID) (Rule, bool) {
 	if int(atom) >= len(n.owner) {
-		return nil, false
+		return Rule{}, false
 	}
 	slot := n.owner[atom].top(v)
 	if slot == noSlot {
-		return nil, false
+		return Rule{}, false
 	}
-	return &n.store.recs[slot], true
+	return n.ruleAt(slot), true
 }
 
 // Errors returned by the mutation API.
@@ -279,27 +284,11 @@ func (n *Network) insertRule(r Rule, d *Delta) error {
 	if r.Link == netgraph.NoLink {
 		r.Link = n.graph.DropLink(r.Source)
 	}
-	slot := n.store.alloc(r)
+	slot := n.store.alloc(&r)
 	k := r.key()
 
-	// Step 1: CREATE_ATOMS+ (Algorithm 1, line 2). |Δ| ≤ 2.
-	n.splitBuf = n.m.CreateAtomsInto(r.Match, n.splitBuf[:0])
-	split := n.splitBuf
-	d.NewAtoms = append(d.NewAtoms, split...)
-	n.splits += int64(len(split))
-
-	// Step 2: atom splitting (lines 3–9). The new atom α′ inherits α's
-	// owner state; every link that carried α also carries α′.
-	for _, sp := range split {
-		newOwner := n.ownerAt(sp.New) // may grow the directory: take first
-		oldOwner := &n.owner[sp.Old]
-		newOwner.cloneFrom(oldOwner)
-		for i := range oldOwner.cells {
-			c := oldOwner.cells[i]
-			top := oldOwner.slab[c.off+c.n-1]
-			n.labelOf(n.store.recs[top].Link).Add(int(sp.New))
-		}
-	}
+	// Steps 1–2: CREATE_ATOMS+ and atom splitting (Algorithm 1, lines 2–9).
+	n.createAtoms(r.Match, d)
 
 	// Step 3: ownership reassignment over ⟦interval(r)⟧ (lines 10–23).
 	n.atomBuf = n.m.Atoms(r.Match, n.atomBuf[:0])
@@ -311,7 +300,7 @@ func (n *Network) insertRule(r Rule, d *Delta) error {
 			newLabel.Add(int(alpha))
 			d.Added = append(d.Added, LinkAtom{Link: r.Link, Atom: alpha})
 			if prev != noSlot {
-				if prevLink := n.store.recs[prev].Link; prevLink != r.Link {
+				if prevLink := n.store.recs[prev].link; prevLink != r.Link {
 					n.labelOf(prevLink).Remove(int(alpha))
 					d.Removed = append(d.Removed, LinkAtom{Link: prevLink, Atom: alpha})
 				}
@@ -325,6 +314,21 @@ func (n *Network) insertRule(r Rule, d *Delta) error {
 		n.bounds[r.Match.Hi]++
 	}
 	return nil
+}
+
+// createAtoms runs CREATE_ATOMS+ for iv (|Δ| ≤ 2) and splits owner state
+// as Algorithm 1's lines 3–9 do: each new atom α′ inherits α's owner
+// table, and every link that carried α also carries α′.
+func (n *Network) createAtoms(iv ipnet.Interval, d *Delta) {
+	n.splitBuf = n.m.CreateAtomsInto(iv, n.splitBuf[:0])
+	d.NewAtoms = append(d.NewAtoms, n.splitBuf...)
+	n.splits += int64(len(n.splitBuf))
+	for _, sp := range n.splitBuf {
+		newOwner := n.ownerAt(sp.New) // may grow the directory: take first
+		oldOwner := &n.owner[sp.Old]
+		newOwner.cloneFrom(oldOwner)
+		oldOwner.eachTop(func(slot int32) { n.labelOf(n.store.recs[slot].link).Add(int(sp.New)) })
+	}
 }
 
 // RemoveRule applies Algorithm 2: for every atom of the rule's interval it
@@ -350,7 +354,7 @@ func (n *Network) removeRule(id RuleID, d *Delta) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownRule, id)
 	}
-	r := n.store.recs[slot] // value copy: survives the release below
+	r := n.ruleAt(slot) // value copy: survives the release below
 	k := r.key()
 
 	n.atomBuf = n.m.Atoms(r.Match, n.atomBuf[:0])
@@ -363,14 +367,14 @@ func (n *Network) removeRule(id RuleID, d *Delta) error {
 			ownLabel.Remove(int(alpha))
 			d.Removed = append(d.Removed, LinkAtom{Link: r.Link, Atom: alpha})
 			if next := oa.top(r.Source); next != noSlot {
-				nextLink := n.store.recs[next].Link
+				nextLink := n.store.recs[next].link
 				n.labelOf(nextLink).Add(int(alpha))
 				d.Added = append(d.Added, LinkAtom{Link: nextLink, Atom: alpha})
 			}
 		}
 	}
 
-	n.store.release(id)
+	n.store.releaseSlot(slot)
 	if n.gc {
 		n.collectBound(r.Match.Lo)
 		n.collectBound(r.Match.Hi)
@@ -383,34 +387,51 @@ func (n *Network) removeRule(id RuleID, d *Delta) error {
 // integrity. It is O(atoms × nodes) and intended for tests. It returns ""
 // when all invariants hold, else a description of the first violation.
 func (n *Network) CheckInvariants() string {
-	// Every live rule is in the owner table of every atom of its interval.
-	for id, slot := range n.store.byID {
-		r := n.store.recs[slot]
-		if r.ID != id {
-			return fmt.Sprintf("rule store slot %d holds id %d, index says %d", slot, r.ID, id)
+	// Owner tables are structurally sound and hold only rules at their
+	// own source node.
+	for i := range n.owner {
+		oa := &n.owner[i]
+		if msg := oa.checkInvariants(&n.store); msg != "" {
+			return fmt.Sprintf("atom %d: %s", i, msg)
+		}
+		for ci, c := range oa.cells {
+			for _, slot := range oa.window(ci) {
+				if src := n.graph.Link(n.store.recs[slot].link).Src; src != c.node {
+					return fmt.Sprintf("atom %d: owner cell of node %d holds foreign rule %d of node %d",
+						i, c.node, n.store.recs[slot].id, src)
+				}
+			}
+		}
+	}
+	// The id table indexes exactly the live arena records, and every live
+	// rule is in the owner table of every atom of its interval.
+	indexed := 0
+	for _, e := range n.store.table {
+		if e != 0 {
+			indexed++
+		}
+	}
+	live := 0
+	for slot := range n.store.recs {
+		if rec := &n.store.recs[slot]; rec.lo >= rec.hi {
+			continue
+		}
+		live++
+		r := n.ruleAt(int32(slot))
+		if got, _ := n.store.slotOf(r.ID); got != int32(slot) {
+			return fmt.Sprintf("rule store slot %d holds id %d, index says slot %d", slot, r.ID, got)
 		}
 		for _, alpha := range n.m.Atoms(r.Match, nil) {
 			if int(alpha) >= len(n.owner) {
 				return fmt.Sprintf("atom %d of %v has no owner table", alpha, r)
 			}
-			if got := n.owner[alpha].get(&n.store, r.Source, r.key()); got != slot {
+			if got := n.owner[alpha].get(&n.store, r.Source, r.key()); got != int32(slot) {
 				return fmt.Sprintf("owner invariant broken for %v atom %d", r, alpha)
 			}
 		}
 	}
-	// Owner tables are structurally sound and hold only rules at their
-	// own source node.
-	for i := range n.owner {
-		if msg := n.owner[i].checkInvariants(&n.store); msg != "" {
-			return fmt.Sprintf("atom %d: %s", i, msg)
-		}
-		for _, c := range n.owner[i].cells {
-			for _, slot := range n.owner[i].slab[c.off : c.off+c.n] {
-				if n.store.recs[slot].Source != c.node {
-					panic("owner cell holds foreign rule")
-				}
-			}
-		}
+	if indexed != live || n.store.live != live {
+		return fmt.Sprintf("id table holds %d entries (counted %d) for %d live rules", indexed, n.store.live, live)
 	}
 	// Labels match owners exactly: bit (link, α) is set iff the owner of
 	// α at src(link) forwards along link.
@@ -420,13 +441,10 @@ func (n *Network) CheckInvariants() string {
 		if int(alpha) >= len(n.owner) {
 			return true
 		}
-		oa := &n.owner[alpha]
-		for i := range oa.cells {
-			c := oa.cells[i]
-			top := oa.slab[c.off+c.n-1]
-			want[LinkAtom{Link: n.store.recs[top].Link, Atom: alpha}] = true
+		n.owner[alpha].eachTop(func(slot int32) {
+			want[LinkAtom{Link: n.store.recs[slot].link, Atom: alpha}] = true
 			total++
-		}
+		})
 		return true
 	})
 	got := 0
@@ -466,32 +484,51 @@ func (n *Network) CheckInvariants() string {
 	return ""
 }
 
-// MemoryBytes estimates the engine's heap footprint in bytes: label words,
-// owner cell directories and slabs, the rule arena with its id index and
-// the boundary map. Element sizes come from unsafe.Sizeof, so the
-// estimate follows the types; TestMemoryBytesTracksHeap pins it to the
-// measured heap. It is the self-accounting used by the Appendix D
-// memory experiment; the harness additionally reports runtime.MemStats
-// deltas.
-func (n *Network) MemoryBytes() int64 {
-	var b int64
+// MemoryBytes estimates the engine's heap footprint in bytes, the sum of
+// memRows. Element sizes come from unsafe.Sizeof, so the estimate follows
+// the types; TestMemoryBytesTracksHeap pins it to the measured heap. It
+// is the self-accounting used by the Appendix D memory experiment; the
+// harness additionally reports runtime.MemStats deltas.
+func (n *Network) MemoryBytes() int64 { return n.memRows().total() }
+
+// memRows attributes the engine's heap to its structures, one row each.
+type memRows struct {
+	records  int64 // rule arena and its free list
+	index    int64 // id → slot table
+	ownerDir int64 // one ownerAtom header per atom id
+	cells    int64 // owner cell directories
+	slabs    int64 // owner rule-slot slabs
+	labels   int64 // per-link atom bitsets
+	tree     int64 // boundary tree nodes and, with GC, boundary refcounts
+	stamps   int64 // the interval map's born stamp per atom id and free ids
+}
+
+func (r memRows) total() int64 {
+	return r.records + r.index + r.ownerDir + r.cells + r.slabs + r.labels + r.tree + r.stamps
+}
+
+func (n *Network) memRows() memRows {
+	r := memRows{
+		records:  int64(cap(n.store.recs))*int64(unsafe.Sizeof(ruleRec{})) + int64(cap(n.store.free))*4,
+		index:    int64(cap(n.store.table)) * 4,
+		ownerDir: int64(cap(n.owner)) * int64(unsafe.Sizeof(ownerAtom{})),
+		labels:   int64(cap(n.labels)) * int64(unsafe.Sizeof((*bitset.Set)(nil))),
+		tree:     int64(n.m.NumAtoms()+1) * 32, // arena boundary-tree nodes
+		stamps:   int64(n.m.MaxID())*8 + int64(n.m.MaxID()-n.m.NumAtoms())*4,
+	}
 	for _, l := range n.labels {
 		if l != nil {
-			b += int64(l.WordBytes()) + int64(unsafe.Sizeof(*l))
+			r.labels += int64(l.WordBytes()) + int64(unsafe.Sizeof(*l))
 		}
 	}
-	b += int64(cap(n.owner)) * int64(unsafe.Sizeof(ownerAtom{}))
 	for i := range n.owner {
-		oa := &n.owner[i]
-		b += int64(cap(oa.cells))*int64(unsafe.Sizeof(ownerCell{})) + int64(cap(oa.slab))*4
+		r.cells += int64(cap(n.owner[i].cells)) * int64(unsafe.Sizeof(ownerCell{}))
+		r.slabs += int64(cap(n.owner[i].slab)) * 4
 	}
-	b += int64(cap(n.store.recs))*int64(unsafe.Sizeof(Rule{})) + int64(cap(n.store.free))*4
-	b += mapBytes(len(n.store.byID), unsafe.Sizeof(RuleID(0))+unsafe.Sizeof(int32(0)))
-	b += int64(n.m.NumAtoms()+1) * 32 // arena boundary-tree nodes
 	if n.bounds != nil {
-		b += mapBytes(len(n.bounds), unsafe.Sizeof(uint64(0))+unsafe.Sizeof(int(0)))
+		r.tree += mapBytes(len(n.bounds), unsafe.Sizeof(uint64(0))+unsafe.Sizeof(int(0)))
 	}
-	return b
+	return r
 }
 
 // mapBytes estimates a Go map's heap footprint at n entries of the given
@@ -499,10 +536,6 @@ func (n *Network) MemoryBytes() int64 {
 // eight (one control byte per slot, the slot padded to the key's
 // alignment), double when 7/8 full and never shrink, so a map grown to n
 // entries holds the next power of two of slots at or above 8n/7.
-// Measured on go1.24 for map[int64]int32 (17 B per slot): 23.6 B per
-// entry at 10⁵ and 2·10⁵ entries, 31.5 at 3·10⁵, 37.7 at 10⁶, 35.9 at
-// 1.89·10⁶ — the old flat 24 B per entry was right only just after a
-// doubling.
 func mapBytes(n int, kv uintptr) int64 {
 	slots := 8
 	for slots*7/8 < n {

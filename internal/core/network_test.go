@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"deltanet/internal/intervalmap"
@@ -399,7 +400,7 @@ func TestRulesIterationAndAccessors(t *testing.T) {
 		t.Fatal("phantom rule")
 	}
 	count := 0
-	n.Rules(func(r *Rule) bool { count++; return true })
+	n.Rules(func(r Rule) bool { count++; return true })
 	if count != 1 {
 		t.Fatal("Rules iteration")
 	}
@@ -423,5 +424,25 @@ func TestRulesIterationAndAccessors(t *testing.T) {
 	}
 	if _, ok := n.AtomInterval(0); !ok {
 		t.Fatal("AtomInterval")
+	}
+}
+
+// TestCheckInvariantsReportsForeignRule corrupts an owner cell so that it
+// names a node its rule does not sit at: CheckInvariants must describe the
+// violation rather than panic.
+func TestCheckInvariantsReportsForeignRule(t *testing.T) {
+	g := netgraph.New()
+	a, b := g.AddNode("a"), g.AddNode("b")
+	l := g.AddLink(a, b)
+	n := NewNetwork(g, Options{})
+	if _, err := n.InsertRule(Rule{ID: 1, Source: a, Link: l, Match: iv(0, 10), Priority: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if msg := n.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+	n.owner[n.AtomOf(5)].cells[0].node = b
+	if msg := n.CheckInvariants(); !strings.Contains(msg, "holds foreign rule 1 of node 0") {
+		t.Fatalf("CheckInvariants = %q, want the foreign rule reported", msg)
 	}
 }

@@ -7,13 +7,15 @@ package core
 // GC-scannable object graph. This file replaces it with struct-of-arrays
 // storage:
 //
-//   - ruleStore: every live rule lives in one dense slot-indexed []Rule
-//     arena (pointer-free records), with a LIFO free list so steady-state
-//     churn recycles slots instead of allocating;
+//   - ruleStore: every live rule lives in one dense slot-indexed arena of
+//     32-byte pointer-free ruleRecs, with a LIFO free list so steady-state
+//     churn recycles slots instead of allocating, and an open-addressed
+//     id → slot table (4 bytes per entry, keyed by the id the record
+//     already holds) in place of a Go map;
 //   - ownerAtom: one atom's whole owner table — a sorted cell directory
-//     (one pointer-free ownerCell per source node) plus a single packed
-//     []int32 slab of rule slots, priority-sorted per cell, the cell's
-//     maximum (= the paper's bst.Max()) being its last slab entry.
+//     (one 8-byte {node, end} ownerCell per source node) plus a single
+//     packed []int32 slab of rule slots, priority-sorted per cell, the
+//     cell's maximum (= the paper's bst.Max()) being its last slab entry.
 //
 // Ownership operations become binary searches plus int32 memmoves over
 // contiguous memory. Slabs and cell directories retain capacity across
@@ -32,77 +34,153 @@ import (
 // noSlot marks "no rule" in prev/top comparisons.
 const noSlot int32 = -1
 
-// ruleStore is the dense arena of live rules. Slots are recycled LIFO;
-// byID maps rule ids to slots. recs is contiguous and pointer-free, so
-// the garbage collector never scans rule storage, and key comparisons
-// during owner-list searches index a flat array instead of chasing a
-// heap pointer per rule.
+// ruleRec is one arena slot: a Rule without its source, which is always
+// graph.Link(link).Src (a drop rule is stored on its source's drop link).
+// A released slot is zeroed, so lo == hi marks it free.
+//
+//deltanet:pointerfree
+type ruleRec struct {
+	id     RuleID
+	lo, hi uint64
+	link   netgraph.LinkID
+	prio   Priority
+}
+
+// ruleStore is the dense arena of live rules. Slots are recycled LIFO.
+// recs is contiguous and pointer-free, so the garbage collector never
+// scans rule storage, and key comparisons during owner-list searches
+// index a flat array instead of chasing a heap pointer per rule.
+//
+// table is the id → slot index: a power-of-two open-addressed array of
+// slot+1 (0 = empty), linear-probed from a multiplicative hash of the id
+// (caller-chosen ids are often sequential) and kept at most 7/8 full.
+// It stores no key: an entry's id is recs[entry-1].id. Deletion shifts
+// the probe run back instead of leaving tombstones, so churn at a steady
+// rule count never rehashes.
 type ruleStore struct {
-	recs []Rule
-	free []int32
-	byID map[RuleID]int32
+	recs  []ruleRec
+	free  []int32
+	table []int32
+	shift uint8 // 64 − log2(len(table)): the hash keeps the product's top bits
+	live  int
 }
 
 func newRuleStore() ruleStore {
-	return ruleStore{byID: map[RuleID]int32{}}
+	return ruleStore{table: make([]int32, 16), shift: 64 - 4}
 }
 
-// alloc stores r and returns its slot. Pointers into recs obtained
-// before an alloc are invalidated by growth; callers must re-derive.
-func (s *ruleStore) alloc(r Rule) int32 {
+func (s *ruleStore) home(id RuleID) int {
+	return int(uint64(id) * 0x9E3779B97F4A7C15 >> s.shift)
+}
+
+// find returns the table position holding id's entry, or the empty
+// position that ends its probe run.
+func (s *ruleStore) find(id RuleID) (int, bool) {
+	mask := len(s.table) - 1
+	for i := s.home(id); ; i = (i + 1) & mask {
+		e := s.table[i]
+		if e == 0 || s.recs[e-1].id == id {
+			return i, e != 0
+		}
+	}
+}
+
+// alloc stores r and returns its slot, pointing the index at it. If r's
+// id is still indexed (a batch that removes a rule and re-inserts its id
+// allocates before it releases), the entry is repointed. Pointers into
+// recs obtained before an alloc are invalidated by growth.
+func (s *ruleStore) alloc(r *Rule) int32 {
+	rec := ruleRec{id: r.ID, lo: r.Match.Lo, hi: r.Match.Hi, link: r.Link, prio: r.Priority}
 	var slot int32
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
 		s.free = s.free[:n-1]
-		s.recs[slot] = r
+		s.recs[slot] = rec
 	} else {
 		slot = int32(len(s.recs))
-		s.recs = append(s.recs, r)
+		s.recs = append(s.recs, rec)
 	}
-	s.byID[r.ID] = slot
+	if (s.live+1)*8 > len(s.table)*7 {
+		s.grow()
+	}
+	i, ok := s.find(r.ID)
+	if !ok {
+		s.live++
+	}
+	s.table[i] = slot + 1
 	return slot
 }
 
-// release frees the slot holding rule id.
-func (s *ruleStore) release(id RuleID) {
-	slot, ok := s.byID[id]
-	if !ok {
-		return
+// grow doubles the table and re-inserts every entry.
+func (s *ruleStore) grow() {
+	old := s.table
+	s.table = make([]int32, 2*len(old))
+	s.shift--
+	mask := len(s.table) - 1
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		i := s.home(s.recs[e-1].id)
+		for s.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.table[i] = e
 	}
-	delete(s.byID, id)
-	s.recs[slot] = Rule{}
+}
+
+// releaseSlot frees slot. The index entry is only removed when it still
+// names this slot — a batch that removes a rule and re-inserts its id has
+// already repointed the entry at the new slot.
+func (s *ruleStore) releaseSlot(slot int32) {
+	mask := len(s.table) - 1
+	for i := s.home(s.recs[slot].id); s.table[i] != 0; i = (i + 1) & mask {
+		if s.table[i] == slot+1 {
+			s.unindex(i)
+			break
+		}
+	}
+	s.recs[slot] = ruleRec{}
 	s.free = append(s.free, slot)
 }
 
-// releaseSlot frees a specific slot. The id→slot index entry is only
-// removed when it still names this slot — a batch that removes a rule
-// and re-inserts its id has already repointed the index at the new slot.
-func (s *ruleStore) releaseSlot(id RuleID, slot int32) {
-	if cur, ok := s.byID[id]; ok && cur == slot {
-		delete(s.byID, id)
+// unindex empties table position i by backward shift: each later entry
+// of the probe run moves into the hole unless its home position lies
+// cyclically after the hole (moving it would put it before its home).
+func (s *ruleStore) unindex(i int) {
+	mask := len(s.table) - 1
+	for j := (i + 1) & mask; s.table[j] != 0; j = (j + 1) & mask {
+		if h := s.home(s.recs[s.table[j]-1].id); (j-h)&mask >= (j-i)&mask {
+			s.table[i] = s.table[j]
+			i = j
+		}
 	}
-	s.recs[slot] = Rule{}
-	s.free = append(s.free, slot)
+	s.table[i] = 0
+	s.live--
 }
 
 func (s *ruleStore) slotOf(id RuleID) (int32, bool) {
-	slot, ok := s.byID[id]
-	return slot, ok
+	if i, ok := s.find(id); ok {
+		return s.table[i] - 1, true
+	}
+	return noSlot, false
 }
 
-func (s *ruleStore) keyOf(slot int32) prioKey { return s.recs[slot].key() }
+func (s *ruleStore) keyOf(slot int32) prioKey {
+	return prioKey{prio: s.recs[slot].prio, id: s.recs[slot].id}
+}
 
-func (s *ruleStore) len() int { return len(s.byID) }
+func (s *ruleStore) len() int { return s.live }
 
-// ownerCell is one (atom, source) entry in an atom's cell directory: the
-// cell's rule slots occupy slab[off : off+n], sorted by priority key
-// ascending (the owner — bst.Max() in the paper — is the last entry).
+// ownerCell is one (atom, source) entry in an atom's cell directory. The
+// cell's rule slots are slab[start:end], start being the previous cell's
+// end (0 for the first cell), sorted by priority key ascending: the owner
+// — bst.Max() in the paper — is slab[end-1].
 //
 //deltanet:pointerfree
 type ownerCell struct {
 	node netgraph.NodeID
-	off  int32
-	n    int32
+	end  int32
 }
 
 // ownerAtom is one atom's owner table. cells is sorted by node for
@@ -129,6 +207,17 @@ func (oa *ownerAtom) findCell(node netgraph.NodeID) (int, bool) {
 	return lo, lo < len(oa.cells) && oa.cells[lo].node == node
 }
 
+// start returns where cell i's slab window begins.
+func (oa *ownerAtom) start(i int) int32 {
+	if i == 0 {
+		return 0
+	}
+	return oa.cells[i-1].end
+}
+
+// window returns cell i's rule slots.
+func (oa *ownerAtom) window(i int) []int32 { return oa.slab[oa.start(i):oa.cells[i].end] }
+
 // top returns the owning rule's slot at node (the highest-priority
 // entry), or noSlot.
 func (oa *ownerAtom) top(node netgraph.NodeID) int32 {
@@ -136,8 +225,14 @@ func (oa *ownerAtom) top(node netgraph.NodeID) int32 {
 	if !ok {
 		return noSlot
 	}
-	c := &oa.cells[i]
-	return oa.slab[c.off+c.n-1]
+	return oa.slab[oa.cells[i].end-1]
+}
+
+// eachTop calls fn with every cell's owning slot.
+func (oa *ownerAtom) eachTop(fn func(slot int32)) {
+	for _, c := range oa.cells {
+		fn(oa.slab[c.end-1])
+	}
 }
 
 // empty reports whether the atom has no owner state at all.
@@ -157,23 +252,9 @@ func (oa *ownerAtom) cloneFrom(src *ownerAtom) {
 	oa.slab = append(oa.slab[:0], src.slab...)
 }
 
-// insert adds rule slot (with key k) to node's cell, keeping the cell's
-// window priority-sorted. Duplicate keys must not occur (rule ids are
-// unique among live rules).
-func (oa *ownerAtom) insert(s *ruleStore, node netgraph.NodeID, slot int32, k prioKey) {
-	ci, ok := oa.findCell(node)
-	if !ok {
-		off := int32(len(oa.slab))
-		if ci < len(oa.cells) {
-			off = oa.cells[ci].off
-		}
-		oa.cells = append(oa.cells, ownerCell{})
-		copy(oa.cells[ci+1:], oa.cells[ci:])
-		oa.cells[ci] = ownerCell{node: node, off: off, n: 0}
-	}
-	c := &oa.cells[ci]
-	// Binary search for the insertion point within the cell's window.
-	lo, hi := int(c.off), int(c.off+c.n)
+// search returns the first position in slab[lo:hi] whose key is not
+// below k.
+func (oa *ownerAtom) search(s *ruleStore, lo, hi int, k prioKey) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if cmpPrioKey(s.keyOf(oa.slab[mid]), k) < 0 {
@@ -182,12 +263,26 @@ func (oa *ownerAtom) insert(s *ruleStore, node netgraph.NodeID, slot int32, k pr
 			hi = mid
 		}
 	}
+	return lo
+}
+
+// insert adds rule slot (with key k) to node's cell, keeping the cell's
+// window priority-sorted. Duplicate keys must not occur (rule ids are
+// unique among live rules).
+func (oa *ownerAtom) insert(s *ruleStore, node netgraph.NodeID, slot int32, k prioKey) {
+	ci, ok := oa.findCell(node)
+	start := oa.start(ci)
+	if !ok {
+		oa.cells = append(oa.cells, ownerCell{})
+		copy(oa.cells[ci+1:], oa.cells[ci:])
+		oa.cells[ci] = ownerCell{node: node, end: start}
+	}
+	at := oa.search(s, int(start), int(oa.cells[ci].end), k)
 	oa.slab = append(oa.slab, 0)
-	copy(oa.slab[lo+1:], oa.slab[lo:])
-	oa.slab[lo] = slot
-	c.n++
-	for i := ci + 1; i < len(oa.cells); i++ {
-		oa.cells[i].off++
+	copy(oa.slab[at+1:], oa.slab[at:])
+	oa.slab[at] = slot
+	for i := ci; i < len(oa.cells); i++ {
+		oa.cells[i].end++
 	}
 }
 
@@ -198,27 +293,18 @@ func (oa *ownerAtom) remove(s *ruleStore, node netgraph.NodeID, k prioKey) int32
 	if !ok {
 		return noSlot
 	}
-	c := &oa.cells[ci]
-	lo, hi := int(c.off), int(c.off+c.n)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cmpPrioKey(s.keyOf(oa.slab[mid]), k) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= int(c.off+c.n) || cmpPrioKey(s.keyOf(oa.slab[lo]), k) != 0 {
+	start, end := oa.start(ci), oa.cells[ci].end
+	at := oa.search(s, int(start), int(end), k)
+	if at >= int(end) || cmpPrioKey(s.keyOf(oa.slab[at]), k) != 0 {
 		return noSlot
 	}
-	slot := oa.slab[lo]
-	copy(oa.slab[lo:], oa.slab[lo+1:])
+	slot := oa.slab[at]
+	copy(oa.slab[at:], oa.slab[at+1:])
 	oa.slab = oa.slab[:len(oa.slab)-1]
-	c.n--
-	for i := ci + 1; i < len(oa.cells); i++ {
-		oa.cells[i].off--
+	for i := ci; i < len(oa.cells); i++ {
+		oa.cells[i].end--
 	}
-	if c.n == 0 {
+	if oa.cells[ci].end == start {
 		copy(oa.cells[ci:], oa.cells[ci+1:])
 		oa.cells = oa.cells[:len(oa.cells)-1]
 	}
@@ -231,8 +317,7 @@ func (oa *ownerAtom) get(s *ruleStore, node netgraph.NodeID, k prioKey) int32 {
 	if !ok {
 		return noSlot
 	}
-	c := &oa.cells[ci]
-	for _, slot := range oa.slab[c.off : c.off+c.n] {
+	for _, slot := range oa.window(ci) {
 		if cmpPrioKey(s.keyOf(slot), k) == 0 {
 			return slot
 		}
@@ -241,29 +326,25 @@ func (oa *ownerAtom) get(s *ruleStore, node netgraph.NodeID, k prioKey) int32 {
 }
 
 // checkInvariants validates the cell directory and slab layout: sorted
-// unique cells, contiguous ascending windows exactly covering the slab,
+// unique cells, non-empty ascending windows exactly covering the slab,
 // and priority-sorted windows. Tests only.
 func (oa *ownerAtom) checkInvariants(s *ruleStore) string {
-	want := int32(0)
-	for i := range oa.cells {
-		c := oa.cells[i]
+	for i, c := range oa.cells {
 		if i > 0 && oa.cells[i-1].node >= c.node {
 			return "owner cells out of order"
 		}
-		if c.off != want {
-			return "owner cell windows not contiguous"
-		}
-		if c.n <= 0 {
+		if c.end <= oa.start(i) {
 			return "empty owner cell retained"
 		}
-		want += c.n
-		if !sort.SliceIsSorted(oa.slab[c.off:c.off+c.n], func(a, b int) bool {
-			return cmpPrioKey(s.keyOf(oa.slab[int(c.off)+a]), s.keyOf(oa.slab[int(c.off)+b])) < 0
-		}) {
+		if int(c.end) > len(oa.slab) {
+			return "owner cell window past the slab"
+		}
+		w := oa.window(i)
+		if !sort.SliceIsSorted(w, func(a, b int) bool { return cmpPrioKey(s.keyOf(w[a]), s.keyOf(w[b])) < 0 }) {
 			return "owner cell window not priority-sorted"
 		}
 	}
-	if int(want) != len(oa.slab) {
+	if int(oa.start(len(oa.cells))) != len(oa.slab) {
 		return "owner slab length mismatch"
 	}
 	return ""

@@ -13,10 +13,12 @@
 //   - owner[α][source], the rules at source whose interval contains atom
 //     α, ordered by priority; the maximum is the rule that "owns" α at
 //     that node. The paper prescribes a balanced BST per (atom, source);
-//     this engine stores the same ordered sets flat — a sorted cell
-//     directory plus packed rule-slot slab per atom (owner.go) — which
+//     this engine stores the same ordered sets flat — per atom, a sorted
+//     directory of {node, end} cells over one packed rule-slot slab, each
+//     cell's window ending where the next begins (owner.go) — which
 //     preserves the logarithmic search bound and removes the per-node
-//     heap allocations.
+//     heap allocations. Rules themselves live in a 32-byte record arena
+//     indexed by an open-addressed id table.
 //
 // Each rule insertion or removal yields a Delta — the delta-graph of §3.3 —
 // from which property checkers (internal/check) verify invariants such as

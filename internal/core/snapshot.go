@@ -15,15 +15,8 @@ import (
 // same graph reproduces identical forwarding behaviour (though atom ids
 // may differ, since they depend on insertion history — §3.1).
 func (n *Network) Snapshot() []Rule {
-	// Walk the arena, not the id index: a released slot is zeroed, and a
-	// live rule's match is never empty (insert refuses one), so the
-	// match tells them apart without a map probe per rule.
 	out := make([]Rule, 0, n.store.len())
-	for i := range n.store.recs {
-		if r := &n.store.recs[i]; !r.Match.Empty() {
-			out = append(out, *r)
-		}
-	}
+	n.Rules(func(r Rule) bool { out = append(out, r); return true })
 	slices.SortFunc(out, func(a, b Rule) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }

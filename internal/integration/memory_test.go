@@ -1,0 +1,70 @@
+package integration
+
+import (
+	"runtime"
+	"testing"
+
+	"deltanet/internal/bgp"
+	"deltanet/internal/core"
+	"deltanet/internal/routes"
+	"deltanet/internal/topo"
+)
+
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestMemoryBytesReplayScale pins the engine's bytes per rule on the plane
+// the benchmark's replay workload holds: 6000 BGP prefixes compiled into
+// shortest-path rules over the inet topology, seed 1 — what bench/plane.go's
+// libraPlane("inet", 6000, 1) builds, ≈ 1.89M rules. It is the plane that
+// exposed MemoryBytes' 8 % under-count, so the estimate must land within
+// ±15 % of the live-heap growth the plane causes; and the growth itself
+// must stay below 150 MB (≈ 220 MB before the 32-byte rule record, the
+// open-addressed id table and the 8-byte owner cell).
+func TestMemoryBytesReplayScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 1.89M-rule plane")
+	}
+	const (
+		seed        = 1
+		seedCompile = 7919 // bench/plane.go's seed offset for the route compiler
+	)
+	g, err := topo.Build("inet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := bgp.NewFeed(seed, 0.3)
+	comp := routes.NewCompiler(g, seed+seedCompile)
+	comp.RandomPriority = true
+	switches := topo.SwitchNodes(g)
+	var rules []core.Rule
+	for i := 0; i < 6000; i++ {
+		rules = append(rules, comp.RulesForPrefix(feed.Next(), switches)...)
+	}
+
+	before := liveHeap()
+	n := core.NewNetwork(g, core.Options{})
+	var d core.Delta
+	for _, r := range rules {
+		if err := n.InsertRuleInto(r, &d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := float64(liveHeap() - before)
+	est := float64(n.MemoryBytes())
+	t.Logf("%d rules, %d atoms: heap grew %.1f MB (%.1f B/rule), MemoryBytes %.1f MB (%+.1f%%)",
+		n.NumRules(), n.NumAtoms(), grown/1e6, grown/float64(n.NumRules()), est/1e6, 100*(est/grown-1))
+	if est < 0.85*grown || est > 1.15*grown {
+		t.Errorf("MemoryBytes %.0f is outside ±15%% of the measured heap growth %.0f", est, grown)
+	}
+	if grown >= 150e6 {
+		t.Errorf("heap grew %.1f MB for %d rules, want < 150 MB", grown/1e6, n.NumRules())
+	}
+	runtime.KeepAlive(n)
+	runtime.KeepAlive(rules)
+}

@@ -38,7 +38,7 @@ func TestAdvertiseAllInstallsTrees(t *testing.T) {
 	}
 	// Longest-prefix priority.
 	found := false
-	n.Rules(func(r *core.Rule) bool {
+	n.Rules(func(r core.Rule) bool {
 		if r.Match == ipnet.MustParsePrefix("20.0.0.0/24").Interval() && r.Priority != 24 {
 			t.Fatalf("priority %d want 24", r.Priority)
 		}
