@@ -9,7 +9,9 @@ package core
 //  1. validate every operation up front (all-or-nothing semantics);
 //  2. create all atoms (CREATE_ATOMS+ for every insertion, |Δ| ≤ 2 each)
 //     and clone owner state for split atoms — serial, since splits mutate
-//     the shared boundary map M;
+//     the shared boundary map M — then allocate each insertion's arena
+//     slot, whose record names the rule's bounds by the handles
+//     CREATE_ATOMS+ just found or made;
 //  3. group the operations by atom over the now-final partition: each rule
 //     expands to ⟦interval(r)⟧ exactly once, and k batch rules covering
 //     the same atom produce one per-atom job instead of k full passes;
@@ -95,8 +97,11 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 		return err
 	}
 
-	// Allocate arena slots for every insertion before any other phase
-	// runs: all allocations precede all releases (which happen in phase
+	// Phase 2: create every atom the batch needs (serial; splits mutate M)
+	// and clone owner state for split atoms exactly as Algorithm 1 does.
+	// Each insertion's atoms are created before its arena slot is
+	// allocated, since the record stores the bound handles creation
+	// returns. All allocations precede all releases (which happen in phase
 	// 5), so no slot is recycled mid-batch, and the rule arena is
 	// read-only while phase 4's workers run. Removals of rules inserted
 	// earlier in this batch pick up the slot their insert item received.
@@ -105,7 +110,7 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 			if it.rule.Link == netgraph.NoLink {
 				it.rule.Link = n.graph.DropLink(it.rule.Source)
 			}
-			it.slot = n.store.alloc(&it.rule)
+			it.slot = n.store.alloc(n.createAtoms(&it.rule, d))
 		}
 	}
 	for i := range items {
@@ -114,24 +119,17 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 		}
 	}
 
-	// Phase 2: create every atom the batch needs (serial; splits mutate M)
-	// and clone owner state for split atoms exactly as Algorithm 1 does.
-	for _, it := range items {
-		if it.insert {
-			n.createAtoms(it.rule.Match, d)
-		}
-	}
-
 	// Phase 3: expand every operation over the final partition and group
 	// by atom, preserving operation order within each atom's list. Each
-	// interval is expanded once; overlapping rules share per-atom jobs.
-	// Grouping is a sort over retained (atom, item) pairs rather than a
-	// map of slices: churn batches run this path constantly, and the map
-	// allocated one bucket slice per touched atom per call.
+	// interval is expanded once, from its record's bound handles;
+	// overlapping rules share per-atom jobs. Grouping is a sort over
+	// retained (atom, item) pairs rather than a map of slices: churn
+	// batches run this path constantly, and the map allocated one bucket
+	// slice per touched atom per call.
 	n.batchPairs = n.batchPairs[:0]
 	maxAtom := intervalmap.AtomID(0)
 	for i, it := range items {
-		n.atomBuf = n.m.Atoms(it.rule.Match, n.atomBuf[:0])
+		n.atomBuf = n.atomsOf(it.slot)
 		for _, alpha := range n.atomBuf {
 			n.batchPairs = append(n.batchPairs, atomOp{atom: alpha, item: int32(i)})
 			if alpha > maxAtom {

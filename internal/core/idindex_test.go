@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"deltanet/internal/intervalmap"
 	"deltanet/internal/ipnet"
 	"deltanet/internal/netgraph"
 )
@@ -247,6 +248,50 @@ func TestIDIndexGrowthBoundaries(t *testing.T) {
 			}
 			dr.finish()
 		})
+	}
+}
+
+// TestIDIndexRecycledTreeSlot kills bounds in a batch and recycles their
+// boundary-tree slots for different keys while neighbouring rules live
+// (the driver's engine runs with atom GC). Rule 3 alone uses 150 and 250;
+// removing it frees both keys' tree slots, and rule 4's new bounds 120 and
+// 220 take them over. Rules 1 and 2, whose bounds 100, 200 and 300 sit
+// beside the recycled slots, must keep reading their own bounds back, and
+// so must every rule after a batch that kills rule 4's bounds while it
+// re-creates rule 3's.
+func TestIDIndexRecycledTreeSlot(t *testing.T) {
+	dr := newIDDriver(t, []RuleID{1, 2, 3, 4})
+	l := dr.links[0]
+	rule := func(id RuleID, lo, hi uint64) Rule {
+		return Rule{ID: id, Source: dr.n.graph.Link(l).Src, Link: l,
+			Match: ipnet.Interval{Lo: lo, Hi: hi}, Priority: Priority(id)}
+	}
+	dr.batch(InsertOp(rule(1, 100, 200)), InsertOp(rule(2, 200, 300)), InsertOp(rule(3, 150, 250)))
+	dr.check()
+	slot3, _ := dr.n.store.slotOf(3)
+	freed := []intervalmap.Bound{dr.n.store.recs[slot3].lo, dr.n.store.recs[slot3].hi}
+
+	dr.batch(RemoveOp(3))
+	dr.check()
+	dr.finish()
+	dr.batch(InsertOp(rule(4, 120, 220)))
+	dr.check()
+	dr.finish()
+	slot4, _ := dr.n.store.slotOf(4)
+	got := []intervalmap.Bound{dr.n.store.recs[slot4].lo, dr.n.store.recs[slot4].hi}
+	slices.Sort(freed)
+	slices.Sort(got)
+	if !slices.Equal(got, freed) {
+		t.Fatalf("rule 4's bounds took tree slots %v, want the freed %v", got, freed)
+	}
+
+	dr.batch(RemoveOp(4), InsertOp(rule(3, 150, 250)))
+	dr.check()
+	dr.finish()
+	for _, b := range []uint64{120, 220} {
+		if dr.n.m.HasBound(b) {
+			t.Fatalf("bound %d survived the batch that killed it", b)
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"deltanet/internal/ipnet"
 	"deltanet/internal/netgraph"
@@ -24,9 +26,9 @@ func liveHeap() uint64 {
 // caused. The estimate used to charge 48 B per 40 B Rule and a flat
 // 24 B per id-index entry, which on the 1.89M-rule replay plane
 // reported 203 MB against 219.7 MB of heap. It also holds the plane's
-// bytes per rule under a ceiling: 305.5 B when the 32-byte rule record,
-// the open-addressed id table and the 8-byte owner cell landed (359.5 B
-// before), plus 10 %.
+// bytes per rule under a ceiling: 296 B when the 24-byte rule record
+// (bounds by boundary-tree handle) landed with growth by an eighth
+// (305.5 B with the 32-byte record, 359.5 B before that), plus 10 %.
 func TestMemoryBytesTracksHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 100k-rule plane")
@@ -65,14 +67,58 @@ func TestMemoryBytesTracksHeap(t *testing.T) {
 	est := float64(n.MemoryBytes())
 	t.Logf("%d rules, %d atoms: heap grew %.1f MB, MemoryBytes %.1f MB (%+.1f%%)",
 		n.NumRules(), n.NumAtoms(), grown/1e6, est/1e6, 100*(est/grown-1))
-	t.Logf("rows: %+v", n.memRows())
+	t.Logf("rows: %+v", n.MemoryRows())
 	if est < 0.85*grown || est > 1.15*grown {
 		t.Fatalf("MemoryBytes %.0f is outside ±15%% of the measured heap growth %.0f", est, grown)
 	}
-	const ceiling = 336 // B per rule
+	const ceiling = 326 // B per rule
 	if perRule := est / float64(n.NumRules()); perRule > ceiling {
 		t.Fatalf("MemoryBytes is %.1f B per rule, want ≤ %d", perRule, ceiling)
 	}
 	runtime.KeepAlive(n)
 	runtime.KeepAlive(input)
+}
+
+// TestRuleRecordIs24Bytes pins the rule record's size: an id, two
+// boundary-tree handles, a link and a priority, with no padding.
+func TestRuleRecordIs24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(ruleRec{}); got != 24 {
+		t.Fatalf("ruleRec is %d bytes, want 24", got)
+	}
+}
+
+// TestOwnerGrowthByAnEighth inserts k rules one by one, all over one atom
+// and spread over 200 sources: after every insert, the atom's slab and
+// cell directory and the rule arena each hold at most an eighth of their
+// length, plus 64, as spare capacity.
+func TestOwnerGrowthByAnEighth(t *testing.T) {
+	const k, sources = 5000, 200
+	g := netgraph.New()
+	nodes := make([]netgraph.NodeID, sources)
+	for i := range nodes {
+		nodes[i] = g.AddNode(fmt.Sprint("s", i))
+	}
+	n := NewNetwork(g, Options{})
+	var d Delta
+	for i := 0; i < k; i++ {
+		src := nodes[i%sources]
+		r := Rule{ID: RuleID(i), Source: src, Link: netgraph.NoLink,
+			Match: ipnet.Interval{Lo: 0, Hi: 256}, Priority: Priority(i)}
+		if err := n.InsertRuleInto(r, &d); err != nil {
+			t.Fatal(err)
+		}
+		oa := &n.owner[n.AtomOf(0)]
+		for _, s := range []struct {
+			what     string
+			len, cap int
+		}{
+			{"slab", len(oa.slab), cap(oa.slab)},
+			{"cell directory", len(oa.cells), cap(oa.cells)},
+			{"rule arena", len(n.store.recs), cap(n.store.recs)},
+		} {
+			if s.cap > s.len+s.len/8+64 {
+				t.Fatalf("after %d inserts the %s holds %d of capacity %d", i+1, s.what, s.len, s.cap)
+			}
+		}
+	}
 }

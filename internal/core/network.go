@@ -124,10 +124,10 @@ func (n *Network) Rule(id RuleID) (Rule, bool) {
 // Rules calls fn for every live rule until fn returns false. Iteration
 // order is unspecified. It walks the arena, not the id table: a released
 // slot is zeroed and a live rule's match is never empty (insert refuses
-// one), so the bounds tell them apart without a probe per rule.
+// one), so its distinct bound handles tell it from a free slot.
 func (n *Network) Rules(fn func(r Rule) bool) {
 	for slot := range n.store.recs {
-		if rec := &n.store.recs[slot]; rec.lo < rec.hi && !fn(n.ruleAt(int32(slot))) {
+		if rec := &n.store.recs[slot]; rec.lo != rec.hi && !fn(n.ruleAt(int32(slot))) {
 			return
 		}
 	}
@@ -137,7 +137,7 @@ func (n *Network) Rules(fn func(r Rule) bool) {
 func (n *Network) ruleAt(slot int32) Rule {
 	rec := &n.store.recs[slot]
 	return Rule{ID: rec.id, Source: n.graph.Link(rec.link).Src, Link: rec.link,
-		Match: ipnet.Interval{Lo: rec.lo, Hi: rec.hi}, Priority: rec.prio}
+		Match: ipnet.Interval{Lo: n.m.Key(rec.lo), Hi: n.m.Key(rec.hi)}, Priority: rec.prio}
 }
 
 // Label returns the atom set of a link: the packets (as atoms) that the
@@ -284,18 +284,17 @@ func (n *Network) insertRule(r Rule, d *Delta) error {
 	if r.Link == netgraph.NoLink {
 		r.Link = n.graph.DropLink(r.Source)
 	}
-	slot := n.store.alloc(&r)
+
+	// Steps 1–2: CREATE_ATOMS+ and atom splitting (Algorithm 1, lines 2–9),
+	// which also yield the handles the rule record stores.
+	slot := n.store.alloc(n.createAtoms(&r, d))
 	k := r.key()
 
-	// Steps 1–2: CREATE_ATOMS+ and atom splitting (Algorithm 1, lines 2–9).
-	n.createAtoms(r.Match, d)
-
 	// Step 3: ownership reassignment over ⟦interval(r)⟧ (lines 10–23).
-	n.atomBuf = n.m.Atoms(r.Match, n.atomBuf[:0])
+	n.atomBuf = n.atomsOf(slot)
 	newLabel := n.labelOf(r.Link)
 	for _, alpha := range n.atomBuf {
-		oa := n.ownerAt(alpha)
-		prev := oa.top(r.Source)
+		prev := n.ownerAt(alpha).insert(&n.store, r.Source, slot, k)
 		if prev == noSlot || cmpPrioKey(n.store.keyOf(prev), k) < 0 {
 			newLabel.Add(int(alpha))
 			d.Added = append(d.Added, LinkAtom{Link: r.Link, Atom: alpha})
@@ -306,7 +305,6 @@ func (n *Network) insertRule(r Rule, d *Delta) error {
 				}
 			}
 		}
-		oa.insert(&n.store, r.Source, slot, k)
 	}
 
 	if n.gc {
@@ -316,11 +314,13 @@ func (n *Network) insertRule(r Rule, d *Delta) error {
 	return nil
 }
 
-// createAtoms runs CREATE_ATOMS+ for iv (|Δ| ≤ 2) and splits owner state
-// as Algorithm 1's lines 3–9 do: each new atom α′ inherits α's owner
-// table, and every link that carried α also carries α′.
-func (n *Network) createAtoms(iv ipnet.Interval, d *Delta) {
-	n.splitBuf = n.m.CreateAtomsInto(iv, n.splitBuf[:0])
+// createAtoms runs CREATE_ATOMS+ for r's match (|Δ| ≤ 2) and splits
+// owner state as Algorithm 1's lines 3–9 do: each new atom α′ inherits
+// α's owner table, and every link that carried α also carries α′. It
+// returns r's arena record, its bounds named by their handles in M.
+func (n *Network) createAtoms(r *Rule, d *Delta) ruleRec {
+	var lo, hi intervalmap.Bound
+	n.splitBuf, lo, hi = n.m.CreateBounds(r.Match, n.splitBuf[:0])
 	d.NewAtoms = append(d.NewAtoms, n.splitBuf...)
 	n.splits += int64(len(n.splitBuf))
 	for _, sp := range n.splitBuf {
@@ -329,6 +329,14 @@ func (n *Network) createAtoms(iv ipnet.Interval, d *Delta) {
 		newOwner.cloneFrom(oldOwner)
 		oldOwner.eachTop(func(slot int32) { n.labelOf(n.store.recs[slot].link).Add(int(sp.New)) })
 	}
+	return ruleRec{id: r.ID, lo: lo, hi: hi, link: r.Link, prio: r.Priority}
+}
+
+// atomsOf expands the live rule in slot to ⟦interval(r)⟧ into atomBuf,
+// walking the boundary tree from the rule's lower-bound handle.
+func (n *Network) atomsOf(slot int32) []intervalmap.AtomID {
+	rec := &n.store.recs[slot]
+	return n.m.AtomsBetween(rec.lo, rec.hi, n.atomBuf[:0])
 }
 
 // RemoveRule applies Algorithm 2: for every atom of the rule's interval it
@@ -357,16 +365,13 @@ func (n *Network) removeRule(id RuleID, d *Delta) error {
 	r := n.ruleAt(slot) // value copy: survives the release below
 	k := r.key()
 
-	n.atomBuf = n.m.Atoms(r.Match, n.atomBuf[:0])
+	n.atomBuf = n.atomsOf(slot)
 	ownLabel := n.labelOf(r.Link)
 	for _, alpha := range n.atomBuf {
-		oa := &n.owner[alpha]
-		top := oa.top(r.Source)
-		oa.remove(&n.store, r.Source, k)
-		if top == slot {
+		if wasTop, next := n.owner[alpha].remove(&n.store, r.Source, k); wasTop {
 			ownLabel.Remove(int(alpha))
 			d.Removed = append(d.Removed, LinkAtom{Link: r.Link, Atom: alpha})
-			if next := oa.top(r.Source); next != noSlot {
+			if next != noSlot {
 				nextLink := n.store.recs[next].link
 				n.labelOf(nextLink).Add(int(alpha))
 				d.Added = append(d.Added, LinkAtom{Link: nextLink, Atom: alpha})
@@ -403,8 +408,9 @@ func (n *Network) CheckInvariants() string {
 			}
 		}
 	}
-	// The id table indexes exactly the live arena records, and every live
-	// rule is in the owner table of every atom of its interval.
+	// The id table indexes exactly the live arena records, each live
+	// record's bound handles name keys of M in order, and every live rule
+	// is in the owner table of every atom of its interval.
 	indexed := 0
 	for _, e := range n.store.table {
 		if e != 0 {
@@ -413,10 +419,15 @@ func (n *Network) CheckInvariants() string {
 	}
 	live := 0
 	for slot := range n.store.recs {
-		if rec := &n.store.recs[slot]; rec.lo >= rec.hi {
+		rec := &n.store.recs[slot]
+		if rec.lo == rec.hi {
 			continue
 		}
 		live++
+		if !n.m.Live(rec.lo) || !n.m.Live(rec.hi) || n.m.Key(rec.lo) >= n.m.Key(rec.hi) {
+			return fmt.Sprintf("rule store slot %d (id %d): bound handles %d, %d do not name keys lo < hi",
+				slot, rec.id, rec.lo, rec.hi)
+		}
 		r := n.ruleAt(int32(slot))
 		if got, _ := n.store.slotOf(r.ID); got != int32(slot) {
 			return fmt.Sprintf("rule store slot %d holds id %d, index says slot %d", slot, r.ID, got)
@@ -484,49 +495,52 @@ func (n *Network) CheckInvariants() string {
 	return ""
 }
 
-// MemoryBytes estimates the engine's heap footprint in bytes, the sum of
-// memRows. Element sizes come from unsafe.Sizeof, so the estimate follows
-// the types; TestMemoryBytesTracksHeap pins it to the measured heap. It
-// is the self-accounting used by the Appendix D memory experiment; the
-// harness additionally reports runtime.MemStats deltas.
-func (n *Network) MemoryBytes() int64 { return n.memRows().total() }
+// MemoryBytes estimates the engine's heap footprint in bytes, the total
+// of MemoryRows. Element sizes come from unsafe.Sizeof, so the estimate
+// follows the types; TestMemoryBytesTracksHeap pins it to the measured
+// heap. It is the self-accounting used by the Appendix D memory
+// experiment; the harness additionally reports runtime.MemStats deltas.
+func (n *Network) MemoryBytes() int64 { return n.MemoryRows().Total() }
 
-// memRows attributes the engine's heap to its structures, one row each.
-type memRows struct {
-	records  int64 // rule arena and its free list
-	index    int64 // id → slot table
-	ownerDir int64 // one ownerAtom header per atom id
-	cells    int64 // owner cell directories
-	slabs    int64 // owner rule-slot slabs
-	labels   int64 // per-link atom bitsets
-	tree     int64 // boundary tree nodes and, with GC, boundary refcounts
-	stamps   int64 // the interval map's born stamp per atom id and free ids
+// MemoryRows attributes the engine's heap to its structures, one row
+// (bytes, capacity included) each.
+type MemoryRows struct {
+	Records  int64 // rule arena and its free list
+	Index    int64 // id → slot table
+	OwnerDir int64 // one ownerAtom header per atom id
+	Cells    int64 // owner cell directories
+	Slabs    int64 // owner rule-slot slabs
+	Labels   int64 // per-link atom bitsets
+	Tree     int64 // boundary tree nodes and, with GC, boundary refcounts
+	Stamps   int64 // the interval map's born stamp per atom id and free ids
 }
 
-func (r memRows) total() int64 {
-	return r.records + r.index + r.ownerDir + r.cells + r.slabs + r.labels + r.tree + r.stamps
+// Total is the sum of the rows.
+func (r MemoryRows) Total() int64 {
+	return r.Records + r.Index + r.OwnerDir + r.Cells + r.Slabs + r.Labels + r.Tree + r.Stamps
 }
 
-func (n *Network) memRows() memRows {
-	r := memRows{
-		records:  int64(cap(n.store.recs))*int64(unsafe.Sizeof(ruleRec{})) + int64(cap(n.store.free))*4,
-		index:    int64(cap(n.store.table)) * 4,
-		ownerDir: int64(cap(n.owner)) * int64(unsafe.Sizeof(ownerAtom{})),
-		labels:   int64(cap(n.labels)) * int64(unsafe.Sizeof((*bitset.Set)(nil))),
-		tree:     int64(n.m.NumAtoms()+1) * 32, // arena boundary-tree nodes
-		stamps:   int64(n.m.MaxID())*8 + int64(n.m.MaxID()-n.m.NumAtoms())*4,
+// MemoryRows returns the engine's heap footprint by structure.
+func (n *Network) MemoryRows() MemoryRows {
+	r := MemoryRows{
+		Records:  int64(cap(n.store.recs))*int64(unsafe.Sizeof(ruleRec{})) + int64(cap(n.store.free))*4,
+		Index:    int64(cap(n.store.table)) * 4,
+		OwnerDir: int64(cap(n.owner)) * int64(unsafe.Sizeof(ownerAtom{})),
+		Labels:   int64(cap(n.labels)) * int64(unsafe.Sizeof((*bitset.Set)(nil))),
+		Tree:     int64(n.m.NumAtoms()+1) * 32, // arena boundary-tree nodes
+		Stamps:   int64(n.m.MaxID())*8 + int64(n.m.MaxID()-n.m.NumAtoms())*4,
 	}
 	for _, l := range n.labels {
 		if l != nil {
-			r.labels += int64(l.WordBytes()) + int64(unsafe.Sizeof(*l))
+			r.Labels += int64(l.WordBytes()) + int64(unsafe.Sizeof(*l))
 		}
 	}
 	for i := range n.owner {
-		r.cells += int64(cap(n.owner[i].cells)) * int64(unsafe.Sizeof(ownerCell{}))
-		r.slabs += int64(cap(n.owner[i].slab)) * 4
+		r.Cells += int64(cap(n.owner[i].cells)) * int64(unsafe.Sizeof(ownerCell{}))
+		r.Slabs += int64(cap(n.owner[i].slab)) * 4
 	}
 	if n.bounds != nil {
-		r.tree += mapBytes(len(n.bounds), unsafe.Sizeof(uint64(0))+unsafe.Sizeof(int(0)))
+		r.Tree += mapBytes(len(n.bounds), unsafe.Sizeof(uint64(0))+unsafe.Sizeof(int(0)))
 	}
 	return r
 }

@@ -446,3 +446,49 @@ func TestCheckInvariantsReportsForeignRule(t *testing.T) {
 		t.Fatalf("CheckInvariants = %q, want the foreign rule reported", msg)
 	}
 }
+
+// TestCheckInvariantsReportsBadHandles corrupts a live record's bound
+// handles — out of the tree, naming a released key's slot, and swapped —
+// and CheckInvariants must describe each violation rather than panic.
+func TestCheckInvariantsReportsBadHandles(t *testing.T) {
+	g := netgraph.New()
+	a, b := g.AddNode("a"), g.AddNode("b")
+	l := g.AddLink(a, b)
+	n := NewNetwork(g, Options{GC: true})
+	for _, r := range []Rule{
+		{ID: 1, Source: a, Link: l, Match: iv(0, 10), Priority: 1},
+		{ID: 2, Source: a, Link: l, Match: iv(20, 30), Priority: 1},
+	} {
+		if _, err := n.InsertRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slot2, _ := n.store.slotOf(2)
+	released := n.store.recs[slot2].lo
+	if _, err := n.RemoveRule(2); err != nil { // GC releases 20 and 30
+		t.Fatal(err)
+	}
+	if msg := n.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+	slot, _ := n.store.slotOf(1)
+	good := n.store.recs[slot]
+	for _, bad := range []struct {
+		name   string
+		lo, hi intervalmap.Bound
+	}{
+		{"outside the tree", good.lo, 1 << 20},
+		{"negative", -2, good.hi},
+		{"released slot", good.lo, released},
+		{"swapped", good.hi, good.lo},
+	} {
+		n.store.recs[slot].lo, n.store.recs[slot].hi = bad.lo, bad.hi
+		if msg := n.CheckInvariants(); !strings.Contains(msg, "do not name keys lo < hi") {
+			t.Errorf("%s: CheckInvariants = %q, want the bad handles reported", bad.name, msg)
+		}
+	}
+	n.store.recs[slot] = good
+	if msg := n.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+}

@@ -8,10 +8,10 @@ package core
 // storage:
 //
 //   - ruleStore: every live rule lives in one dense slot-indexed arena of
-//     32-byte pointer-free ruleRecs, with a LIFO free list so steady-state
-//     churn recycles slots instead of allocating, and an open-addressed
-//     id → slot table (4 bytes per entry, keyed by the id the record
-//     already holds) in place of a Go map;
+//     24-byte pointer-free ruleRecs (bounds held as boundary-map handles),
+//     with a LIFO free list so steady-state churn recycles slots instead
+//     of allocating, and an open-addressed id → slot table (4 bytes per
+//     entry, keyed by the id the record already holds) in place of a Go map;
 //   - ownerAtom: one atom's whole owner table — a sorted cell directory
 //     (one 8-byte {node, end} ownerCell per source node) plus a single
 //     packed []int32 slab of rule slots, priority-sorted per cell, the
@@ -28,20 +28,23 @@ package core
 import (
 	"sort"
 
+	"deltanet/internal/intervalmap"
 	"deltanet/internal/netgraph"
 )
 
 // noSlot marks "no rule" in prev/top comparisons.
 const noSlot int32 = -1
 
-// ruleRec is one arena slot: a Rule without its source, which is always
-// graph.Link(link).Src (a drop rule is stored on its source's drop link).
-// A released slot is zeroed, so lo == hi marks it free.
+// ruleRec is one 24-byte arena slot: a Rule without its source, which is
+// always graph.Link(link).Src (a drop rule is stored on its source's drop
+// link), its bounds named by their handles in M. They never dangle: a live
+// rule's bounds are keys, and GC only releases keys no live rule uses. A
+// released slot is zeroed, so lo == hi (distinct keys otherwise) marks it.
 //
 //deltanet:pointerfree
 type ruleRec struct {
 	id     RuleID
-	lo, hi uint64
+	lo, hi intervalmap.Bound
 	link   netgraph.LinkID
 	prio   Priority
 }
@@ -85,12 +88,11 @@ func (s *ruleStore) find(id RuleID) (int, bool) {
 	}
 }
 
-// alloc stores r and returns its slot, pointing the index at it. If r's
+// alloc stores rec and returns its slot, pointing the index at it. If its
 // id is still indexed (a batch that removes a rule and re-inserts its id
 // allocates before it releases), the entry is repointed. Pointers into
 // recs obtained before an alloc are invalidated by growth.
-func (s *ruleStore) alloc(r *Rule) int32 {
-	rec := ruleRec{id: r.ID, lo: r.Match.Lo, hi: r.Match.Hi, link: r.Link, prio: r.Priority}
+func (s *ruleStore) alloc(rec ruleRec) int32 {
 	var slot int32
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
@@ -98,12 +100,12 @@ func (s *ruleStore) alloc(r *Rule) int32 {
 		s.recs[slot] = rec
 	} else {
 		slot = int32(len(s.recs))
-		s.recs = append(s.recs, rec)
+		s.recs = appendGrow(s.recs, rec)
 	}
 	if (s.live+1)*8 > len(s.table)*7 {
 		s.grow()
 	}
-	i, ok := s.find(r.ID)
+	i, ok := s.find(rec.id)
 	if !ok {
 		s.live++
 	}
@@ -171,6 +173,17 @@ func (s *ruleStore) keyOf(slot int32) prioKey {
 }
 
 func (s *ruleStore) len() int { return s.live }
+
+// appendGrow is append for the rule arena and the owner tables: up to 64
+// elements it keeps append's doubling, past that a full slice grows by an
+// eighth, so a structure that stops growing holds at most an eighth of
+// spare capacity (append leaves up to a quarter, past 256 elements).
+func appendGrow[T any](s []T, v T) []T {
+	if n := len(s); n == cap(s) && n >= 64 {
+		s = append(make([]T, 0, n+n/8), s...)
+	}
+	return append(s, v)
+}
 
 // ownerCell is one (atom, source) entry in an atom's cell directory. The
 // cell's rule slots are slab[start:end], start being the previous cell's
@@ -267,38 +280,47 @@ func (oa *ownerAtom) search(s *ruleStore, lo, hi int, k prioKey) int {
 }
 
 // insert adds rule slot (with key k) to node's cell, keeping the cell's
-// window priority-sorted. Duplicate keys must not occur (rule ids are
-// unique among live rules).
-func (oa *ownerAtom) insert(s *ruleStore, node netgraph.NodeID, slot int32, k prioKey) {
+// window priority-sorted, and returns the cell's previous top (noSlot if
+// node had no cell). Duplicate keys must not occur (rule ids are unique
+// among live rules).
+func (oa *ownerAtom) insert(s *ruleStore, node netgraph.NodeID, slot int32, k prioKey) (prev int32) {
 	ci, ok := oa.findCell(node)
 	start := oa.start(ci)
-	if !ok {
-		oa.cells = append(oa.cells, ownerCell{})
+	prev = noSlot
+	if ok {
+		prev = oa.slab[oa.cells[ci].end-1]
+	} else {
+		oa.cells = appendGrow(oa.cells, ownerCell{})
 		copy(oa.cells[ci+1:], oa.cells[ci:])
 		oa.cells[ci] = ownerCell{node: node, end: start}
 	}
 	at := oa.search(s, int(start), int(oa.cells[ci].end), k)
-	oa.slab = append(oa.slab, 0)
+	oa.slab = appendGrow(oa.slab, 0)
 	copy(oa.slab[at+1:], oa.slab[at:])
 	oa.slab[at] = slot
 	for i := ci; i < len(oa.cells); i++ {
 		oa.cells[i].end++
 	}
+	return prev
 }
 
-// remove deletes the entry with key k from node's cell, returning the
-// removed rule slot (noSlot if absent). Empty cells leave the directory.
-func (oa *ownerAtom) remove(s *ruleStore, node netgraph.NodeID, k prioKey) int32 {
+// remove deletes the entry with key k from node's cell, reporting whether
+// it was the cell's top and, if so, the next top (noSlot when the cell
+// empties and leaves the directory). An absent key removes nothing.
+func (oa *ownerAtom) remove(s *ruleStore, node netgraph.NodeID, k prioKey) (wasTop bool, next int32) {
 	ci, ok := oa.findCell(node)
 	if !ok {
-		return noSlot
+		return false, noSlot
 	}
 	start, end := oa.start(ci), oa.cells[ci].end
 	at := oa.search(s, int(start), int(end), k)
 	if at >= int(end) || cmpPrioKey(s.keyOf(oa.slab[at]), k) != 0 {
-		return noSlot
+		return false, noSlot
 	}
-	slot := oa.slab[at]
+	next = noSlot
+	if wasTop = at == int(end)-1; wasTop && at > int(start) {
+		next = oa.slab[at-1]
+	}
 	copy(oa.slab[at:], oa.slab[at+1:])
 	oa.slab = oa.slab[:len(oa.slab)-1]
 	for i := ci; i < len(oa.cells); i++ {
@@ -308,7 +330,7 @@ func (oa *ownerAtom) remove(s *ruleStore, node netgraph.NodeID, k prioKey) int32
 		copy(oa.cells[ci:], oa.cells[ci+1:])
 		oa.cells = oa.cells[:len(oa.cells)-1]
 	}
-	return slot
+	return wasTop, next
 }
 
 // get returns the slot stored under (node, k), or noSlot.

@@ -17,7 +17,7 @@
 //     directory of {node, end} cells over one packed rule-slot slab, each
 //     cell's window ending where the next begins (owner.go) — which
 //     preserves the logarithmic search bound and removes the per-node
-//     heap allocations. Rules themselves live in a 32-byte record arena
+//     heap allocations. Rules themselves live in a 24-byte record arena
 //     indexed by an open-addressed id table.
 //
 // Each rule insertion or removal yields a Delta — the delta-graph of §3.3 —

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"slices"
 
+	"deltanet/internal/bitset"
 	"deltanet/internal/intervalmap"
 	"deltanet/internal/ipnet"
 	"deltanet/internal/netgraph"
@@ -36,19 +37,40 @@ func (n *Network) Restore(rules []Rule) error {
 // address intervals (adjacent atoms merged) — the canonical,
 // atom-id-independent description of the link's behaviour.
 func (n *Network) LinkFlows(link netgraph.LinkID) []ipnet.Interval {
-	label := n.Label(link)
-	var out []ipnet.Interval
+	return n.flows(link, link+1)[0]
+}
+
+// flows returns the flows of links first..end-1, indexed from first, from
+// one walk of the atoms in address order. Each label's atom ids are
+// re-read in address order through a scratch bitset over the atoms' ranks
+// in that walk, so adjacent atoms merge as they are read.
+func (n *Network) flows(first, end netgraph.LinkID) [][]ipnet.Interval {
+	var ivs []ipnet.Interval
+	rank := make([]int32, n.m.MaxID()) // address rank + 1; 0 for dead ids
 	n.m.ForEachAtom(func(id intervalmap.AtomID, iv ipnet.Interval) bool {
-		if !label.Contains(int(id)) {
-			return true
-		}
-		if k := len(out); k > 0 && out[k-1].Hi == iv.Lo {
-			out[k-1].Hi = iv.Hi
-		} else {
-			out = append(out, iv)
-		}
+		ivs = append(ivs, iv)
+		rank[id] = int32(len(ivs))
 		return true
 	})
+	out := make([][]ipnet.Interval, end-first)
+	byAddr := bitset.New(len(ivs))
+	for i := range out {
+		byAddr.Clear()
+		n.Label(first + netgraph.LinkID(i)).ForEach(func(id int) bool {
+			if r := rank[id]; r > 0 {
+				byAddr.Add(int(r - 1))
+			}
+			return true
+		})
+		byAddr.ForEach(func(r int) bool {
+			if f := out[i]; len(f) > 0 && f[len(f)-1].Hi == ivs[r].Lo {
+				f[len(f)-1].Hi = ivs[r].Hi
+			} else {
+				out[i] = append(f, ivs[r])
+			}
+			return true
+		})
+	}
 	return out
 }
 
@@ -66,8 +88,7 @@ func (n *Network) BehaviourDigest() uint64 {
 		}
 		h.Write(buf[:])
 	}
-	for link := 0; link < n.graph.NumLinks(); link++ {
-		flows := n.LinkFlows(netgraph.LinkID(link))
+	for link, flows := range n.flows(0, netgraph.LinkID(n.graph.NumLinks())) {
 		if len(flows) == 0 {
 			continue
 		}
@@ -83,20 +104,11 @@ func (n *Network) BehaviourDigest() uint64 {
 // BehaviourEqual reports whether two networks over graphs with identical
 // link numbering forward exactly the same addresses on every link.
 func BehaviourEqual(a, b *Network) bool {
-	links := a.graph.NumLinks()
-	if b.graph.NumLinks() > links {
-		links = b.graph.NumLinks()
-	}
-	for link := 0; link < links; link++ {
-		fa := a.LinkFlows(netgraph.LinkID(link))
-		fb := b.LinkFlows(netgraph.LinkID(link))
-		if len(fa) != len(fb) {
+	links := netgraph.LinkID(max(a.graph.NumLinks(), b.graph.NumLinks()))
+	fa, fb := a.flows(0, links), b.flows(0, links)
+	for l := range fa {
+		if !slices.Equal(fa[l], fb[l]) {
 			return false
-		}
-		for i := range fa {
-			if fa[i] != fb[i] {
-				return false
-			}
 		}
 	}
 	return true

@@ -138,3 +138,55 @@ func TestBehaviourEqualDetectsDifference(t *testing.T) {
 		t.Fatal("different networks equal")
 	}
 }
+
+// TestBehaviourDigestPinned fixes the digest of a seeded plane — 3000
+// prefix rules over a 12-node mesh, then with a seeded half removed, and
+// the surviving half batch-loaded into a GC engine. Replicas, restores and
+// the benchmark compare digests computed by different builds, so the
+// digest's bytes must not move when the engine's layout does.
+func TestBehaviourDigestPinned(t *testing.T) {
+	const wantFull, wantHalf = 0xee689898005c8f2c, 0xa4d328e6a4516ef9
+	rng := rand.New(rand.NewSource(20170327))
+	g, _, links := buildRandomTopology(rng, 12)
+	rules := make([]Rule, 3000)
+	for i := range rules {
+		l := links[rng.Intn(len(links))]
+		bits := 8 + rng.Intn(17) // /8 .. /24
+		lo := uint64(rng.Uint32()) &^ (1<<(32-bits) - 1)
+		rules[i] = Rule{ID: RuleID(i), Source: g.Link(l).Src, Link: l,
+			Match: iv(lo, lo+1<<(32-bits)), Priority: Priority(rng.Intn(40))}
+	}
+	n := NewNetwork(g, Options{})
+	for _, r := range rules {
+		if _, err := n.InsertRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := n.BehaviourDigest(); got != wantFull {
+		t.Errorf("full plane digest %#x, want %#x", got, uint64(wantFull))
+	}
+	removed := map[RuleID]bool{}
+	for _, i := range rng.Perm(len(rules))[:len(rules)/2] {
+		if _, err := n.RemoveRule(rules[i].ID); err != nil {
+			t.Fatal(err)
+		}
+		removed[rules[i].ID] = true
+	}
+	if got := n.BehaviourDigest(); got != wantHalf {
+		t.Errorf("half plane digest %#x, want %#x", got, uint64(wantHalf))
+	}
+	var ops []BatchOp
+	for _, r := range rules {
+		if !removed[r.ID] {
+			ops = append(ops, InsertOp(r))
+		}
+	}
+	gc := NewNetwork(g, Options{GC: true})
+	var d Delta
+	if err := gc.ApplyBatch(ops, &d, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := gc.BehaviourDigest(); got != wantHalf {
+		t.Errorf("batch-loaded half plane digest %#x, want %#x", got, uint64(wantHalf))
+	}
+}

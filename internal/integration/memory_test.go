@@ -24,8 +24,11 @@ func liveHeap() uint64 {
 // libraPlane("inet", 6000, 1) builds, ≈ 1.89M rules. It is the plane that
 // exposed MemoryBytes' 8 % under-count, so the estimate must land within
 // ±15 % of the live-heap growth the plane causes; and the growth itself
-// must stay below 150 MB (≈ 220 MB before the 32-byte rule record, the
-// open-addressed id table and the 8-byte owner cell).
+// must stay below 115 MB: ≈ 220 MB before the 32-byte rule record, the
+// open-addressed id table and the 8-byte owner cell, 132.3 MB before the
+// 24-byte record (bounds by boundary-tree handle) and growth by an eighth,
+// 106.2 MB since. The per-structure rows are logged, so a verbose run
+// shows where the bytes go.
 func TestMemoryBytesReplayScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 1.89M-rule plane")
@@ -59,11 +62,12 @@ func TestMemoryBytesReplayScale(t *testing.T) {
 	est := float64(n.MemoryBytes())
 	t.Logf("%d rules, %d atoms: heap grew %.1f MB (%.1f B/rule), MemoryBytes %.1f MB (%+.1f%%)",
 		n.NumRules(), n.NumAtoms(), grown/1e6, grown/float64(n.NumRules()), est/1e6, 100*(est/grown-1))
+	t.Logf("rows: %+v", n.MemoryRows())
 	if est < 0.85*grown || est > 1.15*grown {
 		t.Errorf("MemoryBytes %.0f is outside ±15%% of the measured heap growth %.0f", est, grown)
 	}
-	if grown >= 150e6 {
-		t.Errorf("heap grew %.1f MB for %d rules, want < 150 MB", grown/1e6, n.NumRules())
+	if grown >= 115e6 {
+		t.Errorf("heap grew %.1f MB for %d rules, want < 115 MB", grown/1e6, n.NumRules())
 	}
 	runtime.KeepAlive(n)
 	runtime.KeepAlive(rules)

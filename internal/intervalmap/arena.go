@@ -83,18 +83,10 @@ func (t *arenaTree) find(key uint64) int32 {
 	return nilNode
 }
 
-func (t *arenaTree) get(key uint64) (AtomID, bool) {
-	if n := t.find(key); n != nilNode {
-		return t.nodes[n].val, true
-	}
-	return 0, false
-}
-
-func (t *arenaTree) has(key uint64) bool { return t.find(key) != nilNode }
-
-// insert stores val under key, replacing the value if the key exists.
-// It reports whether a new node was created.
-func (t *arenaTree) insert(key uint64, val AtomID) bool {
+// insert stores val under key, replacing the value if the key exists,
+// and returns key's node. The fix-up's rotations relink nodes without
+// moving keys, so the node stays key's until key is deleted.
+func (t *arenaTree) insert(key uint64, val AtomID) int32 {
 	parent := nilNode
 	n := t.root
 	for n != nilNode {
@@ -107,7 +99,7 @@ func (t *arenaTree) insert(key uint64, val AtomID) bool {
 			n = nd.right
 		default:
 			nd.val = val
-			return false
+			return n
 		}
 	}
 	i := t.newNode(key, val, parent)
@@ -121,7 +113,7 @@ func (t *arenaTree) insert(key uint64, val AtomID) bool {
 	}
 	t.size++
 	t.insertFixup(i)
-	return true
+	return i
 }
 
 func (t *arenaTree) insertFixup(n int32) {
@@ -212,18 +204,10 @@ func (t *arenaTree) rotateRight(x int32) {
 	t.nodes[x].parent = y
 }
 
-// delete removes key and reports whether it was present. The freed slot
-// goes on the free list.
-func (t *arenaTree) delete(key uint64) bool {
-	n := t.find(key)
-	if n == nilNode {
-		return false
-	}
-	t.deleteNode(n)
-	return true
-}
-
-// deleteNode removes z using the classic CLRS scheme, index-addressed.
+// deleteNode removes z using the classic CLRS scheme, index-addressed,
+// and puts its slot on the free list. It relinks z's successor into z's
+// place instead of copying the successor's key into z, so every other key
+// keeps its node.
 func (t *arenaTree) deleteNode(z int32) {
 	t.size--
 	y := z

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"deltanet/internal/ipnet"
@@ -65,10 +66,14 @@ func diffCompare(t testing.TB, m *Map, o *oracleMap) {
 //	chunk[0]&3 == 2: ReleaseBound of the k-th current bound (k from
 //	  chunk[1:3]) — real merges that push ids onto the free list, so
 //	  later creates exercise LIFO id recycling;
-//	chunk[0]&3 == 3: full-state comparison checkpoint.
+//	chunk[0]&3 == 3: full-state comparison checkpoint, plus the bound
+//	  handle contract (checkHandles).
 //
-// A final comparison always runs, so any divergence in atoms, splits,
-// stamps, or structure is caught no matter how the script ends.
+// Creates go through CreateBounds, whose handles are kept per key: a key
+// created again must get the handle it already has, and a released key's
+// handle must stop being live. A final comparison always runs, so any
+// divergence in atoms, splits, stamps, handles or structure is caught no
+// matter how the script ends.
 func runDifferential(t testing.TB, data []byte) {
 	if len(data) == 0 {
 		return
@@ -78,6 +83,8 @@ func runDifferential(t testing.TB, data []byte) {
 
 	m := New(ipnet.IPv4)
 	o := newOracle(ipnet.IPv4)
+	handles := map[uint64]Bound{} // each key in M ↦ the handle CreateBounds gave it
+	var made []ipnet.Interval     // created intervals, oldest first
 	for len(data) >= 5 {
 		chunk := data[:5]
 		data = data[5:]
@@ -92,11 +99,19 @@ func runDifferential(t testing.TB, data []byte) {
 				b++
 			}
 			iv := ipnet.Interval{Lo: a, Hi: b}
-			ms := m.CreateAtoms(iv)
+			ms, lo, hi := m.CreateBounds(iv, nil)
 			os := o.CreateAtoms(iv)
 			if fmt.Sprint(ms) != fmt.Sprint(os) {
 				t.Fatalf("CreateAtoms(%v) splits: arena %v, oracle %v", iv, ms, os)
 			}
+			for i, h := range [2]Bound{lo, hi} {
+				key := [2]uint64{a, b}[i]
+				if old, ok := handles[key]; ok && old != h {
+					t.Fatalf("CreateBounds(%v): key %#x moved from handle %d to %d", iv, key, old, h)
+				}
+				handles[key] = h
+			}
+			made = append(made, iv)
 		case 2:
 			if !gc {
 				continue
@@ -109,11 +124,44 @@ func runDifferential(t testing.TB, data []byte) {
 				t.Fatalf("ReleaseBound(%#x): arena (%d,%v), oracle (%d,%v)",
 					bounds[k], mid, mok, oid, ook)
 			}
+			if h, ok := handles[bounds[k]]; ok && mok {
+				if m.Live(h) {
+					t.Fatalf("ReleaseBound(%#x): its handle %d is still live", bounds[k], h)
+				}
+				delete(handles, bounds[k])
+			}
 		case 3:
 			diffCompare(t, m, o)
+			checkHandles(t, m, handles, made, 4)
 		}
 	}
 	diffCompare(t, m, o)
+	checkHandles(t, m, handles, made, 64)
+}
+
+// checkHandles asserts the handle contract: every key still in M is named
+// by the handle CreateBounds last returned for it, across merges and
+// recycled tree slots, and for the newest k created intervals whose bounds
+// are both still keys, AtomsBetween over their handles equals Atoms.
+func checkHandles(t testing.TB, m *Map, handles map[uint64]Bound, made []ipnet.Interval, k int) {
+	t.Helper()
+	for key, h := range handles {
+		if !m.Live(h) || m.Key(h) != key {
+			t.Fatalf("handle %d of key %#x: live %v, names %#x", h, key, m.Live(h), m.Key(h))
+		}
+	}
+	for i := len(made) - 1; i >= 0 && k > 0; i-- {
+		iv := made[i]
+		lo, okLo := handles[iv.Lo]
+		hi, okHi := handles[iv.Hi]
+		if !okLo || !okHi {
+			continue
+		}
+		k--
+		if got, want := m.AtomsBetween(lo, hi, nil), m.Atoms(iv, nil); !slices.Equal(got, want) {
+			t.Fatalf("AtomsBetween(%d, %d) = %v, Atoms(%v) = %v", lo, hi, got, iv, want)
+		}
+	}
 }
 
 // TestDifferentialRandom hammers the arena map against the oracle with
@@ -161,8 +209,9 @@ func TestDifferentialRecycleChurn(t *testing.T) {
 // boundary map: random operation scripts (see runDifferential for the
 // encoding) run against both the flat implementation and the retained
 // rbtree oracle, asserting identical atoms, split pairs, bounds, and
-// allocation stamps. Seed corpus under testdata/fuzz/FuzzIntervalMapFlat
-// covers GC on/off, id recycling, and re-split-after-merge histories.
+// allocation stamps, and that every bound handle keeps naming its key.
+// Seed corpus under testdata/fuzz/FuzzIntervalMapFlat covers GC on/off,
+// id recycling, and re-split-after-merge histories.
 func FuzzIntervalMapFlat(f *testing.F) {
 	f.Add([]byte{})
 	// gc off: pure splits, duplicate bounds.

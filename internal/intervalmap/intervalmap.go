@@ -24,6 +24,14 @@ type AtomID int32
 // interval and never appears in interval expansions.
 const Infinity AtomID = -1
 
+// Bound is a handle on one key of M: the slot of the key's node in the
+// arena tree. A handle names the same key for as long as that key stays
+// in M — insertion, the CLRS delete and the rotations relink nodes and
+// never move a key to another slot — so a caller may store it in place
+// of the key. Once the key is released the slot is recycled, and the
+// handle may come to name a different key.
+type Bound int32
+
 // SplitPair records that an existing atom's interval was split: Old now
 // denotes only the lower part and New denotes the upper part. Algorithm 1
 // consumes these as its Δ set; |Δ| ≤ 2 per rule insertion.
@@ -120,20 +128,37 @@ func (m *Map) CreateAtoms(iv ipnet.Interval) []SplitPair {
 // CreateAtomsInto is CreateAtoms appending into dst — the allocation-free
 // form for hot update paths that keep a reusable split buffer.
 func (m *Map) CreateAtomsInto(iv ipnet.Interval, dst []SplitPair) []SplitPair {
-	delta := dst
-	for _, bound := range [2]uint64{iv.Lo, iv.Hi} {
-		if m.tree.has(bound) {
-			continue
-		}
-		prev := m.tree.lower(bound)
-		// prev always exists: MIN=0 is a key and bound > 0 here
-		// (bound == 0 would have hit the has check).
-		old := m.tree.nodes[prev].val
-		id := m.alloc()
-		m.tree.insert(bound, id)
-		delta = append(delta, SplitPair{Old: old, New: id})
-	}
+	delta, _, _ := m.CreateBounds(iv, dst)
 	return delta
+}
+
+// CreateBounds is CreateAtomsInto that also returns the handles of iv's
+// two bounds, found or created on the way.
+func (m *Map) CreateBounds(iv ipnet.Interval, dst []SplitPair) (delta []SplitPair, lo, hi Bound) {
+	delta = dst
+	var h [2]Bound
+	for i, bound := range [2]uint64{iv.Lo, iv.Hi} {
+		n := m.tree.find(bound)
+		if n == nilNode {
+			prev := m.tree.lower(bound)
+			// prev always exists: MIN=0 is a key and bound > 0 here
+			// (bound == 0 would have been found).
+			old := m.tree.nodes[prev].val
+			id := m.alloc()
+			n = m.tree.insert(bound, id)
+			delta = append(delta, SplitPair{Old: old, New: id})
+		}
+		h[i] = Bound(n)
+	}
+	return delta, h[0], h[1]
+}
+
+// Key returns the key a live handle names.
+func (m *Map) Key(h Bound) uint64 { return m.tree.nodes[h].key }
+
+// Live reports whether h names a key currently in M.
+func (m *Map) Live(h Bound) bool {
+	return h >= 0 && int(h) < len(m.tree.nodes) && m.tree.find(m.tree.nodes[h].key) == int32(h)
 }
 
 // ReleaseBound removes the boundary key at bound, merging the atom that
@@ -146,11 +171,12 @@ func (m *Map) ReleaseBound(bound uint64) (AtomID, bool) {
 	if bound == 0 || bound == m.space.Max() {
 		return 0, false
 	}
-	v, ok := m.tree.get(bound)
-	if !ok {
+	n := m.tree.find(bound)
+	if n == nilNode {
 		return 0, false
 	}
-	m.tree.delete(bound)
+	v := m.tree.nodes[n].val
+	m.tree.deleteNode(n)
 	m.free = append(m.free, v)
 	return v, true
 }
@@ -163,6 +189,16 @@ func (m *Map) Atoms(iv ipnet.Interval, dst []AtomID) []AtomID {
 		dst = append(dst, id)
 		return true
 	})
+	return dst
+}
+
+// AtomsBetween is Atoms for the interval between two live handles,
+// Key(lo) < Key(hi): it walks successors from lo and skips the descent
+// that finds the interval's first key.
+func (m *Map) AtomsBetween(lo, hi Bound, dst []AtomID) []AtomID {
+	for n := int32(lo); n != int32(hi); n = m.tree.next(n) {
+		dst = append(dst, m.tree.nodes[n].val)
+	}
 	return dst
 }
 
@@ -241,7 +277,7 @@ func (m *Map) ForEachAtom(fn func(id AtomID, iv ipnet.Interval) bool) {
 }
 
 // HasBound reports whether n is currently a boundary key.
-func (m *Map) HasBound(n uint64) bool { return m.tree.has(n) }
+func (m *Map) HasBound(n uint64) bool { return m.tree.find(n) != nilNode }
 
 // CheckInvariants verifies the backing tree's red-black properties, key
 // ordering, and arena slot accounting, returning a description of the
