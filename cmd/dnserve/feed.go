@@ -27,9 +27,9 @@ import (
 // feedUsage documents the -feed grammar (also in the flag help).
 const feedUsage = "bgp:<updates>[:<seed>], sdnip:<airtel1|airtel2|4switch>[:<scale>], or openflow:<file>"
 
-// feedChunk is how many ops each IngestOps call carries: large enough
-// to amortize the per-call validation read lock, small enough that the
-// ring's backpressure granularity stays fine.
+// feedChunk is how many ops each IngestOps call carries: a call validates
+// its whole slice, without the engine lock, before pushing any of it, so
+// the chunk bounds the work ahead of the ring and what a refusal withholds.
 const feedChunk = 256
 
 // feedSource is a built feed: a name for logging, the op stream, and —

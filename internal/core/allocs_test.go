@@ -52,3 +52,51 @@ func TestSteadyChurnZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state churn cycle allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestBatchChurnZeroAllocs is the same promise for ApplyBatch on one
+// worker: once warmed, a churn cycle of two batches — inserts from several
+// sources over shared atoms (the one-merge rewrite), then a batch that
+// removes and re-inserts one id and removes the rest — allocates nothing.
+// The batch scratch (items, id map, incidences, runs, results and the
+// rewrite buffers) is retained across calls.
+func TestBatchChurnZeroAllocs(t *testing.T) {
+	g := netgraph.New()
+	var nodes []netgraph.NodeID
+	for _, name := range []string{"s1", "s2", "s3", "s4"} {
+		nodes = append(nodes, g.AddNode(name))
+	}
+	var links []netgraph.LinkID
+	for i := range nodes {
+		links = append(links, g.AddLink(nodes[i], nodes[(i+1)%len(nodes)]))
+	}
+	n := NewNetwork(g, Options{})
+	var ins, churn []BatchOp
+	for i := range 8 {
+		src := i % len(nodes)
+		lo := uint64(i%3) * 1000
+		ins = append(ins, InsertOp(Rule{ID: RuleID(10 + i), Source: nodes[src], Link: links[src],
+			Match: ipnet.Interval{Lo: lo, Hi: lo + 4000}, Priority: Priority(i % 2)}))
+		if i > 0 {
+			churn = append(churn, RemoveOp(RuleID(10+i)))
+		}
+	}
+	churn = append(churn, RemoveOp(10), ins[0], RemoveOp(10))
+	var d Delta
+	cycle := func() {
+		if err := n.ApplyBatch(ins, &d, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.ApplyBatch(churn, &d, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("steady-state ApplyBatch churn cycle allocates %.1f objects/op, want 0", allocs)
+	}
+	if msg := n.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+}

@@ -12,12 +12,11 @@ package core
 //     the shared boundary map M — then allocate each insertion's arena
 //     slot, whose record names the rule's bounds by the handles
 //     CREATE_ATOMS+ just found or made;
-//  3. group the operations by atom over the now-final partition: each rule
-//     expands to ⟦interval(r)⟧ exactly once, and k batch rules covering
-//     the same atom produce one per-atom job instead of k full passes;
-//  4. replay each atom's operations against its owner BSTs on a worker
-//     pool — atoms are independent, so this fans out with no locking —
-//     emitting the net label change per (source, atom);
+//  3. expand each rule to ⟦interval(r)⟧ once over the final partition and
+//     group the incidences by atom, then source, in a linear radix pass;
+//  4. replay each atom's operations on a worker pool (atoms are
+//     independent, so no locking): in place for an atom one op touches,
+//     else one merge of its cells; emit the net change per (source, atom);
 //  5. apply the net label-bit changes and rule/GC bookkeeping serially.
 //
 // The resulting Delta is compacted: it records the net difference between
@@ -79,8 +78,8 @@ type batchItem struct {
 // BSTs — and fanned out over a worker pool (workers ≤ 0 selects
 // GOMAXPROCS). The produced Delta has Op == OpBatch and compacted
 // Added/Removed lists: only bits whose final value differs from their
-// pre-batch value appear, in ascending atom order, so downstream
-// incremental checks run once over the net change.
+// pre-batch value appear, atom by atom, so downstream incremental checks
+// run once over the net change.
 //
 // With GC enabled, boundary collection is deferred to the end of the
 // batch; the final forwarding behaviour matches the sequential execution,
@@ -119,22 +118,16 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 		}
 	}
 
-	// Phase 3: expand every operation over the final partition and group
-	// by atom, preserving operation order within each atom's list. Each
-	// interval is expanded once, from its record's bound handles;
-	// overlapping rules share per-atom jobs. Grouping is a sort over
-	// retained (atom, item) pairs rather than a map of slices: churn
-	// batches run this path constantly, and the map allocated one bucket
-	// slice per touched atom per call.
+	// Phase 3: expand every operation over the final partition, once, from
+	// its record's bound handles, and group the incidences by (atom,
+	// source) into retained scratch.
 	n.batchPairs = n.batchPairs[:0]
 	maxAtom := intervalmap.AtomID(0)
 	for i, it := range items {
 		n.atomBuf = n.atomsOf(it.slot)
 		for _, alpha := range n.atomBuf {
 			n.batchPairs = append(n.batchPairs, atomOp{atom: alpha, item: int32(i)})
-			if alpha > maxAtom {
-				maxAtom = alpha
-			}
+			maxAtom = max(maxAtom, alpha)
 		}
 	}
 	// Pre-grow the owner slice so workers only ever write their own
@@ -142,17 +135,10 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 	for int(maxAtom) >= len(n.owner) {
 		n.owner = append(n.owner, ownerAtom{})
 	}
-
-	// Sorting by (atom, item) groups each atom's operations contiguously
-	// in operation order and makes phase 5 deterministic (ascending atom
-	// order), exactly as the former per-atom map + sorted key slice did.
+	if len(items) > 1 { // one op's incidences name distinct atoms and one source
+		n.batchPairs, n.pairsTmp = groupPairs(n.batchPairs, n.pairsTmp, items)
+	}
 	pairs := n.batchPairs
-	slices.SortFunc(pairs, func(a, b atomOp) int {
-		if a.atom != b.atom {
-			return int(a.atom) - int(b.atom)
-		}
-		return int(a.item) - int(b.item)
-	})
 	n.batchRuns = n.batchRuns[:0]
 	for i := range pairs {
 		if i == 0 || pairs[i].atom != pairs[i-1].atom {
@@ -206,8 +192,8 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 		wg.Wait()
 	}
 
-	// Phase 5: apply the net label-bit changes (serial, deterministic:
-	// ascending atom order) and per-rule bookkeeping in operation order.
+	// Phase 5: apply the net label-bit changes (serial, deterministic: in
+	// phase 3's order) and per-rule bookkeeping in operation order.
 	for i := range results {
 		for _, la := range results[i].removed {
 			n.labelOf(la.Link).Remove(int(la.Atom))
@@ -322,70 +308,146 @@ type atomResult struct {
 }
 
 // atomOp is one (atom, operation) incidence from phase 3's interval
-// expansion; sorting these by (atom, item) groups each atom's operations
-// contiguously while keeping them in operation order.
+// expansion.
 type atomOp struct {
 	atom intervalmap.AtomID
 	item int32
 }
 
-// replayScratch holds replayAtom's per-call source bookkeeping so a worker
-// can replay many atoms without allocating.
-type replayScratch struct {
-	touched []netgraph.NodeID
-	prev    []int32
+// groupPairs orders pairs by (atom, source), then operation order: a
+// stable LSD radix sort through tmp over the key bytes that differ, linear
+// in the pairs. It returns the sorted pairs and the other buffer.
+func groupPairs(pairs, tmp []atomOp, items []batchItem) ([]atomOp, []atomOp) {
+	key := func(p atomOp) uint64 { return uint64(p.atom)<<32 | uint64(uint32(items[p.item].rule.Source)) }
+	var differ uint64
+	for _, p := range pairs {
+		differ |= key(p) ^ key(pairs[0])
+	}
+	tmp = slices.Grow(tmp[:0], len(pairs))[:len(pairs)]
+	for shift := 0; differ>>shift != 0; shift += 8 {
+		if differ>>shift&0xff == 0 {
+			continue
+		}
+		var at [256]int32
+		for _, p := range pairs {
+			at[key(p)>>shift&0xff]++
+		}
+		sum := int32(0)
+		for d, c := range at {
+			at[d], sum = sum, sum+c
+		}
+		for _, p := range pairs {
+			d := key(p) >> shift & 0xff
+			tmp[at[d]] = p
+			at[d]++
+		}
+		pairs, tmp = tmp, pairs
+	}
+	return pairs, tmp
 }
 
-// replayAtom replays the batch operations covering atom alpha against its
-// owner BSTs and records the net forwarding change per touched source: one
-// Removed entry when the source's pre-batch out-link lost the atom, one
-// Added entry when a new out-link gained it. Sources whose owning rule
-// changed but whose out-link did not produce no entries — forwarding is
-// unchanged, so no downstream check needs to look at them.
+// replayScratch holds one worker's buffers for rewriting an atom: the new
+// cell directory and slab, and one cell's inserted and removed slots.
+type replayScratch struct {
+	cells         []ownerCell
+	slab, ins, rm []int32
+}
+
+// replayAtom replays run, the batch operations covering atom alpha grouped
+// by source, against its owner table and records the net forwarding
+// change per touched source (emitChange). The rule arena is read-only
+// during phase 4, so slot dereferences here race with nothing.
 func (n *Network) replayAtom(alpha intervalmap.AtomID, items []batchItem, run []atomOp, res *atomResult, rs *replayScratch) {
 	oa := &n.owner[alpha]
-	// touched preserves first-touch order; prev is parallel to it (the
-	// pre-batch owning slot per source, noSlot for none). Batches rarely
-	// touch more than a handful of sources per atom, so a linear scan
-	// beats a map. The rule arena is read-only during phase 4, so slot
-	// dereferences here race with nothing.
-	touched := rs.touched[:0]
-	prev := rs.prev[:0]
-	recordPrev := func(s netgraph.NodeID) {
-		for _, t := range touched {
-			if t == s {
-				return
-			}
-		}
-		touched = append(touched, s)
-		prev = append(prev, oa.top(s))
-	}
-	for _, op := range run {
-		it := &items[op.item]
+	if len(run) == 1 { // in place: moves only the entries after the edit
+		it := &items[run[0].item]
 		s := it.rule.Source
-		recordPrev(s)
+		prev := oa.top(s)
 		if it.insert {
 			oa.insert(&n.store, s, it.slot, it.rule.key())
 		} else {
 			oa.remove(&n.store, s, it.rule.key())
 		}
+		n.emitChange(res, alpha, prev, oa.top(s))
+		return
 	}
-	for i, s := range touched {
-		after := oa.top(s)
-		p := prev[i]
-		switch {
-		case p == noSlot && after == noSlot:
-		case p == noSlot:
-			res.added = append(res.added, LinkAtom{Link: n.store.recs[after].link, Atom: alpha})
-		case after == noSlot:
-			res.removed = append(res.removed, LinkAtom{Link: n.store.recs[p].link, Atom: alpha})
-		default:
-			pl, al := n.store.recs[p].link, n.store.recs[after].link
-			if pl != al {
-				res.removed = append(res.removed, LinkAtom{Link: pl, Atom: alpha})
-				res.added = append(res.added, LinkAtom{Link: al, Atom: alpha})
-			}
+	// Rewrite the atom: merge its cells with the run's sources by node.
+	cells, slab := rs.cells[:0], rs.slab[:0]
+	ci := 0
+	keepCells := func(below netgraph.NodeID) {
+		for ; ci < len(oa.cells) && oa.cells[ci].node < below; ci++ {
+			slab = append(slab, oa.window(ci)...)
+			cells = append(cells, ownerCell{node: oa.cells[ci].node, end: int32(len(slab))})
 		}
 	}
-	rs.touched, rs.prev = touched, prev // hand grown capacity back
+	for g := 0; g < len(run); {
+		s := items[run[g].item].rule.Source
+		rs.ins, rs.rm = rs.ins[:0], rs.rm[:0]
+		for ; g < len(run) && items[run[g].item].rule.Source == s; g++ {
+			if it := &items[run[g].item]; it.insert {
+				rs.ins = append(rs.ins, it.slot)
+			} else {
+				rs.rm = append(rs.rm, it.slot)
+			}
+		}
+		keepCells(s)
+		var old []int32
+		prev, after := noSlot, noSlot
+		if ci < len(oa.cells) && oa.cells[ci].node == s {
+			old, ci = oa.window(ci), ci+1
+			prev = old[len(old)-1]
+		}
+		start := len(slab)
+		if slab = n.store.mergeWindow(slab, old, rs.ins, rs.rm); len(slab) > start {
+			cells = append(cells, ownerCell{node: s, end: int32(len(slab))})
+			after = slab[len(slab)-1]
+		}
+		n.emitChange(res, alpha, prev, after)
+	}
+	keepCells(netgraph.NodeID(1<<31 - 1))
+	oa.cells, oa.slab = setGrow(oa.cells, cells), setGrow(oa.slab, slab)
+	rs.cells, rs.slab = cells, slab // hand grown capacity back
+}
+
+// mergeWindow appends to dst a cell's window after a batch, old ∪ ins −
+// rm in key order. Every slot of rm is in old or ins and none repeats, as
+// a batch allocates every slot before it releases any; ordering by (key,
+// slot) separates a removed rule from its id's re-insertion.
+func (s *ruleStore) mergeWindow(dst, old, ins, rm []int32) []int32 {
+	cmp := func(a, b int32) int {
+		if c := cmpPrioKey(s.keyOf(a), s.keyOf(b)); c != 0 {
+			return c
+		}
+		return int(a - b)
+	}
+	slices.SortFunc(ins, cmp)
+	slices.SortFunc(rm, cmp)
+	for i, j := 0, 0; i < len(old) || j < len(ins); {
+		var x int32
+		if j == len(ins) || i < len(old) && cmp(old[i], ins[j]) < 0 {
+			x, i = old[i], i+1
+		} else {
+			x, j = ins[j], j+1
+		}
+		if len(rm) > 0 && rm[0] == x {
+			rm = rm[1:]
+		} else {
+			dst = append(dst, x)
+		}
+	}
+	return dst
+}
+
+// emitChange records the net forwarding change at a source of alpha whose
+// owner went from slot prev to after: Removed for a lost out-link, Added
+// for a gained one, nothing when only the owning rule changed.
+func (n *Network) emitChange(res *atomResult, alpha intervalmap.AtomID, prev, after int32) {
+	if pl, al := n.linkOf(prev), n.linkOf(after); pl != al {
+		if pl != netgraph.NoLink {
+			res.removed = append(res.removed, LinkAtom{Link: pl, Atom: alpha})
+		}
+		if al != netgraph.NoLink {
+			res.added = append(res.added, LinkAtom{Link: al, Atom: alpha})
+		}
+	}
 }

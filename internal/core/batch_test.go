@@ -8,6 +8,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -94,12 +95,69 @@ func randomBatchOps(rng *rand.Rand, g *netgraph.Graph, nodes []netgraph.NodeID,
 	return ops
 }
 
-// runBatchEquivalence drives the same random workload through ApplyBatch
-// (batch size k, worker count w) and through sequential Insert/Remove on a
-// twin engine, comparing states and the brute oracle after every batch.
-func runBatchEquivalence(t *testing.T, seed int64, batchSize, workers int) {
+// opGen produces one batch of count ops over g's nodes, tracking the ids
+// left live in live and the next fresh id in nextID.
+type opGen func(rng *rand.Rand, g *netgraph.Graph, nodes []netgraph.NodeID, live *[]RuleID, nextID *RuleID, count int) []BatchOp
+
+// wideFanoutOps generates ops over 64-address cells of [0, 1024), so a
+// few atoms each carry most sources and repeated ops on one (atom,
+// source). Every sixteenth op removes a live id and re-inserts it (R id,
+// I id), another sixteenth inserts a fresh id that the batch's tail
+// removes (I id, R id). An id's source and priority follow from the id,
+// so a re-insertion lands in its old cell under its old key, and
+// priorities are few, so ties between ids fall to the id.
+func wideFanoutOps(rng *rand.Rand, g *netgraph.Graph, nodes []netgraph.NodeID, live *[]RuleID, nextID *RuleID, count int) []BatchOp {
+	var ops []BatchOp
+	var transient []RuleID
+	insert := func(id RuleID) {
+		src := nodes[int(id)%len(nodes)]
+		outs := g.Out(src)
+		lo := uint64(rng.Intn(15)) * 64
+		ops = append(ops, InsertOp(Rule{ID: id, Source: src, Link: outs[rng.Intn(len(outs))],
+			Match: iv(lo, lo+64*uint64(1+rng.Intn(3))), Priority: Priority(int(id) / len(nodes) % 4)}))
+	}
+	for len(ops) < count {
+		switch k := rng.Intn(16); {
+		case k == 0 && len(*live) > 0:
+			id := (*live)[rng.Intn(len(*live))]
+			ops = append(ops, RemoveOp(id))
+			insert(id)
+		case k == 1:
+			insert(*nextID)
+			transient = append(transient, *nextID)
+			*nextID++
+		case k < 7 && len(*live) > 0:
+			i := rng.Intn(len(*live))
+			ops = append(ops, RemoveOp((*live)[i]))
+			(*live)[i] = (*live)[len(*live)-1]
+			*live = (*live)[:len(*live)-1]
+		default:
+			insert(*nextID)
+			*live = append(*live, *nextID)
+			*nextID++
+		}
+	}
+	for _, id := range transient {
+		ops = append(ops, RemoveOp(id))
+	}
+	return ops
+}
+
+// batchShape is what the batches of one equivalence run put on single
+// atoms: the most sources on one atom, the most ops on one (atom, source),
+// and whether some batch removed and re-inserted an id, or inserted one
+// and removed it again.
+type batchShape struct {
+	sources, cellOps                 int
+	removeReinsert, insertThenRemove bool
+}
+
+// runBatchEquivalence drives the same workload through ApplyBatch (batch
+// size k, worker count w) and through sequential Insert/Remove on a twin
+// engine, comparing states and the brute oracle after every batch.
+func runBatchEquivalence(t *testing.T, seed int64, nodeCount, batchSize, workers int, gen opGen) batchShape {
 	rng := rand.New(rand.NewSource(seed))
-	g, nodes, _ := buildRandomTopology(rng, 5)
+	g, nodes, _ := buildRandomTopology(rng, nodeCount)
 	batched := NewNetwork(g, Options{})
 	seq := NewNetwork(g, Options{})
 	oracle := newBrute()
@@ -107,26 +165,48 @@ func runBatchEquivalence(t *testing.T, seed int64, batchSize, workers int) {
 	var live []RuleID
 	nextID := RuleID(1)
 	var d, scratch Delta
+	var shape batchShape
 	for round := 0; round < 6; round++ {
-		ops := randomBatchOps(rng, g, nodes, &live, &nextID, batchSize)
+		ops := gen(rng, g, nodes, &live, &nextID, batchSize)
 		if err := batched.ApplyBatch(ops, &d, workers); err != nil {
 			t.Fatal(err)
 		}
+		sources := map[intervalmap.AtomID]map[netgraph.NodeID]bool{}
+		cellOps := map[[2]int32]int{} // (atom, source)
+		inserted := map[RuleID]bool{} // ids this batch touched: true if last inserted
 		for _, op := range ops {
+			r := op.Rule
 			if op.Insert {
+				if was, ok := inserted[r.ID]; ok && !was {
+					shape.removeReinsert = true
+				}
 				if err := seq.InsertRuleInto(op.Rule, &scratch); err != nil {
 					t.Fatal(err)
 				}
-				rr := op.Rule
-				if rr.Link == netgraph.NoLink {
-					rr.Link = g.DropLink(rr.Source)
+				if r.Link == netgraph.NoLink {
+					r.Link = g.DropLink(r.Source)
 				}
-				oracle.insert(rr)
+				oracle.insert(r)
 			} else {
+				if inserted[r.ID] {
+					shape.insertThenRemove = true
+				}
+				r, _ = seq.Rule(r.ID)
 				if err := seq.RemoveRuleInto(op.Rule.ID, &scratch); err != nil {
 					t.Fatal(err)
 				}
 				oracle.remove(op.Rule.ID)
+			}
+			inserted[r.ID] = op.Insert
+			for _, a := range batched.AtomsOverlapping(r.Match) {
+				if sources[a] == nil {
+					sources[a] = map[netgraph.NodeID]bool{}
+				}
+				sources[a][r.Source] = true
+				shape.sources = max(shape.sources, len(sources[a]))
+				cell := [2]int32{int32(a), int32(r.Source)}
+				cellOps[cell]++
+				shape.cellOps = max(shape.cellOps, cellOps[cell])
 			}
 		}
 		compareNetworks(t, batched, seq)
@@ -135,6 +215,7 @@ func runBatchEquivalence(t *testing.T, seed int64, batchSize, workers int) {
 			t.Fatalf("round %d: %s", round, msg)
 		}
 	}
+	return shape
 }
 
 func TestBatchEquivalentToSequential(t *testing.T) {
@@ -151,7 +232,17 @@ func TestBatchEquivalentToSequential(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			runBatchEquivalence(t, tc.seed, tc.batch, tc.workers)
+			runBatchEquivalence(t, tc.seed, 5, tc.batch, tc.workers, randomBatchOps)
+		})
+	}
+	// Wide fanout: 64 sources over a few atoms, so single atoms take the
+	// one-merge rewrite with dozens of sources and repeated ops per cell.
+	for _, workers := range []int{1, 0} {
+		t.Run(fmt.Sprintf("fanout64-batch1024-workers%d", workers), func(t *testing.T) {
+			shape := runBatchEquivalence(t, 16, 64, 1024, workers, wideFanoutOps)
+			if shape.sources < 32 || shape.cellOps < 2 || !shape.removeReinsert || !shape.insertThenRemove {
+				t.Fatalf("workload too narrow to exercise the atom merge: %+v", shape)
+			}
 		})
 	}
 }

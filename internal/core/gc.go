@@ -47,7 +47,7 @@ func (n *Network) releaseBound(bound uint64) {
 	// table keeps its backing arrays for the id's next incarnation.
 	if int(id) < len(n.owner) {
 		oa := &n.owner[id]
-		oa.eachTop(func(slot int32) { n.labelOf(n.store.recs[slot].link).Remove(int(id)) })
+		oa.eachTop(func(slot int32) { n.labelOf(n.store.rec(slot).link).Remove(int(id)) })
 		oa.reset()
 	}
 }

@@ -51,8 +51,11 @@ type storeImage struct {
 }
 
 func imageOf(s *ruleStore) storeImage {
-	return storeImage{table: slices.Clone(s.table), free: slices.Clone(s.free), recs: slices.Clone(s.recs),
-		shift: s.shift, live: s.live}
+	img := storeImage{table: slices.Clone(s.table), free: slices.Clone(s.free), shift: s.shift, live: s.live}
+	for slot := int32(0); slot < s.n; slot++ {
+		img.recs = append(img.recs, *s.rec(slot))
+	}
+	return img
 }
 
 func (a storeImage) equal(b storeImage) bool {
@@ -269,7 +272,7 @@ func TestIDIndexRecycledTreeSlot(t *testing.T) {
 	dr.batch(InsertOp(rule(1, 100, 200)), InsertOp(rule(2, 200, 300)), InsertOp(rule(3, 150, 250)))
 	dr.check()
 	slot3, _ := dr.n.store.slotOf(3)
-	freed := []intervalmap.Bound{dr.n.store.recs[slot3].lo, dr.n.store.recs[slot3].hi}
+	freed := []intervalmap.Bound{dr.n.store.rec(slot3).lo, dr.n.store.rec(slot3).hi}
 
 	dr.batch(RemoveOp(3))
 	dr.check()
@@ -278,7 +281,7 @@ func TestIDIndexRecycledTreeSlot(t *testing.T) {
 	dr.check()
 	dr.finish()
 	slot4, _ := dr.n.store.slotOf(4)
-	got := []intervalmap.Bound{dr.n.store.recs[slot4].lo, dr.n.store.recs[slot4].hi}
+	got := []intervalmap.Bound{dr.n.store.rec(slot4).lo, dr.n.store.rec(slot4).hi}
 	slices.Sort(freed)
 	slices.Sort(got)
 	if !slices.Equal(got, freed) {

@@ -89,8 +89,8 @@ func TestRuleRecordIs24Bytes(t *testing.T) {
 
 // TestOwnerGrowthByAnEighth inserts k rules one by one, all over one atom
 // and spread over 200 sources: after every insert, the atom's slab and
-// cell directory and the rule arena each hold at most an eighth of their
-// length, plus 64, as spare capacity.
+// cell directory each hold at most an eighth of their length, plus 64, as
+// spare capacity, and the paged rule arena at most one page.
 func TestOwnerGrowthByAnEighth(t *testing.T) {
 	const k, sources = 5000, 200
 	g := netgraph.New()
@@ -114,11 +114,13 @@ func TestOwnerGrowthByAnEighth(t *testing.T) {
 		}{
 			{"slab", len(oa.slab), cap(oa.slab)},
 			{"cell directory", len(oa.cells), cap(oa.cells)},
-			{"rule arena", len(n.store.recs), cap(n.store.recs)},
 		} {
 			if s.cap > s.len+s.len/8+64 {
 				t.Fatalf("after %d inserts the %s holds %d of capacity %d", i+1, s.what, s.len, s.cap)
 			}
+		}
+		if arena := len(n.store.pages) * pageSize; arena > int(n.store.n)+pageSize {
+			t.Fatalf("after %d inserts the rule arena holds %d of capacity %d", i+1, n.store.n, arena)
 		}
 	}
 }

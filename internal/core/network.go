@@ -47,6 +47,7 @@ type Network struct {
 	batchItems   []batchItem
 	batchPending map[RuleID]int32
 	batchPairs   []atomOp
+	pairsTmp     []atomOp
 	batchRuns    []int32
 	batchResults []atomResult
 	replayTmp    replayScratch
@@ -126,8 +127,8 @@ func (n *Network) Rule(id RuleID) (Rule, bool) {
 // slot is zeroed and a live rule's match is never empty (insert refuses
 // one), so its distinct bound handles tell it from a free slot.
 func (n *Network) Rules(fn func(r Rule) bool) {
-	for slot := range n.store.recs {
-		if rec := &n.store.recs[slot]; rec.lo != rec.hi && !fn(n.ruleAt(int32(slot))) {
+	for slot := int32(0); slot < n.store.n; slot++ {
+		if rec := n.store.rec(slot); rec.lo != rec.hi && !fn(n.ruleAt(slot)) {
 			return
 		}
 	}
@@ -135,7 +136,7 @@ func (n *Network) Rules(fn func(r Rule) bool) {
 
 // ruleAt expands the arena record in slot back into a Rule.
 func (n *Network) ruleAt(slot int32) Rule {
-	rec := &n.store.recs[slot]
+	rec := n.store.rec(slot)
 	return Rule{ID: rec.id, Source: n.graph.Link(rec.link).Src, Link: rec.link,
 		Match: ipnet.Interval{Lo: n.m.Key(rec.lo), Hi: n.m.Key(rec.hi)}, Priority: rec.prio}
 }
@@ -202,11 +203,15 @@ func (n *Network) ForwardLink(v netgraph.NodeID, atom intervalmap.AtomID) netgra
 	if int(atom) >= len(n.owner) {
 		return netgraph.NoLink
 	}
-	slot := n.owner[atom].top(v)
+	return n.linkOf(n.owner[atom].top(v))
+}
+
+// linkOf returns the link of the rule in slot, or NoLink for noSlot.
+func (n *Network) linkOf(slot int32) netgraph.LinkID {
 	if slot == noSlot {
 		return netgraph.NoLink
 	}
-	return n.store.recs[slot].link
+	return n.store.rec(slot).link
 }
 
 // OwnerRule returns the rule owning atom α at node v, if any.
@@ -298,11 +303,9 @@ func (n *Network) insertRule(r Rule, d *Delta) error {
 		if prev == noSlot || cmpPrioKey(n.store.keyOf(prev), k) < 0 {
 			newLabel.Add(int(alpha))
 			d.Added = append(d.Added, LinkAtom{Link: r.Link, Atom: alpha})
-			if prev != noSlot {
-				if prevLink := n.store.recs[prev].link; prevLink != r.Link {
-					n.labelOf(prevLink).Remove(int(alpha))
-					d.Removed = append(d.Removed, LinkAtom{Link: prevLink, Atom: alpha})
-				}
+			if prevLink := n.linkOf(prev); prevLink != netgraph.NoLink && prevLink != r.Link {
+				n.labelOf(prevLink).Remove(int(alpha))
+				d.Removed = append(d.Removed, LinkAtom{Link: prevLink, Atom: alpha})
 			}
 		}
 	}
@@ -327,7 +330,7 @@ func (n *Network) createAtoms(r *Rule, d *Delta) ruleRec {
 		newOwner := n.ownerAt(sp.New) // may grow the directory: take first
 		oldOwner := &n.owner[sp.Old]
 		newOwner.cloneFrom(oldOwner)
-		oldOwner.eachTop(func(slot int32) { n.labelOf(n.store.recs[slot].link).Add(int(sp.New)) })
+		oldOwner.eachTop(func(slot int32) { n.labelOf(n.store.rec(slot).link).Add(int(sp.New)) })
 	}
 	return ruleRec{id: r.ID, lo: lo, hi: hi, link: r.Link, prio: r.Priority}
 }
@@ -335,7 +338,7 @@ func (n *Network) createAtoms(r *Rule, d *Delta) ruleRec {
 // atomsOf expands the live rule in slot to ⟦interval(r)⟧ into atomBuf,
 // walking the boundary tree from the rule's lower-bound handle.
 func (n *Network) atomsOf(slot int32) []intervalmap.AtomID {
-	rec := &n.store.recs[slot]
+	rec := n.store.rec(slot)
 	return n.m.AtomsBetween(rec.lo, rec.hi, n.atomBuf[:0])
 }
 
@@ -371,8 +374,7 @@ func (n *Network) removeRule(id RuleID, d *Delta) error {
 		if wasTop, next := n.owner[alpha].remove(&n.store, r.Source, k); wasTop {
 			ownLabel.Remove(int(alpha))
 			d.Removed = append(d.Removed, LinkAtom{Link: r.Link, Atom: alpha})
-			if next != noSlot {
-				nextLink := n.store.recs[next].link
+			if nextLink := n.linkOf(next); nextLink != netgraph.NoLink {
 				n.labelOf(nextLink).Add(int(alpha))
 				d.Added = append(d.Added, LinkAtom{Link: nextLink, Atom: alpha})
 			}
@@ -401,9 +403,9 @@ func (n *Network) CheckInvariants() string {
 		}
 		for ci, c := range oa.cells {
 			for _, slot := range oa.window(ci) {
-				if src := n.graph.Link(n.store.recs[slot].link).Src; src != c.node {
+				if src := n.graph.Link(n.store.rec(slot).link).Src; src != c.node {
 					return fmt.Sprintf("atom %d: owner cell of node %d holds foreign rule %d of node %d",
-						i, c.node, n.store.recs[slot].id, src)
+						i, c.node, n.store.rec(slot).id, src)
 				}
 			}
 		}
@@ -418,8 +420,8 @@ func (n *Network) CheckInvariants() string {
 		}
 	}
 	live := 0
-	for slot := range n.store.recs {
-		rec := &n.store.recs[slot]
+	for slot := int32(0); slot < n.store.n; slot++ {
+		rec := n.store.rec(slot)
 		if rec.lo == rec.hi {
 			continue
 		}
@@ -428,15 +430,15 @@ func (n *Network) CheckInvariants() string {
 			return fmt.Sprintf("rule store slot %d (id %d): bound handles %d, %d do not name keys lo < hi",
 				slot, rec.id, rec.lo, rec.hi)
 		}
-		r := n.ruleAt(int32(slot))
-		if got, _ := n.store.slotOf(r.ID); got != int32(slot) {
+		r := n.ruleAt(slot)
+		if got, _ := n.store.slotOf(r.ID); got != slot {
 			return fmt.Sprintf("rule store slot %d holds id %d, index says slot %d", slot, r.ID, got)
 		}
 		for _, alpha := range n.m.Atoms(r.Match, nil) {
 			if int(alpha) >= len(n.owner) {
 				return fmt.Sprintf("atom %d of %v has no owner table", alpha, r)
 			}
-			if got := n.owner[alpha].get(&n.store, r.Source, r.key()); got != int32(slot) {
+			if got := n.owner[alpha].get(&n.store, r.Source, r.key()); got != slot {
 				return fmt.Sprintf("owner invariant broken for %v atom %d", r, alpha)
 			}
 		}
@@ -453,7 +455,7 @@ func (n *Network) CheckInvariants() string {
 			return true
 		}
 		n.owner[alpha].eachTop(func(slot int32) {
-			want[LinkAtom{Link: n.store.recs[slot].link, Atom: alpha}] = true
+			want[LinkAtom{Link: n.store.rec(slot).link, Atom: alpha}] = true
 			total++
 		})
 		return true
@@ -505,7 +507,7 @@ func (n *Network) MemoryBytes() int64 { return n.MemoryRows().Total() }
 // MemoryRows attributes the engine's heap to its structures, one row
 // (bytes, capacity included) each.
 type MemoryRows struct {
-	Records  int64 // rule arena and its free list
+	Records  int64 // rule arena pages, their directory and the free list
 	Index    int64 // id → slot table
 	OwnerDir int64 // one ownerAtom header per atom id
 	Cells    int64 // owner cell directories
@@ -523,7 +525,7 @@ func (r MemoryRows) Total() int64 {
 // MemoryRows returns the engine's heap footprint by structure.
 func (n *Network) MemoryRows() MemoryRows {
 	r := MemoryRows{
-		Records:  int64(cap(n.store.recs))*int64(unsafe.Sizeof(ruleRec{})) + int64(cap(n.store.free))*4,
+		Records:  int64(len(n.store.pages))*int64(unsafe.Sizeof([pageSize]ruleRec{})) + int64(cap(n.store.pages))*8 + int64(cap(n.store.free))*4,
 		Index:    int64(cap(n.store.table)) * 4,
 		OwnerDir: int64(cap(n.owner)) * int64(unsafe.Sizeof(ownerAtom{})),
 		Labels:   int64(cap(n.labels)) * int64(unsafe.Sizeof((*bitset.Set)(nil))),

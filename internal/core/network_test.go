@@ -464,7 +464,7 @@ func TestCheckInvariantsReportsBadHandles(t *testing.T) {
 		}
 	}
 	slot2, _ := n.store.slotOf(2)
-	released := n.store.recs[slot2].lo
+	released := n.store.rec(slot2).lo
 	if _, err := n.RemoveRule(2); err != nil { // GC releases 20 and 30
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestCheckInvariantsReportsBadHandles(t *testing.T) {
 		t.Fatal(msg)
 	}
 	slot, _ := n.store.slotOf(1)
-	good := n.store.recs[slot]
+	good := *n.store.rec(slot)
 	for _, bad := range []struct {
 		name   string
 		lo, hi intervalmap.Bound
@@ -482,12 +482,12 @@ func TestCheckInvariantsReportsBadHandles(t *testing.T) {
 		{"released slot", good.lo, released},
 		{"swapped", good.hi, good.lo},
 	} {
-		n.store.recs[slot].lo, n.store.recs[slot].hi = bad.lo, bad.hi
+		n.store.rec(slot).lo, n.store.rec(slot).hi = bad.lo, bad.hi
 		if msg := n.CheckInvariants(); !strings.Contains(msg, "do not name keys lo < hi") {
 			t.Errorf("%s: CheckInvariants = %q, want the bad handles reported", bad.name, msg)
 		}
 	}
-	n.store.recs[slot] = good
+	*n.store.rec(slot) = good
 	if msg := n.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}

@@ -50,9 +50,9 @@ type ruleRec struct {
 }
 
 // ruleStore is the dense arena of live rules. Slots are recycled LIFO.
-// recs is contiguous and pointer-free, so the garbage collector never
-// scans rule storage, and key comparisons during owner-list searches
-// index a flat array instead of chasing a heap pointer per rule.
+// Records live in pages that are never moved, so growth costs one page and
+// leaves at most one spare. Pages are pointer-free, so the garbage collector
+// never scans rule storage, and owner-list searches index flat arrays.
 //
 // table is the id → slot index: a power-of-two open-addressed array of
 // slot+1 (0 = empty), linear-probed from a multiplicative hash of the id
@@ -61,12 +61,16 @@ type ruleRec struct {
 // the probe run back instead of leaving tombstones, so churn at a steady
 // rule count never rehashes.
 type ruleStore struct {
-	recs  []ruleRec
+	pages []*[pageSize]ruleRec
+	n     int32 // slots ever allocated: the arena's length
 	free  []int32
 	table []int32
 	shift uint8 // 64 − log2(len(table)): the hash keeps the product's top bits
 	live  int
 }
+
+// pageSize is how many records one arena page holds (6 KB).
+const pageSize = 1 << 8
 
 func newRuleStore() ruleStore {
 	return ruleStore{table: make([]int32, 16), shift: 64 - 4}
@@ -82,26 +86,32 @@ func (s *ruleStore) find(id RuleID) (int, bool) {
 	mask := len(s.table) - 1
 	for i := s.home(id); ; i = (i + 1) & mask {
 		e := s.table[i]
-		if e == 0 || s.recs[e-1].id == id {
+		if e == 0 || s.rec(e-1).id == id {
 			return i, e != 0
 		}
 	}
 }
 
+// rec returns the record in slot.
+func (s *ruleStore) rec(slot int32) *ruleRec {
+	return &s.pages[uint32(slot)/pageSize][uint32(slot)%pageSize]
+}
+
 // alloc stores rec and returns its slot, pointing the index at it. If its
 // id is still indexed (a batch that removes a rule and re-inserts its id
-// allocates before it releases), the entry is repointed. Pointers into
-// recs obtained before an alloc are invalidated by growth.
+// allocates before it releases), the entry is repointed.
 func (s *ruleStore) alloc(rec ruleRec) int32 {
 	var slot int32
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
 		s.free = s.free[:n-1]
-		s.recs[slot] = rec
 	} else {
-		slot = int32(len(s.recs))
-		s.recs = appendGrow(s.recs, rec)
+		slot = s.n
+		if s.n++; int(slot/pageSize) == len(s.pages) {
+			s.pages = append(s.pages, new([pageSize]ruleRec))
+		}
 	}
+	*s.rec(slot) = rec
 	if (s.live+1)*8 > len(s.table)*7 {
 		s.grow()
 	}
@@ -123,7 +133,7 @@ func (s *ruleStore) grow() {
 		if e == 0 {
 			continue
 		}
-		i := s.home(s.recs[e-1].id)
+		i := s.home(s.rec(e - 1).id)
 		for s.table[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -136,13 +146,13 @@ func (s *ruleStore) grow() {
 // already repointed the entry at the new slot.
 func (s *ruleStore) releaseSlot(slot int32) {
 	mask := len(s.table) - 1
-	for i := s.home(s.recs[slot].id); s.table[i] != 0; i = (i + 1) & mask {
+	for i := s.home(s.rec(slot).id); s.table[i] != 0; i = (i + 1) & mask {
 		if s.table[i] == slot+1 {
 			s.unindex(i)
 			break
 		}
 	}
-	s.recs[slot] = ruleRec{}
+	*s.rec(slot) = ruleRec{}
 	s.free = append(s.free, slot)
 }
 
@@ -152,7 +162,7 @@ func (s *ruleStore) releaseSlot(slot int32) {
 func (s *ruleStore) unindex(i int) {
 	mask := len(s.table) - 1
 	for j := (i + 1) & mask; s.table[j] != 0; j = (j + 1) & mask {
-		if h := s.home(s.recs[s.table[j]-1].id); (j-h)&mask >= (j-i)&mask {
+		if h := s.home(s.rec(s.table[j] - 1).id); (j-h)&mask >= (j-i)&mask {
 			s.table[i] = s.table[j]
 			i = j
 		}
@@ -169,12 +179,13 @@ func (s *ruleStore) slotOf(id RuleID) (int32, bool) {
 }
 
 func (s *ruleStore) keyOf(slot int32) prioKey {
-	return prioKey{prio: s.recs[slot].prio, id: s.recs[slot].id}
+	r := s.rec(slot)
+	return prioKey{prio: r.prio, id: r.id}
 }
 
 func (s *ruleStore) len() int { return s.live }
 
-// appendGrow is append for the rule arena and the owner tables: up to 64
+// appendGrow is append for the owner tables: up to 64
 // elements it keeps append's doubling, past that a full slice grows by an
 // eighth, so a structure that stops growing holds at most an eighth of
 // spare capacity (append leaves up to a quarter, past 256 elements).
@@ -183,6 +194,15 @@ func appendGrow[T any](s []T, v T) []T {
 		s = append(make([]T, 0, n+n/8), s...)
 	}
 	return append(s, v)
+}
+
+// setGrow returns src's elements in dst's storage, or in a new array of
+// exactly src's length when they do not fit.
+func setGrow[T any](dst, src []T) []T {
+	if len(src) > cap(dst) {
+		dst = make([]T, 0, len(src))
+	}
+	return append(dst[:0], src...)
 }
 
 // ownerCell is one (atom, source) entry in an atom's cell directory. The

@@ -12,6 +12,7 @@ package netgraph
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // NodeID identifies a node in the graph. Ids are dense and start at 0.
@@ -33,11 +34,12 @@ type Link struct {
 	Dst NodeID
 }
 
-// Graph is a growable directed multigraph. The zero value is an empty graph
-// ready to use. Not safe for concurrent mutation, with one carve-out: the
-// name table has its own lock, so NodeName and NodeByName may race an
-// AddNode (the server's watch streamers render node names while another
-// connection grows the topology).
+// Graph is a growable directed multigraph. Not safe for concurrent
+// mutation, with two carve-outs: the name table has its own lock, so
+// NodeName and NodeByName may race an AddNode (watch streamers render
+// names while a connection grows the topology), and NumNodes and NumLinks
+// read atomic counters, so they may race AddNode and AddLink (the server
+// admits frames against the graph's size without the engine lock).
 type Graph struct {
 	// nameMu guards names and byName only.
 	//
@@ -50,8 +52,9 @@ type Graph struct {
 	in        [][]LinkID // incoming links per node
 	linkIndex map[[2]NodeID]LinkID
 
-	dropNode  NodeID            // lazily created global sink for drop rules
-	dropLinks map[NodeID]LinkID // per-source drop links
+	dropNode           NodeID            // lazily created global sink for drop rules
+	dropLinks          map[NodeID]LinkID // per-source drop links
+	numNodes, numLinks atomic.Int32      // stored once an addition is complete
 }
 
 // New returns an empty graph.
@@ -78,6 +81,7 @@ func (g *Graph) AddNode(name string) NodeID {
 	g.nameMu.Unlock()
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
+	g.numNodes.Store(int32(id) + 1)
 	return id
 }
 
@@ -104,16 +108,12 @@ func (g *Graph) NodeName(id NodeID) string {
 }
 
 // NumNodes returns the number of nodes (including the drop sink once
-// created).
-func (g *Graph) NumNodes() int {
-	g.nameMu.RLock()
-	defer g.nameMu.RUnlock()
-	return len(g.names)
-}
+// created). Safe to call concurrently with AddNode.
+func (g *Graph) NumNodes() int { return int(g.numNodes.Load()) }
 
 // NumLinks returns the number of directed links (including drop links once
-// created).
-func (g *Graph) NumLinks() int { return len(g.links) }
+// created). Safe to call concurrently with AddLink.
+func (g *Graph) NumLinks() int { return int(g.numLinks.Load()) }
 
 // AddLink creates a directed link from src to dst and returns its id. If a
 // link between the pair already exists it is reused (the data plane only
@@ -128,6 +128,7 @@ func (g *Graph) AddLink(src, dst NodeID) LinkID {
 	g.out[src] = append(g.out[src], id)
 	g.in[dst] = append(g.in[dst], id)
 	g.linkIndex[key] = id
+	g.numLinks.Store(int32(id) + 1)
 	return id
 }
 
@@ -226,5 +227,7 @@ func (g *Graph) Clone() *Graph {
 	for k, v := range g.dropLinks {
 		c.dropLinks[k] = v
 	}
+	c.numNodes.Store(int32(len(c.names)))
+	c.numLinks.Store(int32(len(c.links)))
 	return c
 }

@@ -1,6 +1,9 @@
 package netgraph
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestAddNode(t *testing.T) {
 	g := New()
@@ -130,5 +133,42 @@ func TestClone(t *testing.T) {
 	}
 	if !c.IsDropLink(c.DropLink(a)) {
 		t.Fatal("clone drop state wrong")
+	}
+}
+
+// TestSizeCountersForLocklessAdmission reads NumNodes and NumLinks while
+// the one writer adds nodes, links and drop links, as the server's
+// admission does. Under -race the reads must be clean, every node a
+// reader counts must already be named, and the link count never falls.
+func TestSizeCountersForLocklessAdmission(t *testing.T) {
+	g := New()
+	hub := g.AddNode("hub")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			v := g.AddNode(fmt.Sprint("n", i))
+			g.AddLink(v, hub)
+			g.DropLink(v)
+		}
+	}()
+	lastLinks := 0
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		if n := g.NumNodes(); g.NodeName(NodeID(n-1)) == fmt.Sprintf("node#%d", n-1) {
+			t.Fatalf("NumNodes %d counts a node without a name", n)
+		}
+		l := g.NumLinks()
+		if l < lastLinks {
+			t.Fatalf("NumLinks went back from %d to %d", lastLinks, l)
+		}
+		lastLinks = l
+	}
+	if g.NumNodes() != 502 || g.NumLinks() != 1000 {
+		t.Fatalf("nodes=%d links=%d, want 502 and 1000", g.NumNodes(), g.NumLinks())
 	}
 }

@@ -9,8 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"deltanet/internal/bgp"
+	"deltanet/internal/core"
 	"deltanet/internal/journal"
 	"deltanet/internal/monitor"
+	"deltanet/internal/netgraph"
+	"deltanet/internal/routes"
+	"deltanet/internal/topo"
 )
 
 // benchIngest drives insert/remove churn through dispatch — the full
@@ -63,6 +68,54 @@ func BenchmarkIngest(b *testing.B) {
 		defer j.Close()
 		benchIngest(b, WithJournal(j))
 	})
+}
+
+// BenchmarkIngestBulkLoad is bulk load through the entrance dnserve's feed
+// replay and the benchmark's set-up take: a Libra-style plane (800 BGP
+// prefixes compiled into shortest-path rules toward random egresses over
+// rf1755, random priorities, seed 1: ≈ 69k rules, one per node per
+// prefix) pushed through IngestOps in 256-op chunks, then IngestBarrier,
+// into a fresh server per iteration. It reports ns per rule and ops per
+// commit, which is how full the coalescer's runs are.
+func BenchmarkIngestBulkLoad(b *testing.B) {
+	g, err := topo.Build("rf1755")
+	if err != nil {
+		b.Fatal(err)
+	}
+	feed := bgp.NewFeed(1, 0.3)
+	comp := routes.NewCompiler(g, 1)
+	comp.RandomPriority = true
+	var ops []core.BatchOp
+	for i := 0; i < 800; i++ {
+		for _, r := range comp.RulesForPrefix(feed.Next(), topo.SwitchNodes(g)) {
+			ops = append(ops, core.InsertOp(r))
+		}
+	}
+	var commits uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := New()
+		for v := netgraph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			s.Graph().AddNode(g.NodeName(v))
+		}
+		for _, l := range g.Links() {
+			s.Graph().AddLink(l.Src, l.Dst)
+		}
+		b.StartTimer()
+		for j := 0; j < len(ops); j += 256 {
+			if !s.IngestOps(ops[j:min(j+256, len(ops))]) {
+				b.Fatalf("chunk at op %d refused", j)
+			}
+		}
+		s.IngestBarrier()
+		b.StopTimer()
+		commits += s.ing.batches.Load()
+		s.Close()
+		b.StartTimer()
+	}
+	rules := float64(b.N) * float64(len(ops))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rules, "ns/rule")
+	b.ReportMetric(rules/float64(commits), "ops/commit")
 }
 
 // benchServe boots a serving instance for a read benchmark.

@@ -58,10 +58,12 @@ func (s *Server) commitLocked(ops []core.BatchOp, st stageInfo, fromJournal bool
 }
 
 // checkOps is the one validator every entrance shares: "" admits ops, else
-// the message names the first bad op. Callers hold the engine lock in
-// some mode.
+// the message names the first bad op. It reads only the graph's atomic
+// size counters, so admission runs it without the engine lock: a
+// primary's graph only grows, and commitLocked checks again under the
+// write lock. (A replica replaces its graph, but refuses ingest first.)
 func (s *Server) checkOps(ops []core.BatchOp) string {
-	nodes, links := s.graph.NumNodes(), s.graph.NumLinks() // once per call: NumNodes takes the name-table lock
+	nodes, links := s.graph.NumNodes(), s.graph.NumLinks()
 	for i := range ops {
 		if msg := checkOp(&ops[i], nodes, links); msg != "" {
 			return "frame op " + strconv.Itoa(i) + ": " + msg

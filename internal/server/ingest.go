@@ -9,12 +9,12 @@ package server
 // full request-response round trip. The binary path restructures all
 // three costs. A connection upgrades with "dnbin 1" and then streams
 // length-prefixed frames of packed ops; the connection goroutine
-// decodes and topology-validates them OUTSIDE the engine lock and
-// pushes finished core.BatchOps into the ring, so many connections
-// decode in parallel while the engine applies. The coalescer pops runs
-// of ops and commits each as one update (commitLocked: one ApplyBatch,
-// one loop check, one monitor pass, one journal record per run instead
-// of per op), sizing runs adaptively: when the next op's
+// decodes and topology-validates them without the engine lock (checkOps)
+// and pushes finished core.BatchOps into the ring, so many connections
+// decode and admit while the engine applies and the coalescer finds full
+// runs waiting. It commits each run as one update (commitLocked: one
+// ApplyBatch, one loop check, one monitor pass, one journal record per
+// run instead of per op), sizing runs adaptively: when the next op's
 // dirty-invariant footprint (monitor.LinkDepsInto) is disjoint from the
 // batch's accumulated footprint, the batch flushes early so each
 // evaluation fan-out stays tight instead of dirtying the union of two
@@ -48,9 +48,9 @@ const (
 	defaultIngestRing = 4096
 
 	// maxIngestBatch bounds one coalesced ApplyBatch so a firehose
-	// cannot grow unbounded batches (and their journal records).
-	// Measured on the BGP flap workload, throughput is flat past this
-	// point — ApplyBatch's per-atom dedup has already saturated.
+	// cannot grow unbounded batches (and their journal records). Bulk
+	// load (BenchmarkIngestBulkLoad, 2 vCPU) is flat past it: ≈ 475
+	// ns/rule at 256, ≈ 440 at 1024, ≈ 445 at 4096 (runs 4× larger).
 	maxIngestBatch = 1024
 )
 
@@ -163,9 +163,11 @@ func (s *Server) serveBinary(fields []string, lr *lineReader, cw *connWriter) st
 			}
 			continue
 		}
-		if msg := s.validateOps(frame.Ops); msg != "" {
+		if msg := s.checkOps(frame.Ops); msg != "" {
 			// Drop the whole frame: enqueueing a valid prefix would
-			// desync the client's idea of what a later sync covers.
+			// desync the client's idea of what a later sync covers. A
+			// removal of a rule that does not exist passes here; it
+			// surfaces at apply and is dropped by the per-op fallback.
 			if err := cw.writeLine("err " + msg); err != nil {
 				return ""
 			}
@@ -195,17 +197,6 @@ func (s *Server) serveBinary(fields []string, lr *lineReader, cw *connWriter) st
 	}
 }
 
-// validateOps runs the shared validator (checkOps, commit.go) under one
-// read lock — the only engine-lock touch a frame costs before apply —
-// so a bad frame is refused whole, to its sender, before any of it is
-// queued. "" admits the frame. A removal of a rule that does not exist
-// passes here; it surfaces at apply and is dropped by the per-op fallback.
-func (s *Server) validateOps(ops []core.BatchOp) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.checkOps(ops)
-}
-
 // waitApplied blocks until the coalescer has consumed at least ticket
 // ring entries (or exited), returning the applied count.
 func (s *Server) waitApplied(ticket uint64) uint64 {
@@ -228,7 +219,7 @@ func (s *Server) IngestOps(ops []core.BatchOp) bool {
 	if s.replicaOf != "" {
 		return false
 	}
-	if msg := s.validateOps(ops); msg != "" {
+	if msg := s.checkOps(ops); msg != "" {
 		return false
 	}
 	s.startIngest()

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -344,6 +345,138 @@ func TestIngestOpsBarrier(t *testing.T) {
 	}
 	if got := c.roundTrip(t, "reach 0 1"); got != "ok reach 16" {
 		t.Fatalf("reach after feed: %q", got)
+	}
+}
+
+// TestIngestAdmissionSkipsEngineLock holds the engine lock for writing, as
+// a long apply does, and requires admission to go on beside it: IngestOps
+// of a ring's worth of ops returns, and a binary client's frame is queued
+// (the ring grows), all before the lock is released. Everything then
+// applies once it is.
+func TestIngestAdmissionSkipsEngineLock(t *testing.T) {
+	const ringCap = 64
+	s, addr, cleanup := startServer(t, WithIngestRing(ringCap))
+	defer cleanup()
+	c := dial(t, addr)
+	defer c.close()
+	for _, req := range []string{"node a", "node b", "link 0 1"} {
+		c.roundTrip(t, req)
+	}
+	if got := c.roundTrip(t, "dnbin 1"); got != "ok dnbin 1" {
+		t.Fatalf("handshake: %q", got)
+	}
+	ops := make([]core.BatchOp, ringCap)
+	for i := range ops {
+		ops[i] = insOp(int64(i+1), 0, 0, uint64(i*10), uint64(i*10+5), 1)
+	}
+
+	s.mu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			s.mu.Unlock()
+		}
+	}()
+	admitted := make(chan bool, 1)
+	go func() { admitted <- s.IngestOps(ops) }()
+	select {
+	case ok := <-admitted:
+		if !ok {
+			t.Fatal("IngestOps refused a valid slice")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("IngestOps waited on the engine lock")
+	}
+	// The coalescer has taken its first run and now waits on the lock, so
+	// the ring has room for the frame and nothing drains it.
+	waitFor(t, func() bool { return s.ing.batches.Load() > 0 })
+	ring := s.ing.ring.Load()
+	before := ring.Depth()
+	if _, err := c.conn.Write(binproto.AppendOps(nil, []core.BatchOp{insOp(1000, 0, 0, 5000, 5010, 1)})); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return ring.Depth() == before+1 })
+
+	locked = false
+	s.mu.Unlock()
+	if _, err := c.conn.Write(binproto.AppendSync(nil, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if !c.r.Scan() {
+		t.Fatalf("no sync response: %v", c.r.Err())
+	}
+	if got, want := c.r.Text(), fmt.Sprintf("ok sync 1 applied=%d", ringCap+1); got != want {
+		t.Fatalf("sync: %q, want %q", got, want)
+	}
+}
+
+// TestIngestOpsAdmissionRacesGraphGrowth admits frames, through IngestOps
+// and a binary client, while a line client grows the graph with node and
+// link verbs and drop-rule inserts (each hangs a drop link, and the first
+// the drop node, off its source). Under -race it checks that admission
+// reads the graph's size safely without the engine lock; every op lands.
+func TestIngestOpsAdmissionRacesGraphGrowth(t *testing.T) {
+	const rounds = 100
+	s, addr, cleanup := startServer(t)
+	defer cleanup()
+	c := dial(t, addr)
+	defer c.close()
+	for _, req := range []string{"node a", "node b", "link 0 1"} {
+		c.roundTrip(t, req)
+	}
+	grower := dial(t, addr)
+	defer grower.close()
+	bc := dial(t, addr)
+	defer bc.close()
+	if got := bc.roundTrip(t, "dnbin 1"); got != "ok dnbin 1" {
+		t.Fatalf("handshake: %q", got)
+	}
+
+	done := make(chan error, 2)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			node := i + 2 // after a and b
+			for _, req := range []string{
+				fmt.Sprintf("node n%d", i), fmt.Sprintf("link %d 0", node), fmt.Sprintf("I %d %d -1 0 10 1", 10000+i, node),
+			} {
+				if _, err := fmt.Fprintln(grower.conn, req); err != nil || !grower.r.Scan() || !strings.HasPrefix(grower.r.Text(), "ok ") {
+					done <- fmt.Errorf("%s: %q", req, grower.r.Text())
+					return
+				}
+			}
+		}
+		done <- nil
+	}()
+	go func() {
+		for i := 0; i < rounds; i++ {
+			if !s.IngestOps([]core.BatchOp{insOp(int64(1+i), 0, 0, uint64(i*10), uint64(i*10+5), 1)}) {
+				done <- fmt.Errorf("IngestOps refused op %d", i)
+				return
+			}
+		}
+		done <- nil
+	}()
+	var buf []byte
+	for i := 0; i < rounds; i++ {
+		buf = binproto.AppendOps(buf[:0], []core.BatchOp{insOp(int64(5000+i), 1, -1, uint64(i*10), uint64(i*10+5), 1)})
+		if _, err := bc.conn.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := bc.conn.Write(binproto.AppendSync(nil, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if !bc.r.Scan() || !strings.HasPrefix(bc.r.Text(), "ok sync 1 ") {
+		t.Fatalf("sync: %q (%v)", bc.r.Text(), bc.r.Err())
+	}
+	s.IngestBarrier()
+	if got := statField(c.roundTrip(t, "stats"), "rules="); got != strconv.Itoa(3*rounds) {
+		t.Fatalf("rules=%s, want %d", got, 3*rounds)
 	}
 }
 
