@@ -26,8 +26,8 @@ import (
 	"time"
 )
 
-// maxLine mirrors the server's line limit: responses (a trace dump, a
-// checkpoint rule line) can be long, but never unbounded.
+// maxLine mirrors the server's line limit: a response line (a status
+// line naming a large node set, say) can be long, but never unbounded.
 const maxLine = 1 << 20
 
 // DialTimeout bounds how long Dial waits for the TCP connect.

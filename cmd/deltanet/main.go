@@ -1,5 +1,6 @@
-// Command deltanet replays a trace file through the Delta-net checker,
-// verifying loop freedom on every rule update and printing a summary —
+// Command deltanet replays a trace file — a line-protocol session as
+// dngen writes it (see internal/trace) — through the Delta-net checker,
+// verifying loop freedom on every rule update and printing a summary:
 // the paper's per-update checking pipeline (§4.3.1) as a standalone tool.
 //
 // Usage:

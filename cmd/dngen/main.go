@@ -1,5 +1,8 @@
 // Command dngen generates the paper's datasets (§4.2, Table 2) as
-// replayable trace files.
+// replayable trace files: line-protocol sessions (node and link lines,
+// then I and R lines; see internal/trace) that deltanet, dnquery -trace
+// and dnserve -trace read, and that replay into an empty dnserve as they
+// are (nc host 6633 < file).
 //
 // Usage:
 //

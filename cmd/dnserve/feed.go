@@ -1,11 +1,12 @@
-// feed.go wires the repo's feed generators into dnserve as live replay
-// sources: -feed builds an update stream from one of the substrate
-// packages (internal/bgp churn, internal/sdnip controller traces,
-// internal/openflow recorded op streams) and replays it through the
-// same ingest ring the binary batch protocol uses (Server.IngestOps),
-// so a single flag turns the service into a sustained-rate harness —
-// backpressure, coalescing, journaling, and watch evaluation all
-// exercised exactly as a remote binary client would.
+// feed.go holds dnserve's preloads, -trace and -feed. -feed wires the
+// repo's feed generators in as live replay sources: it builds an update
+// stream from one of the substrate packages (internal/bgp churn,
+// internal/sdnip controller traces, internal/openflow recorded op
+// streams) and replays it through the same ingest ring the binary batch
+// protocol uses (Server.IngestOps), so a single flag turns the service
+// into a sustained-rate harness — backpressure, coalescing, journaling,
+// and watch evaluation all exercised exactly as a remote binary client
+// would. A -trace file's insertions take the same ring before serving.
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 	"deltanet/internal/netgraph"
 	"deltanet/internal/openflow"
 	"deltanet/internal/server"
+	"deltanet/internal/trace"
 )
 
 // feedUsage documents the -feed grammar (also in the flag help).
@@ -81,11 +83,7 @@ func buildFeed(spec string) (*feedSource, error) {
 		if err != nil {
 			return nil, err
 		}
-		ops := make([]core.BatchOp, len(tr.Ops))
-		for i, op := range tr.Ops {
-			ops[i] = core.BatchOp{Insert: op.Insert, Rule: op.Rule}
-		}
-		return &feedSource{name: spec, ops: ops, graph: tr.Graph}, nil
+		return &feedSource{name: spec, ops: tr.Ops, graph: tr.Graph}, nil
 	case "openflow":
 		if rest == "" {
 			return nil, fmt.Errorf("-feed %q: want openflow:<file>", spec)
@@ -95,13 +93,9 @@ func buildFeed(spec string) (*feedSource, error) {
 			return nil, err
 		}
 		defer f.Close()
-		trOps, err := openflow.DecodeOps(f)
+		ops, err := openflow.DecodeOps(f)
 		if err != nil {
 			return nil, fmt.Errorf("-feed %q: %v", spec, err)
-		}
-		ops := make([]core.BatchOp, len(trOps))
-		for i, op := range trOps {
-			ops[i] = core.BatchOp{Insert: op.Insert, Rule: op.Rule}
 		}
 		// An openflow stream is ops only — it replays against whatever
 		// topology -trace/-state loaded (graph stays nil).
@@ -152,48 +146,86 @@ func bgpFeed(n int, seed int64) (*netgraph.Graph, []core.BatchOp) {
 	return g, ops
 }
 
-// installFeedTopology rebuilds a feed's own topology into the server's
-// graph (protocol ids match the feed's), refusing to mix with a
-// topology that is already loaded — the feed's node/link ids would
-// collide with it.
+// installFeedTopology rebuilds a preload's own topology into the server
+// through its journaled AddNode and AddLink (so a restart from the
+// journal alone comes back with it), refusing a server that already has
+// one from -state or journal replay, whose ids would collide. An
+// openflow stream carries none and needs one already loaded.
 func installFeedTopology(s *server.Server, fs *feedSource) error {
-	if fs.graph == nil {
-		if s.Graph().NumNodes() == 0 {
-			return fmt.Errorf("-feed %s: an openflow stream carries no topology; load one with -trace or -state", fs.name)
-		}
+	switch loaded := s.Graph().NumNodes() != 0; {
+	case fs.graph == nil && !loaded:
+		return fmt.Errorf("preload %s: an openflow stream carries no topology; load one with -trace or -state", fs.name)
+	case fs.graph == nil:
 		return nil
+	case loaded:
+		return fmt.Errorf("preload %s: it defines its own topology and the server already has one (from -state or the journal); drop the preload to restart from them", fs.name)
 	}
-	if s.Graph().NumNodes() != 0 {
-		return fmt.Errorf("-feed %s: the feed defines its own topology; it cannot be combined with -trace or an existing -state", fs.name)
+	g := fs.graph
+	for v := netgraph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		if _, err := s.AddNode(g.NodeName(v)); err != nil {
+			return fmt.Errorf("preload %s: %v", fs.name, err)
+		}
 	}
-	for v := netgraph.NodeID(0); int(v) < fs.graph.NumNodes(); v++ {
-		s.Graph().AddNode(fs.graph.NodeName(v))
-	}
-	for _, l := range fs.graph.Links() {
-		s.Graph().AddLink(l.Src, l.Dst)
+	for _, l := range g.Links() {
+		if _, err := s.AddLink(l.Src, l.Dst); err != nil {
+			return fmt.Errorf("preload %s: %v", fs.name, err)
+		}
 	}
 	return nil
 }
 
+// preloadTrace loads a trace file's topology and, through the ingest
+// ring like a feed, its insertions, before serving.
+func preloadTrace(s *server.Server, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	tr, err := trace.Read(f)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	fs := &feedSource{name: path, graph: tr.Graph}
+	for _, op := range tr.Ops {
+		if op.Insert {
+			fs.ops = append(fs.ops, op)
+		}
+	}
+	if err := installFeedTopology(s, fs); err != nil {
+		return err
+	}
+	ingest(s, fs.ops)
+	s.IngestBarrier()
+	if got := s.Network().NumRules(); got != len(fs.ops) {
+		return fmt.Errorf("preload %s: %d of %d insertions applied", path, got, len(fs.ops))
+	}
+	fmt.Fprintf(os.Stderr, "preloaded %s: %d rules, %d atoms\n",
+		tr.Name, s.Network().NumRules(), s.Network().NumAtoms())
+	return nil
+}
+
+// ingest pushes ops through the ingest ring feedChunk at a time,
+// blocking under backpressure, and returns how many were queued: fewer
+// than all only when the server shuts down or refuses a chunk.
+func ingest(s *server.Server, ops []core.BatchOp) int {
+	for n := 0; n < len(ops); n += feedChunk {
+		if !s.IngestOps(ops[n:min(n+feedChunk, len(ops))]) {
+			return n
+		}
+	}
+	return len(ops)
+}
+
 // replayFeed streams the feed through the ingest ring and logs the
-// sustained rate. IngestOps blocks under backpressure (the ring bounds
-// buffered memory) and reports false when the server is shutting down
-// or the stream references unknown topology — either way the replay
-// stops; it never takes the server down.
+// sustained rate; stopping early never takes the server down.
 func replayFeed(s *server.Server, fs *feedSource) {
 	start := time.Now()
-	n := 0
-	for n < len(fs.ops) {
-		end := n + feedChunk
-		if end > len(fs.ops) {
-			end = len(fs.ops)
-		}
-		if !s.IngestOps(fs.ops[n:end]) {
-			fmt.Fprintf(os.Stderr, "dnserve: feed %s stopped after %d/%d ops (shutdown or refused chunk)\n",
-				fs.name, n, len(fs.ops))
-			return
-		}
-		n = end
+	n := ingest(s, fs.ops)
+	if n < len(fs.ops) {
+		fmt.Fprintf(os.Stderr, "dnserve: feed %s stopped after %d/%d ops (shutdown or refused chunk)\n",
+			fs.name, n, len(fs.ops))
+		return
 	}
 	s.IngestBarrier()
 	elapsed := time.Since(start)

@@ -4,16 +4,17 @@
 //
 // Usage:
 //
-//	dnserve [-addr host:port] [-gc] [-trace file] [-batch n]
+//	dnserve [-addr host:port] [-gc] [-trace file]
 //	        [-state file] [-checkpoint <interval|Nu>] [-admin host:port]
 //	        [-slow-update d] [-journal file] [-journal-sync none|always]
 //	        [-replica-of host:port] [-feed spec]
 //
-// With -trace, the topology and insertions of the trace are preloaded
-// before serving; -batch n applies the preload as atomic batches of n
-// rules through the parallel batch pipeline instead of one rule at a
-// time. See internal/server for the protocol (including the B, W, watch
-// since, and events since commands).
+// With -trace, the topology and insertions of a trace file (dngen's
+// output) are preloaded before serving: the topology through the same
+// journaled path as the node and link commands, the insertions through
+// the ingest ring in coalesced batches, as -feed replays. See
+// internal/server for the protocol (including the B, W, watch since,
+// and events since commands).
 //
 // -state makes the service durable across restarts: if the file exists
 // it is loaded before serving (topology, rules, standing invariants —
@@ -48,7 +49,8 @@
 // bounding its size. -journal-sync always fsyncs each append (durable
 // to the crash, slower); the default none leaves flushing to the OS.
 // The journal is also the replication feed: replicas stream it with
-// the protocol's "journal since <offset>" command.
+// the protocol's "journal since <offset>" command. Preloads are
+// journaled too: restart from the journal alone, without -trace/-feed.
 //
 // -feed replays a live update stream through the binary ingest ring
 // after boot: "bgp:<updates>[:<seed>]" synthesizes RIB-style churn on a
@@ -83,16 +85,13 @@ import (
 	"deltanet/internal/core"
 	"deltanet/internal/journal"
 	"deltanet/internal/metrics"
-	"deltanet/internal/netgraph"
 	"deltanet/internal/server"
-	"deltanet/internal/trace"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:6633", "listen address")
 	gc := flag.Bool("gc", false, "enable atom garbage collection")
 	traceFile := flag.String("trace", "", "preload this trace's topology and insertions")
-	batch := flag.Int("batch", 1, "preload batch size (>1 uses the parallel batch pipeline)")
 	stateFile := flag.String("state", "", "durable state file: loaded before serving if it exists, saved on shutdown")
 	checkpoint := flag.String("checkpoint", "", "background state saves while serving: a duration (e.g. 30s) or an update count (e.g. 1000u); requires -state")
 	adminAddr := flag.String("admin", "", "serve /metrics, /healthz, /statusz, and /debug/pprof on this address")
@@ -102,9 +101,6 @@ func main() {
 	replicaOf := flag.String("replica-of", "", "run as a read replica of the primary at this address (refuses mutations)")
 	feedSpec := flag.String("feed", "", "replay a live update feed through the ingest ring after boot: "+feedUsage)
 	flag.Parse()
-	if *batch < 1 {
-		fatal(fmt.Errorf("-batch must be >= 1, got %d", *batch))
-	}
 	ckptEvery, ckptUpdates, err := parseCheckpoint(*checkpoint)
 	if err != nil {
 		fatal(err)
@@ -164,18 +160,13 @@ func main() {
 	}
 
 	s := server.New(opts...)
-	haveState := false
 	if *stateFile != "" {
 		if f, err := os.Open(*stateFile); err == nil {
-			if *traceFile != "" {
-				fatal(fmt.Errorf("-state file %s exists; refusing to also preload -trace (delete one)", *stateFile))
-			}
 			err := s.LoadState(f)
 			f.Close()
 			if err != nil {
 				fatal(err)
 			}
-			haveState = true
 			fmt.Fprintf(os.Stderr, "restored %s: %d rules, %d atoms, %d invariant(s)\n",
 				*stateFile, s.Network().NumRules(), s.Network().NumAtoms(), s.Monitor().NumRegistered())
 		} else if !os.IsNotExist(err) {
@@ -196,58 +187,10 @@ func main() {
 				applied, s.Network().NumRules(), s.Network().NumAtoms())
 		}
 	}
-	if *traceFile != "" && !haveState {
-		f, err := os.Open(*traceFile)
-		if err != nil {
+	if *traceFile != "" {
+		if err := preloadTrace(s, *traceFile); err != nil {
 			fatal(err)
 		}
-		tr, err := trace.Read(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		// Rebuild the topology into the server's graph so protocol ids
-		// match the trace's.
-		for v := netgraph.NodeID(0); int(v) < tr.Graph.NumNodes(); v++ {
-			s.Graph().AddNode(tr.Graph.NodeName(v))
-		}
-		for _, l := range tr.Graph.Links() {
-			s.Graph().AddLink(l.Src, l.Dst)
-		}
-		var d core.Delta
-		if *batch > 1 {
-			ops := make([]core.BatchOp, 0, *batch)
-			flush := func() {
-				if len(ops) == 0 {
-					return
-				}
-				if err := s.Network().ApplyBatch(ops, &d, 0); err != nil {
-					fatal(err)
-				}
-				ops = ops[:0]
-			}
-			for _, op := range tr.Ops {
-				if !op.Insert {
-					continue
-				}
-				ops = append(ops, core.InsertOp(op.Rule))
-				if len(ops) == *batch {
-					flush()
-				}
-			}
-			flush()
-		} else {
-			for _, op := range tr.Ops {
-				if !op.Insert {
-					continue
-				}
-				if err := trace.Apply(s.Network(), op, &d); err != nil {
-					fatal(err)
-				}
-			}
-		}
-		fmt.Fprintf(os.Stderr, "preloaded %s: %d rules, %d atoms\n",
-			tr.Name, s.Network().NumRules(), s.Network().NumAtoms())
 	}
 
 	if feed != nil {

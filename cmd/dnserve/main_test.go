@@ -2,12 +2,15 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"deltanet/internal/core"
+	"deltanet/internal/datasets"
 	"deltanet/internal/ipnet"
+	"deltanet/internal/journal"
 	"deltanet/internal/server"
 )
 
@@ -88,5 +91,78 @@ func TestCheckpointerWritesState(t *testing.T) {
 	if restored.Network().NumRules() != 1 || restored.Graph().NumNodes() != 2 {
 		t.Fatalf("checkpoint content wrong: %d rules, %d nodes",
 			restored.Network().NumRules(), restored.Graph().NumNodes())
+	}
+}
+
+// TestJournaledPreloadRestarts: a journaled server that preloaded its
+// topology and rules — a -trace file or a -feed — restarts from the
+// journal alone to the same data plane (before preloads were journaled,
+// replay failed on the first rule with "unknown node id"), and a -trace
+// preload over the topology the journal rebuilt is refused.
+func TestJournaledPreloadRestarts(t *testing.T) {
+	dir := t.TempDir()
+	tr, err := datasets.Build("4switch", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracePath := filepath.Join(dir, "4switch.txt")
+	f, err := os.Create(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Write(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	for name, preload := range map[string]func(*server.Server) error{
+		"trace": func(s *server.Server) error { return preloadTrace(s, tracePath) },
+		"feed": func(s *server.Server) error {
+			fs, err := buildFeed("sdnip:4switch:0.05")
+			if err != nil {
+				return err
+			}
+			if err := installFeedTopology(s, fs); err != nil {
+				return err
+			}
+			replayFeed(s, fs)
+			return nil
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(dir, name+".j")
+			j, err := journal.Open(path, journal.SyncNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := server.New(server.WithJournal(j))
+			if err := preload(s); err != nil {
+				t.Fatal(err)
+			}
+			rules, digest := s.Network().NumRules(), s.Network().BehaviourDigest()
+			if rules == 0 {
+				t.Fatal("the preload installed no rules")
+			}
+			s.Close()
+			j.Close()
+
+			j2, err := journal.Open(path, journal.SyncNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j2.Close()
+			r := server.New(server.WithJournal(j2))
+			defer r.Close()
+			if _, err := r.ReplayJournal(j2); err != nil {
+				t.Fatalf("restart from the journal: %v", err)
+			}
+			if r.Network().NumRules() != rules || r.Network().BehaviourDigest() != digest {
+				t.Fatalf("restart from the journal: %d rules (want %d), digests equal %v",
+					r.Network().NumRules(), rules, r.Network().BehaviourDigest() == digest)
+			}
+			if err := preloadTrace(r, tracePath); err == nil || !strings.Contains(err.Error(), "already has one") {
+				t.Fatalf("-trace over the journal's topology: %v", err)
+			}
+		})
 	}
 }

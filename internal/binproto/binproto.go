@@ -6,17 +6,18 @@
 // ...", "busy depth=...", "err frame ..."), so the server's guarded
 // single-writer funnel is unchanged.
 //
-// The same frames are the update journal's record payloads and the
-// replication stream's record bodies (internal/server): a mutation is
-// decoded from its wire form once and stays a frame from then on, so
-// the primary's journal append, crash replay and every replica share
-// this one encoder and this one decoder.
+// The same frames are the update journal's record payloads, the
+// replication stream's record bodies and the state checkpoint
+// (internal/server): a mutation is decoded from its wire form once and
+// stays a frame from then on, so the primary's journal append, crash
+// replay, every replica and every checkpoint share this one encoder and
+// this one decoder.
 //
 // Frame layout (all multi-byte integers little-endian or unsigned
 // varint as noted):
 //
-//	u32 length   — payload byte count, ≤ MaxFrame on a client stream
-//	u8  kind     — KindOps, KindSync, KindNode or KindLink
+//	u32 length   — payload byte count, ≤ MaxFrame on a stream
+//	u8  kind     — KindOps, KindSync, KindNode, KindLink or KindMeta
 //	payload body
 //
 // KindOps body: uvarint op count, then count packed ops. Each op opens
@@ -38,6 +39,12 @@
 // kinds ("node <name>", "link <src> <dst>"): topology changes are rare
 // and ordered against rule updates, so they travel the line protocol
 // live and a client stream carrying them is refused.
+//
+// KindMeta body: uvarint drop node+1 (0: none), uvarint last event seq,
+// uvarint update seq, uvarint journal offset, then invariant specs to
+// the end of the frame, each a uvarint length and its bytes. It ends a
+// checkpoint (a compacted journal: node, link and insert frames, then
+// one meta frame), and no client stream or journal carries it.
 //
 // The varint packing is what makes the format fast, not clever: a
 // typical insert is ~15 bytes against ~40 for its text line, and
@@ -62,10 +69,11 @@ import (
 // "dnbin 1" verb names it.
 const Version = 1
 
-// MaxFrame bounds one frame's payload on a client stream so a bad
-// length prefix cannot make the server buffer unbounded input (mirrors
-// the line protocol's maxLine). Decode, which is handed a frame already
-// in memory, is bounded by its argument instead.
+// MaxFrame bounds one frame's payload on a stream — a client's, or a
+// state file's — so a bad length prefix cannot make the reader buffer
+// unbounded input (mirrors the line protocol's maxLine). Decode, which
+// is handed a frame already in memory, is bounded by its argument
+// instead.
 const MaxFrame = 1 << 20
 
 // Frame kinds.
@@ -74,6 +82,7 @@ const (
 	KindSync = 2 // barrier: reply when everything before it is applied
 	KindNode = 3 // journal record: add a node by name
 	KindLink = 4 // journal record: add a link between two node ids
+	KindMeta = 5 // checkpoint trailer: counters and invariant specs
 )
 
 // Op tags inside a KindOps frame.
@@ -134,6 +143,31 @@ func AppendLink(dst []byte, src, to netgraph.NodeID) []byte {
 	return dst
 }
 
+// Meta is a KindMeta frame's body.
+type Meta struct {
+	Drop    netgraph.NodeID // the drop sink, or netgraph.NoNode
+	Seq     uint64          // last published event sequence number
+	Upd     uint64          // update sequence counter
+	Journal uint64          // journal offset the checkpoint is current through
+	Specs   []string        // standing invariants, monitor.FormatSpec form
+}
+
+// AppendMeta appends one KindMeta frame carrying m.
+func AppendMeta(dst []byte, m *Meta) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, KindMeta)
+	dst = binary.AppendUvarint(dst, uint64(m.Drop+1))
+	dst = binary.AppendUvarint(dst, m.Seq)
+	dst = binary.AppendUvarint(dst, m.Upd)
+	dst = binary.AppendUvarint(dst, m.Journal)
+	for _, spec := range m.Specs {
+		dst = binary.AppendUvarint(dst, uint64(len(spec)))
+		dst = append(dst, spec...)
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
+}
+
 func appendOp(dst []byte, op *core.BatchOp) []byte {
 	if !op.Insert {
 		dst = append(dst, TagRemove)
@@ -149,14 +183,16 @@ func appendOp(dst []byte, op *core.BatchOp) []byte {
 }
 
 // Frame is one decoded frame: Ops (KindOps), a sync barrier (KindSync,
-// Token set), a node record (KindNode, Name set) or a link record
-// (KindLink, Src and Dst set).
+// Token set), a node record (KindNode, Name set), a link record
+// (KindLink, Src and Dst set) or a checkpoint trailer (KindMeta, Meta
+// set).
 type Frame struct {
 	Kind     uint8
 	Token    uint64
 	Ops      []core.BatchOp
 	Name     string
 	Src, Dst netgraph.NodeID
+	Meta     *Meta
 }
 
 // Reader decodes frames from a byte stream. It reuses its payload and
@@ -263,6 +299,24 @@ func decodePayload(p []byte, ops []core.BatchOp) (Frame, error) {
 			return Frame{}, fmt.Errorf("malformed link frame")
 		}
 		return Frame{Kind: KindLink, Src: netgraph.NodeID(src), Dst: netgraph.NodeID(to)}, nil
+	case KindMeta:
+		var v [4]uint64
+		for i := range v {
+			x, sz := binary.Uvarint(p)
+			if sz <= 0 || (i == 0 && x > maxInt31+1) {
+				return Frame{}, fmt.Errorf("malformed meta frame")
+			}
+			v[i], p = x, p[sz:]
+		}
+		m := &Meta{Drop: netgraph.NodeID(int64(v[0]) - 1), Seq: v[1], Upd: v[2], Journal: v[3]}
+		for len(p) > 0 {
+			n, sz := binary.Uvarint(p)
+			if sz <= 0 || n > uint64(len(p)-sz) {
+				return Frame{}, fmt.Errorf("malformed meta frame spec")
+			}
+			m.Specs, p = append(m.Specs, string(p[sz:sz+int(n)])), p[sz+int(n):]
+		}
+		return Frame{Kind: KindMeta, Meta: m}, nil
 	default:
 		return Frame{}, fmt.Errorf("unknown frame kind %d", kind)
 	}

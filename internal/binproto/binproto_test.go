@@ -114,6 +114,34 @@ func TestRecordKinds(t *testing.T) {
 	}
 }
 
+// TestMetaFrame round-trips a checkpoint trailer, with and without a
+// drop node and specs, and refuses bodies whose fields or spec lengths
+// run past the frame.
+func TestMetaFrame(t *testing.T) {
+	for _, m := range []Meta{
+		{Drop: netgraph.NoNode},
+		{Drop: 0, Seq: 1, Upd: 2, Journal: 3},
+		{Drop: 1 << 30, Seq: 1 << 62, Upd: 7, Journal: 1 << 40, Specs: []string{"loopfree", "", "reach a b"}},
+	} {
+		f, err := Decode(AppendMeta(nil, &m), nil)
+		if err != nil || f.Kind != KindMeta || !reflect.DeepEqual(*f.Meta, m) {
+			t.Fatalf("meta %+v: decoded %+v, %v", m, f.Meta, err)
+		}
+	}
+	full := AppendMeta(nil, &Meta{Drop: 2, Specs: []string{"reach a b"}})
+	for name, p := range map[string][]byte{
+		"no counters":  {1, 0, 0, 0, KindMeta},
+		"one counter":  {2, 0, 0, 0, KindMeta, 0},
+		"drop too big": AppendMeta(nil, &Meta{Drop: netgraph.NodeID(-2)}),
+		"spec cut":     append(binary.LittleEndian.AppendUint32(nil, uint32(len(full)-5)), full[4:len(full)-1]...),
+		"spec length":  {7, 0, 0, 0, KindMeta, 0, 0, 0, 0, 5, 'a'},
+	} {
+		if _, err := Decode(p, nil); err == nil {
+			t.Errorf("%s: Decode accepted %v", name, p)
+		}
+	}
+}
+
 // TestTruncated checks that a frame cut at any byte boundary surfaces
 // as an error (or a clean EOF only at the very start), never a panic or
 // a silently short decode.

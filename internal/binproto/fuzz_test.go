@@ -14,7 +14,7 @@ import (
 // re-decode to the same value (so the accepted language round-trips).
 func FuzzBinaryFrame(f *testing.F) {
 	// Well-formed seeds: empty ops frame, a small mixed frame, a large
-	// frame, a sync barrier, and two frames back to back.
+	// frame, a sync barrier, two frames back to back, and topology records.
 	rng := rand.New(rand.NewSource(7))
 	f.Add(AppendOps(nil, nil))
 	f.Add(AppendOps(nil, randomOps(rng, 3)))
@@ -30,6 +30,11 @@ func FuzzBinaryFrame(f *testing.F) {
 	f.Add(AppendOps(nil, randomOps(rng, 2))[:9])
 	f.Add([]byte{4, 0, 0, 0, KindNode, 'a', ' ', 'b'})
 	f.Add([]byte{2, 0, 0, 0, KindLink, 1})
+	// Checkpoint trailers: a full one behind an ops frame, and one whose
+	// spec length runs past the frame.
+	f.Add(AppendMeta(AppendOps(nil, randomOps(rng, 4)), &Meta{Drop: 3, Seq: 9, Upd: 12, Journal: 4096,
+		Specs: []string{"loopfree", "reach a b", "blackholefree sinks=c"}}))
+	f.Add([]byte{7, 0, 0, 0, KindMeta, 0, 0, 0, 0, 5, 'a'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewReader(bytes.NewReader(data))
@@ -51,6 +56,8 @@ func FuzzBinaryFrame(f *testing.F) {
 				re = AppendNode(nil, frame.Name)
 			case KindLink:
 				re = AppendLink(nil, frame.Src, frame.Dst)
+			case KindMeta:
+				re = AppendMeta(nil, frame.Meta)
 			default:
 				re = AppendOps(nil, frame.Ops)
 			}

@@ -39,8 +39,8 @@ import (
 
 // BatchOp is one element of a batch: a rule insertion (Insert true, Rule
 // fully populated) or a removal (Insert false, only Rule.ID consulted).
-// The layout deliberately mirrors trace.Op so replay tools convert
-// trivially.
+// It is the one operation type: traces, feeds, wire frames and journal
+// records all carry it.
 type BatchOp struct {
 	Insert bool
 	Rule   Rule

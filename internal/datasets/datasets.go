@@ -105,15 +105,15 @@ func buildSynthetic(name string, s spec, scale float64) (*trace.Trace, error) {
 		rules = append(rules, comp.RulesForPrefix(feed.Next(), switches)...)
 	}
 
-	ops := make([]trace.Op, 0, 2*len(rules))
+	ops := make([]core.BatchOp, 0, 2*len(rules))
 	for _, r := range rules {
-		ops = append(ops, trace.Op{Insert: true, Rule: r})
+		ops = append(ops, core.InsertOp(r))
 	}
 	// Removal in random order (§4.2.1).
 	rng := rand.New(rand.NewSource(s.seed + 2))
 	perm := rng.Perm(len(rules))
 	for _, i := range perm {
-		ops = append(ops, trace.Op{Rule: core.Rule{ID: rules[i].ID}})
+		ops = append(ops, core.RemoveOp(rules[i].ID))
 	}
 	return &trace.Trace{Name: name, Graph: g, Ops: ops}, nil
 }

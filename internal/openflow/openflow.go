@@ -30,7 +30,6 @@ import (
 	"deltanet/internal/core"
 	"deltanet/internal/ipnet"
 	"deltanet/internal/netgraph"
-	"deltanet/internal/trace"
 )
 
 // Version is the current wire version.
@@ -161,7 +160,7 @@ func (sr *Reader) Read() (FlowMod, error) {
 }
 
 // FromOp converts an engine operation to a FlowMod.
-func FromOp(op trace.Op) FlowMod {
+func FromOp(op core.BatchOp) FlowMod {
 	if !op.Insert {
 		return FlowMod{Command: CmdDelete, Cookie: uint64(op.Rule.ID)}
 	}
@@ -177,21 +176,21 @@ func FromOp(op trace.Op) FlowMod {
 }
 
 // ToOp converts a FlowMod to an engine operation.
-func ToOp(m FlowMod) trace.Op {
+func ToOp(m FlowMod) core.BatchOp {
 	if m.Command == CmdDelete {
-		return trace.Op{Rule: core.Rule{ID: core.RuleID(m.Cookie)}}
+		return core.RemoveOp(core.RuleID(m.Cookie))
 	}
-	return trace.Op{Insert: true, Rule: core.Rule{
+	return core.InsertOp(core.Rule{
 		ID:       core.RuleID(m.Cookie),
 		Source:   netgraph.NodeID(m.Switch),
 		Link:     netgraph.LinkID(m.OutLink),
 		Match:    ipnet.Interval{Lo: m.MatchLo, Hi: m.MatchHi},
 		Priority: core.Priority(m.Priority),
-	}}
+	})
 }
 
 // EncodeOps writes a whole operation stream in wire format.
-func EncodeOps(w io.Writer, ops []trace.Op) error {
+func EncodeOps(w io.Writer, ops []core.BatchOp) error {
 	sw := NewWriter(w)
 	for i := range ops {
 		m := FromOp(ops[i])
@@ -203,9 +202,9 @@ func EncodeOps(w io.Writer, ops []trace.Op) error {
 }
 
 // DecodeOps reads a whole operation stream until EOF.
-func DecodeOps(r io.Reader) ([]trace.Op, error) {
+func DecodeOps(r io.Reader) ([]core.BatchOp, error) {
 	sr := NewReader(r)
-	var ops []trace.Op
+	var ops []core.BatchOp
 	for {
 		m, err := sr.Read()
 		if err == io.EOF {

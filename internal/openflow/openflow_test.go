@@ -123,10 +123,10 @@ func TestStreamReaderWriter(t *testing.T) {
 }
 
 func TestOpConversion(t *testing.T) {
-	ins := trace.Op{Insert: true, Rule: core.Rule{
+	ins := core.InsertOp(core.Rule{
 		ID: 9, Source: 3, Link: netgraph.NoLink,
 		Match: ivl(5, 500), Priority: 77,
-	}}
+	})
 	m := FromOp(ins)
 	if m.Command != CmdAdd || m.OutLink != -1 {
 		t.Fatalf("FromOp: %+v", m)
@@ -135,7 +135,7 @@ func TestOpConversion(t *testing.T) {
 	if !back.Insert || back.Rule != ins.Rule {
 		t.Fatalf("ToOp: %+v", back)
 	}
-	del := trace.Op{Rule: core.Rule{ID: 4}}
+	del := core.RemoveOp(4)
 	if got := ToOp(FromOp(del)); got.Insert || got.Rule.ID != 4 {
 		t.Fatalf("delete conversion: %+v", got)
 	}

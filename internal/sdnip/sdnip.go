@@ -56,7 +56,7 @@ type Controller struct {
 	// through to other prefixes' rules at the border.
 	extLinks map[netgraph.NodeID]netgraph.LinkID
 
-	ops []trace.Op
+	ops []core.BatchOp
 }
 
 // NewController creates a controller over the topology with the given
@@ -133,7 +133,7 @@ func (c *Controller) reroute(i int) {
 	sortByDepth(stale, oldDepth, false)
 	for _, v := range stale {
 		id := cur[v]
-		c.ops = append(c.ops, trace.Op{Rule: core.Rule{ID: id}})
+		c.ops = append(c.ops, core.RemoveOp(id))
 		delete(cur, v)
 		delete(c.ruleLinks, id)
 	}
@@ -167,7 +167,7 @@ func (c *Controller) reroute(i int) {
 		}
 		cur[v] = id
 		c.rememberLink(id, next[v])
-		c.ops = append(c.ops, trace.Op{Insert: true, Rule: r})
+		c.ops = append(c.ops, core.InsertOp(r))
 	}
 }
 
@@ -266,7 +266,7 @@ func (c *Controller) reverseOf(l netgraph.LinkID) netgraph.LinkID {
 }
 
 // Ops returns the accumulated operation stream.
-func (c *Controller) Ops() []trace.Op { return c.ops }
+func (c *Controller) Ops() []core.BatchOp { return c.ops }
 
 // ResetOps clears the accumulated stream (e.g. after initial convergence
 // when only failure churn should be traced).
@@ -355,7 +355,7 @@ func Airtel2Trace(g *netgraph.Graph, ads []Advertisement, maxPairs int) *trace.T
 // each border router advertises many prefixes, repeated over several
 // rounds with different prefixes, insertions only (§4.2.2).
 func FourSwitchTrace(g *netgraph.Graph, prefixesPerBorder, rounds int, seed int64) *trace.Trace {
-	var all []trace.Op
+	var all []core.BatchOp
 	var c *Controller
 	nextBase := core.RuleID(1)
 	borders := switchesOf(g)

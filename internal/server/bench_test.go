@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"strings"
@@ -70,14 +71,10 @@ func BenchmarkIngest(b *testing.B) {
 	})
 }
 
-// BenchmarkIngestBulkLoad is bulk load through the entrance dnserve's feed
-// replay and the benchmark's set-up take: a Libra-style plane (800 BGP
-// prefixes compiled into shortest-path rules toward random egresses over
-// rf1755, random priorities, seed 1: ≈ 69k rules, one per node per
-// prefix) pushed through IngestOps in 256-op chunks, then IngestBarrier,
-// into a fresh server per iteration. It reports ns per rule and ops per
-// commit, which is how full the coalescer's runs are.
-func BenchmarkIngestBulkLoad(b *testing.B) {
+// libraPlane is a Libra-style plane: 800 BGP prefixes compiled into
+// shortest-path rules toward random egresses over rf1755, random
+// priorities, seed 1 — ≈ 69k rules, one per node per prefix.
+func libraPlane(b *testing.B) (*netgraph.Graph, []core.BatchOp) {
 	g, err := topo.Build("rf1755")
 	if err != nil {
 		b.Fatal(err)
@@ -91,23 +88,38 @@ func BenchmarkIngestBulkLoad(b *testing.B) {
 			ops = append(ops, core.InsertOp(r))
 		}
 	}
+	return g, ops
+}
+
+// bulkLoad builds g into a fresh server and pushes ops through IngestOps
+// in 256-op chunks, then IngestBarrier — the entrance dnserve's feed
+// replay and the benchmark's set-up take.
+func bulkLoad(b *testing.B, g *netgraph.Graph, ops []core.BatchOp) *Server {
+	s := New()
+	for v := netgraph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		s.Graph().AddNode(g.NodeName(v))
+	}
+	for _, l := range g.Links() {
+		s.Graph().AddLink(l.Src, l.Dst)
+	}
+	for j := 0; j < len(ops); j += 256 {
+		if !s.IngestOps(ops[j:min(j+256, len(ops))]) {
+			b.Fatalf("chunk at op %d refused", j)
+		}
+	}
+	s.IngestBarrier()
+	return s
+}
+
+// BenchmarkIngestBulkLoad is bulk load (bulkLoad) of libraPlane into a
+// fresh server per iteration. It reports ns per rule and ops per commit,
+// which is how full the coalescer's runs are.
+func BenchmarkIngestBulkLoad(b *testing.B) {
+	g, ops := libraPlane(b)
+	b.ResetTimer()
 	var commits uint64
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := New()
-		for v := netgraph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			s.Graph().AddNode(g.NodeName(v))
-		}
-		for _, l := range g.Links() {
-			s.Graph().AddLink(l.Src, l.Dst)
-		}
-		b.StartTimer()
-		for j := 0; j < len(ops); j += 256 {
-			if !s.IngestOps(ops[j:min(j+256, len(ops))]) {
-				b.Fatalf("chunk at op %d refused", j)
-			}
-		}
-		s.IngestBarrier()
+		s := bulkLoad(b, g, ops)
 		b.StopTimer()
 		commits += s.ing.batches.Load()
 		s.Close()
@@ -116,6 +128,45 @@ func BenchmarkIngestBulkLoad(b *testing.B) {
 	rules := float64(b.N) * float64(len(ops))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rules, "ns/rule")
 	b.ReportMetric(rules/float64(commits), "ops/commit")
+}
+
+// BenchmarkCheckpoint prices a state file on libraPlane with one
+// invariant registered: its size (B/rule), SaveState into memory
+// (save-ns/rule) and LoadState of it into a fresh server (load-ns/rule)
+// — the cost of a checkpoint, a restart and a replica anchor. (A
+// registered loopfree would add its full evaluation, ≈ 1/3 more, to
+// every load.)
+func BenchmarkCheckpoint(b *testing.B) {
+	g, ops := libraPlane(b)
+	s := bulkLoad(b, g, ops)
+	defer s.Close()
+	s.Monitor().Register(monitor.Reachable{From: 0, To: 1})
+	var dump bytes.Buffer
+	var saveNs, loadNs time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dump.Reset()
+		t0 := time.Now()
+		if err := s.SaveState(&dump); err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		r := New()
+		if err := r.LoadState(bytes.NewReader(dump.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+		saveNs, loadNs = saveNs+t1.Sub(t0), loadNs+time.Since(t1)
+		b.StopTimer()
+		if r.Network().NumRules() != len(ops) {
+			b.Fatalf("loaded %d rules, want %d", r.Network().NumRules(), len(ops))
+		}
+		r.Close()
+		b.StartTimer()
+	}
+	rules := float64(len(ops))
+	b.ReportMetric(float64(dump.Len())/rules, "B/rule")
+	b.ReportMetric(float64(saveNs.Nanoseconds())/rules/float64(b.N), "save-ns/rule")
+	b.ReportMetric(float64(loadNs.Nanoseconds())/rules/float64(b.N), "load-ns/rule")
 }
 
 // benchServe boots a serving instance for a read benchmark.

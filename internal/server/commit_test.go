@@ -20,6 +20,9 @@ import (
 // pass and the trace close-out each have exactly one call site, all in
 // commitLocked, and the single-op engine entry points have none. A new
 // entrance that applies an update by hand fails here, not in review.
+// LoadState is the engine apply's one other caller: a state file is a
+// state, not an update, so its rules are applied and nothing else runs
+// (no loop check, monitor pass, journal append or update count).
 func TestOneCommitPath(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -67,7 +70,10 @@ func TestOneCommitPath(t *testing.T) {
 			})
 		}
 	}
-	for _, class := range []string{"ApplyBatch", "FindLoopsDelta*", "mon.Apply*", "finishUpdateLocked"} {
+	if got := sites["ApplyBatch"]; len(got) != 2 || got[0] != "commitLocked" || got[1] != "LoadState" {
+		t.Errorf("ApplyBatch is called from %v, want one call site in commitLocked and one in LoadState", got)
+	}
+	for _, class := range []string{"FindLoopsDelta*", "mon.Apply*", "finishUpdateLocked"} {
 		if got := sites[class]; len(got) != 1 || got[0] != "commitLocked" {
 			t.Errorf("%s is called from %v, want exactly one call site, in commitLocked", class, got)
 		}

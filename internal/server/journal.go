@@ -31,11 +31,11 @@ package server
 // checkpoint.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"deltanet/internal/binproto"
 	"deltanet/internal/journal"
@@ -80,21 +80,22 @@ func (s *Server) journalAppendLocked(frame []byte) {
 // re-anchors from the file on reconnect.
 const jstreamBuffer = 1024
 
-// checkpointResponse serves the checkpoint verb: the state dump in
-// SaveState's format, framed for the wire as
-// "ok checkpoint n=<k> offset=<o>" followed by exactly k dump lines.
-// offset is the journal offset the dump is current through — the
-// cursor the client hands to "journal since". Caller holds at least
-// the read lock.
-func (s *Server) checkpointResponse() string {
-	var dump strings.Builder
-	off, err := s.saveStateLocked(&dump, s.mon.SnapshotSpecs())
-	if err != nil {
-		return "err checkpoint: " + err.Error()
+// writeCheckpoint serves the checkpoint verb: a state dump (SaveState's
+// bytes) framed for the wire as "ok checkpoint offset=<o> bytes=<n>"
+// followed by exactly n raw bytes, the way journal records travel.
+// offset is the journal offset the dump is current through — the cursor
+// the client hands to "journal since". A non-nil error means the client
+// is unreachable.
+func (s *Server) writeCheckpoint(fields []string, cw *connWriter) error {
+	if len(fields) != 1 {
+		return cw.writeLine("err usage: checkpoint")
 	}
-	body := strings.TrimSuffix(dump.String(), "\n")
-	n := strings.Count(body, "\n") + 1
-	return fmt.Sprintf("ok checkpoint n=%d offset=%d\n%s", n, off, body)
+	var dump bytes.Buffer
+	off, err := s.CheckpointTo(&dump, s.mon.SnapshotSpecs())
+	if err != nil {
+		return cw.writeLine("err checkpoint: " + err.Error())
+	}
+	return cw.writeFrame(fmt.Sprintf("ok checkpoint offset=%d bytes=%d", off, dump.Len()), dump.Bytes())
 }
 
 // streamJournal serves "journal since <offset>": it subscribes to live

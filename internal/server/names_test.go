@@ -122,12 +122,9 @@ func TestStateSeqContinuity(t *testing.T) {
 	if err := s1.SaveState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "\nseq 2\n") {
-		t.Fatalf("state file missing seq record:\n%s", buf.String())
-	}
 
 	s2 := New()
-	if err := s2.LoadState(strings.NewReader(buf.String())); err != nil {
+	if err := s2.LoadState(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.Monitor().LastSeq(); got != 2 {
@@ -146,14 +143,15 @@ func TestStateSeqContinuity(t *testing.T) {
 		t.Fatalf("post-restore event numbering: %+v", rep)
 	}
 
-	// Version-1 files (no seq record) still load, starting a fresh stream.
-	v1 := strings.Replace(buf.String(), stateHeader, stateHeaderV1, 1)
-	v1 = strings.Replace(v1, "seq 2\n", "", 1)
+	// A text state file, the format older builds wrote, is refused by
+	// name with the remedy, before anything is loaded.
 	s3 := New()
-	if err := s3.LoadState(strings.NewReader(v1)); err != nil {
-		t.Fatalf("v1 state refused: %v", err)
+	text := "deltanet-state 2\nnode a\nnode b\nlink 0 1\nrule 1 0 0 0 100 1\nseq 2\n"
+	err := s3.LoadState(strings.NewReader(text))
+	if err == nil || !strings.Contains(err.Error(), `"deltanet-state" text state file`) || !strings.Contains(err.Error(), "rule lines as I") {
+		t.Fatalf("text state file: %v", err)
 	}
-	if got := s3.Monitor().LastSeq(); got != 0 {
-		t.Fatalf("v1 restore invented a seq: %d", got)
+	if s3.Graph().NumNodes() != 0 || s3.Monitor().LastSeq() != 0 {
+		t.Fatalf("refused text state file loaded %d nodes, seq %d", s3.Graph().NumNodes(), s3.Monitor().LastSeq())
 	}
 }

@@ -6,10 +6,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -19,6 +21,7 @@ import (
 	"deltanet/internal/core"
 	"deltanet/internal/journal"
 	"deltanet/internal/monitor"
+	"deltanet/internal/netgraph"
 )
 
 // planeState is everything two servers holding the same prefix of the
@@ -399,6 +402,178 @@ func TestEveryEntranceEveryRecordBoundary(t *testing.T) {
 	}
 }
 
+// TestCheckpointEveryFrameBoundary holds a checkpoint to its shape and
+// its all-or-nothing load. The dump is node and link frames, insert
+// frames of at most checkpointChunk ops, and one trailing meta frame; it
+// loads into a fresh server equal to the one it was cut from, drop sink
+// included. Cut short anywhere — inside the header, at any frame
+// boundary, inside any frame — it is refused rather than loaded as a
+// smaller plane.
+func TestCheckpointEveryFrameBoundary(t *testing.T) {
+	s := recordFixture(t)
+	defer s.Close()
+	ops := []core.BatchOp{insOp(99, 1, -1, 50, 60, 3)} // a drop rule: the meta frame names a sink
+	for i := 0; i < 2*checkpointChunk+100; i++ {
+		ops = append(ops, insOp(int64(100+i), int32(i%3), int32(i%3), uint64(1000+4*i), uint64(1002+4*i), 1))
+	}
+	s.applyCoalesced(ops)
+	want := stateOf(s)
+	var buf bytes.Buffer
+	if err := s.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dump := buf.Bytes()
+
+	// Walk the frames: their kinds in order, and where each one ends.
+	var kinds []byte
+	var ends []int
+	for off := len(stateHeader); off < len(dump); {
+		f, err := binproto.Decode(dump[off:off+4+int(binary.LittleEndian.Uint32(dump[off:]))], nil)
+		if err != nil {
+			t.Fatalf("frame at byte %d: %v", off, err)
+		}
+		if f.Kind == binproto.KindOps && len(f.Ops) > checkpointChunk {
+			t.Fatalf("ops frame of %d ops, want at most %d", len(f.Ops), checkpointChunk)
+		}
+		off += 4 + int(binary.LittleEndian.Uint32(dump[off:]))
+		kinds, ends = append(kinds, f.Kind), append(ends, off)
+	}
+	shape := strings.Repeat("N", want.nodes) + strings.Repeat("L", want.links) + "OOOM"
+	got := ""
+	for _, k := range kinds {
+		got += string("?OSNLM"[k])
+	}
+	if got != shape {
+		t.Fatalf("checkpoint frames %s, want %s", got, shape)
+	}
+
+	loaded := New()
+	defer loaded.Close()
+	if err := loaded.LoadState(bytes.NewReader(dump)); err != nil {
+		t.Fatal(err)
+	}
+	if got := stateOf(loaded); got != want || loaded.graph.DropNode() != s.graph.DropNode() {
+		t.Fatalf("loaded %+v (drop %d), want %+v (drop %d)", got, loaded.graph.DropNode(), want, s.graph.DropNode())
+	}
+
+	cuts := []int{0, len(stateHeader) / 2, len(stateHeader)}
+	start := len(stateHeader)
+	for _, end := range ends {
+		cuts = append(cuts, start+4+(end-start-4)/2) // mid-frame
+		if end < len(dump) {
+			cuts = append(cuts, end)
+		}
+		start = end
+	}
+	for _, cut := range cuts {
+		r := New()
+		err := r.LoadState(bytes.NewReader(dump[:cut]))
+		r.Close()
+		if err == nil {
+			t.Fatalf("checkpoint cut at byte %d of %d loaded", cut, len(dump))
+		}
+		if slices.Contains(ends, cut) && !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("cut at frame boundary %d: %v, want a truncation", cut, err)
+		}
+	}
+	t.Logf("%d frames, %d cuts refused", len(ends), len(cuts))
+}
+
+// TestMetaFrameIsOnlyACheckpointRecord pins the two default branches
+// that keep a checkpoint trailer out of the update paths: a client dnbin
+// stream refuses it (and stays usable), and the journal record decoder
+// refuses it with the server untouched.
+func TestMetaFrameIsOnlyACheckpointRecord(t *testing.T) {
+	meta := binproto.AppendMeta(nil, &binproto.Meta{Drop: netgraph.NoNode, Upd: 99, Specs: []string{"loopfree"}})
+
+	s := recordFixture(t)
+	defer s.Close()
+	before := stateOf(s)
+	s.mu.Lock()
+	err := s.applyJournalLocked(meta, before.upd)
+	s.mu.Unlock()
+	if err == nil || !strings.Contains(err.Error(), "not a journal record") {
+		t.Fatalf("meta frame as a journal record: %v", err)
+	}
+	if after := stateOf(s); after != before {
+		t.Fatalf("refused meta record changed the server:\n  before %+v\n  after  %+v", before, after)
+	}
+
+	_, addr, cleanup := startServer(t)
+	defer cleanup()
+	c := dial(t, addr)
+	defer c.close()
+	buildTriangle(t, c)
+	if got := c.roundTrip(t, "dnbin 1"); got != "ok dnbin 1" {
+		t.Fatalf("handshake: %q", got)
+	}
+	if _, err := c.conn.Write(binproto.AppendSync(append(meta, binproto.AppendOps(nil, []core.BatchOp{insOp(1, 0, 0, 0, 100, 1)})...), 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"err frame kind 5 not accepted on a client stream", "ok sync 1 applied=1"} {
+		if !c.r.Scan() || c.r.Text() != want {
+			t.Fatalf("got %q (%v), want %q", c.r.Text(), c.r.Err(), want)
+		}
+	}
+}
+
+// FuzzLoadState feeds arbitrary bytes to the state loader — the path a
+// restart and every replica anchor run on whatever a state file or a
+// primary's checkpoint holds. It must never panic, and a stream it
+// accepts must be a state: the engine's invariants hold, and the loaded
+// server's own checkpoint loads back to the same state.
+func FuzzLoadState(f *testing.F) {
+	fixture := recordFixture(f)
+	var real bytes.Buffer
+	if err := fixture.SaveState(&real); err != nil {
+		f.Fatal(err)
+	}
+	fixture.Close()
+	header := []byte(stateHeader)
+	withHeader := func(frames ...[]byte) []byte { return bytes.Join(append([][]byte{header}, frames...), nil) }
+	for _, seed := range [][]byte{
+		real.Bytes(),
+		real.Bytes()[:real.Len()-1],
+		header,
+		withHeader(binproto.AppendMeta(nil, &binproto.Meta{Drop: netgraph.NoNode})),
+		withHeader(binproto.AppendNode(nil, "a"), binproto.AppendMeta(nil, &binproto.Meta{Drop: 0, Seq: 4, Upd: 9, Journal: 77, Specs: []string{"reach 0 0", "loopfree"}})),
+		withHeader(binproto.AppendNode(nil, "a"), binproto.AppendMeta(nil, &binproto.Meta{Drop: 7, Specs: []string{"reach 0 9"}})),
+		withHeader(binproto.AppendNode(nil, "a"), binproto.AppendNode(nil, "a"), binproto.AppendMeta(nil, &binproto.Meta{Drop: netgraph.NoNode})),
+		withHeader(binproto.AppendNode(nil, "a"), binproto.AppendLink(nil, 0, 0), binproto.AppendOps(nil, []core.BatchOp{insOp(1, 0, 0, 0, 10, 1), core.RemoveOp(1)}),
+			binproto.AppendMeta(nil, &binproto.Meta{Drop: netgraph.NoNode})),
+		withHeader(binproto.AppendSync(nil, 1), binproto.AppendMeta(nil, &binproto.Meta{Drop: netgraph.NoNode})),
+		append(real.Bytes()[:real.Len():real.Len()], binproto.AppendMeta(nil, &binproto.Meta{Drop: netgraph.NoNode})...),
+		[]byte("deltanet-state 3\nnode a\n"),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<16 {
+			return // keep iterations fast
+		}
+		s := New()
+		defer s.Close()
+		if err := s.LoadState(bytes.NewReader(data)); err != nil {
+			return
+		}
+		if msg := s.net.CheckInvariants(); msg != "" {
+			t.Fatalf("engine invariants broken by an accepted state: %s", msg)
+		}
+		var again bytes.Buffer
+		if err := s.SaveState(&again); err != nil {
+			t.Fatal(err)
+		}
+		r := New()
+		defer r.Close()
+		if err := r.LoadState(&again); err != nil {
+			t.Fatalf("an accepted state's own checkpoint does not load: %v", err)
+		}
+		if got, want := stateOf(r), stateOf(s); got != want {
+			t.Fatalf("checkpoint round trip diverged:\n  got  %+v\n  want %+v", got, want)
+		}
+	})
+}
+
 // recordFixture is a server with a three-node cycle topology, two live
 // rules and two standing invariants: enough state for a bad record to
 // damage.
@@ -450,6 +625,7 @@ func FuzzJournalRecord(f *testing.F) {
 		{255, 255, 255, 255},
 		{11, 0, 0, 0, binproto.KindOps, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1}, // count 2⁶³
 		binproto.AppendOps(nil, good)[:9],
+		binproto.AppendMeta(nil, &binproto.Meta{Drop: netgraph.NoNode, Upd: 1 << 20, Specs: []string{"loopfree"}}), // a checkpoint trailer
 	} {
 		f.Add(seed)
 	}

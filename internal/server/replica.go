@@ -145,7 +145,11 @@ var errJournalTruncated = fmt.Errorf("journal truncated at primary")
 // replicaAnchor fetches the primary's checkpoint and (re)builds the
 // local data plane from it: fresh graph, network, and monitor state,
 // with event/update counters resumed from the dump so numbering stays
-// continuous with the primary.
+// continuous with the primary. The dump is decoded straight off the
+// connection, under the write lock: queries wait for the new plane
+// rather than see a half-built one. A dump that does not load — the
+// primary went away mid-body, say — leaves the replica empty and
+// unanchored, so the next session anchors afresh.
 func (s *Server) replicaAnchor(conn net.Conn, sc *lineReader) error {
 	//deltanet:nolint guardedwriter outbound client conn to the primary, owned by this goroutine alone; the guard is for served conns shared with watch fan-out
 	if _, err := fmt.Fprintln(conn, "checkpoint"); err != nil {
@@ -154,28 +158,18 @@ func (s *Server) replicaAnchor(conn net.Conn, sc *lineReader) error {
 	if !sc.Scan() {
 		return scanFail(sc, "checkpoint response")
 	}
-	resp := strings.Fields(strings.TrimSpace(sc.Text()))
-	if len(resp) != 4 || resp[0] != "ok" || resp[1] != "checkpoint" {
-		return fmt.Errorf("bad checkpoint response %q", strings.Join(resp, " "))
-	}
-	n, err1 := strconv.Atoi(strings.TrimPrefix(resp[2], "n="))
-	off, err2 := strconv.ParseUint(strings.TrimPrefix(resp[3], "offset="), 10, 64)
-	if err1 != nil || err2 != nil || n < 1 {
-		return fmt.Errorf("bad checkpoint response %q", strings.Join(resp, " "))
-	}
-	var dump strings.Builder
-	for i := 0; i < n; i++ {
-		if !sc.Scan() {
-			return scanFail(sc, "checkpoint dump")
-		}
-		dump.WriteString(sc.Text())
-		dump.WriteByte('\n')
+	var off uint64
+	var n int64
+	if _, err := fmt.Sscanf(sc.Text(), "ok checkpoint offset=%d bytes=%d", &off, &n); err != nil || n < 1 {
+		return fmt.Errorf("bad checkpoint response %q", sc.Text())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.resetReplicaLocked()
-	if err := s.LoadState(strings.NewReader(dump.String())); err != nil {
-		return err
+	if err := s.LoadState(io.LimitReader(sc.br, n)); err != nil {
+		s.resetReplicaLocked()
+		s.replCursor.Store(0)
+		return fmt.Errorf("loading the primary's checkpoint: %w", err)
 	}
 	s.replCursor.Store(off)
 	if end := s.replEnd.Load(); end < off {

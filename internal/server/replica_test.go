@@ -485,38 +485,125 @@ func TestJournalCrashRecovery(t *testing.T) {
 // TestCheckpointVerb: the wire checkpoint is a loadable state dump
 // whose offset anchors "journal since" exactly at the dump's cut.
 func TestCheckpointVerb(t *testing.T) {
-	_, j, addr, cleanup := startJournaledPrimary(t, t.TempDir())
+	primary, j, addr, cleanup := startJournaledPrimary(t, t.TempDir())
 	defer cleanup()
 	c := dial(t, addr)
 	defer c.close()
 	for _, req := range []string{"node a", "node b", "link 0 1", "I 1 0 0 0 100 1"} {
 		c.roundTrip(t, req)
 	}
-	resp := c.roundTrip(t, "checkpoint")
+	// The reply line is followed by raw bytes, so read it the way a
+	// replica does: lines and the body off one buffered reader.
+	lr := newLineReader(c.conn)
+	line := func(req string) string {
+		t.Helper()
+		if _, err := fmt.Fprintln(c.conn, req); err != nil || !lr.Scan() {
+			t.Fatalf("%s: %v %v", req, err, lr.Err())
+		}
+		return lr.Text()
+	}
+	resp := line("checkpoint")
 	var n int
 	var off uint64
-	if _, err := fmt.Sscanf(resp, "ok checkpoint n=%d offset=%d", &n, &off); err != nil {
+	if _, err := fmt.Sscanf(resp, "ok checkpoint offset=%d bytes=%d", &off, &n); err != nil {
 		t.Fatalf("checkpoint: %q", resp)
 	}
 	if off != j.End() {
 		t.Errorf("checkpoint offset %d, journal end %d", off, j.End())
 	}
-	var dump strings.Builder
-	for i := 0; i < n; i++ {
-		if !c.r.Scan() {
-			t.Fatalf("dump truncated at %d/%d", i, n)
-		}
-		dump.WriteString(c.r.Text())
-		dump.WriteByte('\n')
+	dump := make([]byte, n)
+	if _, err := io.ReadFull(lr.br, dump); err != nil {
+		t.Fatalf("dump truncated: %v", err)
+	}
+	// The body is the state file itself, and the connection is back to
+	// lines after it.
+	var file bytes.Buffer
+	if _, err := primary.CheckpointTo(&file, primary.Monitor().SnapshotSpecs()); err != nil || !bytes.Equal(dump, file.Bytes()) {
+		t.Fatalf("checkpoint body is not the state file (%v)", err)
+	}
+	if got := line("stats"); !strings.HasPrefix(got, "ok stats rules=1 ") {
+		t.Fatalf("stats after the checkpoint body: %q", got)
+	}
+	if got := line("checkpoint extra"); got != "err usage: checkpoint" {
+		t.Fatalf("checkpoint with an argument: %q", got)
 	}
 	restored := New()
-	if err := restored.LoadState(strings.NewReader(dump.String())); err != nil {
-		t.Fatalf("checkpoint dump not loadable: %v\n%s", err, dump.String())
+	if err := restored.LoadState(bytes.NewReader(dump)); err != nil {
+		t.Fatalf("checkpoint dump not loadable: %v", err)
 	}
 	if restored.Network().NumRules() != 1 || restored.Graph().NumNodes() != 2 {
 		t.Fatalf("restored %d rules, %d nodes", restored.Network().NumRules(), restored.Graph().NumNodes())
 	}
 	if restored.loadedJournal != off {
 		t.Errorf("restored journal cursor %d, want %d", restored.loadedJournal, off)
+	}
+}
+
+// TestReplicaShortCheckpointBody: a primary that dies partway through a
+// checkpoint body leaves the replica empty and unanchored, so it re-dials
+// and asks for a checkpoint again — it never streams the journal over a
+// half-loaded plane — and anchors once a whole body arrives.
+func TestReplicaShortCheckpointBody(t *testing.T) {
+	fixture := recordFixture(t)
+	var dump bytes.Buffer
+	if err := fixture.SaveState(&dump); err != nil {
+		t.Fatal(err)
+	}
+	fixture.Close()
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	requests := make(chan string, 16)
+	go func() {
+		for dials := 1; ; dials++ {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			lr := newLineReader(conn)
+			if !lr.Scan() {
+				conn.Close()
+				continue
+			}
+			requests <- lr.Text()
+			body := dump.Bytes()
+			if dials <= 2 {
+				body = body[:len(body)-10] // the primary dies mid-body
+			}
+			fmt.Fprintf(conn, "ok checkpoint offset=0 bytes=%d\n", dump.Len())
+			conn.Write(body)
+			if dials > 2 && lr.Scan() {
+				requests <- lr.Text()
+			}
+			conn.Close()
+		}
+	}()
+
+	replica, _, cleanup := startReplica(t, l.Addr().String())
+	defer cleanup()
+	for i, want := range []string{"checkpoint", "checkpoint", "checkpoint", "journal since 0"} {
+		select {
+		case got := <-requests:
+			if got != want {
+				t.Fatalf("request %d: %q, want %q", i+1, got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("request %d (%q) never came", i+1, want)
+		}
+		if i == 1 {
+			// After a short body the replica holds nothing.
+			replica.mu.RLock()
+			nodes, cursor := replica.graph.NumNodes(), replica.replCursor.Load()
+			replica.mu.RUnlock()
+			if nodes != 0 || cursor != 0 {
+				t.Fatalf("after a short checkpoint body: %d nodes, cursor %d, want an empty replica", nodes, cursor)
+			}
+		}
+	}
+	if got := stateOf(replica); got.nodes != 3 || got.rules != 2 {
+		t.Fatalf("anchored on the whole body: %+v", got)
 	}
 }

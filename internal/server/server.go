@@ -137,10 +137,10 @@ import (
 	"deltanet/internal/binproto"
 	"deltanet/internal/check"
 	"deltanet/internal/core"
-	"deltanet/internal/ipnet"
 	"deltanet/internal/journal"
 	"deltanet/internal/monitor"
 	"deltanet/internal/netgraph"
+	"deltanet/internal/trace"
 )
 
 // Server is a verification service over one shared data plane.
@@ -194,10 +194,9 @@ type Server struct {
 	jops []core.BatchOp
 
 	// loadedJournal is the journal offset a LoadState-restored dump was
-	// current through (state.go); LoadedJournalOffset exposes it so the
-	// caller knows where to resume journal replay. Written only by
-	// LoadState (before Serve) and the replica re-anchor path (under the
-	// write lock).
+	// current through (state.go), where ReplayJournal resumes. Written
+	// only by LoadState (before Serve) and the replica re-anchor path
+	// (under the write lock).
 	loadedJournal uint64
 
 	// replicaOf, when non-empty, is the primary address this server
@@ -277,12 +276,43 @@ func New(opts ...Option) *Server {
 // invariants before serving).
 func (s *Server) Monitor() *monitor.Monitor { return s.mon }
 
-// Network exposes the underlying engine (for preloading a snapshot before
-// serving).
+// Network and Graph expose the engine and the topology for reading;
+// updates go through the protocol, IngestOps, AddNode and AddLink, which
+// commit and journal them.
 func (s *Server) Network() *core.Network { return s.net }
-
-// Graph exposes the topology (for preloading before serving).
 func (s *Server) Graph() *netgraph.Graph { return s.graph }
+
+// AddNode and AddLink grow the topology as the node and link commands
+// do, journaled, so a restart from the journal alone rebuilds what a
+// preload (dnserve -trace, -feed) installed. Each returns the id, an
+// existing one for a name or pair already present. A replica refuses
+// both, AddNode a name that is not one protocol token, and AddLink an
+// unknown node.
+func (s *Server) AddNode(name string) (netgraph.NodeID, error) {
+	if s.replicaOf != "" || name == "" || strings.ContainsAny(name, " \t\n\v\f\r") {
+		return netgraph.NoNode, fmt.Errorf("server: cannot add node %q: not one token, or a read-only replica", name)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	id := s.graph.AddNode(name)
+	if s.jrnl != nil {
+		s.journalAppendLocked(binproto.AppendNode(s.jbuf[:0], name))
+	}
+	return id, nil
+}
+
+func (s *Server) AddLink(src, dst netgraph.NodeID) (netgraph.LinkID, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.replicaOf != "" || !s.validNode(int(src)) || !s.validNode(int(dst)) {
+		return netgraph.NoLink, fmt.Errorf("server: cannot add link %d -> %d: unknown node, or a read-only replica", src, dst)
+	}
+	id := s.graph.AddLink(src, dst)
+	if s.jrnl != nil {
+		s.journalAppendLocked(binproto.AppendLink(s.jbuf[:0], src, dst))
+	}
+	return id, nil
+}
 
 // Serve accepts connections on l until Close is called. It blocks; run it
 // in a goroutine when the caller needs to continue.
@@ -486,6 +516,14 @@ func (s *Server) handle(conn net.Conn) {
 			if resp = s.serveBinary(fields, sc, cw); resp == "" {
 				return
 			}
+		case fields[0] == "checkpoint":
+			s.countVerb("checkpoint")
+			// A binary body follows the reply line, so it is written here
+			// rather than returned as a line.
+			if err := s.writeCheckpoint(fields, cw); err != nil {
+				return
+			}
+			continue
 		case fields[0] == "journal":
 			s.countVerb("journal")
 			// Streaming mode: on success the connection is dedicated to the
@@ -721,91 +759,16 @@ func (s *Server) readAndApplyBatch(fields []string, sc *lineReader) (resp string
 	return s.updateResponse("ok batch n="+strconv.Itoa(count), loops), false
 }
 
-// nextField returns the next whitespace-delimited token of line
-// starting at *i, advancing *i past it. Tokens are substrings of line,
-// so scanning a whole update costs zero allocations — this is the
-// batch ingest hot path, where strings.Fields' []string per line used
-// to dominate the parse stage.
-func nextField(line string, i *int) (string, bool) {
-	for *i < len(line) && (line[*i] == ' ' || line[*i] == '\t' || line[*i] == '\r') {
-		*i++
-	}
-	if *i >= len(line) {
-		return "", false
-	}
-	start := *i
-	for *i < len(line) && line[*i] != ' ' && line[*i] != '\t' && line[*i] != '\r' {
-		*i++
-	}
-	return line[start:*i], true
-}
-
-// scanRule scans a rule's six numbers — id, source node, link (-1 for
-// the drop link), lo, hi, priority — in place from line at *i, which
-// must end there. It serves the I line and the state file's rule line
-// (usage is the caller's arity message). It only parses: a number is
-// refused when the rule's field cannot hold it, and what the numbers
-// refer to is checkOp's to judge.
-func scanRule(line string, i *int, usage string) (core.Rule, string) {
-	var nums [6]int64
-	for k := range nums {
-		f, ok := nextField(line, i)
-		if !ok {
-			return core.Rule{}, usage
-		}
-		v, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			return core.Rule{}, "bad number: " + f
-		}
-		nums[k] = v
-	}
-	if _, extra := nextField(line, i); extra {
-		return core.Rule{}, usage
-	}
-	r := core.Rule{
-		ID:       core.RuleID(nums[0]),
-		Source:   netgraph.NodeID(nums[1]),
-		Link:     netgraph.LinkID(nums[2]),
-		Match:    ipnet.Interval{Lo: uint64(nums[3]), Hi: uint64(nums[4])},
-		Priority: core.Priority(nums[5]),
-	}
-	if int64(r.Source) != nums[1] || int64(r.Link) != nums[2] || int64(r.Priority) != nums[5] {
-		return core.Rule{}, "node id, link id or priority out of range"
-	}
-	return r, ""
-}
-
 // parseUpdateLine parses an I or R line of live line-protocol input
 // into a batch operation (journal replay and replicas decode frames
-// instead). The op is validated here (checkOp), so a B batch's error
-// names the offending line; commitLocked holds whatever reaches it to
-// the same validator again. Callers must hold at least the read lock.
+// instead) with the one text op scanner (trace.ParseOp), and validates
+// it (checkOp), so a B batch's error names the offending line;
+// commitLocked holds whatever reaches it to the same validator again.
+// Callers must hold at least the read lock.
 func (s *Server) parseUpdateLine(line string) (core.BatchOp, string) {
-	i := 0
-	verb, _ := nextField(line, &i)
-	var op core.BatchOp
-	switch verb {
-	case "I":
-		r, errmsg := scanRule(line, &i, "usage: I <ruleID> <srcID> <linkID|-1> <lo> <hi> <prio>")
-		if errmsg != "" {
-			return core.BatchOp{}, errmsg
-		}
-		op = core.InsertOp(r)
-	case "R":
-		f, ok := nextField(line, &i)
-		if !ok {
-			return core.BatchOp{}, "usage: R <ruleID>"
-		}
-		id, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			return core.BatchOp{}, "bad rule id"
-		}
-		if _, extra := nextField(line, &i); extra {
-			return core.BatchOp{}, "usage: R <ruleID>"
-		}
-		op = core.RemoveOp(core.RuleID(id))
-	default:
-		return core.BatchOp{}, "batch lines must be I or R, got " + verb
+	op, msg := trace.ParseOp(line)
+	if msg != "" {
+		return op, msg
 	}
 	return op, checkOp(&op, s.graph.NumNodes(), s.graph.NumLinks())
 }
@@ -848,9 +811,12 @@ func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 			// the apply loop.
 			return errReadOnly
 		}
+		if fields[0] == "node" || fields[0] == "link" {
+			return s.topologyCommand(fields) // AddNode and AddLink lock for themselves
+		}
 	}
 	switch fields[0] {
-	case "reach", "whatif", "stats", "W", "unwatch", "events", "trace", "checkpoint":
+	case "reach", "whatif", "stats", "W", "unwatch", "events", "trace":
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 	default:
@@ -860,28 +826,6 @@ func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 		defer s.mu.Unlock()
 	}
 	switch fields[0] {
-	case "node":
-		if len(fields) != 2 {
-			return "err usage: node <name>"
-		}
-		id := s.graph.AddNode(fields[1])
-		if s.jrnl != nil {
-			s.journalAppendLocked(binproto.AppendNode(s.jbuf[:0], fields[1]))
-		}
-		return fmt.Sprintf("ok node %d", id)
-	case "link":
-		src, dst, err := twoInts(fields)
-		if err != nil {
-			return "err usage: link <srcID> <dstID>"
-		}
-		if !s.validNode(src) || !s.validNode(dst) {
-			return "err unknown node id"
-		}
-		id := s.graph.AddLink(netgraph.NodeID(src), netgraph.NodeID(dst))
-		if s.jrnl != nil {
-			s.journalAppendLocked(binproto.AppendLink(s.jbuf[:0], netgraph.NodeID(src), netgraph.NodeID(dst)))
-		}
-		return fmt.Sprintf("ok link %d", id)
 	case "I", "R":
 		t0 := time.Now()
 		op, errmsg := s.parseUpdateLine(line)
@@ -999,8 +943,6 @@ func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 			fmt.Fprintf(&b, " ring=%d", r.Depth())
 		}
 		return b.String()
-	case "checkpoint":
-		return s.checkpointResponse()
 	case "trace":
 		return s.traceResponse(fields)
 	default:
@@ -1060,14 +1002,29 @@ func (s *Server) updateResponse(head string, loops []check.Loop) string {
 
 func (s *Server) validNode(id int) bool { return id >= 0 && id < s.graph.NumNodes() }
 
-func twoInts(fields []string) (int, int, error) {
+// topologyCommand serves the node and link commands.
+func (s *Server) topologyCommand(fields []string) string {
+	if fields[0] == "node" {
+		if len(fields) != 2 {
+			return "err usage: node <name>"
+		}
+		id, err := s.AddNode(fields[1])
+		if err != nil {
+			return "err " + err.Error()
+		}
+		return fmt.Sprintf("ok node %d", id)
+	}
 	if len(fields) != 3 {
-		return 0, 0, fmt.Errorf("arity")
+		return "err usage: link <srcID> <dstID>"
 	}
-	a, err1 := strconv.Atoi(fields[1])
-	b, err2 := strconv.Atoi(fields[2])
+	src, err1 := strconv.ParseInt(fields[1], 10, 32)
+	dst, err2 := strconv.ParseInt(fields[2], 10, 32)
 	if err1 != nil || err2 != nil {
-		return 0, 0, fmt.Errorf("bad int")
+		return "err usage: link <srcID> <dstID>"
 	}
-	return a, b, nil
+	id, err := s.AddLink(netgraph.NodeID(src), netgraph.NodeID(dst))
+	if err != nil {
+		return "err unknown node id"
+	}
+	return fmt.Sprintf("ok link %d", id)
 }

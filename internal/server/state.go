@@ -7,270 +7,172 @@ package server
 // and re-evaluated against the restored data plane — clients reconnect,
 // resume their watches, and see verdicts identical to a server that
 // never died.
+//
+// A state file is a compacted journal: stateHeader, then dnbin frames —
+// nodes and links in id order (so ids survive), the live rules as
+// inserts, and one meta frame with what those cannot carry: the drop
+// sink, the event seq ("watch since" cursors), the update seq (replayed
+// journal records keep the primary's numbering), the journal offset the
+// dump is current through, and the specs. It is also the checkpoint
+// verb's body.
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
+	"deltanet/internal/binproto"
 	"deltanet/internal/core"
 	"deltanet/internal/monitor"
 	"deltanet/internal/netgraph"
 )
 
-// stateHeader is the first line of a version-3 state file. The format is
-// line-oriented and human-readable, in this order:
-//
-//	deltanet-state 3
-//	node <name>                              (one per node, in id order)
-//	link <srcID> <dstID>                     (one per link, in id order)
-//	drop <nodeID>                            (optional: the drop sink)
-//	rule <id> <srcID> <linkID> <lo> <hi> <prio>
-//	seq <lastEventSeq>                       (optional: event-stream cursor)
-//	upd <updateSeq>                          (optional: update counter)
-//	journal <offset>                         (optional: journal cursor)
-//	spec <serialized invariant>              (monitor.FormatSpec form)
-//
-// Nodes and links are dumped positionally so every id a client or a spec
-// references means the same thing after a restore; the drop line
-// reattaches the drop-sink bookkeeping that AddNode/AddLink replay alone
-// cannot recover (the sink's special treatment in loop and black-hole
-// checks would otherwise be lost). The seq line carries the last
-// published event sequence number across the restart, so the restored
-// monitor resumes numbering where the previous incarnation stopped and
-// a watcher's "watch since <seq>" cursor keeps meaning the same point
-// in the stream — the gap it is shown covers only the genuinely missed
-// window, not a whole foreign stream. The v3 additions serve the
-// journal/replication substrate: upd carries the monitor's update
-// sequence counter (so replayed journal records keep the primary's
-// numbering), and journal is the logical journal offset the dump is
-// current through — the exact cursor to resume "journal since" from, or
-// to replay a local journal suffix after a crash. Version-1 and -2
-// files load unchanged.
 const (
-	stateHeader   = "deltanet-state 3"
-	stateHeaderV2 = "deltanet-state 2"
-	stateHeaderV1 = "deltanet-state 1"
+	stateHeader     = "dnstate 1\n"
+	textStateHeader = "deltanet-state" // older builds' text files, refused by name
+	// checkpointChunk is the most ops in one insert frame, each loaded by
+	// one ApplyBatch: the ring's largest run, so a load leaves the engine's
+	// batch scratch sized as a live server's (a larger one would leave
+	// later runs clearing a larger id table).
+	checkpointChunk = maxIngestBatch
 )
 
 // SaveState writes the server's durable state — topology, rules, the
 // event-stream cursor, and the currently registered invariant specs —
-// to w in the version-3 format (stateHeader). It takes the read lock, so
-// it may run concurrently with serving (mutations block for the
-// duration of the dump).
-//
-// On the shutdown path, capture the spec list with
-// Monitor().SnapshotSpecs() BEFORE Close and pass it to
-// SaveStateWithSpecs: Close's connection drain sweeps every
-// client-held registration, so a post-Close SaveState would persist
-// only preloaded invariants and forget the live watch set.
+// to w. It takes the read lock, so it may run concurrently with serving
+// (mutations block for the duration of the dump). On the shutdown path,
+// capture Monitor().SnapshotSpecs() BEFORE Close and pass it to
+// CheckpointTo: Close's connection drain releases every client-held
+// registration.
 func (s *Server) SaveState(w io.Writer) error {
-	return s.SaveStateWithSpecs(w, s.mon.SnapshotSpecs())
-}
-
-// SaveStateWithSpecs is SaveState with an explicit invariant list (the
-// SnapshotSpecs format), for callers that captured the watch set at a
-// different moment than the dump — see SaveState.
-func (s *Server) SaveStateWithSpecs(w io.Writer, specs []string) error {
-	_, err := s.CheckpointTo(w, specs)
+	_, err := s.CheckpointTo(w, s.mon.SnapshotSpecs())
 	return err
 }
 
-// CheckpointTo is SaveStateWithSpecs returning the journal offset the
-// dump is current through (0 without a journal): the cursor a journal
-// rotation anchors to (Journal.Rotate keeps everything after it), and
-// the dump's own journal record. Offset and dump are captured under one
-// read-lock acquisition, so no update can land between them.
+// CheckpointTo is SaveState with an explicit invariant list (the
+// SnapshotSpecs format), returning the journal offset the dump is
+// current through (0 without a journal): the cursor a journal rotation
+// anchors to. Offset and dump are one read-locked cut.
 func (s *Server) CheckpointTo(w io.Writer, specs []string) (journalOffset uint64, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.saveStateLocked(w, specs)
-}
-
-// saveStateLocked writes the state dump. Caller holds s.mu in some mode
-// (mutations are excluded for the duration, so the journal offset, the
-// monitor counters, and the engine contents are one consistent cut).
-func (s *Server) saveStateLocked(w io.Writer, specs []string) (journalOffset uint64, err error) {
-	bw := bufio.NewWriter(w) // write errors stick; the final Flush reports them
-	text := func(key, val string) {
-		bw.WriteString(key)
-		bw.WriteString(val)
-		bw.WriteByte('\n')
+	meta := binproto.Meta{Drop: s.graph.DropNode(), Seq: s.mon.LastSeq(), Upd: s.mon.UpdateSeq(), Specs: specs}
+	if s.jrnl != nil {
+		meta.Journal = s.jrnl.End()
+	} else if s.replicaOf != "" {
+		meta.Journal = s.replCursor.Load() // a replica resumes its stream where it stopped
 	}
-	bw.WriteString(stateHeader + "\n")
+	trailer := binproto.AppendMeta(nil, &meta)
+	if len(trailer)-4 > binproto.MaxFrame {
+		return 0, fmt.Errorf("server: checkpoint: %d bytes of invariant specs exceed one %d-byte frame", len(trailer), binproto.MaxFrame)
+	}
+	bw := bufio.NewWriterSize(w, 64<<10) // write errors stick; the final Flush reports them
+	bw.WriteString(stateHeader)
+	var buf []byte
 	for v := 0; v < s.graph.NumNodes(); v++ {
-		text("node ", s.graph.NodeName(netgraph.NodeID(v)))
+		buf = binproto.AppendNode(buf[:0], s.graph.NodeName(netgraph.NodeID(v)))
+		bw.Write(buf)
 	}
 	for _, l := range s.graph.Links() {
-		dumpLine(bw, "link", int64(l.Src), int64(l.Dst))
+		buf = binproto.AppendLink(buf[:0], l.Src, l.Dst)
+		bw.Write(buf)
 	}
-	if d := s.graph.DropNode(); d != netgraph.NoNode {
-		dumpLine(bw, "drop", int64(d))
+	rules := s.net.Snapshot()
+	ops := make([]core.BatchOp, 0, min(len(rules), checkpointChunk))
+	for len(rules) > 0 {
+		ops = ops[:0]
+		for _, r := range rules[:min(len(rules), checkpointChunk)] {
+			ops = append(ops, core.InsertOp(r))
+		}
+		rules = rules[len(ops):]
+		buf = binproto.AppendOps(buf[:0], ops)
+		bw.Write(buf)
 	}
-	for _, r := range s.net.Snapshot() {
-		dumpLine(bw, "rule", int64(r.ID), int64(r.Source), int64(r.Link),
-			int64(r.Match.Lo), int64(r.Match.Hi), int64(r.Priority))
-	}
-	if seq := s.mon.LastSeq(); seq > 0 {
-		dumpLine(bw, "seq", int64(seq))
-	}
-	if upd := s.mon.UpdateSeq(); upd > 0 {
-		dumpLine(bw, "upd", int64(upd))
-	}
-	if s.jrnl != nil {
-		journalOffset = s.jrnl.End()
-		dumpLine(bw, "journal", int64(journalOffset))
-	} else if s.replicaOf != "" {
-		// A replica's dump carries its applied-through cursor, so a
-		// replica restarted from its own state file resumes the stream
-		// where it stopped.
-		journalOffset = s.replCursor.Load()
-		dumpLine(bw, "journal", int64(journalOffset))
-	}
-	for _, spec := range specs {
-		text("spec ", spec)
-	}
-	return journalOffset, bw.Flush()
+	bw.Write(trailer)
+	return meta.Journal, bw.Flush()
 }
 
-// dumpLine writes "key v0 v1 ...\n" to bw, rendered with strconv
-// straight into the writer's free space: no fmt, and no allocation
-// unless the line straddles the end of the buffer.
-func dumpLine(bw *bufio.Writer, key string, vals ...int64) {
-	b := append(bw.AvailableBuffer(), key...)
-	for _, v := range vals {
-		b = strconv.AppendInt(append(b, ' '), v, 10)
-	}
-	bw.Write(append(b, '\n'))
-}
-
-// LoadState restores a state dump (version 1, 2 or 3) into an empty server:
-// topology first (ids assigned in file order, reproducing the saved
-// ids), then rules (replayed through the engine, so atom state is
-// rebuilt exactly as a fresh insertion history would), then invariant
-// specs (each registered and immediately evaluated against the restored
-// data plane); a seq record resumes event numbering where the saved
-// incarnation stopped. Call it before Serve.
+// LoadState restores a state dump into an empty server: topology in
+// stream order (reproducing the saved ids), each ops frame with one
+// ApplyBatch (no loop check, monitor pass, journal append or update
+// count: a dump is a state, not a history), then the meta frame — the
+// drop sink before the specs register, since their evaluation treats
+// it specially, and the counters as saved. A dump without its meta
+// frame is refused as truncated. Call it before Serve.
 func (s *Server) LoadState(r io.Reader) error {
 	if s.graph.NumNodes() != 0 || s.net.NumRules() != 0 {
-		return fmt.Errorf("server: LoadState requires an empty server")
+		return errors.New("server: LoadState requires an empty server")
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 4096), 1<<20)
-	if !sc.Scan() {
-		return fmt.Errorf("server: not a %q file", stateHeader)
+	br := bufio.NewReaderSize(r, 64<<10)
+	switch head, _ := br.Peek(len(textStateHeader)); {
+	case bytes.HasPrefix(head, []byte(stateHeader)):
+		br.Discard(len(stateHeader))
+	case string(head) == textStateHeader:
+		return fmt.Errorf("server: a %q text state file; this build reads %q (dnbin frames): replay its node and link lines, "+
+			"its rule lines as I and its spec lines as W into a fresh server, then checkpoint that", textStateHeader, stateHeader[:9])
+	default:
+		return fmt.Errorf("server: not a %q file", stateHeader[:9])
 	}
-	if h := strings.TrimSpace(sc.Text()); h != stateHeader && h != stateHeaderV2 && h != stateHeaderV1 {
-		return fmt.Errorf("server: not a %q file", stateHeader)
-	}
-	var rules []core.Rule
-	var specs []monitor.Spec
-	lineNo := 1
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	fr := binproto.NewReader(br)
+	for {
+		f, err := fr.Read()
+		if err == io.EOF {
+			return errors.New("server: state truncated: no meta frame")
+		} else if err != nil {
+			return fmt.Errorf("server: reading state: %w", err)
 		}
-		bad := func(msg string) error {
-			return fmt.Errorf("server: state line %d: %s: %q", lineNo, msg, line)
-		}
-		// Rule lines are nearly the whole file: they are scanned in place,
-		// and only the other records pay for a field slice.
-		i := 0
-		if key, _ := nextField(line, &i); key == "rule" {
-			rule, errmsg := scanRule(line, &i, "usage: rule <id> <srcID> <linkID> <lo> <hi> <prio>")
-			if errmsg == "" {
-				op := core.InsertOp(rule)
-				errmsg = checkOp(&op, s.graph.NumNodes(), s.graph.NumLinks())
+		switch f.Kind {
+		case binproto.KindNode:
+			if n := s.graph.NumNodes(); int(s.graph.AddNode(f.Name)) != n {
+				return fmt.Errorf("server: state: duplicate node %q", f.Name)
 			}
-			if errmsg != "" {
-				return bad(errmsg)
+		case binproto.KindLink:
+			if !s.validNode(int(f.Src)) || !s.validNode(int(f.Dst)) {
+				return fmt.Errorf("server: state: link %d -> %d names an unknown node", f.Src, f.Dst)
 			}
-			rules = append(rules, rule)
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "node":
-			if len(fields) != 2 {
-				return bad("usage: node <name>")
+			if n := s.graph.NumLinks(); int(s.graph.AddLink(f.Src, f.Dst)) != n {
+				return fmt.Errorf("server: state: duplicate link %d -> %d", f.Src, f.Dst)
 			}
-			if int(s.graph.AddNode(fields[1])) != s.graph.NumNodes()-1 {
-				return bad("duplicate node name")
+		case binproto.KindOps:
+			if msg := s.checkOps(f.Ops); msg != "" {
+				return errors.New("server: state: " + msg)
 			}
-		case "link":
-			src, dst, err := twoInts(fields)
-			if err != nil || !s.validNode(src) || !s.validNode(dst) {
-				return bad("bad link endpoints")
+			if err := s.net.ApplyBatch(f.Ops, &s.delta, 0); err != nil {
+				return fmt.Errorf("server: restoring rules: %w", err)
 			}
-			if int(s.graph.AddLink(netgraph.NodeID(src), netgraph.NodeID(dst))) != s.graph.NumLinks()-1 {
-				return bad("duplicate link")
+		case binproto.KindMeta:
+			if _, err := fr.Read(); err != io.EOF {
+				return fmt.Errorf("server: state continues after its meta frame (%v)", err)
 			}
-		case "drop":
-			if len(fields) != 2 {
-				return bad("usage: drop <nodeID>")
-			}
-			id, err := strconv.Atoi(fields[1])
-			if err != nil || !s.validNode(id) {
-				return bad("bad drop node id")
-			}
-			s.graph.SetDropNode(netgraph.NodeID(id))
-		case "seq":
-			if len(fields) != 2 {
-				return bad("usage: seq <lastEventSeq>")
-			}
-			seq, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				return bad("bad sequence number")
-			}
-			s.mon.ResumeSeq(seq)
-		case "upd":
-			if len(fields) != 2 {
-				return bad("usage: upd <updateSeq>")
-			}
-			upd, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				return bad("bad update counter")
-			}
-			s.mon.ResumeUpdates(upd)
-		case "journal":
-			if len(fields) != 2 {
-				return bad("usage: journal <offset>")
-			}
-			off, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				return bad("bad journal offset")
-			}
-			s.loadedJournal = off
-		case "spec":
-			spec, err := monitor.ParseSpec(strings.TrimSpace(strings.TrimPrefix(line, "spec")))
-			if err != nil {
-				return bad(err.Error())
-			}
-			for _, n := range monitor.SpecNodes(spec) {
-				if !s.validNode(int(n)) {
-					return bad("spec names an unknown node id")
+			m := f.Meta
+			specs := make([]monitor.Spec, len(m.Specs))
+			for i, line := range m.Specs {
+				if specs[i], err = monitor.ParseSpec(line); err != nil {
+					return fmt.Errorf("server: state: spec %q: %v", line, err)
+				}
+				for _, n := range monitor.SpecNodes(specs[i]) {
+					if !s.validNode(int(n)) {
+						return fmt.Errorf("server: state: spec %q names an unknown node", line)
+					}
 				}
 			}
-			specs = append(specs, spec)
+			if m.Drop != netgraph.NoNode {
+				if !s.validNode(int(m.Drop)) {
+					return fmt.Errorf("server: state: drop node %d is unknown", m.Drop)
+				}
+				s.graph.SetDropNode(m.Drop)
+			}
+			s.mon.ResumeSeq(m.Seq)
+			s.mon.ResumeUpdates(m.Upd)
+			s.loadedJournal = m.Journal
+			for _, spec := range specs {
+				s.mon.Register(spec)
+			}
+			return nil
 		default:
-			return bad("unknown state record")
+			return fmt.Errorf("server: state: frame kind %d is not a state record", f.Kind)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("server: reading state: %w", err)
-	}
-	if err := s.net.Restore(rules); err != nil {
-		return fmt.Errorf("server: restoring rules: %w", err)
-	}
-	// Specs last: each registration evaluates against the fully restored
-	// data plane, so the re-registered invariants' verdicts match a fresh
-	// full evaluation by construction.
-	for _, spec := range specs {
-		s.mon.Register(spec)
-	}
-	return nil
 }

@@ -1,16 +1,15 @@
-// Package trace defines the replayable operation traces the paper's
-// datasets are distributed as (§4.2: "we organize our data sets as text
-// files in which each line denotes an operation: an insertion or removal
-// of a rule. So all operations can be easily replayed").
+// Package trace is the one text grammar for an operation stream: the
+// line protocol's update scanner (ParseOp, which the server's line
+// protocol calls too) and the trace files the paper's datasets are
+// distributed as (§4.2: "each line denotes an operation … so all
+// operations can be easily replayed"). A trace file is a line-protocol
+// session, so it replays into an empty dnserve with nothing but nc;
+// comments, the first of which names the trace, are its one addition:
 //
-// A trace bundles the topology with the operation stream so a file is
-// self-contained. The text format is line-oriented:
-//
-//	# comments and blank lines ignored
-//	deltanet-trace v1
-//	node <id> <name>
-//	link <id> <srcNodeID> <dstNodeID>
-//	I <ruleID> <sourceNodeID> <linkID|-1> <lo> <hi> <priority>
+//	# <name>
+//	node <name>                                (one per node, in id order)
+//	link <srcID> <dstID>                       (one per link, in id order)
+//	I <ruleID> <srcID> <linkID|-1> <lo> <hi> <prio>
 //	R <ruleID>
 package trace
 
@@ -26,17 +25,11 @@ import (
 	"deltanet/internal/netgraph"
 )
 
-// Op is one replayable operation.
-type Op struct {
-	Insert bool
-	Rule   core.Rule // fully populated for inserts; only ID for removals
-}
-
 // Trace is a topology plus an operation stream.
 type Trace struct {
 	Name  string
 	Graph *netgraph.Graph
-	Ops   []Op
+	Ops   []core.BatchOp
 }
 
 // NumInserts returns the number of insert operations.
@@ -50,17 +43,16 @@ func (t *Trace) NumInserts() int {
 	return n
 }
 
-// Write serializes the trace to w in the v1 text format.
+// Write serializes the trace to w as a line-protocol session.
 func (t *Trace) Write(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	fmt.Fprintf(bw, "# %s\n", t.Name)
-	fmt.Fprintln(bw, "deltanet-trace v1")
 	g := t.Graph
 	for v := netgraph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		fmt.Fprintf(bw, "node %d %s\n", v, g.NodeName(v))
+		fmt.Fprintf(bw, "node %s\n", g.NodeName(v))
 	}
 	for _, l := range g.Links() {
-		fmt.Fprintf(bw, "link %d %d %d\n", l.ID, l.Src, l.Dst)
+		fmt.Fprintf(bw, "link %d %d\n", l.Src, l.Dst)
 	}
 	for _, op := range t.Ops {
 		if op.Insert {
@@ -73,105 +65,142 @@ func (t *Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read parses a trace in the v1 text format.
+// Read parses a trace file. Each node and each link is named once, so
+// ids come out in line order. A "deltanet-trace v1" file, the format
+// older builds wrote, is refused by name.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	t := &Trace{Graph: netgraph.New()}
-	sawHeader := false
-	lineNo := 0
-	// Node/link ids must come out dense and in order; we validate that
-	// the ids the graph assigns match the file's.
-	for sc.Scan() {
-		lineNo++
+	g := t.Graph
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
+		f, msg := strings.Fields(line), ""
+		switch {
+		case len(f) == 0:
+		case line[0] == '#':
 			if t.Name == "" {
 				t.Name = strings.TrimSpace(line[1:])
 			}
-			continue
-		}
-		if !sawHeader {
-			if line != "deltanet-trace v1" {
-				return nil, fmt.Errorf("trace: line %d: missing header, got %q", lineNo, line)
+		case f[0] == "I" || f[0] == "R":
+			var op core.BatchOp
+			op, msg = ParseOp(line)
+			t.Ops = append(t.Ops, op)
+		case f[0] == "node" && len(f) == 2:
+			if n := g.NumNodes(); int(g.AddNode(f[1])) != n {
+				msg = "duplicate node name"
 			}
-			sawHeader = true
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "node":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("trace: line %d: bad node line", lineNo)
+		case f[0] == "link" && len(f) == 3:
+			src, err1 := strconv.Atoi(f[1])
+			dst, err2 := strconv.Atoi(f[2])
+			if err1 != nil || err2 != nil || src < 0 || dst < 0 || src >= g.NumNodes() || dst >= g.NumNodes() {
+				msg = "unknown node id"
+			} else if n := g.NumLinks(); int(g.AddLink(netgraph.NodeID(src), netgraph.NodeID(dst))) != n {
+				msg = "duplicate link"
 			}
-			want, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-			}
-			got := t.Graph.AddNode(fields[2])
-			if int(got) != want {
-				return nil, fmt.Errorf("trace: line %d: node id %d assigned %d (file not dense/ordered)", lineNo, want, got)
-			}
-		case "link":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("trace: line %d: bad link line", lineNo)
-			}
-			want, err1 := strconv.Atoi(fields[1])
-			src, err2 := strconv.Atoi(fields[2])
-			dst, err3 := strconv.Atoi(fields[3])
-			if err1 != nil || err2 != nil || err3 != nil {
-				return nil, fmt.Errorf("trace: line %d: bad link ids", lineNo)
-			}
-			got := t.Graph.AddLink(netgraph.NodeID(src), netgraph.NodeID(dst))
-			if int(got) != want {
-				return nil, fmt.Errorf("trace: line %d: link id %d assigned %d", lineNo, want, got)
-			}
-		case "I":
-			if len(fields) != 7 {
-				return nil, fmt.Errorf("trace: line %d: bad insert line", lineNo)
-			}
-			var nums [6]int64
-			for i := 0; i < 6; i++ {
-				v, err := strconv.ParseInt(fields[i+1], 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-				}
-				nums[i] = v
-			}
-			t.Ops = append(t.Ops, Op{Insert: true, Rule: core.Rule{
-				ID:       core.RuleID(nums[0]),
-				Source:   netgraph.NodeID(nums[1]),
-				Link:     netgraph.LinkID(nums[2]),
-				Match:    ipnet.Interval{Lo: uint64(nums[3]), Hi: uint64(nums[4])},
-				Priority: core.Priority(nums[5]),
-			}})
-		case "R":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("trace: line %d: bad remove line", lineNo)
-			}
-			id, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-			}
-			t.Ops = append(t.Ops, Op{Rule: core.Rule{ID: core.RuleID(id)}})
+		case f[0] == "deltanet-trace":
+			msg = "a deltanet-trace v1 file; this build reads line-protocol sessions: regenerate it with dngen"
 		default:
-			return nil, fmt.Errorf("trace: line %d: unknown directive %q", lineNo, fields[0])
+			msg = "want node <name>, link <srcID> <dstID>, I or R"
+		}
+		if msg != "" {
+			return nil, fmt.Errorf("trace: line %d: %s: %q", lineNo, msg, line)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if !sawHeader {
+	if g.NumNodes() == 0 && len(t.Ops) == 0 {
 		return nil, fmt.Errorf("trace: empty input")
 	}
 	return t, nil
 }
 
+// ParseOp parses an I or R line — the line protocol's update grammar —
+// into a batch operation, or returns what is wrong with it. It only
+// parses: a number is refused when the rule's field cannot hold it, and
+// what the numbers refer to is the caller's to judge against a
+// topology. Tokens are scanned in place, so a well-formed line costs no
+// allocation (the batch ingest hot path).
+func ParseOp(line string) (core.BatchOp, string) {
+	i := 0
+	switch verb, _ := nextField(line, &i); verb {
+	case "I":
+		r, msg := scanRule(line, &i)
+		if msg != "" {
+			return core.BatchOp{}, msg
+		}
+		return core.InsertOp(r), ""
+	case "R":
+		f, ok := nextField(line, &i)
+		if !ok {
+			return core.BatchOp{}, "usage: R <ruleID>"
+		}
+		id, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			return core.BatchOp{}, "bad rule id"
+		}
+		if _, extra := nextField(line, &i); extra {
+			return core.BatchOp{}, "usage: R <ruleID>"
+		}
+		return core.RemoveOp(core.RuleID(id)), ""
+	default:
+		return core.BatchOp{}, "want an I or R line, got " + verb
+	}
+}
+
+// nextField returns the next whitespace-delimited token of line
+// starting at *i, advancing *i past it. Tokens are substrings of line,
+// so scanning costs no allocation.
+func nextField(line string, i *int) (string, bool) {
+	for *i < len(line) && (line[*i] == ' ' || line[*i] == '\t' || line[*i] == '\r') {
+		*i++
+	}
+	if *i >= len(line) {
+		return "", false
+	}
+	start := *i
+	for *i < len(line) && line[*i] != ' ' && line[*i] != '\t' && line[*i] != '\r' {
+		*i++
+	}
+	return line[start:*i], true
+}
+
+// scanRule scans an I line's six numbers — id, source node, link (-1
+// for the drop link), lo, hi, priority — from line at *i, which must
+// end there.
+func scanRule(line string, i *int) (core.Rule, string) {
+	const usage = "usage: I <ruleID> <srcID> <linkID|-1> <lo> <hi> <prio>"
+	var nums [6]int64
+	for k := range nums {
+		f, ok := nextField(line, i)
+		if !ok {
+			return core.Rule{}, usage
+		}
+		v, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			return core.Rule{}, "bad number: " + f
+		}
+		nums[k] = v
+	}
+	if _, extra := nextField(line, i); extra {
+		return core.Rule{}, usage
+	}
+	r := core.Rule{
+		ID:       core.RuleID(nums[0]),
+		Source:   netgraph.NodeID(nums[1]),
+		Link:     netgraph.LinkID(nums[2]),
+		Match:    ipnet.Interval{Lo: uint64(nums[3]), Hi: uint64(nums[4])},
+		Priority: core.Priority(nums[5]),
+	}
+	if int64(r.Source) != nums[1] || int64(r.Link) != nums[2] || int64(r.Priority) != nums[5] {
+		return core.Rule{}, "node id, link id or priority out of range"
+	}
+	return r, ""
+}
+
 // Apply replays one operation into the engine, returning its delta.
-func Apply(n *core.Network, op Op, d *core.Delta) error {
+func Apply(n *core.Network, op core.BatchOp, d *core.Delta) error {
 	if op.Insert {
 		return n.InsertRuleInto(op.Rule, d)
 	}

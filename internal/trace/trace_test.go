@@ -18,12 +18,12 @@ func sampleTrace() *Trace {
 	return &Trace{
 		Name:  "sample",
 		Graph: g,
-		Ops: []Op{
-			{Insert: true, Rule: core.Rule{ID: 1, Source: a, Link: ab,
-				Match: ipnet.Interval{Lo: 10, Hi: 20}, Priority: 5}},
-			{Insert: true, Rule: core.Rule{ID: 2, Source: a, Link: netgraph.NoLink,
-				Match: ipnet.Interval{Lo: 0, Hi: 1 << 32}, Priority: 1}},
-			{Rule: core.Rule{ID: 1}},
+		Ops: []core.BatchOp{
+			core.InsertOp(core.Rule{ID: 1, Source: a, Link: ab,
+				Match: ipnet.Interval{Lo: 10, Hi: 20}, Priority: 5}),
+			core.InsertOp(core.Rule{ID: 2, Source: a, Link: netgraph.NoLink,
+				Match: ipnet.Interval{Lo: 0, Hi: 1 << 32}, Priority: 1}),
+			core.RemoveOp(1),
 		},
 	}
 }
@@ -33,6 +33,10 @@ func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := orig.Write(&buf); err != nil {
 		t.Fatal(err)
+	}
+	want := "# sample\nnode a\nnode b\nlink 0 1\nI 1 0 0 10 20 5\nI 2 0 -1 0 4294967296 1\nR 1\n"
+	if buf.String() != want {
+		t.Fatalf("written trace is not a line-protocol session:\n%s\nwant\n%s", buf.String(), want)
 	}
 	got, err := Read(&buf)
 	if err != nil {
@@ -50,14 +54,10 @@ func TestRoundTrip(t *testing.T) {
 	if len(got.Ops) != 3 {
 		t.Fatalf("ops=%d", len(got.Ops))
 	}
-	if !got.Ops[0].Insert || got.Ops[0].Rule != orig.Ops[0].Rule {
-		t.Fatalf("op0 %+v", got.Ops[0])
-	}
-	if got.Ops[1].Rule.Link != netgraph.NoLink {
-		t.Fatal("drop link lost")
-	}
-	if got.Ops[2].Insert || got.Ops[2].Rule.ID != 1 {
-		t.Fatalf("op2 %+v", got.Ops[2])
+	for i := range orig.Ops {
+		if got.Ops[i] != orig.Ops[i] {
+			t.Fatalf("op %d: %+v, want %+v", i, got.Ops[i], orig.Ops[i])
+		}
 	}
 	if got.NumInserts() != 2 {
 		t.Fatalf("NumInserts=%d", got.NumInserts())
@@ -66,17 +66,24 @@ func TestRoundTrip(t *testing.T) {
 
 func TestReadErrors(t *testing.T) {
 	cases := []string{
-		"",                              // empty
-		"bogus header\n",                // bad header
-		"deltanet-trace v1\nnode x\n",   // short node line
-		"deltanet-trace v1\nnode 5 a\n", // non-dense node id
-		"deltanet-trace v1\nlink 0 0\n", // short link line
-		"deltanet-trace v1\nnode 0 a\nnode 1 b\nlink 7 0 1\n", // bad link id
-		"deltanet-trace v1\nI 1 2\n",                          // short insert
-		"deltanet-trace v1\nI a 0 0 0 1 1\n",                  // non-numeric
-		"deltanet-trace v1\nR\n",                              // short remove
-		"deltanet-trace v1\nR x\n",                            // non-numeric remove
-		"deltanet-trace v1\nwhat 1\n",                         // unknown directive
+		"",                                     // empty
+		"# only a name\n",                      // nothing but comments
+		"bogus header\n",                       // unknown directive
+		"node\n",                               // short node line
+		"node a b\n",                           // node name is one token
+		"node a\nnode a\n",                     // duplicate name: ids would shift
+		"node a\nlink 0\n",                     // short link line
+		"node a\nlink 0 1\n",                   // unknown node
+		"node a\nlink 0 -1\n",                  // negative node id
+		"node a\nnode b\nlink 0 1\nlink 0 1\n", // duplicate link
+		"I 1 2\n",                              // short insert
+		"I a 0 0 0 1 1\n",                      // non-numeric
+		"I 1 0 0 0 1 1 9\n",                    // trailing field
+		"I 1 4294967296 0 0 1 1\n",             // source does not fit a node id
+		"R\n",                                  // short remove
+		"R x\n",                                // non-numeric remove
+		"R 1 2\n",                              // trailing field
+		"what 1\n",                             // unknown directive
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {
@@ -85,14 +92,38 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// TestReadRefusesV1 pins the refusal of the format older builds wrote:
+// by name, with the remedy.
+func TestReadRefusesV1(t *testing.T) {
+	_, err := Read(strings.NewReader("# old\ndeltanet-trace v1\nnode 0 a\nI 1 0 -1 0 10 1\n"))
+	if err == nil || !strings.Contains(err.Error(), "deltanet-trace v1") || !strings.Contains(err.Error(), "regenerate it with dngen") {
+		t.Fatalf("v1 trace: %v", err)
+	}
+}
+
 func TestReadSkipsCommentsAndBlanks(t *testing.T) {
-	in := "# my trace\n\ndeltanet-trace v1\n# interlude\nnode 0 a\n\nR 3\n"
+	in := "# my trace\n\n# interlude\nnode a\n\nR 3\n"
 	got, err := Read(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != "my trace" || len(got.Ops) != 1 {
+	if got.Name != "my trace" || len(got.Ops) != 1 || got.Graph.NumNodes() != 1 {
 		t.Fatalf("%+v", got)
+	}
+}
+
+// TestParseOpZeroAlloc pins the hot-path property the field scanner
+// exists for: parsing an I or R line allocates nothing.
+func TestParseOpZeroAlloc(t *testing.T) {
+	for _, line := range []string{"I 7 0 0 0 4096 9", "R 7", "I\t8 1 -1 5 6 0\r"} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, msg := ParseOp(line); msg != "" {
+				t.Fatal(msg)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("ParseOp(%q): %.1f allocs/op, want 0", line, allocs)
+		}
 	}
 }
 
