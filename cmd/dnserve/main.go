@@ -248,10 +248,6 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "dnserve listening on %s\n", l.Addr())
 	if feed != nil {
-		// Start the ring while the server is certainly live (the empty
-		// barrier returns immediately), so the replay goroutine's lazy
-		// start can never race a shutdown's final teardown.
-		s.IngestBarrier()
 		fmt.Fprintf(os.Stderr, "dnserve: replaying feed %s (%d ops)\n", feed.name, len(feed.ops))
 		go replayFeed(s, feed)
 	}

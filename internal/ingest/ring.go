@@ -25,11 +25,13 @@ import (
 	"deltanet/internal/core"
 )
 
-// Entry is one queued operation: a decoded rule op plus the producer's
-// connection tag (0 for in-process feeds; used only for diagnostics).
+// Entry is one queued operation: a decoded rule op, or — when Unit is
+// non-zero — a handle to something the consumer keeps on its side, with
+// Op unused. A handle rather than a pointer keeps the slot pointer-free
+// and its 56 bytes.
 type Entry struct {
 	Op   core.BatchOp
-	Conn uint32
+	Unit uint32
 }
 
 type slot struct {
@@ -95,10 +97,6 @@ func (r *Ring) Depth() int {
 	}
 	return int(d)
 }
-
-// Pushed returns the total number of entries ever enqueued — the global
-// ticket a sync barrier compares against the consumer's applied count.
-func (r *Ring) Pushed() uint64 { return r.enq.Load() }
 
 // tryPush is the lock-free enqueue core; it performs no waiter
 // signaling so callers already holding mu can use it too.

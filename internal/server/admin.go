@@ -54,6 +54,7 @@ func (s *Server) writeStatusz(w http.ResponseWriter) {
 	s.mu.RLock()
 	rules, atoms := s.net.NumRules(), s.net.NumAtoms()
 	links, nodes := s.graph.NumLinks(), s.graph.NumNodes()
+	trOn, trN := !s.tr.off, s.tr.n
 	s.mu.RUnlock()
 	st := s.mon.Stats()
 	s.connMu.Lock()
@@ -69,9 +70,6 @@ func (s *Server) writeStatusz(w http.ResponseWriter) {
 	fmt.Fprintf(w, "conns: active=%d total=%d bytes_in=%d bytes_out=%d scanner_errors=%d\n",
 		conns, s.connsTotal.Load(), s.bytesIn.Load(), s.bytesOut.Load(), s.scanErrs.Load())
 
-	s.tr.mu.Lock()
-	trOn, trN, slowNs, slowCount := !s.tr.off, s.tr.n, s.tr.slowNs, s.tr.slowCount
-	s.tr.mu.Unlock()
 	fmt.Fprintf(w, "trace: on=%t retained=%d/%d slow_threshold=%s slow_updates=%d\n",
-		trOn, trN, traceRingCap, time.Duration(slowNs), slowCount)
+		trOn, trN, traceRingCap, time.Duration(s.tr.slowNs), s.tr.slowCount.Load())
 }

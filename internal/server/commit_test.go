@@ -83,6 +83,85 @@ func TestOneCommitPath(t *testing.T) {
 	}
 }
 
+// TestOneWriter holds the server to one writer: in this package's
+// non-test source the engine lock is taken for writing in one function,
+// the ring's consumer (coalesce); commitLocked has one call site, in
+// applyLocked, which only coalesce calls; and the package ranks at most
+// four locks, with no lockorder exemption.
+func TestOneWriter(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lockers []string             // enclosing function of each s.mu.Lock()
+	callers := map[string][]string{} // callee -> enclosing function, one entry per call site
+	ranks := 0
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if strings.HasPrefix(c.Text, "//deltanet:lockrank") {
+					ranks++
+				}
+				if strings.HasPrefix(c.Text, "//deltanet:nolint lockorder") {
+					t.Errorf("%s: %s", fset.Position(c.Pos()), c.Text)
+				}
+			}
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				switch sel.Sel.Name {
+				case "Lock":
+					if mu, ok := sel.X.(*ast.SelectorExpr); ok && mu.Sel.Name == "mu" {
+						if recv, ok := mu.X.(*ast.Ident); ok && recv.Name == "s" {
+							lockers = append(lockers, fn.Name.Name)
+						}
+					}
+				case "commitLocked", "applyLocked":
+					callers[sel.Sel.Name] = append(callers[sel.Sel.Name], fn.Name.Name)
+				}
+				return true
+			})
+		}
+	}
+	if len(lockers) != 1 || lockers[0] != "coalesce" {
+		t.Errorf("s.mu.Lock() is called from %v, want once, in coalesce", lockers)
+	}
+	if got := callers["commitLocked"]; len(got) != 1 || got[0] != "applyLocked" {
+		t.Errorf("commitLocked is called from %v, want one call site, in applyLocked", got)
+	}
+	for _, caller := range callers["applyLocked"] {
+		if caller != "coalesce" {
+			t.Errorf("applyLocked is called from %s, want coalesce only", caller)
+		}
+	}
+	if len(callers["applyLocked"]) == 0 {
+		t.Error("applyLocked has no caller")
+	}
+	if ranks > 4 {
+		t.Errorf("%d //deltanet:lockrank annotations, want at most 4", ranks)
+	}
+}
+
 // TestJournalAppendFailure pins what a failed journal append means, at
 // the one place it can happen (commitLocked): the update is applied and
 // acknowledged, the failure is counted, and journal subscribers are not

@@ -1,34 +1,38 @@
 package server
 
-// This file is the high-rate ingestion front end: the binary batch
-// protocol (internal/binproto) feeding a bounded lock-free MPSC ring
-// (internal/ingest) drained by a single coalescer goroutine.
+// This file is the server's one writer. Every mutation reaches the
+// engine through a bounded lock-free MPSC ring (internal/ingest) drained
+// by one goroutine, coalesce: the only code that takes the engine lock
+// for writing, so updates apply one at a time, in ring order — the
+// paper's sequential core, with the connections feeding it.
 //
-// The line protocol pays for its simplicity on the hot path: every
-// update is text parsed inside the write lock, and every B batch is a
-// full request-response round trip. The binary path restructures all
-// three costs. A connection upgrades with "dnbin 1" and then streams
-// length-prefixed frames of packed ops; the connection goroutine
-// decodes and topology-validates them without the engine lock (checkOps)
-// and pushes finished core.BatchOps into the ring, so many connections
-// decode and admit while the engine applies and the coalescer finds full
-// runs waiting. It commits each run as one update (commitLocked: one
-// ApplyBatch, one loop check, one monitor pass, one journal record per
-// run instead of per op), sizing runs adaptively: when the next op's
-// dirty-invariant footprint (monitor.LinkDepsInto) is disjoint from the
-// batch's accumulated footprint, the batch flushes early so each
-// evaluation fan-out stays tight instead of dirtying the union of two
-// unrelated regions.
+// The ring carries two kinds of entry. A bare op, from a binary frame
+// or IngestOps, coalesces: the writer drains the ops waiting into one
+// run (up to maxIngestBatch) and commits it as one update (one
+// ApplyBatch, one loop check, one monitor pass, one journal record). It
+// sizes runs adaptively: when the next op's dirty-invariant footprint
+// (monitor.LinkDepsInto) is disjoint from the run's, the run is
+// committed early (on watch_churn ≈ 1 % fewer subgoal evaluations than
+// merging through). A unit — a line I, R or B, a journal record, or a
+// barrier (node, link, a sync frame, IngestBarrier, trace on|off, a
+// replica's re-anchor) — runs on its own after the run before it, while
+// its producer waits. A unit is never merged, so a line reply and a
+// record's update number are what they were when each entrance took the
+// lock itself.
 //
-// Backpressure is explicit and memory stays bounded: the ring has fixed
-// capacity, a connection that finds it full tells its client once per
-// frame with a "busy depth=<n>" line and then blocks in Push, and sync
-// frames give clients a quiesce point ("ok sync <token> applied=<n>"
-// once everything framed before the sync has been applied).
+// Producers parse and validate without the engine lock (checkOps reads
+// only the graph's atomic counters). Backpressure is explicit and memory
+// stays bounded: the ring has fixed capacity, a binary connection that
+// finds it full tells its client once per frame with a "busy depth=<n>"
+// line and then blocks in Push, and sync frames give clients a quiesce
+// point ("ok sync <token> applied=<n>" once everything framed before the
+// sync has been applied).
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -52,65 +56,105 @@ const (
 	// load (BenchmarkIngestBulkLoad, 2 vCPU) is flat past it: ≈ 475
 	// ns/rule at 256, ≈ 440 at 1024, ≈ 445 at 4096 (runs 4× larger).
 	maxIngestBatch = 1024
+
+	// unitSlots bounds the units in flight: one per waiting producer (a
+	// connection has at most one); a producer past it waits for a slot.
+	unitSlots = 256
 )
 
-// ingestState is the Server's binary-ingest half: the ring between
-// connection decoders and the coalescer, the applied-count barrier sync
-// frames wait on, and the counters the stats line and metrics export.
+// errClosing answers a mutation that reached the server after Close
+// began and was not applied.
+var errClosing = errors.New("server closing")
+
+// ingestState is the Server's writer half: the ring, the units its
+// entries name, and the counters the stats line and metrics export.
 type ingestState struct {
-	capacity int // WithIngestRing; 0 means defaultIngestRing
+	ring *ingest.Ring
 
-	once sync.Once
-	ring atomic.Pointer[ingest.Ring] // non-nil once started (atomic: scraped concurrently)
+	// units holds the units in flight; a unit's entry carries its index
+	// plus one. A producer claims a free slot and pushes; the writer
+	// empties the slot when it pops the entry.
+	units    [unitSlots]atomic.Pointer[unit]
+	unitNext atomic.Uint32
 
-	// mu guards applied/exited for the sync-frame barrier. It is a
-	// leaf: nothing is acquired while holding it, and it is never held
-	// across a ring operation or an engine apply.
-	//
-	//deltanet:lockrank 25
-	mu      sync.Mutex
-	cond    *sync.Cond
-	applied uint64 // ring entries the coalescer has consumed and applied (or rejected)
-	exited  bool   // coalescer gone; barriers must stop waiting
+	// applied counts the ring's ops the writer has committed or rejected
+	// (sync frames and IngestBarrier report it). Only the writer touches
+	// it; barriers run on the writer.
+	applied uint64
 
-	connSeq  atomic.Uint32 // binary connection tags (ring diagnostics)
 	frames   atomic.Uint64 // binary frames decoded
 	ops      atomic.Uint64 // ops accepted into the ring
 	busy     atomic.Uint64 // busy lines written (ring-full events)
-	batches  atomic.Uint64 // coalesced applies
-	adaptive atomic.Uint64 // batches cut early by the disjoint-deps trigger
-	rejected atomic.Uint64 // ops dropped by per-op fallback (bad ids, duplicates)
+	batches  atomic.Uint64 // coalesced runs committed
+	adaptive atomic.Uint64 // runs cut early by the disjoint-deps trigger
+	rejected atomic.Uint64 // ops dropped by a refused run's per-op retry (bad ids, duplicates)
 }
 
-// startIngest lazily starts the ring and its coalescer on the first
-// binary handshake or feed push, so servers that never see binary
-// ingest never pay for the goroutine.
-func (s *Server) startIngest() {
+// unit is a ring entry that runs on its own (see the file comment).
+type unit struct {
+	ops []core.BatchOp // committed as one update
+	fn  func()         // a barrier: run in place of a commit
+	st  stageInfo      // stage times measured before the writer took it
+
+	run    bool   // the writer's coalesced run: retried op by op when refused
+	record bool   // a journal record: not journaled again, and ResumeUpdates(seq) after
+	seq    uint64 // a record's update seq
+	head   string // a line update's reply head ("ok", "ok batch n=<n>")
+
+	reply string // head plus the atom count and loops, rendered under the lock
+	err   error
+	done  sync.WaitGroup // released when the unit has run, or by the writer's exit sweep (err = errClosing)
+}
+
+// startWriter starts the writer on a ring of the given capacity (≤ 0:
+// defaultIngestRing). Close closes the ring, and the writer exits once it
+// has drained it.
+func (s *Server) startWriter(capacity int) {
+	if capacity <= 0 {
+		capacity = defaultIngestRing
+	}
+	s.ing.ring = ingest.New(capacity)
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.coalesce(s.ing.ring)
+	}()
+}
+
+// submit hands u to the writer and waits until it has run. It reports
+// false — u did not run — when the server is closing.
+func (s *Server) submit(u *unit) bool {
 	st := &s.ing
-	st.once.Do(func() {
-		capacity := st.capacity
-		if capacity <= 0 {
-			capacity = defaultIngestRing
-		}
-		r := ingest.New(capacity)
-		st.cond = sync.NewCond(&st.mu)
-		st.ring.Store(r)
-		s.wg.Add(2)
-		go func() {
-			// Closing the ring is what terminates the coalescer: queued
-			// entries drain, then Pop reports closure. Producers racing
-			// shutdown get Push=false and their connections are being
-			// torn down anyway (their clients hold no sync ack for the
-			// lost tail).
-			defer s.wg.Done()
-			<-s.closed
-			r.Close()
-		}()
-		go func() {
-			defer s.wg.Done()
-			s.coalesce(r)
-		}()
-	})
+	u.done.Add(1)
+	h := st.unitNext.Add(1) % unitSlots
+	for !st.units[h].CompareAndSwap(nil, u) {
+		runtime.Gosched()
+		h = st.unitNext.Add(1) % unitSlots
+	}
+	if !st.ring.Push(ingest.Entry{Unit: h + 1}) {
+		st.units[h].CompareAndSwap(u, nil)
+		return false
+	}
+	u.done.Wait()
+	return !errors.Is(u.err, errClosing)
+}
+
+// barrier runs fn on the writer, under the engine lock, after every
+// mutation pushed before it; false means the server is closing and fn
+// did not run.
+func (s *Server) barrier(fn func()) bool { return s.submit(&unit{fn: fn}) }
+
+// update commits ops as one update and renders the line reply: head,
+// the atom count and the loops the update closed — or the error.
+func (s *Server) update(ops []core.BatchOp, head string, parseNs int64) string {
+	u := &unit{ops: ops, head: head, st: stageInfo{parseNs: parseNs}}
+	switch {
+	case !s.submit(u):
+		return "err " + errClosing.Error()
+	case u.err != nil:
+		return "err " + u.err.Error()
+	}
+	return u.reply
 }
 
 // serveBinary owns a connection after its "dnbin" handshake line. A
@@ -123,13 +167,10 @@ func (s *Server) serveBinary(fields []string, lr *lineReader, cw *connWriter) st
 	if s.replicaOf != "" {
 		return errReadOnly
 	}
-	s.startIngest()
-	st := &s.ing
-	ring := st.ring.Load()
+	st, ring := &s.ing, s.ing.ring
 	if err := cw.writeLine(fmt.Sprintf("ok dnbin %d", binproto.Version)); err != nil {
 		return ""
 	}
-	connID := st.connSeq.Add(1)
 	// The frame decoder reads the lineReader's underlying buffered
 	// reader, so frames the client pipelined behind the handshake line
 	// are already waiting for it.
@@ -148,10 +189,14 @@ func (s *Server) serveBinary(fields []string, lr *lineReader, cw *connWriter) st
 		switch frame.Kind {
 		case binproto.KindOps:
 		case binproto.KindSync:
-			// The global push ticket covers everything this connection
-			// framed before the sync (its own pushes are all ≤ it).
-			ticket := ring.Pushed()
-			if err := cw.writeLine(fmt.Sprintf("ok sync %d applied=%d", frame.Token, s.waitApplied(ticket))); err != nil {
+			// A barrier: everything pushed before it, this connection's
+			// frames included, has been applied when it runs.
+			var applied uint64
+			resp := "err " + errClosing.Error()
+			if s.barrier(func() { applied = st.applied }) {
+				resp = fmt.Sprintf("ok sync %d applied=%d", frame.Token, applied)
+			}
+			if err := cw.writeLine(resp); err != nil {
 				return ""
 			}
 			continue
@@ -167,7 +212,7 @@ func (s *Server) serveBinary(fields []string, lr *lineReader, cw *connWriter) st
 			// Drop the whole frame: enqueueing a valid prefix would
 			// desync the client's idea of what a later sync covers. A
 			// removal of a rule that does not exist passes here; it
-			// surfaces at apply and is dropped by the per-op fallback.
+			// surfaces at apply and is dropped by the per-op retry.
 			if err := cw.writeLine("err " + msg); err != nil {
 				return ""
 			}
@@ -175,7 +220,7 @@ func (s *Server) serveBinary(fields []string, lr *lineReader, cw *connWriter) st
 		}
 		warned := false
 		for i := range frame.Ops {
-			e := ingest.Entry{Op: frame.Ops[i], Conn: connID}
+			e := ingest.Entry{Op: frame.Ops[i]}
 			if !warned {
 				if ring.TryPush(e) {
 					continue
@@ -190,23 +235,13 @@ func (s *Server) serveBinary(fields []string, lr *lineReader, cw *connWriter) st
 				}
 			}
 			if !ring.Push(e) {
-				return "" // ring closed: server shutting down
+				werr := cw.writeLine("err " + errClosing.Error())
+				_ = werr // the connection ends either way
+				return ""
 			}
 		}
 		st.ops.Add(uint64(len(frame.Ops)))
 	}
-}
-
-// waitApplied blocks until the coalescer has consumed at least ticket
-// ring entries (or exited), returning the applied count.
-func (s *Server) waitApplied(ticket uint64) uint64 {
-	st := &s.ing
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for st.applied < ticket && !st.exited {
-		st.cond.Wait()
-	}
-	return st.applied
 }
 
 // IngestOps queues decoded ops through the same ring path the binary
@@ -222,141 +257,140 @@ func (s *Server) IngestOps(ops []core.BatchOp) bool {
 	if msg := s.checkOps(ops); msg != "" {
 		return false
 	}
-	s.startIngest()
-	st := &s.ing
-	ring := st.ring.Load()
 	for i := range ops {
-		if !ring.Push(ingest.Entry{Op: ops[i]}) {
+		if !s.ing.ring.Push(ingest.Entry{Op: ops[i]}) {
 			return false
 		}
 	}
-	st.ops.Add(uint64(len(ops)))
+	s.ing.ops.Add(uint64(len(ops)))
 	return true
 }
 
 // IngestBarrier blocks until every op queued before the call has been
-// applied — a feed's quiesce point — returning the total applied count.
+// applied — a feed's quiesce point — returning the total applied count
+// (0 once the server is closing).
 func (s *Server) IngestBarrier() uint64 {
-	s.startIngest()
-	return s.waitApplied(s.ing.ring.Load().Pushed())
+	var applied uint64
+	s.barrier(func() { applied = s.ing.applied })
+	return applied
 }
 
-// coalesce is the ring's single consumer: it blocks for the next op,
-// drains whatever else is immediately available into one batch (up to
-// maxIngestBatch, or less when the adaptive trigger fires), and applies
-// the batch in one engine pass. It exits when the ring is closed and
-// drained.
+// coalesce is the writer, the ring's single consumer: it blocks for the
+// next entry, drains the ops immediately available behind it into one run
+// (up to maxIngestBatch, never past a unit, and less when the adaptive
+// trigger fires), commits the run, then runs the unit that ended it. It
+// exits when the ring is closed and drained.
 func (s *Server) coalesce(ring *ingest.Ring) {
 	st := &s.ing
-	defer func() {
-		st.mu.Lock()
-		st.exited = true
-		st.cond.Broadcast()
-		st.mu.Unlock()
-	}()
-	batch := make([]core.BatchOp, 0, maxIngestBatch)
+	run := unit{run: true, ops: make([]core.BatchOp, 0, maxIngestBatch)}
 	var batchDeps, opDeps bitset.Set
-	var pending ingest.Entry
-	havePending := false
+	var e ingest.Entry
+	carried := false // e is an op the adaptive trigger left for the next run
 	for {
-		var e ingest.Entry
-		if havePending {
-			e, havePending = pending, false
-		} else {
-			var ok bool
+		ok := carried
+		if !ok {
 			if e, ok = ring.Pop(); !ok {
-				return
-			}
-		}
-		batch = batch[:0]
-		batchDeps.Clear()
-		batch = append(batch, e.Op)
-		s.splitBatchBefore(&e.Op, &batchDeps, &opDeps) // seeds the footprint; a 1-op batch never splits
-		// Feed replay hammers one link for long runs; once a link's deps
-		// are folded into batchDeps, later ops on the same link cannot
-		// split and need no recomputation.
-		lastLink := coalesceLinkOf(&e.Op)
-		for len(batch) < maxIngestBatch {
-			next, ok := ring.TryPop()
-			if !ok {
 				break
 			}
-			if l := coalesceLinkOf(&next.Op); l >= 0 && l == lastLink {
-				batch = append(batch, next.Op)
-				continue
-			} else if s.splitBatchBefore(&next.Op, &batchDeps, &opDeps) {
-				// Disjoint dirty-invariant footprints: flush what we
-				// have and let next start the following batch.
-				pending, havePending = next, true
+		}
+		carried = false
+		run.ops = run.ops[:0]
+		batchDeps.Clear()
+		lastLink := netgraph.LinkID(-1)
+		var u *unit
+		for ; ok; e, ok = ring.TryPop() {
+			if e.Unit != 0 {
+				u = st.units[e.Unit-1].Swap(nil)
+				break
+			}
+			if s.splitBatchBefore(&e.Op, &lastLink, &batchDeps, &opDeps) {
+				carried = true
 				st.adaptive.Add(1)
 				break
-			} else if l >= 0 {
-				// Footprint-free ops (l < 0) ride along without
-				// disturbing the memo, so R/I flap pairs on one link
-				// still skip the recomputation.
-				lastLink = l
 			}
-			batch = append(batch, next.Op)
+			if run.ops = append(run.ops, e.Op); len(run.ops) == maxIngestBatch {
+				break
+			}
 		}
-		s.applyCoalesced(batch)
-		st.mu.Lock()
-		st.applied += uint64(len(batch))
-		st.cond.Broadcast()
-		st.mu.Unlock()
+		if len(run.ops) > 0 {
+			st.batches.Add(1)
+		}
+		t0 := time.Now()
+		s.mu.Lock()
+		// The lock wait is a stage of the first commit: the run's, or
+		// else the unit's (applyLocked clears run.st once it commits).
+		run.st = stageInfo{lockNs: time.Since(t0).Nanoseconds()}
+		s.applyLocked(&run)
+		st.applied += uint64(len(run.ops))
+		if u != nil {
+			u.st.lockNs = run.st.lockNs
+			s.applyLocked(u)
+		}
+		s.mu.Unlock()
+		if u != nil {
+			u.done.Done()
+		}
 	}
-}
-
-// coalesceLinkOf is the coalescer's same-link memo key: the link of an
-// insert that could carry a dirty-invariant footprint, or -1 for
-// footprint-neutral ops (removals, drop-link inserts), which never
-// match the memo.
-func coalesceLinkOf(op *core.BatchOp) netgraph.LinkID {
-	if !op.Insert || op.Rule.Link < 0 {
-		return -1
+	// The ring is closed and drained. A unit still in its slot was pushed
+	// but published after the writer's last look: it did not run.
+	for i := range st.units {
+		if u := st.units[i].Swap(nil); u != nil {
+			u.err = errClosing
+			u.done.Done()
+		}
 	}
-	return op.Rule.Link
 }
 
 // splitBatchBefore is the adaptive flush trigger: it reports whether the
-// batch should flush before op joins it, and otherwise folds op's
-// dirty-invariant footprint (the invariants whose dependency sets cover
-// its link) into batchDeps. Ops with no footprint — removals (their
-// link is unknown without a rule lookup), drop-link inserts, anything
-// when no invariants are registered — are neutral: they ride along and
-// never force a flush.
-func (s *Server) splitBatchBefore(op *core.BatchOp, batchDeps, opDeps *bitset.Set) bool {
-	if !op.Insert || op.Rule.Link < 0 || s.mon.NumRegistered() == 0 {
+// run should be committed before op joins it — op's dirty-invariant
+// footprint (the subgoals whose dependency sets cover its link) is
+// disjoint from the run's — and otherwise folds that footprint into
+// batchDeps. Ops with no footprint — removals (their link is unknown
+// without a rule lookup), drop-link inserts, anything when no invariants
+// are registered — ride along and never force a flush, and so does an op
+// on the link the last footprint came from (*last): feed replay hammers
+// one link for long runs, and its deps are already folded in.
+func (s *Server) splitBatchBefore(op *core.BatchOp, last *netgraph.LinkID, batchDeps, opDeps *bitset.Set) bool {
+	if !op.Insert || op.Rule.Link < 0 || op.Rule.Link == *last || s.mon.NumRegistered() == 0 {
 		return false
 	}
 	opDeps.Clear()
 	s.mon.LinkDepsInto(int(op.Rule.Link), opDeps)
-	if opDeps.Empty() {
-		return false
-	}
-	if !batchDeps.Empty() && !batchDeps.Intersects(opDeps) {
+	if !opDeps.Empty() && !batchDeps.Empty() && !batchDeps.Intersects(opDeps) {
 		return true
 	}
 	batchDeps.UnionWith(opDeps)
+	*last = op.Rule.Link
 	return false
 }
 
-// applyCoalesced commits one coalesced run under the write lock: one
-// ApplyBatch, one loop check, one monitor pass, one journal record
-// (commitLocked). A commit is all-or-nothing, but a run interleaves
-// independent producers — one client's duplicate id must not void its
-// neighbors' work — so a refused run is committed again op by op,
-// dropping (and counting) only the offending ops.
-func (s *Server) applyCoalesced(ops []core.BatchOp) {
-	s.ing.batches.Add(1)
-	t0 := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.commitLocked(ops, stageInfo{lockNs: time.Since(t0).Nanoseconds()}, false); err == nil {
-		return
+// applyLocked runs one unit: its barrier, or its ops committed as one
+// update (commitLocked). A commit is all-or-nothing, but a coalesced run
+// interleaves independent producers — one client's duplicate id must not
+// void its neighbours' work — so a refused run is committed again op by
+// op, dropping (and counting) only the ops the engine refuses. Any other
+// unit's error is its producer's answer. Caller holds the write lock.
+func (s *Server) applyLocked(u *unit) {
+	if u.fn != nil {
+		u.fn()
 	}
-	for i := range ops {
-		if _, err := s.commitLocked(ops[i:i+1], stageInfo{}, false); err != nil {
+	ops, n := u.ops, len(u.ops)
+	for len(ops) > 0 {
+		loops, err := s.commitLocked(ops[:n], u.st, u.record)
+		switch {
+		case err != nil && u.run && n > 1:
+			n = 1
+			continue
+		case err != nil && u.run:
 			s.ing.rejected.Add(1)
+		case err != nil:
+			u.err = err
+		case u.head != "":
+			u.reply = s.updateResponse(u.head, loops)
 		}
+		ops, u.st = ops[n:], stageInfo{}
+	}
+	if u.record && u.err == nil {
+		s.mon.ResumeUpdates(u.seq)
 	}
 }

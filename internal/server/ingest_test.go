@@ -1,10 +1,15 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
+	"net"
+	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +17,7 @@ import (
 	"deltanet/internal/binproto"
 	"deltanet/internal/core"
 	"deltanet/internal/ipnet"
+	"deltanet/internal/journal"
 	"deltanet/internal/monitor"
 	"deltanet/internal/netgraph"
 )
@@ -236,7 +242,7 @@ func TestBinaryBackpressure(t *testing.T) {
 	if got := c.r.Text(); !strings.HasPrefix(got, "busy depth=") {
 		t.Fatalf("expected busy line, got %q", got)
 	}
-	if d := s.ing.ring.Load().Depth(); d > ringCap {
+	if d := s.ing.ring.Depth(); d > ringCap {
 		t.Fatalf("ring depth %d exceeds capacity %d", d, ringCap)
 	}
 	slow.Store(false)
@@ -390,7 +396,7 @@ func TestIngestAdmissionSkipsEngineLock(t *testing.T) {
 	// The coalescer has taken its first run and now waits on the lock, so
 	// the ring has room for the frame and nothing drains it.
 	waitFor(t, func() bool { return s.ing.batches.Load() > 0 })
-	ring := s.ing.ring.Load()
+	ring := s.ing.ring
 	before := ring.Depth()
 	if _, err := c.conn.Write(binproto.AppendOps(nil, []core.BatchOp{insOp(1000, 0, 0, 5000, 5010, 1)})); err != nil {
 		t.Fatal(err)
@@ -478,6 +484,130 @@ func TestIngestOpsAdmissionRacesGraphGrowth(t *testing.T) {
 	if got := statField(c.roundTrip(t, "stats"), "rules="); got != strconv.Itoa(3*rounds) {
 		t.Fatalf("rules=%s, want %d", got, 3*rounds)
 	}
+}
+
+// TestClosingAnswersEveryMutation races every mutation entrance against
+// Close: line I and R, B, node and link, binary frames with syncs, and
+// IngestOps with IngestBarrier, then calls ReplayJournal after Close.
+// Every request is answered — ok, or "err server closing" and not
+// applied — none hangs, and once the callers have their answers the
+// goroutine count is back where it started.
+func TestClosingAnswersEveryMutation(t *testing.T) {
+	before := runtime.NumGoroutine()
+	j, err := journal.Open(filepath.Join(t.TempDir(), "j"), journal.SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(WithJournal(j))
+	for _, req := range []string{"node a", "node b", "link 0 1"} {
+		if got := s.dispatch(req, nil); !strings.HasPrefix(got, "ok ") {
+			t.Fatalf("%s: %q", req, got)
+		}
+	}
+	const closing = "err server closing"
+
+	// Each entrance sends requests until it is told the server is
+	// closing; Close waits until every one has had three ok answers.
+	var callers, ready sync.WaitGroup
+	entrance := func(name string, req func(i int) string) {
+		callers.Add(1)
+		ready.Add(1)
+		go func() {
+			defer callers.Done()
+			for i := 0; ; i++ {
+				got := req(i)
+				ok := strings.HasPrefix(got, "ok")
+				if !ok && got != closing {
+					t.Errorf("%s request %d: %q", name, i, got)
+				}
+				if i == 2 || !ok && i < 2 {
+					ready.Done()
+				}
+				if !ok {
+					return
+				}
+			}
+		}()
+	}
+	entrance("line", func(i int) string {
+		if i%2 == 1 {
+			return s.dispatch(fmt.Sprintf("R %d", 1000+i/2), nil)
+		}
+		return s.dispatch(fmt.Sprintf("I %d 0 0 %d %d 1", 1000+i/2, i, i+1), nil)
+	})
+	entrance("B", func(i int) string {
+		body := fmt.Sprintf("I %d 0 0 5 9 1\nR %d\n", 2000+i, 2000+i)
+		resp, _ := s.readAndApplyBatch([]string{"B", "2"}, newLineReader(strings.NewReader(body)))
+		return resp
+	})
+	entrance("topology", func(i int) string {
+		if i%2 == 1 {
+			return s.dispatch("link 0 1", nil)
+		}
+		return s.dispatch(fmt.Sprintf("node n%d", i), nil)
+	})
+	entrance("IngestOps", func(i int) string {
+		if !s.IngestOps([]core.BatchOp{insOp(int64(3000+i), 0, 0, 20, 30, 1), core.RemoveOp(core.RuleID(3000 + i))}) {
+			return closing
+		}
+		s.IngestBarrier()
+		return "ok"
+	})
+	conn, srv := net.Pipe()
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	callers.Add(1)
+	go func() {
+		defer callers.Done()
+		s.handle(srv)
+	}()
+	r := bufio.NewScanner(conn)
+	if _, err := conn.Write([]byte("dnbin 1\n")); err != nil || !r.Scan() || r.Text() != "ok dnbin 1" {
+		t.Fatalf("handshake: %q %v %v", r.Text(), err, r.Err())
+	}
+	entrance("binary", func(i int) string {
+		ops := []core.BatchOp{insOp(int64(4000+i), 0, 0, 40, 50, 1), core.RemoveOp(core.RuleID(4000 + i))}
+		if _, err := conn.Write(binproto.AppendSync(binproto.AppendOps(nil, ops), uint64(i))); err != nil {
+			return "write: " + err.Error()
+		}
+		got := ""
+		for got == "" || strings.HasPrefix(got, "busy ") { // a closed ring refuses pushes as a full one does
+			if !r.Scan() {
+				return fmt.Sprintf("no reply: %v", r.Err())
+			}
+			got = r.Text()
+		}
+		switch {
+		case got == closing:
+			conn.Close() // ends the server's side of the session
+			return got
+		case strings.HasPrefix(got, fmt.Sprintf("ok sync %d ", i)):
+			return got
+		default:
+			return "unexpected reply: " + got
+		}
+	})
+
+	ready.Wait()
+	s.Close()
+	done := make(chan struct{})
+	go func() {
+		callers.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a mutation racing Close never got an answer")
+	}
+
+	if n, err := s.ReplayJournal(j); n != 0 || err == nil || !strings.HasSuffix(err.Error(), "server closing") {
+		t.Fatalf("ReplayJournal after Close: %d records, %v", n, err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
 }
 
 // TestParseUpdateLineZeroAlloc pins the hot-path property the field

@@ -12,11 +12,12 @@ package server
 // commands. A mutation is decoded from its wire form once, on arrival;
 // from then on the frame is its only representation, encoded into one
 // reusable buffer under the write lock (commitLocked's last step, and
-// the node and link commands) and decoded by applyJournalLocked on crash
-// replay and on every replica, which commits the ops through the same
-// commitLocked. Each record is stamped with the monitor's post-apply
-// update sequence number; topology records reuse the current number
-// (they consume no delta).
+// the node and link commands) and decoded by applyRecord on crash
+// replay and on every replica, which hands each record to the writer as
+// a unit of its own: the ops go through the same commitLocked. Each
+// record is stamped with the monitor's post-apply update sequence
+// number; topology records reuse the current number (they consume no
+// delta).
 //
 // The streaming protocol after "ok journal offset=<o> end=<e>":
 //
@@ -38,6 +39,7 @@ import (
 	"strconv"
 
 	"deltanet/internal/binproto"
+	"deltanet/internal/core"
 	"deltanet/internal/journal"
 )
 
@@ -224,15 +226,13 @@ func (s *Server) ReplayJournal(j *journal.Journal) (int, error) {
 	if from >= j.End() {
 		return 0, nil
 	}
-	applied := 0
 	r, err := j.ReadFrom(from)
 	if err != nil {
 		return 0, err
 	}
 	defer r.Close()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
+	var ops []core.BatchOp
+	for applied := 0; ; applied++ {
 		rec, err := r.Next()
 		if err == io.EOF {
 			return applied, nil
@@ -240,45 +240,48 @@ func (s *Server) ReplayJournal(j *journal.Journal) (int, error) {
 		if err != nil {
 			return applied, err
 		}
-		if err := s.applyJournalLocked(rec.Payload, rec.Seq); err != nil {
+		if err := s.applyRecord(rec.Payload, rec.Seq, &ops); err != nil {
 			return applied, fmt.Errorf("server: journal replay at offset %d: %v", rec.End, err)
 		}
-		applied++
 	}
 }
 
-// applyJournalLocked applies one journal record: decode the frame into
-// the reused op buffer, then AddNode, AddLink, or — for an ops record —
-// the same commitLocked a live update takes. It is the whole record
-// decoder: ReplayJournal and the replica apply loop both call it. A
+// applyRecord applies one journal record, and is the whole record
+// decoder: ReplayJournal and the replica stream both call it. It decodes
+// the frame off-lock into *ops (reused across records) and hands the
+// writer one unit, never merged with another record: the node or link,
+// or the ops through the same commitLocked a live update takes. A
 // record's stamp is the primary's update seq after it; every entrance
 // counts alike, so the local counter already agrees, and ResumeUpdates
-// only snaps it forward should a journal ever run ahead of it. On error
-// the rules and the monitor are untouched. Caller holds the write lock.
-func (s *Server) applyJournalLocked(payload []byte, seq uint64) error {
-	f, err := binproto.Decode(payload, s.jops)
+// only snaps it forward should a journal ever run ahead of it. Records
+// come one at a time from one goroutine, so a link record's nodes are
+// checked before it is queued. On error the rules and the monitor are
+// untouched.
+func (s *Server) applyRecord(payload []byte, seq uint64, ops *[]core.BatchOp) error {
+	f, err := binproto.Decode(payload, *ops)
 	if err != nil {
 		return err
 	}
+	u := &unit{record: true, seq: seq}
 	switch f.Kind {
 	case binproto.KindNode:
-		s.graph.AddNode(f.Name)
+		u.fn = func() { s.graph.AddNode(f.Name) }
 	case binproto.KindLink:
 		if !s.validNode(int(f.Src)) || !s.validNode(int(f.Dst)) {
 			return errors.New("link record names an unknown node")
 		}
-		s.graph.AddLink(f.Src, f.Dst)
+		u.fn = func() { s.graph.AddLink(f.Src, f.Dst) }
 	case binproto.KindOps:
-		s.jops = f.Ops[:0]
+		*ops = f.Ops[:0]
 		if len(f.Ops) == 0 {
 			return errors.New("empty ops record")
 		}
-		if _, err := s.commitLocked(f.Ops, stageInfo{}, true); err != nil {
-			return err
-		}
+		u.ops = f.Ops
 	default:
 		return fmt.Errorf("frame kind %d is not a journal record", f.Kind)
 	}
-	s.mon.ResumeUpdates(seq)
-	return nil
+	if !s.submit(u) {
+		return errClosing
+	}
+	return u.err
 }

@@ -117,19 +117,13 @@ func (s *Server) enableMetrics(reg *metrics.Registry) {
 		return float64(s.scanErrs.Load())
 	})
 	reg.CounterFunc("dnserve_slow_updates_total", "Updates exceeding the -slow-update threshold.", func() float64 {
-		return float64(s.tr.slows())
+		return float64(s.tr.slowCount.Load())
 	})
 
-	// Binary ingestion front end (ingest.go). Registered unconditionally
-	// — the ring starts lazily on the first dnbin handshake, so the
-	// funcs guard on it; a flat-zero series is the "no binary clients
-	// yet" signal, and the depth gauge draining to zero is the smoke
-	// test's quiesce check.
-	reg.GaugeFunc("dn_ingest_ring_depth", "Ops queued in the ingest ring awaiting the coalescer.", func() float64 {
-		if r := s.ing.ring.Load(); r != nil {
-			return float64(r.Depth())
-		}
-		return 0
+	// The writer's ring (ingest.go); the depth gauge draining to zero is
+	// the smoke test's quiesce check.
+	reg.GaugeFunc("dn_ingest_ring_depth", "Entries queued in the ingest ring awaiting the writer.", func() float64 {
+		return float64(s.ing.ring.Depth())
 	})
 	reg.CounterFunc("dn_ingest_frames_total", "Binary protocol frames decoded.", func() float64 {
 		return float64(s.ing.frames.Load())

@@ -219,9 +219,7 @@ func TestStatsKeysDocumented(t *testing.T) {
 	// Keys only a journaling primary (jrnl) or a replica (lag) emits;
 	// this plain server legitimately omits them. Their emission is
 	// covered by the replication tests.
-	// ... and ring only once binary ingest has started (ingest tests
-	// cover its emission).
-	conditional := map[string]bool{"jrnl": true, "lag": true, "ring": true}
+	conditional := map[string]bool{"jrnl": true, "lag": true}
 	for k := range documented {
 		if !emitted[k] && !conditional[k] {
 			t.Errorf("README documents stats key %q but the server does not emit it", k)
@@ -330,7 +328,7 @@ func TestSlowUpdateLog(t *testing.T) {
 	if out := log.String(); !strings.Contains(out, "slow update: trace upd=") {
 		t.Fatalf("slow update not logged: %q", out)
 	}
-	if s.tr.slows() == 0 {
+	if s.tr.slowCount.Load() == 0 {
 		t.Fatal("slow update not counted")
 	}
 }

@@ -5,8 +5,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
+	"sync/atomic"
 
 	"deltanet/internal/monitor"
 )
@@ -14,12 +13,12 @@ import (
 // This file is the server half of per-update pipeline tracing. The
 // monitor times its own stages (dirty-marking, eval fan-out, event
 // publish; see monitor.ApplyTrace) and hands them to the sink installed
-// in New; the server stages are timed by the entrance (parse, lock wait)
-// and by commitLocked (engine apply + delta loop check), which parks
-// them in s.staged for the sink to merge. The merged records land in a
-// bounded ring behind the `trace on|off|last <n>` protocol commands,
-// feed the per-stage histograms when metrics are enabled, and trip the
-// slow-update log when a threshold is set.
+// in New; the server stages are timed by the entrance (parse), the
+// writer (lock wait) and commitLocked (engine apply + delta loop
+// check), which parks them in s.staged for the sink to merge. The merged
+// records land in a bounded ring behind the `trace on|off|last <n>`
+// protocol commands, feed the per-stage histograms when metrics are
+// enabled, and trip the slow-update log when a threshold is set.
 
 // Update verbs, numeric so updateRecord stays pointer-free.
 const (
@@ -96,30 +95,22 @@ func (r updateRecord) format() string {
 // tracer is the bounded per-update trace ring plus the slow-update
 // logging state. Recording is on by default (the ring is cheap); the
 // `trace off` command stops retention without disturbing slow-update
-// logging.
+// logging. The writer records under the write lock and runs `trace
+// on|off` as a barrier; `trace last` and /statusz read under the read
+// lock. slowNs and slowLog are set in New, then read-only.
 type tracer struct {
-	// mu guards everything below. It ranks between connMu and
-	// connWriter.mu: records are taken while the engine lock is held
-	// (the sink runs inside ApplyWithLoops), responses are formatted under the
-	// read lock, and nothing below ever writes to a connection.
-	//
-	//deltanet:lockrank 35
-	mu        sync.Mutex
 	off       bool // zero value = tracing on
 	ring      [traceRingCap]updateRecord
 	next      int // ring write position
 	n         int // valid records (≤ traceRingCap)
 	slowNs    int64
 	slowLog   io.Writer
-	slowCount uint64
+	slowCount atomic.Uint64 // read by metric scrapes, which take no lock
 }
 
 // record retains rec (when tracing is on) and emits the slow-update log
-// line (when a threshold is configured and exceeded). The log write
-// happens outside the lock: the sink path holds the engine lock, and a
-// slow log target must not extend that critical section.
+// line (when a threshold is configured and exceeded).
 func (t *tracer) record(rec updateRecord) {
-	t.mu.Lock()
 	if !t.off {
 		t.ring[t.next] = rec
 		t.next = (t.next + 1) % traceRingCap
@@ -127,23 +118,17 @@ func (t *tracer) record(rec updateRecord) {
 			t.n++
 		}
 	}
-	slow := t.slowNs > 0 && rec.TotalNs >= t.slowNs
-	var logw io.Writer
-	if slow {
-		t.slowCount++
-		logw = t.slowLog
-	}
-	t.mu.Unlock()
-	if slow && logw != nil {
-		fmt.Fprintf(logw, "deltanet: slow update: %s\n", rec.format())
+	if t.slowNs > 0 && rec.TotalNs >= t.slowNs {
+		t.slowCount.Add(1)
+		if t.slowLog != nil {
+			fmt.Fprintf(t.slowLog, "deltanet: slow update: %s\n", rec.format())
+		}
 	}
 }
 
 // setOn toggles retention; turning tracing off clears the ring so `trace
 // last` cannot resurface stale records as if they were recent.
 func (t *tracer) setOn(on bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.off = !on
 	if !on {
 		t.next, t.n = 0, 0
@@ -152,8 +137,6 @@ func (t *tracer) setOn(on bool) {
 
 // last returns up to n retained records, oldest first.
 func (t *tracer) last(n int) []updateRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if n > t.n {
 		n = t.n
 	}
@@ -165,24 +148,6 @@ func (t *tracer) last(n int) []updateRecord {
 		out = append(out, t.ring[(i+traceRingCap)%traceRingCap])
 	}
 	return out
-}
-
-// slows returns the slow-update count (for /metrics).
-func (t *tracer) slows() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.slowCount
-}
-
-// setSlowUpdate configures the slow-update log: updates whose summed
-// pipeline stages exceed threshold are counted and logged to w (nil w
-// counts without logging; threshold ≤ 0 disables both). Applied by
-// WithSlowUpdate at construction.
-func (s *Server) setSlowUpdate(threshold time.Duration, w io.Writer) {
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	s.tr.slowNs = threshold.Nanoseconds()
-	s.tr.slowLog = w
 }
 
 // stageInfo parks the server-side stage timings of the mutation
@@ -200,9 +165,9 @@ type stageInfo struct {
 // onApplyTrace is the monitor trace sink (installed in New): it merges
 // the monitor's stage times with the staged server-side times of the
 // commit that drove the pass, retains the record, and feeds the stage
-// histograms. It runs under the monitor's writer lock, inside
-// commitLocked's ApplyWithLoops call — the only one the server makes —
-// so s.mu is write-held and s.staged is set.
+// histograms. It runs inside commitLocked's ApplyWithLoops call — the
+// only one the server makes — on the writer goroutine, so s.mu is
+// write-held and s.staged is set.
 func (s *Server) onApplyTrace(at monitor.ApplyTrace) {
 	st := s.staged
 	s.staged = stageInfo{}
@@ -253,25 +218,25 @@ func (s *Server) finishUpdateLocked() {
 	s.observeStages(rec)
 }
 
-// traceResponse handles the `trace` protocol command. Caller holds the
-// read lock (the tracer has its own mutex; the engine is not touched).
+// traceResponse handles the `trace` protocol command: on and off are
+// barriers on the writer, last reads under the read lock.
 func (s *Server) traceResponse(fields []string) string {
 	const usage = "err usage: trace on | trace off | trace last <n>"
 	if len(fields) < 2 {
 		return usage
 	}
 	switch fields[1] {
-	case "on":
+	case "on", "off":
 		if len(fields) != 2 {
 			return usage
 		}
-		s.tr.setOn(true)
-		return fmt.Sprintf("ok trace on cap=%d", traceRingCap)
-	case "off":
-		if len(fields) != 2 {
-			return usage
+		on := fields[1] == "on"
+		if !s.barrier(func() { s.tr.setOn(on) }) {
+			return "err " + errClosing.Error()
 		}
-		s.tr.setOn(false)
+		if on {
+			return fmt.Sprintf("ok trace on cap=%d", traceRingCap)
+		}
 		return "ok trace off"
 	case "last":
 		if len(fields) != 3 {
@@ -281,7 +246,9 @@ func (s *Server) traceResponse(fields []string) string {
 		if err != nil || n < 1 {
 			return "err trace last wants a positive count"
 		}
+		s.mu.RLock()
 		recs := s.tr.last(n)
+		s.mu.RUnlock()
 		var b strings.Builder
 		fmt.Fprintf(&b, "ok trace n=%d", len(recs))
 		for _, r := range recs {

@@ -2,7 +2,8 @@ package server
 
 // Tests of the durable write path's one record format: a journal record
 // is a dnbin frame, encoded at every append site and decoded by
-// applyJournalLocked for crash replay and for replicas alike.
+// applyRecord, which hands it to the writer as a unit of its own, for
+// crash replay and for replicas alike.
 
 import (
 	"bytes"
@@ -164,7 +165,9 @@ func TestEveryEntranceEveryRecordBoundary(t *testing.T) {
 				ref.dispatch(fmt.Sprintf("link %d %d", f.Src, f.Dst), nil)
 			default:
 				jops = f.Ops[:0]
-				ref.applyCoalesced(f.Ops)
+				if got := ref.update(f.Ops, "ok", 0); !strings.HasPrefix(got, "ok") {
+					t.Fatalf("%s: record at %d: %q", step, rec.End, got)
+				}
 			}
 			expected[rec.End] = stateOf(ref)
 			boundaries = append(boundaries, rec.End)
@@ -416,7 +419,10 @@ func TestCheckpointEveryFrameBoundary(t *testing.T) {
 	for i := 0; i < 2*checkpointChunk+100; i++ {
 		ops = append(ops, insOp(int64(100+i), int32(i%3), int32(i%3), uint64(1000+4*i), uint64(1002+4*i), 1))
 	}
-	s.applyCoalesced(ops)
+	if !s.IngestOps(ops) {
+		t.Fatal("IngestOps refused the plane")
+	}
+	s.IngestBarrier()
 	want := stateOf(s)
 	var buf bytes.Buffer
 	if err := s.SaveState(&buf); err != nil {
@@ -489,9 +495,7 @@ func TestMetaFrameIsOnlyACheckpointRecord(t *testing.T) {
 	s := recordFixture(t)
 	defer s.Close()
 	before := stateOf(s)
-	s.mu.Lock()
-	err := s.applyJournalLocked(meta, before.upd)
-	s.mu.Unlock()
+	err := s.applyRecord(meta, before.upd, new([]core.BatchOp))
 	if err == nil || !strings.Contains(err.Error(), "not a journal record") {
 		t.Fatalf("meta frame as a journal record: %v", err)
 	}
@@ -633,9 +637,7 @@ func FuzzJournalRecord(f *testing.F) {
 		s := recordFixture(t)
 		defer s.Close()
 		before := stateOf(s)
-		s.mu.Lock()
-		err := s.applyJournalLocked(data, before.upd+1)
-		s.mu.Unlock()
+		err := s.applyRecord(data, before.upd+1, new([]core.BatchOp))
 		if after := stateOf(s); err != nil && after != before {
 			t.Fatalf("refused record (%v) changed the server:\n  before %+v\n  after  %+v", err, before, after)
 		}
@@ -649,10 +651,9 @@ func FuzzJournalRecord(f *testing.F) {
 }
 
 // TestJournalledCoalesceAllocs pins what taking text off the write path
-// bought: journalling a coalesced 256-op batch costs a constant number
-// of allocations on top of the same batch unjournalled (the payload
-// string the journal keeps until its writer lands it), not one render
-// per op.
+// bought: journalling a 256-op batch costs a constant number of
+// allocations on top of the same batch unjournalled (the payload string
+// the journal keeps until its writer lands it), not one render per op.
 func TestJournalledCoalesceAllocs(t *testing.T) {
 	j, err := journal.Open(filepath.Join(t.TempDir(), "j"), journal.SyncNone)
 	if err != nil {
@@ -665,12 +666,12 @@ func TestJournalledCoalesceAllocs(t *testing.T) {
 		ins[i] = insOp(int64(1000+i), 0, 0, uint64(1000+8*i), uint64(1004+8*i), 4)
 		del[i] = core.RemoveOp(core.RuleID(1000 + i))
 	}
-	// One cycle is two coalesced batches, so two records when journalled.
+	// One cycle is two batches, so two records when journalled.
 	cycleAllocs := func(s *Server) float64 {
 		defer s.Close()
 		cycle := func() {
-			s.applyCoalesced(ins)
-			s.applyCoalesced(del)
+			s.update(ins, "ok", 0)
+			s.update(del, "ok", 0)
 		}
 		for i := 0; i < 8; i++ { // warm the engine's arenas and the journal's queues
 			cycle()

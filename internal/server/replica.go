@@ -146,10 +146,10 @@ var errJournalTruncated = fmt.Errorf("journal truncated at primary")
 // local data plane from it: fresh graph, network, and monitor state,
 // with event/update counters resumed from the dump so numbering stays
 // continuous with the primary. The dump is decoded straight off the
-// connection, under the write lock: queries wait for the new plane
-// rather than see a half-built one. A dump that does not load — the
-// primary went away mid-body, say — leaves the replica empty and
-// unanchored, so the next session anchors afresh.
+// connection in a barrier on the writer, under the write lock: queries
+// wait for the new plane rather than see a half-built one. A dump that
+// does not load — the primary went away mid-body, say — leaves the
+// replica empty and unanchored, so the next session anchors afresh.
 func (s *Server) replicaAnchor(conn net.Conn, sc *lineReader) error {
 	//deltanet:nolint guardedwriter outbound client conn to the primary, owned by this goroutine alone; the guard is for served conns shared with watch fan-out
 	if _, err := fmt.Fprintln(conn, "checkpoint"); err != nil {
@@ -163,17 +163,23 @@ func (s *Server) replicaAnchor(conn net.Conn, sc *lineReader) error {
 	if _, err := fmt.Sscanf(sc.Text(), "ok checkpoint offset=%d bytes=%d", &off, &n); err != nil || n < 1 {
 		return fmt.Errorf("bad checkpoint response %q", sc.Text())
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.resetReplicaLocked()
-	if err := s.LoadState(io.LimitReader(sc.br, n)); err != nil {
+	var err error
+	if !s.barrier(func() {
 		s.resetReplicaLocked()
-		s.replCursor.Store(0)
-		return fmt.Errorf("loading the primary's checkpoint: %w", err)
+		if err = s.LoadState(io.LimitReader(sc.br, n)); err != nil {
+			s.resetReplicaLocked()
+			s.replCursor.Store(0)
+			return
+		}
+		s.replCursor.Store(off)
+		if end := s.replEnd.Load(); end < off {
+			s.replEnd.Store(off)
+		}
+	}) {
+		return errClosing
 	}
-	s.replCursor.Store(off)
-	if end := s.replEnd.Load(); end < off {
-		s.replEnd.Store(off)
+	if err != nil {
+		return fmt.Errorf("loading the primary's checkpoint: %w", err)
 	}
 	return nil
 }
@@ -211,7 +217,8 @@ func (s *Server) replicaStream(conn net.Conn, sc *lineReader) error {
 	if !strings.HasPrefix(resp, "ok journal ") {
 		return fmt.Errorf("bad journal response %q", resp)
 	}
-	var payload []byte // record body, reused across frames
+	var payload []byte     // record body, reused across frames
+	var ops []core.BatchOp // its decoded ops, likewise
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if strings.HasPrefix(line, "err journal truncated") {
@@ -231,13 +238,10 @@ func (s *Server) replicaStream(conn net.Conn, sc *lineReader) error {
 		if _, err := io.ReadFull(sc.br, payload); err != nil {
 			return fmt.Errorf("reading journal frame payload: %w", err)
 		}
-		s.mu.Lock()
-		err = s.applyJournalLocked(payload, seq)
-		s.mu.Unlock()
-		if err != nil {
+		if err := s.applyRecord(payload, seq, &ops); err != nil {
 			return fmt.Errorf("applying journal record at offset %d: %v", end, err)
 		}
-		s.replCursor.Store(end)
+		s.replCursor.Store(end) // the record has committed
 		s.replEnd.Store(pend)
 		s.replStamp.Store(stamp)
 	}

@@ -116,16 +116,22 @@
 // to sending and any resync guess could execute body lines as individual
 // commands; and a scanner error (a line over the 1MB limit, or any read
 // error), because the scanner cannot resync past the bad input.
-// The engine is a single shared data plane; mutations (node, link, I, R,
-// B) are serialized under a write lock, preserving the order guarantees a
-// data plane checker needs, while read-only requests (reach, whatif,
-// stats, W, unwatch, events) run concurrently under a read lock (the
-// monitor has its own internal locks for registration bookkeeping and
-// events).
+// The engine is a single shared data plane with one writer. Every
+// mutation — node, link, I, R, B, a binary frame, a journal record
+// replayed or streamed to a replica — is parsed and validated on its own
+// goroutine, then handed through the ingest ring to one goroutine
+// (ingest.go), the only code that takes the engine lock for writing,
+// which applies mutations one at a time in arrival order. Read-only
+// requests (reach, whatif, stats, W, unwatch, events, trace last) run
+// concurrently under the read lock (the monitor has its own internal
+// locks for registration bookkeeping and events). A mutation that
+// arrives once Close has begun is answered "err server closing" and not
+// applied.
 package server
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -146,9 +152,10 @@ import (
 // Server is a verification service over one shared data plane.
 //
 // Lock order (enforced by the lockorder analyzer via the ranks below):
-// mu → connMu → connWriter.mu.
+// mu → jsubMu → connMu → connWriter.mu.
 type Server struct {
-	// mu is write-held for mutations, read-held for queries.
+	// mu is write-held by the writer (ingest.go) alone, read-held for
+	// queries.
 	//
 	//deltanet:lockrank 10
 	mu    sync.RWMutex
@@ -163,15 +170,15 @@ type Server struct {
 	engineOpts core.Options
 
 	wg        sync.WaitGroup
-	listener  net.Listener
 	closeOnce sync.Once
 	closed    chan struct{}
 
-	// connMu guards conns.
+	// connMu guards listener and conns.
 	//
 	//deltanet:lockrank 20
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	connMu   sync.Mutex
+	listener net.Listener
+	conns    map[net.Conn]struct{}
 
 	// jsubMu guards the journal stream subscriber set (journal.go).
 	//
@@ -187,16 +194,13 @@ type Server struct {
 	jrnlErrs atomic.Uint64
 
 	// jbuf is the journal record encode buffer (filled by commitLocked
-	// and the node and link commands) and jops the record decode buffer
-	// (replay and the replica apply loop), reused across records; both
-	// guarded by mu (write).
+	// and the node and link commands), reused across records; guarded by
+	// mu (write).
 	jbuf []byte
-	jops []core.BatchOp
 
 	// loadedJournal is the journal offset a LoadState-restored dump was
 	// current through (state.go), where ReplayJournal resumes. Written
-	// only by LoadState (before Serve) and the replica re-anchor path
-	// (under the write lock).
+	// only by LoadState (before Serve) and the replica re-anchor barrier.
 	loadedJournal uint64
 
 	// replicaOf, when non-empty, is the primary address this server
@@ -214,12 +218,11 @@ type Server struct {
 	staged stageInfo
 
 	// tr is the per-update pipeline trace ring behind the `trace`
-	// command (pipeline.go); it has its own mutex.
+	// command (pipeline.go); guarded by mu.
 	tr tracer
 
-	// ing is the binary-protocol ingest state (ingest.go): the MPSC
-	// ring between connection decoders and the coalescer goroutine,
-	// started lazily by the first dnbin handshake or feed push.
+	// ing is the writer (ingest.go): the MPSC ring every mutation takes
+	// and the one goroutine, started by New, that drains it.
 	ing ingestState
 
 	// met holds the hot-path metric handles once EnableMetrics has run
@@ -236,7 +239,8 @@ type Server struct {
 }
 
 // New returns a server over a fresh empty data plane, configured by
-// functional options (options.go).
+// functional options (options.go). Its writer goroutine (ingest.go) runs
+// until Close.
 func New(opts ...Option) *Server {
 	var o options
 	for _, opt := range opts {
@@ -252,6 +256,7 @@ func New(opts ...Option) *Server {
 		closed:     make(chan struct{}),
 		conns:      map[net.Conn]struct{}{},
 		jsubs:      map[chan journal.Record]struct{}{},
+		tr:         tracer{slowNs: o.slow.Nanoseconds(), slowLog: o.slowLog},
 		started:    time.Now(),
 	}
 	// Every delta-driven evaluation pass reports its stage times back to
@@ -260,15 +265,12 @@ func New(opts ...Option) *Server {
 	if o.backlog != 0 {
 		s.mon.SetBacklog(o.backlog)
 	}
-	if o.slow > 0 {
-		s.setSlowUpdate(o.slow, o.slowLog)
-	}
 	s.jrnl = o.jrnl
 	s.replicaOf = o.replicaOf
-	s.ing.capacity = o.ingCap
 	if o.reg != nil {
 		s.enableMetrics(o.reg)
 	}
+	s.startWriter(o.ingCap)
 	return s
 }
 
@@ -285,31 +287,42 @@ func (s *Server) Graph() *netgraph.Graph { return s.graph }
 // AddNode and AddLink grow the topology as the node and link commands
 // do, journaled, so a restart from the journal alone rebuilds what a
 // preload (dnserve -trace, -feed) installed. Each returns the id, an
-// existing one for a name or pair already present. A replica refuses
-// both, AddNode a name that is not one protocol token, and AddLink an
-// unknown node.
+// existing one for a name or pair already present. Each is a barrier on
+// the writer (ingest.go), ordered after every mutation queued before it.
+// A replica refuses both, AddNode a name that is not one protocol token,
+// and AddLink an unknown node; a closing server refuses both with
+// errClosing.
 func (s *Server) AddNode(name string) (netgraph.NodeID, error) {
 	if s.replicaOf != "" || name == "" || strings.ContainsAny(name, " \t\n\v\f\r") {
 		return netgraph.NoNode, fmt.Errorf("server: cannot add node %q: not one token, or a read-only replica", name)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := s.graph.AddNode(name)
-	if s.jrnl != nil {
-		s.journalAppendLocked(binproto.AppendNode(s.jbuf[:0], name))
+	id := netgraph.NoNode
+	if !s.barrier(func() {
+		id = s.graph.AddNode(name)
+		if s.jrnl != nil {
+			s.journalAppendLocked(binproto.AppendNode(s.jbuf[:0], name))
+		}
+	}) {
+		return netgraph.NoNode, errClosing
 	}
 	return id, nil
 }
 
 func (s *Server) AddLink(src, dst netgraph.NodeID) (netgraph.LinkID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.replicaOf != "" || !s.validNode(int(src)) || !s.validNode(int(dst)) {
-		return netgraph.NoLink, fmt.Errorf("server: cannot add link %d -> %d: unknown node, or a read-only replica", src, dst)
+	id := netgraph.NoLink
+	if !s.barrier(func() {
+		if s.replicaOf != "" || !s.validNode(int(src)) || !s.validNode(int(dst)) {
+			return
+		}
+		id = s.graph.AddLink(src, dst)
+		if s.jrnl != nil {
+			s.journalAppendLocked(binproto.AppendLink(s.jbuf[:0], src, dst))
+		}
+	}) {
+		return netgraph.NoLink, errClosing
 	}
-	id := s.graph.AddLink(src, dst)
-	if s.jrnl != nil {
-		s.journalAppendLocked(binproto.AppendLink(s.jbuf[:0], src, dst))
+	if id == netgraph.NoLink {
+		return netgraph.NoLink, fmt.Errorf("server: cannot add link %d -> %d: unknown node, or a read-only replica", src, dst)
 	}
 	return id, nil
 }
@@ -317,9 +330,9 @@ func (s *Server) AddLink(src, dst netgraph.NodeID) (netgraph.LinkID, error) {
 // Serve accepts connections on l until Close is called. It blocks; run it
 // in a goroutine when the caller needs to continue.
 func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
+	s.connMu.Lock()
 	s.listener = l
-	s.mu.Unlock()
+	s.connMu.Unlock()
 	// Close may have run before the listener was stored; it then had
 	// nothing to close, so close here rather than block in Accept forever.
 	select {
@@ -386,13 +399,11 @@ func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
 		close(s.closed)
-		s.mu.Lock()
-		l := s.listener
-		s.mu.Unlock()
-		if l != nil {
-			err = l.Close()
-		}
+		s.ing.ring.Close() // the writer drains it, then exits
 		s.connMu.Lock()
+		if s.listener != nil {
+			err = s.listener.Close()
+		}
 		for conn := range s.conns {
 			conn.Close()
 		}
@@ -690,9 +701,8 @@ const (
 )
 
 // readAndApplyBatch consumes the n lines of a "B <n>" request from the
-// connection, parses them under the write lock and commits them as one
-// atomic update (commitLocked). The lines are collected before the lock
-// is taken so a slow client cannot stall other connections mid-batch.
+// connection, parses them and has the writer commit them as one atomic
+// update (update).
 //
 // A bad batch header (missing, unparseable, or out-of-range size) is fatal
 // to the connection: the client has already committed to sending a body the
@@ -740,10 +750,6 @@ func (s *Server) readAndApplyBatch(fields []string, sc *lineReader) (resp string
 	}
 
 	t0 := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	lockNs := time.Since(t0).Nanoseconds()
-	t0 = time.Now()
 	ops := make([]core.BatchOp, 0, count)
 	for i, line := range lines {
 		op, errmsg := s.parseUpdateLine(line)
@@ -752,11 +758,7 @@ func (s *Server) readAndApplyBatch(fields []string, sc *lineReader) (resp string
 		}
 		ops = append(ops, op)
 	}
-	loops, err := s.commitLocked(ops, stageInfo{parseNs: time.Since(t0).Nanoseconds(), lockNs: lockNs}, false)
-	if err != nil {
-		return "err " + err.Error(), false
-	}
-	return s.updateResponse("ok batch n="+strconv.Itoa(count), loops), false
+	return s.update(ops, "ok batch n="+strconv.Itoa(count), time.Since(t0).Nanoseconds()), false
 }
 
 // parseUpdateLine parses an I or R line of live line-protocol input
@@ -764,7 +766,7 @@ func (s *Server) readAndApplyBatch(fields []string, sc *lineReader) (resp string
 // instead) with the one text op scanner (trace.ParseOp), and validates
 // it (checkOp), so a B batch's error names the offending line;
 // commitLocked holds whatever reaches it to the same validator again.
-// Callers must hold at least the read lock.
+// Like checkOps, it needs no lock.
 func (s *Server) parseUpdateLine(line string) (core.BatchOp, string) {
 	op, msg := trace.ParseOp(line)
 	if msg != "" {
@@ -789,10 +791,11 @@ var protocolCommands = []string{
 // (node, link, I, R, B).
 const errReadOnly = "err read-only replica: mutations go to the primary"
 
-// dispatch executes one request under the engine lock: read-only requests
+// dispatch executes one request. A mutation goes to the writer
+// (ingest.go) and its reply comes back from it; read-only requests
 // (including monitor registration, which only reads the data plane)
-// share the read lock, mutations take the write lock. owned is the
-// calling connection's registration refcounts (see handle).
+// share the read lock. owned is the calling connection's registration
+// refcounts (see handle).
 //
 //deltanet:dispatch
 func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
@@ -801,42 +804,26 @@ func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 		return "err empty request"
 	}
 	s.countVerb(fields[0])
-	// lockNs is the mutation-path lock wait, stage two of the update
-	// pipeline trace (pipeline.go); reads are not traced.
-	var lockNs int64
 	switch fields[0] {
 	case "node", "link", "I", "R":
 		if s.replicaOf != "" {
-			// Refused before any lock: a replica's write lock belongs to
-			// the apply loop.
-			return errReadOnly
+			return errReadOnly // a replica's writer applies its primary's records only
 		}
 		if fields[0] == "node" || fields[0] == "link" {
-			return s.topologyCommand(fields) // AddNode and AddLink lock for themselves
+			return s.topologyCommand(fields)
 		}
-	}
-	switch fields[0] {
-	case "reach", "whatif", "stats", "W", "unwatch", "events", "trace":
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-	default:
-		t0 := time.Now()
-		s.mu.Lock()
-		lockNs = time.Since(t0).Nanoseconds()
-		defer s.mu.Unlock()
-	}
-	switch fields[0] {
-	case "I", "R":
 		t0 := time.Now()
 		op, errmsg := s.parseUpdateLine(line)
 		if errmsg != "" {
 			return "err " + errmsg
 		}
-		loops, err := s.commitLocked([]core.BatchOp{op}, stageInfo{parseNs: time.Since(t0).Nanoseconds(), lockNs: lockNs}, false)
-		if err != nil {
-			return "err " + err.Error()
-		}
-		return s.updateResponse("ok", loops)
+		return s.update([]core.BatchOp{op}, "ok", time.Since(t0).Nanoseconds())
+	case "trace":
+		return s.traceResponse(fields)
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	switch fields[0] {
 	case "reach":
 		if len(fields) != 3 {
 			return "err usage: reach <src> <dst> (id or name)"
@@ -939,12 +926,8 @@ func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 		if s.replicaOf != "" {
 			fmt.Fprintf(&b, " lag=%d", s.replicaLagBytes())
 		}
-		if r := s.ing.ring.Load(); r != nil {
-			fmt.Fprintf(&b, " ring=%d", r.Depth())
-		}
+		fmt.Fprintf(&b, " ring=%d", s.ing.ring.Depth())
 		return b.String()
-	case "trace":
-		return s.traceResponse(fields)
 	default:
 		return "err unknown command " + fields[0]
 	}
@@ -985,8 +968,8 @@ func (s *Server) resolveNode(f string) (netgraph.NodeID, bool) {
 }
 
 // updateResponse renders a rule update's reply — head, then the atom
-// count and the loops the update closed. It runs under the write lock,
-// so it is strconv appends into one buffer, not fmt.
+// count and the loops the update closed. It runs on the writer under
+// the write lock, so it is strconv appends into one buffer, not fmt.
 func (s *Server) updateResponse(head string, loops []check.Loop) string {
 	b := append(make([]byte, 0, 64), head...)
 	b = strconv.AppendInt(append(b, " atoms="...), int64(s.net.NumAtoms()), 10)
@@ -1023,7 +1006,10 @@ func (s *Server) topologyCommand(fields []string) string {
 		return "err usage: link <srcID> <dstID>"
 	}
 	id, err := s.AddLink(netgraph.NodeID(src), netgraph.NodeID(dst))
-	if err != nil {
+	switch {
+	case errors.Is(err, errClosing):
+		return "err " + err.Error()
+	case err != nil:
 		return "err unknown node id"
 	}
 	return fmt.Sprintf("ok link %d", id)
