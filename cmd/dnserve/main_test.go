@@ -51,6 +51,7 @@ func TestParseCheckpoint(t *testing.T) {
 // is live, without waiting for shutdown.
 func TestCheckpointerWritesState(t *testing.T) {
 	s := server.New()
+	defer s.Close()
 	a := s.Graph().AddNode("a")
 	b := s.Graph().AddNode("b")
 	l := s.Graph().AddLink(a, b)
@@ -85,6 +86,7 @@ func TestCheckpointerWritesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := server.New()
+	defer restored.Close()
 	if err := restored.LoadState(strings.NewReader(string(data))); err != nil {
 		t.Fatalf("checkpoint not loadable: %v\n%s", err, data)
 	}

@@ -25,10 +25,9 @@ import (
 	"deltanet/internal/core"
 )
 
-// Entry is one queued operation: a decoded rule op, or — when Unit is
-// non-zero — a handle to something the consumer keeps on its side, with
-// Op unused. A handle rather than a pointer keeps the slot pointer-free
-// and its 56 bytes.
+// Entry is one queued operation: a decoded rule op or, when Unit is
+// non-zero, a handle to something the consumer holds (Op unused); a
+// handle rather than a pointer keeps the slot pointer-free at 56 bytes.
 type Entry struct {
 	Op   core.BatchOp
 	Unit uint32
@@ -46,12 +45,10 @@ type Ring struct {
 	mask  uint64
 	slots []slot
 
-	// enq is the producers' ticket counter; deq is owned by the single
-	// consumer (atomic only so Depth can read it from other goroutines).
+	// enq is the producers' ticket counter (closedBit marks Close); deq
+	// is the single consumer's (atomic only so Depth can read it).
 	enq atomic.Uint64
 	deq atomic.Uint64
-
-	closed atomic.Bool
 
 	// popWait / pushWaiters are the park flags the fast paths check; mu
 	// and the conds only see contended traffic. mu is package-local and
@@ -64,6 +61,11 @@ type Ring struct {
 	popWait     atomic.Bool
 	pushWaiters atomic.Int32
 }
+
+// closedBit is set in enq by Close. A producer's ticket CAS fails from
+// then on, so the entries Push accepted are exactly the tickets below
+// it, and Pop reports closure only once it has popped every one of them.
+const closedBit = 1 << 63
 
 // spinBudget is how many TryPush/TryPop attempts the blocking paths
 // make (yielding between attempts) before parking on the lock.
@@ -85,13 +87,15 @@ func New(capacity int) *Ring {
 	return r
 }
 
+func (r *Ring) closed() bool { return r.enq.Load()&closedBit != 0 }
+
 // Cap returns the ring's capacity.
 func (r *Ring) Cap() int { return len(r.slots) }
 
 // Depth returns the approximate number of queued entries (a gauge, not
 // a synchronization primitive).
 func (r *Ring) Depth() int {
-	d := int64(r.enq.Load()) - int64(r.deq.Load())
+	d := int64(r.enq.Load()&^closedBit) - int64(r.deq.Load())
 	if d < 0 {
 		d = 0
 	}
@@ -101,11 +105,11 @@ func (r *Ring) Depth() int {
 // tryPush is the lock-free enqueue core; it performs no waiter
 // signaling so callers already holding mu can use it too.
 func (r *Ring) tryPush(e Entry) bool {
-	if r.closed.Load() {
-		return false
-	}
 	pos := r.enq.Load()
 	for {
+		if pos&closedBit != 0 {
+			return false
+		}
 		s := &r.slots[pos&r.mask]
 		switch seq := s.seq.Load(); {
 		case seq == pos:
@@ -114,7 +118,7 @@ func (r *Ring) tryPush(e Entry) bool {
 				s.seq.Store(pos + 1) // release: publishes s.e to the consumer
 				return true
 			}
-			pos = r.enq.Load()
+			pos = r.enq.Load() // lost the ticket, or the ring closed
 		case seq < pos:
 			return false // the slot one lap back is still occupied: full
 		default:
@@ -144,7 +148,7 @@ func (r *Ring) Push(e Entry) bool {
 		if r.TryPush(e) {
 			return true
 		}
-		if r.closed.Load() {
+		if r.closed() {
 			return false
 		}
 		runtime.Gosched()
@@ -163,7 +167,7 @@ func (r *Ring) Push(e Entry) bool {
 			r.notEmpty.Signal() // mu already held; wake a parked consumer
 			return true
 		}
-		if r.closed.Load() {
+		if r.closed() {
 			return false
 		}
 		r.notFull.Wait()
@@ -197,16 +201,15 @@ func (r *Ring) TryPop() (Entry, bool) {
 }
 
 // Pop dequeues the next entry, blocking while the ring is empty. It
-// reports false only when the ring is closed and fully drained — the
-// consumer's termination condition. Single consumer only.
+// reports false only once the ring is closed and every entry Push
+// accepted has been popped. Single consumer only.
 func (r *Ring) Pop() (Entry, bool) {
 	for i := 0; i < spinBudget; i++ {
 		if e, ok := r.TryPop(); ok {
 			return e, true
 		}
-		if r.closed.Load() {
-			// Closed: one final drain attempt below decides emptiness.
-			break
+		if r.closed() {
+			break // the locked loop below drains what is left
 		}
 		runtime.Gosched()
 	}
@@ -224,7 +227,8 @@ func (r *Ring) Pop() (Entry, bool) {
 			}
 			return e, true
 		}
-		if r.closed.Load() {
+		// A ticket claimed before Close may be unpublished; its producer signals.
+		if enq := r.enq.Load(); enq&closedBit != 0 && r.deq.Load() == enq&^closedBit {
 			return Entry{}, false
 		}
 		r.notEmpty.Wait()
@@ -232,10 +236,10 @@ func (r *Ring) Pop() (Entry, bool) {
 }
 
 // Close marks the ring closed and wakes every blocked producer and the
-// consumer. Entries already queued remain poppable (Pop drains them
-// before reporting closure).
+// consumer. Every entry Push accepted remains poppable (Pop drains them
+// before reporting closure); every later Push fails.
 func (r *Ring) Close() {
-	r.closed.Store(true)
+	r.enq.Or(closedBit)
 	r.mu.Lock()
 	r.notEmpty.Broadcast()
 	r.notFull.Broadcast()

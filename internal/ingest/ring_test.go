@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,6 +151,40 @@ func TestCloseReleasesWaiters(t *testing.T) {
 	}
 	if r.Push(Entry{}) {
 		t.Fatal("push into closed ring succeeded")
+	}
+}
+
+// TestCloseDrainsEveryAcceptedPush races producers against Close: every
+// entry a Push accepted is popped before Pop reports closure, so a
+// producer that pushed may wait for its entry to be consumed.
+func TestCloseDrainsEveryAcceptedPush(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		r := New(8)
+		var accepted atomic.Int64
+		var wg sync.WaitGroup
+		for p := 0; p < 4; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r.Push(Entry{}) {
+					accepted.Add(1)
+				}
+			}()
+		}
+		popped := make(chan int64)
+		go func() {
+			n := int64(0)
+			for _, ok := r.Pop(); ok; _, ok = r.Pop() {
+				n++
+			}
+			popped <- n
+		}()
+		time.Sleep(time.Duration(round%5) * 10 * time.Microsecond)
+		r.Close()
+		wg.Wait()
+		if n, want := <-popped, accepted.Load(); n != want {
+			t.Fatalf("round %d: popped %d entries, Push accepted %d", round, n, want)
+		}
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 // include a journal, the append) without socket noise.
 func benchIngest(b *testing.B, opts ...Option) {
 	s := New(opts...)
+	defer s.Close()
 	owned := map[monitor.ID]int{}
 	for _, req := range []string{"node a", "node b", "node c", "link 0 1", "link 1 2"} {
 		if got := s.dispatch(req, owned); !strings.HasPrefix(got, "ok") {

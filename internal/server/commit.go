@@ -13,20 +13,18 @@ import (
 // commitLocked is the write path's one sequential core: every rule update
 // — a line I or R, a B batch, a coalesced ring run and each op of its
 // refused-run retry, a record replayed after a crash or streamed to a
-// replica — is applied here and nowhere else, by the writer
-// (applyLocked, ingest.go) holding the write lock; the entrances only
-// obtain ops, hand them to the writer and shape a reply. It is the
-// paper's contract: apply the insertions and removals as one atomic
-// update (Algorithms 1 and 2), check the resulting delta-graph for
-// loops, and return the loops the update closed. On error nothing was
-// applied.
+// replica — is applied here and nowhere else, by the writer (ingest.go);
+// the entrances only obtain ops, hand them over and shape a reply. It
+// is the paper's contract: apply the insertions and removals as one
+// atomic update (Algorithms 1 and 2), check the resulting delta-graph
+// for loops, and return the loops the update closed. On error nothing
+// was applied.
 //
-// st carries the stage times measured before the commit (the entrance's
-// parse, the writer's lock wait); the verb and the apply time are
-// filled in here. A one-op commit runs
-// ApplyBatch on the caller's goroutine: a single rule has no per-atom
-// fan-out to win, only its wake-ups to pay. fromJournal marks a record
-// that came from a journal, which is not appended to one again.
+// st carries the stage times measured before the commit (parse, lock
+// wait); the verb and the apply time are filled in here. A one-op commit
+// runs ApplyBatch on the writer's goroutine: a single rule has no
+// per-atom fan-out to win, only its wake-ups to pay. fromJournal marks a
+// record that came from a journal, which is not appended to one again.
 //
 // A failed journal append does not fail the commit: the update is
 // applied and the client answered ok, the failure is counted (jrnlErrs,
@@ -63,8 +61,7 @@ func (s *Server) commitLocked(ops []core.BatchOp, st stageInfo, fromJournal bool
 // the message names the first bad op. It reads only the graph's atomic
 // size counters, so entrances run it without the engine lock: a
 // primary's graph only grows, and commitLocked checks again under the
-// write lock. (A replica replaces its graph, but refuses client
-// mutations first.)
+// write lock. (A replica replaces its graph, but refuses mutations first.)
 func (s *Server) checkOps(ops []core.BatchOp) string {
 	nodes, links := s.graph.NumNodes(), s.graph.NumLinks()
 	for i := range ops {

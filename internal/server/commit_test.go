@@ -20,9 +20,10 @@ import (
 // pass and the trace close-out each have exactly one call site, all in
 // commitLocked, and the single-op engine entry points have none. A new
 // entrance that applies an update by hand fails here, not in review.
-// LoadState is the engine apply's one other caller: a state file is a
-// state, not an update, so its rules are applied and nothing else runs
-// (no loop check, monitor pass, journal append or update count).
+// LoadState (loadStateLocked) is the engine apply's one other caller: a
+// state file is a state, not an update, so its rules are applied and
+// nothing else runs (no loop check, monitor pass, journal append or
+// update count).
 func TestOneCommitPath(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -70,8 +71,8 @@ func TestOneCommitPath(t *testing.T) {
 			})
 		}
 	}
-	if got := sites["ApplyBatch"]; len(got) != 2 || got[0] != "commitLocked" || got[1] != "LoadState" {
-		t.Errorf("ApplyBatch is called from %v, want one call site in commitLocked and one in LoadState", got)
+	if got := sites["ApplyBatch"]; len(got) != 2 || got[0] != "commitLocked" || got[1] != "loadStateLocked" {
+		t.Errorf("ApplyBatch is called from %v, want one call site in commitLocked and one in loadStateLocked", got)
 	}
 	for _, class := range []string{"FindLoopsDelta*", "mon.Apply*", "finishUpdateLocked"} {
 		if got := sites[class]; len(got) != 1 || got[0] != "commitLocked" {
@@ -86,8 +87,9 @@ func TestOneCommitPath(t *testing.T) {
 // TestOneWriter holds the server to one writer: in this package's
 // non-test source the engine lock is taken for writing in one function,
 // the ring's consumer (coalesce); commitLocked has one call site, in
-// applyLocked, which only coalesce calls; and the package ranks at most
-// four locks, with no lockorder exemption.
+// applyLocked, which only the writer calls (coalesce, and the record
+// decoder its barriers run); and the package ranks at most four locks,
+// with no lockorder exemption.
 func TestOneWriter(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -150,8 +152,8 @@ func TestOneWriter(t *testing.T) {
 		t.Errorf("commitLocked is called from %v, want one call site, in applyLocked", got)
 	}
 	for _, caller := range callers["applyLocked"] {
-		if caller != "coalesce" {
-			t.Errorf("applyLocked is called from %s, want coalesce only", caller)
+		if caller != "coalesce" && caller != "applyRecordLocked" {
+			t.Errorf("applyLocked is called from %s, want coalesce or applyRecordLocked", caller)
 		}
 	}
 	if len(callers["applyLocked"]) == 0 {

@@ -477,6 +477,7 @@ func TestWatchLinesCarrySinkSet(t *testing.T) {
 // evaluation gives (which is what registration at save time computed).
 func TestStateRoundTrip(t *testing.T) {
 	s1 := New()
+	defer s1.Close()
 	a := s1.Graph().AddNode("a")
 	b := s1.Graph().AddNode("b")
 	c := s1.Graph().AddNode("c")
@@ -510,6 +511,7 @@ func TestStateRoundTrip(t *testing.T) {
 	saved := buf.Bytes()
 
 	s2 := New()
+	defer s2.Close()
 	if err := s2.LoadState(bytes.NewReader(saved)); err != nil {
 		t.Fatalf("LoadState: %v", err)
 	}
@@ -563,11 +565,13 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	// Garbage after the header is refused as a bad frame; a stream
 	// without the header is not a state file.
-	if err := New().LoadState(strings.NewReader(stateHeader + "nonsense here\n")); err == nil ||
+	s3 := New()
+	defer s3.Close()
+	if err := s3.LoadState(strings.NewReader(stateHeader + "nonsense here\n")); err == nil ||
 		!strings.Contains(err.Error(), "reading state") {
 		t.Fatalf("garbage state error: %v", err)
 	}
-	if err := New().LoadState(strings.NewReader("not a state file\n")); err == nil || !strings.Contains(err.Error(), "not a") {
+	if err := s3.LoadState(strings.NewReader("not a state file\n")); err == nil || !strings.Contains(err.Error(), "not a") {
 		t.Fatalf("missing header: %v", err)
 	}
 }

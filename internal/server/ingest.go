@@ -3,36 +3,31 @@ package server
 // This file is the server's one writer. Every mutation reaches the
 // engine through a bounded lock-free MPSC ring (internal/ingest) drained
 // by one goroutine, coalesce: the only code that takes the engine lock
-// for writing, so updates apply one at a time, in ring order — the
-// paper's sequential core, with the connections feeding it.
+// for writing, so updates apply one at a time in ring order — the
+// paper's sequential core, fed by the connections.
 //
-// The ring carries two kinds of entry. A bare op, from a binary frame
-// or IngestOps, coalesces: the writer drains the ops waiting into one
-// run (up to maxIngestBatch) and commits it as one update (one
-// ApplyBatch, one loop check, one monitor pass, one journal record). It
-// sizes runs adaptively: when the next op's dirty-invariant footprint
-// (monitor.LinkDepsInto) is disjoint from the run's, the run is
-// committed early (on watch_churn ≈ 1 % fewer subgoal evaluations than
-// merging through). A unit — a line I, R or B, a journal record, or a
-// barrier (node, link, a sync frame, IngestBarrier, trace on|off, a
-// replica's re-anchor) — runs on its own after the run before it, while
-// its producer waits. A unit is never merged, so a line reply and a
-// record's update number are what they were when each entrance took the
-// lock itself.
+// A bare op (a binary frame's, or IngestOps') coalesces: the writer
+// drains the ops waiting into one run (up to maxIngestBatch), cut early
+// when the next op's dirty-invariant footprint is disjoint from the
+// run's (≈ 1 % fewer subgoal evaluations on watch_churn), and commits
+// it as one update. Anything else is a unit that runs alone, after the
+// run before it, while its producer waits: a line I, R or B, a record a
+// replica streams, or a barrier (node, link, sync, IngestBarrier, trace
+// on|off, LoadState, crash replay, a replica's re-anchor). Units are
+// never merged, so line replies and update numbers are what they were
+// when each entrance took the lock itself.
 //
-// Producers parse and validate without the engine lock (checkOps reads
-// only the graph's atomic counters). Backpressure is explicit and memory
-// stays bounded: the ring has fixed capacity, a binary connection that
-// finds it full tells its client once per frame with a "busy depth=<n>"
-// line and then blocks in Push, and sync frames give clients a quiesce
-// point ("ok sync <token> applied=<n>" once everything framed before the
-// sync has been applied).
+// Producers parse and validate off-lock (checkOps reads only atomic
+// counters). Memory stays bounded: a binary connection that finds the
+// ring full says "busy depth=<n>" once per frame and blocks in Push, a
+// unit producer past the last free slot blocks too, and a sync frame
+// answers "ok sync <token> applied=<n>" once everything before it has
+// been applied.
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -57,8 +52,9 @@ const (
 	// ns/rule at 256, ≈ 440 at 1024, ≈ 445 at 4096 (runs 4× larger).
 	maxIngestBatch = 1024
 
-	// unitSlots bounds the units in flight: one per waiting producer (a
-	// connection has at most one); a producer past it waits for a slot.
+	// unitSlots bounds the units in the ring, and so the producers
+	// waiting on one; the next blocks until a slot is free. 3 KB, where a
+	// slot per ring entry would be 48 KB (3.5 % of watch_churn's mem_mb).
 	unitSlots = 256
 )
 
@@ -71,11 +67,10 @@ var errClosing = errors.New("server closing")
 type ingestState struct {
 	ring *ingest.Ring
 
-	// units holds the units in flight; a unit's entry carries its index
-	// plus one. A producer claims a free slot and pushes; the writer
-	// empties the slot when it pops the entry.
-	units    [unitSlots]atomic.Pointer[unit]
-	unitNext atomic.Uint32
+	// units holds each unit in the ring at its entry's Unit-1; free
+	// holds the slots no producer holds.
+	units [unitSlots]*unit
+	free  chan uint32
 
 	// applied counts the ring's ops the writer has committed or rejected
 	// (sync frames and IngestBarrier report it). Only the writer touches
@@ -97,13 +92,25 @@ type unit struct {
 	st  stageInfo      // stage times measured before the writer took it
 
 	run    bool   // the writer's coalesced run: retried op by op when refused
-	record bool   // a journal record: not journaled again, and ResumeUpdates(seq) after
-	seq    uint64 // a record's update seq
+	record bool   // a journal record's ops: not journaled again
 	head   string // a line update's reply head ("ok", "ok batch n=<n>")
 
 	reply string // head plus the atom count and loops, rendered under the lock
 	err   error
-	done  sync.WaitGroup // released when the unit has run, or by the writer's exit sweep (err = errClosing)
+	done  chan struct{} // receives once the unit has run
+}
+
+// unitPool recycles units, done channel and op buffer included.
+var unitPool = sync.Pool{New: func() any { return &unit{done: make(chan struct{}, 1)} }}
+
+// putUnit recycles u once its submit has returned; an op buffer grown
+// past one run is dropped.
+func putUnit(u *unit) {
+	if cap(u.ops) > maxIngestBatch {
+		u.ops = nil
+	}
+	*u = unit{ops: u.ops[:0], done: u.done}
+	unitPool.Put(u)
 }
 
 // startWriter starts the writer on a ring of the given capacity (≤ 0:
@@ -113,41 +120,51 @@ func (s *Server) startWriter(capacity int) {
 	if capacity <= 0 {
 		capacity = defaultIngestRing
 	}
-	s.ing.ring = ingest.New(capacity)
+	st := &s.ing
+	st.ring = ingest.New(capacity)
+	st.free = make(chan uint32, unitSlots)
+	for h := uint32(0); h < unitSlots; h++ {
+		st.free <- h
+	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.coalesce(s.ing.ring)
+		s.coalesce(st.ring)
 	}()
 }
 
-// submit hands u to the writer and waits until it has run. It reports
-// false — u did not run — when the server is closing.
+// submit hands u to the writer and waits until it has run; false means
+// the server is closing and u did not run. The writer pops every entry
+// Push accepted, even from a closed ring, so every slot comes back.
 func (s *Server) submit(u *unit) bool {
 	st := &s.ing
-	u.done.Add(1)
-	h := st.unitNext.Add(1) % unitSlots
-	for !st.units[h].CompareAndSwap(nil, u) {
-		runtime.Gosched()
-		h = st.unitNext.Add(1) % unitSlots
+	h := <-st.free
+	st.units[h] = u
+	ran := st.ring.Push(ingest.Entry{Unit: h + 1})
+	if ran {
+		<-u.done
 	}
-	if !st.ring.Push(ingest.Entry{Unit: h + 1}) {
-		st.units[h].CompareAndSwap(u, nil)
-		return false
-	}
-	u.done.Wait()
-	return !errors.Is(u.err, errClosing)
+	st.free <- h
+	return ran
 }
 
 // barrier runs fn on the writer, under the engine lock, after every
 // mutation pushed before it; false means the server is closing and fn
 // did not run.
-func (s *Server) barrier(fn func()) bool { return s.submit(&unit{fn: fn}) }
+func (s *Server) barrier(fn func()) bool {
+	u := unitPool.Get().(*unit)
+	defer putUnit(u)
+	u.fn = fn
+	return s.submit(u)
+}
 
 // update commits ops as one update and renders the line reply: head,
 // the atom count and the loops the update closed — or the error.
 func (s *Server) update(ops []core.BatchOp, head string, parseNs int64) string {
-	u := &unit{ops: ops, head: head, st: stageInfo{parseNs: parseNs}}
+	u := unitPool.Get().(*unit)
+	defer putUnit(u)
+	u.ops = append(u.ops, ops...)
+	u.head, u.st = head, stageInfo{parseNs: parseNs}
 	switch {
 	case !s.submit(u):
 		return "err " + errClosing.Error()
@@ -300,7 +317,7 @@ func (s *Server) coalesce(ring *ingest.Ring) {
 		var u *unit
 		for ; ok; e, ok = ring.TryPop() {
 			if e.Unit != 0 {
-				u = st.units[e.Unit-1].Swap(nil)
+				u = st.units[e.Unit-1]
 				break
 			}
 			if s.splitBatchBefore(&e.Op, &lastLink, &batchDeps, &opDeps) {
@@ -328,15 +345,7 @@ func (s *Server) coalesce(ring *ingest.Ring) {
 		}
 		s.mu.Unlock()
 		if u != nil {
-			u.done.Done()
-		}
-	}
-	// The ring is closed and drained. A unit still in its slot was pushed
-	// but published after the writer's last look: it did not run.
-	for i := range st.units {
-		if u := st.units[i].Swap(nil); u != nil {
-			u.err = errClosing
-			u.done.Done()
+			u.done <- struct{}{} // u is its producer's again
 		}
 	}
 }
@@ -389,8 +398,5 @@ func (s *Server) applyLocked(u *unit) {
 			u.reply = s.updateResponse(u.head, loops)
 		}
 		ops, u.st = ops[n:], stageInfo{}
-	}
-	if u.record && u.err == nil {
-		s.mon.ResumeUpdates(u.seq)
 	}
 }

@@ -610,6 +610,56 @@ func TestClosingAnswersEveryMutation(t *testing.T) {
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
 }
 
+// TestClosingPastUnitSlots queues twice unitSlots line producers behind
+// a barrier that holds the writer: the slots run out and the rest wait
+// on the free list, and once the writer is released every request is
+// answered ok. A second wave of as many producers races Close, and each
+// gets ok or "err server closing".
+func TestClosingPastUnitSlots(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New()
+	for _, req := range []string{"node a", "node b", "link 0 1"} {
+		if got := s.dispatch(req, nil); !strings.HasPrefix(got, "ok ") {
+			t.Fatalf("%s: %q", req, got)
+		}
+	}
+	const n = 2 * unitSlots
+	replies := make(chan string, n)
+	wave := func(req func(i int) string) {
+		for i := 1; i <= n; i++ {
+			go func() { replies <- s.dispatch(req(i), nil) }()
+		}
+	}
+	answers := func(ok func(string) bool) {
+		for i := 0; i < n; i++ {
+			select {
+			case got := <-replies:
+				if !ok(got) {
+					t.Errorf("reply %q", got)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d of %d requests never answered", n-i, n)
+			}
+		}
+	}
+
+	held, release := make(chan struct{}), make(chan struct{})
+	go s.barrier(func() { close(held); <-release })
+	<-held
+	wave(func(i int) string { return fmt.Sprintf("I %d 0 0 %d %d 1", i, i, i+1) })
+	waitFor(t, func() bool { return len(s.ing.free) == 0 })
+	close(release)
+	answers(func(got string) bool { return strings.HasPrefix(got, "ok atoms=") })
+	if got := s.net.NumRules(); got != n {
+		t.Fatalf("%d rules after %d inserts", got, n)
+	}
+
+	wave(func(i int) string { return fmt.Sprintf("R %d", i) })
+	s.Close()
+	answers(func(got string) bool { return strings.HasPrefix(got, "ok atoms=") || got == "err server closing" })
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
+}
+
 // TestParseUpdateLineZeroAlloc pins the hot-path property the field
 // scanner exists for: parsing an I or R line allocates nothing.
 func TestParseUpdateLineZeroAlloc(t *testing.T) {

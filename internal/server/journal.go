@@ -12,12 +12,11 @@ package server
 // commands. A mutation is decoded from its wire form once, on arrival;
 // from then on the frame is its only representation, encoded into one
 // reusable buffer under the write lock (commitLocked's last step, and
-// the node and link commands) and decoded by applyRecord on crash
-// replay and on every replica, which hands each record to the writer as
-// a unit of its own: the ops go through the same commitLocked. Each
-// record is stamped with the monitor's post-apply update sequence
-// number; topology records reuse the current number (they consume no
-// delta).
+// the node and link commands) and decoded by applyRecordLocked, on the
+// writer, on crash replay and on every replica: the ops go through the
+// same commitLocked. Each record is stamped with the monitor's
+// post-apply update sequence number; topology records reuse the current
+// number (they consume no delta).
 //
 // The streaming protocol after "ok journal offset=<o> end=<e>":
 //
@@ -39,7 +38,6 @@ import (
 	"strconv"
 
 	"deltanet/internal/binproto"
-	"deltanet/internal/core"
 	"deltanet/internal/journal"
 )
 
@@ -231,57 +229,59 @@ func (s *Server) ReplayJournal(j *journal.Journal) (int, error) {
 		return 0, err
 	}
 	defer r.Close()
-	var ops []core.BatchOp
-	for applied := 0; ; applied++ {
-		rec, err := r.Next()
+	// One barrier for the whole replay: before Serve nothing else is
+	// queued, so a handoff per record would buy nothing.
+	applied := 0
+	err = errClosing // unless the writer runs the barrier
+	s.barrier(func() {
+		var rec journal.Record
+		for rec, err = r.Next(); err == nil; rec, err = r.Next() {
+			if err = s.applyRecordLocked(rec.Payload, rec.Seq); err != nil {
+				err = fmt.Errorf("server: journal replay at offset %d: %v", rec.End, err)
+				return
+			}
+			applied++
+		}
 		if err == io.EOF {
-			return applied, nil
+			err = nil
 		}
-		if err != nil {
-			return applied, err
-		}
-		if err := s.applyRecord(rec.Payload, rec.Seq, &ops); err != nil {
-			return applied, fmt.Errorf("server: journal replay at offset %d: %v", rec.End, err)
-		}
-	}
+	})
+	return applied, err
 }
 
-// applyRecord applies one journal record, and is the whole record
-// decoder: ReplayJournal and the replica stream both call it. It decodes
-// the frame off-lock into *ops (reused across records) and hands the
-// writer one unit, never merged with another record: the node or link,
-// or the ops through the same commitLocked a live update takes. A
+// applyRecordLocked applies one journal record as an update of its own:
+// decode the frame into the reused op buffer, then AddNode, AddLink, or
+// the same commitLocked a live update takes. It is the whole record
+// decoder, run on the writer by ReplayJournal and the replica stream. A
 // record's stamp is the primary's update seq after it; every entrance
 // counts alike, so the local counter already agrees, and ResumeUpdates
-// only snaps it forward should a journal ever run ahead of it. Records
-// come one at a time from one goroutine, so a link record's nodes are
-// checked before it is queued. On error the rules and the monitor are
-// untouched.
-func (s *Server) applyRecord(payload []byte, seq uint64, ops *[]core.BatchOp) error {
-	f, err := binproto.Decode(payload, *ops)
+// only snaps it forward should a journal ever run ahead of it. On error
+// the rules and the monitor are untouched. Caller holds the write lock.
+func (s *Server) applyRecordLocked(payload []byte, seq uint64) error {
+	f, err := binproto.Decode(payload, s.jops)
 	if err != nil {
 		return err
 	}
-	u := &unit{record: true, seq: seq}
 	switch f.Kind {
 	case binproto.KindNode:
-		u.fn = func() { s.graph.AddNode(f.Name) }
+		s.graph.AddNode(f.Name)
 	case binproto.KindLink:
 		if !s.validNode(int(f.Src)) || !s.validNode(int(f.Dst)) {
 			return errors.New("link record names an unknown node")
 		}
-		u.fn = func() { s.graph.AddLink(f.Src, f.Dst) }
+		s.graph.AddLink(f.Src, f.Dst)
 	case binproto.KindOps:
-		*ops = f.Ops[:0]
+		s.jops = f.Ops[:0]
 		if len(f.Ops) == 0 {
 			return errors.New("empty ops record")
 		}
-		u.ops = f.Ops
+		u := unit{ops: f.Ops, record: true}
+		if s.applyLocked(&u); u.err != nil {
+			return u.err
+		}
 	default:
 		return fmt.Errorf("frame kind %d is not a journal record", f.Kind)
 	}
-	if !s.submit(u) {
-		return errClosing
-	}
-	return u.err
+	s.mon.ResumeUpdates(seq)
+	return nil
 }

@@ -90,6 +90,7 @@ func TestNameAddressing(t *testing.T) {
 // genuinely missed window.
 func TestStateSeqContinuity(t *testing.T) {
 	s1 := New()
+	defer s1.Close()
 	a := s1.Graph().AddNode("a")
 	b := s1.Graph().AddNode("b")
 	cNode := s1.Graph().AddNode("c")
@@ -124,6 +125,7 @@ func TestStateSeqContinuity(t *testing.T) {
 	}
 
 	s2 := New()
+	defer s2.Close()
 	if err := s2.LoadState(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +148,7 @@ func TestStateSeqContinuity(t *testing.T) {
 	// A text state file, the format older builds wrote, is refused by
 	// name with the remedy, before anything is loaded.
 	s3 := New()
+	defer s3.Close()
 	text := "deltanet-state 2\nnode a\nnode b\nlink 0 1\nrule 1 0 0 0 100 1\nseq 2\n"
 	err := s3.LoadState(strings.NewReader(text))
 	if err == nil || !strings.Contains(err.Error(), `"deltanet-state" text state file`) || !strings.Contains(err.Error(), "rule lines as I") {

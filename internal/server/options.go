@@ -73,11 +73,10 @@ func WithReplicaOf(addr string) Option {
 	return func(o *options) { o.replicaOf = addr }
 }
 
-// WithIngestRing sets the capacity of the ring every mutation takes to
-// the writer (rounded up to a power of two; the default is generous for
-// sustained feeds). The ring is the ingestion path's backpressure
-// boundary: when it fills, binary connections get a "busy" line and
-// block until the writer drains it.
+// WithIngestRing sets the capacity of the writer's ring (rounded up to
+// a power of two; the default is generous for sustained feeds). The ring
+// is the ingestion path's backpressure boundary: when it fills, binary
+// connections get a "busy" line and block until the writer drains it.
 func WithIngestRing(capacity int) Option {
 	return func(o *options) { o.ingCap = capacity }
 }

@@ -2,8 +2,8 @@ package server
 
 // Tests of the durable write path's one record format: a journal record
 // is a dnbin frame, encoded at every append site and decoded by
-// applyRecord, which hands it to the writer as a unit of its own, for
-// crash replay and for replicas alike.
+// applyRecordLocked on the writer, for crash replay (ReplayJournal, one
+// barrier) and for replicas (one barrier per record) alike.
 
 import (
 	"bytes"
@@ -485,6 +485,14 @@ func TestCheckpointEveryFrameBoundary(t *testing.T) {
 	t.Logf("%d frames, %d cuts refused", len(ends), len(cuts))
 }
 
+// applyRecord hands one journal record to the writer, as the replica
+// stream does.
+func applyRecord(s *Server, payload []byte, seq uint64) error {
+	err := errClosing
+	s.barrier(func() { err = s.applyRecordLocked(payload, seq) })
+	return err
+}
+
 // TestMetaFrameIsOnlyACheckpointRecord pins the two default branches
 // that keep a checkpoint trailer out of the update paths: a client dnbin
 // stream refuses it (and stays usable), and the journal record decoder
@@ -495,7 +503,7 @@ func TestMetaFrameIsOnlyACheckpointRecord(t *testing.T) {
 	s := recordFixture(t)
 	defer s.Close()
 	before := stateOf(s)
-	err := s.applyRecord(meta, before.upd, new([]core.BatchOp))
+	err := applyRecord(s, meta, before.upd)
 	if err == nil || !strings.Contains(err.Error(), "not a journal record") {
 		t.Fatalf("meta frame as a journal record: %v", err)
 	}
@@ -637,7 +645,7 @@ func FuzzJournalRecord(f *testing.F) {
 		s := recordFixture(t)
 		defer s.Close()
 		before := stateOf(s)
-		err := s.applyRecord(data, before.upd+1, new([]core.BatchOp))
+		err := applyRecord(s, data, before.upd+1)
 		if after := stateOf(s); err != nil && after != before {
 			t.Fatalf("refused record (%v) changed the server:\n  before %+v\n  after  %+v", err, before, after)
 		}

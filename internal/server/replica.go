@@ -163,10 +163,10 @@ func (s *Server) replicaAnchor(conn net.Conn, sc *lineReader) error {
 	if _, err := fmt.Sscanf(sc.Text(), "ok checkpoint offset=%d bytes=%d", &off, &n); err != nil || n < 1 {
 		return fmt.Errorf("bad checkpoint response %q", sc.Text())
 	}
-	var err error
-	if !s.barrier(func() {
+	err := errClosing // unless the writer runs the barrier
+	s.barrier(func() {
 		s.resetReplicaLocked()
-		if err = s.LoadState(io.LimitReader(sc.br, n)); err != nil {
+		if err = s.loadStateLocked(io.LimitReader(sc.br, n)); err != nil {
 			s.resetReplicaLocked()
 			s.replCursor.Store(0)
 			return
@@ -175,9 +175,7 @@ func (s *Server) replicaAnchor(conn net.Conn, sc *lineReader) error {
 		if end := s.replEnd.Load(); end < off {
 			s.replEnd.Store(off)
 		}
-	}) {
-		return errClosing
-	}
+	})
 	if err != nil {
 		return fmt.Errorf("loading the primary's checkpoint: %w", err)
 	}
@@ -217,8 +215,7 @@ func (s *Server) replicaStream(conn net.Conn, sc *lineReader) error {
 	if !strings.HasPrefix(resp, "ok journal ") {
 		return fmt.Errorf("bad journal response %q", resp)
 	}
-	var payload []byte     // record body, reused across frames
-	var ops []core.BatchOp // its decoded ops, likewise
+	var payload []byte // record body, reused across frames
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if strings.HasPrefix(line, "err journal truncated") {
@@ -238,7 +235,9 @@ func (s *Server) replicaStream(conn net.Conn, sc *lineReader) error {
 		if _, err := io.ReadFull(sc.br, payload); err != nil {
 			return fmt.Errorf("reading journal frame payload: %w", err)
 		}
-		if err := s.applyRecord(payload, seq, &ops); err != nil {
+		err = errClosing // unless the writer runs the record
+		s.barrier(func() { err = s.applyRecordLocked(payload, seq) })
+		if err != nil {
 			return fmt.Errorf("applying journal record at offset %d: %v", end, err)
 		}
 		s.replCursor.Store(end) // the record has committed

@@ -420,6 +420,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 	}
 
 	s1 := New(WithJournal(j))
+	defer s1.Close()
 	owned := map[monitor.ID]int{}
 	reqs := []string{
 		"node a", "node b", "link 0 1",
@@ -439,6 +440,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := New(WithJournal(j2))
+	defer s2.Close()
 	applied, err := s2.ReplayJournal(j2)
 	if err != nil {
 		t.Fatal(err)
@@ -470,6 +472,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 		t.Fatal("torn tail not detected")
 	}
 	s3 := New(WithJournal(j3))
+	defer s3.Close()
 	applied, err = s3.ReplayJournal(j3)
 	if err != nil {
 		t.Fatal(err)
@@ -528,6 +531,7 @@ func TestCheckpointVerb(t *testing.T) {
 		t.Fatalf("checkpoint with an argument: %q", got)
 	}
 	restored := New()
+	defer restored.Close()
 	if err := restored.LoadState(bytes.NewReader(dump)); err != nil {
 		t.Fatalf("checkpoint dump not loadable: %v", err)
 	}

@@ -117,11 +117,12 @@
 // commands; and a scanner error (a line over the 1MB limit, or any read
 // error), because the scanner cannot resync past the bad input.
 // The engine is a single shared data plane with one writer. Every
-// mutation — node, link, I, R, B, a binary frame, a journal record
-// replayed or streamed to a replica — is parsed and validated on its own
-// goroutine, then handed through the ingest ring to one goroutine
-// (ingest.go), the only code that takes the engine lock for writing,
-// which applies mutations one at a time in arrival order. Read-only
+// mutation — node, link, I, R, B, a binary frame, a record streamed to a
+// replica, a state file or journal suffix loaded at start — reaches it
+// through the ingest ring, drained by one goroutine (ingest.go): the
+// only code that takes the engine lock for writing, which applies
+// mutations one at a time in arrival order. Connections parse and
+// validate their mutations before handing them over. Read-only
 // requests (reach, whatif, stats, W, unwatch, events, trace last) run
 // concurrently under the read lock (the monitor has its own internal
 // locks for registration bookkeeping and events). A mutation that
@@ -194,13 +195,15 @@ type Server struct {
 	jrnlErrs atomic.Uint64
 
 	// jbuf is the journal record encode buffer (filled by commitLocked
-	// and the node and link commands), reused across records; guarded by
-	// mu (write).
+	// and the node and link commands) and jops the record decode buffer
+	// (replay and the replica apply loop), reused across records; both
+	// guarded by mu (write).
 	jbuf []byte
+	jops []core.BatchOp
 
 	// loadedJournal is the journal offset a LoadState-restored dump was
 	// current through (state.go), where ReplayJournal resumes. Written
-	// only by LoadState (before Serve) and the replica re-anchor barrier.
+	// only on the writer: by LoadState and the replica re-anchor.
 	loadedJournal uint64
 
 	// replicaOf, when non-empty, is the primary address this server
@@ -309,20 +312,17 @@ func (s *Server) AddNode(name string) (netgraph.NodeID, error) {
 }
 
 func (s *Server) AddLink(src, dst netgraph.NodeID) (netgraph.LinkID, error) {
+	if s.replicaOf != "" || !s.validNode(int(src)) || !s.validNode(int(dst)) { // a primary's graph only grows
+		return netgraph.NoLink, fmt.Errorf("server: cannot add link %d -> %d: unknown node, or a read-only replica", src, dst)
+	}
 	id := netgraph.NoLink
 	if !s.barrier(func() {
-		if s.replicaOf != "" || !s.validNode(int(src)) || !s.validNode(int(dst)) {
-			return
-		}
 		id = s.graph.AddLink(src, dst)
 		if s.jrnl != nil {
 			s.journalAppendLocked(binproto.AppendLink(s.jbuf[:0], src, dst))
 		}
 	}) {
 		return netgraph.NoLink, errClosing
-	}
-	if id == netgraph.NoLink {
-		return netgraph.NoLink, fmt.Errorf("server: cannot add link %d -> %d: unknown node, or a read-only replica", src, dst)
 	}
 	return id, nil
 }

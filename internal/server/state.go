@@ -100,8 +100,15 @@ func (s *Server) CheckpointTo(w io.Writer, specs []string) (journalOffset uint64
 // count: a dump is a state, not a history), then the meta frame — the
 // drop sink before the specs register, since their evaluation treats
 // it specially, and the counters as saved. A dump without its meta
-// frame is refused as truncated. Call it before Serve.
+// frame is refused as truncated. It is a barrier on the writer.
 func (s *Server) LoadState(r io.Reader) error {
+	err := errClosing // unless the writer runs the barrier
+	s.barrier(func() { err = s.loadStateLocked(r) })
+	return err
+}
+
+// loadStateLocked is LoadState on the writer, under the write lock.
+func (s *Server) loadStateLocked(r io.Reader) error {
 	if s.graph.NumNodes() != 0 || s.net.NumRules() != 0 {
 		return errors.New("server: LoadState requires an empty server")
 	}
