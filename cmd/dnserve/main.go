@@ -46,8 +46,10 @@
 // reopen). On boot, records after the -state file's journal cursor are
 // replayed, so a crash loses nothing between checkpoints; each
 // successful checkpoint rotates the journal at the checkpointed offset,
-// bounding its size. -journal-sync always fsyncs each append (durable
-// to the crash, slower); the default none leaves flushing to the OS.
+// bounding its size. -journal-sync always fsyncs each of the writer's
+// journal flushes, one per committed run, before its replies go out
+// (durable to the crash, slower); the default none leaves flushing to
+// the OS.
 // The journal is also the replication feed: replicas stream it with
 // the protocol's "journal since <offset>" command. Preloads are
 // journaled too: restart from the journal alone, without -trace/-feed.
@@ -97,7 +99,7 @@ func main() {
 	adminAddr := flag.String("admin", "", "serve /metrics, /healthz, /statusz, and /debug/pprof on this address")
 	slowUpdate := flag.Duration("slow-update", 0, "log updates whose traced pipeline stages exceed this duration (0 disables)")
 	journalFile := flag.String("journal", "", "append every applied update to this journal file (recovery + replication feed)")
-	journalSync := flag.String("journal-sync", "none", "journal fsync policy: none (OS-buffered) or always (fsync per append)")
+	journalSync := flag.String("journal-sync", "none", "journal fsync policy: none (OS-buffered) or always (fsync per committed run)")
 	replicaOf := flag.String("replica-of", "", "run as a read replica of the primary at this address (refuses mutations)")
 	feedSpec := flag.String("feed", "", "replay a live update feed through the ingest ring after boot: "+feedUsage)
 	flag.Parse()

@@ -10,16 +10,13 @@ import (
 )
 
 // fixpoint configures one run of the monotone reachability worklist that
-// underlies Reachable, Waypoint and ReachableAvoiding. The three queries
-// differ only in which edges they are willing to traverse and in what they
-// read off the resulting reach vector, so they share one implementation.
+// underlies Reachable, Waypoint and the monitor's summaries. The queries
+// differ only in which node's out-links they skip and in what they read
+// off the resulting reach vector, so they share one implementation.
 type fixpoint struct {
 	// avoid is a node whose out-links are not traversed (flows may arrive
 	// at it but not continue); NoNode disables it. Waypoint checks use it.
 	avoid netgraph.NodeID
-	// failed masks out links entirely (nil = none). Failure analyses use
-	// it.
-	failed map[netgraph.LinkID]bool
 	// deps, when non-nil, records every link the fixpoint examined. This
 	// is the dependency set incremental monitors key dirtiness on: a label
 	// change on any link NOT recorded here cannot alter the result,
@@ -65,9 +62,6 @@ func (o fixpoint) run(n *core.Network, from netgraph.NodeID, sc *Scratch) []*bit
 			continue // flows must not pass through
 		}
 		for _, lid := range g.Out(v) {
-			if o.failed != nil && o.failed[lid] {
-				continue
-			}
 			if o.deps != nil {
 				o.deps.Add(int(lid))
 			}

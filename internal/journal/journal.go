@@ -5,6 +5,13 @@
 // after its offset is a complete recovery story, shrinking crash loss
 // to zero between checkpoints (modulo the fsync policy).
 //
+// A journal has one appender. Append frames a record into an in-memory
+// buffer and Flush lands everything buffered with one write call (plus
+// one fsync under SyncAlways): Flush is the durability point, and a
+// caller that flushes once per batch of work gets group commit by
+// construction. Readers (ReadFrom) and Rotate see the flushed records
+// only. There is no background goroutine.
+//
 // # On-disk format
 //
 // A journal file starts with a one-line header
@@ -24,8 +31,8 @@
 //
 //	u32  length   (covers seq + stamp + payload = 16 + len(payload))
 //	u64  seq      (the engine update sequence after the mutation applied)
-//	i64  stamp    (unix nanoseconds when the record's batch landed on
-//	              disk; replica lag source — coarse by design)
+//	i64  stamp    (unix nanoseconds when the record was appended;
+//	              replica lag source)
 //	...  payload  (the mutation, opaque to this package: the server
 //	              writes one dnbin frame, internal/binproto, per record —
 //	              a whole batch is one frame, so replay is atomic)
@@ -37,13 +44,13 @@
 //
 // # Crash recovery
 //
-// Records reach the file in batch-sized sequential writes, so a crash
-// can leave at most one torn record at the tail (a partial batch write
-// is a run of intact records followed by the cut). Open scans the file
-// and truncates back to
-// the end of the last intact record (length plausible, payload present,
-// CRC matching), reporting how many bytes were dropped; a torn tail is
-// expected damage, not corruption, and the journal stays usable.
+// Records reach the file in one sequential write per Flush, so a crash
+// can leave at most one torn record at the tail (a partial write is a
+// run of intact records followed by the cut). Open scans the file and
+// truncates back to the end of the last intact record (length
+// plausible, payload present, CRC matching), reporting how many bytes
+// were dropped; a torn tail is expected damage, not corruption, and the
+// journal stays usable.
 package journal
 
 import (
@@ -54,10 +61,10 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -66,15 +73,16 @@ import (
 // re-anchor on a fresh checkpoint instead of resuming.
 var ErrTruncated = errors.New("journal: offset below retained base (re-anchor on a checkpoint)")
 
-// SyncPolicy says when Append fsyncs the file.
+// SyncPolicy says whether Flush fsyncs the file.
 type SyncPolicy int
 
 const (
 	// SyncNone never fsyncs: a machine crash can lose the OS-buffered
-	// tail (a process crash loses nothing — the write has happened).
+	// tail (a process crash loses nothing that was flushed — the write
+	// has happened).
 	SyncNone SyncPolicy = iota
-	// SyncAlways fsyncs after every append: crash loss is zero at the
-	// cost of one disk flush per mutation.
+	// SyncAlways fsyncs at every Flush: crash loss is zero for flushed
+	// records at the cost of one disk flush per Flush.
 	SyncAlways
 )
 
@@ -107,9 +115,12 @@ const (
 // recordOverhead is the non-payload bytes of a record on disk.
 const recordOverhead = 4 + 8 + 8 + 4
 
-// writerLinger is how many scheduler yields the writer polls for the
-// next record before parking on the condition variable.
-const writerLinger = 128
+// flushAt is the buffer size past which Append flushes on its own, so an
+// appender that never calls Flush still holds a bounded buffer.
+const flushAt = 64 << 10
+
+// errClosed is the sticky error of a closed journal.
+var errClosed = errors.New("journal: closed")
 
 // Record is one journaled mutation.
 type Record struct {
@@ -127,59 +138,30 @@ type Record struct {
 	Payload []byte
 }
 
-// pendingRec is one queued append awaiting the group-commit writer; the
-// payload string is retained until the record lands (strings are
-// immutable, so callers cannot tear it). The stamp is taken by the
-// writer, once per batch — record stamps feed coarse lag measurement,
-// not ordering, so batch granularity is plenty and the ingest path
-// skips a clock read.
-type pendingRec struct {
-	seq     uint64
-	payload string
-}
-
-// Journal is an append-only journal file. All methods are safe for
-// concurrent use; appends are serialized internally.
+// Journal is an append-only journal file with one appender: Append and
+// Flush must not be called concurrently with each other. Rotate,
+// ReadFrom, Base, End and Close may run on any goroutine.
 //
-// Physical writes are group-committed by a background writer goroutine:
-// Append encodes the record, advances the logical end, and returns —
-// the hot ingest path pays memory cost, not a write syscall per update.
-// The writer drains everything pending in one write (and, under
-// SyncAlways, one fsync that every waiting appender shares — group
-// commit makes per-record durability cheaper under load, and SyncAlways
-// appends block until their record is on disk). Under SyncNone a
-// process crash can lose the not-yet-written tail, which is the same
-// durability class as the OS-buffered page cache that policy already
-// accepts; Open's torn-tail recovery handles both.
+// Append frames the record into buf and advances end; Flush writes buf
+// with one call and, under SyncAlways, fsyncs. A failed write or fsync
+// is sticky: the buffered records are dropped, end rolls back to the
+// flushed frontier (so End never names bytes the file may not hold), and
+// every later Append and Flush returns the same error.
 type Journal struct {
-	// mu guards the writer file and the base/end/pending bookkeeping;
-	// readers run on their own descriptors and never hold it past
-	// ReadFrom's setup. cond (on mu) is broadcast whenever the flushed
-	// frontier advances, the writer errors, or work arrives.
+	// mu orders the appender against Rotate, ReadFrom and Close (which
+	// swap or read the descriptor and the flushed frontier); readers run
+	// on their own descriptors and never hold it past ReadFrom's setup.
 	mu     sync.Mutex
-	cond   *sync.Cond
 	path   string
 	f      *os.File
 	policy SyncPolicy
-	base   uint64 // logical offset of the first retained record
-	end    uint64 // logical offset past the last record (incl. pending)
-	phys   uint64 // logical offset flushed to the file; end-len(pending)
-	// pending holds records awaiting the writer, unencoded — framing and
-	// checksumming happen on the writer goroutine, off the ingest path.
-	// spare recycles the writer's last drained batch so steady appending
-	// settles into two reused slices; encBuf is the writer-owned encode
-	// buffer. Invariant: end == phys + on-disk bytes of pending + (bytes
-	// of a write in flight).
-	pending []pendingRec
-	spare   []pendingRec
-	encBuf  []byte
-	// idle is true while the writer goroutine is parked on cond; an
-	// appender pays a wakeup only then. While the writer lingers
-	// (yield-polling between batches), appends are queue-and-go.
-	idle    bool
-	werr    error // sticky writer error; fails subsequent Appends
-	closing bool
-	done    chan struct{} // closed when the writer goroutine exits
+	// buf holds the framed records not yet written, the bytes between the
+	// flushed frontier and end.
+	buf []byte
+	err error // sticky: the first failed write or fsync, or errClosed
+	// base is the logical offset of the first retained record and end the
+	// offset past the last appended one; written under mu, read without it.
+	base, end atomic.Uint64
 	// dropped is the torn-tail bytes Open discarded (diagnostics).
 	dropped int64
 }
@@ -191,80 +173,12 @@ func Open(path string, policy SyncPolicy) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{path: path, f: f, policy: policy, done: make(chan struct{})}
-	j.cond = sync.NewCond(&j.mu)
+	j := &Journal{path: path, f: f, policy: policy}
 	if err := j.recover(); err != nil {
 		f.Close()
 		return nil, err
 	}
-	go j.writer()
 	return j, nil
-}
-
-// writer is the group-commit goroutine: it drains pending in one write
-// per wakeup (plus one shared fsync under SyncAlways) and advances the
-// flushed frontier. A write error is sticky: recorded, broadcast, and
-// terminal for the goroutine — appends already acknowledged under
-// SyncNone are lost exactly as an OS-cache loss would be.
-func (j *Journal) writer() {
-	defer close(j.done)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for {
-		// Linger before parking: during an update stream the next record
-		// arrives within a few scheduler yields, and picking it up here
-		// keeps the ingest path free of futex wakeups. Park (and require
-		// a Broadcast) only after the linger budget finds nothing.
-		spins := 0
-		for len(j.pending) == 0 && !j.closing && j.werr == nil {
-			if spins < writerLinger {
-				spins++
-				j.mu.Unlock()
-				runtime.Gosched()
-				j.mu.Lock()
-				continue
-			}
-			j.idle = true
-			j.cond.Wait()
-			j.idle = false
-			spins = 0
-		}
-		if j.werr != nil || (j.closing && len(j.pending) == 0) {
-			return
-		}
-		recs := j.pending
-		j.pending = j.spare[:0]
-		j.spare = nil
-		// Pending is fully drained, so the logical end is exactly what
-		// this batch lands.
-		target := j.end
-		f := j.f
-		j.mu.Unlock()
-		stamp := time.Now().UnixNano()
-		buf := j.encBuf[:0]
-		for _, r := range recs {
-			n := uint32(16 + len(r.payload))
-			start := len(buf)
-			buf = binary.BigEndian.AppendUint32(buf, n)
-			buf = binary.BigEndian.AppendUint64(buf, r.seq)
-			buf = binary.BigEndian.AppendUint64(buf, uint64(stamp))
-			buf = append(buf, r.payload...)
-			buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start+4:]))
-		}
-		j.encBuf = buf // writer-owned; kept for the next batch
-		_, err := f.Write(buf)
-		if err == nil && j.policy == SyncAlways {
-			err = f.Sync()
-		}
-		j.mu.Lock()
-		j.spare = recs[:0]
-		if err != nil {
-			j.werr = err
-		} else {
-			j.phys = target
-		}
-		j.cond.Broadcast()
-	}
 }
 
 // recover reads the header (writing one into an empty file), scans the
@@ -281,10 +195,10 @@ func (j *Journal) recover() error {
 	if err != nil {
 		return err
 	}
-	j.base = hdr
+	j.base.Store(hdr)
 	// Scan records from the header to find the last intact end.
 	pos := int64(hdrLen)
-	logical := j.base
+	logical := hdr
 	buf := make([]byte, 0, 4096)
 	for {
 		var lenb [4]byte
@@ -317,7 +231,7 @@ func (j *Journal) recover() error {
 	if _, err := j.f.Seek(0, io.SeekEnd); err != nil {
 		return err
 	}
-	j.end, j.phys = logical, logical
+	j.end.Store(logical)
 	return nil
 }
 
@@ -325,7 +239,8 @@ func (j *Journal) writeHeader(base uint64) error {
 	if _, err := fmt.Fprintf(j.f, "%s %d\n", headerVersion, base); err != nil {
 		return err
 	}
-	j.base, j.end, j.phys = base, base, base
+	j.base.Store(base)
+	j.end.Store(base)
 	return nil
 }
 
@@ -360,86 +275,86 @@ func readHeader(f *os.File) (base uint64, hdrLen int, err error) {
 func (j *Journal) Dropped() int64 { return j.dropped }
 
 // Base returns the logical offset of the oldest retained record.
-func (j *Journal) Base() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.base
-}
+func (j *Journal) Base() uint64 { return j.base.Load() }
 
-// End returns the logical offset past the newest record — the cursor of
-// a fully caught-up consumer.
-func (j *Journal) End() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.end
-}
+// End returns the logical offset past the newest appended record — once
+// the appender has flushed, the cursor of a fully caught-up consumer.
+func (j *Journal) End() uint64 { return j.end.Load() }
 
-// Append queues one record and returns its end offset. The record is
-// handed to the group-commit writer, which lands each drained batch with
-// a single write call — so a crash still tears at most one record-batch
-// tail, which Open drops on restart. Under SyncNone Append returns as
-// soon as the record is queued (its durability class is unchanged: the
-// bytes were never fsynced anyway); under SyncAlways it blocks until the
-// record is physically on disk, sharing the batch's one fsync with every
-// other append that landed in it.
+// flushedLocked returns the flushed frontier: the offset past the last
+// record in the file. Callers hold j.mu.
+func (j *Journal) flushedLocked() uint64 { return j.end.Load() - uint64(len(j.buf)) }
+
+// Append frames one record into the journal's buffer and returns its end
+// offset. The record reaches the file at the next Flush — or within
+// Append, once the buffer passes flushAt; a failed write there fails this
+// Append and drops the records buffered before it (see Journal). Append
+// copies payload and does not retain it.
 func (j *Journal) Append(seq uint64, payload string) (end uint64, err error) {
 	if len(payload) > MaxPayload {
 		return 0, fmt.Errorf("journal: record payload %d bytes exceeds %d", len(payload), MaxPayload)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.werr != nil {
-		return 0, j.werr
+	if j.err != nil {
+		return 0, j.err
 	}
-	if j.closing {
-		return 0, errors.New("journal: closed")
-	}
-	// A record's on-disk size is deterministic, so the logical end
-	// advances immediately; framing waits for the writer.
-	j.pending = append(j.pending, pendingRec{seq: seq, payload: payload})
-	j.end += uint64(recordOverhead + len(payload))
-	end = j.end
-	if j.idle {
-		j.cond.Broadcast()
-	}
-	if j.policy == SyncAlways {
-		for j.phys < end && j.werr == nil {
-			j.cond.Wait()
-		}
-		if j.werr != nil {
-			return 0, j.werr
+	start := len(j.buf)
+	j.buf = binary.BigEndian.AppendUint32(j.buf, uint32(16+len(payload)))
+	j.buf = binary.BigEndian.AppendUint64(j.buf, seq)
+	j.buf = binary.BigEndian.AppendUint64(j.buf, uint64(time.Now().UnixNano()))
+	j.buf = append(j.buf, payload...)
+	j.buf = binary.BigEndian.AppendUint32(j.buf, crc32.ChecksumIEEE(j.buf[start+4:]))
+	end = j.end.Add(uint64(recordOverhead + len(payload)))
+	if len(j.buf) >= flushAt {
+		if err := j.writeLocked(); err != nil {
+			return 0, err
 		}
 	}
 	return end, nil
 }
 
-// flushLocked waits until every queued record is physically in the file
-// (or the writer has failed). Callers hold j.mu.
-func (j *Journal) flushLocked() error {
-	j.cond.Broadcast()
-	for j.phys < j.end && j.werr == nil {
-		j.cond.Wait()
-	}
-	return j.werr
+// Flush lands every buffered record with one write call and, under
+// SyncAlways, one fsync: the records Append returned before it are then
+// in the file, and readable by ReadFrom. It returns the sticky error of
+// a failed journal (see Journal).
+func (j *Journal) Flush() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.writeLocked()
 }
 
-// Rotate discards records before the `from` offset: the retained suffix
+// writeLocked is Flush's body. Callers hold j.mu.
+func (j *Journal) writeLocked() error {
+	if j.err != nil || len(j.buf) == 0 {
+		return j.err
+	}
+	_, err := j.f.Write(j.buf)
+	if err == nil && j.policy == SyncAlways {
+		err = j.f.Sync()
+	}
+	if err != nil {
+		j.err = fmt.Errorf("journal: %w", err)
+		j.end.Store(j.flushedLocked())
+	}
+	j.buf = j.buf[:0]
+	return j.err
+}
+
+// Rotate discards records before the `from` offset: the flushed suffix
 // is copied into a fresh file whose header base is from, which then
-// atomically replaces the journal. Offsets keep their meaning — a
-// consumer at or past from is unaffected; one behind it gets
-// ErrTruncated from ReadFrom and must re-anchor on a checkpoint. Call
-// it after a checkpoint at offset from, so the journal stays bounded by
-// the checkpoint interval's churn.
+// atomically replaces the journal (records still buffered land in the
+// fresh file at the next Flush). Offsets keep their meaning — a consumer
+// at or past from is unaffected; one behind it gets ErrTruncated from
+// ReadFrom and must re-anchor on a checkpoint. Call it after a checkpoint
+// at offset from, so the journal stays bounded by the checkpoint
+// interval's churn; from must be flushed.
 func (j *Journal) Rotate(from uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	// Land every queued record first: the copy below must see the full
-	// suffix, and the writer must be idle while descriptors swap.
-	if err := j.flushLocked(); err != nil {
-		return err
-	}
-	if from < j.base || from > j.end {
-		return fmt.Errorf("journal: rotate offset %d outside retained range [%d, %d]", from, j.base, j.end)
+	base, flushed := j.base.Load(), j.flushedLocked()
+	if from < base || from > flushed {
+		return fmt.Errorf("journal: rotate offset %d outside flushed range [%d, %d]", from, base, flushed)
 	}
 	tmp := j.path + ".rotate"
 	nf, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -461,8 +376,8 @@ func (j *Journal) Rotate(from uint64) error {
 	if err != nil {
 		return cleanup(err)
 	}
-	start := int64(hdrLen) + int64(from-j.base)
-	if _, err := io.Copy(nf, io.NewSectionReader(j.f, start, int64(j.end-from))); err != nil {
+	start := int64(hdrLen) + int64(from-base)
+	if _, err := io.Copy(nf, io.NewSectionReader(j.f, start, int64(flushed-from))); err != nil {
 		return cleanup(err)
 	}
 	if err := nf.Sync(); err != nil {
@@ -474,29 +389,24 @@ func (j *Journal) Rotate(from uint64) error {
 	// Readers holding the old descriptor keep a consistent view of the
 	// old (now unlinked) file; new ReadFrom calls open the rotated one.
 	j.f.Close()
-	j.f, j.base = nf, from
+	j.f = nf
+	j.base.Store(from)
 	if _, err := nf.Seek(0, io.SeekEnd); err != nil {
 		return err
 	}
 	return nil
 }
 
-// Close flushes queued records, stops the writer goroutine, and closes
-// the journal file. It returns the writer's sticky error, if any.
+// Close flushes buffered records and closes the journal file. It returns
+// the sticky error of a failed journal, if any.
 func (j *Journal) Close() error {
 	j.mu.Lock()
-	if !j.closing {
-		j.closing = true
-		j.cond.Broadcast()
-	}
-	j.mu.Unlock()
-	<-j.done // writer drains pending (or has failed) before exiting
-	j.mu.Lock()
 	defer j.mu.Unlock()
-	err := j.werr
+	err := j.writeLocked()
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}
+	j.err = errClosed
 	return err
 }
 
@@ -512,25 +422,18 @@ type Reader struct {
 	limit  uint64        // logical end at snapshot time
 }
 
-// ReadFrom returns a Reader over the records after the `from` offset.
-// It fails with ErrTruncated (wrapped) when rotation has discarded the
-// requested suffix — the caller's cursor predates the retained base.
-// Records queued but not yet landed by the group-commit writer are
-// flushed first, so the snapshot always covers the journal's logical
-// end as of the call.
+// ReadFrom returns a Reader over the flushed records after the `from`
+// offset. It fails with ErrTruncated (wrapped) when rotation has
+// discarded the requested suffix — the caller's cursor predates the
+// retained base. Records the appender has not flushed yet are not in
+// the snapshot.
 func (j *Journal) ReadFrom(from uint64) (*Reader, error) {
 	j.mu.Lock()
-	if from > j.end {
-		end := j.end
-		j.mu.Unlock()
-		return nil, fmt.Errorf("journal: offset %d past end %d", from, end)
-	}
-	if err := j.flushLocked(); err != nil {
-		j.mu.Unlock()
-		return nil, err
-	}
-	base, end, path := j.base, j.phys, j.path
+	base, end, path := j.base.Load(), j.flushedLocked(), j.path
 	j.mu.Unlock()
+	if from > end {
+		return nil, fmt.Errorf("journal: offset %d past flushed end %d", from, end)
+	}
 	if from < base {
 		return nil, fmt.Errorf("%w: offset %d, base %d", ErrTruncated, from, base)
 	}

@@ -26,10 +26,12 @@ import (
 // per-atom fan-out to win, only its wake-ups to pay. fromJournal marks a
 // record that came from a journal, which is not appended to one again.
 //
-// A failed journal append does not fail the commit: the update is
-// applied and the client answered ok, the failure is counted (jrnlErrs,
-// dn_journal_append_errors_total), and journal subscribers are not sent
-// the record — durability and replication degrade, verification does not.
+// The journal failure policy: a record the journal does not take (its
+// append or its flush fails) does not fail the commit. The update is
+// applied and answered ok, the record is counted (jrnlErrs,
+// dn_journal_append_errors_total) and never sent to a journal stream,
+// and End stays at the last record the file holds. The journal's error
+// is sticky: durability and replication stop, verification does not.
 func (s *Server) commitLocked(ops []core.BatchOp, st stageInfo, fromJournal bool) ([]check.Loop, error) {
 	t0 := time.Now()
 	if msg := s.checkOps(ops); msg != "" {

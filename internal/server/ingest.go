@@ -295,7 +295,8 @@ func (s *Server) IngestBarrier() uint64 {
 // coalesce is the writer, the ring's single consumer: it blocks for the
 // next entry, drains the ops immediately available behind it into one run
 // (up to maxIngestBatch, never past a unit, and less when the adaptive
-// trigger fires), commits the run, then runs the unit that ended it. It
+// trigger fires), commits the run, then runs the unit that ended it, and
+// lands the iteration's journal records before releasing the lock. It
 // exits when the ring is closed and drained.
 func (s *Server) coalesce(ring *ingest.Ring) {
 	st := &s.ing
@@ -343,6 +344,7 @@ func (s *Server) coalesce(ring *ingest.Ring) {
 			u.st.lockNs = run.st.lockNs
 			s.applyLocked(u)
 		}
+		s.journalFlushLocked()
 		s.mu.Unlock()
 		if u != nil {
 			u.done <- struct{}{} // u is its producer's again

@@ -42,37 +42,53 @@ import (
 )
 
 // journalAppendLocked appends one applied mutation, encoded as a frame
-// into (a re-slice of) s.jbuf, to the journal and fans it out to live
-// journal streams. Caller holds the write lock, so records land in
-// apply order and the recorded update seq is the one the mutation
-// produced. The payload string is the path's one allocation: the
-// journal keeps it until its group-commit writer lands the record. An
-// append failure is counted, not propagated, and the record is not
-// fanned out (commitLocked states the guarantee).
+// into (a re-slice of) s.jbuf, to the journal and holds it in jpend for
+// journalFlushLocked. Only the writer calls it, under the write lock, so
+// records land in apply order stamped with the update seq they produced.
 func (s *Server) journalAppendLocked(frame []byte) {
 	s.jbuf = frame
-	payload := string(frame)
 	seq := s.mon.UpdateSeq()
-	end, err := s.jrnl.Append(seq, payload)
+	end, err := s.jrnl.Append(seq, string(frame))
 	if err != nil {
 		s.jrnlErrs.Add(1)
 		return
 	}
-	s.jsubMu.Lock()
+	rec := journal.Record{Seq: seq, End: end}
 	if len(s.jsubs) > 0 {
-		rec := journal.Record{Seq: seq, End: end, Payload: []byte(payload)}
-		for ch := range s.jsubs {
-			select {
-			case ch <- rec:
-			default:
-				// A stream this far behind is cheaper to drop: the replica
-				// reconnects and catches up from the file.
-				delete(s.jsubs, ch)
-				close(ch)
+		rec.Payload = bytes.Clone(frame)
+	}
+	s.jpend = append(s.jpend, rec)
+}
+
+// journalFlushLocked lands the writer iteration's records with one write
+// (plus one fsync under SyncAlways), then sends them to the journal
+// streams. The writer calls it before releasing the write lock, so while
+// the lock is free End is the flushed frontier, and no stream is sent a
+// record the file lacks. Records a failed flush lost are counted instead.
+func (s *Server) journalFlushLocked() {
+	if len(s.jpend) == 0 {
+		return
+	}
+	_ = s.jrnl.Flush() // on failure End rolls back; the loop counts what was lost
+	flushed := s.jrnl.End()
+	for _, rec := range s.jpend {
+		switch {
+		case rec.End > flushed:
+			s.jrnlErrs.Add(1)
+		case rec.Payload != nil: // appended while a stream listened
+			for ch := range s.jsubs {
+				select {
+				case ch <- rec:
+				default:
+					// A stream this far behind is cheaper to drop: the replica
+					// reconnects and catches up from the file.
+					delete(s.jsubs, ch)
+					close(ch)
+				}
 			}
 		}
 	}
-	s.jsubMu.Unlock()
+	s.jpend = s.jpend[:0]
 }
 
 // jstreamBuffer is a journal stream's fan-out channel capacity; a
@@ -99,10 +115,10 @@ func (s *Server) writeCheckpoint(fields []string, cw *connWriter) error {
 }
 
 // streamJournal serves "journal since <offset>": it subscribes to live
-// appends, catches up from the file, and then streams frames until the
+// records, catches up from the file, and then streams frames until the
 // connection dies or the server closes. It returns "" when streaming
-// ran (the connection is spent) and a response line when the request
-// was refused.
+// ran (the connection is spent), else a response line: a refusal, or a
+// rotation that cut the catch-up short.
 func (s *Server) streamJournal(fields []string, cw *connWriter) string {
 	if s.jrnl == nil {
 		return "err journal disabled"
@@ -114,41 +130,54 @@ func (s *Server) streamJournal(fields []string, cw *connWriter) string {
 	if err != nil {
 		return "err bad journal offset"
 	}
-	base, end := s.jrnl.Base(), s.jrnl.End()
+	// Subscribe on the writer, where the journal's bounds are read: every
+	// record up to end is in the file once the barrier returns (the writer
+	// flushes before it lets go), and every later one reaches ch.
+	ch := make(chan journal.Record, jstreamBuffer)
+	var base, end uint64
+	if !s.barrier(func() {
+		if base, end = s.jrnl.Base(), s.jrnl.End(); base <= from && from <= end {
+			s.jsubs[ch] = struct{}{}
+		}
+	}) {
+		return "err " + errClosing.Error()
+	}
 	if from < base {
 		return fmt.Sprintf("err journal truncated base=%d end=%d", base, end)
 	}
 	if from > end {
 		return fmt.Sprintf("err journal offset %d beyond end %d", from, end)
 	}
-
-	// Subscribe before the file catch-up so no append can fall between
-	// the two; the cursor check below deduplicates the overlap.
-	ch := make(chan journal.Record, jstreamBuffer)
-	s.jsubMu.Lock()
-	s.jsubs[ch] = struct{}{}
-	s.jsubMu.Unlock()
-	defer func() {
-		s.jsubMu.Lock()
+	defer s.barrier(func() {
 		if _, live := s.jsubs[ch]; live {
 			delete(s.jsubs, ch)
 			close(ch)
 		}
-		s.jsubMu.Unlock()
-	}()
+	})
 
 	if err := cw.writeLine(fmt.Sprintf("ok journal offset=%d end=%d", from, end)); err != nil {
 		return ""
 	}
-	cursor, ok := s.streamJournalFile(cw, from)
-	if !ok {
-		return ""
+	// Catch up from the file: everything flushed after from, which covers
+	// every record ch was not sent.
+	r, err := s.jrnl.ReadFrom(from)
+	if err != nil { // a rotation raced past from: the replica re-anchors
+		return fmt.Sprintf("err journal truncated base=%d end=%d", s.jrnl.Base(), s.jrnl.End())
+	}
+	cursor := from
+	rec, err := r.Next()
+	for ; err == nil && s.writeJournalFrame(cw, rec); rec, err = r.Next() {
+		cursor = rec.End
+	}
+	r.Close()
+	if err != io.EOF {
+		return "" // the client is gone, or the file is damaged
 	}
 	for {
 		select {
 		case rec, live := <-ch:
 			if !live {
-				// Dropped by the publisher: end the stream; the replica
+				// Dropped by the writer: end the stream; the replica
 				// reconnects and catches up from the file.
 				return ""
 			}
@@ -163,41 +192,6 @@ func (s *Server) streamJournal(fields []string, cw *connWriter) string {
 			return ""
 		}
 	}
-}
-
-// streamJournalFile replays the on-disk suffix after from, re-anchoring
-// the reader until it has caught up with the journal's end at scan
-// time. It returns the cursor reached and whether the client is still
-// writable.
-func (s *Server) streamJournalFile(cw *connWriter, from uint64) (cursor uint64, ok bool) {
-	cursor = from
-	for cursor < s.jrnl.End() {
-		r, err := s.jrnl.ReadFrom(cursor)
-		if err != nil {
-			// A rotation raced past the cursor mid-stream; the truncation
-			// error line tells the replica to re-anchor.
-			werr := cw.writeLine(fmt.Sprintf("err journal truncated base=%d end=%d", s.jrnl.Base(), s.jrnl.End()))
-			_ = werr // the stream ends either way
-			return cursor, false
-		}
-		for {
-			rec, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				r.Close()
-				return cursor, false
-			}
-			if !s.writeJournalFrame(cw, rec) {
-				r.Close()
-				return cursor, false
-			}
-			cursor = rec.End
-		}
-		r.Close()
-	}
-	return cursor, true
 }
 
 // writeJournalFrame writes one record as a header line plus its

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"deltanet/internal/check"
+	"deltanet/internal/core"
 	"deltanet/internal/journal"
 	"deltanet/internal/monitor"
 )
@@ -609,5 +610,76 @@ func TestReplicaShortCheckpointBody(t *testing.T) {
 	}
 	if got := stateOf(replica); got.nodes != 3 || got.rules != 2 {
 		t.Fatalf("anchored on the whole body: %+v", got)
+	}
+}
+
+// TestReplicaStreamSendsOnlyFlushedRecords: every frame a journal stream
+// delivers is already in the primary's file when it arrives — the writer
+// sends a record only after flushing it — so a replica never holds a
+// record the primary could lose.
+func TestReplicaStreamSendsOnlyFlushedRecords(t *testing.T) {
+	primary, j, addr, cleanup := startJournaledPrimary(t, t.TempDir())
+	defer cleanup()
+	pc := dial(t, addr)
+	defer pc.close()
+	buildTriangle(t, pc)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	cursor := j.End()
+	fmt.Fprintf(conn, "journal since %d\n", cursor)
+	lr := newLineReader(conn)
+	if !lr.Scan() || !strings.HasPrefix(lr.Text(), "ok journal ") {
+		t.Fatalf("journal since: %q (%v)", lr.Text(), lr.Err())
+	}
+
+	// Line updates, coalesced ring runs and topology records, racing the
+	// reads below.
+	const rounds = 40
+	driven := make(chan struct{})
+	defer func() { <-driven }()
+	go func() {
+		defer close(driven)
+		for i := 0; i < rounds; i++ {
+			if got := primary.update([]core.BatchOp{insOp(int64(1+i), 0, 0, uint64(10*i), uint64(10*i+5), 1)}, "ok", 0); !strings.HasPrefix(got, "ok") {
+				t.Errorf("insert %d: %q", i, got)
+			}
+			primary.IngestOps([]core.BatchOp{insOp(int64(1000+i), 1, 1, uint64(10*i), uint64(10*i+5), 1), core.RemoveOp(core.RuleID(1000 + i))})
+			if i%10 == 0 {
+				if _, err := primary.AddNode(fmt.Sprintf("n%d", i)); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for frames := 0; frames < rounds+rounds/10; frames++ { // at least the line and node records
+		if !lr.Scan() {
+			t.Fatalf("stream ended after %d frames: %v", frames, lr.Err())
+		}
+		end, _, seq, _, n, err := parseJournalFrame(lr.Text())
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(lr.br, payload); err != nil {
+			t.Fatal(err)
+		}
+		r, err := j.ReadFrom(cursor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := r.Next()
+		if err != nil {
+			t.Fatalf("frame %d (end %d) arrived before the primary's file held it: %v", frames, end, err)
+		}
+		if rec.End != end || rec.Seq != seq || !bytes.Equal(rec.Payload, payload) {
+			t.Fatalf("frame %d: end %d seq %d, the file's next record has end %d seq %d", frames, end, seq, rec.End, rec.Seq)
+		}
+		r.Close()
+		cursor = end
 	}
 }

@@ -153,7 +153,7 @@ import (
 // Server is a verification service over one shared data plane.
 //
 // Lock order (enforced by the lockorder analyzer via the ranks below):
-// mu → jsubMu → connMu → connWriter.mu.
+// mu → connMu → connWriter.mu.
 type Server struct {
 	// mu is write-held by the writer (ingest.go) alone, read-held for
 	// queries.
@@ -181,18 +181,18 @@ type Server struct {
 	listener net.Listener
 	conns    map[net.Conn]struct{}
 
-	// jsubMu guards the journal stream subscriber set (journal.go).
-	//
-	//deltanet:lockrank 15
-	jsubMu sync.Mutex
-	jsubs  map[chan journal.Record]struct{}
-
 	// jrnl, when non-nil, receives every applied mutation (options.go:
-	// WithJournal). Set before Serve, then read-only; appends happen
-	// under the write lock. jrnlErrs counts failed appends (commitLocked
-	// states what one means).
+	// WithJournal); set before Serve, then read-only. The writer is its
+	// one appender and flushes it before releasing the write lock
+	// (journal.go). jrnlErrs counts records it lost (see commitLocked).
 	jrnl     *journal.Journal
 	jrnlErrs atomic.Uint64
+
+	// jpend holds the records appended this writer iteration, awaiting
+	// its flush, and jsubs the live journal streams they are then sent
+	// to; both belong to the writer (streams register through a barrier).
+	jpend []journal.Record
+	jsubs map[chan journal.Record]struct{}
 
 	// jbuf is the journal record encode buffer (filled by commitLocked
 	// and the node and link commands) and jops the record decode buffer
