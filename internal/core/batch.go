@@ -7,13 +7,14 @@ package core
 // that the only serial work is what must be serial:
 //
 //  1. validate every operation up front (all-or-nothing semantics);
-//  2. create all atoms (CREATE_ATOMS+ for every insertion, |Δ| ≤ 2 each)
-//     and clone owner state for split atoms — serial, since splits mutate
-//     the shared boundary map M — then allocate each insertion's arena
-//     slot, whose record names the rule's bounds by the handles
-//     CREATE_ATOMS+ just found or made;
-//  3. expand each rule to ⟦interval(r)⟧ once over the final partition and
-//     group the incidences by atom, then source, in a linear radix pass;
+//  2. take each insertion's interval entry, creating the atoms of a match
+//     no live rule has (CREATE_ATOMS+, |Δ| ≤ 2) and cloning owner state
+//     for split atoms — serial, since splits mutate the shared boundary
+//     map M — then allocate the insertion's arena slot, whose record
+//     names the entry;
+//  3. expand each run of operations naming one interval entry to
+//     ⟦interval(r)⟧ once over the final partition, and group the
+//     incidences by atom, then source, in a linear radix pass;
 //  4. replay each atom's operations on a worker pool (atoms are
 //     independent, so no locking): in place for an atom one op touches,
 //     else one merge of its cells; emit the net change per (source, atom);
@@ -96,20 +97,20 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 		return err
 	}
 
-	// Phase 2: create every atom the batch needs (serial; splits mutate M)
-	// and clone owner state for split atoms exactly as Algorithm 1 does.
-	// Each insertion's atoms are created before its arena slot is
-	// allocated, since the record stores the bound handles creation
-	// returns. All allocations precede all releases (which happen in phase
-	// 5), so no slot is recycled mid-batch, and the rule arena is
-	// read-only while phase 4's workers run. Removals of rules inserted
-	// earlier in this batch pick up the slot their insert item received.
+	// Phase 2: take every insertion's interval entry, creating the atoms of
+	// each new match (serial; splits mutate M) and cloning owner state for
+	// split atoms exactly as Algorithm 1 does, then allocate its arena
+	// slot. All allocations and references precede all releases (which
+	// happen in phase 5), so no slot or entry is recycled mid-batch, and the
+	// rule arena is read-only while phase 4's workers run. Removals of rules
+	// inserted earlier in this batch pick up the slot their insert item
+	// received.
 	for i := range items {
 		if it := &items[i]; it.insert {
 			if it.rule.Link == netgraph.NoLink {
 				it.rule.Link = n.graph.DropLink(it.rule.Source)
 			}
-			it.slot = n.store.alloc(n.createAtoms(&it.rule, d))
+			it.slot = n.store.alloc(n.record(&it.rule, d))
 		}
 	}
 	for i := range items {
@@ -118,13 +119,17 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 		}
 	}
 
-	// Phase 3: expand every operation over the final partition, once, from
-	// its record's bound handles, and group the incidences by (atom,
-	// source) into retained scratch.
+	// Phase 3: expand every operation over the final partition from its
+	// interval entry's bound handles, once per run of operations naming one
+	// entry (a plane's rules for one prefix arrive together), and group the
+	// incidences by (atom, source) into retained scratch.
 	n.batchPairs = n.batchPairs[:0]
 	maxAtom := intervalmap.AtomID(0)
+	expanded := noSlot
 	for i, it := range items {
-		n.atomBuf = n.atomsOf(it.slot)
+		if e := n.store.rec(it.slot).iv; e != expanded {
+			n.atomBuf, expanded = n.atomsOf(e), e
+		}
 		for _, alpha := range n.atomBuf {
 			n.batchPairs = append(n.batchPairs, atomOp{atom: alpha, item: int32(i)})
 			maxAtom = max(maxAtom, alpha)
@@ -204,38 +209,17 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 			d.Added = append(d.Added, la)
 		}
 	}
-	// Boundary refcounts are updated in operation order, but collection
-	// (deleting the bound from M and merging atoms) is deferred until all
-	// operations are accounted for: a removal may zero a bound that a
-	// later insertion in the same batch re-uses, and collecting eagerly
-	// would merge away atoms the insertion's owner state was just laid
-	// over.
-	var deadBounds []uint64
+	// Removals release their slots and interval references in operation
+	// order. Collection (deleting a bound from M and merging atoms) stays
+	// deferred to this point: a removal may drop the last reference to a
+	// match that a later insertion in the same batch re-uses, and
+	// collecting before phase 2 took that insertion's reference would
+	// merge away atoms its owner state was laid over. No reference is
+	// taken from here on, so a bound no entry names stays dead, and
+	// collecting it as it dies releases bounds in the order they died.
 	for _, it := range items {
-		if it.insert {
-			// The id→slot index entry was written by alloc above.
-			if n.gc {
-				n.bounds[it.rule.Match.Lo]++
-				n.bounds[it.rule.Match.Hi]++
-			}
-		} else {
-			n.store.releaseSlot(it.slot)
-			if n.gc {
-				for _, b := range [2]uint64{it.rule.Match.Lo, it.rule.Match.Hi} {
-					n.bounds[b]--
-					if n.bounds[b] == 0 {
-						deadBounds = append(deadBounds, b)
-					}
-				}
-			}
-		}
-	}
-	for _, b := range deadBounds {
-		// Still zero (no later insertion revived it) and not already
-		// collected via a duplicate candidate entry.
-		if c, ok := n.bounds[b]; ok && c == 0 {
-			delete(n.bounds, b)
-			n.releaseBound(b)
+		if !it.insert {
+			n.release(it.slot)
 		}
 	}
 	return nil

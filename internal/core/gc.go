@@ -5,10 +5,12 @@ package core
 // identifier(s). This 'garbage collection' mechanism is omitted from
 // Algorithm 2."). We implement it behind Options.GC.
 //
-// The engine refcounts every interval boundary by the number of live rules
-// using it as a lower or upper bound. When a removal drops a boundary's
-// count to zero, the boundary key is deleted from M and the atom that
-// started at it merges into its predecessor atom.
+// The engine refcounts every interval boundary by the number of live
+// interval entries (owner.go) using it as a lower or upper bound, so the
+// count changes only when a match gains its first rule or loses its last.
+// When a removal drops a boundary's count to zero, the boundary key is
+// deleted from M and the atom that started at it merges into its
+// predecessor atom.
 //
 // Correctness of the merge: once no rule has a bound at b, every live rule
 // whose interval intersects the atom [b:c) fully covers both [a:b) and
@@ -18,25 +20,15 @@ package core
 // merged interval. We only need to clear the dropped atom's label bits and
 // owner trees, and recycle its id.
 
-// collectBound decrements the refcount of bound and merges atoms if it hits
-// zero. MIN and MAX are permanent (they are not refcounted above zero by
-// construction: intervalmap refuses to release them).
+// collectBound decrements the refcount of bound and, when it hits zero,
+// deletes the bound from M and merges the atom that started at it into its
+// predecessor. MIN and MAX are permanent (intervalmap refuses to release
+// them).
 func (n *Network) collectBound(bound uint64) {
-	c := n.bounds[bound] - 1
-	if c > 0 {
-		n.bounds[bound] = c
+	if n.bounds[bound]--; n.bounds[bound] > 0 {
 		return
 	}
 	delete(n.bounds, bound)
-	n.releaseBound(bound)
-}
-
-// releaseBound deletes an unreferenced boundary from M and merges the atom
-// that started at it into its predecessor. Callers must already have
-// removed the bound's refcount entry. Batch updates defer this step so
-// that a boundary removed and re-added within one batch is never merged
-// out from under the re-adding rule.
-func (n *Network) releaseBound(bound uint64) {
 	id, ok := n.m.ReleaseBound(bound)
 	if !ok {
 		return // MIN or MAX

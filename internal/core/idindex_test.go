@@ -34,24 +34,28 @@ func newIDDriver(t testing.TB, ids []RuleID) *idDriver {
 	return &idDriver{t: t, n: NewNetwork(g, Options{GC: true}), links: links, ids: ids, oracle: map[RuleID]Rule{}}
 }
 
-// rule returns a rule for id whose shape (link, interval, priority) x picks.
+// rule returns a rule for id whose shape (link, interval, priority) x
+// picks. Its match comes from a pool of 32 overlapping intervals, so rules
+// share interval entries and an entry's refcount often crosses zero.
 func (dr *idDriver) rule(id RuleID, x byte) Rule {
-	l := dr.links[int(x)%len(dr.links)]
-	lo := uint64(x) * 64
+	l := dr.links[int(x/32)%len(dr.links)]
+	lo := uint64(x%32) * 64
 	return Rule{ID: id, Source: dr.n.graph.Link(l).Src, Link: l,
-		Match: ipnet.Interval{Lo: lo, Hi: lo + 64 + uint64(x%7)*32}, Priority: Priority(x % 5)}
+		Match: ipnet.Interval{Lo: lo, Hi: lo + 64 + uint64(x%32%7)*32}, Priority: Priority(x / 8 % 5)}
 }
 
 // storeImage is a deep copy of the rule store, for byte-identity checks.
 type storeImage struct {
-	table, free []int32
-	recs        []ruleRec
-	shift       uint8
-	live        int
+	ids, ivIdx   index
+	free, ivFree []int32
+	recs         []ruleRec
+	ivs          []ivRec
 }
 
 func imageOf(s *ruleStore) storeImage {
-	img := storeImage{table: slices.Clone(s.table), free: slices.Clone(s.free), shift: s.shift, live: s.live}
+	clone := func(x index) index { x.table = slices.Clone(x.table); return x }
+	img := storeImage{ids: clone(s.ids), ivIdx: clone(s.ivIdx), free: slices.Clone(s.free),
+		ivFree: slices.Clone(s.ivFree), ivs: slices.Clone(s.ivs)}
 	for slot := int32(0); slot < s.n; slot++ {
 		img.recs = append(img.recs, *s.rec(slot))
 	}
@@ -59,8 +63,9 @@ func imageOf(s *ruleStore) storeImage {
 }
 
 func (a storeImage) equal(b storeImage) bool {
-	return slices.Equal(a.table, b.table) && slices.Equal(a.free, b.free) && slices.Equal(a.recs, b.recs) &&
-		a.shift == b.shift && a.live == b.live
+	same := func(x, y index) bool { return slices.Equal(x.table, y.table) && x.shift == y.shift && x.live == y.live }
+	return same(a.ids, b.ids) && same(a.ivIdx, b.ivIdx) && slices.Equal(a.free, b.free) &&
+		slices.Equal(a.ivFree, b.ivFree) && slices.Equal(a.recs, b.recs) && slices.Equal(a.ivs, b.ivs)
 }
 
 // batch applies ops and, on success, folds them into the oracle.
@@ -82,7 +87,7 @@ func (dr *idDriver) step(code, k, x byte) {
 	id := dr.ids[int(k)%len(dr.ids)]
 	_, live := dr.oracle[id]
 	r := dr.rule(id, x)
-	switch code % 5 {
+	switch code % 6 {
 	case 0:
 		err := dr.n.InsertRuleInto(r, &dr.d)
 		if live != errors.Is(err, ErrDuplicateRule) || (!live && err != nil) {
@@ -126,8 +131,23 @@ func (dr *idDriver) step(code, k, x byte) {
 		if !imageOf(&dr.n.store).equal(before) {
 			dr.t.Fatalf("refused batch %v changed the rule store", ops)
 		}
+	case 5:
+		// A live rule hands its match to a dead id in one batch, removal
+		// first or insertion first. When it was the match's last holder,
+		// the entry must survive the batch with one reference.
+		b := dr.ids[(int(k)+1)%len(dr.ids)]
+		if _, bLive := dr.oracle[b]; live && !bLive {
+			rb := dr.rule(b, x)
+			rb.Match = dr.oracle[id].Match
+			if x&1 == 0 {
+				dr.batch(RemoveOp(id), InsertOp(rb))
+			} else {
+				dr.batch(InsertOp(rb), RemoveOp(id))
+			}
+		}
 	}
 	dr.check()
+	dr.finish()
 }
 
 // check compares the table against the oracle for every id of the pool.
@@ -190,7 +210,7 @@ func TestIDIndexDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		dr := newIDDriver(t, adversarialIDs())
 		for i := 0; i < 3000; i++ {
-			dr.step(byte(rng.Intn(5)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+			dr.step(byte(rng.Intn(6)), byte(rng.Intn(256)), byte(rng.Intn(256)))
 		}
 		dr.finish()
 	}
@@ -217,7 +237,7 @@ func TestIDIndexGrowthBoundaries(t *testing.T) {
 			}
 			if pool.name == "colliding" {
 				for _, id := range ids {
-					if s := newRuleStore(); s.home(id) != s.home(ids[0]) {
+					if x := newIndex(); x.home(uint64(id)) != x.home(uint64(ids[0])) {
 						t.Fatalf("id %d does not share id %d's home position", id, ids[0])
 					}
 				}
@@ -234,19 +254,19 @@ func TestIDIndexGrowthBoundaries(t *testing.T) {
 				for len(dr.oracle)*8 > want*7 {
 					want *= 2
 				}
-				if got := len(dr.n.store.table); got != want {
+				if got := len(dr.n.store.ids.table); got != want {
 					t.Fatalf("%d entries: table %d slots, want %d", len(dr.oracle), got, want)
 				}
 			}
-			size := len(dr.n.store.table)
+			size := len(dr.n.store.ids.table)
 			for _, i := range rand.New(rand.NewSource(7)).Perm(count) {
 				if err := dr.n.RemoveRuleInto(ids[i], &dr.d); err != nil {
 					t.Fatal(err)
 				}
 				delete(dr.oracle, ids[i])
 				dr.check()
-				if len(dr.n.store.table) != size {
-					t.Fatalf("table resized on removal: %d → %d", size, len(dr.n.store.table))
+				if len(dr.n.store.ids.table) != size {
+					t.Fatalf("table resized on removal: %d → %d", size, len(dr.n.store.ids.table))
 				}
 			}
 			dr.finish()
@@ -271,8 +291,12 @@ func TestIDIndexRecycledTreeSlot(t *testing.T) {
 	}
 	dr.batch(InsertOp(rule(1, 100, 200)), InsertOp(rule(2, 200, 300)), InsertOp(rule(3, 150, 250)))
 	dr.check()
-	slot3, _ := dr.n.store.slotOf(3)
-	freed := []intervalmap.Bound{dr.n.store.rec(slot3).lo, dr.n.store.rec(slot3).hi}
+	bounds := func(id RuleID) []intervalmap.Bound {
+		slot, _ := dr.n.store.slotOf(id)
+		iv := dr.n.store.ivs[dr.n.store.rec(slot).iv]
+		return []intervalmap.Bound{iv.lo, iv.hi}
+	}
+	freed := bounds(3)
 
 	dr.batch(RemoveOp(3))
 	dr.check()
@@ -280,8 +304,7 @@ func TestIDIndexRecycledTreeSlot(t *testing.T) {
 	dr.batch(InsertOp(rule(4, 120, 220)))
 	dr.check()
 	dr.finish()
-	slot4, _ := dr.n.store.slotOf(4)
-	got := []intervalmap.Bound{dr.n.store.rec(slot4).lo, dr.n.store.rec(slot4).hi}
+	got := bounds(4)
 	slices.Sort(freed)
 	slices.Sort(got)
 	if !slices.Equal(got, freed) {
@@ -304,6 +327,9 @@ func FuzzRuleStore(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 2, 0, 2, 4, 0, 3, 1, 1, 0})
 	f.Add([]byte{0, 80, 1, 0, 81, 2, 0, 82, 3, 1, 80, 0, 2, 81, 9, 4, 82, 0})
 	f.Add([]byte{3, 3, 3, 2, 3, 4, 4, 3, 5, 1, 3, 0})
+	// Two rules share a match and one leaves; a rule hands its match on,
+	// removal first, then insertion first.
+	f.Add([]byte{0, 0, 5, 0, 1, 37, 1, 0, 0, 0, 3, 7, 5, 3, 0, 5, 4, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dr := newIDDriver(t, adversarialIDs())
 		for i := 0; i+2 < len(data) && i < 3*512; i += 3 {

@@ -28,7 +28,11 @@ func liveHeap() uint64 {
 // reported 203 MB against 219.7 MB of heap. It also holds the plane's
 // bytes per rule under a ceiling: 296 B when the 24-byte rule record
 // (bounds by boundary-tree handle) landed with growth by an eighth
-// (305.5 B with the 32-byte record, 359.5 B before that), plus 10 %.
+// (305.5 B with the 32-byte record, 359.5 B before that), plus 10 %. No
+// two of these rules share a match, so the plane pays the interval
+// entries' whole cost and none of their saving: one 12-byte entry and an
+// index slot per rule against 4 bytes off each record, ≈ +13 B per rule
+// (≈ 309 B since the 20-byte record).
 func TestMemoryBytesTracksHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 100k-rule plane")
@@ -79,11 +83,54 @@ func TestMemoryBytesTracksHeap(t *testing.T) {
 	runtime.KeepAlive(input)
 }
 
-// TestRuleRecordIs24Bytes pins the rule record's size: an id, two
-// boundary-tree handles, a link and a priority, with no padding.
-func TestRuleRecordIs24Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(ruleRec{}); got != 24 {
-		t.Fatalf("ruleRec is %d bytes, want 24", got)
+// TestRuleRecordIs20Bytes pins the rule record's size — an id in two
+// halves, an interval entry, a link and a priority, with no padding — and
+// the arena page's: 10 240 B is an exact Go size class.
+func TestRuleRecordIs20Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(ruleRec{}); got != 20 {
+		t.Fatalf("ruleRec is %d bytes, want 20", got)
+	}
+	if got := unsafe.Sizeof([pageSize]ruleRec{}); got != 10240 {
+		t.Fatalf("an arena page is %d bytes, want 10240", got)
+	}
+}
+
+// TestSharedMatchRecords loads the shape the paper's planes have, one
+// match compiled into a rule per switch (16 sources × 400 matches), and
+// holds the records to ≤ 21 B per rule and the 400 interval entries,
+// their free list and index to ≤ 2 B per rule.
+func TestSharedMatchRecords(t *testing.T) {
+	const sources, matches = 16, 400
+	g := netgraph.New()
+	var links []netgraph.LinkID
+	for i := 0; i < sources; i++ {
+		links = append(links, g.AddLink(g.AddNode(fmt.Sprint("s", i)), g.AddNode(fmt.Sprint("t", i))))
+	}
+	n := NewNetwork(g, Options{})
+	var ops []BatchOp
+	for m := 0; m < matches; m++ {
+		for i, l := range links {
+			ops = append(ops, InsertOp(Rule{ID: RuleID(m*sources + i), Source: g.Link(l).Src, Link: l,
+				Match: ipnet.Interval{Lo: uint64(m) << 12, Hi: uint64(m+1) << 12}, Priority: 1}))
+		}
+	}
+	var d Delta
+	if err := n.ApplyBatch(ops, &d, 1); err != nil {
+		t.Fatal(err)
+	}
+	if msg := n.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+	if live := n.store.ivIdx.live; live != matches {
+		t.Fatalf("%d interval entries for %d matches", live, matches)
+	}
+	rows, rules := n.MemoryRows(), float64(n.NumRules())
+	t.Logf("%d rules: %+v", n.NumRules(), rows)
+	if perRule := float64(rows.Records) / rules; perRule > 21 {
+		t.Errorf("Records row is %.2f B per rule, want ≤ 21", perRule)
+	}
+	if perRule := float64(rows.Intervals) / rules; perRule > 2 {
+		t.Errorf("Intervals row is %.2f B per rule, want ≤ 2", perRule)
 	}
 }
 

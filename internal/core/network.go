@@ -35,8 +35,8 @@ type Network struct {
 	m      *intervalmap.Map
 	labels []*bitset.Set  // indexed by LinkID
 	owner  []ownerAtom    // indexed by AtomID; flat SoA tables, see owner.go
-	store  ruleStore      // dense slot-indexed rule arena
-	bounds map[uint64]int // boundary refcounts, only populated when gc
+	store  ruleStore      // dense slot-indexed rule arena and interval entries
+	bounds map[uint64]int // live interval entries per bound, only populated when gc
 
 	atomBuf  []intervalmap.AtomID    // scratch for ⟦interval(r)⟧ expansions
 	splitBuf []intervalmap.SplitPair // scratch for CREATE_ATOMS+ split pairs
@@ -124,11 +124,10 @@ func (n *Network) Rule(id RuleID) (Rule, bool) {
 
 // Rules calls fn for every live rule until fn returns false. Iteration
 // order is unspecified. It walks the arena, not the id table: a released
-// slot is zeroed and a live rule's match is never empty (insert refuses
-// one), so its distinct bound handles tell it from a free slot.
+// slot names no interval entry.
 func (n *Network) Rules(fn func(r Rule) bool) {
 	for slot := int32(0); slot < n.store.n; slot++ {
-		if rec := n.store.rec(slot); rec.lo != rec.hi && !fn(n.ruleAt(slot)) {
+		if n.store.rec(slot).iv != noSlot && !fn(n.ruleAt(slot)) {
 			return
 		}
 	}
@@ -137,8 +136,9 @@ func (n *Network) Rules(fn func(r Rule) bool) {
 // ruleAt expands the arena record in slot back into a Rule.
 func (n *Network) ruleAt(slot int32) Rule {
 	rec := n.store.rec(slot)
-	return Rule{ID: rec.id, Source: n.graph.Link(rec.link).Src, Link: rec.link,
-		Match: ipnet.Interval{Lo: n.m.Key(rec.lo), Hi: n.m.Key(rec.hi)}, Priority: rec.prio}
+	iv := &n.store.ivs[rec.iv]
+	return Rule{ID: rec.id(), Source: n.graph.Link(rec.link).Src, Link: rec.link,
+		Match: ipnet.Interval{Lo: n.m.Key(iv.lo), Hi: n.m.Key(iv.hi)}, Priority: rec.prio}
 }
 
 // Label returns the atom set of a link: the packets (as atoms) that the
@@ -291,12 +291,12 @@ func (n *Network) insertRule(r Rule, d *Delta) error {
 	}
 
 	// Steps 1–2: CREATE_ATOMS+ and atom splitting (Algorithm 1, lines 2–9),
-	// which also yield the handles the rule record stores.
-	slot := n.store.alloc(n.createAtoms(&r, d))
+	// for a match no live rule has.
+	slot := n.store.alloc(n.record(&r, d))
 	k := r.key()
 
 	// Step 3: ownership reassignment over ⟦interval(r)⟧ (lines 10–23).
-	n.atomBuf = n.atomsOf(slot)
+	n.atomBuf = n.atomsOf(n.store.rec(slot).iv)
 	newLabel := n.labelOf(r.Link)
 	for _, alpha := range n.atomBuf {
 		prev := n.ownerAt(alpha).insert(&n.store, r.Source, slot, k)
@@ -309,19 +309,40 @@ func (n *Network) insertRule(r Rule, d *Delta) error {
 			}
 		}
 	}
-
-	if n.gc {
-		n.bounds[r.Match.Lo]++
-		n.bounds[r.Match.Hi]++
-	}
 	return nil
 }
 
-// createAtoms runs CREATE_ATOMS+ for r's match (|Δ| ≤ 2) and splits
-// owner state as Algorithm 1's lines 3–9 do: each new atom α′ inherits
-// α's owner table, and every link that carried α also carries α′. It
-// returns r's arena record, its bounds named by their handles in M.
-func (n *Network) createAtoms(r *Rule, d *Delta) ruleRec {
+// ivKey is the interval index's key for a match.
+func ivKey(lo, hi uint64) uint64 { return lo*0xBF58476D1CE4E5B9 ^ hi }
+
+// ivKeyOf reads interval entry e's key back from its bounds in M.
+func (n *Network) ivKeyOf(e int32) uint64 {
+	iv := &n.store.ivs[e]
+	return ivKey(n.m.Key(iv.lo), n.m.Key(iv.hi))
+}
+
+// findIV returns the interval index position holding match, or the
+// empty position that ends its probe run.
+func (n *Network) findIV(match ipnet.Interval) (int, bool) {
+	return n.store.ivIdx.find(ivKey(match.Lo, match.Hi), func(e int32) bool {
+		iv := &n.store.ivs[e]
+		return n.m.Key(iv.lo) == match.Lo && n.m.Key(iv.hi) == match.Hi
+	})
+}
+
+// record returns r's arena record, naming the interval entry for r's match
+// with one more reference. A match no live entry has gets a new entry:
+// CREATE_ATOMS+ finds or makes its bounds (|Δ| ≤ 2), and owner state
+// splits as Algorithm 1's lines 3–9 do — each new atom α′ inherits α's
+// owner table, and every link that carried α also carries α′.
+func (n *Network) record(r *Rule, d *Delta) ruleRec {
+	s := &n.store
+	i, ok := n.findIV(r.Match)
+	if ok {
+		e := s.ivIdx.table[i] - 1
+		s.ivs[e].refs++
+		return newRec(r.ID, e, r.Link, r.Priority)
+	}
 	var lo, hi intervalmap.Bound
 	n.splitBuf, lo, hi = n.m.CreateBounds(r.Match, n.splitBuf[:0])
 	d.NewAtoms = append(d.NewAtoms, n.splitBuf...)
@@ -330,16 +351,54 @@ func (n *Network) createAtoms(r *Rule, d *Delta) ruleRec {
 		newOwner := n.ownerAt(sp.New) // may grow the directory: take first
 		oldOwner := &n.owner[sp.Old]
 		newOwner.cloneFrom(oldOwner)
-		oldOwner.eachTop(func(slot int32) { n.labelOf(n.store.rec(slot).link).Add(int(sp.New)) })
+		oldOwner.eachTop(func(slot int32) { n.labelOf(s.rec(slot).link).Add(int(sp.New)) })
 	}
-	return ruleRec{id: r.ID, lo: lo, hi: hi, link: r.Link, prio: r.Priority}
+	e := int32(len(s.ivs))
+	if k := len(s.ivFree); k > 0 {
+		e, s.ivFree = s.ivFree[k-1], s.ivFree[:k-1]
+	} else {
+		s.ivs = appendGrow(s.ivs, ivRec{})
+	}
+	s.ivs[e] = ivRec{lo: lo, hi: hi, refs: 1}
+	if s.ivIdx.add(i, e) {
+		for _, v := range s.ivIdx.grow() {
+			if v != 0 {
+				s.ivIdx.put(n.ivKeyOf(v-1), v)
+			}
+		}
+	}
+	if n.gc {
+		n.bounds[r.Match.Lo]++
+		n.bounds[r.Match.Hi]++
+	}
+	return newRec(r.ID, e, r.Link, r.Priority)
 }
 
-// atomsOf expands the live rule in slot to ⟦interval(r)⟧ into atomBuf,
-// walking the boundary tree from the rule's lower-bound handle.
-func (n *Network) atomsOf(slot int32) []intervalmap.AtomID {
-	rec := n.store.rec(slot)
-	return n.m.AtomsBetween(rec.lo, rec.hi, n.atomBuf[:0])
+// release frees slot and drops its interval entry's reference. The last
+// reference frees the entry and, under GC, collects each of its bounds no
+// other entry names.
+func (n *Network) release(slot int32) {
+	s := &n.store
+	e := s.rec(slot).iv
+	s.releaseSlot(slot)
+	if s.ivs[e].refs--; s.ivs[e].refs > 0 {
+		return
+	}
+	lo, hi := n.m.Key(s.ivs[e].lo), n.m.Key(s.ivs[e].hi)
+	s.ivIdx.remove(ivKey(lo, hi), e, n.ivKeyOf)
+	s.ivs[e] = ivRec{}
+	s.ivFree = append(s.ivFree, e)
+	if n.gc {
+		n.collectBound(lo)
+		n.collectBound(hi)
+	}
+}
+
+// atomsOf expands interval entry e to its atoms into atomBuf, walking the
+// boundary tree from the entry's lower-bound handle.
+func (n *Network) atomsOf(e int32) []intervalmap.AtomID {
+	iv := &n.store.ivs[e]
+	return n.m.AtomsBetween(iv.lo, iv.hi, n.atomBuf[:0])
 }
 
 // RemoveRule applies Algorithm 2: for every atom of the rule's interval it
@@ -368,7 +427,7 @@ func (n *Network) removeRule(id RuleID, d *Delta) error {
 	r := n.ruleAt(slot) // value copy: survives the release below
 	k := r.key()
 
-	n.atomBuf = n.atomsOf(slot)
+	n.atomBuf = n.atomsOf(n.store.rec(slot).iv)
 	ownLabel := n.labelOf(r.Link)
 	for _, alpha := range n.atomBuf {
 		if wasTop, next := n.owner[alpha].remove(&n.store, r.Source, k); wasTop {
@@ -381,11 +440,7 @@ func (n *Network) removeRule(id RuleID, d *Delta) error {
 		}
 	}
 
-	n.store.releaseSlot(slot)
-	if n.gc {
-		n.collectBound(r.Match.Lo)
-		n.collectBound(r.Match.Hi)
-	}
+	n.release(slot)
 	return nil
 }
 
@@ -405,30 +460,30 @@ func (n *Network) CheckInvariants() string {
 			for _, slot := range oa.window(ci) {
 				if src := n.graph.Link(n.store.rec(slot).link).Src; src != c.node {
 					return fmt.Sprintf("atom %d: owner cell of node %d holds foreign rule %d of node %d",
-						i, c.node, n.store.rec(slot).id, src)
+						i, c.node, n.store.rec(slot).id(), src)
 				}
 			}
 		}
 	}
 	// The id table indexes exactly the live arena records, each live
-	// record's bound handles name keys of M in order, and every live rule
-	// is in the owner table of every atom of its interval.
-	indexed := 0
-	for _, e := range n.store.table {
-		if e != 0 {
-			indexed++
-		}
-	}
-	live := 0
-	for slot := int32(0); slot < n.store.n; slot++ {
-		rec := n.store.rec(slot)
-		if rec.lo == rec.hi {
+	// record names a live interval entry whose bound handles name keys of
+	// M in order, and every live rule is in the owner table of every atom
+	// of its interval.
+	s := &n.store
+	live, refs := 0, make([]int32, len(s.ivs))
+	for slot := int32(0); slot < s.n; slot++ {
+		rec := s.rec(slot)
+		if rec.iv == noSlot {
 			continue
 		}
 		live++
-		if !n.m.Live(rec.lo) || !n.m.Live(rec.hi) || n.m.Key(rec.lo) >= n.m.Key(rec.hi) {
+		if rec.iv < 0 || int(rec.iv) >= len(s.ivs) || s.ivs[rec.iv].refs <= 0 {
+			return fmt.Sprintf("rule store slot %d (id %d) names interval entry %d, which is not live", slot, rec.id(), rec.iv)
+		}
+		refs[rec.iv]++
+		if iv := s.ivs[rec.iv]; !n.m.Live(iv.lo) || !n.m.Live(iv.hi) || n.m.Key(iv.lo) >= n.m.Key(iv.hi) {
 			return fmt.Sprintf("rule store slot %d (id %d): bound handles %d, %d do not name keys lo < hi",
-				slot, rec.id, rec.lo, rec.hi)
+				slot, rec.id(), iv.lo, iv.hi)
 		}
 		r := n.ruleAt(slot)
 		if got, _ := n.store.slotOf(r.ID); got != slot {
@@ -443,8 +498,27 @@ func (n *Network) CheckInvariants() string {
 			}
 		}
 	}
-	if indexed != live || n.store.live != live {
-		return fmt.Sprintf("id table holds %d entries (counted %d) for %d live rules", indexed, n.store.live, live)
+	if got := countEntries(s.ids.table); got != live || s.ids.live != live {
+		return fmt.Sprintf("id table holds %d entries (counted %d) for %d live rules", got, s.ids.live, live)
+	}
+	// Each entry's refs count the records naming it, and the interval index
+	// finds every live entry and holds nothing else.
+	liveIVs := 0
+	for e, iv := range s.ivs {
+		if iv.refs != refs[e] {
+			return fmt.Sprintf("interval entry %d has refs %d, but %d records name it", e, iv.refs, refs[e])
+		}
+		if iv.refs == 0 {
+			continue
+		}
+		liveIVs++
+		if i, ok := n.findIV(ipnet.Interval{Lo: n.m.Key(iv.lo), Hi: n.m.Key(iv.hi)}); !ok || s.ivIdx.table[i] != int32(e)+1 {
+			return fmt.Sprintf("interval index does not find entry %d", e)
+		}
+	}
+	if got := countEntries(s.ivIdx.table); got != liveIVs || s.ivIdx.live != liveIVs || len(s.ivFree) != len(s.ivs)-liveIVs {
+		return fmt.Sprintf("interval index holds %d entries (counted %d) for %d live entries; %d of %d listed free",
+			got, s.ivIdx.live, liveIVs, len(s.ivFree), len(s.ivs))
 	}
 	// Labels match owners exactly: bit (link, α) is set iff the owner of
 	// α at src(link) forwards along link.
@@ -497,6 +571,16 @@ func (n *Network) CheckInvariants() string {
 	return ""
 }
 
+func countEntries(table []int32) int {
+	c := 0
+	for _, e := range table {
+		if e != 0 {
+			c++
+		}
+	}
+	return c
+}
+
 // MemoryBytes estimates the engine's heap footprint in bytes, the total
 // of MemoryRows. Element sizes come from unsafe.Sizeof, so the estimate
 // follows the types; TestMemoryBytesTracksHeap pins it to the measured
@@ -507,26 +591,29 @@ func (n *Network) MemoryBytes() int64 { return n.MemoryRows().Total() }
 // MemoryRows attributes the engine's heap to its structures, one row
 // (bytes, capacity included) each.
 type MemoryRows struct {
-	Records  int64 // rule arena pages, their directory and the free list
-	Index    int64 // id → slot table
-	OwnerDir int64 // one ownerAtom header per atom id
-	Cells    int64 // owner cell directories
-	Slabs    int64 // owner rule-slot slabs
-	Labels   int64 // per-link atom bitsets
-	Tree     int64 // boundary tree nodes and, with GC, boundary refcounts
-	Stamps   int64 // the interval map's born stamp per atom id and free ids
+	Records   int64 // rule arena pages, their directory and the free list
+	Intervals int64 // interval entries, their free list and index
+	Index     int64 // id → slot table
+	OwnerDir  int64 // one ownerAtom header per atom id
+	Cells     int64 // owner cell directories
+	Slabs     int64 // owner rule-slot slabs
+	Labels    int64 // per-link atom bitsets
+	Tree      int64 // boundary tree nodes and, with GC, boundary refcounts
+	Stamps    int64 // the interval map's born stamp per atom id and free ids
 }
 
 // Total is the sum of the rows.
 func (r MemoryRows) Total() int64 {
-	return r.Records + r.Index + r.OwnerDir + r.Cells + r.Slabs + r.Labels + r.Tree + r.Stamps
+	return r.Records + r.Intervals + r.Index + r.OwnerDir + r.Cells + r.Slabs + r.Labels + r.Tree + r.Stamps
 }
 
 // MemoryRows returns the engine's heap footprint by structure.
 func (n *Network) MemoryRows() MemoryRows {
 	r := MemoryRows{
-		Records:  int64(len(n.store.pages))*int64(unsafe.Sizeof([pageSize]ruleRec{})) + int64(cap(n.store.pages))*8 + int64(cap(n.store.free))*4,
-		Index:    int64(cap(n.store.table)) * 4,
+		Records: int64(len(n.store.pages))*int64(unsafe.Sizeof([pageSize]ruleRec{})) + int64(cap(n.store.pages))*8 + int64(cap(n.store.free))*4,
+		Intervals: int64(cap(n.store.ivs))*int64(unsafe.Sizeof(ivRec{})) + int64(cap(n.store.ivFree))*4 +
+			int64(cap(n.store.ivIdx.table))*4,
+		Index:    int64(cap(n.store.ids.table)) * 4,
 		OwnerDir: int64(cap(n.owner)) * int64(unsafe.Sizeof(ownerAtom{})),
 		Labels:   int64(cap(n.labels)) * int64(unsafe.Sizeof((*bitset.Set)(nil))),
 		Tree:     int64(n.m.NumAtoms()+1) * 32, // arena boundary-tree nodes

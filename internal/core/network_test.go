@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -464,7 +465,7 @@ func TestCheckInvariantsReportsBadHandles(t *testing.T) {
 		}
 	}
 	slot2, _ := n.store.slotOf(2)
-	released := n.store.rec(slot2).lo
+	released := n.store.ivs[n.store.rec(slot2).iv].lo
 	if _, err := n.RemoveRule(2); err != nil { // GC releases 20 and 30
 		t.Fatal(err)
 	}
@@ -472,7 +473,8 @@ func TestCheckInvariantsReportsBadHandles(t *testing.T) {
 		t.Fatal(msg)
 	}
 	slot, _ := n.store.slotOf(1)
-	good := *n.store.rec(slot)
+	entry := &n.store.ivs[n.store.rec(slot).iv]
+	good := *entry
 	for _, bad := range []struct {
 		name   string
 		lo, hi intervalmap.Bound
@@ -482,12 +484,64 @@ func TestCheckInvariantsReportsBadHandles(t *testing.T) {
 		{"released slot", good.lo, released},
 		{"swapped", good.hi, good.lo},
 	} {
-		n.store.rec(slot).lo, n.store.rec(slot).hi = bad.lo, bad.hi
+		entry.lo, entry.hi = bad.lo, bad.hi
 		if msg := n.CheckInvariants(); !strings.Contains(msg, "do not name keys lo < hi") {
 			t.Errorf("%s: CheckInvariants = %q, want the bad handles reported", bad.name, msg)
 		}
 	}
-	*n.store.rec(slot) = good
+	*entry = good
+	if msg := n.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// TestCheckInvariantsReportsBadIntervals corrupts the interval table — an
+// entry's refcount, the index slot that finds a live entry, and an empty
+// index slot pointed at a freed entry — and CheckInvariants must describe
+// each violation.
+func TestCheckInvariantsReportsBadIntervals(t *testing.T) {
+	g := netgraph.New()
+	a, b := g.AddNode("a"), g.AddNode("b")
+	l := g.AddLink(a, b)
+	n := NewNetwork(g, Options{GC: true})
+	for _, r := range []Rule{
+		{ID: 1, Source: a, Link: l, Match: iv(0, 10), Priority: 1},
+		{ID: 2, Source: a, Link: l, Match: iv(0, 10), Priority: 2},
+		{ID: 3, Source: a, Link: l, Match: iv(20, 30), Priority: 1},
+	} {
+		if _, err := n.InsertRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := n.RemoveRule(3); err != nil { // frees 20–30's entry
+		t.Fatal(err)
+	}
+	if msg := n.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+	s := &n.store
+	slot, _ := s.slotOf(1)
+	e := s.rec(slot).iv
+	if s.ivs[e].refs != 2 || len(s.ivFree) != 1 {
+		t.Fatalf("entry %d has refs %d, free list %v: want 2 rules sharing it and one freed entry", e, s.ivs[e].refs, s.ivFree)
+	}
+	pos, _ := n.findIV(iv(0, 10))
+	empty := slices.Index(s.ivIdx.table, 0)
+	for _, bad := range []struct {
+		name, want string
+		corrupt    func()
+	}{
+		{"refcount", "has refs 3, but 2 records name it", func() { s.ivs[e].refs++ }},
+		{"index slot", "interval index does not find entry", func() { s.ivIdx.table[pos] = 0 }},
+		{"freed entry indexed", "interval index holds 2 entries", func() { s.ivIdx.table[empty] = s.ivFree[0] + 1 }},
+	} {
+		entry, table := s.ivs[e], slices.Clone(s.ivIdx.table)
+		bad.corrupt()
+		if msg := n.CheckInvariants(); !strings.Contains(msg, bad.want) {
+			t.Errorf("%s: CheckInvariants = %q, want %q", bad.name, msg, bad.want)
+		}
+		s.ivs[e], s.ivIdx.table = entry, table
+	}
 	if msg := n.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}

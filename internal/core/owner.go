@@ -8,10 +8,15 @@ package core
 // storage:
 //
 //   - ruleStore: every live rule lives in one dense slot-indexed arena of
-//     24-byte pointer-free ruleRecs (bounds held as boundary-map handles),
-//     with a LIFO free list so steady-state churn recycles slots instead
-//     of allocating, and an open-addressed id → slot table (4 bytes per
-//     entry, keyed by the id the record already holds) in place of a Go map;
+//     20-byte pointer-free ruleRecs, with a LIFO free list so steady-state
+//     churn recycles slots instead of allocating, and an open-addressed
+//     id → slot table (4 bytes per entry, keyed by the id the record
+//     already holds) in place of a Go map. A record names its match by an
+//     interval entry: one refcounted ivRec per distinct live match holds
+//     the match's two boundary-map handles, found through a second
+//     open-addressed table keyed by the match. The paper's planes compile
+//     one prefix into a rule per switch, so most rules share an entry,
+//     and an insert descends the boundary tree only for a new match;
 //   - ownerAtom: one atom's whole owner table — a sorted cell directory
 //     (one 8-byte {node, end} ownerCell per source node) plus a single
 //     packed []int32 slab of rule slots, priority-sorted per cell, the
@@ -32,64 +37,142 @@ import (
 	"deltanet/internal/netgraph"
 )
 
-// noSlot marks "no rule" in prev/top comparisons.
+// noSlot marks "no rule" in prev/top comparisons and "no interval entry"
+// in a released record.
 const noSlot int32 = -1
 
-// ruleRec is one 24-byte arena slot: a Rule without its source, which is
+// ruleRec is one 20-byte arena slot: a Rule without its source, which is
 // always graph.Link(link).Src (a drop rule is stored on its source's drop
-// link), its bounds named by their handles in M. They never dangle: a live
-// rule's bounds are keys, and GC only releases keys no live rule uses. A
-// released slot is zeroed, so lo == hi (distinct keys otherwise) marks it.
+// link), its match named by interval entry iv. The id is split into two
+// uint32 halves because an int64 field would align the record to 8 bytes
+// and pad it back to 24. A released slot holds iv == noSlot.
 //
 //deltanet:pointerfree
 type ruleRec struct {
-	id     RuleID
-	lo, hi intervalmap.Bound
-	link   netgraph.LinkID
-	prio   Priority
+	idLo, idHi uint32
+	iv         int32
+	link       netgraph.LinkID
+	prio       Priority
 }
 
-// ruleStore is the dense arena of live rules. Slots are recycled LIFO.
-// Records live in pages that are never moved, so growth costs one page and
-// leaves at most one spare. Pages are pointer-free, so the garbage collector
-// never scans rule storage, and owner-list searches index flat arrays.
+func newRec(id RuleID, iv int32, link netgraph.LinkID, prio Priority) ruleRec {
+	return ruleRec{idLo: uint32(id), idHi: uint32(uint64(id) >> 32), iv: iv, link: link, prio: prio}
+}
+
+func (r *ruleRec) id() RuleID { return RuleID(uint64(r.idHi)<<32 | uint64(r.idLo)) }
+
+// ivRec is one interval entry: a match some live rule has, its bounds named
+// by their handles in M, and refs, the number of records naming it. The
+// handles never dangle: GC only releases keys no live entry names. A freed
+// entry is zeroed, so refs == 0 marks it.
 //
-// table is the id → slot index: a power-of-two open-addressed array of
-// slot+1 (0 = empty), linear-probed from a multiplicative hash of the id
-// (caller-chosen ids are often sequential) and kept at most 7/8 full.
-// It stores no key: an entry's id is recs[entry-1].id. Deletion shifts
-// the probe run back instead of leaving tombstones, so churn at a steady
-// rule count never rehashes.
+//deltanet:pointerfree
+type ivRec struct {
+	lo, hi intervalmap.Bound
+	refs   int32
+}
+
+// ruleStore is the dense arena of live rules and their interval entries.
+// Slots and entries are recycled LIFO. Records live in pages that are
+// never moved, so growth costs one page and leaves at most one spare.
+// Pages and entries are pointer-free, so the garbage collector never scans
+// rule storage, and owner-list searches index flat arrays.
 type ruleStore struct {
 	pages []*[pageSize]ruleRec
 	n     int32 // slots ever allocated: the arena's length
 	free  []int32
+	ids   index // id → slot
+
+	ivs    []ivRec
+	ivFree []int32
+	ivIdx  index // match → entry; ivKey hashes the match
+}
+
+// pageSize is how many records one arena page holds: 512 × 20 B is
+// 10 240 B, an exact Go size class (256 records would land in the 5 376-B
+// class, one byte of slack per record).
+const pageSize = 1 << 9
+
+func newRuleStore() ruleStore {
+	return ruleStore{ids: newIndex(), ivIdx: newIndex()}
+}
+
+// index is an open-addressed table of entry+1 (0 = empty): a power-of-two
+// array linear-probed from a multiplicative hash of the key (caller-chosen
+// ids are often sequential) and kept at most 7/8 full. It stores no key:
+// callers read an entry's key back from the entry itself. Deletion shifts
+// the probe run back instead of leaving tombstones, so churn at a steady
+// count never rehashes.
+type index struct {
 	table []int32
 	shift uint8 // 64 − log2(len(table)): the hash keeps the product's top bits
 	live  int
 }
 
-// pageSize is how many records one arena page holds (6 KB).
-const pageSize = 1 << 8
+func newIndex() index { return index{table: make([]int32, 16), shift: 64 - 4} }
 
-func newRuleStore() ruleStore {
-	return ruleStore{table: make([]int32, 16), shift: 64 - 4}
-}
+func (x *index) home(key uint64) int { return int(key * 0x9E3779B97F4A7C15 >> x.shift) }
 
-func (s *ruleStore) home(id RuleID) int {
-	return int(uint64(id) * 0x9E3779B97F4A7C15 >> s.shift)
-}
-
-// find returns the table position holding id's entry, or the empty
-// position that ends its probe run.
-func (s *ruleStore) find(id RuleID) (int, bool) {
-	mask := len(s.table) - 1
-	for i := s.home(id); ; i = (i + 1) & mask {
-		e := s.table[i]
-		if e == 0 || s.rec(e-1).id == id {
+// find returns the position in key's probe run of the entry that is
+// accepts, or the empty position that ends the run.
+func (x *index) find(key uint64, is func(e int32) bool) (int, bool) {
+	mask := len(x.table) - 1
+	for i := x.home(key); ; i = (i + 1) & mask {
+		if e := x.table[i]; e == 0 || is(e-1) {
 			return i, e != 0
 		}
 	}
+}
+
+// add stores entry e at i, the empty position find returned, and reports
+// whether the table is now over 7/8 full and must grow.
+func (x *index) add(i int, e int32) bool {
+	x.table[i] = e + 1
+	x.live++
+	return x.live*8 > len(x.table)*7
+}
+
+// grow doubles the table and returns the old one. The caller re-inserts
+// its entries with put, reading each key from its entry inline: a
+// function value called per entry took 1.7× as long to rehash the id
+// table in a bulk-load profile.
+func (x *index) grow() []int32 {
+	old := x.table
+	x.table = make([]int32, 2*len(old))
+	x.shift--
+	return old
+}
+
+// put stores table value v (entry+1) at the end of key's probe run.
+func (x *index) put(key uint64, v int32) {
+	mask := len(x.table) - 1
+	i := x.home(key)
+	for x.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	x.table[i] = v
+}
+
+// remove deletes entry e, whose key is key, if it is indexed, by backward
+// shift: each later entry of the probe run moves into the hole unless its
+// home position lies cyclically after the hole (moving it would put it
+// before its home).
+func (x *index) remove(key uint64, e int32, keyOf func(e int32) uint64) {
+	mask := len(x.table) - 1
+	i := x.home(key)
+	for ; x.table[i] != e+1; i = (i + 1) & mask {
+		if x.table[i] == 0 {
+			return
+		}
+	}
+	for j := (i + 1) & mask; x.table[j] != 0; j = (j + 1) & mask {
+		if h := x.home(keyOf(x.table[j] - 1)); (j-h)&mask >= (j-i)&mask {
+			x.table[i] = x.table[j]
+			i = j
+		}
+	}
+	x.table[i] = 0
+	x.live--
 }
 
 // rec returns the record in slot.
@@ -97,9 +180,17 @@ func (s *ruleStore) rec(slot int32) *ruleRec {
 	return &s.pages[uint32(slot)/pageSize][uint32(slot)%pageSize]
 }
 
-// alloc stores rec and returns its slot, pointing the index at it. If its
-// id is still indexed (a batch that removes a rule and re-inserts its id
-// allocates before it releases), the entry is repointed.
+func (s *ruleStore) idKey(slot int32) uint64 { return uint64(s.rec(slot).id()) }
+
+// find returns the id table position holding id's slot, or the empty
+// position that ends its probe run.
+func (s *ruleStore) find(id RuleID) (int, bool) {
+	return s.ids.find(uint64(id), func(slot int32) bool { return s.rec(slot).id() == id })
+}
+
+// alloc stores rec and returns its slot, pointing the id table at it. If
+// its id is still indexed (a batch that removes a rule and re-inserts its
+// id allocates before it releases), the entry is repointed.
 func (s *ruleStore) alloc(rec ruleRec) int32 {
 	var slot int32
 	if n := len(s.free); n > 0 {
@@ -112,78 +203,40 @@ func (s *ruleStore) alloc(rec ruleRec) int32 {
 		}
 	}
 	*s.rec(slot) = rec
-	if (s.live+1)*8 > len(s.table)*7 {
-		s.grow()
+	if i, ok := s.find(rec.id()); ok {
+		s.ids.table[i] = slot + 1
+	} else if s.ids.add(i, slot) {
+		for _, v := range s.ids.grow() {
+			if v != 0 {
+				s.ids.put(s.idKey(v-1), v)
+			}
+		}
 	}
-	i, ok := s.find(rec.id)
-	if !ok {
-		s.live++
-	}
-	s.table[i] = slot + 1
 	return slot
 }
 
-// grow doubles the table and re-inserts every entry.
-func (s *ruleStore) grow() {
-	old := s.table
-	s.table = make([]int32, 2*len(old))
-	s.shift--
-	mask := len(s.table) - 1
-	for _, e := range old {
-		if e == 0 {
-			continue
-		}
-		i := s.home(s.rec(e - 1).id)
-		for s.table[i] != 0 {
-			i = (i + 1) & mask
-		}
-		s.table[i] = e
-	}
-}
-
-// releaseSlot frees slot. The index entry is only removed when it still
+// releaseSlot frees slot. The id table entry is only removed when it still
 // names this slot — a batch that removes a rule and re-inserts its id has
 // already repointed the entry at the new slot.
 func (s *ruleStore) releaseSlot(slot int32) {
-	mask := len(s.table) - 1
-	for i := s.home(s.rec(slot).id); s.table[i] != 0; i = (i + 1) & mask {
-		if s.table[i] == slot+1 {
-			s.unindex(i)
-			break
-		}
-	}
-	*s.rec(slot) = ruleRec{}
+	s.ids.remove(s.idKey(slot), slot, s.idKey)
+	*s.rec(slot) = ruleRec{iv: noSlot}
 	s.free = append(s.free, slot)
-}
-
-// unindex empties table position i by backward shift: each later entry
-// of the probe run moves into the hole unless its home position lies
-// cyclically after the hole (moving it would put it before its home).
-func (s *ruleStore) unindex(i int) {
-	mask := len(s.table) - 1
-	for j := (i + 1) & mask; s.table[j] != 0; j = (j + 1) & mask {
-		if h := s.home(s.rec(s.table[j] - 1).id); (j-h)&mask >= (j-i)&mask {
-			s.table[i] = s.table[j]
-			i = j
-		}
-	}
-	s.table[i] = 0
-	s.live--
 }
 
 func (s *ruleStore) slotOf(id RuleID) (int32, bool) {
 	if i, ok := s.find(id); ok {
-		return s.table[i] - 1, true
+		return s.ids.table[i] - 1, true
 	}
 	return noSlot, false
 }
 
 func (s *ruleStore) keyOf(slot int32) prioKey {
 	r := s.rec(slot)
-	return prioKey{prio: r.prio, id: r.id}
+	return prioKey{prio: r.prio, id: r.id()}
 }
 
-func (s *ruleStore) len() int { return s.live }
+func (s *ruleStore) len() int { return s.ids.live }
 
 // appendGrow is append for the owner tables: up to 64
 // elements it keeps append's doubling, past that a full slice grows by an

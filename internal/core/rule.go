@@ -17,8 +17,9 @@
 //     directory of {node, end} cells over one packed rule-slot slab, each
 //     cell's window ending where the next begins (owner.go) — which
 //     preserves the logarithmic search bound and removes the per-node
-//     heap allocations. Rules themselves live in a 24-byte record arena
-//     indexed by an open-addressed id table.
+//     heap allocations. Rules themselves live in a 20-byte record arena
+//     indexed by an open-addressed id table; rules with one match share
+//     one refcounted interval entry holding the match's bound handles.
 //
 // Each rule insertion or removal yields a Delta — the delta-graph of §3.3 —
 // from which property checkers (internal/check) verify invariants such as
