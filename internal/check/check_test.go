@@ -6,6 +6,7 @@ import (
 
 	"deltanet/internal/bitset"
 	"deltanet/internal/core"
+	"deltanet/internal/datasets"
 	"deltanet/internal/intervalmap"
 	"deltanet/internal/ipnet"
 	"deltanet/internal/netgraph"
@@ -292,6 +293,62 @@ func TestAffectedByLinkFailure(t *testing.T) {
 	// Loops in subgraph: none here.
 	if loops := LoopsInSubgraph(n, sub); len(loops) != 0 {
 		t.Fatalf("phantom loops: %+v", loops)
+	}
+}
+
+// TestLinkFailureCountsMatchSubgraph loads the inserts of every dataset
+// plane and requires LinkFailureCounts to give AffectedByLinkFailure's
+// atom and edge counts on every link.
+func TestLinkFailureCountsMatchSubgraph(t *testing.T) {
+	for _, name := range datasets.Names() {
+		tr, err := datasets.Build(name, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := core.NewNetwork(tr.Graph, core.Options{})
+		var ops []core.BatchOp
+		for _, op := range tr.Ops {
+			if op.Insert {
+				ops = append(ops, op)
+			}
+		}
+		var d core.Delta
+		if err := n.ApplyBatch(ops, &d, 1); err != nil {
+			t.Fatal(err)
+		}
+		busy := 0
+		for _, l := range tr.Graph.Links() {
+			sub := AffectedByLinkFailure(n, l.ID)
+			atoms, edges := LinkFailureCounts(n, l.ID)
+			if atoms != sub.Affected.Len() || edges != sub.NumEdges() {
+				t.Fatalf("%s link %d: counts atoms=%d edges=%d, subgraph atoms=%d edges=%d",
+					name, l.ID, atoms, edges, sub.Affected.Len(), sub.NumEdges())
+			}
+			if edges > 0 {
+				busy++
+			}
+		}
+		if busy == 0 {
+			t.Fatalf("%s: no link carries traffic", name)
+		}
+	}
+}
+
+// TestLinkFailureCountsAllocatesNothing pins the server's whatif answer
+// to zero allocations.
+func TestLinkFailureCountsAllocatesNothing(t *testing.T) {
+	g, nodes, links := ring(4)
+	n := core.NewNetwork(g, core.Options{})
+	for i := range nodes {
+		mustInsert(t, n, core.Rule{ID: core.RuleID(i + 1), Source: nodes[i],
+			Link: links[i], Match: iv(uint64(i)*10, 100), Priority: 1})
+	}
+	var atoms, edges int
+	if allocs := testing.AllocsPerRun(100, func() { atoms, edges = LinkFailureCounts(n, links[3]) }); allocs != 0 {
+		t.Fatalf("LinkFailureCounts allocates %.1f times per call", allocs)
+	}
+	if atoms == 0 || edges != 4 {
+		t.Fatalf("atoms=%d edges=%d, want some atoms on all 4 edges", atoms, edges)
 	}
 }
 

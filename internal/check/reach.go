@@ -242,6 +242,23 @@ func AffectedByLinkFailure(n *core.Network, link netgraph.LinkID) *Subgraph {
 	return sub
 }
 
+// LinkFailureCounts returns the two sizes of AffectedByLinkFailure's
+// subgraph, its affected atoms and its labelled edges, without building
+// it: no label clone and no intersection set per edge, so it allocates
+// nothing.
+func LinkFailureCounts(n *core.Network, link netgraph.LinkID) (atoms, edges int) {
+	affected := n.Label(link)
+	if affected.Empty() {
+		return 0, 0
+	}
+	for _, l := range n.Graph().Links() {
+		if n.Label(l.ID).Intersects(affected) {
+			edges++
+		}
+	}
+	return affected.Len(), edges
+}
+
 // Subgraph is the restriction of the edge-labelled graph to a set of
 // atoms: the compact representation of "all flows of packets through the
 // network that would be affected" by an event (§4.3.2).

@@ -359,9 +359,9 @@ func (n *Network) replayAtom(alpha intervalmap.AtomID, items []batchItem, run []
 	cells, slab := rs.cells[:0], rs.slab[:0]
 	ci := 0
 	keepCells := func(below netgraph.NodeID) {
-		for ; ci < len(oa.cells) && oa.cells[ci].node < below; ci++ {
-			slab = append(slab, oa.window(ci)...)
-			cells = append(cells, ownerCell{node: oa.cells[ci].node, end: int32(len(slab))})
+		for ; ci < len(oa.cells) && oa.cells[ci].source() < below; ci++ {
+			start := len(slab)
+			cells, slab = closeCell(cells, append(slab, oa.window(ci)...), oa.cells[ci].source(), start)
 		}
 	}
 	for g := 0; g < len(run); {
@@ -377,15 +377,15 @@ func (n *Network) replayAtom(alpha intervalmap.AtomID, items []batchItem, run []
 		keepCells(s)
 		var old []int32
 		prev, after := noSlot, noSlot
-		if ci < len(oa.cells) && oa.cells[ci].node == s {
+		if ci < len(oa.cells) && oa.cells[ci].source() == s {
 			old, ci = oa.window(ci), ci+1
 			prev = old[len(old)-1]
 		}
 		start := len(slab)
 		if slab = n.store.mergeWindow(slab, old, rs.ins, rs.rm); len(slab) > start {
-			cells = append(cells, ownerCell{node: s, end: int32(len(slab))})
 			after = slab[len(slab)-1]
 		}
+		cells, slab = closeCell(cells, slab, s, start)
 		n.emitChange(res, alpha, prev, after)
 	}
 	keepCells(netgraph.NodeID(1<<31 - 1))

@@ -385,7 +385,10 @@ func (n *Network) release(slot int32) {
 		return
 	}
 	lo, hi := n.m.Key(s.ivs[e].lo), n.m.Key(s.ivs[e].hi)
-	s.ivIdx.remove(ivKey(lo, hi), e, n.ivKeyOf)
+	x := &s.ivIdx
+	for i, j := x.cut(ivKey(lo, hi), e); j >= 0; j = x.next(j) {
+		i = x.fill(i, j, n.ivKeyOf(x.table[j]-1))
+	}
 	s.ivs[e] = ivRec{}
 	s.ivFree = append(s.ivFree, e)
 	if n.gc {
@@ -453,16 +456,8 @@ func (n *Network) CheckInvariants() string {
 	// own source node.
 	for i := range n.owner {
 		oa := &n.owner[i]
-		if msg := oa.checkInvariants(&n.store); msg != "" {
+		if msg := oa.checkInvariants(&n.store, n.graph); msg != "" {
 			return fmt.Sprintf("atom %d: %s", i, msg)
-		}
-		for ci, c := range oa.cells {
-			for _, slot := range oa.window(ci) {
-				if src := n.graph.Link(n.store.rec(slot).link).Src; src != c.node {
-					return fmt.Sprintf("atom %d: owner cell of node %d holds foreign rule %d of node %d",
-						i, c.node, n.store.rec(slot).id(), src)
-				}
-			}
 		}
 	}
 	// The id table indexes exactly the live arena records, each live
@@ -595,8 +590,8 @@ type MemoryRows struct {
 	Intervals int64 // interval entries, their free list and index
 	Index     int64 // id → slot table
 	OwnerDir  int64 // one ownerAtom header per atom id
-	Cells     int64 // owner cell directories
-	Slabs     int64 // owner rule-slot slabs
+	Cells     int64 // owner cell directories, one-rule cells' rules inline
+	Slabs     int64 // owner rule-slot slabs: cells of two or more rules
 	Labels    int64 // per-link atom bitsets
 	Tree      int64 // boundary tree nodes and, with GC, boundary refcounts
 	Stamps    int64 // the interval map's born stamp per atom id and free ids

@@ -448,6 +448,54 @@ func TestCheckInvariantsReportsForeignRule(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsReportsBadCells corrupts owner cells three ways — a
+// slab window of one rule, an inline cell naming a released slot, and an
+// inline cell naming a rule at another node — and CheckInvariants must
+// describe each violation rather than panic.
+func TestCheckInvariantsReportsBadCells(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(n *Network, oa *ownerAtom)
+		want    string
+	}{
+		{"one-rule slab window", func(n *Network, oa *ownerAtom) {
+			oa.slab = append(oa.slab[:0], oa.cells[0].end)
+			oa.cells[0] = ownerCell{node: oa.cells[0].node | windowed, end: 1}
+		}, "owner cell of node 0 has slab window [0:1) of 1, want ≥ 2 rules"},
+		{"released slot", func(n *Network, oa *ownerAtom) {
+			slot, _ := n.store.slotOf(3)
+			if _, err := n.RemoveRule(3); err != nil {
+				t.Fatal(err)
+			}
+			oa.cells[0].end = slot
+		}, "owner cell of node 0 holds released slot 2"},
+		{"rule at another node", func(n *Network, oa *ownerAtom) {
+			oa.cells[0].end = oa.cells[1].end
+		}, "owner cell of node 0 holds foreign rule 2 of node 1"},
+	} {
+		g := netgraph.New()
+		a, b := g.AddNode("a"), g.AddNode("b")
+		ab, ba := g.AddLink(a, b), g.AddLink(b, a)
+		n := NewNetwork(g, Options{})
+		for _, r := range []Rule{
+			{ID: 1, Source: a, Link: ab, Match: iv(0, 10), Priority: 1},
+			{ID: 2, Source: b, Link: ba, Match: iv(0, 10), Priority: 1},
+			{ID: 3, Source: a, Link: ab, Match: iv(20, 30), Priority: 1},
+		} {
+			if _, err := n.InsertRule(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if msg := n.CheckInvariants(); msg != "" {
+			t.Fatal(msg)
+		}
+		tc.corrupt(n, &n.owner[n.AtomOf(5)])
+		if msg := n.CheckInvariants(); !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: CheckInvariants = %q, want %q", tc.name, msg, tc.want)
+		}
+	}
+}
+
 // TestCheckInvariantsReportsBadHandles corrupts a live record's bound
 // handles — out of the tree, naming a released key's slot, and swapped —
 // and CheckInvariants must describe each violation rather than panic.

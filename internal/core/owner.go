@@ -17,21 +17,24 @@ package core
 //     open-addressed table keyed by the match. The paper's planes compile
 //     one prefix into a rule per switch, so most rules share an entry,
 //     and an insert descends the boundary tree only for a new match;
-//   - ownerAtom: one atom's whole owner table — a sorted cell directory
-//     (one 8-byte {node, end} ownerCell per source node) plus a single
-//     packed []int32 slab of rule slots, priority-sorted per cell, the
-//     cell's maximum (= the paper's bst.Max()) being its last slab entry.
+//   - ownerAtom: one atom's whole owner table — a sorted directory of
+//     8-byte ownerCells, one per source node, over one packed []int32
+//     slab of rule slots. A one-rule cell (two in three on the paper's
+//     planes) holds its slot inline; a larger cell is a priority-sorted
+//     slab window whose last entry is its maximum, the paper's bst.Max().
 //
 // Ownership operations become binary searches plus int32 memmoves over
-// contiguous memory. Slabs and cell directories retain capacity across
-// delete/insert cycles and atom death (GC merge), so a steady-state
-// insert/remove workload performs no allocation at all in the owner
-// structures. Batch replay keeps its lock-freedom: phase 4 workers touch
-// only their own atom's ownerAtom, which shares storage with no other
-// atom.
+// contiguous memory, and a change to a one-rule cell moves no slab entry.
+// Slabs and cell directories retain capacity across delete/insert cycles
+// and atom death (GC merge), so a steady-state insert/remove workload
+// performs no allocation at all in the owner structures. Batch replay
+// keeps its lock-freedom: phase 4 workers touch only their own atom's
+// ownerAtom, which shares storage with no other atom.
 
 import (
-	"sort"
+	"fmt"
+	"slices"
+	"unsafe"
 
 	"deltanet/internal/intervalmap"
 	"deltanet/internal/netgraph"
@@ -153,26 +156,41 @@ func (x *index) put(key uint64, v int32) {
 	x.table[i] = v
 }
 
-// remove deletes entry e, whose key is key, if it is indexed, by backward
-// shift: each later entry of the probe run moves into the hole unless its
-// home position lies cyclically after the hole (moving it would put it
-// before its home).
-func (x *index) remove(key uint64, e int32, keyOf func(e int32) uint64) {
+// cut starts the backward-shift deletion of entry e, whose key is key: it
+// returns e's emptied position and the next of its probe run (-1, -1 if e
+// is not indexed). The caller walks the run with next and fill, reading
+// keys inline as grow's callers do (a function value is not inlined).
+func (x *index) cut(key uint64, e int32) (hole, j int) {
 	mask := len(x.table) - 1
 	i := x.home(key)
 	for ; x.table[i] != e+1; i = (i + 1) & mask {
 		if x.table[i] == 0 {
-			return
-		}
-	}
-	for j := (i + 1) & mask; x.table[j] != 0; j = (j + 1) & mask {
-		if h := x.home(keyOf(x.table[j] - 1)); (j-h)&mask >= (j-i)&mask {
-			x.table[i] = x.table[j]
-			i = j
+			return -1, -1
 		}
 	}
 	x.table[i] = 0
 	x.live--
+	return i, x.next(i)
+}
+
+// next returns the position after j in its probe run, or -1 at the run's
+// end.
+func (x *index) next(j int) int {
+	if j = (j + 1) & (len(x.table) - 1); x.table[j] == 0 {
+		return -1
+	}
+	return j
+}
+
+// fill moves the entry at j, whose key is key, into hole i unless that
+// would put it before its home, and returns where the hole is now.
+func (x *index) fill(i, j int, key uint64) int {
+	mask := len(x.table) - 1
+	if (j-x.home(key))&mask < (j-i)&mask {
+		return i
+	}
+	x.table[i], x.table[j] = x.table[j], 0
+	return j
 }
 
 // rec returns the record in slot.
@@ -219,7 +237,10 @@ func (s *ruleStore) alloc(rec ruleRec) int32 {
 // names this slot — a batch that removes a rule and re-inserts its id has
 // already repointed the entry at the new slot.
 func (s *ruleStore) releaseSlot(slot int32) {
-	s.ids.remove(s.idKey(slot), slot, s.idKey)
+	x := &s.ids
+	for i, j := x.cut(s.idKey(slot), slot); j >= 0; j = x.next(j) {
+		i = x.fill(i, j, s.idKey(x.table[j]-1))
+	}
 	*s.rec(slot) = ruleRec{iv: noSlot}
 	s.free = append(s.free, slot)
 }
@@ -258,10 +279,13 @@ func setGrow[T any](dst, src []T) []T {
 	return append(dst[:0], src...)
 }
 
-// ownerCell is one (atom, source) entry in an atom's cell directory. The
-// cell's rule slots are slab[start:end], start being the previous cell's
-// end (0 for the first cell), sorted by priority key ascending: the owner
-// — bst.Max() in the paper — is slab[end-1].
+// ownerCell is one (atom, source) entry in an atom's cell directory. Most
+// cells hold one rule, and such a cell holds it inline: node is the source
+// and end the rule's slot. A cell of two or more rules is windowed: node
+// carries the windowed bit, and its rule slots are slab[start:end], start
+// being the previous windowed cell's end (0 for the first), sorted by
+// priority key ascending. Either way the owner — bst.Max() in the paper —
+// is the cell's last slot.
 //
 //deltanet:pointerfree
 type ownerCell struct {
@@ -269,11 +293,29 @@ type ownerCell struct {
 	end  int32
 }
 
-// ownerAtom is one atom's owner table. cells is sorted by node for
-// binary search; the cells' slab windows are contiguous, ascending, and
-// exactly cover slab. Both backing arrays hold no pointers, and both
-// retain capacity across mutations and atom death, so churn over a
-// warmed atom allocates nothing.
+// windowed is the sign bit of a cell's node: set, the cell's rules sit in
+// the slab; clear, its one rule sits in end.
+const windowed netgraph.NodeID = -1 << 31
+
+func (c ownerCell) source() netgraph.NodeID { return c.node &^ windowed }
+
+// closeCell appends node's cell, its rules slab[start:], to a rebuilt
+// directory: no rules leave no cell, one goes inline, more make a window.
+func closeCell(cells []ownerCell, slab []int32, node netgraph.NodeID, start int) ([]ownerCell, []int32) {
+	if n := len(slab) - start; n > 1 {
+		cells = append(cells, ownerCell{node: node | windowed, end: int32(len(slab))})
+	} else if n == 1 {
+		cells, slab = append(cells, ownerCell{node: node, end: slab[start]}), slab[:start]
+	}
+	return cells, slab
+}
+
+// ownerAtom is one atom's owner table. cells is sorted by source for
+// binary search; the windowed cells' slab windows are contiguous,
+// ascending, hold at least two rules each and exactly cover slab, and a
+// one-rule cell is always inline. Both backing arrays hold no pointers,
+// and both retain capacity across mutations and atom death, so churn over
+// a warmed atom allocates nothing.
 type ownerAtom struct {
 	cells []ownerCell
 	slab  []int32
@@ -284,40 +326,56 @@ func (oa *ownerAtom) findCell(node netgraph.NodeID) (int, bool) {
 	lo, hi := 0, len(oa.cells)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if oa.cells[mid].node < node {
+		if oa.cells[mid].source() < node {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(oa.cells) && oa.cells[lo].node == node
+	return lo, lo < len(oa.cells) && oa.cells[lo].source() == node
 }
 
-// start returns where cell i's slab window begins.
+// start returns where cell i's slab window begins or would begin: the end
+// of the nearest earlier windowed cell, or 0.
 func (oa *ownerAtom) start(i int) int32 {
-	if i == 0 {
-		return 0
+	for i--; i >= 0; i-- {
+		if oa.cells[i].node < 0 {
+			return oa.cells[i].end
+		}
 	}
-	return oa.cells[i-1].end
+	return 0
 }
 
-// window returns cell i's rule slots.
-func (oa *ownerAtom) window(i int) []int32 { return oa.slab[oa.start(i):oa.cells[i].end] }
+// window returns cell i's rule slots: for an inline cell, a one-element
+// view of its slot.
+func (oa *ownerAtom) window(i int) []int32 {
+	if c := &oa.cells[i]; c.node >= 0 {
+		return unsafe.Slice(&c.end, 1)
+	}
+	return oa.slab[oa.start(i):oa.cells[i].end]
+}
+
+// topOf returns cell c's owning slot.
+func (oa *ownerAtom) topOf(c ownerCell) int32 {
+	if c.node >= 0 {
+		return c.end
+	}
+	return oa.slab[c.end-1]
+}
 
 // top returns the owning rule's slot at node (the highest-priority
 // entry), or noSlot.
 func (oa *ownerAtom) top(node netgraph.NodeID) int32 {
-	i, ok := oa.findCell(node)
-	if !ok {
-		return noSlot
+	if i, ok := oa.findCell(node); ok {
+		return oa.topOf(oa.cells[i])
 	}
-	return oa.slab[oa.cells[i].end-1]
+	return noSlot
 }
 
 // eachTop calls fn with every cell's owning slot.
 func (oa *ownerAtom) eachTop(fn func(slot int32)) {
 	for _, c := range oa.cells {
-		fn(oa.slab[c.end-1])
+		fn(oa.topOf(c))
 	}
 }
 
@@ -352,28 +410,42 @@ func (oa *ownerAtom) search(s *ruleStore, lo, hi int, k prioKey) int {
 	return lo
 }
 
+// moveEnds adds d to the end of every windowed cell from i on; an inline
+// cell's end is a slot and stays (node>>31 is all ones only when windowed).
+func (oa *ownerAtom) moveEnds(i int, d int32) {
+	for ; i < len(oa.cells); i++ {
+		oa.cells[i].end += d & int32(oa.cells[i].node>>31)
+	}
+}
+
 // insert adds rule slot (with key k) to node's cell, keeping the cell's
 // window priority-sorted, and returns the cell's previous top (noSlot if
 // node had no cell). Duplicate keys must not occur (rule ids are unique
 // among live rules).
 func (oa *ownerAtom) insert(s *ruleStore, node netgraph.NodeID, slot int32, k prioKey) (prev int32) {
 	ci, ok := oa.findCell(node)
-	start := oa.start(ci)
-	prev = noSlot
-	if ok {
-		prev = oa.slab[oa.cells[ci].end-1]
-	} else {
+	if !ok { // a new cell holds its rule inline
 		oa.cells = appendGrow(oa.cells, ownerCell{})
 		copy(oa.cells[ci+1:], oa.cells[ci:])
-		oa.cells[ci] = ownerCell{node: node, end: start}
+		oa.cells[ci] = ownerCell{node: node, end: slot}
+		return noSlot
 	}
-	at := oa.search(s, int(start), int(oa.cells[ci].end), k)
+	c, start := &oa.cells[ci], int(oa.start(ci))
+	if prev = oa.topOf(*c); c.node >= 0 { // inline: a window of two
+		oa.slab = appendGrow(appendGrow(oa.slab, 0), 0)
+		copy(oa.slab[start+2:], oa.slab[start:])
+		if oa.slab[start], oa.slab[start+1] = prev, slot; cmpPrioKey(k, s.keyOf(prev)) < 0 {
+			oa.slab[start], oa.slab[start+1] = slot, prev
+		}
+		*c = ownerCell{node: node | windowed, end: int32(start)}
+		oa.moveEnds(ci, 2)
+		return prev
+	}
+	at := oa.search(s, start, int(c.end), k)
 	oa.slab = appendGrow(oa.slab, 0)
 	copy(oa.slab[at+1:], oa.slab[at:])
 	oa.slab[at] = slot
-	for i := ci; i < len(oa.cells); i++ {
-		oa.cells[i].end++
-	}
+	oa.moveEnds(ci, 1)
 	return prev
 }
 
@@ -385,24 +457,30 @@ func (oa *ownerAtom) remove(s *ruleStore, node netgraph.NodeID, k prioKey) (wasT
 	if !ok {
 		return false, noSlot
 	}
-	start, end := oa.start(ci), oa.cells[ci].end
-	at := oa.search(s, int(start), int(end), k)
-	if at >= int(end) || cmpPrioKey(s.keyOf(oa.slab[at]), k) != 0 {
+	c := &oa.cells[ci]
+	if c.node >= 0 {
+		if cmpPrioKey(s.keyOf(c.end), k) != 0 {
+			return false, noSlot
+		}
+		oa.cells = slices.Delete(oa.cells, ci, ci+1)
+		return true, noSlot
+	}
+	start, end := int(oa.start(ci)), int(c.end)
+	at := oa.search(s, start, end, k)
+	if at >= end || cmpPrioKey(s.keyOf(oa.slab[at]), k) != 0 {
 		return false, noSlot
 	}
 	next = noSlot
-	if wasTop = at == int(end)-1; wasTop && at > int(start) {
+	if wasTop = at == end-1; wasTop {
 		next = oa.slab[at-1]
 	}
-	copy(oa.slab[at:], oa.slab[at+1:])
-	oa.slab = oa.slab[:len(oa.slab)-1]
-	for i := ci; i < len(oa.cells); i++ {
-		oa.cells[i].end--
+	gone := 1
+	if end-start == 2 { // the other rule goes inline
+		*c, at, gone = ownerCell{node: node, end: oa.slab[2*start+1-at]}, start, 2
 	}
-	if oa.cells[ci].end == start {
-		copy(oa.cells[ci:], oa.cells[ci+1:])
-		oa.cells = oa.cells[:len(oa.cells)-1]
-	}
+	copy(oa.slab[at:], oa.slab[at+gone:])
+	oa.slab = oa.slab[:len(oa.slab)-gone]
+	oa.moveEnds(ci, int32(-gone))
 	return wasTop, next
 }
 
@@ -421,21 +499,28 @@ func (oa *ownerAtom) get(s *ruleStore, node netgraph.NodeID, k prioKey) int32 {
 }
 
 // checkInvariants validates the cell directory and slab layout: sorted
-// unique cells, non-empty ascending windows exactly covering the slab,
-// and priority-sorted windows. Tests only.
-func (oa *ownerAtom) checkInvariants(s *ruleStore) string {
+// unique cells, windows of two or more rules, ascending and exactly
+// covering the slab, priority-sorted, and every slot a live rule at the
+// cell's node. Tests only.
+func (oa *ownerAtom) checkInvariants(s *ruleStore, g *netgraph.Graph) string {
 	for i, c := range oa.cells {
-		if i > 0 && oa.cells[i-1].node >= c.node {
+		node := c.source()
+		if i > 0 && oa.cells[i-1].source() >= node {
 			return "owner cells out of order"
 		}
-		if c.end <= oa.start(i) {
-			return "empty owner cell retained"
-		}
-		if int(c.end) > len(oa.slab) {
-			return "owner cell window past the slab"
+		if start := oa.start(i); c.node < 0 && (c.end < start+2 || int(c.end) > len(oa.slab)) {
+			return fmt.Sprintf("owner cell of node %d has slab window [%d:%d) of %d, want ≥ 2 rules", node, start, c.end, len(oa.slab))
 		}
 		w := oa.window(i)
-		if !sort.SliceIsSorted(w, func(a, b int) bool { return cmpPrioKey(s.keyOf(w[a]), s.keyOf(w[b])) < 0 }) {
+		for _, slot := range w {
+			if slot < 0 || slot >= s.n || s.rec(slot).iv == noSlot {
+				return fmt.Sprintf("owner cell of node %d holds released slot %d", node, slot)
+			}
+			if src := g.Link(s.rec(slot).link).Src; src != node {
+				return fmt.Sprintf("owner cell of node %d holds foreign rule %d of node %d", node, s.rec(slot).id(), src)
+			}
+		}
+		if !slices.IsSortedFunc(w, func(a, b int32) int { return cmpPrioKey(s.keyOf(a), s.keyOf(b)) }) {
 			return "owner cell window not priority-sorted"
 		}
 	}

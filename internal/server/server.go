@@ -857,8 +857,8 @@ func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 		default:
 			return "err usage: whatif <linkID> | whatif <src> <dst>"
 		}
-		sub := check.AffectedByLinkFailure(s.net, l)
-		return fmt.Sprintf("ok whatif atoms=%d edges=%d", sub.Affected.Len(), sub.NumEdges())
+		atoms, edges := check.LinkFailureCounts(s.net, l)
+		return fmt.Sprintf("ok whatif atoms=%d edges=%d", atoms, edges)
 	case "W":
 		spec, errmsg := s.parseSpec(fields[1:])
 		if errmsg != "" {
