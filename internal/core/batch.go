@@ -330,11 +330,11 @@ func groupPairs(pairs, tmp []atomOp, items []batchItem) ([]atomOp, []atomOp) {
 	return pairs, tmp
 }
 
-// replayScratch holds one worker's buffers for rewriting an atom: the new
-// cell directory and slab, and one cell's inserted and removed slots.
+// replayScratch holds one worker's buffers for rewriting an atom: the
+// rebuilt owner table, and one cell's inserted and removed slots.
 type replayScratch struct {
-	cells         []ownerCell
-	slab, ins, rm []int32
+	out     ownerAtom
+	ins, rm []int32
 }
 
 // replayAtom replays run, the batch operations covering atom alpha grouped
@@ -355,13 +355,17 @@ func (n *Network) replayAtom(alpha intervalmap.AtomID, items []batchItem, run []
 		n.emitChange(res, alpha, prev, oa.top(s))
 		return
 	}
-	// Rewrite the atom: merge its cells with the run's sources by node.
-	cells, slab := rs.cells[:0], rs.slab[:0]
-	ci := 0
+	// Rewrite the atom: merge its cells with the run's sources by node,
+	// walking the set bits of its bitmap.
+	out := &rs.out
+	out.reset()
+	out.widen(max(len(oa.words()), int(items[run[len(run)-1].item].rule.Source>>5)+1))
+	ci, v := 0, oa.nodeFrom(0) // the next old cell and its node
 	keepCells := func(below netgraph.NodeID) {
-		for ; ci < len(oa.cells) && oa.cells[ci].source() < below; ci++ {
-			start := len(slab)
-			cells, slab = closeCell(cells, append(slab, oa.window(ci)...), oa.cells[ci].source(), start)
+		for ; v >= 0 && v < below; ci, v = ci+1, oa.nodeFrom(v+1) {
+			start := len(out.slab)
+			out.slab = append(out.slab, oa.window(ci)...)
+			out.closeCell(v, start)
 		}
 	}
 	for g := 0; g < len(run); {
@@ -377,20 +381,19 @@ func (n *Network) replayAtom(alpha intervalmap.AtomID, items []batchItem, run []
 		keepCells(s)
 		var old []int32
 		prev, after := noSlot, noSlot
-		if ci < len(oa.cells) && oa.cells[ci].source() == s {
-			old, ci = oa.window(ci), ci+1
+		if v == s {
+			old, ci, v = oa.window(ci), ci+1, oa.nodeFrom(s+1)
 			prev = old[len(old)-1]
 		}
-		start := len(slab)
-		if slab = n.store.mergeWindow(slab, old, rs.ins, rs.rm); len(slab) > start {
-			after = slab[len(slab)-1]
+		start := len(out.slab)
+		if out.slab = n.store.mergeWindow(out.slab, old, rs.ins, rs.rm); len(out.slab) > start {
+			after = out.slab[len(out.slab)-1]
 		}
-		cells, slab = closeCell(cells, slab, s, start)
+		out.closeCell(s, start)
 		n.emitChange(res, alpha, prev, after)
 	}
 	keepCells(netgraph.NodeID(1<<31 - 1))
-	oa.cells, oa.slab = setGrow(oa.cells, cells), setGrow(oa.slab, slab)
-	rs.cells, rs.slab = cells, slab // hand grown capacity back
+	oa.cells, oa.slab = setGrow(oa.cells, out.cells), setGrow(oa.slab, out.slab)
 }
 
 // mergeWindow appends to dst a cell's window after a batch, old ∪ ins −

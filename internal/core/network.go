@@ -590,7 +590,7 @@ type MemoryRows struct {
 	Intervals int64 // interval entries, their free list and index
 	Index     int64 // id → slot table
 	OwnerDir  int64 // one ownerAtom header per atom id
-	Cells     int64 // owner cell directories, one-rule cells' rules inline
+	Cells     int64 // owner cell directories: source bitmaps, cells, one-rule cells' rules inline
 	Slabs     int64 // owner rule-slot slabs: cells of two or more rules
 	Labels    int64 // per-link atom bitsets
 	Tree      int64 // boundary tree nodes and, with GC, boundary refcounts
@@ -620,7 +620,7 @@ func (n *Network) MemoryRows() MemoryRows {
 		}
 	}
 	for i := range n.owner {
-		r.Cells += int64(cap(n.owner[i].cells)) * int64(unsafe.Sizeof(ownerCell{}))
+		r.Cells += int64(cap(n.owner[i].cells)) * 4
 		r.Slabs += int64(cap(n.owner[i].slab)) * 4
 	}
 	if n.bounds != nil {

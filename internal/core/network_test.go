@@ -442,16 +442,18 @@ func TestCheckInvariantsReportsForeignRule(t *testing.T) {
 	if msg := n.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
-	n.owner[n.AtomOf(5)].cells[0].node = b
+	n.owner[n.AtomOf(5)].words()[0] = 1 << b // move the cell from a to b
 	if msg := n.CheckInvariants(); !strings.Contains(msg, "holds foreign rule 1 of node 0") {
 		t.Fatalf("CheckInvariants = %q, want the foreign rule reported", msg)
 	}
 }
 
-// TestCheckInvariantsReportsBadCells corrupts owner cells three ways — a
-// slab window of one rule, an inline cell naming a released slot, and an
-// inline cell naming a rule at another node — and CheckInvariants must
-// describe each violation rather than panic.
+// TestCheckInvariantsReportsBadCells corrupts an owner table five ways — a
+// slab window of one rule, an inline cell naming a released slot, an
+// inline cell naming a rule at another node, a source bitmap marking more
+// nodes than there are cells, and a bitmap word count running past the
+// cell directory — and CheckInvariants must describe each violation
+// rather than panic.
 func TestCheckInvariantsReportsBadCells(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -459,19 +461,25 @@ func TestCheckInvariantsReportsBadCells(t *testing.T) {
 		want    string
 	}{
 		{"one-rule slab window", func(n *Network, oa *ownerAtom) {
-			oa.slab = append(oa.slab[:0], oa.cells[0].end)
-			oa.cells[0] = ownerCell{node: oa.cells[0].node | windowed, end: 1}
+			oa.slab = append(oa.slab[:0], oa.vals()[0])
+			oa.vals()[0] = ^int32(1)
 		}, "owner cell of node 0 has slab window [0:1) of 1, want ≥ 2 rules"},
 		{"released slot", func(n *Network, oa *ownerAtom) {
 			slot, _ := n.store.slotOf(3)
 			if _, err := n.RemoveRule(3); err != nil {
 				t.Fatal(err)
 			}
-			oa.cells[0].end = slot
+			oa.vals()[0] = slot
 		}, "owner cell of node 0 holds released slot 2"},
 		{"rule at another node", func(n *Network, oa *ownerAtom) {
-			oa.cells[0].end = oa.cells[1].end
+			oa.vals()[0] = oa.vals()[1]
 		}, "owner cell of node 0 holds foreign rule 2 of node 1"},
+		{"bitmap bit without a cell", func(n *Network, oa *ownerAtom) {
+			oa.words()[0] |= 1 << 2
+		}, "owner bitmap marks 3 nodes for 2 cells"},
+		{"bitmap past the directory", func(n *Network, oa *ownerAtom) {
+			oa.cells[0] = int32(len(oa.cells))
+		}, "owner bitmap of 4 words overruns its 4-entry cell directory"},
 	} {
 		g := netgraph.New()
 		a, b := g.AddNode("a"), g.AddNode("b")

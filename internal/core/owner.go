@@ -17,24 +17,28 @@ package core
 //     open-addressed table keyed by the match. The paper's planes compile
 //     one prefix into a rule per switch, so most rules share an entry,
 //     and an insert descends the boundary tree only for a new match;
-//   - ownerAtom: one atom's whole owner table — a sorted directory of
-//     8-byte ownerCells, one per source node, over one packed []int32
-//     slab of rule slots. A one-rule cell (two in three on the paper's
-//     planes) holds its slot inline; a larger cell is a priority-sorted
-//     slab window whose last entry is its maximum, the paper's bst.Max().
+//   - ownerAtom: one atom's whole owner table — one []int32 cell
+//     directory, a source bitmap with a bit per node that has rules in
+//     the atom followed by one 4-byte cell per set bit in node order,
+//     over one packed []int32 slab of rule slots. A one-rule cell (two in
+//     three on the paper's planes) holds its slot inline; a larger cell
+//     names a priority-sorted slab window whose last entry is its
+//     maximum, the paper's bst.Max().
 //
-// Ownership operations become binary searches plus int32 memmoves over
-// contiguous memory, and a change to a one-rule cell moves no slab entry.
-// Slabs and cell directories retain capacity across delete/insert cycles
-// and atom death (GC merge), so a steady-state insert/remove workload
-// performs no allocation at all in the owner structures. Batch replay
+// Finding a node's cell is a rank — a bit test plus popcounts over the
+// bitmap words up to the node's — and ownership operations are binary
+// searches plus int32 memmoves over contiguous memory; a change to a
+// one-rule cell moves no slab entry. Cell directories and slabs retain
+// capacity across delete/insert cycles and atom death (GC merge), so a
+// steady-state insert/remove workload performs no allocation at all in
+// the owner structures. Batch replay
 // keeps its lock-freedom: phase 4 workers touch only their own atom's
 // ownerAtom, which shares storage with no other atom.
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
-	"unsafe"
 
 	"deltanet/internal/intervalmap"
 	"deltanet/internal/netgraph"
@@ -279,68 +283,116 @@ func setGrow[T any](dst, src []T) []T {
 	return append(dst[:0], src...)
 }
 
-// ownerCell is one (atom, source) entry in an atom's cell directory. Most
-// cells hold one rule, and such a cell holds it inline: node is the source
-// and end the rule's slot. A cell of two or more rules is windowed: node
-// carries the windowed bit, and its rule slots are slab[start:end], start
-// being the previous windowed cell's end (0 for the first), sorted by
-// priority key ascending. Either way the owner — bst.Max() in the paper —
-// is the cell's last slot.
+// ownerAtom is one atom's owner table in two flat arrays. The cell
+// directory cells is empty or holds the atom's source bitmap and then its
+// cells: cells[0] is the bitmap's word count w; cells[1:1+w] are its
+// 32-bit words, bit v%32 of word v/32 set when node v has rules in the
+// atom; and cells[1+w:] hold one cell per set bit in ascending node order
+// (vals). A cell ≥ 0 is an inline cell's one rule slot; a cell of two or
+// more rules is windowed and stores ^end, its rule slots being
+// slab[start:end], start the previous windowed cell's end (0 for the
+// first), sorted by priority key ascending. Either way the owner —
+// bst.Max() in the paper — is the cell's last slot. The windows are
+// contiguous, ascending, and exactly cover slab. The bitmap only widens,
+// to the highest source the atom has had since its last reset, so a word
+// may be zero. Both backing arrays hold no pointers and retain capacity
+// across mutations and atom death, so churn over a warmed atom allocates
+// nothing.
 //
-//deltanet:pointerfree
-type ownerCell struct {
-	node netgraph.NodeID
-	end  int32
-}
-
-// windowed is the sign bit of a cell's node: set, the cell's rules sit in
-// the slab; clear, its one rule sits in end.
-const windowed netgraph.NodeID = -1 << 31
-
-func (c ownerCell) source() netgraph.NodeID { return c.node &^ windowed }
-
-// closeCell appends node's cell, its rules slab[start:], to a rebuilt
-// directory: no rules leave no cell, one goes inline, more make a window.
-func closeCell(cells []ownerCell, slab []int32, node netgraph.NodeID, start int) ([]ownerCell, []int32) {
-	if n := len(slab) - start; n > 1 {
-		cells = append(cells, ownerCell{node: node | windowed, end: int32(len(slab))})
-	} else if n == 1 {
-		cells, slab = append(cells, ownerCell{node: node, end: slab[start]}), slab[:start]
-	}
-	return cells, slab
-}
-
-// ownerAtom is one atom's owner table. cells is sorted by source for
-// binary search; the windowed cells' slab windows are contiguous,
-// ascending, hold at least two rules each and exactly cover slab, and a
-// one-rule cell is always inline. Both backing arrays hold no pointers,
-// and both retain capacity across mutations and atom death, so churn over
-// a warmed atom allocates nothing.
+// Against a 4-byte node id per cell, the bitmap costs 4 B per 32 node ids
+// up to the highest source plus 4 B for its word count, so it is the
+// larger only when the atom has cells at fewer than about 1/32 of those
+// ids. The paper's planes put cells at nearly every node of a non-empty
+// atom, and an atom without cells pays nothing.
 type ownerAtom struct {
-	cells []ownerCell
+	cells []int32
 	slab  []int32
 }
 
-// findCell returns the index of node's cell, or (insertion point, false).
+// base returns the index of the first cell in the directory.
+func (oa *ownerAtom) base() int {
+	if len(oa.cells) == 0 {
+		return 0
+	}
+	return 1 + int(oa.cells[0])
+}
+
+// words returns the source bitmap; vals returns the cells.
+func (oa *ownerAtom) words() []int32 { return oa.cells[min(1, len(oa.cells)):oa.base()] }
+func (oa *ownerAtom) vals() []int32  { return oa.cells[oa.base():] }
+
+// findCell returns the index of node's cell, or (insertion point, false):
+// the rank of node's bit, a popcount over the words up to node's.
 func (oa *ownerAtom) findCell(node netgraph.NodeID) (int, bool) {
-	lo, hi := 0, len(oa.cells)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if oa.cells[mid].source() < node {
-			lo = mid + 1
-		} else {
-			hi = mid
+	words, w := oa.words(), int(node>>5)
+	if w >= len(words) {
+		return len(oa.vals()), false
+	}
+	x, bit := uint32(words[w]), uint32(1)<<(node&31)
+	rank := bits.OnesCount32(x & (bit - 1))
+	for _, y := range words[:w] {
+		rank += bits.OnesCount32(uint32(y))
+	}
+	return rank, x&bit != 0
+}
+
+// nodeFrom returns the lowest node at or above v that has a cell, or -1.
+func (oa *ownerAtom) nodeFrom(v netgraph.NodeID) netgraph.NodeID {
+	words := oa.words()
+	for w := int(v >> 5); w < len(words); w, v = w+1, netgraph.NodeID(w+1)<<5 {
+		if x := uint32(words[w]) >> (v & 31); x != 0 {
+			return v + netgraph.NodeID(bits.TrailingZeros32(x))
 		}
 	}
-	return lo, lo < len(oa.cells) && oa.cells[lo].source() == node
+	return -1
+}
+
+// widen grows the bitmap to at least k words, moving the cells up past
+// the new zero words.
+func (oa *ownerAtom) widen(k int) {
+	if len(oa.cells) == 0 {
+		oa.cells = append(oa.cells, 0)
+	}
+	w, n := int(oa.cells[0]), len(oa.cells)
+	if k <= w {
+		return
+	}
+	for range k - w {
+		oa.cells = appendGrow(oa.cells, 0)
+	}
+	copy(oa.cells[1+k:], oa.cells[1+w:n])
+	clear(oa.cells[1+w : 1+k])
+	oa.cells[0] = int32(k)
+}
+
+// mark sets node's bit, widening the bitmap to node's word.
+func (oa *ownerAtom) mark(node netgraph.NodeID) {
+	oa.widen(int(node>>5) + 1)
+	oa.words()[node>>5] |= 1 << (node & 31)
+}
+
+// closeCell appends node's cell, its rules slab[start:], to a table being
+// rebuilt in node order: no rules leave no cell, one goes inline, more
+// make a window.
+func (oa *ownerAtom) closeCell(node netgraph.NodeID, start int) {
+	c := ^int32(len(oa.slab))
+	switch len(oa.slab) - start {
+	case 0:
+		return
+	case 1:
+		c, oa.slab = oa.slab[start], oa.slab[:start]
+	}
+	oa.mark(node)
+	oa.cells = append(oa.cells, c)
 }
 
 // start returns where cell i's slab window begins or would begin: the end
 // of the nearest earlier windowed cell, or 0.
 func (oa *ownerAtom) start(i int) int32 {
+	vals := oa.vals()
 	for i--; i >= 0; i-- {
-		if oa.cells[i].node < 0 {
-			return oa.cells[i].end
+		if c := vals[i]; c < 0 {
+			return ^c
 		}
 	}
 	return 0
@@ -349,38 +401,39 @@ func (oa *ownerAtom) start(i int) int32 {
 // window returns cell i's rule slots: for an inline cell, a one-element
 // view of its slot.
 func (oa *ownerAtom) window(i int) []int32 {
-	if c := &oa.cells[i]; c.node >= 0 {
-		return unsafe.Slice(&c.end, 1)
+	vals := oa.vals()
+	if c := vals[i]; c < 0 {
+		return oa.slab[oa.start(i):^c]
 	}
-	return oa.slab[oa.start(i):oa.cells[i].end]
+	return vals[i : i+1 : i+1]
 }
 
-// topOf returns cell c's owning slot.
-func (oa *ownerAtom) topOf(c ownerCell) int32 {
-	if c.node >= 0 {
-		return c.end
+// topOf returns the owning slot of a cell whose value is c.
+func (oa *ownerAtom) topOf(c int32) int32 {
+	if c < 0 {
+		return oa.slab[^c-1]
 	}
-	return oa.slab[c.end-1]
+	return c
 }
 
 // top returns the owning rule's slot at node (the highest-priority
 // entry), or noSlot.
 func (oa *ownerAtom) top(node netgraph.NodeID) int32 {
 	if i, ok := oa.findCell(node); ok {
-		return oa.topOf(oa.cells[i])
+		return oa.topOf(oa.vals()[i])
 	}
 	return noSlot
 }
 
 // eachTop calls fn with every cell's owning slot.
 func (oa *ownerAtom) eachTop(fn func(slot int32)) {
-	for _, c := range oa.cells {
+	for _, c := range oa.vals() {
 		fn(oa.topOf(c))
 	}
 }
 
 // empty reports whether the atom has no owner state at all.
-func (oa *ownerAtom) empty() bool { return len(oa.cells) == 0 }
+func (oa *ownerAtom) empty() bool { return len(oa.vals()) == 0 }
 
 // reset drops all owner state, retaining capacity for reuse (atom ids
 // are recycled by GC; the storage is, too).
@@ -411,10 +464,12 @@ func (oa *ownerAtom) search(s *ruleStore, lo, hi int, k prioKey) int {
 }
 
 // moveEnds adds d to the end of every windowed cell from i on; an inline
-// cell's end is a slot and stays (node>>31 is all ones only when windowed).
+// cell's value is a slot and stays. A windowed cell stores ^end, so its
+// end grows by d as its value drops by d, and v>>31 is all ones only then.
 func (oa *ownerAtom) moveEnds(i int, d int32) {
-	for ; i < len(oa.cells); i++ {
-		oa.cells[i].end += d & int32(oa.cells[i].node>>31)
+	vals := oa.vals()
+	for ; i < len(vals); i++ {
+		vals[i] -= d & (vals[i] >> 31)
 	}
 }
 
@@ -425,23 +480,25 @@ func (oa *ownerAtom) moveEnds(i int, d int32) {
 func (oa *ownerAtom) insert(s *ruleStore, node netgraph.NodeID, slot int32, k prioKey) (prev int32) {
 	ci, ok := oa.findCell(node)
 	if !ok { // a new cell holds its rule inline
-		oa.cells = appendGrow(oa.cells, ownerCell{})
-		copy(oa.cells[ci+1:], oa.cells[ci:])
-		oa.cells[ci] = ownerCell{node: node, end: slot}
+		oa.mark(node)
+		at := oa.base() + ci
+		oa.cells = appendGrow(oa.cells, 0)
+		copy(oa.cells[at+1:], oa.cells[at:])
+		oa.cells[at] = slot
 		return noSlot
 	}
-	c, start := &oa.cells[ci], int(oa.start(ci))
-	if prev = oa.topOf(*c); c.node >= 0 { // inline: a window of two
+	c, start := &oa.vals()[ci], int(oa.start(ci))
+	if prev = oa.topOf(*c); *c >= 0 { // inline: a window of two
 		oa.slab = appendGrow(appendGrow(oa.slab, 0), 0)
 		copy(oa.slab[start+2:], oa.slab[start:])
 		if oa.slab[start], oa.slab[start+1] = prev, slot; cmpPrioKey(k, s.keyOf(prev)) < 0 {
 			oa.slab[start], oa.slab[start+1] = slot, prev
 		}
-		*c = ownerCell{node: node | windowed, end: int32(start)}
+		*c = ^int32(start)
 		oa.moveEnds(ci, 2)
 		return prev
 	}
-	at := oa.search(s, start, int(c.end), k)
+	at := oa.search(s, start, int(^*c), k)
 	oa.slab = appendGrow(oa.slab, 0)
 	copy(oa.slab[at+1:], oa.slab[at:])
 	oa.slab[at] = slot
@@ -451,21 +508,23 @@ func (oa *ownerAtom) insert(s *ruleStore, node netgraph.NodeID, slot int32, k pr
 
 // remove deletes the entry with key k from node's cell, reporting whether
 // it was the cell's top and, if so, the next top (noSlot when the cell
-// empties and leaves the directory). An absent key removes nothing.
+// empties and leaves the table). An absent key removes nothing.
 func (oa *ownerAtom) remove(s *ruleStore, node netgraph.NodeID, k prioKey) (wasTop bool, next int32) {
 	ci, ok := oa.findCell(node)
 	if !ok {
 		return false, noSlot
 	}
-	c := &oa.cells[ci]
-	if c.node >= 0 {
-		if cmpPrioKey(s.keyOf(c.end), k) != 0 {
+	c := &oa.vals()[ci]
+	if *c >= 0 {
+		if cmpPrioKey(s.keyOf(*c), k) != 0 {
 			return false, noSlot
 		}
-		oa.cells = slices.Delete(oa.cells, ci, ci+1)
+		at := oa.base() + ci
+		oa.cells = slices.Delete(oa.cells, at, at+1)
+		oa.words()[node>>5] &^= 1 << (node & 31)
 		return true, noSlot
 	}
-	start, end := int(oa.start(ci)), int(c.end)
+	start, end := int(oa.start(ci)), int(^*c)
 	at := oa.search(s, start, end, k)
 	if at >= end || cmpPrioKey(s.keyOf(oa.slab[at]), k) != 0 {
 		return false, noSlot
@@ -476,7 +535,7 @@ func (oa *ownerAtom) remove(s *ruleStore, node netgraph.NodeID, k prioKey) (wasT
 	}
 	gone := 1
 	if end-start == 2 { // the other rule goes inline
-		*c, at, gone = ownerCell{node: node, end: oa.slab[2*start+1-at]}, start, 2
+		*c, at, gone = oa.slab[2*start+1-at], start, 2
 	}
 	copy(oa.slab[at:], oa.slab[at+gone:])
 	oa.slab = oa.slab[:len(oa.slab)-gone]
@@ -498,18 +557,24 @@ func (oa *ownerAtom) get(s *ruleStore, node netgraph.NodeID, k prioKey) int32 {
 	return noSlot
 }
 
-// checkInvariants validates the cell directory and slab layout: sorted
-// unique cells, windows of two or more rules, ascending and exactly
-// covering the slab, priority-sorted, and every slot a live rule at the
-// cell's node. Tests only.
+// checkInvariants validates the table's layout: a bitmap within the
+// directory with one cell per set bit, windows of two or more rules,
+// ascending and exactly covering the slab, priority-sorted, and every slot
+// a live rule at the cell's node. Tests only.
 func (oa *ownerAtom) checkInvariants(s *ruleStore, g *netgraph.Graph) string {
-	for i, c := range oa.cells {
-		node := c.source()
-		if i > 0 && oa.cells[i-1].source() >= node {
-			return "owner cells out of order"
-		}
-		if start := oa.start(i); c.node < 0 && (c.end < start+2 || int(c.end) > len(oa.slab)) {
-			return fmt.Sprintf("owner cell of node %d has slab window [%d:%d) of %d, want ≥ 2 rules", node, start, c.end, len(oa.slab))
+	if len(oa.cells) > 0 && (oa.cells[0] < 0 || oa.base() > len(oa.cells)) {
+		return fmt.Sprintf("owner bitmap of %d words overruns its %d-entry cell directory", oa.cells[0], len(oa.cells))
+	}
+	vals, marked := oa.vals(), 0
+	for _, x := range oa.words() {
+		marked += bits.OnesCount32(uint32(x))
+	}
+	if marked != len(vals) {
+		return fmt.Sprintf("owner bitmap marks %d nodes for %d cells", marked, len(vals))
+	}
+	for i, node := 0, oa.nodeFrom(0); node >= 0; i, node = i+1, oa.nodeFrom(node+1) {
+		if c, start := vals[i], oa.start(i); c < 0 && (^c < start+2 || int(^c) > len(oa.slab)) {
+			return fmt.Sprintf("owner cell of node %d has slab window [%d:%d) of %d, want ≥ 2 rules", node, start, ^c, len(oa.slab))
 		}
 		w := oa.window(i)
 		for _, slot := range w {
@@ -524,7 +589,7 @@ func (oa *ownerAtom) checkInvariants(s *ruleStore, g *netgraph.Graph) string {
 			return "owner cell window not priority-sorted"
 		}
 	}
-	if int(oa.start(len(oa.cells))) != len(oa.slab) {
+	if int(oa.start(len(vals))) != len(oa.slab) {
 		return "owner slab length mismatch"
 	}
 	return ""

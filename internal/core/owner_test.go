@@ -12,14 +12,34 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"deltanet/internal/netgraph"
 )
 
 // ownerNodes is the number of sources the driver's atom has cells for:
-// enough for a first, a middle and a last cell.
+// enough for a first, a middle and a last cell. ownerSources are their
+// node ids in ownerGraph's 192 nodes, placed so that the source bitmap's
+// 32-bit words hold two cells (0 and 31), one (32, 95, 191) or none
+// (words 3 and 4), and cells sit on both sides of a word boundary.
 const ownerNodes = 5
+
+var ownerSources = [ownerNodes]netgraph.NodeID{0, 31, 32, 95, 191}
+
+// ownerGraph is the driver's topology, built once: two links out of each
+// source, to the next two sources. Networks only read it.
+var ownerGraph = sync.OnceValues(func() (*netgraph.Graph, [ownerNodes][2]netgraph.LinkID) {
+	g := netgraph.New()
+	for i := range ownerSources[ownerNodes-1] + 1 {
+		g.AddNode(fmt.Sprint("n", i))
+	}
+	var links [ownerNodes][2]netgraph.LinkID
+	for i, v := range ownerSources {
+		links[i] = [2]netgraph.LinkID{g.AddLink(v, ownerSources[(i+1)%ownerNodes]), g.AddLink(v, ownerSources[(i+2)%ownerNodes])}
+	}
+	return g, links
+})
 
 // ownerDriver drives the owner table n.owner[0]; n.owner[1] is the target
 // of split copies, and the two swap after each copy so that the driver
@@ -28,7 +48,7 @@ type ownerDriver struct {
 	t     testing.TB
 	n     *Network
 	links [ownerNodes][2]netgraph.LinkID
-	ref   [ownerNodes][]int32 // each node's slots in key order
+	ref   [ownerNodes][]int32 // each source's slots in key order
 	next  RuleID
 	rs    replayScratch
 	// hit has a bit per transition seen: path*12 + kind*3 + position,
@@ -38,26 +58,18 @@ type ownerDriver struct {
 }
 
 func newOwnerDriver(t testing.TB) *ownerDriver {
-	g := netgraph.New()
-	for i := 0; i < ownerNodes; i++ {
-		g.AddNode(fmt.Sprint("n", i))
-	}
-	dr := &ownerDriver{t: t}
-	for i := range dr.links {
-		v := netgraph.NodeID(i)
-		dr.links[i] = [2]netgraph.LinkID{g.AddLink(v, (v+1)%ownerNodes), g.AddLink(v, (v+2)%ownerNodes)}
-	}
-	dr.n = NewNetwork(g, Options{})
+	g, links := ownerGraph()
+	dr := &ownerDriver{t: t, links: links, n: NewNetwork(g, Options{})}
 	dr.n.ownerAt(1)
 	return dr
 }
 
-// newRule allocates a record for a fresh rule whose node, link and
-// priority x picks.
-func (dr *ownerDriver) newRule(x byte) (netgraph.NodeID, int32) {
-	v := netgraph.NodeID(x % ownerNodes)
+// newRule allocates a record for a fresh rule whose source (by index into
+// ownerSources), link and priority x picks.
+func (dr *ownerDriver) newRule(x byte) (int, int32) {
+	i := int(x % ownerNodes)
 	dr.next++
-	return v, dr.n.store.alloc(newRec(dr.next, 0, dr.links[v][x/ownerNodes%2], Priority(x/10%4)))
+	return i, dr.n.store.alloc(newRec(dr.next, 0, dr.links[i][x/ownerNodes%2], Priority(x/10%4)))
 }
 
 func (dr *ownerDriver) rule(slot int32) Rule {
@@ -67,14 +79,14 @@ func (dr *ownerDriver) rule(slot int32) Rule {
 
 func (dr *ownerDriver) key(slot int32) prioKey { return dr.n.store.keyOf(slot) }
 
-func (dr *ownerDriver) refInsert(v netgraph.NodeID, slot int32) {
-	w := dr.ref[v]
+func (dr *ownerDriver) refInsert(i int, slot int32) {
+	w := dr.ref[i]
 	at, _ := slices.BinarySearchFunc(w, slot, func(a, b int32) int { return cmpPrioKey(dr.key(a), dr.key(b)) })
-	dr.ref[v] = slices.Insert(w, at, slot)
+	dr.ref[i] = slices.Insert(w, at, slot)
 }
 
-func (dr *ownerDriver) top(v netgraph.NodeID) int32 {
-	if w := dr.ref[v]; len(w) > 0 {
+func (dr *ownerDriver) top(i int) int32 {
+	if w := dr.ref[i]; len(w) > 0 {
 		return w[len(w)-1]
 	}
 	return noSlot
@@ -129,22 +141,23 @@ func (dr *ownerDriver) note(path int, before, after [ownerNodes]int) {
 
 func (dr *ownerDriver) insert(x byte) {
 	before := dr.counts()
-	v, slot := dr.newRule(x)
-	want := dr.top(v)
+	i, slot := dr.newRule(x)
+	want, v := dr.top(i), ownerSources[i]
 	if prev := dr.n.owner[0].insert(&dr.n.store, v, slot, dr.key(slot)); prev != want {
 		dr.t.Fatalf("insert at node %d: previous top %d, want %d", v, prev, want)
 	}
-	dr.refInsert(v, slot)
+	dr.refInsert(i, slot)
 	dr.note(0, before, dr.counts())
 }
 
 func (dr *ownerDriver) remove(x byte) {
 	oa := &dr.n.owner[0]
-	v := netgraph.NodeID(x % ownerNodes)
+	src := int(x % ownerNodes)
+	v := ownerSources[src]
 	if wasTop, next := oa.remove(&dr.n.store, v, prioKey{prio: 1}); wasTop || next != noSlot {
 		dr.t.Fatalf("removing an absent key at node %d: wasTop %v next %d", v, wasTop, next)
 	}
-	w := dr.ref[v]
+	w := dr.ref[src]
 	if len(w) == 0 {
 		return
 	}
@@ -158,7 +171,7 @@ func (dr *ownerDriver) remove(x byte) {
 	if wasTop, next := oa.remove(&dr.n.store, v, dr.key(slot)); wasTop != (i == len(w)-1) || next != wantNext {
 		dr.t.Fatalf("remove at node %d entry %d of %d: wasTop %v next %d, want next %d", v, i, len(w), wasTop, next, wantNext)
 	}
-	dr.ref[v] = slices.Delete(w, i, i+1)
+	dr.ref[src] = slices.Delete(w, i, i+1)
 	dr.n.store.releaseSlot(slot)
 	dr.note(0, before, dr.counts())
 }
@@ -178,23 +191,23 @@ func (dr *ownerDriver) clone() {
 // rest picks, any other inserts a fresh rule.
 func (dr *ownerDriver) batch(ops []byte) {
 	before, tops := dr.counts(), [ownerNodes]int32{}
-	for v := range tops {
-		tops[v] = dr.top(netgraph.NodeID(v))
+	for i := range tops {
+		tops[i] = dr.top(i)
 	}
 	var items []batchItem
 	var released []int32
 	for _, b := range ops {
-		if v := netgraph.NodeID(b >> 1 % ownerNodes); b&1 == 1 && len(dr.ref[v]) > 0 {
-			i := int(b>>1/ownerNodes) % len(dr.ref[v])
-			slot := dr.ref[v][i]
+		if src := int(b >> 1 % ownerNodes); b&1 == 1 && len(dr.ref[src]) > 0 {
+			i := int(b>>1/ownerNodes) % len(dr.ref[src])
+			slot := dr.ref[src][i]
 			items = append(items, batchItem{slot: slot, ref: -1, rule: dr.rule(slot)})
-			dr.ref[v] = slices.Delete(dr.ref[v], i, i+1)
+			dr.ref[src] = slices.Delete(dr.ref[src], i, i+1)
 			released = append(released, slot)
 			continue
 		}
-		v, slot := dr.newRule(b >> 1)
+		src, slot := dr.newRule(b >> 1)
 		items = append(items, batchItem{insert: true, slot: slot, ref: -1, rule: dr.rule(slot)})
-		dr.refInsert(v, slot)
+		dr.refInsert(src, slot)
 	}
 	pairs := make([]atomOp, len(items))
 	for i := range pairs {
@@ -210,8 +223,8 @@ func (dr *ownerDriver) batch(ops []byte) {
 	for _, la := range res.removed {
 		removed = append(removed, la.Link)
 	}
-	for v, prev := range tops {
-		if pl, al := dr.n.linkOf(prev), dr.n.linkOf(dr.top(netgraph.NodeID(v))); pl != al {
+	for i, prev := range tops {
+		if pl, al := dr.n.linkOf(prev), dr.n.linkOf(dr.top(i)); pl != al {
 			if pl != netgraph.NoLink {
 				wantRemoved = append(wantRemoved, pl)
 			}
@@ -235,36 +248,37 @@ func (dr *ownerDriver) batch(ops []byte) {
 	dr.note(path, before, dr.counts())
 }
 
-// check compares the table with the reference.
+// check compares the table with the reference: each source's cell by its
+// rank among the sources with rules, and no cell beyond those.
 func (dr *ownerDriver) check() {
 	oa := &dr.n.owner[0]
 	if msg := oa.checkInvariants(&dr.n.store, dr.n.graph); msg != "" {
 		dr.t.Fatal(msg)
 	}
 	ci := 0
-	for v, w := range dr.ref {
-		node := netgraph.NodeID(v)
+	for i, w := range dr.ref {
+		node := ownerSources[i]
 		if len(w) == 0 {
 			if oa.top(node) != noSlot {
-				dr.t.Fatalf("node %d has no rules but a top", v)
+				dr.t.Fatalf("node %d has no rules but a top", node)
 			}
 			continue
 		}
-		if ci >= len(oa.cells) || oa.cells[ci].source() != node || !slices.Equal(oa.window(ci), w) {
-			dr.t.Fatalf("node %d: cells %v slab %v, want window %v", v, oa.cells, oa.slab, w)
+		if at, ok := oa.findCell(node); !ok || at != ci || !slices.Equal(oa.window(ci), w) {
+			dr.t.Fatalf("node %d: cell %d (%v), want %d; directory %v slab %v, want window %v", node, at, ok, ci, oa.cells, oa.slab, w)
 		}
 		if oa.top(node) != w[len(w)-1] {
-			dr.t.Fatalf("node %d: top %d, want %d", v, oa.top(node), w[len(w)-1])
+			dr.t.Fatalf("node %d: top %d, want %d", node, oa.top(node), w[len(w)-1])
 		}
 		for _, slot := range w {
 			if got := oa.get(&dr.n.store, node, dr.key(slot)); got != slot {
-				dr.t.Fatalf("node %d: get finds slot %d, want %d", v, got, slot)
+				dr.t.Fatalf("node %d: get finds slot %d, want %d", node, got, slot)
 			}
 		}
 		ci++
 	}
-	if ci != len(oa.cells) {
-		dr.t.Fatalf("%d cells for %d nodes with rules", len(oa.cells), ci)
+	if ci != len(oa.vals()) {
+		dr.t.Fatalf("%d cells for %d nodes with rules", len(oa.vals()), ci)
 	}
 }
 

@@ -13,9 +13,11 @@
 //   - owner[α][source], the rules at source whose interval contains atom
 //     α, ordered by priority; the maximum is the rule that "owns" α at
 //     that node. The paper prescribes a balanced BST per (atom, source);
-//     this engine stores the same ordered sets flat — per atom, a sorted
-//     directory of 8-byte cells over one packed rule-slot slab (owner.go):
-//     a cell holding one rule, the common case, holds its slot inline, and
+//     this engine stores the same ordered sets flat — per atom, one cell
+//     directory, a source bitmap and then a 4-byte cell per source in
+//     node order (found by the rank of the source's bit), over one packed
+//     rule-slot slab (owner.go): a cell holding one rule, the common
+//     case, holds its slot inline, and
 //     a larger one names its window of the slab — which preserves the
 //     logarithmic search bound and removes the per-node heap allocations. Rules themselves live in a 20-byte record arena
 //     indexed by an open-addressed id table; rules with one match share
