@@ -110,7 +110,7 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 			if it.rule.Link == netgraph.NoLink {
 				it.rule.Link = n.graph.DropLink(it.rule.Source)
 			}
-			it.slot = n.store.alloc(n.record(&it.rule, d))
+			it.slot = n.store.alloc(&it.rule, n.record(&it.rule, d))
 		}
 	}
 	for i := range items {
@@ -138,7 +138,7 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 	// Pre-grow the owner slice so workers only ever write their own
 	// element and never resize shared state.
 	for int(maxAtom) >= len(n.owner) {
-		n.owner = append(n.owner, ownerAtom{})
+		n.owner = appendGrow(n.owner, ownerAtom{})
 	}
 	if len(items) > 1 { // one op's incidences name distinct atoms and one source
 		n.batchPairs, n.pairsTmp = groupPairs(n.batchPairs, n.pairsTmp, items)

@@ -65,25 +65,6 @@ type Delta struct {
 // Empty reports whether the update changed no forwarding behaviour.
 func (d *Delta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
 
-// AffectedAtoms returns the distinct atoms whose forwarding changed.
-func (d *Delta) AffectedAtoms() []intervalmap.AtomID {
-	seen := map[intervalmap.AtomID]bool{}
-	var out []intervalmap.AtomID
-	for _, la := range d.Added {
-		if !seen[la.Atom] {
-			seen[la.Atom] = true
-			out = append(out, la.Atom)
-		}
-	}
-	for _, la := range d.Removed {
-		if !seen[la.Atom] {
-			seen[la.Atom] = true
-			out = append(out, la.Atom)
-		}
-	}
-	return out
-}
-
 // reset clears the delta for reuse, retaining capacity.
 func (d *Delta) reset(rule RuleID, op Op) {
 	d.Rule = rule

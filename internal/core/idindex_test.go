@@ -5,7 +5,9 @@ package core
 // checking every id of the pool — live and dead — after every operation.
 
 import (
+	"cmp"
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -49,6 +51,7 @@ type storeImage struct {
 	ids, ivIdx   index
 	free, ivFree []int32
 	recs         []ruleRec
+	his          []*[pageSize]uint32
 	ivs          []ivRec
 }
 
@@ -59,13 +62,22 @@ func imageOf(s *ruleStore) storeImage {
 	for slot := int32(0); slot < s.n; slot++ {
 		img.recs = append(img.recs, *s.rec(slot))
 	}
+	for _, h := range s.his {
+		if h != nil {
+			c := *h
+			h = &c
+		}
+		img.his = append(img.his, h)
+	}
 	return img
 }
 
 func (a storeImage) equal(b storeImage) bool {
 	same := func(x, y index) bool { return slices.Equal(x.table, y.table) && x.shift == y.shift && x.live == y.live }
+	column := func(x, y *[pageSize]uint32) bool { return x == y || x != nil && y != nil && *x == *y }
 	return same(a.ids, b.ids) && same(a.ivIdx, b.ivIdx) && slices.Equal(a.free, b.free) &&
-		slices.Equal(a.ivFree, b.ivFree) && slices.Equal(a.recs, b.recs) && slices.Equal(a.ivs, b.ivs)
+		slices.Equal(a.ivFree, b.ivFree) && slices.Equal(a.recs, b.recs) &&
+		slices.EqualFunc(a.his, b.his, column) && slices.Equal(a.ivs, b.ivs)
 }
 
 // batch applies ops and, on success, folds them into the oracle.
@@ -330,6 +342,14 @@ func FuzzRuleStore(f *testing.F) {
 	// Two rules share a match and one leaves; a rule hands its match on,
 	// removal first, then insertion first.
 	f.Add([]byte{0, 0, 5, 0, 1, 37, 1, 0, 0, 0, 3, 7, 5, 3, 0, 5, 4, 1})
+	// A wide id frees its slot and a narrow one takes it: math.MinInt64,
+	// then math.MaxInt64 between two narrow ids, each freed by a removal.
+	f.Add([]byte{0, 3, 9, 1, 3, 0, 0, 7, 9, 0, 9, 40, 0, 5, 41, 1, 5, 0, 0, 8, 41, 1, 7, 0, 0, 10, 9})
+	// The same through batches: -1 hands its match to 1 (insertion
+	// first, so 1 takes a fresh slot), a batch inserts 2 into -1's freed
+	// slot, and 2<<32 is removed and re-inserted in one batch before 3
+	// takes the slot its old copy left.
+	f.Add([]byte{0, 1, 13, 5, 1, 13, 3, 7, 0, 0, 47, 20, 2, 47, 20, 0, 8, 21, 4, 7, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dr := newIDDriver(t, adversarialIDs())
 		for i := 0; i+2 < len(data) && i < 3*512; i += 3 {
@@ -337,4 +357,116 @@ func FuzzRuleStore(f *testing.F) {
 		}
 		dr.finish()
 	})
+}
+
+// TestWideIDColumn loads more than two pages of narrow ids, then ids that
+// need their high half — past 2³², negative and both extremes — which all
+// land in the third page, so that page alone gets a column. The wide rules
+// are then removed and narrow ids re-inserted into their freed slots. Each
+// wide or re-inserted rule shares its match, source and priority with a
+// narrow rule on another link, so the higher id must own the match's atom,
+// and several wide ids' low halves alone would order them the other way.
+// After every step Rule, Snapshot and RemoveRule of an absent id must
+// agree with the oracle.
+func TestWideIDColumn(t *testing.T) {
+	const narrow = 2*pageSize + 100
+	wide := []RuleID{1 << 32, 1<<32 | 5, -1, -6, -1 << 40, math.MinInt64, math.MaxInt64, 7<<32 | 9}
+	var renarrow, pool []RuleID
+	for i := range RuleID(narrow) {
+		pool = append(pool, i)
+	}
+	for j := range wide {
+		renarrow = append(renarrow, RuleID(narrow+j))
+	}
+	pool = append(append(pool, wide...), renarrow...)
+	dr := newIDDriver(t, pool)
+	own, rival := dr.links[0], dr.links[3] // both leave node a
+	src := dr.n.graph.Link(own).Src
+	match := func(i int) ipnet.Interval { return ipnet.Interval{Lo: uint64(i) * 64, Hi: uint64(i)*64 + 64} }
+	rule := func(id RuleID, link netgraph.LinkID, i int) Rule {
+		return Rule{ID: id, Source: src, Link: link, Match: match(i), Priority: 1}
+	}
+	insert := func(r Rule) int32 {
+		t.Helper()
+		if err := dr.n.InsertRuleInto(r, &dr.d); err != nil {
+			t.Fatal(err)
+		}
+		dr.oracle[r.ID] = r
+		slot, _ := dr.n.store.slotOf(r.ID)
+		return slot
+	}
+	columns := func() (pages []int) {
+		for p, h := range dr.n.store.his {
+			if h != nil {
+				pages = append(pages, p)
+			}
+		}
+		return pages
+	}
+	verify := func(step string, wantColumns []int) {
+		t.Helper()
+		dr.check()
+		dr.finish()
+		for _, id := range pool {
+			got, ok := dr.n.Rule(id)
+			if want, live := dr.oracle[id]; ok != live || got != want {
+				t.Fatalf("%s: Rule(%d) = %v, %v; want %v, %v", step, id, got, ok, want, live)
+			}
+			if _, live := dr.oracle[id]; !live && !errors.Is(dr.n.RemoveRuleInto(id, &dr.d), ErrUnknownRule) {
+				t.Fatalf("%s: RemoveRule(%d) of an absent id was not refused", step, id)
+			}
+		}
+		want := slices.Collect(maps.Values(dr.oracle))
+		slices.SortFunc(want, func(a, b Rule) int { return cmp.Compare(a.ID, b.ID) })
+		if got := dr.n.Snapshot(); !slices.Equal(got, want) {
+			t.Fatalf("%s: Snapshot holds %d rules, differing from the oracle's %d", step, len(got), len(want))
+		}
+		// Narrow rule j+1 ties with wide[j] or renarrow[j]: the higher
+		// live id owns the match's atom.
+		for j := range wide {
+			owner, link := RuleID(j+1), own
+			for _, id := range []RuleID{wide[j], renarrow[j]} {
+				if _, live := dr.oracle[id]; live && id > owner {
+					owner, link = id, rival
+				}
+			}
+			if got := dr.n.ForwardLink(src, dr.n.AtomOf(match(j+1).Lo)); got != link {
+				t.Fatalf("%s: match %d forwards on link %d, want %d (rule %d's)", step, j+1, got, link, owner)
+			}
+		}
+		if got := columns(); !slices.Equal(got, wantColumns) {
+			t.Fatalf("%s: pages %v have id columns, want %v", step, got, wantColumns)
+		}
+	}
+
+	for i := range narrow {
+		insert(rule(RuleID(i), own, i))
+	}
+	verify("narrow ids", nil)
+	var freed []int32
+	for j, id := range wide {
+		slot := insert(rule(id, rival, j+1))
+		if slot/pageSize != 2 {
+			t.Fatalf("wide id %d took slot %d, outside page 2", id, slot)
+		}
+		freed = append(freed, slot)
+	}
+	verify("wide ids", []int{2})
+	for _, id := range wide {
+		if err := dr.n.RemoveRuleInto(id, &dr.d); err != nil {
+			t.Fatal(err)
+		}
+		delete(dr.oracle, id)
+	}
+	verify("wide ids removed", []int{2})
+	var reused []int32
+	for j, id := range renarrow {
+		reused = append(reused, insert(rule(id, rival, j+1)))
+	}
+	slices.Sort(freed)
+	slices.Sort(reused)
+	if !slices.Equal(freed, reused) {
+		t.Fatalf("narrow ids took slots %v, want the wide ids' freed %v", reused, freed)
+	}
+	verify("narrow ids in wide ids' slots", []int{2})
 }

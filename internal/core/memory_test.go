@@ -36,8 +36,11 @@ func liveHeap() uint64 {
 // hold one rule, and since such a cell holds it inline the slabs take
 // 0.22 MB instead of 2.71 MB: 284 B per rule. Since cells drop their node
 // id for a source bitmap at the head of the cell directory, the
-// directories take 4.25 MB instead of 4.97 MB: 277 B per rule, and the
-// ceiling is that plus 10 %.
+// directories take 4.25 MB instead of 4.97 MB: 277 B per rule. Since the
+// record is 16 bytes (no id here needs a high-half column) the records take
+// 1.61 MB instead of 2.01 MB, and since the owner directory grows by an
+// eighth its 159 888 atoms take 8.16 MB of headers instead of 9.05 MB:
+// 264 B per rule, and the ceiling is that plus 10 %.
 func TestMemoryBytesTracksHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 100k-rule plane")
@@ -80,7 +83,7 @@ func TestMemoryBytesTracksHeap(t *testing.T) {
 	if est < 0.85*grown || est > 1.15*grown {
 		t.Fatalf("MemoryBytes %.0f is outside ±15%% of the measured heap growth %.0f", est, grown)
 	}
-	const ceiling = 305 // B per rule
+	const ceiling = 290 // B per rule
 	if perRule := est / float64(n.NumRules()); perRule > ceiling {
 		t.Fatalf("MemoryBytes is %.1f B per rule, want ≤ %d", perRule, ceiling)
 	}
@@ -88,22 +91,26 @@ func TestMemoryBytesTracksHeap(t *testing.T) {
 	runtime.KeepAlive(input)
 }
 
-// TestRuleRecordIs20Bytes pins the rule record's size — an id in two
-// halves, an interval entry, a link and a priority, with no padding — and
-// the arena page's: 10 240 B is an exact Go size class.
-func TestRuleRecordIs20Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(ruleRec{}); got != 20 {
-		t.Fatalf("ruleRec is %d bytes, want 20", got)
+// TestRuleRecordIs16Bytes pins the rule record's size — an id's low half,
+// an interval entry, a link and a priority, with no padding — and the
+// arena page's and the high-half column's: 8 192 B and 2 048 B are exact
+// Go size classes.
+func TestRuleRecordIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(ruleRec{}); got != 16 {
+		t.Fatalf("ruleRec is %d bytes, want 16", got)
 	}
-	if got := unsafe.Sizeof([pageSize]ruleRec{}); got != 10240 {
-		t.Fatalf("an arena page is %d bytes, want 10240", got)
+	if got := unsafe.Sizeof([pageSize]ruleRec{}); got != 8192 {
+		t.Fatalf("an arena page is %d bytes, want 8192", got)
+	}
+	if got := unsafe.Sizeof([pageSize]uint32{}); got != 2048 {
+		t.Fatalf("an id column is %d bytes, want 2048", got)
 	}
 }
 
 // sharedMatchPlane loads the shape the paper's planes have, one match
 // compiled into a rule per switch: 16 sources × 400 matches, so every
-// owner cell holds one rule.
-func sharedMatchPlane(t *testing.T) *Network {
+// owner cell holds one rule. Every id is high plus a sequence number.
+func sharedMatchPlane(t *testing.T, high RuleID) *Network {
 	const sources, matches = 16, 400
 	g := netgraph.New()
 	var links []netgraph.LinkID
@@ -114,7 +121,7 @@ func sharedMatchPlane(t *testing.T) *Network {
 	var ops []BatchOp
 	for m := 0; m < matches; m++ {
 		for i, l := range links {
-			ops = append(ops, InsertOp(Rule{ID: RuleID(m*sources + i), Source: g.Link(l).Src, Link: l,
+			ops = append(ops, InsertOp(Rule{ID: high + RuleID(m*sources+i), Source: g.Link(l).Src, Link: l,
 				Match: ipnet.Interval{Lo: uint64(m) << 12, Hi: uint64(m+1) << 12}, Priority: 1}))
 		}
 	}
@@ -131,18 +138,24 @@ func sharedMatchPlane(t *testing.T) *Network {
 	return n
 }
 
-// TestSharedMatchRecords holds sharedMatchPlane's records to ≤ 21 B per
+// TestSharedMatchRecords holds sharedMatchPlane's records to ≤ 17 B per
 // rule and its 400 interval entries, their free list and index to ≤ 2 B
-// per rule.
+// per rule. When every id has high bits, each page carries a column and
+// the records may take ≤ 21 B per rule, what a 20-byte record took.
 func TestSharedMatchRecords(t *testing.T) {
-	n := sharedMatchPlane(t)
-	rows, rules := n.MemoryRows(), float64(n.NumRules())
-	t.Logf("%d rules: %+v", n.NumRules(), rows)
-	if perRule := float64(rows.Records) / rules; perRule > 21 {
-		t.Errorf("Records row is %.2f B per rule, want ≤ 21", perRule)
-	}
-	if perRule := float64(rows.Intervals) / rules; perRule > 2 {
-		t.Errorf("Intervals row is %.2f B per rule, want ≤ 2", perRule)
+	for _, pass := range []struct {
+		high    RuleID
+		records float64
+	}{{0, 17}, {1 << 40, 21}} {
+		n := sharedMatchPlane(t, pass.high)
+		rows, rules := n.MemoryRows(), float64(n.NumRules())
+		t.Logf("%d rules with ids from %#x: %+v", n.NumRules(), pass.high, rows)
+		if perRule := float64(rows.Records) / rules; perRule > pass.records {
+			t.Errorf("ids from %#x: Records row is %.2f B per rule, want ≤ %.0f", pass.high, perRule, pass.records)
+		}
+		if perRule := float64(rows.Intervals) / rules; perRule > 2 {
+			t.Errorf("ids from %#x: Intervals row is %.2f B per rule, want ≤ 2", pass.high, perRule)
+		}
 	}
 }
 
@@ -153,7 +166,7 @@ func TestSharedMatchRecords(t *testing.T) {
 // that cell a two-rule slab window, and removing it makes the cell inline
 // again.
 func TestOneRuleCellsInline(t *testing.T) {
-	n := sharedMatchPlane(t)
+	n := sharedMatchPlane(t, 0)
 	rows := n.MemoryRows()
 	t.Logf("%d rules: %+v", n.NumRules(), rows)
 	if rows.Slabs != 0 {
@@ -188,7 +201,9 @@ func TestOneRuleCellsInline(t *testing.T) {
 // TestOwnerGrowthByAnEighth inserts k rules one by one, all over one atom
 // and spread over 200 sources: after every insert, the atom's slab and
 // cell directory each hold at most an eighth of their length, plus 64, as
-// spare capacity, and the paged rule arena at most one page.
+// spare capacity, and the paged rule arena at most one page. Then rules
+// over disjoint matches add atoms, one by one and in batches: after each,
+// the owner directory holds at most an eighth of its length, plus 64.
 func TestOwnerGrowthByAnEighth(t *testing.T) {
 	const k, sources = 5000, 200
 	g := netgraph.New()
@@ -198,6 +213,12 @@ func TestOwnerGrowthByAnEighth(t *testing.T) {
 	}
 	n := NewNetwork(g, Options{})
 	var d Delta
+	spare := func(what string, i, len, cap int) {
+		t.Helper()
+		if cap > len+len/8+64 {
+			t.Fatalf("after %d inserts the %s holds %d of capacity %d", i+1, what, len, cap)
+		}
+	}
 	for i := 0; i < k; i++ {
 		src := nodes[i%sources]
 		r := Rule{ID: RuleID(i), Source: src, Link: netgraph.NoLink,
@@ -206,19 +227,29 @@ func TestOwnerGrowthByAnEighth(t *testing.T) {
 			t.Fatal(err)
 		}
 		oa := &n.owner[n.AtomOf(0)]
-		for _, s := range []struct {
-			what     string
-			len, cap int
-		}{
-			{"slab", len(oa.slab), cap(oa.slab)},
-			{"cell directory", len(oa.cells), cap(oa.cells)},
-		} {
-			if s.cap > s.len+s.len/8+64 {
-				t.Fatalf("after %d inserts the %s holds %d of capacity %d", i+1, s.what, s.len, s.cap)
-			}
-		}
+		spare("slab", i, len(oa.slab), cap(oa.slab))
+		spare("cell directory", i, len(oa.cells), cap(oa.cells))
 		if arena := len(n.store.pages) * pageSize; arena > int(n.store.n)+pageSize {
 			t.Fatalf("after %d inserts the rule arena holds %d of capacity %d", i+1, n.store.n, arena)
 		}
+	}
+	for i := k; i < 2*k; i += 8 {
+		var ops []BatchOp
+		for j := i; j < i+8; j++ {
+			lo := uint64(j) << 8
+			ops = append(ops, InsertOp(Rule{ID: RuleID(j), Source: nodes[j%sources], Link: netgraph.NoLink,
+				Match: ipnet.Interval{Lo: lo, Hi: lo + 128}, Priority: 1}))
+		}
+		if i%16 == 0 {
+			for j, op := range ops {
+				if err := n.InsertRuleInto(op.Rule, &d); err != nil {
+					t.Fatal(err)
+				}
+				spare("owner directory", i+j, len(n.owner), cap(n.owner))
+			}
+		} else if err := n.ApplyBatch(ops, &d, 1); err != nil {
+			t.Fatal(err)
+		}
+		spare("owner directory", i+7, len(n.owner), cap(n.owner))
 	}
 }

@@ -137,7 +137,7 @@ func (n *Network) Rules(fn func(r Rule) bool) {
 func (n *Network) ruleAt(slot int32) Rule {
 	rec := n.store.rec(slot)
 	iv := &n.store.ivs[rec.iv]
-	return Rule{ID: rec.id(), Source: n.graph.Link(rec.link).Src, Link: rec.link,
+	return Rule{ID: n.store.id(slot), Source: n.graph.Link(rec.link).Src, Link: rec.link,
 		Match: ipnet.Interval{Lo: n.m.Key(iv.lo), Hi: n.m.Key(iv.hi)}, Priority: rec.prio}
 }
 
@@ -170,7 +170,7 @@ func (n *Network) labelOf(link netgraph.LinkID) *bitset.Set {
 // that grows the directory — derive it fresh after any growth point.
 func (n *Network) ownerAt(atom intervalmap.AtomID) *ownerAtom {
 	for int(atom) >= len(n.owner) {
-		n.owner = append(n.owner, ownerAtom{})
+		n.owner = appendGrow(n.owner, ownerAtom{})
 	}
 	return &n.owner[atom]
 }
@@ -212,18 +212,6 @@ func (n *Network) linkOf(slot int32) netgraph.LinkID {
 		return netgraph.NoLink
 	}
 	return n.store.rec(slot).link
-}
-
-// OwnerRule returns the rule owning atom α at node v, if any.
-func (n *Network) OwnerRule(v netgraph.NodeID, atom intervalmap.AtomID) (Rule, bool) {
-	if int(atom) >= len(n.owner) {
-		return Rule{}, false
-	}
-	slot := n.owner[atom].top(v)
-	if slot == noSlot {
-		return Rule{}, false
-	}
-	return n.ruleAt(slot), true
 }
 
 // Errors returned by the mutation API.
@@ -292,7 +280,7 @@ func (n *Network) insertRule(r Rule, d *Delta) error {
 
 	// Steps 1–2: CREATE_ATOMS+ and atom splitting (Algorithm 1, lines 2–9),
 	// for a match no live rule has.
-	slot := n.store.alloc(n.record(&r, d))
+	slot := n.store.alloc(&r, n.record(&r, d))
 	k := r.key()
 
 	// Step 3: ownership reassignment over ⟦interval(r)⟧ (lines 10–23).
@@ -330,18 +318,18 @@ func (n *Network) findIV(match ipnet.Interval) (int, bool) {
 	})
 }
 
-// record returns r's arena record, naming the interval entry for r's match
-// with one more reference. A match no live entry has gets a new entry:
-// CREATE_ATOMS+ finds or makes its bounds (|Δ| ≤ 2), and owner state
+// record returns the interval entry for r's match, with one more
+// reference for r's arena record. A match no live entry has gets a new
+// entry: CREATE_ATOMS+ finds or makes its bounds (|Δ| ≤ 2), and owner state
 // splits as Algorithm 1's lines 3–9 do — each new atom α′ inherits α's
 // owner table, and every link that carried α also carries α′.
-func (n *Network) record(r *Rule, d *Delta) ruleRec {
+func (n *Network) record(r *Rule, d *Delta) int32 {
 	s := &n.store
 	i, ok := n.findIV(r.Match)
 	if ok {
 		e := s.ivIdx.table[i] - 1
 		s.ivs[e].refs++
-		return newRec(r.ID, e, r.Link, r.Priority)
+		return e
 	}
 	var lo, hi intervalmap.Bound
 	n.splitBuf, lo, hi = n.m.CreateBounds(r.Match, n.splitBuf[:0])
@@ -371,7 +359,7 @@ func (n *Network) record(r *Rule, d *Delta) ruleRec {
 		n.bounds[r.Match.Lo]++
 		n.bounds[r.Match.Hi]++
 	}
-	return newRec(r.ID, e, r.Link, r.Priority)
+	return e
 }
 
 // release frees slot and drops its interval entry's reference. The last
@@ -460,30 +448,37 @@ func (n *Network) CheckInvariants() string {
 			return fmt.Sprintf("atom %d: %s", i, msg)
 		}
 	}
-	// The id table indexes exactly the live arena records, each live
-	// record names a live interval entry whose bound handles name keys of
-	// M in order, and every live rule is in the owner table of every atom
-	// of its interval.
+	// The id table indexes exactly the live arena records under the ids
+	// their records and columns rebuild, a released slot is zero in its
+	// page's column, each live record names a live interval entry whose
+	// bound handles name keys of M in order, and every live rule is in the
+	// owner table of every atom of its interval.
 	s := &n.store
+	if len(s.his) != len(s.pages) {
+		return fmt.Sprintf("rule store has %d id columns for %d pages", len(s.his), len(s.pages))
+	}
 	live, refs := 0, make([]int32, len(s.ivs))
 	for slot := int32(0); slot < s.n; slot++ {
 		rec := s.rec(slot)
 		if rec.iv == noSlot {
+			if hi := s.hi(slot); hi != 0 {
+				return fmt.Sprintf("released rule store slot %d holds high id half %#x in its column", slot, hi)
+			}
 			continue
 		}
 		live++
 		if rec.iv < 0 || int(rec.iv) >= len(s.ivs) || s.ivs[rec.iv].refs <= 0 {
-			return fmt.Sprintf("rule store slot %d (id %d) names interval entry %d, which is not live", slot, rec.id(), rec.iv)
+			return fmt.Sprintf("rule store slot %d (id %d) names interval entry %d, which is not live", slot, s.id(slot), rec.iv)
 		}
 		refs[rec.iv]++
 		if iv := s.ivs[rec.iv]; !n.m.Live(iv.lo) || !n.m.Live(iv.hi) || n.m.Key(iv.lo) >= n.m.Key(iv.hi) {
 			return fmt.Sprintf("rule store slot %d (id %d): bound handles %d, %d do not name keys lo < hi",
-				slot, rec.id(), iv.lo, iv.hi)
+				slot, s.id(slot), iv.lo, iv.hi)
+		}
+		if got, _ := s.slotOf(s.id(slot)); got != slot {
+			return fmt.Sprintf("rule store slot %d holds id %d, index says slot %d", slot, s.id(slot), got)
 		}
 		r := n.ruleAt(slot)
-		if got, _ := n.store.slotOf(r.ID); got != slot {
-			return fmt.Sprintf("rule store slot %d holds id %d, index says slot %d", slot, r.ID, got)
-		}
 		for _, alpha := range n.m.Atoms(r.Match, nil) {
 			if int(alpha) >= len(n.owner) {
 				return fmt.Sprintf("atom %d of %v has no owner table", alpha, r)
@@ -586,7 +581,7 @@ func (n *Network) MemoryBytes() int64 { return n.MemoryRows().Total() }
 // MemoryRows attributes the engine's heap to its structures, one row
 // (bytes, capacity included) each.
 type MemoryRows struct {
-	Records   int64 // rule arena pages, their directory and the free list
+	Records   int64 // rule arena pages, their id-high columns, both directories and the free list
 	Intervals int64 // interval entries, their free list and index
 	Index     int64 // id → slot table
 	OwnerDir  int64 // one ownerAtom header per atom id
@@ -605,7 +600,7 @@ func (r MemoryRows) Total() int64 {
 // MemoryRows returns the engine's heap footprint by structure.
 func (n *Network) MemoryRows() MemoryRows {
 	r := MemoryRows{
-		Records: int64(len(n.store.pages))*int64(unsafe.Sizeof([pageSize]ruleRec{})) + int64(cap(n.store.pages))*8 + int64(cap(n.store.free))*4,
+		Records: int64(len(n.store.pages))*int64(unsafe.Sizeof([pageSize]ruleRec{})) + int64(cap(n.store.pages)+cap(n.store.his))*8 + int64(cap(n.store.free))*4,
 		Intervals: int64(cap(n.store.ivs))*int64(unsafe.Sizeof(ivRec{})) + int64(cap(n.store.ivFree))*4 +
 			int64(cap(n.store.ivIdx.table))*4,
 		Index:    int64(cap(n.store.ids.table)) * 4,
@@ -617,6 +612,11 @@ func (n *Network) MemoryRows() MemoryRows {
 	for _, l := range n.labels {
 		if l != nil {
 			r.Labels += int64(l.WordBytes()) + int64(unsafe.Sizeof(*l))
+		}
+	}
+	for _, h := range n.store.his {
+		if h != nil {
+			r.Records += int64(unsafe.Sizeof(*h))
 		}
 	}
 	for i := range n.owner {

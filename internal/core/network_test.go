@@ -341,17 +341,13 @@ func TestGCMergesAtoms(t *testing.T) {
 	}
 }
 
-func TestDeltaMergeAndAffectedAtoms(t *testing.T) {
+func TestDeltaEmptyAndOpString(t *testing.T) {
 	// The delta of two updates merged into one (what ApplyBatch yields):
 	// atom 3 moves from link 0 to link 1 and is listed on both sides.
 	d1 := &Delta{Rule: 1, Op: OpInsert,
 		Added:    []LinkAtom{{Link: 1, Atom: 3}, {Link: 1, Atom: 4}, {Link: 2, Atom: 5}},
 		Removed:  []LinkAtom{{Link: 0, Atom: 3}},
 		NewAtoms: []intervalmap.SplitPair{{Old: 1, New: 5}}}
-	atoms := d1.AffectedAtoms()
-	if len(atoms) != 3 { // 3, 4, 5
-		t.Fatalf("affected atoms %v", atoms)
-	}
 	if (&Delta{}).Empty() != true || d1.Empty() {
 		t.Fatal("Empty wrong")
 	}
@@ -408,11 +404,11 @@ func TestRulesIterationAndAccessors(t *testing.T) {
 	if n.Graph() != g || n.Space() != ipnet.IPv4 {
 		t.Fatal("accessors")
 	}
-	if r, ok := n.OwnerRule(s, n.AtomOf(5)); !ok || r.ID != 7 {
-		t.Fatal("OwnerRule")
+	if r, ok := n.Rule(7); !ok || n.ForwardLink(s, n.AtomOf(5)) != r.Link {
+		t.Fatal("ForwardLink of the owned atom")
 	}
-	if _, ok := n.OwnerRule(s, n.AtomOf(50)); ok {
-		t.Fatal("OwnerRule phantom")
+	if n.ForwardLink(s, n.AtomOf(50)) != netgraph.NoLink {
+		t.Fatal("ForwardLink of an unowned atom")
 	}
 	if n.ForwardLink(s, 9999) != netgraph.NoLink {
 		t.Fatal("ForwardLink out-of-range atom")

@@ -8,10 +8,12 @@ package core
 // storage:
 //
 //   - ruleStore: every live rule lives in one dense slot-indexed arena of
-//     20-byte pointer-free ruleRecs, with a LIFO free list so steady-state
+//     16-byte pointer-free ruleRecs, with a LIFO free list so steady-state
 //     churn recycles slots instead of allocating, and an open-addressed
-//     id → slot table (4 bytes per entry, keyed by the id the record
-//     already holds) in place of a Go map. A record names its match by an
+//     id → slot table (4 bytes per entry, keyed by the id the store
+//     already holds) in place of a Go map. A record holds its id's low
+//     32 bits; the high half lives in a per-page column that a page only
+//     has once an id needing it lands there. A record names its match by an
 //     interval entry: one refcounted ivRec per distinct live match holds
 //     the match's two boundary-map handles, found through a second
 //     open-addressed table keyed by the match. The paper's planes compile
@@ -48,25 +50,21 @@ import (
 // in a released record.
 const noSlot int32 = -1
 
-// ruleRec is one 20-byte arena slot: a Rule without its source, which is
+// ruleRec is one 16-byte arena slot: a Rule without its source, which is
 // always graph.Link(link).Src (a drop rule is stored on its source's drop
-// link), its match named by interval entry iv. The id is split into two
-// uint32 halves because an int64 field would align the record to 8 bytes
-// and pad it back to 24. A released slot holds iv == noSlot.
+// link), its match named by interval entry iv, and only the low half of
+// its id: the high half is in the page's column (ruleStore.his), which
+// only exists once an id with high bits lands in the page. An int64 id
+// field would align the record to 8 bytes and pad it to 24. A released
+// slot holds iv == noSlot.
 //
 //deltanet:pointerfree
 type ruleRec struct {
-	idLo, idHi uint32
-	iv         int32
-	link       netgraph.LinkID
-	prio       Priority
+	idLo uint32
+	iv   int32
+	link netgraph.LinkID
+	prio Priority
 }
-
-func newRec(id RuleID, iv int32, link netgraph.LinkID, prio Priority) ruleRec {
-	return ruleRec{idLo: uint32(id), idHi: uint32(uint64(id) >> 32), iv: iv, link: link, prio: prio}
-}
-
-func (r *ruleRec) id() RuleID { return RuleID(uint64(r.idHi)<<32 | uint64(r.idLo)) }
 
 // ivRec is one interval entry: a match some live rule has, its bounds named
 // by their handles in M, and refs, the number of records naming it. The
@@ -82,11 +80,16 @@ type ivRec struct {
 // ruleStore is the dense arena of live rules and their interval entries.
 // Slots and entries are recycled LIFO. Records live in pages that are
 // never moved, so growth costs one page and leaves at most one spare.
-// Pages and entries are pointer-free, so the garbage collector never scans
-// rule storage, and owner-list searches index flat arrays.
+// his holds one entry per page: nil until an id whose high 32 bits are
+// not zero is allocated into the page, then a column of the page's ids'
+// high halves, zero at every slot whose id has none and at every released
+// slot. Pages, columns and entries are pointer-free, so the garbage
+// collector never scans rule storage, and owner-list searches index flat
+// arrays.
 type ruleStore struct {
 	pages []*[pageSize]ruleRec
-	n     int32 // slots ever allocated: the arena's length
+	his   []*[pageSize]uint32 // high id halves per page, nil while all are zero
+	n     int32               // slots ever allocated: the arena's length
 	free  []int32
 	ids   index // id → slot
 
@@ -95,9 +98,8 @@ type ruleStore struct {
 	ivIdx  index // match → entry; ivKey hashes the match
 }
 
-// pageSize is how many records one arena page holds: 512 × 20 B is
-// 10 240 B, an exact Go size class (256 records would land in the 5 376-B
-// class, one byte of slack per record).
+// pageSize is how many records one arena page holds: 512 × 16 B is
+// 8 192 B, an exact Go size class, and a column is 2 048 B, another.
 const pageSize = 1 << 9
 
 func newRuleStore() ruleStore {
@@ -202,18 +204,35 @@ func (s *ruleStore) rec(slot int32) *ruleRec {
 	return &s.pages[uint32(slot)/pageSize][uint32(slot)%pageSize]
 }
 
-func (s *ruleStore) idKey(slot int32) uint64 { return uint64(s.rec(slot).id()) }
-
-// find returns the id table position holding id's slot, or the empty
-// position that ends its probe run.
-func (s *ruleStore) find(id RuleID) (int, bool) {
-	return s.ids.find(uint64(id), func(slot int32) bool { return s.rec(slot).id() == id })
+// hi returns the high half of slot's id: 0 when its page has no column.
+func (s *ruleStore) hi(slot int32) uint32 {
+	if h := s.his[uint32(slot)/pageSize]; h != nil {
+		return h[uint32(slot)%pageSize]
+	}
+	return 0
 }
 
-// alloc stores rec and returns its slot, pointing the id table at it. If
-// its id is still indexed (a batch that removes a rule and re-inserts its
-// id allocates before it releases), the entry is repointed.
-func (s *ruleStore) alloc(rec ruleRec) int32 {
+// id rebuilds the id of the rule in slot from its record and its page's
+// column.
+func (s *ruleStore) id(slot int32) RuleID {
+	return RuleID(uint64(s.hi(slot))<<32 | uint64(s.rec(slot).idLo))
+}
+
+func (s *ruleStore) idKey(slot int32) uint64 { return uint64(s.id(slot)) }
+
+// find returns the id table position holding id's slot, or the empty
+// position that ends its probe run. A probe reads the column only when
+// the low halves match.
+func (s *ruleStore) find(id RuleID) (int, bool) {
+	lo, hi := uint32(id), uint32(uint64(id)>>32)
+	return s.ids.find(uint64(id), func(slot int32) bool { return s.rec(slot).idLo == lo && s.hi(slot) == hi })
+}
+
+// alloc stores r's record, naming interval entry iv, and returns its slot,
+// pointing the id table at it. If its id is still indexed (a batch that
+// removes a rule and re-inserts its id allocates before it releases), the
+// entry is repointed.
+func (s *ruleStore) alloc(r *Rule, iv int32) int32 {
 	var slot int32
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
@@ -222,10 +241,18 @@ func (s *ruleStore) alloc(rec ruleRec) int32 {
 		slot = s.n
 		if s.n++; int(slot/pageSize) == len(s.pages) {
 			s.pages = append(s.pages, new([pageSize]ruleRec))
+			s.his = append(s.his, nil)
 		}
 	}
-	*s.rec(slot) = rec
-	if i, ok := s.find(rec.id()); ok {
+	*s.rec(slot) = ruleRec{idLo: uint32(r.ID), iv: iv, link: r.Link, prio: r.Priority}
+	if hi := uint32(uint64(r.ID) >> 32); hi != 0 { // a free slot is zero in its column
+		page := uint32(slot) / pageSize
+		if s.his[page] == nil {
+			s.his[page] = new([pageSize]uint32)
+		}
+		s.his[page][uint32(slot)%pageSize] = hi
+	}
+	if i, ok := s.find(r.ID); ok {
 		s.ids.table[i] = slot + 1
 	} else if s.ids.add(i, slot) {
 		for _, v := range s.ids.grow() {
@@ -237,15 +264,19 @@ func (s *ruleStore) alloc(rec ruleRec) int32 {
 	return slot
 }
 
-// releaseSlot frees slot. The id table entry is only removed when it still
-// names this slot — a batch that removes a rule and re-inserts its id has
-// already repointed the entry at the new slot.
+// releaseSlot frees slot, zeroing its record and its column entry. The id
+// table entry is only removed when it still names this slot — a batch
+// that removes a rule and re-inserts its id has already repointed the
+// entry at the new slot.
 func (s *ruleStore) releaseSlot(slot int32) {
 	x := &s.ids
 	for i, j := x.cut(s.idKey(slot), slot); j >= 0; j = x.next(j) {
 		i = x.fill(i, j, s.idKey(x.table[j]-1))
 	}
 	*s.rec(slot) = ruleRec{iv: noSlot}
+	if h := s.his[uint32(slot)/pageSize]; h != nil {
+		h[uint32(slot)%pageSize] = 0
+	}
 	s.free = append(s.free, slot)
 }
 
@@ -257,8 +288,7 @@ func (s *ruleStore) slotOf(id RuleID) (int32, bool) {
 }
 
 func (s *ruleStore) keyOf(slot int32) prioKey {
-	r := s.rec(slot)
-	return prioKey{prio: r.prio, id: r.id()}
+	return prioKey{prio: s.rec(slot).prio, id: s.id(slot)}
 }
 
 func (s *ruleStore) len() int { return s.ids.live }
@@ -582,7 +612,7 @@ func (oa *ownerAtom) checkInvariants(s *ruleStore, g *netgraph.Graph) string {
 				return fmt.Sprintf("owner cell of node %d holds released slot %d", node, slot)
 			}
 			if src := g.Link(s.rec(slot).link).Src; src != node {
-				return fmt.Sprintf("owner cell of node %d holds foreign rule %d of node %d", node, s.rec(slot).id(), src)
+				return fmt.Sprintf("owner cell of node %d holds foreign rule %d of node %d", node, s.id(slot), src)
 			}
 		}
 		if !slices.IsSortedFunc(w, func(a, b int32) int { return cmpPrioKey(s.keyOf(a), s.keyOf(b)) }) {

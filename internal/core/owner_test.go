@@ -69,12 +69,12 @@ func newOwnerDriver(t testing.TB) *ownerDriver {
 func (dr *ownerDriver) newRule(x byte) (int, int32) {
 	i := int(x % ownerNodes)
 	dr.next++
-	return i, dr.n.store.alloc(newRec(dr.next, 0, dr.links[i][x/ownerNodes%2], Priority(x/10%4)))
+	return i, dr.n.store.alloc(&Rule{ID: dr.next, Link: dr.links[i][x/ownerNodes%2], Priority: Priority(x / 10 % 4)}, 0)
 }
 
 func (dr *ownerDriver) rule(slot int32) Rule {
 	rec := dr.n.store.rec(slot)
-	return Rule{ID: rec.id(), Source: dr.n.graph.Link(rec.link).Src, Link: rec.link, Priority: rec.prio}
+	return Rule{ID: dr.n.store.id(slot), Source: dr.n.graph.Link(rec.link).Src, Link: rec.link, Priority: rec.prio}
 }
 
 func (dr *ownerDriver) key(slot int32) prioKey { return dr.n.store.keyOf(slot) }

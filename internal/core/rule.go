@@ -19,7 +19,7 @@
 //     rule-slot slab (owner.go): a cell holding one rule, the common
 //     case, holds its slot inline, and
 //     a larger one names its window of the slab — which preserves the
-//     logarithmic search bound and removes the per-node heap allocations. Rules themselves live in a 20-byte record arena
+//     logarithmic search bound and removes the per-node heap allocations. Rules themselves live in a 16-byte record arena
 //     indexed by an open-addressed id table; rules with one match share
 //     one refcounted interval entry holding the match's bound handles.
 //
@@ -58,11 +58,6 @@ type Rule struct {
 	Link     netgraph.LinkID
 	Match    ipnet.Interval
 	Priority Priority
-}
-
-// FromPrefix is a convenience constructor for the common CIDR case.
-func FromPrefix(id RuleID, src netgraph.NodeID, link netgraph.LinkID, p ipnet.Prefix, prio Priority) Rule {
-	return Rule{ID: id, Source: src, Link: link, Match: p.Interval(), Priority: prio}
 }
 
 func (r Rule) String() string {
