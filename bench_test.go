@@ -227,8 +227,8 @@ func batchBenchRules(c *Checker, count int) []Rule {
 // BenchmarkInsertBatch compares the batch update pipeline at batch sizes
 // 1, 16, and 256: the same rule stream with per-batch incremental loop
 // checking. The rules/sec metric is the headline batching win — larger
-// batches amortize the loop check over the merged delta and fan per-atom
-// ownership work out over the worker pool.
+// batches amortize the loop check over the merged delta and rewrite each
+// atom's owner table once.
 func BenchmarkInsertBatch(b *testing.B) {
 	const totalRules = 2048
 	for _, size := range []int{1, 16, 256} {
@@ -384,11 +384,9 @@ func BenchmarkAblation_AllPairsParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_ParallelDeltaCheck compares the serial per-update
-// loop check against the goroutine-parallel variant on a bulk delta (a
-// link-failure-sized label change touching many atoms): §6's
-// parallelizable atom loops, measured.
-func BenchmarkAblation_ParallelDeltaCheck(b *testing.B) {
+// BenchmarkBulkDeltaLoopCheck prices the per-update loop check on a bulk
+// delta (a link-failure-sized label change touching many atoms).
+func BenchmarkBulkDeltaLoopCheck(b *testing.B) {
 	n, tr, err := experiments.BuildConsistentDataPlane("airtel1", benchScale)
 	if err != nil {
 		b.Fatal(err)
@@ -403,16 +401,9 @@ func BenchmarkAblation_ParallelDeltaCheck(b *testing.B) {
 			return len(bulk.Added) < 4096
 		})
 	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			check.FindLoopsDelta(n, &bulk)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			check.FindLoopsDeltaParallel(n, &bulk, 0)
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		check.FindLoopsDelta(n, &bulk)
+	}
 }
 
 // BenchmarkAblation_OwnerCopy quantifies the owner-copy cost of atom

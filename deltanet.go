@@ -16,11 +16,11 @@
 //
 // Updates may also be applied in atomic batches via ApplyBatch: the whole
 // slice of insertions and removals is validated up front (all-or-nothing),
-// the per-atom ownership work is deduplicated across the batch and fanned
-// out over a worker pool (the paper's §6 parallelization applied to the
-// update path), and one merged, compacted delta-graph is produced, so a
-// single incremental loop check — and optionally an incremental black-hole
-// check — replaces one check per rule:
+// the per-atom ownership work is deduplicated across the batch (each atom's
+// owner table is rewritten once, on the caller's goroutine), and one
+// merged, compacted delta-graph is produced, so a single incremental loop
+// check — and optionally an incremental black-hole check — replaces one
+// check per rule:
 //
 //	ops := []deltanet.BatchOp{
 //		deltanet.InsertOp(deltanet.Rule{...}),
@@ -121,10 +121,6 @@ type Checker struct {
 	// it — legitimate traffic sinks such as edge hosts.
 	CheckBlackHoles bool
 	Sinks           map[SwitchID]bool
-
-	// BatchWorkers bounds the worker pool ApplyBatch fans per-atom work
-	// out over; ≤ 0 selects GOMAXPROCS.
-	BatchWorkers int
 
 	// monitor is the standing-invariant monitor, created lazily by
 	// Monitor() (see monitor.go); nil until first use.
@@ -258,12 +254,12 @@ type BatchReport struct {
 // error nothing was applied. See the package documentation's "Batch
 // updates" section for semantics.
 func (c *Checker) ApplyBatch(ops []BatchOp) (BatchReport, error) {
-	if err := c.net.ApplyBatch(ops, &c.delta, c.BatchWorkers); err != nil {
+	if err := c.net.ApplyBatch(ops, &c.delta, 0); err != nil {
 		return BatchReport{}, err
 	}
 	rep := BatchReport{Delta: &c.delta}
 	if c.CheckLoops {
-		rep.Loops = check.FindLoopsDeltaAuto(c.net, &c.delta, c.BatchWorkers)
+		rep.Loops = check.FindLoopsDelta(c.net, &c.delta)
 	}
 	if c.CheckBlackHoles {
 		rep.BlackHoles = check.FindBlackHolesDelta(c.net, &c.delta, c.Sinks)

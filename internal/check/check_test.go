@@ -148,6 +148,50 @@ func TestFindLoopsDeltaNilAndEmpty(t *testing.T) {
 	_ = d
 }
 
+// TestFindLoopsDeltaMergedBatch: one batch closes 80 loops, and its merged
+// delta names two sources per atom. Each range gains a label at x first,
+// whose walk ends at y, then the one at c that closes the ring: every
+// label's source is walked, not just an atom's first. The check reports
+// one loop per atom, on exactly the atoms FindLoopsAll reports.
+func TestFindLoopsDeltaMergedBatch(t *testing.T) {
+	g, nodes, links := ring(3)
+	n := core.NewNetwork(g, core.Options{})
+	for i := 0; i < 2; i++ {
+		mustInsert(t, n, core.Rule{ID: core.RuleID(i + 1), Source: nodes[i],
+			Link: links[i], Match: iv(0, 1000), Priority: 1})
+	}
+	xy := g.AddLink(g.AddNode("x"), g.AddNode("y"))
+	var ops []core.BatchOp
+	for i := 0; i < 80; i++ {
+		match := iv(uint64(10*i), uint64(10*i+5))
+		ops = append(ops,
+			core.InsertOp(core.Rule{ID: core.RuleID(100 + i), Source: g.Link(xy).Src, Link: xy, Match: match, Priority: 1}),
+			core.InsertOp(core.Rule{ID: core.RuleID(300 + i), Source: nodes[2], Link: links[2], Match: match, Priority: 1}))
+	}
+	var d core.Delta
+	if err := n.ApplyBatch(ops, &d, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Added) != 160 {
+		t.Fatalf("batch added %d labels, want 160 (two per range)", len(d.Added))
+	}
+	all := map[intervalmap.AtomID]bool{}
+	for _, l := range FindLoopsAll(n) {
+		all[l.Atom] = true
+	}
+	loops := FindLoopsDelta(n, &d)
+	seen := map[intervalmap.AtomID]bool{}
+	for _, l := range loops {
+		if !all[l.Atom] || seen[l.Atom] {
+			t.Fatalf("loop on atom %d: FindLoopsAll reports it %v, reported before %v", l.Atom, all[l.Atom], seen[l.Atom])
+		}
+		seen[l.Atom] = true
+	}
+	if len(loops) != 80 || len(all) != 80 {
+		t.Fatalf("delta check found %d loops and FindLoopsAll %d atoms, want 80 and 80", len(loops), len(all))
+	}
+}
+
 func TestReachable(t *testing.T) {
 	// Chain a -> b -> c with narrowing labels: a→b carries [0:100),
 	// b→c carries [50:150). Reach(a, c) = [50:100).
@@ -313,7 +357,7 @@ func TestLinkFailureCountsMatchSubgraph(t *testing.T) {
 			}
 		}
 		var d core.Delta
-		if err := n.ApplyBatch(ops, &d, 1); err != nil {
+		if err := n.ApplyBatch(ops, &d, 0); err != nil {
 			t.Fatal(err)
 		}
 		busy := 0

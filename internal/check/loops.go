@@ -60,6 +60,14 @@ func FindLoopsDeltaScratch(n *core.Network, d *core.Delta, sc *Scratch) []Loop {
 	return loops
 }
 
+// FindLoopsDeltaAuto is FindLoopsDelta; workers is ignored.
+//
+// Deprecated: call FindLoopsDelta. The benchmark module still calls this
+// name.
+func FindLoopsDeltaAuto(n *core.Network, d *core.Delta, workers int) []Loop {
+	return FindLoopsDelta(n, d)
+}
+
 // traceLoop follows atom's forwarding function from node start. Because
 // each (node, atom) has at most one out-edge, the walk either terminates
 // (delivery, drop, or rule miss) or revisits a node, which is a loop.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"deltanet/internal/ipnet"
@@ -53,12 +54,15 @@ func TestSteadyChurnZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchChurnZeroAllocs is the same promise for ApplyBatch on one
-// worker: once warmed, a churn cycle of two batches — inserts from several
-// sources over shared atoms (the one-merge rewrite), then a batch that
-// removes and re-inserts one id and removes the rest — allocates nothing.
-// The batch scratch (items, id map, incidences, runs, results and the
-// rewrite buffers) is retained across calls.
+// TestBatchChurnZeroAllocs is the same promise for ApplyBatch: once
+// warmed, a churn cycle of two batches — inserts from several sources over
+// shared atoms (the one-merge rewrite), then a batch that removes and
+// re-inserts one id and removes the rest — allocates nothing, whatever
+// the ignored workers argument reads (0 is what the server and the
+// library pass). The batch scratch (items, id map, incidences and the
+// rewrite buffers) is retained across calls. It counts at GOMAXPROCS ≥ 2
+// (allocsAtProcs), where a batch that fanned out to goroutines would
+// allocate.
 func TestBatchChurnZeroAllocs(t *testing.T) {
 	g := netgraph.New()
 	var nodes []netgraph.NodeID
@@ -82,21 +86,38 @@ func TestBatchChurnZeroAllocs(t *testing.T) {
 	}
 	churn = append(churn, RemoveOp(10), ins[0], RemoveOp(10))
 	var d Delta
-	cycle := func() {
-		if err := n.ApplyBatch(ins, &d, 1); err != nil {
-			t.Fatal(err)
+	for _, workers := range []int{1, 0} {
+		cycle := func() {
+			if err := n.ApplyBatch(ins, &d, workers); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.ApplyBatch(churn, &d, workers); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := n.ApplyBatch(churn, &d, 1); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 16; i++ {
+			cycle()
 		}
-	}
-	for i := 0; i < 16; i++ {
-		cycle()
-	}
-	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Fatalf("steady-state ApplyBatch churn cycle allocates %.1f objects/op, want 0", allocs)
+		if allocs := allocsAtProcs(200, cycle); allocs != 0 {
+			t.Fatalf("workers=%d: steady-state ApplyBatch churn cycle allocates %.1f objects/op, want 0", workers, allocs)
+		}
 	}
 	if msg := n.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
+}
+
+// allocsAtProcs is testing.AllocsPerRun without its GOMAXPROCS=1 pin: it
+// runs f at GOMAXPROCS ≥ 2 and returns the whole mallocs per run.
+func allocsAtProcs(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	f()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&ms)
+	return float64((ms.Mallocs - before) / uint64(runs))
 }

@@ -2,23 +2,24 @@ package core
 
 // Batch updates: applying many rule insertions and removals as one atomic
 // step. The paper observes (§6) that "the main loops over atoms in
-// Algorithm 1 and 2 are highly parallelizable"; a batch makes that
-// parallelism available on the update path itself. The batch is staged so
-// that the only serial work is what must be serial:
+// Algorithm 1 and 2 are highly parallelizable"; a batch takes the part of
+// that observation that pays on one writer goroutine, deduplication: k
+// operations covering one atom become one rewrite of its owner table. It
+// runs sequentially (fanning the replay out over a worker pool measured
+// no gain on a 2-vCPU host that the writer shares with the wire front
+// end), in five phases:
 //
 //  1. validate every operation up front (all-or-nothing semantics);
 //  2. take each insertion's interval entry, creating the atoms of a match
 //     no live rule has (CREATE_ATOMS+, |Δ| ≤ 2) and cloning owner state
-//     for split atoms — serial, since splits mutate the shared boundary
-//     map M — then allocate the insertion's arena slot, whose record
-//     names the entry;
+//     for split atoms, then allocate the insertion's arena slot, whose
+//     record names the entry;
 //  3. expand each run of operations naming one interval entry to
 //     ⟦interval(r)⟧ once over the final partition, and group the
 //     incidences by atom, then source, in a linear radix pass;
-//  4. replay each atom's operations on a worker pool (atoms are
-//     independent, so no locking): in place for an atom one op touches,
+//  4. replay each atom's operations: in place for an atom one op touches,
 //     else one merge of its cells; emit the net change per (source, atom);
-//  5. apply the net label-bit changes and rule/GC bookkeeping serially.
+//  5. apply the net label-bit changes and release the removed rules.
 //
 // The resulting Delta is compacted: it records the net difference between
 // the labels before and after the whole batch, so a bit that an early
@@ -29,10 +30,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"deltanet/internal/intervalmap"
 	"deltanet/internal/netgraph"
@@ -76,11 +74,11 @@ type batchItem struct {
 //
 // The per-atom ownership work is deduplicated across the batch — k
 // operations covering one atom become a single replay of that atom's owner
-// BSTs — and fanned out over a worker pool (workers ≤ 0 selects
-// GOMAXPROCS). The produced Delta has Op == OpBatch and compacted
-// Added/Removed lists: only bits whose final value differs from their
-// pre-batch value appear, atom by atom, so downstream incremental checks
-// run once over the net change.
+// table — and runs on the caller's goroutine. workers is ignored: it
+// remains because the benchmark module still passes it. The produced
+// Delta has Op == OpBatch and compacted Added/Removed lists: only bits
+// whose final value differs from their pre-batch value appear, atom by
+// atom, so downstream incremental checks run once over the net change.
 //
 // With GC enabled, boundary collection is deferred to the end of the
 // batch; the final forwarding behaviour matches the sequential execution,
@@ -98,13 +96,12 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 	}
 
 	// Phase 2: take every insertion's interval entry, creating the atoms of
-	// each new match (serial; splits mutate M) and cloning owner state for
+	// each new match and cloning owner state for
 	// split atoms exactly as Algorithm 1 does, then allocate its arena
 	// slot. All allocations and references precede all releases (which
-	// happen in phase 5), so no slot or entry is recycled mid-batch, and the
-	// rule arena is read-only while phase 4's workers run. Removals of rules
-	// inserted earlier in this batch pick up the slot their insert item
-	// received.
+	// happen in phase 5), so no slot or entry is recycled mid-batch.
+	// Removals of rules inserted earlier in this batch pick up the slot
+	// their insert item received.
 	for i := range items {
 		if it := &items[i]; it.insert {
 			if it.rule.Link == netgraph.NoLink {
@@ -122,9 +119,9 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 	// Phase 3: expand every operation over the final partition from its
 	// interval entry's bound handles, once per run of operations naming one
 	// entry (a plane's rules for one prefix arrive together), and group the
-	// incidences by (atom, source) into retained scratch.
+	// incidences by (atom, source) into retained scratch. Phase 2 grew the
+	// owner directory over every atom a split created.
 	n.batchPairs = n.batchPairs[:0]
-	maxAtom := intervalmap.AtomID(0)
 	expanded := noSlot
 	for i, it := range items {
 		if e := n.store.rec(it.slot).iv; e != expanded {
@@ -132,82 +129,31 @@ func (n *Network) ApplyBatch(ops []BatchOp, d *Delta, workers int) error {
 		}
 		for _, alpha := range n.atomBuf {
 			n.batchPairs = append(n.batchPairs, atomOp{atom: alpha, item: int32(i)})
-			maxAtom = max(maxAtom, alpha)
 		}
-	}
-	// Pre-grow the owner slice so workers only ever write their own
-	// element and never resize shared state.
-	for int(maxAtom) >= len(n.owner) {
-		n.owner = appendGrow(n.owner, ownerAtom{})
 	}
 	if len(items) > 1 { // one op's incidences name distinct atoms and one source
 		n.batchPairs, n.pairsTmp = groupPairs(n.batchPairs, n.pairsTmp, items)
 	}
-	pairs := n.batchPairs
-	n.batchRuns = n.batchRuns[:0]
-	for i := range pairs {
-		if i == 0 || pairs[i].atom != pairs[i-1].atom {
-			n.batchRuns = append(n.batchRuns, int32(i))
-		}
-	}
-	n.batchRuns = append(n.batchRuns, int32(len(pairs)))
-	numAtoms := len(n.batchRuns) - 1
 
-	// Phase 4: replay each atom's operations in parallel. Jobs write only
-	// owner[α] for their own α and emit net label changes into their own
-	// result slot, so the pool needs no locks. Result slots are retained
-	// across batches and reset by truncation.
-	for len(n.batchResults) < numAtoms {
-		n.batchResults = append(n.batchResults, atomResult{})
-	}
-	results := n.batchResults[:numAtoms]
-	for i := range results {
-		results[i].added = results[i].added[:0]
-		results[i].removed = results[i].removed[:0]
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numAtoms {
-		workers = numAtoms
-	}
-	if workers <= 1 {
-		for i := 0; i < numAtoms; i++ {
-			run := pairs[n.batchRuns[i]:n.batchRuns[i+1]]
-			n.replayAtom(run[0].atom, items, run, &results[i], &n.replayTmp)
+	// Phase 4: replay each atom's run of operations, in atom order,
+	// appending the net label changes to d.
+	for pairs, lo := n.batchPairs, 0; lo < len(pairs); {
+		hi := lo + 1
+		for hi < len(pairs) && pairs[hi].atom == pairs[lo].atom {
+			hi++
 		}
-	} else {
-		var wg sync.WaitGroup
-		var cursor atomic.Int64
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				var rs replayScratch
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= numAtoms {
-						return
-					}
-					run := pairs[n.batchRuns[i]:n.batchRuns[i+1]]
-					n.replayAtom(run[0].atom, items, run, &results[i], &rs)
-				}
-			}()
-		}
-		wg.Wait()
+		n.replayAtom(pairs[lo].atom, items, pairs[lo:hi], d)
+		lo = hi
 	}
 
-	// Phase 5: apply the net label-bit changes (serial, deterministic: in
-	// phase 3's order) and per-rule bookkeeping in operation order.
-	for i := range results {
-		for _, la := range results[i].removed {
-			n.labelOf(la.Link).Remove(int(la.Atom))
-			d.Removed = append(d.Removed, la)
-		}
-		for _, la := range results[i].added {
-			n.labelOf(la.Link).Add(int(la.Atom))
-			d.Added = append(d.Added, la)
-		}
+	// Phase 5: apply the net label-bit changes, then per-rule bookkeeping
+	// in operation order. A link has one source, so no (link, atom) pair
+	// is both removed and added, and the order of the two loops is free.
+	for _, la := range d.Removed {
+		n.labelOf(la.Link).Remove(int(la.Atom))
+	}
+	for _, la := range d.Added {
+		n.labelOf(la.Link).Add(int(la.Atom))
 	}
 	// Removals release their slots and interval references in operation
 	// order. Collection (deleting a bound from M and merging atoms) stays
@@ -285,12 +231,6 @@ func (n *Network) validateBatch(ops []BatchOp) ([]batchItem, error) {
 	return items, nil
 }
 
-// atomResult is one per-atom job's net label changes.
-type atomResult struct {
-	added   []LinkAtom
-	removed []LinkAtom
-}
-
 // atomOp is one (atom, operation) incidence from phase 3's interval
 // expansion.
 type atomOp struct {
@@ -330,19 +270,18 @@ func groupPairs(pairs, tmp []atomOp, items []batchItem) ([]atomOp, []atomOp) {
 	return pairs, tmp
 }
 
-// replayScratch holds one worker's buffers for rewriting an atom: the
-// rebuilt owner table, and one cell's inserted and removed slots.
+// replayScratch holds the buffers for rewriting an atom: the rebuilt owner
+// table, and one cell's inserted and removed slots.
 type replayScratch struct {
 	out     ownerAtom
 	ins, rm []int32
 }
 
 // replayAtom replays run, the batch operations covering atom alpha grouped
-// by source, against its owner table and records the net forwarding
-// change per touched source (emitChange). The rule arena is read-only
-// during phase 4, so slot dereferences here race with nothing.
-func (n *Network) replayAtom(alpha intervalmap.AtomID, items []batchItem, run []atomOp, res *atomResult, rs *replayScratch) {
-	oa := &n.owner[alpha]
+// by source, against its owner table and appends the net forwarding
+// change per touched source to d (emitChange).
+func (n *Network) replayAtom(alpha intervalmap.AtomID, items []batchItem, run []atomOp, d *Delta) {
+	oa, rs := &n.owner[alpha], &n.replayTmp
 	if len(run) == 1 { // in place: moves only the entries after the edit
 		it := &items[run[0].item]
 		s := it.rule.Source
@@ -352,7 +291,7 @@ func (n *Network) replayAtom(alpha intervalmap.AtomID, items []batchItem, run []
 		} else {
 			oa.remove(&n.store, s, it.rule.key())
 		}
-		n.emitChange(res, alpha, prev, oa.top(s))
+		n.emitChange(d, alpha, prev, oa.top(s))
 		return
 	}
 	// Rewrite the atom: merge its cells with the run's sources by node,
@@ -390,7 +329,7 @@ func (n *Network) replayAtom(alpha intervalmap.AtomID, items []batchItem, run []
 			after = out.slab[len(out.slab)-1]
 		}
 		out.closeCell(s, start)
-		n.emitChange(res, alpha, prev, after)
+		n.emitChange(d, alpha, prev, after)
 	}
 	keepCells(netgraph.NodeID(1<<31 - 1))
 	oa.cells, oa.slab = setGrow(oa.cells, out.cells), setGrow(oa.slab, out.slab)
@@ -425,16 +364,16 @@ func (s *ruleStore) mergeWindow(dst, old, ins, rm []int32) []int32 {
 	return dst
 }
 
-// emitChange records the net forwarding change at a source of alpha whose
-// owner went from slot prev to after: Removed for a lost out-link, Added
-// for a gained one, nothing when only the owning rule changed.
-func (n *Network) emitChange(res *atomResult, alpha intervalmap.AtomID, prev, after int32) {
+// emitChange records in d the net forwarding change at a source of alpha
+// whose owner went from slot prev to after: Removed for a lost out-link,
+// Added for a gained one, nothing when only the owning rule changed.
+func (n *Network) emitChange(d *Delta, alpha intervalmap.AtomID, prev, after int32) {
 	if pl, al := n.linkOf(prev), n.linkOf(after); pl != al {
 		if pl != netgraph.NoLink {
-			res.removed = append(res.removed, LinkAtom{Link: pl, Atom: alpha})
+			d.Removed = append(d.Removed, LinkAtom{Link: pl, Atom: alpha})
 		}
 		if al != netgraph.NoLink {
-			res.added = append(res.added, LinkAtom{Link: al, Atom: alpha})
+			d.Added = append(d.Added, LinkAtom{Link: al, Atom: alpha})
 		}
 	}
 }

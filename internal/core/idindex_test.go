@@ -82,7 +82,7 @@ func (a storeImage) equal(b storeImage) bool {
 
 // batch applies ops and, on success, folds them into the oracle.
 func (dr *idDriver) batch(ops ...BatchOp) {
-	if err := dr.n.ApplyBatch(ops, &dr.d, 1); err != nil {
+	if err := dr.n.ApplyBatch(ops, &dr.d, 0); err != nil {
 		dr.t.Fatalf("batch %v: %v", ops, err)
 	}
 	for _, op := range ops {
@@ -137,7 +137,7 @@ func (dr *idDriver) step(code, k, x byte) {
 			ops = []BatchOp{RemoveOp(id), RemoveOp(id)}
 		}
 		before := imageOf(&dr.n.store)
-		if err := dr.n.ApplyBatch(ops, &dr.d, 1); err == nil {
+		if err := dr.n.ApplyBatch(ops, &dr.d, 0); err == nil {
 			dr.t.Fatalf("batch %v on id %d (live %v) was not refused", ops, id, live)
 		}
 		if !imageOf(&dr.n.store).equal(before) {

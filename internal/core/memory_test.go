@@ -126,7 +126,7 @@ func sharedMatchPlane(t *testing.T, high RuleID) *Network {
 		}
 	}
 	var d Delta
-	if err := n.ApplyBatch(ops, &d, 1); err != nil {
+	if err := n.ApplyBatch(ops, &d, 0); err != nil {
 		t.Fatal(err)
 	}
 	if msg := n.CheckInvariants(); msg != "" {
@@ -247,7 +247,7 @@ func TestOwnerGrowthByAnEighth(t *testing.T) {
 				}
 				spare("owner directory", i+j, len(n.owner), cap(n.owner))
 			}
-		} else if err := n.ApplyBatch(ops, &d, 1); err != nil {
+		} else if err := n.ApplyBatch(ops, &d, 0); err != nil {
 			t.Fatal(err)
 		}
 		spare("owner directory", i+7, len(n.owner), cap(n.owner))

@@ -48,8 +48,6 @@ type Network struct {
 	batchPending map[RuleID]int32
 	batchPairs   []atomOp
 	pairsTmp     []atomOp
-	batchRuns    []int32
-	batchResults []atomResult
 	replayTmp    replayScratch
 
 	// statistics

@@ -212,7 +212,7 @@ func TestInsertErrors(t *testing.T) {
 			t.Fatalf("InsertRule(%v) = %v, want %v", tc.r, err, tc.want)
 		}
 		var d Delta
-		if err := n.ApplyBatch([]BatchOp{InsertOp(tc.r)}, &d, 1); !errors.Is(err, tc.want) {
+		if err := n.ApplyBatch([]BatchOp{InsertOp(tc.r)}, &d, 0); !errors.Is(err, tc.want) {
 			t.Fatalf("ApplyBatch(%v) = %v, want %v", tc.r, err, tc.want)
 		}
 	}

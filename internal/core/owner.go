@@ -33,9 +33,8 @@ package core
 // one-rule cell moves no slab entry. Cell directories and slabs retain
 // capacity across delete/insert cycles and atom death (GC merge), so a
 // steady-state insert/remove workload performs no allocation at all in
-// the owner structures. Batch replay
-// keeps its lock-freedom: phase 4 workers touch only their own atom's
-// ownerAtom, which shares storage with no other atom.
+// the owner structures. Batch replay rewrites one atom's ownerAtom at a
+// time, through one retained scratch table (replayScratch).
 
 import (
 	"fmt"

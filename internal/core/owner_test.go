@@ -50,7 +50,6 @@ type ownerDriver struct {
 	links [ownerNodes][2]netgraph.LinkID
 	ref   [ownerNodes][]int32 // each source's slots in key order
 	next  RuleID
-	rs    replayScratch
 	// hit has a bit per transition seen: path*12 + kind*3 + position,
 	// path 0 for insert/remove and 1 for a batch rewrite, kind 0→1, 1→2,
 	// 2→1 or 1→0 rules in a cell, position first, middle or last cell.
@@ -214,13 +213,13 @@ func (dr *ownerDriver) batch(ops []byte) {
 		pairs[i] = atomOp{atom: 0, item: int32(i)}
 	}
 	pairs, _ = groupPairs(pairs, nil, items)
-	var res atomResult
-	dr.n.replayAtom(0, items, pairs, &res, &dr.rs)
+	var d Delta
+	dr.n.replayAtom(0, items, pairs, &d)
 	var added, removed, wantAdded, wantRemoved []netgraph.LinkID
-	for _, la := range res.added {
+	for _, la := range d.Added {
 		added = append(added, la.Link)
 	}
-	for _, la := range res.removed {
+	for _, la := range d.Removed {
 		removed = append(removed, la.Link)
 	}
 	for i, prev := range tops {

@@ -183,7 +183,7 @@ func TestBehaviourDigestPinned(t *testing.T) {
 	}
 	gc := NewNetwork(g, Options{GC: true})
 	var d Delta
-	if err := gc.ApplyBatch(ops, &d, 2); err != nil {
+	if err := gc.ApplyBatch(ops, &d, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := gc.BehaviourDigest(); got != wantHalf {

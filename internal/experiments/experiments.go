@@ -377,7 +377,7 @@ func RunBatch(name string, scale float64, batchSize int) (BatchRow, error) {
 		if err := n.ApplyBatch(ops, &d, 0); err != nil {
 			return err
 		}
-		check.FindLoopsDeltaAuto(n, &d, 0)
+		check.FindLoopsDelta(n, &d)
 		lat.Add(time.Since(t0))
 		ops = ops[:0]
 		return nil

@@ -614,6 +614,10 @@ func (m *Monitor) evaluatePass(units []unit, ctx *applyCtx, tr *ApplyTrace) []Ev
 	for len(m.evalScratch) < nw {
 		m.evalScratch = append(m.evalScratch, check.NewScratch())
 	}
+	// This is the one fan-out left on the commit path, and it pays: on a
+	// 2-vCPU host, a serial pass raised watch_churn's update_us_p50 from
+	// 2.53–2.70 ms to 3.40–3.64 ms (+35 %) and cut its updates_per_s by
+	// ≈ 30 %, where a serial ApplyBatch and delta loop check cost nothing.
 	// The fan-out takes no lock: a worker writes only its own unit's
 	// fields (a subgoal's dependency record and answer, a global's state)
 	// and the atomic counters, and reads nothing another worker writes.

@@ -247,7 +247,7 @@ func (LoopFree) eval(n *core.Network, ctx *applyCtx, st *globalState, sc *check.
 	case ctx != nil && !st.verdict.violated && ctx.loopsKnown:
 		loops = ctx.loops
 	case ctx != nil && !st.verdict.violated:
-		loops = check.FindLoopsDeltaAutoScratch(n, ctx.d, 0, sc)
+		loops = check.FindLoopsDeltaScratch(n, ctx.d, sc)
 	case ctx != nil && ctx.d != nil && st.loopAtoms != nil:
 		cand := loopFreeCandidates(n, ctx.d, st)
 		if ctx.rescans != nil {

@@ -21,10 +21,11 @@ import (
 // was applied.
 //
 // st carries the stage times measured before the commit (parse, lock
-// wait); the verb and the apply time are filled in here. A one-op commit
-// runs ApplyBatch on the writer's goroutine: a single rule has no
-// per-atom fan-out to win, only its wake-ups to pay. fromJournal marks a
-// record that came from a journal, which is not appended to one again.
+// wait); the verb and the apply time are filled in here. The commit is
+// sequential: ApplyBatch and the delta loop check run on the writer's
+// goroutine, and only the monitor's evaluation pass fans out.
+// fromJournal marks a record that came from a journal, which is not
+// appended to one again.
 //
 // The journal failure policy: a record the journal does not take (its
 // append or its flush fails) does not fail the commit. The update is
@@ -37,18 +38,17 @@ func (s *Server) commitLocked(ops []core.BatchOp, st stageInfo, fromJournal bool
 	if msg := s.checkOps(ops); msg != "" {
 		return nil, errors.New(msg)
 	}
-	workers := 0
 	st.verb = verbBatch
 	if len(ops) == 1 {
-		workers, st.verb = 1, verbRemove
+		st.verb = verbRemove
 		if ops[0].Insert {
 			st.verb = verbInsert
 		}
 	}
-	if err := s.net.ApplyBatch(ops, &s.delta, workers); err != nil {
+	if err := s.net.ApplyBatch(ops, &s.delta, 0); err != nil {
 		return nil, err
 	}
-	loops := check.FindLoopsDeltaAuto(s.net, &s.delta, 0)
+	loops := check.FindLoopsDelta(s.net, &s.delta)
 	st.valid, st.applyNs = true, time.Since(t0).Nanoseconds()
 	s.staged = st
 	s.mon.ApplyWithLoops(&s.delta, loops, true)

@@ -164,6 +164,46 @@ func TestOneWriter(t *testing.T) {
 	}
 }
 
+// TestSequentialEngine holds the engine the writer commits through to one
+// goroutine: no non-test file of internal/core or internal/intervalmap
+// starts a goroutine or imports sync, sync/atomic or runtime. The
+// commit's one fan-out is the monitor's evaluation pass.
+func TestSequentialEngine(t *testing.T) {
+	banned := map[string]bool{`"sync"`: true, `"sync/atomic"`: true, `"runtime"`: true}
+	checked := 0
+	fset := token.NewFileSet()
+	for _, dir := range []string{"../core", "../intervalmap"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checked++
+			for _, imp := range f.Imports {
+				if banned[imp.Path.Value] {
+					t.Errorf("%s imports %s", fset.Position(imp.Pos()), imp.Path.Value)
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					t.Errorf("%s: go statement", fset.Position(g.Pos()))
+				}
+				return true
+			})
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no engine source found")
+	}
+}
+
 // TestJournalAppendFailure pins what a failed journal append means
 // (commitLocked states the policy): the update is applied and
 // acknowledged, the failure is counted, and journal subscribers are not

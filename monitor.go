@@ -103,12 +103,12 @@ func (c *Checker) RestoreInvariants(specs []string) error {
 }
 
 // Monitor returns the checker's standing-invariant monitor, creating it
-// on first use (with the checker's BatchWorkers as its evaluation
-// fan-out). Once any invariant is registered, every update's Report (and
+// on first use (its evaluation pass fans out over GOMAXPROCS workers).
+// Once any invariant is registered, every update's Report (and
 // BatchReport) carries the verdict transitions it caused in Events.
 func (c *Checker) Monitor() *Monitor {
 	if c.monitor == nil {
-		c.monitor = monitor.New(c.net, c.BatchWorkers)
+		c.monitor = monitor.New(c.net, 0)
 	}
 	return c.monitor
 }
