@@ -8,6 +8,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -152,9 +153,10 @@ type batchShape struct {
 }
 
 // runBatchEquivalence drives the same workload through ApplyBatch (batch
-// size k) and through sequential Insert/Remove on a twin engine, comparing
-// states and the brute oracle after every batch.
-func runBatchEquivalence(t *testing.T, seed int64, nodeCount, batchSize int, gen opGen) batchShape {
+// size k, worker argument w) and through sequential Insert/Remove on a
+// twin engine, comparing states and the brute oracle after every batch.
+// ApplyBatch ignores w; passing it keeps every value callers use covered.
+func runBatchEquivalence(t *testing.T, seed int64, nodeCount, batchSize, workers int, gen opGen) batchShape {
 	rng := rand.New(rand.NewSource(seed))
 	g, nodes, _ := buildRandomTopology(rng, nodeCount)
 	batched := NewNetwork(g, Options{})
@@ -167,7 +169,7 @@ func runBatchEquivalence(t *testing.T, seed int64, nodeCount, batchSize int, gen
 	var shape batchShape
 	for round := 0; round < 6; round++ {
 		ops := gen(rng, g, nodes, &live, &nextID, batchSize)
-		if err := batched.ApplyBatch(ops, &d, 0); err != nil {
+		if err := batched.ApplyBatch(ops, &d, workers); err != nil {
 			t.Fatal(err)
 		}
 		sources := map[intervalmap.AtomID]map[netgraph.NodeID]bool{}
@@ -218,33 +220,36 @@ func runBatchEquivalence(t *testing.T, seed int64, nodeCount, batchSize int, gen
 }
 
 func TestBatchEquivalentToSequential(t *testing.T) {
-	// Each shape is a seed and a batch size. The names keep the worker
-	// counts the shapes were written for; a batch now runs on one
-	// goroutine whatever its size.
+	// Each shape is a seed, a batch size and the worker argument passed to
+	// ApplyBatch. A batch runs on one goroutine whatever the argument; the
+	// names keep the worker counts the shapes were written for.
 	for _, tc := range []struct {
-		name  string
-		seed  int64
-		batch int
+		name           string
+		seed           int64
+		batch, workers int
 	}{
-		{"batch1-serial", 11, 1},
-		{"batch16-serial", 12, 16},
-		{"batch16-parallel", 13, 16},
-		{"batch64-parallel", 14, 64},
-		{"batch256-parallel", 15, 256},
+		{"batch1-serial", 11, 1, 1},
+		{"batch16-serial", 12, 16, 1},
+		{"batch16-parallel", 13, 16, 0},
+		{"batch64-parallel", 14, 64, 0},
+		{"batch256-parallel", 15, 256, 4},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			runBatchEquivalence(t, tc.seed, 5, tc.batch, randomBatchOps)
+			runBatchEquivalence(t, tc.seed, 5, tc.batch, tc.workers, randomBatchOps)
 		})
 	}
 	// Wide fanout: 64 sources over a few atoms, so single atoms take the
 	// one-merge rewrite with dozens of sources and repeated ops per cell.
-	t.Run("fanout64-batch1024-workers1", func(t *testing.T) {
-		shape := runBatchEquivalence(t, 16, 64, 1024, wideFanoutOps)
-		if shape.sources < 32 || shape.cellOps < 2 || !shape.removeReinsert || !shape.insertThenRemove {
-			t.Fatalf("workload too narrow to exercise the atom merge: %+v", shape)
-		}
-	})
+	// workers=0 is the argument the server and the library pass.
+	for _, workers := range []int{1, 0} {
+		t.Run(fmt.Sprintf("fanout64-batch1024-workers%d", workers), func(t *testing.T) {
+			shape := runBatchEquivalence(t, 16, 64, 1024, workers, wideFanoutOps)
+			if shape.sources < 32 || shape.cellOps < 2 || !shape.removeReinsert || !shape.insertThenRemove {
+				t.Fatalf("workload too narrow to exercise the atom merge: %+v", shape)
+			}
+		})
+	}
 }
 
 // TestBatchGCBehaviour: with GC enabled atom ids may be assigned
