@@ -523,7 +523,7 @@ func monitorChurnNodes(numInv int) int {
 
 // BenchmarkMonitorChurn is the incremental-monitor headline: per-update
 // cost of keeping 10²..10⁵ standing reachability invariants current under
-// churn. Three arms (retired arms' final rows are recorded in CHANGES.md,
+// churn. Four arms (retired arms' final rows are recorded in CHANGES.md,
 // PRs 18 and 23; "sharded" is the index arm's historical name, kept so
 // benchstat lines up across PRs — the index has been flat since PR 24):
 //
@@ -533,6 +533,8 @@ func monitorChurnNodes(numInv int) int {
 //   - sharded-instrumented: sharded with a trace sink installed, pricing
 //     the per-update pipeline tracing (stage timestamps are only taken
 //     when a sink is set);
+//   - fanout: sharded, churning a hop that many sources cross, so each
+//     update re-runs many fixpoints and the monitor's pass fans out;
 //   - recheck-all: re-running every registered query from scratch per
 //     update (capped at 10³, where it is already ~3 orders off).
 //
@@ -570,6 +572,30 @@ func BenchmarkMonitorChurn(b *testing.B) {
 		// prices the observability layer against plain sharded.
 		run("sharded-instrumented", func(m *monitor.Monitor) {
 			m.SetTraceSink(func(monitor.ApplyTrace) {})
+		})
+		// fanout churns a drop rule at the first chain's last hop, which
+		// the reach fixpoint of every source upstream on the chain
+		// crosses: each update dirties monitorBenchChainLen-1 subgoals, so
+		// check.RunSharded has a pass of many units to spread over its
+		// workers (the arms above dirty only sw[0]'s).
+		b.Run(fmt.Sprintf("invariants-%d/fanout", numInv), func(b *testing.B) {
+			c, sw, _ := monitorBenchChecker(nodes)
+			m := c.Monitor()
+			for _, s := range monitorBenchSpecs(sw, numInv) {
+				m.Register(s)
+			}
+			before := m.Stats().Evaluations
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				monitorChurn(b, c, sw[monitorBenchChainLen-2], NoLink, i)
+			}
+			b.StopTimer()
+			evals := float64(m.Stats().Evaluations-before) / float64(b.N)
+			if evals <= 1 {
+				b.Fatalf("%.3f evaluations per update: the churn does not fan out", evals)
+			}
+			b.ReportMetric(evals, "evals/update")
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/sec")
 		})
 		if numInv <= 1000 {
 			b.Run(fmt.Sprintf("invariants-%d/recheck-all", numInv), func(b *testing.B) {

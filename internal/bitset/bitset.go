@@ -25,15 +25,6 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
-// FromSlice returns a set containing exactly the given values.
-func FromSlice(vals []int) *Set {
-	s := &Set{}
-	for _, v := range vals {
-		s.Add(v)
-	}
-	return s
-}
-
 func (s *Set) grow(word int) {
 	if word < len(s.words) {
 		return
@@ -146,24 +137,10 @@ func (s *Set) DifferenceWith(o *Set) {
 	}
 }
 
-// Union returns a new set s ∪ o.
-func Union(s, o *Set) *Set {
-	r := s.Clone()
-	r.UnionWith(o)
-	return r
-}
-
 // Intersect returns a new set s ∩ o.
 func Intersect(s, o *Set) *Set {
 	r := s.Clone()
 	r.IntersectWith(o)
-	return r
-}
-
-// Difference returns a new set s − o.
-func Difference(s, o *Set) *Set {
-	r := s.Clone()
-	r.DifferenceWith(o)
 	return r
 }
 
@@ -257,20 +234,6 @@ func (s *Set) Equal(o *Set) bool {
 	}
 	for i := len(b); i < len(a); i++ {
 		if a[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// IsSubset reports whether every element of s is in o.
-func (s *Set) IsSubset(o *Set) bool {
-	for i, w := range s.words {
-		var ow uint64
-		if i < len(o.words) {
-			ow = o.words[i]
-		}
-		if w&^ow != 0 {
 			return false
 		}
 	}

@@ -6,6 +6,28 @@ import (
 	"testing/quick"
 )
 
+// fromSlice returns a set containing exactly the given values.
+func fromSlice(vals []int) *Set {
+	s := &Set{}
+	for _, v := range vals {
+		s.Add(v)
+	}
+	return s
+}
+
+// union and difference return a new set s ∪ o and s − o.
+func union(s, o *Set) *Set {
+	r := s.Clone()
+	r.UnionWith(o)
+	return r
+}
+
+func difference(s, o *Set) *Set {
+	r := s.Clone()
+	r.DifferenceWith(o)
+	return r
+}
+
 func TestAddContainsRemove(t *testing.T) {
 	s := New(0)
 	vals := []int{0, 1, 63, 64, 65, 127, 128, 1000}
@@ -60,10 +82,10 @@ func TestEmptyAndClear(t *testing.T) {
 }
 
 func TestSetOps(t *testing.T) {
-	a := FromSlice([]int{1, 2, 3, 100})
-	b := FromSlice([]int{2, 3, 4, 200})
+	a := fromSlice([]int{1, 2, 3, 100})
+	b := fromSlice([]int{2, 3, 4, 200})
 
-	u := Union(a, b)
+	u := union(a, b)
 	for _, v := range []int{1, 2, 3, 4, 100, 200} {
 		if !u.Contains(v) {
 			t.Fatalf("union missing %d", v)
@@ -78,7 +100,7 @@ func TestSetOps(t *testing.T) {
 		t.Fatalf("intersect wrong: %v", i)
 	}
 
-	d := Difference(a, b)
+	d := difference(a, b)
 	if d.Len() != 2 || !d.Contains(1) || !d.Contains(100) {
 		t.Fatalf("difference wrong: %v", d)
 	}
@@ -90,8 +112,8 @@ func TestSetOps(t *testing.T) {
 }
 
 func TestInPlaceOpsDifferentSizes(t *testing.T) {
-	small := FromSlice([]int{1})
-	big := FromSlice([]int{1, 500})
+	small := fromSlice([]int{1})
+	big := fromSlice([]int{1, 500})
 
 	s := small.Clone()
 	s.UnionWith(big)
@@ -119,13 +141,13 @@ func TestInPlaceOpsDifferentSizes(t *testing.T) {
 }
 
 func TestOrAnd(t *testing.T) {
-	a := FromSlice([]int{1, 2, 3})
-	b := FromSlice([]int{2, 3, 4})
-	s := FromSlice([]int{9})
+	a := fromSlice([]int{1, 2, 3})
+	b := fromSlice([]int{2, 3, 4})
+	s := fromSlice([]int{9})
 	if !s.OrAnd(a, b) {
 		t.Fatal("OrAnd should report change")
 	}
-	want := FromSlice([]int{2, 3, 9})
+	want := fromSlice([]int{2, 3, 9})
 	if !s.Equal(want) {
 		t.Fatalf("OrAnd: got %v want %v", s, want)
 	}
@@ -134,16 +156,16 @@ func TestOrAnd(t *testing.T) {
 	}
 	// Growth when target is smaller than operands.
 	tiny := New(0)
-	x := FromSlice([]int{300})
+	x := fromSlice([]int{300})
 	if !tiny.OrAnd(x, x) || !tiny.Contains(300) {
 		t.Fatal("OrAnd did not grow target")
 	}
 }
 
 func TestIntersects(t *testing.T) {
-	a := FromSlice([]int{1, 100})
-	b := FromSlice([]int{100})
-	c := FromSlice([]int{2, 200})
+	a := fromSlice([]int{1, 100})
+	b := fromSlice([]int{100})
+	c := fromSlice([]int{2, 200})
 	if !a.Intersects(b) || !b.Intersects(a) {
 		t.Fatal("Intersects false negative")
 	}
@@ -156,8 +178,8 @@ func TestIntersects(t *testing.T) {
 }
 
 func TestEqualAndSubset(t *testing.T) {
-	a := FromSlice([]int{1, 2, 3})
-	b := FromSlice([]int{1, 2, 3})
+	a := fromSlice([]int{1, 2, 3})
+	b := fromSlice([]int{1, 2, 3})
 	b.Add(5000)
 	b.Remove(5000) // trailing zero words must not break Equal
 	if !a.Equal(b) || !b.Equal(a) {
@@ -167,21 +189,22 @@ func TestEqualAndSubset(t *testing.T) {
 	if a.Equal(b) {
 		t.Fatal("Equal false positive")
 	}
-	if !a.IsSubset(b) {
-		t.Fatal("IsSubset false negative")
+	// a ⊆ b exactly when a − b is empty.
+	if !difference(a, b).Empty() {
+		t.Fatal("subset has a difference")
 	}
-	if b.IsSubset(a) {
-		t.Fatal("IsSubset false positive")
+	if difference(b, a).Empty() {
+		t.Fatal("superset has no difference")
 	}
-	big := FromSlice([]int{1, 2, 3, 900})
-	if big.IsSubset(a) {
-		t.Fatal("IsSubset with larger operand")
+	big := fromSlice([]int{1, 2, 3, 900})
+	if difference(big, a).Empty() {
+		t.Fatal("larger operand has no difference")
 	}
 }
 
 func TestForEachAndSlice(t *testing.T) {
 	vals := []int{5, 1, 300, 64}
-	s := FromSlice(vals)
+	s := fromSlice(vals)
 	got := s.Slice()
 	want := []int{1, 5, 64, 300}
 	if len(got) != len(want) {
@@ -214,8 +237,8 @@ func TestMinMax(t *testing.T) {
 }
 
 func TestCopy(t *testing.T) {
-	a := FromSlice([]int{1, 2, 900})
-	b := FromSlice([]int{5})
+	a := fromSlice([]int{1, 2, 900})
+	b := fromSlice([]int{5})
 	b.Copy(a)
 	if !b.Equal(a) {
 		t.Fatal("Copy mismatch")
@@ -227,7 +250,7 @@ func TestCopy(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	s := FromSlice([]int{2, 1})
+	s := fromSlice([]int{2, 1})
 	if got := s.String(); got != "{1, 2}" {
 		t.Fatalf("String=%q", got)
 	}
@@ -277,7 +300,7 @@ func TestPropertyInclusionExclusion(t *testing.T) {
 		for _, y := range ys {
 			b.Add(int(y))
 		}
-		return Union(a, b).Len() == a.Len()+b.Len()-Intersect(a, b).Len()
+		return union(a, b).Len() == a.Len()+b.Len()-Intersect(a, b).Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -294,7 +317,7 @@ func TestPropertyDifferenceReconstruction(t *testing.T) {
 		for _, y := range ys {
 			b.Add(int(y))
 		}
-		r := Difference(a, b)
+		r := difference(a, b)
 		r.UnionWith(Intersect(a, b))
 		return r.Equal(a)
 	}
@@ -340,7 +363,7 @@ func BenchmarkOrAnd4096(b *testing.B) {
 }
 
 func TestNextSet(t *testing.T) {
-	s := FromSlice([]int{3, 64, 65, 200})
+	s := fromSlice([]int{3, 64, 65, 200})
 	cases := []struct{ from, want int }{
 		{-5, 3}, {0, 3}, {3, 3}, {4, 64}, {64, 64}, {65, 65}, {66, 200},
 		{200, 200}, {201, -1}, {10_000, -1},
@@ -364,8 +387,8 @@ func TestNextSet(t *testing.T) {
 }
 
 func TestAndOf(t *testing.T) {
-	a := FromSlice([]int{1, 5, 70, 128, 300})
-	b := FromSlice([]int{5, 70, 301})
+	a := fromSlice([]int{1, 5, 70, 128, 300})
+	b := fromSlice([]int{5, 70, 301})
 	s := New(512) // oversized scratch: AndOf must shrink it
 	s.Add(400)    // stale content must vanish
 	s.AndOf(a, b)

@@ -7,6 +7,7 @@ package core
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
@@ -51,7 +52,7 @@ type storeImage struct {
 	ids, ivIdx   index
 	free, ivFree []int32
 	recs         []ruleRec
-	his          []*[pageSize]uint32
+	his          []*[pageSize]wideRec
 	ivs          []ivRec
 }
 
@@ -74,7 +75,7 @@ func imageOf(s *ruleStore) storeImage {
 
 func (a storeImage) equal(b storeImage) bool {
 	same := func(x, y index) bool { return slices.Equal(x.table, y.table) && x.shift == y.shift && x.live == y.live }
-	column := func(x, y *[pageSize]uint32) bool { return x == y || x != nil && y != nil && *x == *y }
+	column := func(x, y *[pageSize]wideRec) bool { return x == y || x != nil && y != nil && *x == *y }
 	return same(a.ids, b.ids) && same(a.ivIdx, b.ivIdx) && slices.Equal(a.free, b.free) &&
 		slices.Equal(a.ivFree, b.ivFree) && slices.Equal(a.recs, b.recs) &&
 		slices.EqualFunc(a.his, b.his, column) && slices.Equal(a.ivs, b.ivs)
@@ -94,11 +95,22 @@ func (dr *idDriver) batch(ops ...BatchOp) {
 	}
 }
 
-// step applies one operation: code picks the kind, k the id, x the shape.
+// widePrios are priorities that need their page's column.
+var widePrios = []Priority{-1, -1 << 20, 1 << 16, math.MaxInt32, math.MinInt32}
+
+// step applies one operation: code%6 picks the kind and code/6%8, if 1 to
+// 5, a wide priority; k picks the id and x the shape.
 func (dr *idDriver) step(code, k, x byte) {
 	id := dr.ids[int(k)%len(dr.ids)]
 	_, live := dr.oracle[id]
-	r := dr.rule(id, x)
+	shape := func(id RuleID) Rule {
+		r := dr.rule(id, x)
+		if w := int(code / 6 % 8); w >= 1 && w <= len(widePrios) {
+			r.Priority = widePrios[w-1]
+		}
+		return r
+	}
+	r := shape(id)
 	switch code % 6 {
 	case 0:
 		err := dr.n.InsertRuleInto(r, &dr.d)
@@ -149,7 +161,7 @@ func (dr *idDriver) step(code, k, x byte) {
 		// the entry must survive the batch with one reference.
 		b := dr.ids[(int(k)+1)%len(dr.ids)]
 		if _, bLive := dr.oracle[b]; live && !bLive {
-			rb := dr.rule(b, x)
+			rb := shape(b)
 			rb.Match = dr.oracle[id].Match
 			if x&1 == 0 {
 				dr.batch(RemoveOp(id), InsertOp(rb))
@@ -216,13 +228,13 @@ func adversarialIDs() []RuleID {
 }
 
 // TestIDIndexDifferential drives seeded random operation streams over the
-// adversarial id pool.
+// adversarial id pool, five in eight of them with a wide priority.
 func TestIDIndexDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dr := newIDDriver(t, adversarialIDs())
 		for i := 0; i < 3000; i++ {
-			dr.step(byte(rng.Intn(6)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+			dr.step(byte(rng.Intn(48)), byte(rng.Intn(256)), byte(rng.Intn(256)))
 		}
 		dr.finish()
 	}
@@ -350,6 +362,17 @@ func FuzzRuleStore(f *testing.F) {
 	// slot, and 2<<32 is removed and re-inserted in one batch before 3
 	// takes the slot its old copy left.
 	f.Add([]byte{0, 1, 13, 5, 1, 13, 3, 7, 0, 0, 47, 20, 2, 47, 20, 0, 8, 21, 4, 7, 0})
+	// Negative priorities share a match and its cell: -1, -1<<20 and
+	// math.MinInt32 go in, the -1 rule leaves, a batch inserts a narrow
+	// rule into its freed slot, the -1<<20 rule is removed and re-inserted
+	// at -1 in one batch, and a narrow rule takes the math.MinInt32 rule's
+	// slot.
+	f.Add([]byte{6, 0, 9, 12, 2, 9, 30, 7, 9, 1, 0, 0, 3, 8, 9, 8, 2, 9, 1, 7, 0, 0, 9, 9})
+	// Priorities of 2¹⁶ and math.MaxInt32 above a narrow one on a shared
+	// match: the math.MaxInt32 rule hands its match to a dead id at 2¹⁶, a
+	// refused batch leaves the store as it was, the first 2¹⁶ rule leaves,
+	// and narrow rules take the freed slots.
+	f.Add([]byte{0, 2, 40, 18, 7, 40, 24, 8, 40, 23, 8, 40, 22, 8, 40, 1, 7, 0, 0, 10, 40, 0, 11, 40})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dr := newIDDriver(t, adversarialIDs())
 		for i := 0; i+2 < len(data) && i < 3*512; i += 3 {
@@ -359,33 +382,77 @@ func FuzzRuleStore(f *testing.F) {
 	})
 }
 
-// TestWideIDColumn loads more than two pages of narrow ids, then ids that
-// need their high half — past 2³², negative and both extremes — which all
-// land in the third page, so that page alone gets a column. The wide rules
-// are then removed and narrow ids re-inserted into their freed slots. Each
-// wide or re-inserted rule shares its match, source and priority with a
-// narrow rule on another link, so the higher id must own the match's atom,
-// and several wide ids' low halves alone would order them the other way.
-// After every step Rule, Snapshot and RemoveRule of an absent id must
-// agree with the oracle.
-func TestWideIDColumn(t *testing.T) {
-	const narrow = 2*pageSize + 100
-	wide := []RuleID{1 << 32, 1<<32 | 5, -1, -6, -1 << 40, math.MinInt64, math.MaxInt64, 7<<32 | 9}
-	var renarrow, pool []RuleID
-	for i := range RuleID(narrow) {
-		pool = append(pool, i)
-	}
-	for j := range wide {
-		renarrow = append(renarrow, RuleID(narrow+j))
-	}
-	pool = append(append(pool, wide...), renarrow...)
-	dr := newIDDriver(t, pool)
+// TestWideColumn loads more than two pages of narrow rules, then rules
+// that need their page's column — ids past 2³², negative and both
+// extremes, priorities outside [0, 2¹⁶) and a link past 2¹⁶ — which all
+// land in the third page, so that page alone gets a column. The wide
+// rules are then removed and narrow rules re-inserted into their freed
+// slots. Each wide or re-inserted rule shares its match and source with a
+// narrow rule on another link, and the two are keyed so that the low
+// halves alone would order them the other way: a wide id ties with the
+// narrow rule's priority, and a wide priority faces a narrow one its low
+// 16 bits are below, above or equal to (the ids then deciding the other
+// way). After every step Rule, Snapshot, ForwardLink and RemoveRule of an
+// absent id must agree with the oracle.
+func TestWideColumn(t *testing.T) {
+	const narrow, base = 2*pageSize + 100, 1 << 20
+	dr := newIDDriver(t, nil)
 	own, rival := dr.links[0], dr.links[3] // both leave node a
-	src := dr.n.graph.Link(own).Src
-	match := func(i int) ipnet.Interval { return ipnet.Interval{Lo: uint64(i) * 64, Hi: uint64(i)*64 + 64} }
-	rule := func(id RuleID, link netgraph.LinkID, i int) Rule {
-		return Rule{ID: id, Source: src, Link: link, Match: match(i), Priority: 1}
+	g := dr.n.graph
+	src := g.Link(own).Src
+	// Pad the graph with 2¹⁶ links among 256 other nodes, so that a's
+	// next out-link has an id whose low 16 bits name a padding link.
+	var pad []netgraph.NodeID
+	for i := range 256 {
+		pad = append(pad, g.AddNode(fmt.Sprint("p", i)))
 	}
+	for _, x := range pad {
+		for _, y := range pad {
+			g.AddLink(x, y)
+		}
+	}
+	wideLink := g.AddLink(src, g.AddNode("d"))
+	if wideLink < 1<<16 || g.Link(wideLink&(1<<16-1)).Src == src {
+		t.Fatalf("padded link %d is not wide or its low half names another link of node a", wideLink)
+	}
+	match := func(i int) ipnet.Interval { return ipnet.Interval{Lo: uint64(i) * 64, Hi: uint64(i)*64 + 64} }
+
+	// wide[j] ties at priority 1 with narrow rule j+1; each extra rule
+	// faces its narrow opponent opp on a match of its own.
+	wideIDs := []RuleID{1 << 32, 1<<32 | 5, -1, -6, -1 << 40, math.MinInt64, math.MaxInt64, 7<<32 | 9}
+	var narrows, wides, opps, renarrows []Rule
+	for i := range narrow {
+		narrows = append(narrows, Rule{ID: RuleID(i), Source: src, Link: own, Match: match(i), Priority: 1})
+	}
+	for j, id := range wideIDs {
+		wides = append(wides, Rule{ID: id, Source: src, Link: rival, Match: match(j + 1), Priority: 1})
+	}
+	for k, c := range []struct {
+		id, oppID    RuleID
+		link         netgraph.LinkID
+		prio, oppPri Priority
+	}{
+		{base + 1, base, rival, -1, 1},                        // low halves: 0xffff > 1
+		{base + 3, base + 2, rival, -1 << 20, 0},              // low halves tie at 0, higher id
+		{base + 5, base + 4, rival, 1 << 16, 1},               // low halves: 0 < 1
+		{base + 6, base + 7, rival, math.MaxInt32, 1<<16 - 1}, // low halves tie at 0xffff, lower id
+		{base + 9, base + 8, rival, math.MinInt32, 0},         // low halves tie at 0, higher id
+		{base + 11, base + 10, wideLink, 2, 1},                // a wide link
+		{-1 << 35, base + 12, wideLink, 1 << 20, 1<<16 - 1},   // all three wide: 0 < 0xffff
+	} {
+		m := match(narrow + k)
+		opps = append(opps, Rule{ID: c.oppID, Source: src, Link: own, Match: m, Priority: c.oppPri})
+		wides = append(wides, Rule{ID: c.id, Source: src, Link: c.link, Match: m, Priority: c.prio})
+	}
+	for j, w := range wides {
+		renarrows = append(renarrows, Rule{ID: RuleID(narrow + j), Source: src, Link: rival, Match: w.Match, Priority: 1})
+	}
+	var pool []RuleID
+	for _, r := range slices.Concat(narrows, opps, wides, renarrows) {
+		pool = append(pool, r.ID)
+	}
+	dr.ids = pool
+
 	insert := func(r Rule) int32 {
 		t.Helper()
 		if err := dr.n.InsertRuleInto(r, &dr.d); err != nil {
@@ -421,52 +488,52 @@ func TestWideIDColumn(t *testing.T) {
 		if got := dr.n.Snapshot(); !slices.Equal(got, want) {
 			t.Fatalf("%s: Snapshot holds %d rules, differing from the oracle's %d", step, len(got), len(want))
 		}
-		// Narrow rule j+1 ties with wide[j] or renarrow[j]: the higher
-		// live id owns the match's atom.
-		for j := range wide {
-			owner, link := RuleID(j+1), own
-			for _, id := range []RuleID{wide[j], renarrow[j]} {
-				if _, live := dr.oracle[id]; live && id > owner {
-					owner, link = id, rival
+		// Each contested match forwards on its highest-keyed live rule's
+		// link.
+		for _, w := range wides {
+			var owner *Rule
+			for _, r := range dr.oracle {
+				if r.Match == w.Match && (owner == nil || cmpPrioKey(r.key(), owner.key()) > 0) {
+					owner = &r
 				}
 			}
-			if got := dr.n.ForwardLink(src, dr.n.AtomOf(match(j+1).Lo)); got != link {
-				t.Fatalf("%s: match %d forwards on link %d, want %d (rule %d's)", step, j+1, got, link, owner)
+			if got := dr.n.ForwardLink(src, dr.n.AtomOf(w.Match.Lo)); got != owner.Link {
+				t.Fatalf("%s: match %v forwards on link %d, want %d (rule %d's)", step, w.Match, got, owner.Link, owner.ID)
 			}
 		}
 		if got := columns(); !slices.Equal(got, wantColumns) {
-			t.Fatalf("%s: pages %v have id columns, want %v", step, got, wantColumns)
+			t.Fatalf("%s: pages %v have columns, want %v", step, got, wantColumns)
 		}
 	}
 
-	for i := range narrow {
-		insert(rule(RuleID(i), own, i))
+	for _, r := range slices.Concat(narrows, opps) {
+		insert(r)
 	}
-	verify("narrow ids", nil)
+	verify("narrow rules", nil)
 	var freed []int32
-	for j, id := range wide {
-		slot := insert(rule(id, rival, j+1))
+	for _, r := range wides {
+		slot := insert(r)
 		if slot/pageSize != 2 {
-			t.Fatalf("wide id %d took slot %d, outside page 2", id, slot)
+			t.Fatalf("wide rule %d took slot %d, outside page 2", r.ID, slot)
 		}
 		freed = append(freed, slot)
 	}
-	verify("wide ids", []int{2})
-	for _, id := range wide {
-		if err := dr.n.RemoveRuleInto(id, &dr.d); err != nil {
+	verify("wide rules", []int{2})
+	for _, r := range wides {
+		if err := dr.n.RemoveRuleInto(r.ID, &dr.d); err != nil {
 			t.Fatal(err)
 		}
-		delete(dr.oracle, id)
+		delete(dr.oracle, r.ID)
 	}
-	verify("wide ids removed", []int{2})
+	verify("wide rules removed", []int{2})
 	var reused []int32
-	for j, id := range renarrow {
-		reused = append(reused, insert(rule(id, rival, j+1)))
+	for _, r := range renarrows {
+		reused = append(reused, insert(r))
 	}
 	slices.Sort(freed)
 	slices.Sort(reused)
 	if !slices.Equal(freed, reused) {
-		t.Fatalf("narrow ids took slots %v, want the wide ids' freed %v", reused, freed)
+		t.Fatalf("narrow rules took slots %v, want the wide rules' freed %v", reused, freed)
 	}
-	verify("narrow ids in wide ids' slots", []int{2})
+	verify("narrow rules in wide rules' slots", []int{2})
 }

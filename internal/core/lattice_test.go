@@ -58,21 +58,23 @@ func TestPaperFigure9Lattice(t *testing.T) {
 		m    *bitset.Set
 		want intAtom
 	}{{m1, alpha2}, {m2, alpha1}, {m3, alpha0}} {
-		comp := bitset.Difference(top, c.m)
+		comp := top.Clone()
+		comp.DifferenceWith(c.m)
 		if comp.Len() != 1 || !comp.Contains(int(c.want)) {
 			t.Fatalf("complement of %v = %v, want atom %d", c.m, comp, c.want)
 		}
 	}
 	// Join of any two middle elements is ⊤; meet is a single atom.
-	if !bitset.Union(m1, m2).Equal(top) || !bitset.Union(m2, m3).Equal(top) {
+	join := func(a, b *bitset.Set) *bitset.Set { j := a.Clone(); j.UnionWith(b); return j }
+	if !join(m1, m2).Equal(top) || !join(m2, m3).Equal(top) {
 		t.Fatal("join of middle elements should be top")
 	}
 	if bitset.Intersect(m1, m3).Len() != 1 {
 		t.Fatal("meet of m1 and m3 should be one atom")
 	}
 	// Rule intervals are exactly expressible: ⟦rH⟧ = {α1}, ⟦rL⟧ = top.
-	rh := bitset.FromSlice(atomInts(n.AtomsOverlapping(iv(10, 12))))
-	rl := bitset.FromSlice(atomInts(n.AtomsOverlapping(iv(0, 16))))
+	rh := set(n.AtomsOverlapping(iv(10, 12))...)
+	rl := set(n.AtomsOverlapping(iv(0, 16))...)
 	if rh.Len() != 1 || !rh.Contains(int(alpha1)) {
 		t.Fatalf("⟦rH⟧=%v", rh)
 	}
@@ -80,21 +82,14 @@ func TestPaperFigure9Lattice(t *testing.T) {
 		t.Fatalf("⟦rL⟧=%v", rl)
 	}
 	// ⟦rL⟧ − ⟦rH⟧ (the packets rL actually matches, §3.1's example).
-	eff := bitset.Difference(rl, rh)
+	eff := rl.Clone()
+	eff.DifferenceWith(rh)
 	if !eff.Equal(m2) {
 		t.Fatalf("rL − rH = %v, want %v", eff, m2)
 	}
 }
 
 type intAtom = intervalmap.AtomID
-
-func atomInts(ids []intAtom) []int {
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = int(id)
-	}
-	return out
-}
 
 // TestLatticeClosureProperty: for random rule sets, every Boolean
 // combination of rule intervals is exactly a union of atoms — no

@@ -40,7 +40,9 @@ func liveHeap() uint64 {
 // record is 16 bytes (no id here needs a high-half column) the records take
 // 1.61 MB instead of 2.01 MB, and since the owner directory grows by an
 // eighth its 159 888 atoms take 8.16 MB of headers instead of 9.05 MB:
-// 264 B per rule, and the ceiling is that plus 10 %.
+// 264 B per rule. Since the record is 12 bytes (no link or priority here
+// needs a column either) the records take 1.21 MB: 260 B per rule, and
+// the ceiling is that plus 10 %.
 func TestMemoryBytesTracksHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 100k-rule plane")
@@ -83,7 +85,7 @@ func TestMemoryBytesTracksHeap(t *testing.T) {
 	if est < 0.85*grown || est > 1.15*grown {
 		t.Fatalf("MemoryBytes %.0f is outside ±15%% of the measured heap growth %.0f", est, grown)
 	}
-	const ceiling = 290 // B per rule
+	const ceiling = 286 // B per rule
 	if perRule := est / float64(n.NumRules()); perRule > ceiling {
 		t.Fatalf("MemoryBytes is %.1f B per rule, want ≤ %d", perRule, ceiling)
 	}
@@ -91,19 +93,19 @@ func TestMemoryBytesTracksHeap(t *testing.T) {
 	runtime.KeepAlive(input)
 }
 
-// TestRuleRecordIs16Bytes pins the rule record's size — an id's low half,
-// an interval entry, a link and a priority, with no padding — and the
-// arena page's and the high-half column's: 8 192 B and 2 048 B are exact
-// Go size classes.
-func TestRuleRecordIs16Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(ruleRec{}); got != 16 {
-		t.Fatalf("ruleRec is %d bytes, want 16", got)
+// TestRuleRecordIs12Bytes pins the rule record's size — an id's low half,
+// an interval entry and a link's and a priority's low 16 bits, with no
+// padding — and the arena page's and the high-half column's: 6 144 B and
+// 4 096 B are exact Go size classes.
+func TestRuleRecordIs12Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(ruleRec{}); got != 12 {
+		t.Fatalf("ruleRec is %d bytes, want 12", got)
 	}
-	if got := unsafe.Sizeof([pageSize]ruleRec{}); got != 8192 {
-		t.Fatalf("an arena page is %d bytes, want 8192", got)
+	if got := unsafe.Sizeof([pageSize]ruleRec{}); got != 6144 {
+		t.Fatalf("an arena page is %d bytes, want 6144", got)
 	}
-	if got := unsafe.Sizeof([pageSize]uint32{}); got != 2048 {
-		t.Fatalf("an id column is %d bytes, want 2048", got)
+	if got := unsafe.Sizeof([pageSize]wideRec{}); got != 4096 {
+		t.Fatalf("a high-half column is %d bytes, want 4096", got)
 	}
 }
 
@@ -138,7 +140,7 @@ func sharedMatchPlane(t *testing.T, high RuleID) *Network {
 	return n
 }
 
-// TestSharedMatchRecords holds sharedMatchPlane's records to ≤ 17 B per
+// TestSharedMatchRecords holds sharedMatchPlane's records to ≤ 13 B per
 // rule and its 400 interval entries, their free list and index to ≤ 2 B
 // per rule. When every id has high bits, each page carries a column and
 // the records may take ≤ 21 B per rule, what a 20-byte record took.
@@ -146,7 +148,7 @@ func TestSharedMatchRecords(t *testing.T) {
 	for _, pass := range []struct {
 		high    RuleID
 		records float64
-	}{{0, 17}, {1 << 40, 21}} {
+	}{{0, 13}, {1 << 40, 21}} {
 		n := sharedMatchPlane(t, pass.high)
 		rows, rules := n.MemoryRows(), float64(n.NumRules())
 		t.Logf("%d rules with ids from %#x: %+v", n.NumRules(), pass.high, rows)

@@ -133,10 +133,9 @@ func (n *Network) Rules(fn func(r Rule) bool) {
 
 // ruleAt expands the arena record in slot back into a Rule.
 func (n *Network) ruleAt(slot int32) Rule {
-	rec := n.store.rec(slot)
-	iv := &n.store.ivs[rec.iv]
-	return Rule{ID: n.store.id(slot), Source: n.graph.Link(rec.link).Src, Link: rec.link,
-		Match: ipnet.Interval{Lo: n.m.Key(iv.lo), Hi: n.m.Key(iv.hi)}, Priority: rec.prio}
+	iv, link := &n.store.ivs[n.store.rec(slot).iv], n.store.link(slot)
+	return Rule{ID: n.store.id(slot), Source: n.graph.Link(link).Src, Link: link,
+		Match: ipnet.Interval{Lo: n.m.Key(iv.lo), Hi: n.m.Key(iv.hi)}, Priority: n.store.prio(slot)}
 }
 
 // Label returns the atom set of a link: the packets (as atoms) that the
@@ -209,7 +208,7 @@ func (n *Network) linkOf(slot int32) netgraph.LinkID {
 	if slot == noSlot {
 		return netgraph.NoLink
 	}
-	return n.store.rec(slot).link
+	return n.store.link(slot)
 }
 
 // Errors returned by the mutation API.
@@ -337,7 +336,7 @@ func (n *Network) record(r *Rule, d *Delta) int32 {
 		newOwner := n.ownerAt(sp.New) // may grow the directory: take first
 		oldOwner := &n.owner[sp.Old]
 		newOwner.cloneFrom(oldOwner)
-		oldOwner.eachTop(func(slot int32) { n.labelOf(s.rec(slot).link).Add(int(sp.New)) })
+		oldOwner.eachTop(func(slot int32) { n.labelOf(s.link(slot)).Add(int(sp.New)) })
 	}
 	e := int32(len(s.ivs))
 	if k := len(s.ivFree); k > 0 {
@@ -453,14 +452,14 @@ func (n *Network) CheckInvariants() string {
 	// owner table of every atom of its interval.
 	s := &n.store
 	if len(s.his) != len(s.pages) {
-		return fmt.Sprintf("rule store has %d id columns for %d pages", len(s.his), len(s.pages))
+		return fmt.Sprintf("rule store has %d columns for %d pages", len(s.his), len(s.pages))
 	}
 	live, refs := 0, make([]int32, len(s.ivs))
 	for slot := int32(0); slot < s.n; slot++ {
 		rec := s.rec(slot)
 		if rec.iv == noSlot {
-			if hi := s.hi(slot); hi != 0 {
-				return fmt.Sprintf("released rule store slot %d holds high id half %#x in its column", slot, hi)
+			if w := s.wide(slot); w != (wideRec{}) {
+				return fmt.Sprintf("released rule store slot %d holds high halves %+v in its column", slot, w)
 			}
 			continue
 		}
@@ -517,7 +516,7 @@ func (n *Network) CheckInvariants() string {
 			return true
 		}
 		n.owner[alpha].eachTop(func(slot int32) {
-			want[LinkAtom{Link: n.store.rec(slot).link, Atom: alpha}] = true
+			want[LinkAtom{Link: n.store.link(slot), Atom: alpha}] = true
 			total++
 		})
 		return true
@@ -579,7 +578,7 @@ func (n *Network) MemoryBytes() int64 { return n.MemoryRows().Total() }
 // MemoryRows attributes the engine's heap to its structures, one row
 // (bytes, capacity included) each.
 type MemoryRows struct {
-	Records   int64 // rule arena pages, their id-high columns, both directories and the free list
+	Records   int64 // rule arena pages, their high-half columns, both directories and the free list
 	Intervals int64 // interval entries, their free list and index
 	Index     int64 // id → slot table
 	OwnerDir  int64 // one ownerAtom header per atom id

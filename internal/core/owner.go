@@ -8,12 +8,13 @@ package core
 // storage:
 //
 //   - ruleStore: every live rule lives in one dense slot-indexed arena of
-//     16-byte pointer-free ruleRecs, with a LIFO free list so steady-state
+//     12-byte pointer-free ruleRecs, with a LIFO free list so steady-state
 //     churn recycles slots instead of allocating, and an open-addressed
 //     id → slot table (4 bytes per entry, keyed by the id the store
 //     already holds) in place of a Go map. A record holds its id's low
-//     32 bits; the high half lives in a per-page column that a page only
-//     has once an id needing it lands there. A record names its match by an
+//     32 bits and its link's and priority's low 16; the high halves live
+//     in a per-page column that a page only has once a rule needing one
+//     lands there. A record names its match by an
 //     interval entry: one refcounted ivRec per distinct live match holds
 //     the match's two boundary-map handles, found through a second
 //     open-addressed table keyed by the match. The paper's planes compile
@@ -49,20 +50,36 @@ import (
 // in a released record.
 const noSlot int32 = -1
 
-// ruleRec is one 16-byte arena slot: a Rule without its source, which is
+// ruleRec is one 12-byte arena slot: a Rule without its source, which is
 // always graph.Link(link).Src (a drop rule is stored on its source's drop
-// link), its match named by interval entry iv, and only the low half of
-// its id: the high half is in the page's column (ruleStore.his), which
-// only exists once an id with high bits lands in the page. An int64 id
-// field would align the record to 8 bytes and pad it to 24. A released
-// slot holds iv == noSlot.
+// link), its match named by interval entry iv, and only the low halves of
+// its id, link and priority: the high halves are in the page's column
+// (ruleStore.his), which only exists once a rule with one that is not
+// zero lands in the page. Full-width fields would make the record 20
+// bytes, or 24 with its alignment to 8 for an int64 id. A released slot
+// holds iv == noSlot.
 //
 //deltanet:pointerfree
 type ruleRec struct {
-	idLo uint32
-	iv   int32
-	link netgraph.LinkID
-	prio Priority
+	idLo           uint32
+	iv             int32
+	linkLo, prioLo uint16
+}
+
+// wideRec is one slot's entry in its page's column: the high 32 bits of
+// its id and the high 16 of its link and priority (as unsigned words, so a
+// negative priority has prioHi ≠ 0). The benchmark's planes need none of
+// them: their ids fit in 32 bits and their links and priorities in 16.
+//
+//deltanet:pointerfree
+type wideRec struct {
+	idHi           uint32
+	linkHi, prioHi uint16
+}
+
+// wideOf returns the high halves of r's id, link and priority.
+func wideOf(r *Rule) wideRec {
+	return wideRec{idHi: uint32(uint64(r.ID) >> 32), linkHi: uint16(uint32(r.Link) >> 16), prioHi: uint16(uint32(r.Priority) >> 16)}
 }
 
 // ivRec is one interval entry: a match some live rule has, its bounds named
@@ -79,16 +96,16 @@ type ivRec struct {
 // ruleStore is the dense arena of live rules and their interval entries.
 // Slots and entries are recycled LIFO. Records live in pages that are
 // never moved, so growth costs one page and leaves at most one spare.
-// his holds one entry per page: nil until an id whose high 32 bits are
-// not zero is allocated into the page, then a column of the page's ids'
-// high halves, zero at every slot whose id has none and at every released
-// slot. Pages, columns and entries are pointer-free, so the garbage
-// collector never scans rule storage, and owner-list searches index flat
-// arrays.
+// his holds one entry per page: nil until a rule with a wide field (an id
+// with high bits, a link ≥ 2¹⁶ or a priority outside [0, 2¹⁶)) is
+// allocated into the page, then a column of the page's high halves, zero
+// at every slot whose rule has none and at every released slot. Pages,
+// columns and entries are pointer-free, so the garbage collector never
+// scans rule storage, and owner-list searches index flat arrays.
 type ruleStore struct {
 	pages []*[pageSize]ruleRec
-	his   []*[pageSize]uint32 // high id halves per page, nil while all are zero
-	n     int32               // slots ever allocated: the arena's length
+	his   []*[pageSize]wideRec // high halves per page, nil while all are zero
+	n     int32                // slots ever allocated: the arena's length
 	free  []int32
 	ids   index // id → slot
 
@@ -97,8 +114,8 @@ type ruleStore struct {
 	ivIdx  index // match → entry; ivKey hashes the match
 }
 
-// pageSize is how many records one arena page holds: 512 × 16 B is
-// 8 192 B, an exact Go size class, and a column is 2 048 B, another.
+// pageSize is how many records one arena page holds: 512 × 12 B is
+// 6 144 B, an exact Go size class, and a column is 4 096 B, another.
 const pageSize = 1 << 9
 
 func newRuleStore() ruleStore {
@@ -203,18 +220,26 @@ func (s *ruleStore) rec(slot int32) *ruleRec {
 	return &s.pages[uint32(slot)/pageSize][uint32(slot)%pageSize]
 }
 
-// hi returns the high half of slot's id: 0 when its page has no column.
-func (s *ruleStore) hi(slot int32) uint32 {
+// wide returns slot's column entry: zero when its page has no column.
+func (s *ruleStore) wide(slot int32) wideRec {
 	if h := s.his[uint32(slot)/pageSize]; h != nil {
 		return h[uint32(slot)%pageSize]
 	}
-	return 0
+	return wideRec{}
 }
 
-// id rebuilds the id of the rule in slot from its record and its page's
-// column.
+// id, link and prio rebuild a field of the rule in slot from its record
+// and its page's column.
 func (s *ruleStore) id(slot int32) RuleID {
-	return RuleID(uint64(s.hi(slot))<<32 | uint64(s.rec(slot).idLo))
+	return RuleID(uint64(s.wide(slot).idHi)<<32 | uint64(s.rec(slot).idLo))
+}
+
+func (s *ruleStore) link(slot int32) netgraph.LinkID {
+	return netgraph.LinkID(uint32(s.wide(slot).linkHi)<<16 | uint32(s.rec(slot).linkLo))
+}
+
+func (s *ruleStore) prio(slot int32) Priority {
+	return Priority(uint32(s.wide(slot).prioHi)<<16 | uint32(s.rec(slot).prioLo))
 }
 
 func (s *ruleStore) idKey(slot int32) uint64 { return uint64(s.id(slot)) }
@@ -224,7 +249,7 @@ func (s *ruleStore) idKey(slot int32) uint64 { return uint64(s.id(slot)) }
 // the low halves match.
 func (s *ruleStore) find(id RuleID) (int, bool) {
 	lo, hi := uint32(id), uint32(uint64(id)>>32)
-	return s.ids.find(uint64(id), func(slot int32) bool { return s.rec(slot).idLo == lo && s.hi(slot) == hi })
+	return s.ids.find(uint64(id), func(slot int32) bool { return s.rec(slot).idLo == lo && s.wide(slot).idHi == hi })
 }
 
 // alloc stores r's record, naming interval entry iv, and returns its slot,
@@ -243,13 +268,13 @@ func (s *ruleStore) alloc(r *Rule, iv int32) int32 {
 			s.his = append(s.his, nil)
 		}
 	}
-	*s.rec(slot) = ruleRec{idLo: uint32(r.ID), iv: iv, link: r.Link, prio: r.Priority}
-	if hi := uint32(uint64(r.ID) >> 32); hi != 0 { // a free slot is zero in its column
+	*s.rec(slot) = ruleRec{idLo: uint32(r.ID), iv: iv, linkLo: uint16(r.Link), prioLo: uint16(r.Priority)}
+	if w := wideOf(r); w != (wideRec{}) { // a free slot is zero in its column
 		page := uint32(slot) / pageSize
 		if s.his[page] == nil {
-			s.his[page] = new([pageSize]uint32)
+			s.his[page] = new([pageSize]wideRec)
 		}
-		s.his[page][uint32(slot)%pageSize] = hi
+		s.his[page][uint32(slot)%pageSize] = w
 	}
 	if i, ok := s.find(r.ID); ok {
 		s.ids.table[i] = slot + 1
@@ -274,7 +299,7 @@ func (s *ruleStore) releaseSlot(slot int32) {
 	}
 	*s.rec(slot) = ruleRec{iv: noSlot}
 	if h := s.his[uint32(slot)/pageSize]; h != nil {
-		h[uint32(slot)%pageSize] = 0
+		h[uint32(slot)%pageSize] = wideRec{}
 	}
 	s.free = append(s.free, slot)
 }
@@ -286,8 +311,11 @@ func (s *ruleStore) slotOf(id RuleID) (int32, bool) {
 	return noSlot, false
 }
 
+// keyOf loads the record and its page's column once for both fields: it
+// runs in every owner-slab search and in replay's sorts.
 func (s *ruleStore) keyOf(slot int32) prioKey {
-	return prioKey{prio: s.rec(slot).prio, id: s.id(slot)}
+	rec, w := s.rec(slot), s.wide(slot)
+	return prioKey{prio: Priority(uint32(w.prioHi)<<16 | uint32(rec.prioLo)), id: RuleID(uint64(w.idHi)<<32 | uint64(rec.idLo))}
 }
 
 func (s *ruleStore) len() int { return s.ids.live }
@@ -610,7 +638,7 @@ func (oa *ownerAtom) checkInvariants(s *ruleStore, g *netgraph.Graph) string {
 			if slot < 0 || slot >= s.n || s.rec(slot).iv == noSlot {
 				return fmt.Sprintf("owner cell of node %d holds released slot %d", node, slot)
 			}
-			if src := g.Link(s.rec(slot).link).Src; src != node {
+			if src := g.Link(s.link(slot)).Src; src != node {
 				return fmt.Sprintf("owner cell of node %d holds foreign rule %d of node %d", node, s.id(slot), src)
 			}
 		}

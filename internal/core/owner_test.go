@@ -72,8 +72,8 @@ func (dr *ownerDriver) newRule(x byte) (int, int32) {
 }
 
 func (dr *ownerDriver) rule(slot int32) Rule {
-	rec := dr.n.store.rec(slot)
-	return Rule{ID: dr.n.store.id(slot), Source: dr.n.graph.Link(rec.link).Src, Link: rec.link, Priority: rec.prio}
+	s := &dr.n.store
+	return Rule{ID: s.id(slot), Source: dr.n.graph.Link(s.link(slot)).Src, Link: s.link(slot), Priority: s.prio(slot)}
 }
 
 func (dr *ownerDriver) key(slot int32) prioKey { return dr.n.store.keyOf(slot) }

@@ -19,9 +19,11 @@
 //     rule-slot slab (owner.go): a cell holding one rule, the common
 //     case, holds its slot inline, and
 //     a larger one names its window of the slab — which preserves the
-//     logarithmic search bound and removes the per-node heap allocations. Rules themselves live in a 16-byte record arena
-//     indexed by an open-addressed id table; rules with one match share
-//     one refcounted interval entry holding the match's bound handles.
+//     logarithmic search bound and removes the per-node heap allocations. Rules themselves live in a 12-byte record arena
+//     indexed by an open-addressed id table (an id's high 32 bits and a
+//     link's or priority's high 16 sit in a per-page column that only pages
+//     holding such a rule have); rules with one match share one refcounted
+//     interval entry holding the match's bound handles.
 //
 // Each rule insertion or removal yields a Delta — the delta-graph of §3.3 —
 // from which property checkers (internal/check) verify invariants such as

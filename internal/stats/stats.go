@@ -1,13 +1,11 @@
 // Package stats provides the measurement machinery for the experiment
 // harness: per-operation latency collection with medians, means,
-// percentile thresholds and CDF series (Table 3 and Figure 8), and heap
-// probes for the memory comparison (Appendix D / Table 5).
+// percentile thresholds and CDF series (Table 3 and Figure 8).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -134,37 +132,6 @@ func FormatCDF(points []CDFPoint) string {
 	}
 	return b.String()
 }
-
-// HeapInUse reports live heap bytes after a forced GC — the probe used to
-// compare engine footprints (Appendix D).
-func HeapInUse() uint64 {
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.HeapAlloc
-}
-
-// MemDelta runs build and returns the heap growth it caused. The result is
-// approximate (Go's GC may retain slack) but stable enough for the 5–7×
-// ratio comparisons the paper reports.
-func MemDelta(build func()) uint64 {
-	before := HeapInUse()
-	build()
-	after := HeapInUse()
-	if after < before {
-		return 0
-	}
-	return after - before
-}
-
-// Timer measures one operation with monotonic time.
-type Timer struct{ start time.Time }
-
-// StartTimer begins timing.
-func StartTimer() Timer { return Timer{start: time.Now()} }
-
-// Elapsed returns the time since StartTimer.
-func (t Timer) Elapsed() time.Duration { return time.Since(t.start) }
 
 // FormatMicros renders a duration as microseconds with a µs suffix, the
 // unit of the paper's tables.
