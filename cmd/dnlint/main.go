@@ -1,10 +1,11 @@
 // Command dnlint runs deltanet's custom static-analysis suite (see
 // internal/analysis) over the requested packages and exits non-zero on
-// any finding. It is the CI lint gate:
+// any finding:
 //
 //	go run ./cmd/dnlint ./...
 //
-// With no arguments it checks ./... . dnlint is a standalone driver
+// With no arguments it checks ./... . CI gates on the same suite through
+// internal/analysis.TestDnlintClean, which `go test ./...` runs. dnlint is a standalone driver
 // rather than a `go vet -vettool` unitchecker because the module is
 // dependency-free: the vet plugin protocol lives in golang.org/x/tools,
 // which deltanet deliberately does not import.

@@ -1,36 +1,30 @@
-// Package analysis aggregates deltanet's custom lint suite. The four
-// analyzers encode invariants the compiler cannot check but correctness
-// and throughput depend on (see each analyzer's package doc):
+// Package analysis aggregates deltanet's custom lint suite: the checks
+// that neither the compiler, go vet nor a test in the owning package can
+// make. One analyzer is left (see its package doc):
 //
-//   - pointerfree: //deltanet:pointerfree types must contain no
-//     pointers (the PR 5 GC-regression class, made unrepresentable)
 //   - lockorder: //deltanet:lockrank mutexes must be acquired in
 //     increasing rank order, never leak past a return, never be copied
-//   - guardedwriter: net.Conn writes go through the
-//     //deltanet:connwriter type with every error checked
-//   - wireproto: dispatch code, the command registry, the README
-//     protocol table and the fuzz seeds must agree
 //
-// cmd/dnlint runs the suite from the command line and in CI;
-// TestDnlintClean runs it as part of `go test ./...`.
+// Its proving seed, a violation only it catches, is in its package doc.
+//
+// What other analyzers checked is now pinned by tests in the packages
+// that own the code: testutil.PointerFree (pointer-free long-lived
+// types), and internal/server's TestWireProtocol (dispatch, command
+// registry, README table and fuzz seeds agree) and TestGuardedWriter
+// (connection writes go through connWriter with errors checked).
+//
+// cmd/dnlint runs the suite from the command line; TestDnlintClean runs
+// it as part of `go test ./...`.
 package analysis
 
 import (
 	"deltanet/internal/analysis/dnlint"
-	"deltanet/internal/analysis/guardedwriter"
 	"deltanet/internal/analysis/lockorder"
-	"deltanet/internal/analysis/pointerfree"
-	"deltanet/internal/analysis/wireproto"
 )
 
 // Suite returns the deltanet analyzers in a stable order.
 func Suite() []*dnlint.Analyzer {
-	return []*dnlint.Analyzer{
-		pointerfree.Analyzer,
-		lockorder.Analyzer,
-		guardedwriter.Analyzer,
-		wireproto.Analyzer,
-	}
+	return []*dnlint.Analyzer{lockorder.Analyzer}
 }
 
 // Run applies the full suite to the packages matched by patterns

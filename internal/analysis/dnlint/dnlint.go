@@ -3,12 +3,12 @@
 // driver shape on top of the standard library's go/ast, go/types and
 // go/importer.
 //
-// The repo's lint suite (internal/analysis/...) enforces invariants the
-// compiler cannot see — pointer-free long-lived summaries, the lock-rank
-// hierarchy, the guarded connection writer, and wire-protocol/doc/fuzz
-// coherence. Those analyzers are written against the types in this
-// package; cmd/dnlint is the multichecker binary and
-// internal/analysis.TestDnlintClean is the in-repo gate.
+// The repo's lint suite (internal/analysis/...) enforces what neither
+// the compiler, go vet nor a test in the owning package can see: today
+// one analyzer, lockorder, and its lock-rank hierarchy. Analyzers are
+// written against the types in this package; cmd/dnlint is the
+// multichecker binary and internal/analysis.TestDnlintClean is the
+// in-repo gate.
 //
 // Why not x/tools? deltanet is deliberately zero-dependency (see go.mod),
 // so the usual go/analysis + analysistest + `go vet -vettool` stack is
@@ -26,25 +26,11 @@
 // inside the doc comment or trailing comment of the declaration it
 // annotates:
 //
-//	//deltanet:pointerfree
-//	    On a type declaration: the type must not contain pointers at any
-//	    depth (no pointers, slices, maps, chans, funcs, interfaces or
-//	    strings). Checked by the pointerfree analyzer.
-//
 //	//deltanet:lockrank <n>
 //	    On a sync.Mutex or sync.RWMutex struct field: declares the
 //	    field's rank in the package's lock hierarchy. Locks must be
 //	    acquired in strictly increasing rank order. Checked by the
 //	    lockorder analyzer.
-//
-//	//deltanet:connwriter
-//	    On a type declaration: marks the package's guarded connection
-//	    writer. Checked by the guardedwriter analyzer.
-//
-//	//deltanet:dispatch
-//	    On the wire-command registry variable ([]string) and on the
-//	    functions that dispatch on command strings. Checked by the
-//	    wireproto analyzer.
 //
 //	//deltanet:nolint <analyzer>[,<analyzer>] <reason>
 //	    Suppresses diagnostics from the named analyzers on the marker's
@@ -52,6 +38,11 @@
 //	    trailing the offending line and standing on its own line above
 //	    it). The reason is mandatory; a missing reason or an unknown
 //	    analyzer name is itself reported (and cannot be suppressed).
+//
+// Any other //deltanet:<word> marker in a loaded file whose word no
+// analyzer of the run claims (Analyzer.Markers) is reported as stale:
+// a marker whose checker was deleted must go with it, or it promises a
+// check that no longer runs.
 package dnlint
 
 import (
@@ -71,6 +62,10 @@ type Analyzer struct {
 
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
+
+	// Markers are the //deltanet:<word> marker words the analyzer reads.
+	// A marker no analyzer of the run claims is reported as stale.
+	Markers []string
 
 	// Run applies the analyzer to one package. Findings go through
 	// pass.Reportf; the error return is for operational failures only
@@ -126,7 +121,7 @@ func Marker(c *ast.Comment, name string) (args string, ok bool) {
 		return "", false
 	}
 	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return "", false // a longer marker name, e.g. "pointerfreeish"
+		return "", false // a longer marker name, e.g. "lockranks"
 	}
 	return strings.TrimSpace(rest), true
 }

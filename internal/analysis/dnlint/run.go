@@ -10,18 +10,18 @@ import (
 // Run loads the packages matched by patterns (resolved relative to dir,
 // or the current directory when dir is empty) and applies every analyzer
 // to every package. Diagnostics suppressed by a well-formed
-// //deltanet:nolint marker are dropped; malformed nolint markers are
-// themselves diagnostics (analyzer name "nolint") and cannot be
-// suppressed. The result is sorted by position.
+// //deltanet:nolint marker are dropped; malformed nolint markers
+// (analyzer name "nolint") and stale markers, whose word no analyzer
+// claims (analyzer name "marker"), are themselves diagnostics and cannot
+// be suppressed. The result is sorted by position.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	known := knownNames(analyzers)
 	var all []Diagnostic
 	for _, pkg := range pkgs {
-		diags, err := runPackage(pkg, analyzers, known)
+		diags, err := runPackage(pkg, analyzers)
 		if err != nil {
 			return nil, err
 		}
@@ -43,16 +43,8 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 	return all, nil
 }
 
-func knownNames(analyzers []*Analyzer) map[string]bool {
-	known := map[string]bool{"all": true}
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-	return known
-}
-
-func runPackage(pkg *LoadedPackage, analyzers []*Analyzer, known map[string]bool) ([]Diagnostic, error) {
-	sup, diags := scanNolint(pkg, known)
+func runPackage(pkg *LoadedPackage, analyzers []*Analyzer) ([]Diagnostic, error) {
+	sup, diags := scanMarkers(pkg, analyzers)
 	for _, a := range analyzers {
 		var raw []Diagnostic
 		pass := &Pass{
@@ -94,33 +86,48 @@ func (s suppressions) suppressed(d Diagnostic) bool {
 	return false
 }
 
-// scanNolint collects //deltanet:nolint markers across the package and
+// scanMarkers collects //deltanet:nolint markers across the package and
 // validates them: the analyzer list must name known analyzers and the
-// trailing reason is mandatory. Malformed markers become diagnostics.
-func scanNolint(pkg *LoadedPackage, known map[string]bool) (suppressions, []Diagnostic) {
+// trailing reason is mandatory. Every other marker's word must be
+// claimed by one of the analyzers. Malformed and stale markers become
+// diagnostics.
+func scanMarkers(pkg *LoadedPackage, analyzers []*Analyzer) (suppressions, []Diagnostic) {
+	known, claimed := map[string]bool{"all": true}, map[string]bool{"nolint": true}
+	for _, a := range analyzers {
+		known[a.Name] = true
+		for _, m := range a.Markers {
+			claimed[m] = true
+		}
+	}
 	sup := make(suppressions)
 	var diags []Diagnostic
-	bad := func(c *ast.Comment, format string, args ...any) {
+	report := func(c *ast.Comment, analyzer, format string, args ...any) {
 		diags = append(diags, Diagnostic{
 			Position: pkg.Fset.Position(c.Pos()),
-			Analyzer: "nolint",
+			Analyzer: analyzer,
 			Message:  fmt.Sprintf(format, args...),
 		})
 	}
 	for _, f := range pkg.Files {
 		for _, group := range f.Comments {
 			for _, c := range group.List {
+				if rest, ok := strings.CutPrefix(c.Text, "//deltanet:"); ok {
+					word, _, _ := strings.Cut(strings.ReplaceAll(rest, "\t", " "), " ")
+					if !claimed[word] {
+						report(c, "marker", "stale marker //deltanet:%s: no analyzer checks it; delete it", word)
+					}
+				}
 				args, ok := Marker(c, "nolint")
 				if !ok {
 					continue
 				}
 				names, reason, _ := strings.Cut(args, " ")
 				if names == "" {
-					bad(c, "nolint needs an analyzer list: //deltanet:nolint <analyzer>[,<analyzer>] <reason>")
+					report(c, "nolint", "nolint needs an analyzer list: //deltanet:nolint <analyzer>[,<analyzer>] <reason>")
 					continue
 				}
 				if strings.TrimSpace(reason) == "" {
-					bad(c, "nolint needs a reason: //deltanet:nolint %s <reason>", names)
+					report(c, "nolint", "nolint needs a reason: //deltanet:nolint %s <reason>", names)
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
@@ -128,7 +135,7 @@ func scanNolint(pkg *LoadedPackage, known map[string]bool) (suppressions, []Diag
 				ok = true
 				for _, name := range strings.Split(names, ",") {
 					if !known[name] {
-						bad(c, "nolint names unknown analyzer %q", name)
+						report(c, "nolint", "nolint names unknown analyzer %q", name)
 						ok = false
 						break
 					}

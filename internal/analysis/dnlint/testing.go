@@ -19,9 +19,11 @@ var wantRe = regexp.MustCompile("\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`")
 //
 //	p := &T{} // want `regexp matching the message`
 //
-// A diagnostic with no matching want on its line, and a want with no
-// matching diagnostic, both fail the test. pkgDir is relative to the
-// test's working directory, e.g. "testdata/src/a".
+// A want may also end a marker comment, as in
+// //deltanet:word // want `stale marker`. A diagnostic with no matching
+// want on its line, and a want with no matching diagnostic, both fail
+// the test. pkgDir is relative to the test's working directory, e.g.
+// "testdata/src/a".
 func RunTest(t *testing.T, pkgDir string, a *Analyzer) {
 	t.Helper()
 	pkgs, err := Load("", "./"+filepath.ToSlash(pkgDir))
@@ -32,7 +34,7 @@ func RunTest(t *testing.T, pkgDir string, a *Analyzer) {
 		t.Fatalf("fixture %s: loaded %d packages, want 1", pkgDir, len(pkgs))
 	}
 	pkg := pkgs[0]
-	diags, err := runPackage(pkg, []*Analyzer{a}, knownNames([]*Analyzer{a}))
+	diags, err := runPackage(pkg, []*Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, pkgDir, err)
 	}
@@ -80,7 +82,8 @@ func collectWants(t *testing.T, pkg *LoadedPackage) map[posKey][]want {
 	for _, f := range pkg.Files {
 		for _, group := range f.Comments {
 			for _, c := range group.List {
-				rest, ok := strings.CutPrefix(c.Text, "// want ")
+				// A want may trail a marker in the same comment.
+				_, rest, ok := strings.Cut(c.Text, "// want ")
 				if !ok {
 					continue
 				}

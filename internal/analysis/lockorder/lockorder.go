@@ -3,11 +3,17 @@
 // acquired in strictly increasing rank order, never held across a
 // return without a deferred unlock, and never copied by value.
 //
-// Rationale: the server orders six locks, the metrics registry three,
+// Rationale: the server orders three locks, the metrics registry three,
 // the monitor two, and an out-of-order acquisition anywhere in such a
 // lattice is a deadlock that only bites under concurrent load — exactly
 // the bug class the race detector cannot see. The annotation turns a
 // doc comment's ordering into a machine-checked contract.
+//
+// Proving seed: in internal/server's writeStatusz, hold s.connMu
+// (rank 20) while taking s.mu.RLock (rank 10). The inversion fails
+// TestDnlintClean and nothing else in go vet or tier-1: TestOneWriter
+// and TestTwoLocks count ranks, not acquisition order. (The by-value
+// rules below overlap go vet's copylocks check.)
 //
 // The analysis is flow-sensitive within a function and summary-based
 // across same-package calls:
@@ -41,9 +47,10 @@ import (
 
 // Analyzer enforces //deltanet:lockrank acquisition order.
 var Analyzer = &dnlint.Analyzer{
-	Name: "lockorder",
-	Doc:  "check //deltanet:lockrank lock ordering, returns-while-locked, and mutex-by-value copies",
-	Run:  run,
+	Name:    "lockorder",
+	Doc:     "check //deltanet:lockrank lock ordering, returns-while-locked, and mutex-by-value copies",
+	Markers: []string{"lockrank"},
+	Run:     run,
 }
 
 type rankInfo struct {

@@ -148,3 +148,9 @@ func (m *M) suppressed() {
 	m.low.Unlock()
 	m.high.Unlock()
 }
+
+// Stale keeps a marker whose analyzer is gone: the driver reports it,
+// whichever analyzers run, until it is deleted.
+//
+//deltanet:pointerfree // want `stale marker //deltanet:pointerfree: no analyzer checks it`
+type Stale struct{ n int }

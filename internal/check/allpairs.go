@@ -6,7 +6,6 @@ import (
 
 	"deltanet/internal/bitset"
 	"deltanet/internal/core"
-	"deltanet/internal/netgraph"
 )
 
 // AllPairs implements Algorithm 3 (paper §3.3): the Floyd–Warshall
@@ -105,7 +104,3 @@ func initAllPairs(n *core.Network, V int) [][]*bitset.Set {
 	}
 	return r
 }
-
-// PairReach answers one (i, j) cell from an AllPairs result, provided for
-// symmetry with the incremental API.
-func PairReach(r [][]*bitset.Set, i, j netgraph.NodeID) *bitset.Set { return r[i][j] }

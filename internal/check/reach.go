@@ -118,16 +118,6 @@ func Reachable(n *core.Network, from, to netgraph.NodeID) *bitset.Set {
 	return cloneAt(fixpoint{avoid: netgraph.NoNode}.run(n, from, sc), to)
 }
 
-// ReachableDeps is Reachable with dependency recording: every link the
-// query examined is added to deps. A later label change on a link outside
-// deps cannot change the result, which is what lets the monitor subsystem
-// skip re-evaluation (see fixpoint.deps).
-func ReachableDeps(n *core.Network, from, to netgraph.NodeID, deps *bitset.Set) *bitset.Set {
-	sc := GetScratch()
-	defer PutScratch(sc)
-	return cloneAt(fixpoint{avoid: netgraph.NoNode, deps: deps}.run(n, from, sc), to)
-}
-
 // ReachFrom computes the full single-source reach vector (reach[v] may be
 // nil where nothing arrives), recording examined links into deps when it
 // is non-nil. Group queries such as isolation evaluate one fixpoint per
@@ -139,8 +129,6 @@ func ReachFrom(n *core.Network, from netgraph.NodeID, deps *bitset.Set) []*bitse
 
 // LinkSketch pairs a dep link with the coarse sketch of atom ids whose
 // label changes there could alter the query's result.
-//
-//deltanet:pointerfree
 type LinkSketch struct {
 	Link   netgraph.LinkID
 	Sketch intervalmap.Sketch
@@ -378,14 +366,4 @@ func Waypoint(n *core.Network, from, to, waypoint netgraph.NodeID) *bitset.Set {
 	sc := GetScratch()
 	defer PutScratch(sc)
 	return cloneAt(fixpoint{avoid: waypoint}.run(n, from, sc), to)
-}
-
-// WaypointDeps is Waypoint with dependency recording into deps, as
-// ReachableDeps is to Reachable. The waypoint's own out-links are never
-// recorded: flows through them traverse the waypoint by definition, so
-// changes there cannot alter the bypass set.
-func WaypointDeps(n *core.Network, from, to, waypoint netgraph.NodeID, deps *bitset.Set) *bitset.Set {
-	sc := GetScratch()
-	defer PutScratch(sc)
-	return cloneAt(fixpoint{avoid: waypoint, deps: deps}.run(n, from, sc), to)
 }

@@ -9,6 +9,7 @@ import (
 
 	"deltanet/internal/ipnet"
 	"deltanet/internal/netgraph"
+	"deltanet/internal/testutil"
 )
 
 func liveHeap() uint64 {
@@ -254,4 +255,10 @@ func TestOwnerGrowthByAnEighth(t *testing.T) {
 		}
 		spare("owner directory", i+7, len(n.owner), cap(n.owner))
 	}
+}
+
+// TestPointerFree: rule records, high-half columns and interval entries
+// live by the million in pages and slices the GC must never scan.
+func TestPointerFree(t *testing.T) {
+	testutil.PointerFree(t, ruleRec{}, wideRec{}, ivRec{})
 }

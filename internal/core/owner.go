@@ -58,8 +58,6 @@ const noSlot int32 = -1
 // zero lands in the page. Full-width fields would make the record 20
 // bytes, or 24 with its alignment to 8 for an int64 id. A released slot
 // holds iv == noSlot.
-//
-//deltanet:pointerfree
 type ruleRec struct {
 	idLo           uint32
 	iv             int32
@@ -70,8 +68,6 @@ type ruleRec struct {
 // its id and the high 16 of its link and priority (as unsigned words, so a
 // negative priority has prioHi ≠ 0). The benchmark's planes need none of
 // them: their ids fit in 32 bits and their links and priorities in 16.
-//
-//deltanet:pointerfree
 type wideRec struct {
 	idHi           uint32
 	linkHi, prioHi uint16
@@ -86,8 +82,6 @@ func wideOf(r *Rule) wideRec {
 // by their handles in M, and refs, the number of records naming it. The
 // handles never dangle: GC only releases keys no live entry names. A freed
 // entry is zeroed, so refs == 0 marks it.
-//
-//deltanet:pointerfree
 type ivRec struct {
 	lo, hi intervalmap.Bound
 	refs   int32

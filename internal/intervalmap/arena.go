@@ -25,8 +25,6 @@ type arenaTree struct {
 
 // treeNode is one arena slot. It contains no pointers so the backing
 // slice is invisible to the garbage collector.
-//
-//deltanet:pointerfree
 type treeNode struct {
 	key                 uint64
 	left, right, parent int32

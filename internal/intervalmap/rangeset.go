@@ -20,8 +20,6 @@ type RangeSet struct {
 }
 
 // Range is an inclusive range [Lo, Hi] of atom ids.
-//
-//deltanet:pointerfree
 type Range struct {
 	Lo, Hi AtomID
 }
@@ -190,11 +188,8 @@ const SketchRanges = 8
 // 10⁵ invariants retains hundreds of thousands of sketches, and inlined
 // no-pointer values keep that entire footprint invisible to the garbage
 // collector (maps with pointer-free keys and values are never scanned),
-// where a *RangeSet per summary made every GC cycle walk them all. The
-// pointerfree analyzer (internal/analysis) keeps the property from
-// regressing.
-//
-//deltanet:pointerfree
+// where a *RangeSet per summary made every GC cycle walk them all.
+// TestPointerFree keeps the property from regressing.
 type Sketch struct {
 	n uint8
 	r [SketchRanges]Range

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"deltanet/internal/ipnet"
+	"deltanet/internal/testutil"
 )
 
 func spaceForTest() ipnet.Space { return ipnet.IPv4 }
@@ -278,4 +279,10 @@ func TestMapAllocSeqStamps(t *testing.T) {
 	if !found {
 		t.Fatalf("free list did not recycle id %d", id)
 	}
+}
+
+// TestPointerFree: arena nodes, ranges and sketches are stored inline by
+// the hundred thousand; the GC must never scan them.
+func TestPointerFree(t *testing.T) {
+	testutil.PointerFree(t, treeNode{}, Range{}, Sketch{})
 }

@@ -25,8 +25,6 @@ func bucketBoundNs(i int) int64 {
 // bucket counts (index NumBuckets is +Inf), total observed nanoseconds,
 // and observation count. It must stay free of pointers at any depth so
 // histograms add no GC scan work (atomic.Uint64/Int64 wrap a bare word).
-//
-//deltanet:pointerfree
 type histCounts struct {
 	buckets [NumBuckets + 1]atomic.Uint64
 	sumNs   atomic.Int64

@@ -5,8 +5,8 @@
 //
 // Everything on the hot path is a plain atomic word: Observe/Inc/Add
 // never allocate, never take a lock, and the histogram's bucket storage
-// is a pointer-free fixed array (annotated //deltanet:pointerfree and
-// enforced by dnlint), so a process holding thousands of metrics adds
+// is a pointer-free fixed array (pinned by TestPointerFree), so a
+// process holding thousands of metrics adds
 // nothing to GC scan work. Registration and rendering take the registry
 // lock; both are off the update path.
 //

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"deltanet/internal/testutil"
 )
 
 func render(t *testing.T, r *Registry) string {
@@ -265,4 +267,10 @@ func TestValidateExpositionRejects(t *testing.T) {
 	if err := ValidateExposition(strings.NewReader(twoSeries)); err != nil {
 		t.Errorf("per-series cumulativity check leaked across series: %v", err)
 	}
+}
+
+// TestPointerFree: every histogram's bucket storage is one histCounts,
+// which the GC must never scan.
+func TestPointerFree(t *testing.T) {
+	testutil.PointerFree(t, histCounts{})
 }

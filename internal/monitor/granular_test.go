@@ -8,6 +8,7 @@ import (
 	"deltanet/internal/core"
 	"deltanet/internal/ipnet"
 	"deltanet/internal/netgraph"
+	"deltanet/internal/testutil"
 )
 
 // trunkFixture builds the prefix-locality shape atom granularity exists
@@ -259,4 +260,10 @@ func TestRangeSketchGCRecycleStability(t *testing.T) {
 		t.Fatalf("recycled atom bypassed the waypoint but invariant reports %v "+
 			"(range sketch trusted a recycled atom id)", got)
 	}
+}
+
+// TestPointerFree: the index keeps one slotSketch per (link, slot) and
+// trace rings keep ApplyTraces by value; the GC must never scan them.
+func TestPointerFree(t *testing.T) {
+	testutil.PointerFree(t, slotSketch{}, ApplyTrace{})
 }

@@ -50,8 +50,6 @@ type depIndex struct {
 // Both fields are inlined pointer-free values: the sums maps are
 // invisible to the garbage collector no matter how many sketches a
 // loaded monitor retains.
-//
-//deltanet:pointerfree
 type slotSketch struct {
 	atomSeq int64
 	sk      intervalmap.Sketch

@@ -9,8 +9,6 @@ package monitor
 //
 // It is passed by value and must stay free of pointers at any depth so
 // retaining rings of traces adds no GC scan work.
-//
-//deltanet:pointerfree
 type ApplyTrace struct {
 	// Update is the update sequence number whose delta drove this pass.
 	Update uint64

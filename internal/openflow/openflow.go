@@ -189,18 +189,6 @@ func ToOp(m FlowMod) core.BatchOp {
 	})
 }
 
-// EncodeOps writes a whole operation stream in wire format.
-func EncodeOps(w io.Writer, ops []core.BatchOp) error {
-	sw := NewWriter(w)
-	for i := range ops {
-		m := FromOp(ops[i])
-		if err := sw.Write(&m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // DecodeOps reads a whole operation stream until EOF.
 func DecodeOps(r io.Reader) ([]core.BatchOp, error) {
 	sr := NewReader(r)

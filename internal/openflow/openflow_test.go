@@ -149,8 +149,12 @@ func TestBinaryTraceReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := EncodeOps(&buf, tr.Ops); err != nil {
-		t.Fatal(err)
+	sw := NewWriter(&buf)
+	for i := range tr.Ops {
+		m := FromOp(tr.Ops[i])
+		if err := sw.Write(&m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if buf.Len() != len(tr.Ops)*MessageSize {
 		t.Fatalf("encoded %d bytes for %d ops", buf.Len(), len(tr.Ops))

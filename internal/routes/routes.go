@@ -96,6 +96,3 @@ func (c *Compiler) RulesForPrefixAt(p ipnet.Prefix, egress netgraph.NodeID, bloc
 	}
 	return out
 }
-
-// NextID returns the next rule id the compiler will hand out.
-func (c *Compiler) NextID() core.RuleID { return c.nextID }

@@ -97,8 +97,8 @@ func TestRulesForPrefix(t *testing.T) {
 		}
 		seenIDs[r.ID] = true
 	}
-	if c.NextID() != core.RuleID(len(rules))+1 {
-		t.Fatalf("NextID=%d", c.NextID())
+	if c.nextID != core.RuleID(len(rules))+1 {
+		t.Fatalf("nextID=%d", c.nextID)
 	}
 }
 

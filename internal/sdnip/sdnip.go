@@ -268,10 +268,6 @@ func (c *Controller) reverseOf(l netgraph.LinkID) netgraph.LinkID {
 // Ops returns the accumulated operation stream.
 func (c *Controller) Ops() []core.BatchOp { return c.ops }
 
-// ResetOps clears the accumulated stream (e.g. after initial convergence
-// when only failure churn should be traced).
-func (c *Controller) ResetOps() { c.ops = nil }
-
 // RandomAdvertisements draws prefixesPerBorder advertisements for each
 // border switch from a synthetic Route-Views feed, as in the paper's setup
 // where each Quagga border router advertises a fixed number of prefixes

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"deltanet/internal/metrics"
+	"deltanet/internal/testutil"
 )
 
 // scrape fetches path from the admin test server and returns the body.
@@ -331,4 +332,10 @@ func TestSlowUpdateLog(t *testing.T) {
 	if s.tr.slowCount.Load() == 0 {
 		t.Fatal("slow update not counted")
 	}
+}
+
+// TestPointerFree: the trace ring retains updateRecords by value, which
+// the GC must never scan.
+func TestPointerFree(t *testing.T) {
+	testutil.PointerFree(t, updateRecord{})
 }

@@ -2,10 +2,10 @@ package server
 
 // This file is the server's construction API: New takes functional
 // options, mirroring the top-level deltanet.Option idiom, in place of
-// the post-construction setters (SetSlowUpdate / EnableMetrics and the
-// monitor's SetBacklog) that used to be sprinkled between New and
-// Serve. Options are collected first and wired in a fixed order —
-// engine, backlog, slow-update log, journal, replica, metrics last — so
+// the post-construction setters (SetSlowUpdate / EnableMetrics) that
+// used to be sprinkled between New and Serve. Options are collected
+// first and wired in a fixed order — engine, slow-update log, journal,
+// replica, metrics last — so
 // option order never matters and the metric surface sees the final
 // configuration (the replica lag gauges only exist when WithReplicaOf
 // ran).
@@ -24,7 +24,6 @@ type Option func(*options)
 
 type options struct {
 	engine    core.Options
-	backlog   int
 	slow      time.Duration
 	slowLog   io.Writer
 	jrnl      *journal.Journal
@@ -36,13 +35,6 @@ type options struct {
 // WithEngine sets the data-plane engine options (atom GC, match space).
 func WithEngine(opts core.Options) Option {
 	return func(o *options) { o.engine = opts }
-}
-
-// WithBacklog sets the monitor's event-replay backlog capacity (the
-// "events/watch since <seq>" window); without it the monitor default
-// applies.
-func WithBacklog(n int) Option {
-	return func(o *options) { o.backlog = n }
 }
 
 // WithSlowUpdate logs updates whose traced pipeline stages sum past

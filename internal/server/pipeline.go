@@ -46,8 +46,6 @@ const traceRingCap = 256
 // delta and fan-out sizes, and where the nanoseconds went, stage by
 // stage. Records are retained by value in a fixed ring and must stay
 // free of pointers at any depth so the ring adds no GC scan work.
-//
-//deltanet:pointerfree
 type updateRecord struct {
 	// Seq is the engine update sequence number of the update.
 	Seq uint64

@@ -151,7 +151,6 @@ var errJournalTruncated = fmt.Errorf("journal truncated at primary")
 // does not load — the primary went away mid-body, say — leaves the
 // replica empty and unanchored, so the next session anchors afresh.
 func (s *Server) replicaAnchor(conn net.Conn, sc *lineReader) error {
-	//deltanet:nolint guardedwriter outbound client conn to the primary, owned by this goroutine alone; the guard is for served conns shared with watch fan-out
 	if _, err := fmt.Fprintln(conn, "checkpoint"); err != nil {
 		return err
 	}
@@ -201,7 +200,6 @@ func (s *Server) resetReplicaLocked() {
 // primary reports the cursor truncated (errJournalTruncated).
 func (s *Server) replicaStream(conn net.Conn, sc *lineReader) error {
 	cursor := s.replCursor.Load()
-	//deltanet:nolint guardedwriter outbound client conn to the primary, owned by this goroutine alone; the guard is for served conns shared with watch fan-out
 	if _, err := fmt.Fprintf(conn, "journal since %d\n", cursor); err != nil {
 		return err
 	}

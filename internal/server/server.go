@@ -265,9 +265,6 @@ func New(opts ...Option) *Server {
 	// Every delta-driven evaluation pass reports its stage times back to
 	// the server, merging with the staged engine-side stages (pipeline.go).
 	s.mon.SetTraceSink(s.onApplyTrace)
-	if o.backlog != 0 {
-		s.mon.SetBacklog(o.backlog)
-	}
 	s.jrnl = o.jrnl
 	s.replicaOf = o.replicaOf
 	if o.reg != nil {
@@ -421,11 +418,8 @@ const maxLine = 1 << 20
 // connWriter is the single funnel for writes to a client connection.
 // Once a connection enters watch mode a streamer goroutine shares it
 // with the request loop; mu keeps whole lines atomic, and the returned
-// error is how a dead client is detected (the guardedwriter analyzer
-// enforces that every caller checks it and that no write bypasses this
-// type).
-//
-//deltanet:connwriter
+// error is how a dead client is detected (TestGuardedWriter fails on a
+// caller that drops it and on a write that bypasses this type).
 type connWriter struct {
 	//deltanet:lockrank 40
 	mu sync.Mutex
@@ -475,7 +469,6 @@ func (r countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-//deltanet:dispatch
 func (s *Server) handle(conn net.Conn) {
 	s.connsTotal.Add(1)
 	sc := newLineReader(countingReader{conn: conn, n: &s.bytesIn})
@@ -776,11 +769,9 @@ func (s *Server) parseUpdateLine(line string) (core.BatchOp, string) {
 }
 
 // protocolCommands is the authoritative list of wire commands, sorted.
-// The wireproto analyzer cross-checks it against the dispatch code
-// below, the README protocol table, and the fuzz seed corpus, so a
-// command cannot be added to one without the others.
-//
-//deltanet:dispatch
+// TestWireProtocol cross-checks it against handle and dispatch, the
+// README protocol table and FuzzDispatch's seeds, so a command cannot
+// be added to one without the others.
 var protocolCommands = []string{
 	"B", "I", "R", "W",
 	"busy", "checkpoint", "dnbin", "events", "journal", "link", "node",
@@ -796,8 +787,6 @@ const errReadOnly = "err read-only replica: mutations go to the primary"
 // (including monitor registration, which only reads the data plane)
 // share the read lock. owned is the calling connection's registration
 // refcounts (see handle).
-//
-//deltanet:dispatch
 func (s *Server) dispatch(line string, owned map[monitor.ID]int) string {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
