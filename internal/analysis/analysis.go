@@ -9,9 +9,11 @@
 //
 // What other analyzers checked is now pinned by tests in the packages
 // that own the code: testutil.PointerFree (pointer-free long-lived
-// types), and internal/server's TestWireProtocol (dispatch, command
-// registry, README table and fuzz seeds agree) and TestGuardedWriter
-// (connection writes go through connWriter with errors checked).
+// types). Two test-only packages here check internal/server's source with
+// go/parser and go/types, each with a clean and a flagged fixture case:
+// wireproto (dispatch, command registry, README table and fuzz seeds
+// agree) and guardedwriter (connection writes go through connWriter with
+// errors checked).
 //
 // cmd/dnlint runs the suite from the command line; TestDnlintClean runs
 // it as part of `go test ./...`.

@@ -1,6 +1,5 @@
-// Package a is the guardedwriter analyzer's flagged fixture: a package
-// that declares a guarded writer and then routes around it, or discards
-// write errors, in every way the server's history has seen.
+// Package a is the flagged fixture: it declares a guarded connWriter and
+// then routes around it, or discards write errors, once in each way.
 package a
 
 import (
@@ -10,66 +9,60 @@ import (
 	"net"
 )
 
-// writer is the guarded per-connection writer.
-//
-//deltanet:connwriter
-type writer struct {
-	w *bufio.Writer
-}
+type connWriter struct{ w *bufio.Writer }
 
-func newWriter(c net.Conn) *writer {
-	return &writer{w: bufio.NewWriter(c)}
-}
+func newConnWriter(c net.Conn) *connWriter { return &connWriter{w: bufio.NewWriter(c)} }
 
-// line is the disciplined path: errors checked, flush error returned.
-func (wr *writer) line(s string) error {
-	if _, err := fmt.Fprintln(wr.w, s); err != nil {
+func (cw *connWriter) writeLine(s string) error {
+	if _, err := fmt.Fprintln(cw.w, s); err != nil {
 		return err
 	}
-	return wr.w.Flush()
+	return cw.w.Flush()
 }
 
-// sloppy discards write errors inside the guarded writer itself.
-func (wr *writer) sloppy(s string) {
-	fmt.Fprintln(wr.w, s) // want `error from conn write fmt\.Fprintln is unchecked`
-	wr.w.Flush()          // want `error from conn write wr\.w\.Flush is unchecked`
+func (cw *connWriter) sloppy(s string) {
+	fmt.Fprintln(cw.w, s)
+	cw.w.Flush()
 }
 
-// direct writes to the connection without going through the writer.
 func direct(c net.Conn) {
-	fmt.Fprintf(c, "hi\n")                          // want `fmt\.Fprintf writes to a conn-backed destination, bypassing the guarded writer \(writer\)`
-	if _, err := c.Write([]byte("x")); err != nil { // want `c\.Write writes to a conn-backed destination`
+	fmt.Fprintf(c, "hi\n")
+	if _, err := c.Write([]byte("x")); err != nil {
 		_ = err
 	}
 }
 
-// wrapped launders the connection through a fresh bufio.Writer; the
-// taint tracking still sees a conn-backed destination.
-func wrapped(c net.Conn) {
-	bw := bufio.NewWriter(c)
-	bw.WriteString("x")     // want `bw\.WriteString writes to a conn-backed destination`
-	io.WriteString(bw, "y") // want `io\.WriteString writes to a conn-backed destination`
-	bw.Flush()              // want `bw\.Flush writes to a conn-backed destination`
+func wrappedWriteString(c net.Conn) error {
+	_, err := bufio.NewWriter(c).WriteString("x")
+	return err
 }
 
-// callers must consume the guarded writer's error.
-func callers(wr *writer) {
-	wr.line("dropped")     // want `error from writer\.line is discarded`
-	_ = wr.line("blanked") // want `error from writer\.line is discarded`
-	if err := wr.line("checked"); err != nil {
+func wrappedIOWriteString(c net.Conn) error {
+	_, err := io.WriteString(bufio.NewWriter(c), "y")
+	return err
+}
+
+func wrappedFlush(c net.Conn) error {
+	return bufio.NewWriterSize(c, 64).Flush()
+}
+
+func callers(cw *connWriter) {
+	cw.writeLine("dropped")
+	_ = cw.writeLine("blanked")
+	if err := cw.writeLine("checked"); err != nil {
 		_ = err
 	}
 }
 
-// deferred write errors are still discarded errors.
 func deferred(c net.Conn) {
-	defer c.Write([]byte("bye")) // want `c\.Write writes to a conn-backed destination`
-	_ = c
+	defer c.Write([]byte("bye"))
 }
 
-// notConn writes to a plain buffer; nothing conn-backed, nothing flagged.
-func notConn(w io.Writer) {
+// notConn writes to a plain io.Writer; nothing is flagged.
+func notConn(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "fine")
-	bw.Flush()
+	if _, err := fmt.Fprintln(bw, "fine"); err != nil {
+		return err
+	}
+	return bw.Flush()
 }

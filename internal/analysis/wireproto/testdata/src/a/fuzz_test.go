@@ -1,17 +1,7 @@
 package a
 
-// fuzzer stands in for *testing.F; wireproto only scans the string
-// literals inside Fuzz* functions, it never runs them.
-type fuzzer interface {
-	Add(args ...any)
-}
-
-// FuzzDispatch seeds cover "get" here and "put" via the corpus file
-// under testdata/fuzz/FuzzDispatch; "del" is covered by neither.
-func FuzzDispatch(f fuzzer) {
-	for _, seed := range []string{
-		"get a\nget b\n",
-	} {
-		f.Add([]byte(seed))
-	}
+// dispatchSeeds seed "get" and "put" but not "del".
+var dispatchSeeds = []string{
+	"get a\nget b\n",
+	"put k v\n",
 }

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// dispatchSeeds are FuzzDispatch's seed sessions; TestWireProtocol
-// requires every wire command to start a line of one of them.
+// dispatchSeeds are FuzzDispatch's seed sessions; the wire protocol
+// test (internal/analysis/wireproto) requires every wire command to start a line of one of them.
 var dispatchSeeds = []string{
 	"node a\nlink 0 1\nI 1 0 0 0 100 1\nreach 0 1\nstats\n",
 	"I 1 0 0 0 100 1\nR 1\nwhatif 0\n",

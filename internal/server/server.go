@@ -418,8 +418,9 @@ const maxLine = 1 << 20
 // connWriter is the single funnel for writes to a client connection.
 // Once a connection enters watch mode a streamer goroutine shares it
 // with the request loop; mu keeps whole lines atomic, and the returned
-// error is how a dead client is detected (TestGuardedWriter fails on a
-// caller that drops it and on a write that bypasses this type).
+// error is how a dead client is detected (internal/analysis/guardedwriter's
+// test fails on a caller that drops it and on a write that bypasses this
+// type).
 type connWriter struct {
 	//deltanet:lockrank 40
 	mu sync.Mutex
@@ -769,9 +770,10 @@ func (s *Server) parseUpdateLine(line string) (core.BatchOp, string) {
 }
 
 // protocolCommands is the authoritative list of wire commands, sorted.
-// TestWireProtocol cross-checks it against handle and dispatch, the
-// README protocol table and FuzzDispatch's seeds, so a command cannot
-// be added to one without the others.
+// internal/analysis/wireproto's test parses this literal and cross-checks
+// it against handle and dispatch, the README protocol table and
+// FuzzDispatch's seeds, so a command cannot be added to one without the
+// others.
 var protocolCommands = []string{
 	"B", "I", "R", "W",
 	"busy", "checkpoint", "dnbin", "events", "journal", "link", "node",
